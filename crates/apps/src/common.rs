@@ -4,11 +4,12 @@
 use gpu_sim::transfer::{self, Direction};
 use gpu_sim::{CostProfile, DeviceSpec, KernelExec, KernelRecord, KernelStats, LaunchConfig};
 use hpac_core::exec::ExecOptions;
+use hpac_core::hash::fnv1a;
 use hpac_core::metrics;
 use hpac_core::region::{ApproxRegion, RegionError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// Launch-shape parameters swept by the paper's design-space exploration
 /// (the `num_teams`-derived "Items per Thread" and the block size).
@@ -258,29 +259,13 @@ const EVAL_MEMO_SHARDS: usize = 16;
 /// not retained — correctness never depends on retention.
 const EVAL_MEMO_BYTE_CAP: usize = 256 << 20;
 
-fn fnv1a_words(words: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
-}
-
 /// Build an [`EvalMemo`] key from an app tag and the exact parameter bits
 /// that determine the memoized computation. Keys must uniquely identify
 /// {app, dataset, compute}: two runs with equal keys must produce
 /// bit-identical outputs for every item.
 pub fn eval_key(app: &str, param_bits: &[u64]) -> Vec<u64> {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in app.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
     let mut key = Vec::with_capacity(1 + param_bits.len());
-    key.push(h);
+    key.push(fnv1a(app.bytes()));
     key.extend_from_slice(param_bits);
     key
 }
@@ -323,7 +308,7 @@ impl EvalMemo {
         key: &[u64],
         build: impl FnOnce() -> ComputeMemo,
     ) -> Arc<ComputeMemo> {
-        let shard = (fnv1a_words(key) as usize) % EVAL_MEMO_SHARDS;
+        let shard = (fnv1a(key.iter().flat_map(|w| w.to_le_bytes())) as usize) % EVAL_MEMO_SHARDS;
         let mut map = self.shards[shard].lock().unwrap();
         if let Some(memo) = map.get(key) {
             hpac_obs::inc(hpac_obs::CounterId::EvalMemoHits);
@@ -345,43 +330,46 @@ impl EvalMemo {
     }
 }
 
-static EVAL_MEMO_SCOPE: OnceLock<RwLock<Option<Arc<EvalMemo>>>> = OnceLock::new();
-
-fn scope_cell() -> &'static RwLock<Option<Arc<EvalMemo>>> {
-    EVAL_MEMO_SCOPE.get_or_init(|| RwLock::new(None))
-}
+/// The live sweep-scoped store and the number of [`EvalMemoScope`] guards
+/// holding it.
+static EVAL_MEMO_SCOPE: RwLock<Option<(Arc<EvalMemo>, usize)>> = RwLock::new(None);
 
 /// RAII guard for a sweep-scoped [`EvalMemo`]; see [`install_eval_memo`].
-pub struct EvalMemoScope {
-    installed: bool,
-}
+pub struct EvalMemoScope(());
 
 impl Drop for EvalMemoScope {
     fn drop(&mut self) {
-        if self.installed {
-            *scope_cell().write().unwrap() = None;
+        // The slot is valid at every step, so a poisoned lock is recovered
+        // rather than panicking inside drop.
+        let mut slot = EVAL_MEMO_SCOPE.write().unwrap_or_else(|e| e.into_inner());
+        if let Some((_, guards)) = slot.as_mut() {
+            *guards -= 1;
+            if *guards == 0 {
+                *slot = None;
+            }
         }
     }
 }
 
-/// Install a fresh sweep-scoped [`EvalMemo`] for the duration of the
-/// returned guard. If a scope is already active (a tuner search wrapping
-/// harness sweeps), the existing store is reused and the guard is a no-op
-/// on drop, so nested scopes compose: the outermost owner decides the
-/// memo's lifetime. Apps that consult [`current_eval_memo`] behave exactly
-/// as before when no scope is installed.
+/// Hold a sweep-scoped [`EvalMemo`] for the duration of the returned guard.
+/// The first guard installs a fresh store; while any guard is alive, later
+/// installs — a tuner search wrapping harness sweeps, or an overlapping
+/// search on another thread — share that store, and it is dropped with the
+/// last guard, whichever that is. Apps that consult [`current_eval_memo`]
+/// behave exactly as before when no scope is installed.
 pub fn install_eval_memo() -> EvalMemoScope {
-    let mut slot = scope_cell().write().unwrap();
-    if slot.is_some() {
-        return EvalMemoScope { installed: false };
+    let mut slot = EVAL_MEMO_SCOPE.write().unwrap_or_else(|e| e.into_inner());
+    match slot.as_mut() {
+        Some((_, guards)) => *guards += 1,
+        None => *slot = Some((Arc::new(EvalMemo::new()), 1)),
     }
-    *slot = Some(Arc::new(EvalMemo::new()));
-    EvalMemoScope { installed: true }
+    EvalMemoScope(())
 }
 
 /// The active sweep-scoped store, if any.
 pub fn current_eval_memo() -> Option<Arc<EvalMemo>> {
-    scope_cell().read().unwrap().clone()
+    let slot = EVAL_MEMO_SCOPE.read().unwrap_or_else(|e| e.into_inner());
+    slot.as_ref().map(|(store, _)| Arc::clone(store))
 }
 
 /// Launch class for a single grid-stride kernel over `n_items`: the packed
@@ -589,8 +577,12 @@ mod tests {
         assert_eq!(calls, 3, "each item computes once");
     }
 
+    /// The memo scope is process-global; tests that install it take turns.
+    static SCOPE_TESTS: Mutex<()> = Mutex::new(());
+
     #[test]
     fn eval_memo_interns_by_key_and_scope_nests() {
+        let _turn = SCOPE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         let store = EvalMemo::new();
         let key_a = eval_key("app", &[1, 2]);
         let key_b = eval_key("app", &[1, 3]);
@@ -617,6 +609,21 @@ mod tests {
             "inner drop must not clear the outer scope"
         );
         drop(outer);
+    }
+
+    #[test]
+    fn eval_memo_scope_outlives_its_first_owner() {
+        // Two overlapping searches: the one that started first finishes
+        // first, and the other must keep the store it has been filling.
+        let _turn = SCOPE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+        let a = install_eval_memo();
+        let store = current_eval_memo().expect("scope active");
+        let b = install_eval_memo();
+        drop(a);
+        let kept = current_eval_memo().expect("B still holds the scope");
+        assert!(Arc::ptr_eq(&store, &kept));
+        drop(b);
+        assert!(current_eval_memo().is_none(), "last guard drops the store");
     }
 
     #[test]

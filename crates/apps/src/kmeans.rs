@@ -13,8 +13,7 @@
 //! QoI: the cluster id of each observation; error metric: MCR.
 
 use crate::common::{
-    current_eval_memo, eval_key, grid_stride_launch_class, AppResult, Benchmark, ComputeMemo,
-    LaunchParams, QoI, RunAccumulator,
+    grid_stride_launch_class, AppResult, Benchmark, LaunchParams, QoI, RunAccumulator,
 };
 use gpu_sim::transfer::Direction;
 use gpu_sim::{AccessPattern, CostProfile, DeviceSpec, LaunchConfig};
@@ -91,15 +90,10 @@ impl KMeans {
 /// one cluster: memoized distances come from nearby observations and barely
 /// perturb the argmin, which is what lets approximation *herd* boundary
 /// observations into staying put instead of scrambling assignments.
-/// Sweep-scoped interning for the distance kernel, re-measured for PR 10
-/// (see README "Performance"): approximation feeds back through the
-/// centroids, so the memo must be keyed per *centroid state* and only
-/// iterations that reach identical centroids across configs can share.
-/// The ~12-flop distance body is about as cheap as the memo's own hit
-/// path, and the measured sweep is slower with interning on — kept off,
-/// matching PR 6's per-run conclusion for Blackscholes.
-const INTERN_DISTANCE_KERNEL: bool = false;
-
+///
+/// The distance is not interned in the sweep-scoped `EvalMemo`: the ~12-flop
+/// body is as cheap as a memo hit and the measured sweep was slower with it
+/// (README "Performance").
 struct DistanceBody<'a> {
     points: &'a [f64],
     centroids: &'a [f64],
@@ -107,7 +101,6 @@ struct DistanceBody<'a> {
     n: usize,
     dims: usize,
     k: usize,
-    memo: Option<std::sync::Arc<ComputeMemo>>,
 }
 
 impl RegionBody for DistanceBody<'_> {
@@ -129,10 +122,15 @@ impl RegionBody for DistanceBody<'_> {
     }
 
     fn compute(&self, item: usize, out: &mut [f64]) {
-        match &self.memo {
-            Some(memo) => memo.get_or(item, out, |out| self.distance(item, out)),
-            None => self.distance(item, out),
+        let (c, p) = (item / self.n, item % self.n);
+        let pt = &self.points[p * self.dims..(p + 1) * self.dims];
+        let ctr = &self.centroids[c * self.dims..(c + 1) * self.dims];
+        let mut d2 = 0.0;
+        for d in 0..self.dims {
+            let diff = pt[d] - ctr[d];
+            d2 += diff * diff;
         }
+        out[0] = d2;
     }
 
     fn store(&mut self, item: usize, out: &[f64]) {
@@ -146,20 +144,6 @@ impl RegionBody for DistanceBody<'_> {
             // The centroid is warp-uniform (shared memory).
             .shared_ops(self.dims as f64 / 4.0)
             .global_write(lanes, 8, AccessPattern::Coalesced)
-    }
-}
-
-impl DistanceBody<'_> {
-    fn distance(&self, item: usize, out: &mut [f64]) {
-        let (c, p) = (item / self.n, item % self.n);
-        let pt = &self.points[p * self.dims..(p + 1) * self.dims];
-        let ctr = &self.centroids[c * self.dims..(c + 1) * self.dims];
-        let mut d2 = 0.0;
-        for d in 0..self.dims {
-            let diff = pt[d] - ctr[d];
-            d2 += diff * diff;
-        }
-        out[0] = d2;
     }
 }
 
@@ -217,25 +201,6 @@ impl Benchmark for KMeans {
         for _ in 0..self.max_iters {
             iterations += 1;
             // Distance kernel: the approximated region.
-            let memo = if INTERN_DISTANCE_KERNEL {
-                current_eval_memo().map(|store| {
-                    // All points are distinct (random blobs), so identity
-                    // classing; the centroid state keys which iterations
-                    // may share.
-                    let mut bits: Vec<u64> = vec![
-                        self.n_points as u64,
-                        self.dims as u64,
-                        self.k as u64,
-                        self.spread.to_bits(),
-                        self.seed,
-                    ];
-                    bits.extend(centroids.iter().map(|c| c.to_bits()));
-                    let key = eval_key("K-Means", &bits);
-                    store.get_or_build(&key, || ComputeMemo::identity(n_items, 1))
-                })
-            } else {
-                None
-            };
             let mut body = DistanceBody {
                 points: &points,
                 centroids: &centroids,
@@ -243,7 +208,6 @@ impl Benchmark for KMeans {
                 n: self.n_points,
                 dims: self.dims,
                 k: self.k,
-                memo,
             };
             let rec = approx_parallel_for_opts(spec, &launch, region, &mut body, opts)?;
             acc.kernel(&rec);

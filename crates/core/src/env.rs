@@ -16,7 +16,6 @@
 //! | `HPAC_THREADS`       | [`crate::exec::engine::parse_hpac_threads`] | the `ExecEngine` batch width |
 //! | `HPAC_TRACE`         | `hpac_obs::parse_hpac_trace` (via [`init_trace_from_env`]) | trace sink selection |
 //! | `HPAC_TUNER_CACHE`   | [`parse_dir`]                            | the tuner's persistent cache directory |
-//! | `HPAC_SERVICE_QUEUE` | `hpac_service::parse_hpac_service_queue` | the service's admission width |
 //!
 //! Domain parsers stay in the crate that owns the knob; this module owns
 //! only the read-validate-abort glue, so a new variable gets the strict

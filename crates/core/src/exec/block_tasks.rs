@@ -36,26 +36,6 @@ use gpu_sim::{
 /// Launch a block-cooperative kernel over `n_tasks` tasks with block-level
 /// approximation. Blocks grid-stride over tasks: block `b` handles tasks
 /// `b, b + n_blocks, ...`.
-pub fn approx_block_tasks(
-    spec: &DeviceSpec,
-    n_tasks: usize,
-    block_size: u32,
-    n_blocks: u32,
-    region: Option<&ApproxRegion>,
-    body: &mut dyn BlockTaskBody,
-) -> Result<KernelRecord, RegionError> {
-    approx_block_tasks_opts(
-        spec,
-        n_tasks,
-        block_size,
-        n_blocks,
-        region,
-        body,
-        &ExecOptions::default(),
-    )
-}
-
-/// [`approx_block_tasks`] with explicit execution options.
 pub fn approx_block_tasks_opts(
     spec: &DeviceSpec,
     n_tasks: usize,

@@ -23,7 +23,7 @@
 //!
 //! [`approx_parallel_for`] is the analogue of launching an annotated
 //! `#pragma omp target teams distribute parallel for` region;
-//! [`approx_block_tasks`] is the cooperative-block variant used by
+//! [`approx_block_tasks_opts`] is the cooperative-block variant used by
 //! benchmarks like Binomial Options where one block computes one work item
 //! and decisions are block-scoped.
 
@@ -40,7 +40,7 @@ mod reference;
 mod taf;
 mod walk;
 
-pub use block_tasks::{approx_block_tasks, approx_block_tasks_opts};
+pub use block_tasks::approx_block_tasks_opts;
 pub use body::{BlockField, BlockTaskBody, RegionBody, StoreVisibility};
 pub use charge::StoreBuffer;
 pub use engine::{engine, ExecEngine};

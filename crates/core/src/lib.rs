@@ -39,6 +39,7 @@
 
 pub mod env;
 pub mod exec;
+pub mod hash;
 pub mod hierarchy;
 pub mod iact;
 pub mod metrics;
@@ -49,8 +50,8 @@ pub mod shared_state;
 pub mod taf;
 
 pub use exec::{
-    approx_block_tasks, approx_parallel_for, approx_parallel_for_opts, BlockTaskBody, ExecOptions,
-    Executor, RegionBody,
+    approx_block_tasks_opts, approx_parallel_for, approx_parallel_for_opts, BlockTaskBody,
+    ExecOptions, Executor, RegionBody,
 };
 pub use hierarchy::HierarchyLevel;
 pub use params::{IactParams, PerfoKind, PerfoParams, Replacement, TafParams};

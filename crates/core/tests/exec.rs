@@ -3,8 +3,8 @@
 
 use gpu_sim::{AccessPattern, CostProfile, DeviceSpec, LaunchConfig, Schedule};
 use hpac_core::exec::{
-    approx_block_tasks, approx_block_tasks_opts, approx_parallel_for, approx_parallel_for_opts,
-    engine, BlockTaskBody, ExecOptions, Executor, RegionBody,
+    approx_block_tasks_opts, approx_parallel_for, approx_parallel_for_opts, engine, BlockTaskBody,
+    ExecOptions, Executor, RegionBody,
 };
 use hpac_core::params::PerfoKind;
 use hpac_core::region::{ApproxRegion, RegionError};
@@ -516,7 +516,16 @@ impl BlockTaskBody for TaskBody {
 #[test]
 fn block_tasks_accurate_baseline() {
     let mut body = TaskBody::new(256);
-    let rec = approx_block_tasks(&spec(), 256, 128, 64, None, &mut body).unwrap();
+    let rec = approx_block_tasks_opts(
+        &spec(),
+        256,
+        128,
+        64,
+        None,
+        &mut body,
+        &ExecOptions::default(),
+    )
+    .unwrap();
     assert_eq!(body.calls(), 256);
     assert!(body.prices.iter().all(|&p| p >= 1.0));
     assert_eq!(rec.stats.accurate_lanes, 256);
@@ -528,7 +537,16 @@ fn block_tasks_taf_approximates_repeats() {
     // (b%8), (b+64)%8 = same value -> constant output stream.
     let mut body = TaskBody::new(1024);
     let region = ApproxRegion::memo_out(2, 8, 0.01).level(HierarchyLevel::Block);
-    let rec = approx_block_tasks(&spec(), 1024, 128, 64, Some(&region), &mut body).unwrap();
+    let rec = approx_block_tasks_opts(
+        &spec(),
+        1024,
+        128,
+        64,
+        Some(&region),
+        &mut body,
+        &ExecOptions::default(),
+    )
+    .unwrap();
     assert!(rec.stats.approx_lanes > 0);
     // Every task's price still exact because repeated params repeat prices.
     for (t, &p) in body.prices.iter().enumerate() {
@@ -540,7 +558,16 @@ fn block_tasks_taf_approximates_repeats() {
 fn block_tasks_iact_hits_on_repeats() {
     let mut body = TaskBody::new(1024);
     let region = ApproxRegion::memo_in(8, 1e-9).level(HierarchyLevel::Block);
-    let rec = approx_block_tasks(&spec(), 1024, 128, 64, Some(&region), &mut body).unwrap();
+    let rec = approx_block_tasks_opts(
+        &spec(),
+        1024,
+        128,
+        64,
+        Some(&region),
+        &mut body,
+        &ExecOptions::default(),
+    )
+    .unwrap();
     assert!(rec.stats.approx_lanes > 0);
     assert!(body.calls() < 1024);
     for (t, &p) in body.prices.iter().enumerate() {
@@ -552,7 +579,16 @@ fn block_tasks_iact_hits_on_repeats() {
 fn block_tasks_reject_thread_level_memo() {
     let mut body = TaskBody::new(64);
     let region = ApproxRegion::memo_out(2, 8, 0.5); // thread level
-    let err = approx_block_tasks(&spec(), 64, 128, 16, Some(&region), &mut body).unwrap_err();
+    let err = approx_block_tasks_opts(
+        &spec(),
+        64,
+        128,
+        16,
+        Some(&region),
+        &mut body,
+        &ExecOptions::default(),
+    )
+    .unwrap_err();
     assert!(matches!(err, RegionError::Invalid(_)));
 }
 
@@ -561,12 +597,30 @@ fn block_tasks_taf_cheaper_on_stable_stream() {
     let n = 2048;
     let mut b_acc = TaskBody::new(n);
     b_acc.params.iter_mut().for_each(|p| *p = 4.0);
-    let base = approx_block_tasks(&spec(), n, 128, 64, None, &mut b_acc).unwrap();
+    let base = approx_block_tasks_opts(
+        &spec(),
+        n,
+        128,
+        64,
+        None,
+        &mut b_acc,
+        &ExecOptions::default(),
+    )
+    .unwrap();
 
     let mut b_apx = TaskBody::new(n);
     b_apx.params.iter_mut().for_each(|p| *p = 4.0);
     let region = ApproxRegion::memo_out(1, 16, 0.01).level(HierarchyLevel::Block);
-    let fast = approx_block_tasks(&spec(), n, 128, 64, Some(&region), &mut b_apx).unwrap();
+    let fast = approx_block_tasks_opts(
+        &spec(),
+        n,
+        128,
+        64,
+        Some(&region),
+        &mut b_apx,
+        &ExecOptions::default(),
+    )
+    .unwrap();
     assert!(fast.timing.cycles < base.timing.cycles);
 }
 

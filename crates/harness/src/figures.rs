@@ -15,6 +15,7 @@ use gpu_sim::memory;
 use gpu_sim::DeviceSpec;
 use hpac_apps::common::{Benchmark, LaunchParams, QoI};
 use hpac_apps::{blackscholes::Blackscholes, kmeans::KMeans, lavamd::LavaMd};
+use hpac_core::exec::ExecOptions;
 use hpac_core::region::ApproxRegion;
 use hpac_core::HierarchyLevel;
 use std::path::Path;
@@ -425,9 +426,14 @@ pub fn fig11c(cfg: &LavaMd, scale: Scale) -> FigureData {
                         lp: LaunchParams::new(ipt, 256),
                         label: String::new(),
                     };
-                    let tr = runner::run_config(cfg, &spec, &baseline, &mk(HierarchyLevel::Thread));
-                    let wr = runner::run_config(cfg, &spec, &baseline, &mk(HierarchyLevel::Warp));
-                    if let (Ok(tr), Ok(wr)) = (tr, wr) {
+                    let run = |lvl| {
+                        let opts = ExecOptions::default();
+                        runner::run_config_bounded(cfg, &spec, &baseline, &mk(lvl), &opts)
+                            .into_result()
+                    };
+                    if let (Ok(tr), Ok(wr)) =
+                        (run(HierarchyLevel::Thread), run(HierarchyLevel::Warp))
+                    {
                         fig.push_row(vec![
                             f(t),
                             h.to_string(),

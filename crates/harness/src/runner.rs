@@ -164,39 +164,40 @@ pub enum ConfigOutcome {
     Aborted(String),
 }
 
-/// Execute one configuration against a prepared baseline.
-pub fn run_config(
-    bench: &dyn Benchmark,
-    spec: &DeviceSpec,
-    baseline: &Baseline,
-    cfg: &SweepConfig,
-) -> Result<Row, (String, String)> {
-    run_config_opts(bench, spec, baseline, cfg, &ExecOptions::default())
-}
+impl ConfigOutcome {
+    /// The sweep view of an outcome: a row, or a `(label, reason)`
+    /// rejection — a cost-ceiling abort reads as a rejection here, since a
+    /// sweep reports only rows and rejections.
+    pub fn into_result(self) -> Result<Row, (String, String)> {
+        match self {
+            ConfigOutcome::Done(row) => Ok(row),
+            ConfigOutcome::Rejected(label, reason) => Err((label, reason)),
+            ConfigOutcome::Aborted(label) => {
+                Err((label, "aborted: modeled cost exceeds ceiling".to_string()))
+            }
+        }
+    }
 
-/// [`run_config`] under explicit execution options (executor knob).
-///
-/// A cost-ceiling abort surfaces as a rejection here; sweep entry points
-/// never set a ceiling, so they never see one. Ceiling-aware callers (the
-/// tuner) use [`run_config_bounded`] and match on
-/// [`ConfigOutcome::Aborted`].
-pub fn run_config_opts(
-    bench: &dyn Benchmark,
-    spec: &DeviceSpec,
-    baseline: &Baseline,
-    cfg: &SweepConfig,
-    opts: &ExecOptions,
-) -> Result<Row, (String, String)> {
-    match run_config_bounded(bench, spec, baseline, cfg, opts) {
-        ConfigOutcome::Done(row) => Ok(row),
-        ConfigOutcome::Rejected(label, reason) => Err((label, reason)),
-        ConfigOutcome::Aborted(label) => {
-            Err((label, "aborted: modeled cost exceeds ceiling".to_string()))
+    /// This outcome as `cfg`'s own: a canonical duplicate takes its
+    /// representative's result under its own label and items-per-thread.
+    fn relabelled(&self, cfg: &SweepConfig) -> ConfigOutcome {
+        match self {
+            ConfigOutcome::Done(row) => ConfigOutcome::Done(Row {
+                config: cfg.label.clone(),
+                items_per_thread: cfg.lp.items_per_thread,
+                ..row.clone()
+            }),
+            ConfigOutcome::Rejected(_, reason) => {
+                ConfigOutcome::Rejected(cfg.label.clone(), reason.clone())
+            }
+            ConfigOutcome::Aborted(_) => ConfigOutcome::Aborted(cfg.label.clone()),
         }
     }
 }
 
-/// [`run_config_opts`] with aborts reported as their own outcome.
+/// Execute one configuration against a prepared baseline under `opts`
+/// (executor knob, abort ceiling). Sweeps set no ceiling and so never see
+/// [`ConfigOutcome::Aborted`]; the tuner does and matches on it.
 pub fn run_config_bounded(
     bench: &dyn Benchmark,
     spec: &DeviceSpec,
@@ -276,63 +277,103 @@ pub fn canonical_key(
     })
 }
 
-/// For each plan entry, the index of its canonical representative: the
-/// first earlier entry with the same effective execution (identical region
-/// fingerprint *and* identical launch class per
-/// [`Benchmark::launch_class`]). Entries whose benchmark opts out of launch
-/// classification (`None`) are always their own representative.
-fn canonical_reps(bench: &dyn Benchmark, spec: &DeviceSpec, plan: &[SweepConfig]) -> Vec<usize> {
-    let mut reps: Vec<usize> = (0..plan.len()).collect();
-    let mut seen: HashMap<Vec<u64>, usize> = HashMap::new();
-    for (i, cfg) in plan.iter().enumerate() {
-        if let Some(key) = canonical_key(bench, spec, cfg) {
-            match seen.entry(key) {
-                Entry::Occupied(e) => reps[i] = *e.get(),
-                Entry::Vacant(e) => {
-                    e.insert(i);
+/// The one canonical-dedup table: execution key ([`canonical_key`]) → the
+/// representative `R` admitted for it. A sweep keeps one per plan (`R` = the
+/// representative's evaluation slot); the tuner's evaluator keeps one per
+/// search (`R` = the representative's label), so duplicates are recognised
+/// across batches too.
+#[derive(Debug)]
+pub struct CanonicalReps<R> {
+    seen: HashMap<Vec<u64>, R>,
+}
+
+impl<R> Default for CanonicalReps<R> {
+    fn default() -> Self {
+        CanonicalReps {
+            seen: HashMap::new(),
+        }
+    }
+}
+
+impl<R: Clone> CanonicalReps<R> {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The representative of `cfg`'s execution, if an equal-key
+    /// configuration was admitted before. Otherwise `None`, and `candidate`
+    /// (when given) is admitted as the representative of `cfg`'s key; a
+    /// caller that will not evaluate `cfg` passes `None` and leaves the key
+    /// open. Benchmarks that opt out of launch classification never match
+    /// and never register.
+    pub fn rep_or_admit(
+        &mut self,
+        bench: &dyn Benchmark,
+        spec: &DeviceSpec,
+        cfg: &SweepConfig,
+        candidate: Option<R>,
+    ) -> Option<R> {
+        match self.seen.entry(canonical_key(bench, spec, cfg)?) {
+            Entry::Occupied(e) => Some(e.get().clone()),
+            Entry::Vacant(e) => {
+                if let Some(rep) = candidate {
+                    e.insert(rep);
                 }
+                None
             }
         }
     }
-    reps
 }
 
-/// Evaluate a plan with canonical-duplicate elision: only representatives
-/// run (via `eval`); duplicates clone their representative's result under
-/// their own label and items-per-thread. `run_fresh` maps representative
-/// plan indices to results — sequentially or via the engine, the caller's
-/// choice.
-fn run_deduped(
+/// The one sweep body: baseline → canonical dedup → fresh configurations
+/// (one engine task each, or serially on the caller) → every plan entry
+/// answered from its representative, in plan order.
+fn sweep(
     bench: &dyn Benchmark,
     spec: &DeviceSpec,
     plan: &[SweepConfig],
-    run_fresh: impl FnOnce(&[usize]) -> Vec<Result<Row, (String, String)>>,
-) -> Vec<Result<Row, (String, String)>> {
-    let reps = canonical_reps(bench, spec, plan);
-    let fresh: Vec<usize> = (0..plan.len()).filter(|&i| reps[i] == i).collect();
-    let fresh_results = run_fresh(&fresh);
-    let mut by_index: Vec<Option<Result<Row, (String, String)>>> = vec![None; plan.len()];
-    for (slot, &i) in fresh.iter().enumerate() {
-        by_index[i] = Some(fresh_results[slot].clone());
-    }
-    for i in 0..plan.len() {
-        if reps[i] != i {
-            hpac_obs::inc(hpac_obs::CounterId::ConfigsDeduped);
-            let rep = by_index[reps[i]].clone().expect("representative evaluated");
-            by_index[i] = Some(match rep {
-                Ok(mut row) => {
-                    row.config = plan[i].label.clone();
-                    row.items_per_thread = plan[i].lp.items_per_thread;
-                    Ok(row)
-                }
-                Err((_, reason)) => Err((plan[i].label.clone(), reason)),
-            });
+    opts: &ExecOptions,
+    on_engine: bool,
+) -> SweepOutcome {
+    let _scope = install_eval_memo();
+    let baseline = select_baseline_opts(bench, spec, opts);
+    let _sweep = hpac_obs::span_named(hpac_obs::SpanId::SweepApp, bench.name(), plan.len() as u64);
+
+    let mut reps = CanonicalReps::new();
+    let mut fresh: Vec<&SweepConfig> = Vec::new();
+    // Per plan entry, the slot in `fresh` whose evaluation answers it.
+    let slots: Vec<usize> = plan
+        .iter()
+        .map(|cfg| {
+            if let Some(slot) = reps.rep_or_admit(bench, spec, cfg, Some(fresh.len())) {
+                hpac_obs::inc(hpac_obs::CounterId::ConfigsDeduped);
+                return slot;
+            }
+            fresh.push(cfg);
+            fresh.len() - 1
+        })
+        .collect();
+
+    let eval = |slot: usize| run_config_bounded(bench, spec, &baseline, fresh[slot], opts);
+    let outcomes: Vec<ConfigOutcome> = if on_engine {
+        engine().run(fresh.len(), engine().default_width(), eval)
+    } else {
+        (0..fresh.len()).map(eval).collect()
+    };
+
+    let mut rows = Vec::with_capacity(plan.len());
+    let mut rejected = Vec::new();
+    for (cfg, &slot) in plan.iter().zip(&slots) {
+        match outcomes[slot].relabelled(cfg).into_result() {
+            Ok(row) => rows.push(row),
+            Err(rej) => rejected.push(rej),
         }
     }
-    by_index
-        .into_iter()
-        .map(|r| r.expect("all filled"))
-        .collect()
+    SweepOutcome {
+        rows,
+        rejected,
+        baseline,
+    }
 }
 
 /// Run a benchmark's full sweep plan on one device, in parallel across
@@ -347,103 +388,32 @@ fn run_deduped(
 /// block executor is the only parallelism in play.
 pub fn run_sweep(bench: &dyn Benchmark, spec: &DeviceSpec, scale: Scale) -> SweepOutcome {
     let opts = ExecOptions::default();
-    let _scope = install_eval_memo();
-    let baseline = select_baseline_opts(bench, spec, &opts);
-    let plan = space::plan(bench, spec, scale);
-    let _sweep = hpac_obs::span_named(hpac_obs::SpanId::SweepApp, bench.name(), plan.len() as u64);
-    let results = run_deduped(bench, spec, &plan, |fresh| {
-        engine().run(fresh.len(), engine().default_width(), |slot| {
-            run_config_opts(bench, spec, &baseline, &plan[fresh[slot]], &opts)
-        })
-    });
-
-    let mut rows = Vec::with_capacity(results.len());
-    let mut rejected = Vec::new();
-    for r in results {
-        match r {
-            Ok(row) => rows.push(row),
-            Err(rej) => rejected.push(rej),
-        }
-    }
-    SweepOutcome {
-        rows,
-        rejected,
-        baseline,
-    }
+    sweep(bench, spec, &space::plan(bench, spec, scale), &opts, true)
 }
 
 /// Run a benchmark's full sweep plan on one device with each configuration
 /// executed *serially*, under explicit execution options. This is the
 /// harness entry for intra-kernel parallelism
 /// ([`hpac_core::exec::Executor::ParallelBlocks`]): the configurations run
-/// one at a time and each kernel launch fans its blocks out instead —
-/// `sweepbench` uses it to compare the two executors on equal footing.
+/// one at a time and each kernel launch fans its blocks out instead.
 pub fn run_sweep_serial(
     bench: &dyn Benchmark,
     spec: &DeviceSpec,
     scale: Scale,
     opts: &ExecOptions,
 ) -> SweepOutcome {
-    let _scope = install_eval_memo();
-    let baseline = select_baseline_opts(bench, spec, opts);
-    let plan = space::plan(bench, spec, scale);
-    let _sweep = hpac_obs::span_named(hpac_obs::SpanId::SweepApp, bench.name(), plan.len() as u64);
-    let results = run_deduped(bench, spec, &plan, |fresh| {
-        fresh
-            .iter()
-            .map(|&i| run_config_opts(bench, spec, &baseline, &plan[i], opts))
-            .collect()
-    });
-    let mut rows = Vec::with_capacity(plan.len());
-    let mut rejected = Vec::new();
-    for r in results {
-        match r {
-            Ok(row) => rows.push(row),
-            Err(rej) => rejected.push(rej),
-        }
-    }
-    SweepOutcome {
-        rows,
-        rejected,
-        baseline,
-    }
+    sweep(bench, spec, &space::plan(bench, spec, scale), opts, false)
 }
 
-/// Run specific configurations (used by figure generators with bespoke
-/// grids, e.g. Fig 8c's extended items-per-thread axis).
+/// Run specific configurations, config-parallel like [`run_sweep`] (used by
+/// figure generators with bespoke grids, e.g. Fig 8c's extended
+/// items-per-thread axis).
 pub fn run_configs(
     bench: &dyn Benchmark,
     spec: &DeviceSpec,
     configs: &[SweepConfig],
 ) -> SweepOutcome {
-    // Config-parallel like `run_sweep`: one engine task per configuration,
-    // nested kernel fan-outs inlined by the engine's depth guard.
-    let opts = ExecOptions::default();
-    let _scope = install_eval_memo();
-    let baseline = select_baseline_opts(bench, spec, &opts);
-    let _sweep = hpac_obs::span_named(
-        hpac_obs::SpanId::SweepApp,
-        bench.name(),
-        configs.len() as u64,
-    );
-    let results = run_deduped(bench, spec, configs, |fresh| {
-        engine().run(fresh.len(), engine().default_width(), |slot| {
-            run_config_opts(bench, spec, &baseline, &configs[fresh[slot]], &opts)
-        })
-    });
-    let mut rows = Vec::new();
-    let mut rejected = Vec::new();
-    for r in results {
-        match r {
-            Ok(row) => rows.push(row),
-            Err(rej) => rejected.push(rej),
-        }
-    }
-    SweepOutcome {
-        rows,
-        rejected,
-        baseline,
-    }
+    sweep(bench, spec, configs, &ExecOptions::default(), true)
 }
 
 #[cfg(test)]
@@ -481,7 +451,9 @@ mod tests {
             lp: LaunchParams::new(16, 256),
             label: "test".into(),
         };
-        let row = run_config(&bench, &spec, &baseline, &cfg).unwrap();
+        let row = run_config_bounded(&bench, &spec, &baseline, &cfg, &ExecOptions::default())
+            .into_result()
+            .unwrap();
         assert!(row.speedup > 0.0);
         assert!(row.error_pct >= 0.0);
         assert_eq!(row.technique, "TAF");
@@ -499,7 +471,9 @@ mod tests {
             lp: LaunchParams::new(8, 1024),
             label: "oversized".into(),
         };
-        let err = run_config(&bench, &spec, &baseline, &cfg).unwrap_err();
+        let err = run_config_bounded(&bench, &spec, &baseline, &cfg, &ExecOptions::default())
+            .into_result()
+            .unwrap_err();
         assert_eq!(err.0, "oversized");
         assert!(err.1.contains("shared memory"), "reason: {}", err.1);
     }

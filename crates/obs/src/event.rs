@@ -26,17 +26,15 @@ pub enum SpanId {
     ConfigEval = 5,
     /// One full per-app sweep. a = interned app name, b = configs in plan.
     SweepApp = 6,
-    /// One `Tuner::tune` request. a = interned app name, b = error bound in basis points.
-    TunerTune = 7,
     /// One technique grid searched within a tune request. a = grid index, b = grid size.
-    TunerSearchGrid = 8,
+    TunerSearchGrid = 7,
     /// One `TuningService` request, cache lookup through response.
     /// a = interned app name, b = error bound in basis points.
-    ServiceRequest = 9,
+    ServiceRequest = 8,
 }
 
 impl SpanId {
-    pub const ALL: [SpanId; 10] = [
+    pub const ALL: [SpanId; 9] = [
         SpanId::EngineBatch,
         SpanId::EngineTask,
         SpanId::KernelWalk,
@@ -44,7 +42,6 @@ impl SpanId {
         SpanId::BaselineSelect,
         SpanId::ConfigEval,
         SpanId::SweepApp,
-        SpanId::TunerTune,
         SpanId::TunerSearchGrid,
         SpanId::ServiceRequest,
     ];
@@ -58,7 +55,6 @@ impl SpanId {
             SpanId::BaselineSelect => "baseline_select",
             SpanId::ConfigEval => "config_eval",
             SpanId::SweepApp => "sweep_app",
-            SpanId::TunerTune => "tuner_tune",
             SpanId::TunerSearchGrid => "tuner_search_grid",
             SpanId::ServiceRequest => "service_request",
         }
@@ -74,7 +70,6 @@ impl SpanId {
             SpanId::BaselineSelect => ("app", "b", true),
             SpanId::ConfigEval => ("app", "config", true),
             SpanId::SweepApp => ("app", "configs", true),
-            SpanId::TunerTune => ("app", "bound_bp", true),
             SpanId::TunerSearchGrid => ("grid", "size", false),
             SpanId::ServiceRequest => ("app", "bound_bp", true),
         }
@@ -174,7 +169,7 @@ pub enum CounterId {
     ConfigsRejected,
     /// Nanoseconds spent evaluating configs, attributed to the evaluating worker.
     ConfigEvalNs,
-    /// `Tuner::tune` requests.
+    /// Tune requests submitted to the service.
     TunerRequests,
     /// Tune requests answered from the persistent cache.
     TunerCacheHits,

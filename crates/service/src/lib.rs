@@ -17,8 +17,7 @@
 //! * warm starts — a new bound seeds its search from the cached Pareto
 //!   frontiers of neighboring bounds on the same (benchmark, device);
 //! * engine admission — batches run on the process-wide
-//!   [`ExecEngine`](hpac_core::exec::ExecEngine) pool, throttled by
-//!   `HPAC_SERVICE_QUEUE`.
+//!   [`ExecEngine`](hpac_core::exec::ExecEngine) pool at its default width.
 //!
 //! ```ignore
 //! let svc = TuningService::new()

@@ -22,8 +22,8 @@
 //!
 //! Batches go through [`submit_batch`](TuningService::submit_batch), which
 //! admits requests into the process-wide
-//! [`ExecEngine`](hpac_core::exec::ExecEngine) worker pool —
-//! `HPAC_SERVICE_QUEUE` caps how many are in flight at once.
+//! [`ExecEngine`](hpac_core::exec::ExecEngine) worker pool at its default
+//! width.
 
 use crate::request::{Source, TuneRequest, TuneResponse, WarmStart};
 use hpac_core::exec::engine;
@@ -128,7 +128,6 @@ pub struct ServiceStats {
 pub struct TuningService {
     tuner: Tuner,
     cache: Option<TuningCache>,
-    batch_width: Option<usize>,
     inflight: Mutex<HashMap<Key, Arc<InFlight>>>,
     stats: StatsInner,
 }
@@ -147,7 +146,6 @@ impl TuningService {
         TuningService {
             tuner: Tuner::new(),
             cache: None,
-            batch_width: env_service_queue(),
             inflight: Mutex::new(HashMap::new()),
             stats: StatsInner::default(),
         }
@@ -160,32 +158,14 @@ impl TuningService {
         self
     }
 
-    /// Replace the tuner policy (strategy, scale, default budget). Any
-    /// cache attached to the tuner itself is ignored — the service owns
-    /// caching.
-    pub fn with_tuner(mut self, mut tuner: Tuner) -> Self {
-        tuner.cache = None;
+    /// Replace the tuner policy (strategy, scale, default budget).
+    pub fn with_tuner(mut self, tuner: Tuner) -> Self {
         self.tuner = tuner;
-        self
-    }
-
-    /// Cap how many batch requests are admitted to the engine at once,
-    /// overriding `HPAC_SERVICE_QUEUE`.
-    pub fn with_batch_width(mut self, width: usize) -> Self {
-        assert!(width > 0, "batch width must be positive");
-        self.batch_width = Some(width);
         self
     }
 
     pub fn cache(&self) -> Option<&TuningCache> {
         self.cache.as_ref()
-    }
-
-    /// The width [`submit_batch`](TuningService::submit_batch) admits at:
-    /// the builder override, else `HPAC_SERVICE_QUEUE`, else the engine
-    /// default.
-    pub fn batch_width(&self) -> usize {
-        self.batch_width.unwrap_or_else(|| engine().default_width())
     }
 
     /// Request accounting so far.
@@ -283,11 +263,12 @@ impl TuningService {
     }
 
     /// Resolve a batch of requests concurrently through the engine's worker
-    /// pool, at most [`batch_width`](TuningService::batch_width) in flight
-    /// at once. Responses come back in request order.
+    /// pool, at most its default width in flight at once. Responses come
+    /// back in request order.
     pub fn submit_batch(&self, reqs: &[TuneRequest]) -> Vec<TuneResponse> {
-        let width = self.batch_width().max(1);
-        engine().run(reqs.len(), width, |i| self.submit(reqs[i]))
+        engine().run(reqs.len(), engine().default_width(), |i| {
+            self.submit(reqs[i])
+        })
     }
 
     fn cache_lookup(&self, key: &Key) -> Option<TunedPlan> {
@@ -362,7 +343,7 @@ impl TuningService {
     }
 
     /// The per-request tuner: the service policy with any per-request
-    /// budget override, never cache-bearing (the service owns the cache).
+    /// budget override.
     fn request_tuner(&self, req: &TuneRequest) -> Tuner {
         Tuner {
             strategy: self.tuner.strategy.clone(),
@@ -370,7 +351,6 @@ impl TuningService {
             budget_fraction: req
                 .budget_fraction_override()
                 .unwrap_or(self.tuner.budget_fraction),
-            cache: None,
         }
     }
 
@@ -411,23 +391,6 @@ impl Drop for RetireGuard<'_> {
                 .retire(self.key, self.inflight, WaitState::Abandoned);
         }
     }
-}
-
-/// `HPAC_SERVICE_QUEUE`: how many batch requests the service admits to the
-/// engine at once. Unset or `0` = the engine default width; anything else
-/// must parse as a positive integer or the process aborts (the stack-wide
-/// strict env contract).
-fn env_service_queue() -> Option<usize> {
-    hpac_core::env::strict_var("HPAC_SERVICE_QUEUE", |raw| {
-        if raw.is_empty() {
-            return Ok(None);
-        }
-        match raw.parse::<usize>() {
-            Ok(0) => Ok(None),
-            Ok(n) => Ok(Some(n)),
-            Err(e) => Err(format!("expected a non-negative integer: {e}")),
-        }
-    })
 }
 
 #[cfg(test)]
@@ -577,11 +540,5 @@ mod tests {
             svc.submit(TuneRequest::new(&bench, &device, bound).warm_start(WarmStart::Never));
         assert!(tiny.evals_spent <= full.evals_spent);
         assert!(tiny.evals_spent <= (tiny.plan.full_space as f64 * 0.001).max(1.0) as usize);
-    }
-
-    #[test]
-    fn batch_width_override_wins() {
-        let svc = quick_service().with_batch_width(3);
-        assert_eq!(svc.batch_width(), 3);
     }
 }

@@ -33,6 +33,7 @@ use crate::pareto::{ParetoFrontier, ParetoPoint};
 use crate::plan::TunedPlan;
 use gpu_sim::DeviceSpec;
 use hpac_apps::common::LaunchParams;
+use hpac_core::hash::fnv1a;
 use hpac_core::params::{PerfoKind, Replacement};
 use hpac_core::region::{ApproxRegion, Technique};
 use hpac_core::HierarchyLevel;
@@ -59,10 +60,14 @@ static STRIPES: [Mutex<()>; N_STRIPES] = [STRIPE_INIT; N_STRIPES];
 /// processes).
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// FNV-1a over a byte stream — the crate's one hash, shared by the device
-/// fingerprint, the shard/stripe indices, and the tuner's deterministic
-/// search seeds.
-pub(crate) fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+/// The FNV-1a loop with the prime 2^48 + 0x1b3 where FNV-1a proper
+/// ([`hpac_core::hash::fnv1a`]) has 2^40 + 0x1b3. Its full 64-bit values are
+/// the device fingerprint persisted in every on-disk entry and the tuner's
+/// deterministic search seeds, so swapping in the standard prime would
+/// invalidate caches and move search trajectories; it stays for those two.
+/// Shard and stripe selection read only low bits, which the two primes
+/// agree on, and use the shared `fnv1a`.
+pub(crate) fn fnv1a_p48(bytes: impl IntoIterator<Item = u8>) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     for b in bytes {
         h ^= b as u64;
@@ -100,7 +105,7 @@ pub fn device_fingerprint(spec: &DeviceSpec) -> u64 {
         c.xfer_latency_us,
         c.kernel_launch_us,
     );
-    fnv1a(canonical.bytes())
+    fnv1a_p48(canonical.bytes())
 }
 
 fn sanitize(s: &str) -> String {
@@ -613,6 +618,9 @@ mod tests {
         let shard_name = shard.file_name().unwrap().to_str().unwrap();
         assert_eq!(shard_name.len(), 2, "two-hex-digit shard dir: {shard_name}");
         assert!(u64::from_str_radix(shard_name, 16).unwrap() < N_SHARDS);
+        // Where ("Blackscholes", "V100") has always lived: the shard hash
+        // must not move existing on-disk entries.
+        assert_eq!(shard_name, "06");
         cache.clear().unwrap();
     }
 

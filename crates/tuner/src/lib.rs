@@ -14,8 +14,7 @@
 //!
 //! Most callers should not drive the tuner directly: `hpac-service` wraps
 //! [`Tuner::search_plan`] behind a typed request/response API with a
-//! concurrent sharded cache, request coalescing, and warm starts. The old
-//! one-call [`Tuner::tune`] survives as a deprecated shim.
+//! concurrent sharded cache, request coalescing, and warm starts.
 //!
 //! * [`pareto`] — the incremental Pareto frontier over (speedup, error)
 //!   with dominance pruning: the whole tradeoff curve, not one point;

@@ -3,7 +3,6 @@
 use crate::pareto::ParetoFrontier;
 use gpu_sim::DeviceSpec;
 use hpac_apps::common::{Benchmark, LaunchParams};
-use hpac_core::exec::ExecOptions;
 use hpac_core::region::{ApproxRegion, RegionError};
 
 /// The caller's quality constraint: maximum acceptable QoI error, in
@@ -89,29 +88,14 @@ impl TunedPlan {
         bench: &dyn Benchmark,
         spec: &DeviceSpec,
     ) -> Result<ExecutionReport, RegionError> {
-        self.execute_opts(bench, spec, &ExecOptions::default())
-    }
-
-    /// [`TunedPlan::execute`] with explicit execution options: both the
-    /// baseline and the chosen configuration run through the staged
-    /// pipeline on the selected executor — under
-    /// [`Executor::ParallelBlocks`](hpac_core::exec::Executor) each
-    /// launch fans its blocks out on the shared persistent
-    /// [`engine`](hpac_core::exec::engine) worker pool.
-    pub fn execute_opts(
-        &self,
-        bench: &dyn Benchmark,
-        spec: &DeviceSpec,
-        opts: &ExecOptions,
-    ) -> Result<ExecutionReport, RegionError> {
         assert_eq!(
             bench.name(),
             self.benchmark,
             "plan was tuned for a different benchmark"
         );
         let kernel_only = bench.kernel_only_timing();
-        let baseline = bench.run_opts(spec, None, &self.baseline_lp, opts)?;
-        let chosen = bench.run_opts(spec, self.region.as_ref(), &self.lp, opts)?;
+        let baseline = bench.run(spec, None, &self.baseline_lp)?;
+        let chosen = bench.run(spec, self.region.as_ref(), &self.lp)?;
         let error_pct = chosen.qoi.error_vs(&baseline.qoi) * 100.0;
         let speedup =
             baseline.timing_basis_seconds(kernel_only) / chosen.timing_basis_seconds(kernel_only);

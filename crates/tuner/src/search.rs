@@ -25,7 +25,7 @@ use gpu_sim::DeviceSpec;
 use hpac_apps::common::{Benchmark, LaunchParams};
 use hpac_core::exec::{engine, ExecOptions};
 use hpac_core::region::ApproxRegion;
-use hpac_harness::runner::{self, Baseline, ConfigOutcome};
+use hpac_harness::runner::{self, Baseline, CanonicalReps, ConfigOutcome};
 use hpac_harness::space::SweepConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -82,10 +82,9 @@ pub struct Evaluator<'a> {
     /// label → outcome; `None` records a configuration rejected at launch
     /// or abandoned by the cost ceiling.
     seen: HashMap<String, Option<Evaluated>>,
-    /// canonical execution key → label of the evaluated representative
-    /// ([`runner::canonical_key`]); equal-key configurations reuse its
-    /// outcome instead of re-executing.
-    canon_seen: HashMap<Vec<u64>, String>,
+    /// Canonical execution → label of the evaluated representative;
+    /// equal-key configurations reuse its outcome instead of re-executing.
+    canon: CanonicalReps<String>,
 }
 
 impl<'a> Evaluator<'a> {
@@ -104,7 +103,7 @@ impl<'a> Evaluator<'a> {
             frontier: ParetoFrontier::new(),
             aborted: Vec::new(),
             seen: HashMap::new(),
-            canon_seen: HashMap::new(),
+            canon: CanonicalReps::new(),
         }
     }
 
@@ -127,6 +126,7 @@ impl<'a> Evaluator<'a> {
         let mut fresh: Vec<&SweepConfig> = Vec::new();
         // (duplicate config, label of its canonical representative).
         let mut dups: Vec<(&SweepConfig, String)> = Vec::new();
+        let remaining = self.remaining();
         for cfg in configs {
             if self.seen.contains_key(&cfg.label)
                 || fresh.iter().any(|f| f.label == cfg.label)
@@ -134,18 +134,18 @@ impl<'a> Evaluator<'a> {
             {
                 continue;
             }
-            let key = runner::canonical_key(self.bench, self.spec, cfg);
-            if let Some(rep) = key.as_ref().and_then(|k| self.canon_seen.get(k)) {
-                dups.push((cfg, rep.clone()));
-                continue;
+            // A duplicate is free; a fresh configuration is admitted (and
+            // becomes its key's representative) only while budget remains.
+            let room = fresh.len() < remaining;
+            let candidate = room.then(|| cfg.label.clone());
+            match self
+                .canon
+                .rep_or_admit(self.bench, self.spec, cfg, candidate)
+            {
+                Some(rep) => dups.push((cfg, rep)),
+                None if room => fresh.push(cfg),
+                None => {}
             }
-            if fresh.len() >= self.remaining() {
-                continue;
-            }
-            if let Some(key) = key {
-                self.canon_seen.insert(key, cfg.label.clone());
-            }
-            fresh.push(cfg);
         }
         // Frontier-aware early abort: a zero-error frontier point at
         // speedup S₀ dominates anything slower than baseline/S₀ seconds,

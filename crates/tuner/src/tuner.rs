@@ -5,11 +5,8 @@
 //! configuration for this benchmark on this device with at most X% error" —
 //! optionally warm-started from seed configurations (typically a cached
 //! neighbor bound's Pareto frontier). Caching, request coalescing, and
-//! provenance live a layer up, in `hpac-service`; the legacy one-call
-//! [`Tuner::tune`] that bundled cache handling with the search survives as a
-//! deprecated shim.
+//! provenance live a layer up, in `hpac-service`.
 
-use crate::cache::{device_fingerprint, TuningCache};
 use crate::grid::Grid;
 use crate::plan::{QualityBound, TunedPlan};
 use crate::search::{search_grid, Evaluator, SearchStrategy};
@@ -30,9 +27,6 @@ pub struct Tuner {
     /// Evaluation budget as a fraction of the full design-space size
     /// (default 0.1 — an order of magnitude under `Scale::Full`).
     pub budget_fraction: f64,
-    /// Optional persistent cache, consulted only by the deprecated
-    /// [`Tuner::tune`] shim. The service layer owns the cache instead.
-    pub cache: Option<TuningCache>,
 }
 
 impl Default for Tuner {
@@ -41,7 +35,6 @@ impl Default for Tuner {
             strategy: SearchStrategy::default(),
             scale: Scale::Full,
             budget_fraction: 0.1,
-            cache: None,
         }
     }
 }
@@ -49,13 +42,6 @@ impl Default for Tuner {
 impl Tuner {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Attach a persistent cache directory (used by the deprecated
-    /// [`Tuner::tune`] shim).
-    pub fn with_cache(mut self, cache: TuningCache) -> Self {
-        self.cache = Some(cache);
-        self
     }
 
     /// Override the search strategy.
@@ -122,7 +108,7 @@ impl Tuner {
 
         // Deterministic per-(benchmark, device) seed so repeated cold tunes
         // retrace the same search.
-        let seed = crate::cache::fnv1a(bench.name().bytes().chain(device.name.bytes()));
+        let seed = crate::cache::fnv1a_p48(bench.name().bytes().chain(device.name.bytes()));
         let grids = Grid::grids_for(bench, device, self.scale);
         for (i, grid) in grids.iter().enumerate() {
             let _grid = hpac_obs::span(
@@ -199,54 +185,10 @@ impl Tuner {
             frontier: ev.frontier.clone(),
         })
     }
-
-    /// Tune `bench` on `device` under `bound`. Served from the attached
-    /// cache when a valid entry exists; otherwise searches cold, then
-    /// stores the result.
-    #[deprecated(
-        since = "0.3.0",
-        note = "build a `hpac_service::TuneRequest` and submit it to a \
-                `hpac_service::TuningService` (coalescing, warm starts, \
-                provenance), or call `Tuner::search_plan` directly"
-    )]
-    pub fn tune(
-        &self,
-        bench: &dyn Benchmark,
-        device: &DeviceSpec,
-        bound: QualityBound,
-    ) -> TunedPlan {
-        let _tune = hpac_obs::span_named(
-            hpac_obs::SpanId::TunerTune,
-            bench.name(),
-            (bound.max_error_pct * 100.0) as u64,
-        );
-        hpac_obs::inc(hpac_obs::CounterId::TunerRequests);
-        let fingerprint = device_fingerprint(device);
-        if let Some(cache) = &self.cache {
-            if let Some(plan) =
-                cache.load(bench.name(), device.name, bound.max_error_pct, fingerprint)
-            {
-                hpac_obs::inc(hpac_obs::CounterId::TunerCacheHits);
-                return plan;
-            }
-            hpac_obs::inc(hpac_obs::CounterId::TunerCacheMisses);
-        }
-
-        let plan = self.search_plan(bench, device, bound, &[]);
-
-        if let Some(cache) = &self.cache {
-            if let Err(e) = cache.store(&plan, fingerprint) {
-                hpac_obs::log_warn(&format!("tuning cache write failed: {e}"));
-            }
-        }
-        plan
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the shim's behavior is still under test
-
     use super::*;
     use hpac_apps::blackscholes::Blackscholes;
 
@@ -267,7 +209,7 @@ mod tests {
     fn tune_respects_bound_and_budget() {
         let bench = tune_bs();
         let spec = DeviceSpec::v100();
-        let plan = quick_tuner().tune(&bench, &spec, QualityBound::percent(5.0));
+        let plan = quick_tuner().search_plan(&bench, &spec, QualityBound::percent(5.0), &[]);
         assert!(plan.respects_bound(), "error {}", plan.measured_error_pct);
         assert!(plan.predicted_speedup >= 1.0);
         assert!(
@@ -280,13 +222,29 @@ mod tests {
         assert!(!plan.frontier.is_empty());
     }
 
+    /// The cold search is deterministic; these are the values it produced
+    /// before the harness and the evaluator shared one dedup table. A change
+    /// here means the search trajectory moved.
+    #[test]
+    fn cold_search_trajectory_is_pinned() {
+        let plan = quick_tuner().search_plan(
+            &tune_bs(),
+            &DeviceSpec::v100(),
+            QualityBound::percent(5.0),
+            &[],
+        );
+        assert_eq!(plan.evaluations, 79);
+        assert_eq!(plan.config, "h=1 p=512 thr=0.3 lvl=thread ipt=8");
+        assert_eq!(plan.frontier.len(), 2);
+    }
+
     #[test]
     fn tighter_bound_never_faster() {
         let bench = tune_bs();
         let spec = DeviceSpec::v100();
         let tuner = quick_tuner();
-        let loose = tuner.tune(&bench, &spec, QualityBound::percent(10.0));
-        let tight = tuner.tune(&bench, &spec, QualityBound::percent(0.5));
+        let loose = tuner.search_plan(&bench, &spec, QualityBound::percent(10.0), &[]);
+        let tight = tuner.search_plan(&bench, &spec, QualityBound::percent(0.5), &[]);
         assert!(tight.measured_error_pct <= 0.5);
         assert!(tight.predicted_speedup <= loose.predicted_speedup + 1e-9);
     }
@@ -295,7 +253,7 @@ mod tests {
     fn impossible_bound_falls_back_to_accurate() {
         let bench = tune_bs();
         let spec = DeviceSpec::v100();
-        let plan = quick_tuner().tune(&bench, &spec, QualityBound::percent(0.0));
+        let plan = quick_tuner().search_plan(&bench, &spec, QualityBound::percent(0.0), &[]);
         // A zero bound may still be met by exact memoization; if nothing
         // met it the plan must be the accurate fallback, never a violation.
         if plan.region.is_none() {
@@ -303,20 +261,6 @@ mod tests {
             assert_eq!(plan.predicted_speedup, 1.0);
         }
         assert!(plan.respects_bound());
-    }
-
-    #[test]
-    fn shim_matches_search_plan_bit_for_bit() {
-        let bench = tune_bs();
-        let spec = DeviceSpec::v100();
-        let tuner = quick_tuner();
-        let via_shim = tuner.tune(&bench, &spec, QualityBound::percent(5.0));
-        let direct = tuner.search_plan(&bench, &spec, QualityBound::percent(5.0), &[]);
-        assert_eq!(via_shim.config, direct.config);
-        assert_eq!(via_shim.predicted_speedup, direct.predicted_speedup);
-        assert_eq!(via_shim.measured_error_pct, direct.measured_error_pct);
-        assert_eq!(via_shim.evaluations, direct.evaluations);
-        assert_eq!(via_shim.frontier.len(), direct.frontier.len());
     }
 
     #[test]
@@ -347,44 +291,10 @@ mod tests {
     }
 
     #[test]
-    fn cache_serves_second_request() {
-        let bench = tune_bs();
-        let spec = DeviceSpec::v100();
-        let cache = TuningCache::new(std::env::temp_dir().join("hpac_tuner_cache_tunetest"));
-        let _ = cache.clear();
-        let tuner = quick_tuner().with_cache(cache.clone());
-        let cold = tuner.tune(&bench, &spec, QualityBound::percent(5.0));
-        assert!(!cold.from_cache);
-        let warm = tuner.tune(&bench, &spec, QualityBound::percent(5.0));
-        assert!(warm.from_cache);
-        assert_eq!(warm.config, cold.config);
-        assert_eq!(warm.predicted_speedup, cold.predicted_speedup);
-        assert_eq!(warm.frontier.len(), cold.frontier.len());
-        let _ = cache.clear();
-    }
-
-    #[test]
-    fn device_change_invalidates_cache() {
-        let bench = tune_bs();
-        let spec = DeviceSpec::v100();
-        let cache = TuningCache::new(std::env::temp_dir().join("hpac_tuner_cache_devchange"));
-        let _ = cache.clear();
-        let tuner = quick_tuner().with_cache(cache.clone());
-        tuner.tune(&bench, &spec, QualityBound::percent(5.0));
-        // Same name, recalibrated device: the fingerprint changes, so the
-        // cached entry must not be served.
-        let mut faster = spec;
-        faster.costs.global_txn_cycles /= 2.0;
-        let replan = tuner.tune(&bench, &faster, QualityBound::percent(5.0));
-        assert!(!replan.from_cache);
-        let _ = cache.clear();
-    }
-
-    #[test]
     fn plan_reexecutes_through_apps_layer() {
         let bench = tune_bs();
         let spec = DeviceSpec::v100();
-        let plan = quick_tuner().tune(&bench, &spec, QualityBound::percent(5.0));
+        let plan = quick_tuner().search_plan(&bench, &spec, QualityBound::percent(5.0), &[]);
         let report = plan.execute(&bench, &spec).unwrap();
         assert!((report.speedup - plan.predicted_speedup).abs() < 1e-6);
         assert!((report.error_pct - plan.measured_error_pct).abs() < 1e-6);

@@ -160,8 +160,7 @@ fn tracing_leaves_sweep_outputs_bit_identical() {
 }
 
 /// A traced sweep yields non-zero memo hit rates, engine activity, and
-/// per-worker attribution in the `MetricsSnapshot` — the in-process surface
-/// `sweepbench` publishes.
+/// per-worker attribution in the `MetricsSnapshot`.
 #[test]
 fn traced_sweep_produces_metrics() {
     let _g = obs_lock();
@@ -189,6 +188,45 @@ fn traced_sweep_produces_metrics() {
     let table = delta.render_table();
     assert!(table.contains("kernel_launches"));
     assert!(table.contains("mix_memo_hit_rate"));
+}
+
+/// The three sweep entry points are one body: on a `launch_class`-opted-in
+/// app (so canonical dedup is live) they return identical rows and
+/// rejections in identical order and elide the same duplicates.
+#[test]
+fn sweep_entry_points_agree_on_rows_and_dedup() {
+    use hpac_offload::apps::kmeans::KMeans;
+    use hpac_offload::harness::space;
+
+    let _g = obs_lock();
+    let bench = KMeans {
+        n_points: 512,
+        max_iters: 20,
+        ..KMeans::default()
+    };
+    let spec = DeviceSpec::v100();
+    let plan = space::plan(&bench, &spec, Scale::Quick);
+    let counted = |sweep: &dyn Fn() -> runner::SweepOutcome| {
+        obs::set_enabled(true);
+        let before = obs::snapshot();
+        let out = sweep();
+        obs::set_enabled(false);
+        let _ = obs::drain_events();
+        let delta = obs::snapshot().delta_since(&before);
+        (out, delta.counter(obs::CounterId::ConfigsDeduped))
+    };
+    let (par, par_dups) = counted(&|| runner::run_sweep(&bench, &spec, Scale::Quick));
+    let (ser, ser_dups) =
+        counted(&|| runner::run_sweep_serial(&bench, &spec, Scale::Quick, &ExecOptions::default()));
+    let (cfg, cfg_dups) = counted(&|| runner::run_configs(&bench, &spec, &plan));
+
+    assert!(par_dups > 0, "the plan must contain canonical duplicates");
+    assert_eq!((par_dups, par_dups), (ser_dups, cfg_dups));
+    assert_eq!(par.rows.len() + par.rejected.len(), plan.len());
+    assert_eq!(par.rows, ser.rows);
+    assert_eq!(par.rows, cfg.rows);
+    assert_eq!(par.rejected, ser.rejected);
+    assert_eq!(par.rejected, cfg.rejected);
 }
 
 /// The JSONL sink writes one parseable object per line with the documented

@@ -246,7 +246,7 @@ proptest! {
         use hpac_offload::apps::common::{install_eval_memo, LaunchParams};
         use hpac_offload::core::exec::{ExecOptions, Executor};
         use hpac_offload::core::region::ApproxRegion;
-        use hpac_offload::harness::runner::{run_config_opts, select_baseline_opts};
+        use hpac_offload::harness::runner::{run_config_bounded, select_baseline_opts};
         use hpac_offload::harness::SweepConfig;
 
         let bench = Blackscholes { n_options: 2048, distinct: 16, run_len: 16, seed: 7 };
@@ -266,15 +266,17 @@ proptest! {
         };
         let plain = {
             let baseline = select_baseline_opts(&bench, &spec, &opts);
-            run_config_opts(&bench, &spec, &baseline, &cfg, &opts).unwrap()
+            run_config_bounded(&bench, &spec, &baseline, &cfg, &opts).into_result().unwrap()
         };
         let scoped = {
             let _scope = install_eval_memo();
             let baseline = select_baseline_opts(&bench, &spec, &opts);
             // First evaluation populates the sweep-scoped memo; the second
             // is served from it. Both must match the memo-free run.
-            let warm = run_config_opts(&bench, &spec, &baseline, &cfg, &opts).unwrap();
-            let hot = run_config_opts(&bench, &spec, &baseline, &cfg, &opts).unwrap();
+            let warm =
+                run_config_bounded(&bench, &spec, &baseline, &cfg, &opts).into_result().unwrap();
+            let hot =
+                run_config_bounded(&bench, &spec, &baseline, &cfg, &opts).into_result().unwrap();
             prop_assert_eq!(warm.speedup.to_bits(), hot.speedup.to_bits());
             prop_assert_eq!(warm.error_pct.to_bits(), hot.error_pct.to_bits());
             hot
@@ -291,7 +293,8 @@ proptest! {
     #[test]
     fn aborted_configs_never_enter_frontier(seed in 0u64..1_000) {
         use hpac_offload::apps::blackscholes::Blackscholes;
-        use hpac_offload::harness::runner::{run_config, select_baseline};
+        use hpac_offload::core::exec::ExecOptions;
+        use hpac_offload::harness::runner::{run_config_bounded, select_baseline};
         use hpac_offload::harness::Scale;
         use hpac_offload::tuner::search::{search_grid, Evaluator, SearchStrategy};
         use hpac_offload::tuner::{Grid, ParetoPoint};
@@ -306,7 +309,8 @@ proptest! {
         }
         let mut frontier = ev.frontier.clone();
         for cfg in &ev.aborted {
-            let row = run_config(&bench, &spec, &baseline, cfg)
+            let row = run_config_bounded(&bench, &spec, &baseline, cfg, &ExecOptions::default())
+                .into_result()
                 .expect("aborted configs are launchable");
             let changed = frontier.insert(ParetoPoint {
                 speedup: row.speedup,
