@@ -13,7 +13,7 @@
 //! approximation potential but less latency-hiding parallelism — Fig 8c).
 
 use crate::common::{
-    current_eval_memo, eval_key, AppResult, Benchmark, ComputeMemo, LaunchParams, QoI,
+    eval_key, scoped_inputs, AppResult, Benchmark, ComputeMemo, LaunchParams, Prepared, QoI,
     RunAccumulator,
 };
 use gpu_sim::transfer::Direction;
@@ -78,6 +78,48 @@ impl BinomialOptions {
         }
         data
     }
+
+    /// The portfolio and the memo interning its lattice walks, keyed by
+    /// everything that shapes either: the portfolio parameters and the tree
+    /// depth.
+    pub fn inputs(&self) -> Arc<Portfolio> {
+        scoped_inputs(
+            || {
+                eval_key(
+                    "Binomial Options",
+                    &[
+                        self.n_options as u64,
+                        self.tree_steps as u64,
+                        self.distinct as u64,
+                        self.run_len as u64,
+                        self.seed,
+                    ],
+                )
+            },
+            |_shared| {
+                let options = self.generate();
+                let memo = ComputeMemo::from_rows(&options, OPTION_DIMS, 1);
+                Portfolio { options, memo }
+            },
+        )
+    }
+}
+
+/// Binomial Options' prepared inputs.
+pub struct Portfolio {
+    pub options: Vec<f64>,
+    /// Interns the pure lattice walk per distinct option row: the portfolio
+    /// tiles `distinct` base options, so at most that many O(n²) walks run
+    /// per launch while the simulator still charges every accurate task
+    /// (see [`ComputeMemo`]). Under a sweep scope the entry is shared across
+    /// all configs of the sweep, so each distinct walk runs once per sweep.
+    memo: ComputeMemo,
+}
+
+impl Prepared for Portfolio {
+    fn approx_bytes(&self) -> usize {
+        self.options.len() * 8 + self.memo.approx_bytes()
+    }
 }
 
 /// Price an American put on an `n`-step Cox–Ross–Rubinstein lattice.
@@ -116,16 +158,10 @@ pub fn price_american_put(spot: f64, strike: f64, rate: f64, vol: f64, t: f64, n
 
 struct BinomialBody<'a> {
     options: &'a [f64],
+    memo: &'a ComputeMemo,
     prices: Vec<f64>,
     tree_steps: usize,
     warps_per_block: u32,
-    /// Interns the pure lattice walk per distinct option row: the
-    /// portfolio tiles `distinct` base options, so at most that many O(n²)
-    /// walks run per launch while the simulator still charges every
-    /// accurate task (see [`ComputeMemo`]). Under a sweep-scoped
-    /// [`EvalMemo`](crate::common::EvalMemo) the memo is shared across all
-    /// configs of the sweep, so each distinct walk runs once per sweep.
-    memo: Arc<ComputeMemo>,
 }
 
 impl BlockTaskBody for BinomialBody<'_> {
@@ -192,7 +228,7 @@ impl Benchmark for BinomialOptions {
         lp: &LaunchParams,
         opts: &ExecOptions,
     ) -> Result<AppResult, RegionError> {
-        let options = self.generate();
+        let inputs = self.inputs();
         // "Items per thread" = options per block.
         let opt_per_block = lp.items_per_thread.max(1);
         let n_blocks = self.n_options.div_ceil(opt_per_block).max(1) as u32;
@@ -200,28 +236,9 @@ impl Benchmark for BinomialOptions {
         let block_size = lp.block_size.min(spec.max_threads_per_block);
         let warps_per_block = block_size.div_ceil(spec.warp_size);
 
-        // The lattice walk is keyed by everything that shapes it: the
-        // portfolio parameters and the tree depth.
-        let build = || ComputeMemo::from_rows(&options, OPTION_DIMS, 1);
-        let memo = match current_eval_memo() {
-            Some(store) => {
-                let key = eval_key(
-                    "Binomial Options",
-                    &[
-                        self.n_options as u64,
-                        self.tree_steps as u64,
-                        self.distinct as u64,
-                        self.run_len as u64,
-                        self.seed,
-                    ],
-                );
-                store.get_or_build(&key, build)
-            }
-            None => Arc::new(build()),
-        };
         let mut body = BinomialBody {
-            memo,
-            options: &options,
+            options: &inputs.options,
+            memo: &inputs.memo,
             prices: vec![0.0; self.n_options],
             tree_steps: self.tree_steps,
             warps_per_block,

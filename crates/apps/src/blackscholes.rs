@@ -11,8 +11,8 @@
 //! paper's "unintuitive" TAF threshold behaviour (Fig 10c).
 
 use crate::common::{
-    current_eval_memo, eval_key, grid_stride_launch_class, AppResult, Benchmark, ComputeMemo,
-    LaunchParams, QoI, RunAccumulator,
+    eval_key, grid_stride_launch_class, scoped_inputs, AppResult, Benchmark, ComputeMemo,
+    LaunchParams, Prepared, QoI, RunAccumulator,
 };
 use gpu_sim::transfer::Direction;
 use gpu_sim::{AccessPattern, CostProfile, DeviceSpec, LaunchConfig};
@@ -20,6 +20,7 @@ use hpac_core::exec::{approx_parallel_for_opts, ExecOptions, RegionBody};
 use hpac_core::region::{ApproxRegion, RegionError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Number of per-option parameters: spot, strike, rate, volatility, expiry.
 pub const OPTION_DIMS: usize = 5;
@@ -73,6 +74,42 @@ impl Blackscholes {
         }
         data
     }
+
+    /// The portfolio this run prices. It is a pure function of the four
+    /// parameters below, so they key the sweep-scoped entry exactly.
+    pub fn inputs(&self) -> Arc<Portfolio> {
+        scoped_inputs(
+            || {
+                eval_key(
+                    "Blackscholes",
+                    &[
+                        self.n_options as u64,
+                        self.distinct as u64,
+                        self.run_len as u64,
+                        self.seed,
+                    ],
+                )
+            },
+            |shared| {
+                let options = self.generate();
+                let memo = shared.then(|| ComputeMemo::from_rows(&options, OPTION_DIMS, 1));
+                Portfolio { options, memo }
+            },
+        )
+    }
+}
+
+/// Blackscholes' prepared inputs: the generated portfolio and, when a sweep
+/// scope shares it across runs, the memo classed from its rows.
+pub struct Portfolio {
+    pub options: Vec<f64>,
+    memo: Option<ComputeMemo>,
+}
+
+impl Prepared for Portfolio {
+    fn approx_bytes(&self) -> usize {
+        self.options.len() * 8 + self.memo.as_ref().map_or(0, Prepared::approx_bytes)
+    }
 }
 
 /// Abramowitz–Stegun 7.1.26 error-function approximation (what the PARSEC
@@ -114,7 +151,7 @@ pub fn price_call(spot: f64, strike: f64, rate: f64, vol: f64, t: f64) -> f64 {
 struct BsBody<'a> {
     options: &'a [f64],
     prices: Vec<f64>,
-    memo: Option<std::sync::Arc<ComputeMemo>>,
+    memo: Option<&'a ComputeMemo>,
 }
 
 impl RegionBody for BsBody<'_> {
@@ -135,7 +172,7 @@ impl RegionBody for BsBody<'_> {
             let o = &self.options[i * OPTION_DIMS..(i + 1) * OPTION_DIMS];
             out[0] = price_call(o[0], o[1], o[2], o[3], o[4]);
         };
-        match &self.memo {
+        match self.memo {
             Some(memo) => memo.get_or(i, out, price),
             None => price(out),
         }
@@ -177,25 +214,11 @@ impl Benchmark for Blackscholes {
         lp: &LaunchParams,
         opts: &ExecOptions,
     ) -> Result<AppResult, RegionError> {
-        let options = self.generate();
-        // The portfolio is a pure function of these parameters, so they key
-        // the sweep-scoped memo exactly.
-        let memo = current_eval_memo().map(|store| {
-            let key = eval_key(
-                "Blackscholes",
-                &[
-                    self.n_options as u64,
-                    self.distinct as u64,
-                    self.run_len as u64,
-                    self.seed,
-                ],
-            );
-            store.get_or_build(&key, || ComputeMemo::from_rows(&options, OPTION_DIMS, 1))
-        });
+        let inputs = self.inputs();
         let mut body = BsBody {
-            options: &options,
+            options: &inputs.options,
             prices: vec![0.0; self.n_options],
-            memo,
+            memo: inputs.memo.as_ref(),
         };
         let launch =
             LaunchConfig::for_items_per_thread(self.n_options, lp.block_size, lp.items_per_thread);

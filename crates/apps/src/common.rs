@@ -7,6 +7,7 @@ use hpac_core::exec::ExecOptions;
 use hpac_core::hash::fnv1a;
 use hpac_core::metrics;
 use hpac_core::region::{ApproxRegion, RegionError};
+use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -177,17 +178,15 @@ impl ComputeMemo {
     /// bit equality.
     pub fn from_rows(rows: &[f64], dims: usize, out_dim: usize) -> Self {
         assert!(dims > 0 && out_dim > 0);
-        let n = rows.len() / dims;
-        // Key the map on slices of one shared bits buffer instead of a
-        // fresh Vec per row — interning must stay cheap relative to the
-        // computes it elides.
-        let bits: Vec<u64> = rows.iter().map(|v| v.to_bits()).collect();
-        let mut ids: HashMap<&[u64], u32> = HashMap::new();
-        let class_of: Vec<u32> = (0..n)
-            .map(|i| {
-                let key = &bits[i * dims..(i + 1) * dims];
+        // Key the map on the rows where they lie, compared by bit pattern:
+        // no per-row Vec and no bits copy of the dataset — interning must
+        // stay cheap, in time and footprint, relative to what it elides.
+        let mut ids: HashMap<RowBits, u32> = HashMap::new();
+        let class_of: Vec<u32> = rows
+            .chunks_exact(dims)
+            .map(|row| {
                 let next = ids.len() as u32;
-                *ids.entry(key).or_insert(next)
+                *ids.entry(RowBits(row)).or_insert(next)
             })
             .collect();
         let n_classes = ids.len();
@@ -226,11 +225,6 @@ impl ComputeMemo {
         self.n_classes
     }
 
-    /// Approximate resident size, for the [`EvalMemo`] byte cap.
-    pub fn approx_bytes(&self) -> usize {
-        self.class_of.len() * 4 + self.n_classes * (1 + self.out_dim * 8)
-    }
-
     /// Produce item `i`'s output into `out`: from the cache when its class
     /// has been computed, else by running `compute` and caching the result.
     pub fn get_or(&self, i: usize, out: &mut [f64], compute: impl FnOnce(&mut [f64])) {
@@ -253,16 +247,39 @@ impl ComputeMemo {
     }
 }
 
+/// A row keyed by its exact bit patterns (`-0.0 != 0.0`, `NaN == NaN`).
+struct RowBits<'a>(&'a [f64]);
+
+impl RowBits<'_> {
+    fn bits(&self) -> impl Iterator<Item = u64> + '_ {
+        self.0.iter().map(|v| v.to_bits())
+    }
+}
+
+impl PartialEq for RowBits<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.bits().eq(other.bits())
+    }
+}
+
+impl Eq for RowBits<'_> {}
+
+impl std::hash::Hash for RowBits<'_> {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.bits().for_each(|w| state.write_u64(w));
+    }
+}
+
 const EVAL_MEMO_SHARDS: usize = 16;
-/// Cap on resident interned output bytes across one sweep scope. On
-/// overflow, memos are still built and used for the requesting run, just
-/// not retained — correctness never depends on retention.
+/// Cap on resident prepared bytes across one sweep scope. On overflow,
+/// entries are still built and used for the requesting run, just not
+/// retained — correctness never depends on retention.
 const EVAL_MEMO_BYTE_CAP: usize = 256 << 20;
 
 /// Build an [`EvalMemo`] key from an app tag and the exact parameter bits
-/// that determine the memoized computation. Keys must uniquely identify
-/// {app, dataset, compute}: two runs with equal keys must produce
-/// bit-identical outputs for every item.
+/// that determine the prepared state. Keys must uniquely identify
+/// {app, dataset, compute}: two runs with equal keys must see bit-identical
+/// inputs and produce bit-identical outputs for every item.
 pub fn eval_key(app: &str, param_bits: &[u64]) -> Vec<u64> {
     let mut key = Vec::with_capacity(1 + param_bits.len());
     key.push(fnv1a(app.bytes()));
@@ -270,25 +287,50 @@ pub fn eval_key(app: &str, param_bits: &[u64]) -> Vec<u64> {
     key
 }
 
-/// Sweep-scoped store of [`ComputeMemo`]s, shared by every config task of a
-/// harness sweep or tuner search.
+/// State an app builds from its parameters alone and never mutates while
+/// running — the generated dataset, the assembled matrix, the
+/// [`ComputeMemo`] classed from it — so one copy can serve every run of a
+/// sweep scope.
+pub(crate) trait Prepared: Any + Send + Sync {
+    /// Approximate resident size, for the [`EvalMemo`] byte cap.
+    fn approx_bytes(&self) -> usize;
+}
+
+impl Prepared for ComputeMemo {
+    fn approx_bytes(&self) -> usize {
+        self.class_of.len() * 4 + self.n_classes * (1 + self.out_dim * 8)
+    }
+}
+
+/// A stored [`Prepared`] value; [`EvalMemo::prepared`] recovers its type.
+type Entry = Arc<dyn Any + Send + Sync>;
+
+/// Sweep-scoped store of [`Prepared`] state, shared by every config task of
+/// a harness sweep or tuner search: one entry per (app, parameters), holding
+/// the app's immutable inputs together with the memo classed from them.
 ///
-/// Per-run memos (PR 6) eliminate duplicate computes *within* one config
-/// evaluation; promoting the memo here lets the accurate-lane outputs —
-/// which do not vary with approximation parameters — be computed once per
-/// sweep and replayed across all configs. Striped like `TuningCache`:
-/// 16 mutex-guarded shards selected by an fnv1a hash of the key, so
-/// parallel config tasks rarely contend. The shard lock is held across a
-/// miss's build, so concurrent requests for the same key build it once.
+/// The dataset, and the accurate-lane outputs interned in its memo, do not
+/// vary with approximation parameters, so they are built once per scope and
+/// replayed across all configs instead of once per config. Striped like
+/// `TuningCache`: 16 mutex-guarded shards selected by an fnv1a hash of the
+/// key, so parallel config tasks rarely contend. The shard lock is held
+/// across a miss's build, so concurrent requests for the same key build it
+/// once; a build that panics leaves the map as it was, so a poisoned shard
+/// is recovered rather than propagated.
 pub struct EvalMemo {
-    shards: Vec<Mutex<HashMap<Vec<u64>, Arc<ComputeMemo>>>>,
+    shards: Vec<Mutex<HashMap<Vec<u64>, Entry>>>,
     bytes: AtomicUsize,
+    cap_warned: AtomicBool,
 }
 
 impl Default for EvalMemo {
     fn default() -> Self {
         Self::new()
     }
+}
+
+fn shard_of(key: &[u64]) -> usize {
+    (fnv1a(key.iter().flat_map(|w| w.to_le_bytes())) as usize) % EVAL_MEMO_SHARDS
 }
 
 impl EvalMemo {
@@ -298,33 +340,50 @@ impl EvalMemo {
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
             bytes: AtomicUsize::new(0),
+            cap_warned: AtomicBool::new(false),
         }
     }
 
-    /// Fetch the memo for `key`, building (and, capacity permitting,
-    /// retaining) it on first request.
+    /// Fetch the prepared state for `key`, building (and, capacity
+    /// permitting, retaining) it on first request.
+    pub(crate) fn prepared<T: Prepared>(&self, key: &[u64], build: impl FnOnce() -> T) -> Arc<T> {
+        // Entries are inserted whole after their build returns, so the map
+        // is valid at every step and a poisoned lock is safe to recover.
+        let mut map = self.shards[shard_of(key)]
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        if let Some(entry) = map.get(key) {
+            hpac_obs::inc(hpac_obs::CounterId::EvalMemoHits);
+            return Arc::clone(entry)
+                .downcast()
+                .unwrap_or_else(|_| panic!("eval key {key:?} names two prepared types"));
+        }
+        hpac_obs::inc(hpac_obs::CounterId::EvalMemoMisses);
+        let entry = Arc::new(build());
+        let sz = entry.approx_bytes();
+        if self.bytes.load(Ordering::Relaxed).saturating_add(sz) <= EVAL_MEMO_BYTE_CAP {
+            self.bytes.fetch_add(sz, Ordering::Relaxed);
+            map.insert(key.to_vec(), Arc::clone(&entry) as _);
+        } else if !self.cap_warned.swap(true, Ordering::Relaxed) {
+            hpac_obs::log_warn(&format!(
+                "sweep scope holds {} of {EVAL_MEMO_BYTE_CAP} prepared bytes; a {sz}-byte \
+                 entry (and any later overflow) is rebuilt per run instead of retained",
+                self.resident_bytes()
+            ));
+        }
+        entry
+    }
+
+    /// [`EvalMemo::prepared`] for a bare [`ComputeMemo`].
     pub fn get_or_build(
         &self,
         key: &[u64],
         build: impl FnOnce() -> ComputeMemo,
     ) -> Arc<ComputeMemo> {
-        let shard = (fnv1a(key.iter().flat_map(|w| w.to_le_bytes())) as usize) % EVAL_MEMO_SHARDS;
-        let mut map = self.shards[shard].lock().unwrap();
-        if let Some(memo) = map.get(key) {
-            hpac_obs::inc(hpac_obs::CounterId::EvalMemoHits);
-            return Arc::clone(memo);
-        }
-        hpac_obs::inc(hpac_obs::CounterId::EvalMemoMisses);
-        let memo = Arc::new(build());
-        let sz = memo.approx_bytes();
-        if self.bytes.load(Ordering::Relaxed) + sz <= EVAL_MEMO_BYTE_CAP {
-            self.bytes.fetch_add(sz, Ordering::Relaxed);
-            map.insert(key.to_vec(), Arc::clone(&memo));
-        }
-        memo
+        self.prepared(key, build)
     }
 
-    /// Interned bytes currently retained.
+    /// Prepared bytes currently retained.
     pub fn resident_bytes(&self) -> usize {
         self.bytes.load(Ordering::Relaxed)
     }
@@ -370,6 +429,21 @@ pub fn install_eval_memo() -> EvalMemoScope {
 pub fn current_eval_memo() -> Option<Arc<EvalMemo>> {
     let slot = EVAL_MEMO_SCOPE.read().unwrap_or_else(|e| e.into_inner());
     slot.as_ref().map(|(store, _)| Arc::clone(store))
+}
+
+/// An app's prepared inputs: the active sweep scope's entry for `key()`
+/// (built by the first run that asks, shared by every later one), or a
+/// private copy for this run alone when no scope is installed. `build` is
+/// told which, since a memo that only pays off across runs is worth classing
+/// only for a shared entry.
+pub(crate) fn scoped_inputs<T: Prepared>(
+    key: impl FnOnce() -> Vec<u64>,
+    build: impl FnOnce(bool) -> T,
+) -> Arc<T> {
+    match current_eval_memo() {
+        Some(store) => store.prepared(&key(), || build(true)),
+        None => Arc::new(build(false)),
+    }
 }
 
 /// Launch class for a single grid-stride kernel over `n_items`: the packed
@@ -624,6 +698,78 @@ mod tests {
         assert!(Arc::ptr_eq(&store, &kept));
         drop(b);
         assert!(current_eval_memo().is_none(), "last guard drops the store");
+    }
+
+    /// A prepared entry claiming `.0` bytes.
+    struct Blob(usize);
+
+    impl Prepared for Blob {
+        fn approx_bytes(&self) -> usize {
+            self.0
+        }
+    }
+
+    #[test]
+    fn prepared_state_is_typed_shared_and_built_once() {
+        let store = EvalMemo::new();
+        let key = eval_key("app", &[1]);
+        let a = store.prepared(&key, || Blob(40));
+        let b: Arc<Blob> = store.prepared(&key, || panic!("must not rebuild"));
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(store.resident_bytes(), 40, "entries count toward the cap");
+
+        // Two threads asking for a new key at once: the shard lock is held
+        // across the build, so whichever arrives second finds the entry.
+        let key = eval_key("app", &[2]);
+        let builds = AtomicUsize::new(0);
+        let start = std::sync::Barrier::new(2);
+        let ask = || {
+            start.wait();
+            store.prepared(&key, || {
+                builds.fetch_add(1, Ordering::SeqCst);
+                Blob(8)
+            })
+        };
+        let (x, y) = std::thread::scope(|s| {
+            let other = s.spawn(ask);
+            (ask(), other.join().unwrap())
+        });
+        assert!(Arc::ptr_eq(&x, &y));
+        assert_eq!(builds.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn panicking_build_does_not_poison_the_store() {
+        let store = EvalMemo::new();
+        let key_a = eval_key("app", &[0]);
+        let key_b = (1..)
+            .map(|w| eval_key("app", &[w]))
+            .find(|k| shard_of(k) == shard_of(&key_a))
+            .expect("some key shares A's shard");
+        let blew = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            store.prepared(&key_a, || -> Blob { panic!("generator failed") })
+        }));
+        assert!(blew.is_err());
+        // Both accessors, on the shard the panic unwound through.
+        store.get_or_build(&key_b, || ComputeMemo::identity(1, 1));
+        let retried = store.prepared(&key_a, || Blob(8));
+        assert!(Arc::ptr_eq(&retried, &store.prepared(&key_a, || Blob(8))));
+    }
+
+    #[test]
+    fn byte_cap_refuses_retention_and_says_so_once() {
+        let store = EvalMemo::new();
+        let big = eval_key("app", &[1]);
+        let first = store.prepared(&big, || Blob(EVAL_MEMO_BYTE_CAP + 1));
+        assert!(store.cap_warned.load(Ordering::Relaxed));
+        assert_eq!(store.resident_bytes(), 0);
+        // Built and usable for the requesting run, rebuilt for the next.
+        let again = store.prepared(&big, || Blob(EVAL_MEMO_BYTE_CAP + 1));
+        assert!(!Arc::ptr_eq(&first, &again));
+        // Entries that fit are still retained.
+        let small = eval_key("app", &[2]);
+        let kept = store.prepared(&small, || Blob(8));
+        assert!(Arc::ptr_eq(&kept, &store.prepared(&small, || Blob(8))));
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! QoI: the cluster id of each observation; error metric: MCR.
 
 use crate::common::{
-    grid_stride_launch_class, AppResult, Benchmark, LaunchParams, QoI, RunAccumulator,
+    eval_key, grid_stride_launch_class, scoped_inputs, AppResult, Benchmark, LaunchParams,
+    Prepared, QoI, RunAccumulator,
 };
 use gpu_sim::transfer::Direction;
 use gpu_sim::{AccessPattern, CostProfile, DeviceSpec, LaunchConfig};
@@ -21,6 +22,7 @@ use hpac_core::exec::{approx_parallel_for_opts, ExecOptions, RegionBody};
 use hpac_core::region::{ApproxRegion, RegionError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Configuration for the K-Means benchmark.
 #[derive(Debug, Clone, Copy)]
@@ -80,6 +82,46 @@ impl KMeans {
             .map(|c| c + rng.gen_range(-0.35..0.35))
             .collect();
         (points, init)
+    }
+
+    /// The observations and initial centroids, keyed by the fields
+    /// [`KMeans::generate`] reads; the solver controls (`max_iters`,
+    /// `convergence_frac`) do not shape the data and share one entry.
+    pub fn inputs(&self) -> Arc<Observations> {
+        scoped_inputs(
+            || {
+                eval_key(
+                    "K-Means",
+                    &[
+                        self.n_points as u64,
+                        self.dims as u64,
+                        self.k as u64,
+                        self.spread.to_bits(),
+                        self.seed,
+                    ],
+                )
+            },
+            |_shared| {
+                let (points, init_centroids) = self.generate();
+                Observations {
+                    points,
+                    init_centroids,
+                }
+            },
+        )
+    }
+}
+
+/// K-Means' prepared inputs. The centroids a run moves start as a copy of
+/// `init_centroids`.
+pub struct Observations {
+    pub points: Vec<f64>,
+    pub init_centroids: Vec<f64>,
+}
+
+impl Prepared for Observations {
+    fn approx_bytes(&self) -> usize {
+        (self.points.len() + self.init_centroids.len()) * 8
     }
 }
 
@@ -182,8 +224,9 @@ impl Benchmark for KMeans {
         lp: &LaunchParams,
         opts: &ExecOptions,
     ) -> Result<AppResult, RegionError> {
-        let (points, init_centroids) = self.generate();
-        let mut centroids = init_centroids;
+        let inputs = self.inputs();
+        let points = &inputs.points;
+        let mut centroids = inputs.init_centroids.clone();
         let mut distances = vec![0.0; self.k * self.n_points];
         let mut assignment = vec![u32::MAX; self.n_points];
 
@@ -202,7 +245,7 @@ impl Benchmark for KMeans {
             iterations += 1;
             // Distance kernel: the approximated region.
             let mut body = DistanceBody {
-                points: &points,
+                points,
                 centroids: &centroids,
                 distances: &mut distances,
                 n: self.n_points,

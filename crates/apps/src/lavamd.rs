@@ -17,8 +17,8 @@
 //! QoI: each particle's final potential, force, and drifted position.
 
 use crate::common::{
-    current_eval_memo, eval_key, grid_stride_launch_class, AppResult, Benchmark, ComputeMemo,
-    LaunchParams, QoI, RunAccumulator,
+    eval_key, grid_stride_launch_class, scoped_inputs, AppResult, Benchmark, ComputeMemo,
+    LaunchParams, Prepared, QoI, RunAccumulator,
 };
 use gpu_sim::transfer::Direction;
 use gpu_sim::{AccessPattern, CostProfile, DeviceSpec, LaunchConfig};
@@ -26,6 +26,7 @@ use hpac_core::exec::{approx_parallel_for_opts, ExecOptions, RegionBody};
 use hpac_core::region::{ApproxRegion, RegionError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Outputs per region execution: potential + 3 force components.
 pub const OUT_DIMS: usize = 4;
@@ -93,6 +94,30 @@ impl LavaMd {
         (pos, charge)
     }
 
+    /// The particle set and, under a sweep scope, the per-item memo of its
+    /// force contributions. `alpha` shapes the memoized forces, not the
+    /// particles, but one entry holds both and so is keyed by both.
+    pub fn inputs(&self) -> Arc<Particles> {
+        scoped_inputs(
+            || {
+                eval_key(
+                    "LavaMD",
+                    &[
+                        self.boxes_per_dim as u64,
+                        self.par_per_box as u64,
+                        self.alpha.to_bits(),
+                        self.seed,
+                    ],
+                )
+            },
+            |shared| {
+                let (pos, charge) = self.generate();
+                let memo = shared.then(|| ComputeMemo::identity(self.n_items(), OUT_DIMS));
+                Particles { pos, charge, memo }
+            },
+        )
+    }
+
     fn box_of(&self, particle: usize) -> usize {
         particle / self.par_per_box
     }
@@ -109,6 +134,25 @@ impl LavaMd {
     }
 }
 
+/// LavaMD's prepared inputs.
+pub struct Particles {
+    pub pos: Vec<f64>,
+    pub charge: Vec<f64>,
+    /// Sweep-scoped identity interning: the force sum reads *all* of the
+    /// neighbour box's particles, not just the declared 5-dim input row, so
+    /// row-classing would be unsound — but the contribution is pure in the
+    /// item index over the fixed dataset, so caching by item is exact. Within
+    /// one run each item computes once anyway, so a private copy has none.
+    memo: Option<ComputeMemo>,
+}
+
+impl Prepared for Particles {
+    fn approx_bytes(&self) -> usize {
+        (self.pos.len() + self.charge.len()) * 8
+            + self.memo.as_ref().map_or(0, Prepared::approx_bytes)
+    }
+}
+
 /// The approximated region: one particle's interaction with one neighbour
 /// box (the Rodinia kernel's inner loop over that box's particles).
 struct ForceBody<'a> {
@@ -117,11 +161,7 @@ struct ForceBody<'a> {
     charge: &'a [f64],
     /// `n_items × OUT_DIMS` per-(particle, neighbour) contributions.
     contrib: &'a mut [f64],
-    /// Sweep-scoped identity interning: the force sum reads *all* of the
-    /// neighbour box's particles, not just the declared 5-dim input row, so
-    /// row-classing would be unsound — but the contribution is pure in the
-    /// item index over the fixed dataset, so caching by item is exact.
-    memo: Option<std::sync::Arc<ComputeMemo>>,
+    memo: Option<&'a ComputeMemo>,
 }
 
 impl ForceBody<'_> {
@@ -154,7 +194,7 @@ impl RegionBody for ForceBody<'_> {
     }
 
     fn compute(&self, item: usize, out: &mut [f64]) {
-        match &self.memo {
+        match self.memo {
             Some(memo) => memo.get_or(item, out, |out| self.force_contribution(item, out)),
             None => self.force_contribution(item, out),
         }
@@ -232,7 +272,8 @@ impl Benchmark for LavaMd {
         lp: &LaunchParams,
         opts: &ExecOptions,
     ) -> Result<AppResult, RegionError> {
-        let (pos, charge) = self.generate();
+        let inputs = self.inputs();
+        let pos = &inputs.pos;
         let n = self.n_particles();
         let mut contrib = vec![0.0; self.n_items() * OUT_DIMS];
 
@@ -241,24 +282,12 @@ impl Benchmark for LavaMd {
 
         let launch =
             LaunchConfig::for_items_per_thread(self.n_items(), lp.block_size, lp.items_per_thread);
-        let memo = current_eval_memo().map(|store| {
-            let key = eval_key(
-                "LavaMD",
-                &[
-                    self.boxes_per_dim as u64,
-                    self.par_per_box as u64,
-                    self.alpha.to_bits(),
-                    self.seed,
-                ],
-            );
-            store.get_or_build(&key, || ComputeMemo::identity(self.n_items(), OUT_DIMS))
-        });
         let mut body = ForceBody {
             cfg: self,
-            pos: &pos,
-            charge: &charge,
+            pos,
+            charge: &inputs.charge,
             contrib: &mut contrib,
-            memo,
+            memo: inputs.memo.as_ref(),
         };
         let rec = approx_parallel_for_opts(spec, &launch, region, &mut body, opts)?;
         acc.kernel(&rec);

@@ -21,7 +21,9 @@
 //! QoI: each cell's final location (intensity-weighted centroid of the
 //! converged field).
 
-use crate::common::{AppResult, Benchmark, LaunchParams, QoI, RunAccumulator};
+use crate::common::{
+    eval_key, scoped_inputs, AppResult, Benchmark, LaunchParams, Prepared, QoI, RunAccumulator,
+};
 use gpu_sim::transfer::Direction;
 use gpu_sim::{AccessPattern, CostProfile, DeviceSpec, LaunchConfig};
 use hpac_core::exec::{
@@ -30,6 +32,7 @@ use hpac_core::exec::{
 use hpac_core::region::{ApproxRegion, RegionError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Configuration for the Leukocyte benchmark.
 #[derive(Debug, Clone, Copy)]
@@ -89,6 +92,23 @@ impl Leukocyte {
         (image, offsets)
     }
 
+    /// The microscopy frame, keyed by the fields [`Leukocyte::generate`]
+    /// reads; the relaxation controls (`iterations`, `omega`, `kappa`) act
+    /// on the per-run field buffers and share one entry.
+    pub fn inputs(&self) -> Arc<Frame> {
+        scoped_inputs(
+            || {
+                eval_key(
+                    "Leukocyte",
+                    &[self.n_cells as u64, self.grid as u64, self.seed],
+                )
+            },
+            |_shared| Frame {
+                image: self.generate().0,
+            },
+        )
+    }
+
     /// Intensity-weighted centroid of one converged field.
     pub fn centroid(&self, field: &[f64]) -> (f64, f64) {
         let mut sx = 0.0;
@@ -107,6 +127,18 @@ impl Leukocyte {
         } else {
             (sx / sw, sy / sw)
         }
+    }
+}
+
+/// Leukocyte's prepared inputs. The IMGVF double buffer a run relaxes starts
+/// as two copies of `image`.
+pub struct Frame {
+    pub image: Vec<f64>,
+}
+
+impl Prepared for Frame {
+    fn approx_bytes(&self) -> usize {
+        self.image.len() * 8
     }
 }
 
@@ -217,7 +249,8 @@ impl Benchmark for Leukocyte {
         lp: &LaunchParams,
         opts: &ExecOptions,
     ) -> Result<AppResult, RegionError> {
-        let (image, _) = self.generate();
+        let inputs = self.inputs();
+        let image = &inputs.image;
         let mut acc = RunAccumulator::new();
         acc.transfer(
             spec,
@@ -227,7 +260,7 @@ impl Benchmark for Leukocyte {
 
         let mut body = ImgvfBody {
             cfg: self,
-            image: &image,
+            image,
             // IMGVF starts from the image itself.
             buf: [
                 BlockField::from_vec(image.clone()),

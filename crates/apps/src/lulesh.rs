@@ -19,12 +19,15 @@
 //!
 //! QoI: the final origin energy (Table 1).
 
-use crate::common::{AppResult, Benchmark, LaunchParams, QoI, RunAccumulator};
+use crate::common::{
+    eval_key, scoped_inputs, AppResult, Benchmark, LaunchParams, Prepared, QoI, RunAccumulator,
+};
 use gpu_sim::transfer::Direction;
 use gpu_sim::{AccessPattern, CostProfile, DeviceSpec, LaunchConfig};
 use hpac_core::exec::batch;
 use hpac_core::exec::{BlockField, ExecOptions, RegionBody, StoreVisibility};
 use hpac_core::region::{ApproxRegion, RegionError};
+use std::sync::Arc;
 
 /// Configuration for the LULESH proxy.
 #[derive(Debug, Clone, Copy)]
@@ -53,7 +56,35 @@ impl Default for Lulesh {
     }
 }
 
-/// Mesh connectivity and mutable simulation state.
+/// LULESH's prepared inputs: the undeformed mesh — connectivity, lumped
+/// masses, reference volumes and initial node positions. A pure function of
+/// `edge`; a run never writes it.
+pub struct Topology {
+    pub edge: usize,
+    pub n_elems: usize,
+    pub n_nodes: usize,
+    /// Node ids of each element's 8 corners (x-fastest corner order).
+    pub corners: Vec<[usize; 8]>,
+    /// For each node, (element, corner) pairs that touch it.
+    pub node_elems: Vec<Vec<(usize, usize)>>,
+    pub mass: Vec<f64>,
+    pub vol0: Vec<f64>,
+    /// Initial node positions, flattened `[x, y, z]` rows.
+    pub pos0: Vec<f64>,
+}
+
+impl Prepared for Topology {
+    fn approx_bytes(&self) -> usize {
+        // Each node's incidence list is its own allocation of up to 8 pairs.
+        let incidences: usize = self.node_elems.iter().map(|v| 24 + v.capacity() * 16).sum();
+        self.corners.len() * 64
+            + incidences
+            + (self.mass.len() + self.vol0.len() + self.pos0.len()) * 8
+    }
+}
+
+/// The mesh a run evolves: the shared [`Topology`] plus this run's mutable
+/// simulation state.
 ///
 /// Written fields live in [`BlockField`]s so the five per-timestep kernels
 /// can run as one engine batch ([`batch::run_batch`]): bodies then share
@@ -62,24 +93,16 @@ impl Default for Lulesh {
 /// Vector-valued fields are flattened `[x, y, z]` rows — see [`get3`] /
 /// [`set3`].
 pub struct Mesh {
-    pub edge: usize,
-    pub n_elems: usize,
-    pub n_nodes: usize,
-    /// Node ids of each element's 8 corners (x-fastest corner order).
-    pub corners: Vec<[usize; 8]>,
-    /// For each node, (element, corner) pairs that touch it.
-    pub node_elems: Vec<Vec<(usize, usize)>>,
+    pub topo: Arc<Topology>,
     // Node-centred state.
     pub pos: BlockField,
     pub vel: BlockField,
     pub force: BlockField,
-    pub mass: Vec<f64>,
     // Element-centred state.
     pub energy: BlockField,
     pub pressure: BlockField,
     pub visc: BlockField,
     pub volume: BlockField,
-    pub vol0: Vec<f64>,
     /// Volume change of the last EOS update (feeds the next viscosity calc).
     pub delv: BlockField,
     // Per-element force contributions (stress + hourglass).
@@ -132,9 +155,20 @@ fn hg_sign(c: usize) -> f64 {
     }
 }
 
-impl Mesh {
-    pub fn new(cfg: &Lulesh) -> Self {
-        let edge = cfg.edge;
+impl Lulesh {
+    /// The undeformed mesh, keyed by `edge` — the only field it depends on
+    /// (`e0` seeds the per-run energy field; `steps`, `hgcoef` and `dt`
+    /// drive the time loop).
+    pub fn inputs(&self) -> Arc<Topology> {
+        scoped_inputs(
+            || eval_key("LULESH", &[self.edge as u64]),
+            |_shared| Topology::new(self.edge),
+        )
+    }
+}
+
+impl Topology {
+    pub fn new(edge: usize) -> Self {
         let nn = edge + 1;
         let n_elems = edge * edge * edge;
         let n_nodes = nn * nn * nn;
@@ -160,11 +194,11 @@ impl Mesh {
             }
         }
 
-        let mut pos = Vec::with_capacity(3 * n_nodes);
+        let mut pos0 = Vec::with_capacity(3 * n_nodes);
         for z in 0..nn {
             for y in 0..nn {
                 for x in 0..nn {
-                    pos.extend_from_slice(&[x as f64 * h, y as f64 * h, z as f64 * h]);
+                    pos0.extend_from_slice(&[x as f64 * h, y as f64 * h, z as f64 * h]);
                 }
             }
         }
@@ -177,28 +211,39 @@ impl Mesh {
             }
         }
 
-        let mut energy = vec![0.0; n_elems];
-        energy[0] = cfg.e0; // Sedov deposit at the origin element.
-
-        Mesh {
+        Topology {
             edge,
             n_elems,
             n_nodes,
             corners,
             node_elems,
-            pos: BlockField::from_vec(pos),
+            mass,
+            vol0,
+            pos0,
+        }
+    }
+}
+
+impl Mesh {
+    pub fn new(cfg: &Lulesh) -> Self {
+        let topo = cfg.inputs();
+        let (n_elems, n_nodes) = (topo.n_elems, topo.n_nodes);
+        let mut energy = vec![0.0; n_elems];
+        energy[0] = cfg.e0; // Sedov deposit at the origin element.
+
+        Mesh {
+            pos: BlockField::from_vec(topo.pos0.clone()),
             vel: BlockField::from_vec(vec![0.0; 3 * n_nodes]),
             force: BlockField::from_vec(vec![0.0; 3 * n_nodes]),
-            mass,
             energy: BlockField::from_vec(energy),
             pressure: BlockField::from_vec(vec![0.0; n_elems]),
             visc: BlockField::from_vec(vec![0.0; n_elems]),
-            volume: BlockField::from_vec(vol0.clone()),
-            vol0,
+            volume: BlockField::from_vec(topo.vol0.clone()),
             delv: BlockField::from_vec(vec![0.0; n_elems]),
             stress_f: BlockField::from_vec(vec![0.0; 3 * n_elems]),
             hg_f: BlockField::from_vec(vec![0.0; 3 * n_elems]),
             hg_coef: BlockField::from_vec(vec![0.0; 3 * n_elems]),
+            topo,
         }
     }
 
@@ -206,7 +251,7 @@ impl Mesh {
     /// spanned by the three corner edges — exact for our initially
     /// rectilinear mesh and a good proxy under small deformation).
     pub fn elem_volume(&self, e: usize) -> f64 {
-        let c = &self.corners[e];
+        let c = &self.topo.corners[e];
         let p0 = get3(&self.pos, c[0]);
         let a = sub(get3(&self.pos, c[1]), p0);
         let b = sub(get3(&self.pos, c[2]), p0);
@@ -219,7 +264,7 @@ impl Mesh {
     /// Mean corner velocity of an element, per direction.
     fn mean_corner_vel(&self, e: usize) -> [f64; 3] {
         let mut m = [0.0; 3];
-        for &n in &self.corners[e] {
+        for &n in &self.topo.corners[e] {
             let v = get3(&self.vel, n);
             for (d, md) in m.iter_mut().enumerate() {
                 *md += v[d];
@@ -234,7 +279,7 @@ impl Mesh {
     /// Hourglass-mode velocity amplitude of an element, per direction.
     fn hg_mode_vel(&self, e: usize) -> [f64; 3] {
         let mut m = [0.0; 3];
-        for (k, &n) in self.corners[e].iter().enumerate() {
+        for (k, &n) in self.topo.corners[e].iter().enumerate() {
             let s = hg_sign(k);
             let v = get3(&self.vel, n);
             for (d, md) in m.iter_mut().enumerate() {
@@ -274,16 +319,16 @@ impl RegionBody for HgControlBody<'_> {
     }
 
     fn inputs(&self, e: usize, buf: &mut [f64]) {
-        buf[0] = self.mesh.volume.get(e) / self.mesh.vol0[e];
+        buf[0] = self.mesh.volume.get(e) / self.mesh.topo.vol0[e];
         buf[1] = self.mesh.energy.get(e);
         buf[2] = self.mesh.pressure.get(e);
-        buf[3] = self.mesh.delv.get(e) / self.mesh.vol0[e];
+        buf[3] = self.mesh.delv.get(e) / self.mesh.topo.vol0[e];
     }
 
     fn compute(&self, e: usize, out: &mut [f64]) {
         let m = &self.mesh;
         let vol = m.volume.get(e);
-        let dens = m.vol0[e] / vol.max(1e-12);
+        let dens = m.topo.vol0[e] / vol.max(1e-12);
         // Sound speed from the ideal-gas EOS; the coefficient scales with
         // rho * c * characteristic area (standard Flanagan-Belytschko).
         let ss = ((m.pressure.get(e) + 1e-12) / dens.max(1e-12))
@@ -453,7 +498,7 @@ impl RegionBody for NodeBody<'_> {
     fn compute(&self, n: usize, out: &mut [f64]) {
         let m = &self.mesh;
         let mut f = [0.0; 3];
-        for &(e, corner) in &m.node_elems[n] {
+        for &(e, corner) in &m.topo.node_elems[n] {
             let sf = get3(&m.stress_f, e);
             let hf = get3(&m.hg_f, e);
             for (d, fd) in f.iter_mut().enumerate() {
@@ -479,7 +524,7 @@ impl RegionBody for NodeBody<'_> {
     fn store_shared(&self, n: usize, out: &[f64]) {
         let m = self.mesh;
         set3(&m.force, n, [out[0], out[1], out[2]]);
-        let inv_m = 1.0 / m.mass[n];
+        let inv_m = 1.0 / m.topo.mass[n];
         for (d, &o) in out.iter().enumerate() {
             let a = o * inv_m;
             let v = m.vel.get(3 * n + d) + a * self.dt;
@@ -561,8 +606,8 @@ impl Benchmark for Lulesh {
         opts: &ExecOptions,
     ) -> Result<AppResult, RegionError> {
         let mesh = Mesh::new(self);
-        let n_elems = mesh.n_elems;
-        let n_nodes = mesh.n_nodes;
+        let n_elems = mesh.topo.n_elems;
+        let n_nodes = mesh.topo.n_nodes;
         let area = (1.0 / self.edge as f64).powi(2);
 
         let mut acc = RunAccumulator::new();
@@ -641,15 +686,15 @@ mod tests {
     #[test]
     fn mesh_connectivity_is_consistent() {
         let mesh = Mesh::new(&small());
-        assert_eq!(mesh.n_elems, 512);
-        assert_eq!(mesh.n_nodes, 729);
+        assert_eq!(mesh.topo.n_elems, 512);
+        assert_eq!(mesh.topo.n_nodes, 729);
         // Interior nodes touch 8 elements, corner nodes 1.
-        let counts: Vec<usize> = mesh.node_elems.iter().map(|v| v.len()).collect();
+        let counts: Vec<usize> = mesh.topo.node_elems.iter().map(|v| v.len()).collect();
         assert_eq!(counts.iter().max(), Some(&8));
         assert_eq!(counts.iter().min(), Some(&1));
         // Total (element, corner) incidences = 8 per element.
         let total: usize = counts.iter().sum();
-        assert_eq!(total, mesh.n_elems * 8);
+        assert_eq!(total, mesh.topo.n_elems * 8);
     }
 
     #[test]
@@ -665,7 +710,7 @@ mod tests {
     #[test]
     fn node_mass_conserves_total() {
         let mesh = Mesh::new(&small());
-        let total: f64 = mesh.mass.iter().sum();
+        let total: f64 = mesh.topo.mass.iter().sum();
         assert!((total - 1.0).abs() < 1e-9, "unit cube mass {total}");
     }
 

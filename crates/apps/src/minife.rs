@@ -16,7 +16,8 @@
 //! QoI: the final residual norm of the solver.
 
 use crate::common::{
-    charge_uniform_kernel, AppResult, Benchmark, LaunchParams, QoI, RunAccumulator,
+    charge_uniform_kernel, eval_key, scoped_inputs, AppResult, Benchmark, LaunchParams, Prepared,
+    QoI, RunAccumulator,
 };
 use gpu_sim::transfer::Direction;
 use gpu_sim::{AccessPattern, CostProfile, DeviceSpec, LaunchConfig};
@@ -24,6 +25,7 @@ use hpac_core::exec::{approx_parallel_for_opts, ExecOptions, RegionBody};
 use hpac_core::region::{ApproxRegion, RegionError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Configuration for the MiniFE benchmark.
 #[derive(Debug, Clone, Copy)]
@@ -49,7 +51,7 @@ impl Default for MiniFe {
 }
 
 /// A CSR sparse matrix.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Csr {
     pub row_ptr: Vec<usize>,
     pub col_idx: Vec<usize>,
@@ -122,6 +124,31 @@ impl MiniFe {
             .map(|_| rng.gen_range(0.0..1.0))
             .collect()
     }
+
+    /// The assembled operator and right-hand side: the matrix depends on
+    /// `nx` alone and the rhs on `nx` and `seed`; the solver controls
+    /// (`max_iters`, `tol`) share one entry.
+    pub fn inputs(&self) -> Arc<LinearSystem> {
+        scoped_inputs(
+            || eval_key("MiniFE", &[self.nx as u64, self.seed]),
+            |_shared| LinearSystem {
+                a: self.assemble(),
+                b: self.rhs(),
+            },
+        )
+    }
+}
+
+/// MiniFE's prepared inputs: `A` and `b` of the system CG solves.
+pub struct LinearSystem {
+    pub a: Csr,
+    pub b: Vec<f64>,
+}
+
+impl Prepared for LinearSystem {
+    fn approx_bytes(&self) -> usize {
+        (self.a.row_ptr.len() + self.a.col_idx.len() + self.a.values.len() + self.b.len()) * 8
+    }
 }
 
 /// The approximated region: one CSR row's dot product (`q_i = A_i · p`).
@@ -180,8 +207,8 @@ impl Benchmark for MiniFe {
         lp: &LaunchParams,
         opts: &ExecOptions,
     ) -> Result<AppResult, RegionError> {
-        let a = self.assemble();
-        let b = self.rhs();
+        let inputs = self.inputs();
+        let (a, b) = (&inputs.a, &inputs.b);
         let n = a.n;
         let avg_nnz = a.nnz() as f64 / n as f64;
 
@@ -209,7 +236,7 @@ impl Benchmark for MiniFe {
         for _ in 0..self.max_iters {
             // q = A p — the approximated SpMV.
             let mut body = SpmvBody {
-                matrix: &a,
+                matrix: a,
                 p: &p,
                 q: &mut q,
                 avg_nnz,

@@ -6,14 +6,17 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gpu_sim::DeviceSpec;
-use hpac_apps::common::{Benchmark, LaunchParams};
+use hpac_apps::common::{install_eval_memo, Benchmark, LaunchParams};
 use hpac_apps::{
     binomial::BinomialOptions, blackscholes::Blackscholes, kmeans::KMeans, lavamd::LavaMd,
     leukocyte::Leukocyte, lulesh::Lulesh, minife::MiniFe,
 };
+use hpac_core::exec::ExecOptions;
 use hpac_core::params::PerfoKind;
 use hpac_core::region::ApproxRegion;
 use hpac_core::HierarchyLevel;
+use hpac_harness::runner::{run_config_bounded, select_baseline_opts};
+use hpac_harness::SweepConfig;
 use std::hint::black_box;
 
 fn bench_app(c: &mut Criterion, name: &str, bench: &dyn Benchmark, block_level: bool) {
@@ -50,49 +53,62 @@ fn bench_app(c: &mut Criterion, name: &str, bench: &dyn Benchmark, block_level: 
     group.finish();
 }
 
+// The quick-grid sizes the repo benchmark sweeps (`benchmark/src/suite.rs`).
+fn lulesh() -> Lulesh {
+    Lulesh {
+        edge: 12,
+        steps: 8,
+        dt: 1e-4,
+        ..Lulesh::default()
+    }
+}
+
+fn leukocyte() -> Leukocyte {
+    Leukocyte {
+        n_cells: 8,
+        grid: 16,
+        iterations: 24,
+        ..Leukocyte::default()
+    }
+}
+
+fn binomial() -> BinomialOptions {
+    BinomialOptions {
+        n_options: 1024,
+        tree_steps: 96,
+        ..BinomialOptions::default()
+    }
+}
+
+fn minife() -> MiniFe {
+    MiniFe {
+        nx: 10,
+        max_iters: 25,
+        ..MiniFe::default()
+    }
+}
+
+fn lavamd() -> LavaMd {
+    LavaMd {
+        boxes_per_dim: 4,
+        par_per_box: 16,
+        ..LavaMd::default()
+    }
+}
+
+fn kmeans() -> KMeans {
+    KMeans {
+        n_points: 2048,
+        max_iters: 40,
+        ..KMeans::default()
+    }
+}
+
 fn apps(c: &mut Criterion) {
-    bench_app(
-        c,
-        "lulesh",
-        &Lulesh {
-            edge: 12,
-            steps: 8,
-            dt: 1e-4,
-            ..Lulesh::default()
-        },
-        false,
-    );
-    bench_app(
-        c,
-        "leukocyte",
-        &Leukocyte {
-            n_cells: 8,
-            grid: 16,
-            iterations: 24,
-            ..Leukocyte::default()
-        },
-        false,
-    );
-    bench_app(
-        c,
-        "binomial_options",
-        &BinomialOptions {
-            n_options: 1024,
-            tree_steps: 96,
-            ..BinomialOptions::default()
-        },
-        true,
-    );
-    bench_app(
-        c,
-        "minife",
-        &MiniFe {
-            nx: 10,
-            max_iters: 25,
-            ..MiniFe::default()
-        },
-        false,
-    );
+    bench_app(c, "lulesh", &lulesh(), false);
+    bench_app(c, "leukocyte", &leukocyte(), false);
+    bench_app(c, "binomial_options", &binomial(), true);
+    bench_app(c, "minife", &minife(), false);
     bench_app(
         c,
         "blackscholes",
@@ -102,26 +118,67 @@ fn apps(c: &mut Criterion) {
         },
         false,
     );
-    bench_app(
-        c,
-        "lavamd",
-        &LavaMd {
-            boxes_per_dim: 4,
-            par_per_box: 16,
-            ..LavaMd::default()
-        },
-        false,
-    );
-    bench_app(
-        c,
-        "kmeans",
-        &KMeans {
-            n_points: 2048,
-            max_iters: 40,
-            ..KMeans::default()
-        },
-        false,
-    );
+    bench_app(c, "lavamd", &lavamd(), false);
+    bench_app(c, "kmeans", &kmeans(), false);
+}
+
+/// The per-config fixed costs of a sweep. `<app>/build` is one app's input
+/// build — what every config paid before the sweep scope owned the inputs.
+/// `unscoped` against `scoped` is an accurate run that builds its own inputs
+/// against one that finds them in the scope (for Blackscholes the scope also
+/// holds the price memo, which a lone run does without, so that pair differs
+/// by more than the build).
+/// `config_eval_exact` against `scoped_exact` is what `run_config_bounded`
+/// adds to the run it wraps when the output is bit-identical to the
+/// baseline's (threshold-0 memoization), so the quality cache answers and no
+/// error metric runs: the output fingerprint.
+fn prepared_inputs(c: &mut Criterion) {
+    let spec = DeviceSpec::v100();
+    let opts = ExecOptions::default();
+    let lp = LaunchParams::new(8, 256);
+    let bs = Blackscholes::default();
+    let fe = minife();
+    let mut group = c.benchmark_group("prepared_inputs");
+
+    group.sample_size(200);
+    let mut build = |name: &str, inputs: &dyn Fn()| {
+        group.bench_function(&format!("{name}/build"), |b| b.iter(inputs));
+    };
+    build("blackscholes", &|| drop(black_box(bs.inputs())));
+    build("minife", &|| drop(black_box(fe.inputs())));
+    build("kmeans", &|| drop(black_box(kmeans().inputs())));
+    build("leukocyte", &|| drop(black_box(leukocyte().inputs())));
+    build("lavamd", &|| drop(black_box(lavamd().inputs())));
+    build("binomial_options", &|| drop(black_box(binomial().inputs())));
+    build("lulesh", &|| drop(black_box(lulesh().inputs())));
+
+    group.sample_size(10);
+    for (name, bench) in [("blackscholes", &bs as &dyn Benchmark), ("minife", &fe)] {
+        let mut accurate = |id: &str| {
+            group.bench_function(&format!("{name}/{id}"), |b| {
+                b.iter(|| black_box(bench.run_opts(&spec, None, &lp, &opts).unwrap()))
+            });
+        };
+        accurate("unscoped");
+        let _scope = install_eval_memo();
+        accurate("scoped");
+    }
+
+    let _scope = install_eval_memo();
+    let baseline = select_baseline_opts(&bs, &spec, &opts);
+    let exact = SweepConfig {
+        region: ApproxRegion::memo_out(2, 8, 0.0),
+        lp: baseline.lp,
+        label: "exact".into(),
+    };
+    group.sample_size(200);
+    group.bench_function("blackscholes/scoped_exact", |b| {
+        b.iter(|| black_box(bs.run_opts(&spec, Some(&exact.region), &exact.lp, &opts)))
+    });
+    group.bench_function("blackscholes/config_eval_exact", |b| {
+        b.iter(|| black_box(run_config_bounded(&bs, &spec, &baseline, &exact, &opts)))
+    });
+    group.finish();
 }
 
 fn primitives(c: &mut Criterion) {
@@ -157,5 +214,5 @@ fn primitives(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, apps, primitives);
+criterion_group!(benches, apps, prepared_inputs, primitives);
 criterion_main!(benches);

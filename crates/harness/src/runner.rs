@@ -58,31 +58,59 @@ impl QualityCache {
     }
 }
 
-/// 128-bit fingerprint of a QoI's exact bit patterns: two word-wise fnv1a
-/// accumulators with distinct offset bases over the kind tag, length, and
-/// every value's bits. Equal outputs always collide; unequal outputs
-/// colliding on both accumulators is vanishingly unlikely.
+/// 128-bit fingerprint of a QoI's exact bit patterns. Equal outputs always
+/// collide; unequal outputs colliding on both halves is vanishingly
+/// unlikely. The value lives only in a [`QualityCache`] and is never
+/// persisted.
 fn qoi_fingerprint(q: &QoI) -> (u64, u64) {
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mut h1 = 0xcbf2_9ce4_8422_2325u64;
-    let mut h2 = 0x9e37_79b9_7f4a_7c15u64;
-    let mut feed = |w: u64| {
-        h1 = (h1 ^ w).wrapping_mul(PRIME);
-        h2 = (h2 ^ w).wrapping_mul(PRIME);
-    };
     match q {
-        QoI::Values(v) => {
-            feed(1);
-            feed(v.len() as u64);
-            v.iter().for_each(|x| feed(x.to_bits()));
-        }
-        QoI::Labels(l) => {
-            feed(2);
-            feed(l.len() as u64);
-            l.iter().for_each(|&x| feed(x as u64));
+        QoI::Values(v) => fingerprint_words(1, v, |x| x.to_bits()),
+        QoI::Labels(l) => fingerprint_words(2, l, |&x| u64::from(x)),
+    }
+}
+
+/// Word `i` feeds lane `i & 3`; each lane keeps two multiply-xor
+/// accumulators (distinct odd multipliers), so eight independent chains are
+/// in flight instead of two dependent ones — this pass runs once per
+/// evaluated config over the whole output. The lanes, the kind tag and the
+/// length are folded at the end; every chain and the fold are
+/// order-sensitive, so permuted outputs do not collide.
+fn fingerprint_words<T>(kind: u64, items: &[T], word: impl Fn(&T) -> u64) -> (u64, u64) {
+    const LANES: usize = 4;
+    const M1: u64 = 0x100_0000_01b3;
+    const M2: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut h1 = [
+        0xcbf2_9ce4_8422_2325u64,
+        0x8422_2325_cbf2_9ce4,
+        0x6c62_272e_07bb_0142,
+        0x07bb_0142_6c62_272e,
+    ];
+    let mut h2 = [
+        0x2545_f491_4f6c_dd1du64,
+        0x4f6c_dd1d_2545_f491,
+        0xd6e8_feb8_6659_fd93,
+        0x6659_fd93_d6e8_feb8,
+    ];
+    let mut feed = |lane: usize, w: u64| {
+        h1[lane] = (h1[lane] ^ w).wrapping_mul(M1);
+        h2[lane] = (h2[lane] ^ w).wrapping_mul(M2);
+    };
+    let mut chunks = items.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for (lane, x) in chunk.iter().enumerate() {
+            feed(lane, word(x));
         }
     }
-    (h1, h2)
+    for (lane, x) in chunks.remainder().iter().enumerate() {
+        feed(lane, word(x));
+    }
+    let fold = |lanes: [u64; LANES], m: u64| {
+        [kind, items.len() as u64]
+            .into_iter()
+            .chain(lanes)
+            .fold(0, |h, w| (h ^ w).wrapping_mul(m).rotate_left(29))
+    };
+    (fold(h1, M1), fold(h2, M2))
 }
 
 /// The chosen baseline: launch shape, result, its timing-basis seconds, and
@@ -430,6 +458,43 @@ mod tests {
             run_len: 16,
             seed: 1,
         }
+    }
+
+    #[test]
+    fn fingerprint_separates_value_length_kind_and_order() {
+        let base: Vec<f64> = (0..11).map(|i| 1.5 * i as f64).collect();
+        let fp = |v: &[f64]| qoi_fingerprint(&QoI::Values(v.to_vec()));
+        assert_eq!(fp(&base), fp(&base.clone()), "equal outputs collide");
+
+        let mut one_word = base.clone();
+        one_word[9] = f64::from_bits(one_word[9].to_bits() ^ 1);
+        let mut longer = base.clone();
+        longer.push(0.0);
+        // Words 1 and 5 share lane 1; words 1 and 2 sit in lanes 1 and 2;
+        // words 8 and 10 are in the tail past the last full chunk.
+        let swapped = |a: usize, b: usize| {
+            let mut v = base.clone();
+            v.swap(a, b);
+            v
+        };
+        let variants = [
+            one_word,
+            longer,
+            base[..10].to_vec(),
+            swapped(1, 5),
+            swapped(1, 2),
+            swapped(8, 10),
+        ];
+        let mut seen = vec![fp(&base)];
+        for v in &variants {
+            let f = fp(v);
+            assert!(!seen.contains(&f), "collision for {v:?}");
+            seen.push(f);
+        }
+
+        let labels = QoI::Labels(vec![0, 1, 2, 3, 4]);
+        let values = QoI::Values([0u64, 1, 2, 3, 4].map(f64::from_bits).to_vec());
+        assert_ne!(qoi_fingerprint(&labels), qoi_fingerprint(&values));
     }
 
     #[test]
