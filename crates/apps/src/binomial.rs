@@ -207,6 +207,28 @@ impl Benchmark for BinomialOptions {
         "Binomial Options"
     }
 
+    fn params_key(&self) -> Option<Vec<u64>> {
+        let BinomialOptions {
+            n_options,
+            tree_steps,
+            distinct,
+            run_len,
+            block_size,
+            seed,
+        } = *self;
+        Some(eval_key(
+            self.name(),
+            &[
+                n_options as u64,
+                tree_steps as u64,
+                distinct as u64,
+                run_len as u64,
+                block_size.into(),
+                seed,
+            ],
+        ))
+    }
+
     fn block_level_only(&self) -> bool {
         true
     }

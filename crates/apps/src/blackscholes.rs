@@ -49,11 +49,11 @@ impl Default for Blackscholes {
 }
 
 impl Blackscholes {
-    /// Generate the portfolio: `OPTION_DIMS` scalars per option, row-major.
-    pub fn generate(&self) -> Vec<f64> {
+    /// The `distinct` base options the portfolio replicates, row-major.
+    fn base_options(&self) -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let base: Vec<[f64; OPTION_DIMS]> = (0..self.distinct)
-            .map(|_| {
+        (0..self.distinct)
+            .flat_map(|_| {
                 // Near-the-money portfolio (PARSEC's input stays in this
                 // regime): prices are bounded away from zero so MAPE stays
                 // meaningful.
@@ -65,14 +65,25 @@ impl Blackscholes {
                     rng.gen_range(0.25..2.00), // years to expiry
                 ]
             })
-            .collect();
-        let period = self.distinct * self.run_len;
-        let mut data = Vec::with_capacity(self.n_options * OPTION_DIMS);
-        for i in 0..self.n_options {
-            let b = (i % period) / self.run_len;
-            data.extend_from_slice(&base[b]);
-        }
-        data
+            .collect()
+    }
+
+    /// The base option that option `i` copies.
+    fn class_of(&self, i: usize) -> usize {
+        (i % (self.distinct * self.run_len)) / self.run_len
+    }
+
+    /// Generate the portfolio in full: `OPTION_DIMS` scalars per option,
+    /// row-major. A run prices from the compact [`Portfolio`] instead; this
+    /// is the layout it stands for.
+    pub fn generate(&self) -> Vec<f64> {
+        let base = self.base_options();
+        (0..self.n_options)
+            .flat_map(|i| {
+                let b = self.class_of(i) * OPTION_DIMS;
+                base[b..b + OPTION_DIMS].iter().copied()
+            })
+            .collect()
     }
 
     /// The portfolio this run prices. It is a pure function of the four
@@ -91,24 +102,61 @@ impl Blackscholes {
                 )
             },
             |shared| {
-                let options = self.generate();
-                let memo = shared.then(|| ComputeMemo::from_rows(&options, OPTION_DIMS, 1));
-                Portfolio { options, memo }
+                // One period of runs, copied until the portfolio is full:
+                // `class_of` without its two divisions per option.
+                let period: Vec<u32> = (0..self.distinct as u32)
+                    .flat_map(|b| std::iter::repeat_n(b, self.run_len))
+                    .collect();
+                let mut class = Vec::with_capacity(self.n_options);
+                while class.len() < self.n_options {
+                    let tile = period.len().min(self.n_options - class.len());
+                    assert!(tile > 0, "a portfolio needs a base option and a run");
+                    class.extend_from_slice(&period[..tile]);
+                }
+                Portfolio {
+                    base: self.base_options(),
+                    class,
+                    memo: shared.then(|| ComputeMemo::identity(self.distinct, 1)),
+                }
             },
         )
     }
 }
 
-/// Blackscholes' prepared inputs: the generated portfolio and, when a sweep
-/// scope shares it across runs, the memo classed from its rows.
+/// Blackscholes' prepared inputs, kept the way the portfolio is generated:
+/// the `distinct` base options plus, per option, the base row it copies —
+/// 4 bytes an option instead of 40, and the classes a price memo needs are
+/// known without hashing every row to rediscover them. When a sweep scope
+/// shares the portfolio across runs it also carries that memo, one slot per
+/// base option.
 pub struct Portfolio {
-    pub options: Vec<f64>,
+    base: Vec<f64>,
+    class: Vec<u32>,
     memo: Option<ComputeMemo>,
+}
+
+impl Portfolio {
+    /// Options in the portfolio.
+    pub fn len(&self) -> usize {
+        self.class.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.class.is_empty()
+    }
+
+    /// Option `i`'s `OPTION_DIMS` parameters.
+    pub fn option(&self, i: usize) -> &[f64] {
+        let b = self.class[i] as usize * OPTION_DIMS;
+        &self.base[b..b + OPTION_DIMS]
+    }
 }
 
 impl Prepared for Portfolio {
     fn approx_bytes(&self) -> usize {
-        self.options.len() * 8 + self.memo.as_ref().map_or(0, Prepared::approx_bytes)
+        self.base.len() * 8
+            + self.class.len() * 4
+            + self.memo.as_ref().map_or(0, Prepared::approx_bytes)
     }
 }
 
@@ -141,17 +189,16 @@ pub fn price_call(spot: f64, strike: f64, rate: f64, vol: f64, t: f64) -> f64 {
 
 /// The approximated region: one option's full price calculation.
 ///
-/// Interning economics here are scope-dependent. *Per-run* interning lost
-/// (PR 6 reverted it): the closed-form price is a handful of
-/// special-function calls, cheaper than paying the row-classing hash every
-/// run. Under a sweep-scoped [`EvalMemo`](crate::common::EvalMemo) the
-/// classing runs once and its `distinct` cached prices serve every config
-/// of the sweep, which measures faster — so the memo is used only when a
-/// sweep scope is active, and a plain standalone run still prices inline.
+/// Interning here is scope-dependent. *Per-run* interning lost when it was
+/// measured (PR 6 reverted it, with classes found by hashing every row), and
+/// has not been re-measured since the classes became structural. Under a
+/// sweep-scoped [`EvalMemo`](crate::common::EvalMemo) the `distinct` cached
+/// prices serve every config of the sweep, which measures faster — so the
+/// memo is used only when a sweep scope is active, and a plain standalone
+/// run still prices inline.
 struct BsBody<'a> {
-    options: &'a [f64],
+    portfolio: &'a Portfolio,
     prices: Vec<f64>,
-    memo: Option<&'a ComputeMemo>,
 }
 
 impl RegionBody for BsBody<'_> {
@@ -164,16 +211,16 @@ impl RegionBody for BsBody<'_> {
     }
 
     fn inputs(&self, i: usize, buf: &mut [f64]) {
-        buf.copy_from_slice(&self.options[i * OPTION_DIMS..(i + 1) * OPTION_DIMS]);
+        buf.copy_from_slice(self.portfolio.option(i));
     }
 
     fn compute(&self, i: usize, out: &mut [f64]) {
         let price = |out: &mut [f64]| {
-            let o = &self.options[i * OPTION_DIMS..(i + 1) * OPTION_DIMS];
+            let o = self.portfolio.option(i);
             out[0] = price_call(o[0], o[1], o[2], o[3], o[4]);
         };
-        match self.memo {
-            Some(memo) => memo.get_or(i, out, price),
+        match &self.portfolio.memo {
+            Some(memo) => memo.get_or(self.portfolio.class[i] as usize, out, price),
             None => price(out),
         }
     }
@@ -197,6 +244,19 @@ impl Benchmark for Blackscholes {
         "Blackscholes"
     }
 
+    fn params_key(&self) -> Option<Vec<u64>> {
+        let Blackscholes {
+            n_options,
+            distinct,
+            run_len,
+            seed,
+        } = *self;
+        Some(eval_key(
+            self.name(),
+            &[n_options as u64, distinct as u64, run_len as u64, seed],
+        ))
+    }
+
     fn kernel_only_timing(&self) -> bool {
         true
     }
@@ -216,9 +276,8 @@ impl Benchmark for Blackscholes {
     ) -> Result<AppResult, RegionError> {
         let inputs = self.inputs();
         let mut body = BsBody {
-            options: &inputs.options,
+            portfolio: &inputs,
             prices: vec![0.0; self.n_options],
-            memo: inputs.memo.as_ref(),
         };
         let launch =
             LaunchConfig::for_items_per_thread(self.n_options, lp.block_size, lp.items_per_thread);

@@ -10,7 +10,7 @@ use hpac_core::region::{ApproxRegion, RegionError};
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 
 /// Launch-shape parameters swept by the paper's design-space exploration
 /// (the `num_teams`-derived "Items per Thread" and the block size).
@@ -287,11 +287,11 @@ pub fn eval_key(app: &str, param_bits: &[u64]) -> Vec<u64> {
     key
 }
 
-/// State an app builds from its parameters alone and never mutates while
-/// running — the generated dataset, the assembled matrix, the
-/// [`ComputeMemo`] classed from it — so one copy can serve every run of a
-/// sweep scope.
-pub(crate) trait Prepared: Any + Send + Sync {
+/// State built from parameters alone and never mutated afterwards — an
+/// app's generated dataset or assembled matrix with the [`ComputeMemo`]
+/// classed from it, the harness's measured baseline — so one copy can serve
+/// every run of a sweep scope.
+pub trait Prepared: Any + Send + Sync {
     /// Approximate resident size, for the [`EvalMemo`] byte cap.
     fn approx_bytes(&self) -> usize;
 }
@@ -305,20 +305,26 @@ impl Prepared for ComputeMemo {
 /// A stored [`Prepared`] value; [`EvalMemo::prepared`] recovers its type.
 type Entry = Arc<dyn Any + Send + Sync>;
 
+/// One key's slot: set once, by whichever requester builds the entry.
+type Cell = Arc<OnceLock<Entry>>;
+
 /// Sweep-scoped store of [`Prepared`] state, shared by every config task of
-/// a harness sweep or tuner search: one entry per (app, parameters), holding
-/// the app's immutable inputs together with the memo classed from them.
+/// a harness sweep or tuner search — and, while a tuning service holds the
+/// scope, by every request it searches: one entry per key, holding an app's
+/// immutable inputs together with the memo classed from them, or the
+/// baseline measured for a (benchmark, device).
 ///
-/// The dataset, and the accurate-lane outputs interned in its memo, do not
-/// vary with approximation parameters, so they are built once per scope and
-/// replayed across all configs instead of once per config. Striped like
-/// `TuningCache`: 16 mutex-guarded shards selected by an fnv1a hash of the
-/// key, so parallel config tasks rarely contend. The shard lock is held
-/// across a miss's build, so concurrent requests for the same key build it
-/// once; a build that panics leaves the map as it was, so a poisoned shard
-/// is recovered rather than propagated.
+/// None of this varies with approximation parameters, so it is built once
+/// per scope and replayed across all configs instead of once per config.
+/// Striped like `TuningCache`: 16 mutex-guarded shards selected by an fnv1a
+/// hash of the key. A shard lock covers only finding or inserting a key's
+/// cell; the build runs under the cell, so concurrent requests for one key
+/// build it once while other keys of the shard — and builds that themselves
+/// ask the store for another key, as a baseline asks for its app's inputs —
+/// proceed. A build that panics leaves its cell empty, and the next request
+/// for the key builds again.
 pub struct EvalMemo {
-    shards: Vec<Mutex<HashMap<Vec<u64>, Entry>>>,
+    shards: Vec<Mutex<HashMap<Vec<u64>, Cell>>>,
     bytes: AtomicUsize,
     cap_warned: AtomicBool,
 }
@@ -329,7 +335,9 @@ impl Default for EvalMemo {
     }
 }
 
-fn shard_of(key: &[u64]) -> usize {
+/// Which of a store's shards holds `key`. Public for tests that need two
+/// keys on one shard.
+pub fn shard_of(key: &[u64]) -> usize {
     (fnv1a(key.iter().flat_map(|w| w.to_le_bytes())) as usize) % EVAL_MEMO_SHARDS
 }
 
@@ -344,34 +352,65 @@ impl EvalMemo {
         }
     }
 
+    /// The shard holding `key`. Cells are inserted and removed whole, so the
+    /// map is valid at every step and a poisoned lock is safe to recover.
+    fn shard(&self, key: &[u64]) -> MutexGuard<'_, HashMap<Vec<u64>, Cell>> {
+        self.shards[shard_of(key)]
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Fetch the prepared state for `key`, building (and, capacity
     /// permitting, retaining) it on first request.
-    pub(crate) fn prepared<T: Prepared>(&self, key: &[u64], build: impl FnOnce() -> T) -> Arc<T> {
-        // Entries are inserted whole after their build returns, so the map
-        // is valid at every step and a poisoned lock is safe to recover.
-        let mut map = self.shards[shard_of(key)]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        if let Some(entry) = map.get(key) {
-            hpac_obs::inc(hpac_obs::CounterId::EvalMemoHits);
-            return Arc::clone(entry)
-                .downcast()
-                .unwrap_or_else(|_| panic!("eval key {key:?} names two prepared types"));
+    pub fn prepared<T: Prepared>(&self, key: &[u64], build: impl FnOnce() -> T) -> Arc<T> {
+        let cell = {
+            let mut map = self.shard(key);
+            match map.get(key) {
+                Some(cell) => Arc::clone(cell),
+                None => Arc::clone(map.entry(key.to_vec()).or_default()),
+            }
+        };
+        let mut built_bytes = None;
+        let entry = cell.get_or_init(|| {
+            let built = Arc::new(build());
+            built_bytes = Some(built.approx_bytes());
+            built
+        });
+        match built_bytes {
+            None => hpac_obs::inc(hpac_obs::CounterId::EvalMemoHits),
+            Some(sz) => {
+                hpac_obs::inc(hpac_obs::CounterId::EvalMemoMisses);
+                self.retain_or_release(key, sz);
+            }
         }
-        hpac_obs::inc(hpac_obs::CounterId::EvalMemoMisses);
-        let entry = Arc::new(build());
-        let sz = entry.approx_bytes();
-        if self.bytes.load(Ordering::Relaxed).saturating_add(sz) <= EVAL_MEMO_BYTE_CAP {
-            self.bytes.fetch_add(sz, Ordering::Relaxed);
-            map.insert(key.to_vec(), Arc::clone(&entry) as _);
-        } else if !self.cap_warned.swap(true, Ordering::Relaxed) {
+        Arc::clone(entry)
+            .downcast()
+            .unwrap_or_else(|_| panic!("eval key {key:?} names two prepared types"))
+    }
+
+    /// Charge a freshly built `sz`-byte entry to the byte cap, or — when it
+    /// does not fit — take its cell back out of the map: requesters already
+    /// waiting on the cell still share the build, later ones build again.
+    fn retain_or_release(&self, key: &[u64], sz: usize) {
+        let fits = |held: usize| {
+            held.checked_add(sz)
+                .filter(|&sum| sum <= EVAL_MEMO_BYTE_CAP)
+        };
+        if self
+            .bytes
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, fits)
+            .is_ok()
+        {
+            return;
+        }
+        self.shard(key).remove(key);
+        if !self.cap_warned.swap(true, Ordering::Relaxed) {
             hpac_obs::log_warn(&format!(
                 "sweep scope holds {} of {EVAL_MEMO_BYTE_CAP} prepared bytes; a {sz}-byte \
                  entry (and any later overflow) is rebuilt per run instead of retained",
                 self.resident_bytes()
             ));
         }
-        entry
     }
 
     /// [`EvalMemo::prepared`] for a bare [`ComputeMemo`].
@@ -394,6 +433,7 @@ impl EvalMemo {
 static EVAL_MEMO_SCOPE: RwLock<Option<(Arc<EvalMemo>, usize)>> = RwLock::new(None);
 
 /// RAII guard for a sweep-scoped [`EvalMemo`]; see [`install_eval_memo`].
+#[derive(Debug)]
 pub struct EvalMemoScope(());
 
 impl Drop for EvalMemoScope {
@@ -412,9 +452,10 @@ impl Drop for EvalMemoScope {
 
 /// Hold a sweep-scoped [`EvalMemo`] for the duration of the returned guard.
 /// The first guard installs a fresh store; while any guard is alive, later
-/// installs — a tuner search wrapping harness sweeps, or an overlapping
-/// search on another thread — share that store, and it is dropped with the
-/// last guard, whichever that is. Apps that consult [`current_eval_memo`]
+/// installs — a tuner search wrapping harness sweeps, an overlapping search
+/// on another thread, a tuning service keeping its guard for as long as it
+/// lives — share that store, and it is dropped with the last guard,
+/// whichever that is. Apps that consult [`current_eval_memo`]
 /// behave exactly as before when no scope is installed.
 pub fn install_eval_memo() -> EvalMemoScope {
     let mut slot = EVAL_MEMO_SCOPE.write().unwrap_or_else(|e| e.into_inner());
@@ -431,12 +472,12 @@ pub fn current_eval_memo() -> Option<Arc<EvalMemo>> {
     slot.as_ref().map(|(store, _)| Arc::clone(store))
 }
 
-/// An app's prepared inputs: the active sweep scope's entry for `key()`
-/// (built by the first run that asks, shared by every later one), or a
-/// private copy for this run alone when no scope is installed. `build` is
+/// Prepared state by scope: the active sweep scope's entry for `key()`
+/// (built by the first caller that asks, shared by every later one), or a
+/// private copy for this caller alone when no scope is installed. `build` is
 /// told which, since a memo that only pays off across runs is worth classing
 /// only for a shared entry.
-pub(crate) fn scoped_inputs<T: Prepared>(
+pub fn scoped_inputs<T: Prepared>(
     key: impl FnOnce() -> Vec<u64>,
     build: impl FnOnce(bool) -> T,
 ) -> Arc<T> {
@@ -518,6 +559,17 @@ pub trait Benchmark: Send + Sync {
     /// deduplication — mandatory for benchmarks where the launch shape
     /// feeds anything beyond a single grid-stride kernel.
     fn launch_class(&self, _spec: &DeviceSpec, _lp: &LaunchParams) -> Option<u64> {
+        None
+    }
+
+    /// The benchmark's full parameter identity: an [`eval_key`] over every
+    /// field, solver controls included. Two instances with equal keys must
+    /// return bit-identical results from every run, which lets a sweep scope
+    /// keep what it measured for one — the accurate baseline — for the
+    /// other. `None` (the default) opts out: the baseline is measured anew
+    /// each time. Implementations destructure `Self` in full, so a new
+    /// field fails to compile until it is keyed.
+    fn params_key(&self) -> Option<Vec<u64>> {
         None
     }
 
@@ -718,34 +770,104 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(store.resident_bytes(), 40, "entries count toward the cap");
 
-        // Two threads asking for a new key at once: the shard lock is held
-        // across the build, so whichever arrives second finds the entry.
-        let key = eval_key("app", &[2]);
-        let builds = AtomicUsize::new(0);
-        let start = std::sync::Barrier::new(2);
-        let ask = || {
-            start.wait();
-            store.prepared(&key, || {
-                builds.fetch_add(1, Ordering::SeqCst);
-                Blob(8)
-            })
-        };
-        let (x, y) = std::thread::scope(|s| {
-            let other = s.spawn(ask);
-            (ask(), other.join().unwrap())
+        // Eight threads asking for a new key at once, round after round:
+        // they meet on the key's cell, one builds, seven wait for it.
+        const THREADS: usize = 8;
+        let start = std::sync::Barrier::new(THREADS);
+        for round in 0..50 {
+            let key = eval_key("round", &[round]);
+            let builds = AtomicUsize::new(0);
+            let ask = || {
+                start.wait();
+                store.prepared(&key, || {
+                    builds.fetch_add(1, Ordering::SeqCst);
+                    Blob(8)
+                })
+            };
+            let got: Vec<Arc<Blob>> = std::thread::scope(|s| {
+                let others: Vec<_> = (1..THREADS).map(|_| s.spawn(ask)).collect();
+                let mine = ask();
+                others
+                    .into_iter()
+                    .map(|h| h.join().unwrap())
+                    .chain([mine])
+                    .collect()
+            });
+            assert!(got.iter().all(|g| Arc::ptr_eq(g, &got[0])));
+            assert_eq!(builds.load(Ordering::SeqCst), 1, "round {round}");
+        }
+    }
+
+    /// A key on the same shard as `key`.
+    fn shard_mate(key: &[u64]) -> Vec<u64> {
+        (1..)
+            .map(|w| eval_key("mate", &[w]))
+            .find(|k| shard_of(k) == shard_of(key))
+            .expect("some key shares the shard")
+    }
+
+    /// How long a test waits for something that must happen before it calls
+    /// the store stuck; a regression fails here instead of hanging.
+    const STUCK: std::time::Duration = std::time::Duration::from_secs(20);
+
+    #[test]
+    fn eval_memo_builds_of_two_keys_on_one_shard_overlap() {
+        use std::sync::mpsc::channel;
+        let store = EvalMemo::new();
+        let key_a = eval_key("app", &[0]);
+        let key_b = shard_mate(&key_a);
+        let (a_is_building, a_began) = channel();
+        let (b_has_built, b_done) = channel();
+        std::thread::scope(|s| {
+            let (store, key_a) = (&store, &key_a);
+            // Build A finishes only once build B, on its shard, has run.
+            let a = s.spawn(move || {
+                store.prepared(key_a, || {
+                    a_is_building.send(()).unwrap();
+                    b_done
+                        .recv_timeout(STUCK)
+                        .expect("build B waited for build A to finish");
+                    Blob(1)
+                })
+            });
+            a_began.recv_timeout(STUCK).expect("build A starts");
+            store.prepared(&key_b, || {
+                b_has_built.send(()).unwrap();
+                Blob(2)
+            });
+            assert_eq!(a.join().expect("build A completes").0, 1);
         });
-        assert!(Arc::ptr_eq(&x, &y));
-        assert_eq!(builds.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn eval_memo_build_may_ask_for_another_key_of_its_shard() {
+        // What a scoped baseline does: its build runs the app, which asks
+        // the same store for its inputs — 1 time in 16 on the same shard.
+        let store = Arc::new(EvalMemo::new());
+        let key_a = eval_key("app", &[0]);
+        let key_b = shard_mate(&key_a);
+        let (done, outcome) = std::sync::mpsc::channel();
+        // Not joined: were the inner request to deadlock, the thread would
+        // never finish and the test must still fail.
+        std::thread::spawn({
+            let store = Arc::clone(&store);
+            move || {
+                let outer = store.prepared(&key_a, || {
+                    let inner = store.prepared(&key_b, || Blob(1));
+                    Blob(inner.0 + 1)
+                });
+                done.send(outer.0).unwrap();
+            }
+        });
+        assert_eq!(outcome.recv_timeout(STUCK), Ok(2), "nested request hung");
+        assert_eq!(store.resident_bytes(), 3, "both entries retained");
     }
 
     #[test]
     fn panicking_build_does_not_poison_the_store() {
         let store = EvalMemo::new();
         let key_a = eval_key("app", &[0]);
-        let key_b = (1..)
-            .map(|w| eval_key("app", &[w]))
-            .find(|k| shard_of(k) == shard_of(&key_a))
-            .expect("some key shares A's shard");
+        let key_b = shard_mate(&key_a);
         let blew = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             store.prepared(&key_a, || -> Blob { panic!("generator failed") })
         }));

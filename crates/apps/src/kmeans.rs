@@ -207,6 +207,30 @@ impl Benchmark for KMeans {
         "K-Means"
     }
 
+    fn params_key(&self) -> Option<Vec<u64>> {
+        let KMeans {
+            n_points,
+            dims,
+            k,
+            max_iters,
+            spread,
+            convergence_frac,
+            seed,
+        } = *self;
+        Some(eval_key(
+            self.name(),
+            &[
+                n_points as u64,
+                dims as u64,
+                k as u64,
+                max_iters as u64,
+                spread.to_bits(),
+                convergence_frac.to_bits(),
+                seed,
+            ],
+        ))
+    }
+
     fn error_metric(&self) -> &'static str {
         "MCR"
     }

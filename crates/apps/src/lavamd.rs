@@ -260,6 +260,24 @@ impl Benchmark for LavaMd {
         "LavaMD"
     }
 
+    fn params_key(&self) -> Option<Vec<u64>> {
+        let LavaMd {
+            boxes_per_dim,
+            par_per_box,
+            alpha,
+            seed,
+        } = *self;
+        Some(eval_key(
+            self.name(),
+            &[
+                boxes_per_dim as u64,
+                par_per_box as u64,
+                alpha.to_bits(),
+                seed,
+            ],
+        ))
+    }
+
     fn launch_class(&self, _spec: &DeviceSpec, lp: &LaunchParams) -> Option<u64> {
         // Single grid-stride kernel over (particle, neighbour) items.
         Some(grid_stride_launch_class(self.n_items(), lp))

@@ -242,6 +242,28 @@ impl Benchmark for Leukocyte {
         "Leukocyte"
     }
 
+    fn params_key(&self) -> Option<Vec<u64>> {
+        let Leukocyte {
+            n_cells,
+            grid,
+            iterations,
+            omega,
+            kappa,
+            seed,
+        } = *self;
+        Some(eval_key(
+            self.name(),
+            &[
+                n_cells as u64,
+                grid as u64,
+                iterations as u64,
+                omega.to_bits(),
+                kappa.to_bits(),
+                seed,
+            ],
+        ))
+    }
+
     fn run_opts(
         &self,
         spec: &DeviceSpec,

@@ -598,6 +598,26 @@ impl Benchmark for Lulesh {
         "LULESH"
     }
 
+    fn params_key(&self) -> Option<Vec<u64>> {
+        let Lulesh {
+            edge,
+            steps,
+            e0,
+            hgcoef,
+            dt,
+        } = *self;
+        Some(eval_key(
+            self.name(),
+            &[
+                edge as u64,
+                steps as u64,
+                e0.to_bits(),
+                hgcoef.to_bits(),
+                dt.to_bits(),
+            ],
+        ))
+    }
+
     fn run_opts(
         &self,
         spec: &DeviceSpec,

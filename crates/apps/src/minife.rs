@@ -200,6 +200,19 @@ impl Benchmark for MiniFe {
         "MiniFE"
     }
 
+    fn params_key(&self) -> Option<Vec<u64>> {
+        let MiniFe {
+            nx,
+            max_iters,
+            tol,
+            seed,
+        } = *self;
+        Some(eval_key(
+            self.name(),
+            &[nx as u64, max_iters as u64, tol.to_bits(), seed],
+        ))
+    }
+
     fn run_opts(
         &self,
         spec: &DeviceSpec,

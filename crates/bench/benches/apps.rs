@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gpu_sim::DeviceSpec;
-use hpac_apps::common::{install_eval_memo, Benchmark, LaunchParams};
+use hpac_apps::common::{current_eval_memo, install_eval_memo, Benchmark, LaunchParams};
 use hpac_apps::{
     binomial::BinomialOptions, blackscholes::Blackscholes, kmeans::KMeans, lavamd::LavaMd,
     leukocyte::Leukocyte, lulesh::Lulesh, minife::MiniFe,
@@ -16,7 +16,9 @@ use hpac_core::params::PerfoKind;
 use hpac_core::region::ApproxRegion;
 use hpac_core::HierarchyLevel;
 use hpac_harness::runner::{run_config_bounded, select_baseline_opts};
-use hpac_harness::SweepConfig;
+use hpac_harness::{Scale, SweepConfig};
+use hpac_service::{TuneRequest, TuningService};
+use hpac_tuner::{QualityBound, Tuner, TuningCache};
 use std::hint::black_box;
 
 fn bench_app(c: &mut Criterion, name: &str, bench: &dyn Benchmark, block_level: bool) {
@@ -181,6 +183,85 @@ fn prepared_inputs(c: &mut Criterion) {
     group.finish();
 }
 
+/// What a tuning service keeps between requests. `baseline/<app>/cold` is
+/// one baseline selection in a scope of its own — three accurate runs and
+/// the input build, the fixed part of every request before the scope
+/// outlived it; `scoped` is the same call inside a held scope, a fetch.
+/// `warm_request/<app>/fresh_service` against `retained` is the request
+/// `serve_churn` times — a never-seen bound just above a cached 5% plan,
+/// warm-started from it — on a service created for that request against one
+/// that has searched the (benchmark, device) before. Each iteration asks for
+/// a new bound and stores its answer, so the neighbour scan grows by one
+/// entry per iteration on both sides alike.
+fn service_scope(c: &mut Criterion) {
+    let spec = DeviceSpec::v100();
+    let opts = ExecOptions::default();
+    let suite: [(&str, Box<dyn Benchmark>); 7] = [
+        ("lulesh", Box::new(lulesh())),
+        ("leukocyte", Box::new(leukocyte())),
+        ("binomial_options", Box::new(binomial())),
+        ("minife", Box::new(minife())),
+        ("blackscholes", Box::<Blackscholes>::default()),
+        ("lavamd", Box::new(lavamd())),
+        ("kmeans", Box::new(kmeans())),
+    ];
+    let mut group = c.benchmark_group("service_scope");
+    group.sample_size(10);
+
+    for (name, bench) in &suite {
+        let bench = bench.as_ref();
+        assert!(current_eval_memo().is_none(), "cold means no scope");
+        group.bench_function(&format!("baseline/{name}/cold"), |b| {
+            b.iter(|| {
+                // A scope of its own, as every search had: the candidates
+                // share one input build, nothing outlives the call.
+                let _scope = install_eval_memo();
+                black_box(select_baseline_opts(bench, &spec, &opts))
+            })
+        });
+        let _scope = install_eval_memo();
+        group.bench_function(&format!("baseline/{name}/scoped"), |b| {
+            b.iter(|| black_box(select_baseline_opts(bench, &spec, &opts)))
+        });
+    }
+
+    let quick_service = |cache: &TuningCache| {
+        TuningService::new()
+            .with_cache(cache.clone())
+            .with_tuner(Tuner::new().with_scale(Scale::Quick))
+    };
+    for (name, bench) in &suite {
+        let bench = bench.as_ref();
+        let cache = TuningCache::new(
+            std::env::temp_dir().join(format!("hpac_bench_scope_{name}_{}", std::process::id())),
+        );
+        let _ = cache.clear();
+        quick_service(&cache).submit(TuneRequest::new(bench, &spec, QualityBound::percent(5.0)));
+        assert!(current_eval_memo().is_none(), "nothing retained yet");
+        let mut step = 0u32;
+        let mut fresh_bound = || {
+            step += 1;
+            QualityBound::percent(5.0 + f64::from(step) * 0.01)
+        };
+        group.bench_function(&format!("warm_request/{name}/fresh_service"), |b| {
+            b.iter(|| {
+                black_box(quick_service(&cache).submit(TuneRequest::new(
+                    bench,
+                    &spec,
+                    fresh_bound(),
+                )))
+            })
+        });
+        let retained = quick_service(&cache);
+        retained.submit(TuneRequest::new(bench, &spec, fresh_bound()));
+        group.bench_function(&format!("warm_request/{name}/retained"), |b| {
+            b.iter(|| black_box(retained.submit(TuneRequest::new(bench, &spec, fresh_bound()))))
+        });
+        let _ = cache.clear();
+    }
+    group.finish();
+}
+
 fn primitives(c: &mut Criterion) {
     use hpac_core::iact::IactPool;
     use hpac_core::metrics::RsdWindow;
@@ -214,5 +295,5 @@ fn primitives(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, apps, prepared_inputs, primitives);
+criterion_group!(benches, apps, prepared_inputs, service_scope, primitives);
 criterion_main!(benches);

@@ -31,7 +31,7 @@
 //!    0.54x on LULESH on a 1-core host), so the environment knob never
 //!    oversubscribes;
 //! 3. else every available core
-//!    (`std::thread::available_parallelism()`).
+//!    (`std::thread::available_parallelism()`, read once per process).
 //!
 //! An unset or empty `HPAC_THREADS` counts as absent. The resolved width
 //! is a *cap on threads touching one batch*, not a pool size: the pool
@@ -40,6 +40,7 @@
 
 use crate::exec::ExecOptions;
 use rayon::pool::{self, WorkerPool};
+use std::sync::OnceLock;
 use std::thread::ThreadId;
 
 /// Handle to the process-wide execution engine.
@@ -212,10 +213,15 @@ impl ExecEngine {
     }
 }
 
+/// Resolved once per process: `available_parallelism` reads the affinity
+/// mask and the cgroup files (~12 µs), and every kernel launch asks.
 fn available_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|v| v.get())
-        .unwrap_or(1)
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|v| v.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Parse an `HPAC_THREADS` value: a non-negative integer, `0` meaning

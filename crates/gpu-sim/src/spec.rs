@@ -165,6 +165,76 @@ impl DeviceSpec {
     pub fn cycles_to_seconds(&self, cycles: f64) -> f64 {
         cycles / (self.costs.clock_ghz * 1e9)
     }
+
+    /// The exact bits of every field, for keying values that are a pure
+    /// function of the device model (two specs with equal words model the
+    /// same device). Both structs are destructured in full, so a new field
+    /// fails to compile here until it is part of the identity.
+    pub fn identity_words(&self) -> Vec<u64> {
+        let DeviceSpec {
+            name,
+            vendor,
+            sm_count,
+            warp_size,
+            max_threads_per_block,
+            max_warps_per_sm,
+            max_blocks_per_sm,
+            shared_mem_per_block,
+            shared_mem_per_sm,
+            global_mem_bytes,
+            costs:
+                CostParams {
+                    flop_cycles,
+                    sfu_cycles,
+                    shared_cycles,
+                    global_txn_cycles,
+                    global_latency_cycles,
+                    barrier_cycles,
+                    atomic_cycles,
+                    block_overhead_cycles,
+                    clock_ghz,
+                    xfer_bandwidth_gbs,
+                    xfer_latency_us,
+                    kernel_launch_us,
+                },
+        } = *self;
+        let mut words = vec![
+            vendor as u64,
+            sm_count.into(),
+            warp_size.into(),
+            max_threads_per_block.into(),
+            max_warps_per_sm.into(),
+            max_blocks_per_sm.into(),
+            shared_mem_per_block as u64,
+            shared_mem_per_sm as u64,
+            global_mem_bytes,
+        ];
+        words.extend(
+            [
+                flop_cycles,
+                sfu_cycles,
+                shared_cycles,
+                global_txn_cycles,
+                global_latency_cycles,
+                barrier_cycles,
+                atomic_cycles,
+                block_overhead_cycles,
+                clock_ghz,
+                xfer_bandwidth_gbs,
+                xfer_latency_us,
+                kernel_launch_us,
+            ]
+            .map(f64::to_bits),
+        );
+        // The name last, length first, so no name can pass for fields.
+        words.push(name.len() as u64);
+        words.extend(name.as_bytes().chunks(8).map(|chunk| {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            u64::from_le_bytes(word)
+        }));
+        words
+    }
 }
 
 #[cfg(test)]
@@ -211,6 +281,46 @@ mod tests {
         let d = DeviceSpec::v100();
         let s = d.cycles_to_seconds(1.38e9);
         assert!((s - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn identity_words_tell_every_field_apart() {
+        let base = DeviceSpec::v100();
+        assert_eq!(base.identity_words(), DeviceSpec::v100().identity_words());
+        let edits: [fn(&mut DeviceSpec); 23] = [
+            |d| d.name = "V100-recalibrated",
+            |d| d.vendor = Vendor::Amd,
+            |d| d.sm_count += 1,
+            |d| d.warp_size += 1,
+            |d| d.max_threads_per_block += 1,
+            |d| d.max_warps_per_sm += 1,
+            |d| d.max_blocks_per_sm += 1,
+            |d| d.shared_mem_per_block += 1,
+            |d| d.shared_mem_per_sm += 1,
+            |d| d.global_mem_bytes += 1,
+            |d| d.costs.flop_cycles += 0.5,
+            |d| d.costs.sfu_cycles += 0.5,
+            |d| d.costs.shared_cycles += 0.5,
+            |d| d.costs.global_txn_cycles += 0.5,
+            |d| d.costs.global_latency_cycles += 0.5,
+            |d| d.costs.barrier_cycles += 0.5,
+            |d| d.costs.atomic_cycles += 0.5,
+            |d| d.costs.block_overhead_cycles += 0.5,
+            |d| d.costs.clock_ghz += 0.5,
+            |d| d.costs.xfer_bandwidth_gbs += 0.5,
+            |d| d.costs.xfer_latency_us += 0.5,
+            |d| d.costs.kernel_launch_us += 0.5,
+            // Signed zero is a different bit pattern, hence a different key.
+            |d| d.costs.xfer_latency_us = -0.0,
+        ];
+        let mut seen = vec![base.identity_words()];
+        for (i, edit) in edits.iter().enumerate() {
+            let mut d = base;
+            edit(&mut d);
+            let words = d.identity_words();
+            assert!(!seen.contains(&words), "edit {i} does not reach the key");
+            seen.push(words);
+        }
     }
 
     #[test]

@@ -16,6 +16,10 @@
 //!   search, and every waiter gets the same plan;
 //! * warm starts — a new bound seeds its search from the cached Pareto
 //!   frontiers of neighboring bounds on the same (benchmark, device);
+//! * one baseline per (benchmark, device) — a service that searches keeps
+//!   each measured baseline and each app's prepared inputs for its lifetime
+//!   (capped at 256 MiB, never changing a result), so only the first request
+//!   pays for them; see [`service`]'s "What a service retains";
 //! * engine admission — batches run on the process-wide
 //!   [`ExecEngine`](hpac_core::exec::ExecEngine) pool at its default width.
 //!

@@ -24,14 +24,44 @@
 //! admits requests into the process-wide
 //! [`ExecEngine`](hpac_core::exec::ExecEngine) worker pool at its default
 //! width.
+//!
+//! # What a service retains
+//!
+//! The paper scores every configuration of a (benchmark, platform) against
+//! one non-approximated baseline, and so does a service: the first request
+//! that reaches the search layer takes an evaluation scope
+//! ([`install_eval_memo`]) and the service holds it until it is dropped.
+//! Every later search finds there what an earlier one built — per
+//! (benchmark parameters, device) the measured baseline with its quality
+//! cache, and per (benchmark parameters) the prepared inputs with the
+//! accurate outputs interned in them — instead of re-running three accurate
+//! launches and the input build before its first evaluation. A service that
+//! only ever answers cache hits takes no scope and retains nothing.
+//!
+//! * **For how long:** the service's lifetime. The scope is process-wide
+//!   and reference-counted, so sweeps and other services running meanwhile
+//!   share the same store, and it is freed with its last holder.
+//! * **How much:** retained entries stop at 256 MiB; past that an entry is
+//!   still built and used by the request that needs it, just not kept (one
+//!   warning per scope). Nothing is evicted.
+//! * **Results:** retention never changes one. Baselines and inputs are
+//!   deterministic functions of their keys — every benchmark field and the
+//!   exact bits of every device field — so a retained value is the one the
+//!   request would have measured itself.
+//! * **Known limit:** the *persistent* cache and the coalescing key still
+//!   identify a benchmark by its name alone (plus the device fingerprint
+//!   and the bound). Two differently sized instances of one benchmark on
+//!   one service share cache entries, as they always have; only the
+//!   in-memory scope tells them apart.
 
 use crate::request::{Source, TuneRequest, TuneResponse, WarmStart};
+use hpac_apps::common::{install_eval_memo, EvalMemoScope};
 use hpac_core::exec::engine;
 use hpac_harness::space::SweepConfig;
 use hpac_tuner::{device_fingerprint, TunedPlan, Tuner, TuningCache};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Identity of a coalescable request: same benchmark, same device (by
@@ -130,6 +160,9 @@ pub struct TuningService {
     cache: Option<TuningCache>,
     inflight: Mutex<HashMap<Key, Arc<InFlight>>>,
     stats: StatsInner,
+    /// The evaluation scope, taken by the first request that searches and
+    /// held until the service is dropped (see the module docs).
+    scope: OnceLock<EvalMemoScope>,
 }
 
 impl Default for TuningService {
@@ -148,6 +181,7 @@ impl TuningService {
             cache: None,
             inflight: Mutex::new(HashMap::new()),
             stats: StatsInner::default(),
+            scope: OnceLock::new(),
         }
     }
 
@@ -236,6 +270,7 @@ impl TuningService {
             WarmStart::Never => Vec::new(),
         };
         let tuner = self.request_tuner(&req);
+        self.scope.get_or_init(install_eval_memo);
         let plan = tuner.search_plan(req.bench(), req.device(), req.bound(), &seeds);
         self.stats.searches.fetch_add(1, Ordering::Relaxed);
         if !seeds.is_empty() {
@@ -433,6 +468,14 @@ mod tests {
         assert_eq!(stats.requests, 2);
         assert_eq!(stats.searches, 1);
         assert_eq!(stats.cache_hits, 1);
+
+        // The search took the evaluation scope; a service that only ever
+        // answers from the cache takes none.
+        assert!(svc.scope.get().is_some());
+        let hits_only = quick_service().with_cache(cache.clone());
+        let hit = hits_only.submit(TuneRequest::new(&bench, &device, bound));
+        assert_eq!(hit.source, Source::CacheHit);
+        assert!(hits_only.scope.get().is_none());
         let _ = cache.clear();
     }
 

@@ -85,9 +85,11 @@ impl Tuner {
         bound: QualityBound,
         seeds: &[SweepConfig],
     ) -> TunedPlan {
-        // One sweep-scoped evaluation memo for the whole search: baseline
-        // candidates and every evaluated configuration share accurate-lane
-        // computations that don't depend on approximation parameters.
+        // One evaluation scope for the whole search. If the caller already
+        // holds one (a tuning service does, across requests) this joins it,
+        // and the baseline, the prepared inputs and the interned accurate
+        // outputs of an earlier search on this (benchmark, device) are
+        // found rather than rebuilt.
         let _memo_scope = hpac_apps::common::install_eval_memo();
         let baseline = select_baseline(bench, device);
         let full_space = space::full_space_size(bench, device);

@@ -3,10 +3,12 @@
 //! bit-identity of scoped sweeps against unscoped evaluation.
 
 use gpu_sim::DeviceSpec;
-use hpac_offload::apps::common::{current_eval_memo, install_eval_memo, Benchmark, LaunchParams};
+use hpac_offload::apps::common::{
+    current_eval_memo, install_eval_memo, Benchmark, LaunchParams, QoI,
+};
 use hpac_offload::apps::{
     binomial::BinomialOptions,
-    blackscholes::Blackscholes,
+    blackscholes::{price_call, Blackscholes, OPTION_DIMS},
     kmeans::KMeans,
     lavamd::LavaMd,
     leukocyte::Leukocyte,
@@ -115,6 +117,8 @@ fn suite() -> Vec<Box<dyn Benchmark>> {
 /// of `differing` (one data-affecting field changed) gets its own; every
 /// entry holds what its instance generates for itself (`data` views an
 /// entry, `fresh` generates); and the last guard's drop releases it all.
+/// `params_key`, the identity a scoped baseline is kept under, differs for
+/// every one of them.
 fn check_scope_sharing<A: Benchmark, T, D: PartialEq + Debug>(
     base: &A,
     same: &[A],
@@ -124,6 +128,21 @@ fn check_scope_sharing<A: Benchmark, T, D: PartialEq + Debug>(
     fresh: impl Fn(&A) -> D,
 ) {
     let _turn = scope_turn();
+    // Each of `same` and `differing` changes one field, and together they
+    // change every field once: the full identity tells them all apart.
+    let identities: Vec<Vec<u64>> = std::iter::once(base)
+        .chain(same)
+        .chain(differing)
+        .map(|a| a.params_key().expect("every app keys its parameters"))
+        .collect();
+    for (i, key) in identities.iter().enumerate() {
+        assert!(
+            !identities[..i].contains(key),
+            "instance {i}: its field is missing from params_key"
+        );
+    }
+    assert_eq!(base.params_key().as_ref(), Some(&identities[0]));
+
     let lone = inputs(base);
     assert!(!Arc::ptr_eq(&lone, &inputs(base)), "no scope, no sharing");
     assert!(current_eval_memo().is_none(), "no scope, nothing stored");
@@ -175,9 +194,41 @@ fn blackscholes_shares_one_portfolio_per_parameter_set() {
             Blackscholes { seed: 8, ..cfg },
         ],
         Blackscholes::inputs,
-        |p| p.options.clone(),
+        |p| {
+            (0..p.len())
+                .flat_map(|i| p.option(i).to_vec())
+                .collect::<Vec<f64>>()
+        },
         Blackscholes::generate,
     );
+}
+
+/// The compact portfolio (base rows and a class index) prices every option
+/// exactly as the fully generated rows do — alone, and with the scope's
+/// price memo answering per class.
+#[test]
+fn blackscholes_compact_portfolio_prices_as_the_generated_rows() {
+    let _turn = scope_turn();
+    // A size the period does not divide, so the last tile is cut short.
+    let cfg = Blackscholes {
+        n_options: 4000,
+        ..bs()
+    };
+    let expected: Vec<u64> = cfg
+        .generate()
+        .chunks_exact(OPTION_DIMS)
+        .map(|o| price_call(o[0], o[1], o[2], o[3], o[4]).to_bits())
+        .collect();
+    assert_eq!(expected.len(), cfg.n_options);
+    let (spec, lp) = (DeviceSpec::v100(), LaunchParams::new(8, 128));
+    let priced = || match cfg.run(&spec, None, &lp).unwrap().qoi {
+        QoI::Values(p) => p.into_iter().map(f64::to_bits).collect::<Vec<u64>>(),
+        QoI::Labels(_) => panic!("Blackscholes prices are values"),
+    };
+    assert_eq!(priced(), expected, "lone run");
+    let _scope = install_eval_memo();
+    assert_eq!(priced(), expected, "scoped run, memo cold");
+    assert_eq!(priced(), expected, "scoped run, memo warm");
 }
 
 #[test]

@@ -1,33 +1,47 @@
 //! Cross-crate tests of the tuning service: request coalescing under real
-//! thread concurrency, warm-start bound/budget guarantees, and
-//! crash-atomicity of the sharded cache's write-replace protocol.
+//! thread concurrency, warm-start bound/budget guarantees, what a service
+//! retains between requests (and that a panicking benchmark cannot wedge
+//! it), and crash-atomicity of the sharded cache's write-replace protocol.
 
 use gpu_sim::DeviceSpec;
 use hpac_offload::apps::blackscholes::Blackscholes;
-use hpac_offload::apps::common::LaunchParams;
-use hpac_offload::core::region::ApproxRegion;
+use hpac_offload::apps::common::{eval_key, shard_of, AppResult, Benchmark, LaunchParams};
+use hpac_offload::apps::kmeans::KMeans;
+use hpac_offload::core::exec::ExecOptions;
+use hpac_offload::core::region::{ApproxRegion, RegionError};
+use hpac_offload::harness::runner::baseline_key;
+use hpac_offload::harness::space::baseline_ipts;
 use hpac_offload::service::{Source, TuneRequest, TuningService, WarmStart};
 use hpac_offload::tuner::{
     device_fingerprint, ParetoFrontier, ParetoPoint, QualityBound, TunedPlan, Tuner, TuningCache,
 };
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Barrier, OnceLock};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("hpac_service_it_{tag}_{}", std::process::id()))
 }
 
+fn fresh_cache(tag: &str) -> TuningCache {
+    let cache = TuningCache::new(temp_dir(tag));
+    let _ = cache.clear();
+    cache
+}
+
+fn quick_service(cache: &TuningCache, budget_fraction: f64) -> TuningService {
+    let mut tuner = Tuner::new().with_scale(hpac_offload::harness::Scale::Quick);
+    tuner.budget_fraction = budget_fraction;
+    TuningService::new()
+        .with_tuner(tuner)
+        .with_cache(cache.clone())
+}
+
 /// A quick-scale service over a fresh cache, with a small search budget so
 /// property cases stay fast.
 fn small_budget_service(tag: &str) -> (TuningService, TuningCache) {
-    let cache = TuningCache::new(temp_dir(tag));
-    let _ = cache.clear();
-    let mut tuner = Tuner::new().with_scale(hpac_offload::harness::Scale::Quick);
-    tuner.budget_fraction = 0.001;
-    let svc = TuningService::new()
-        .with_tuner(tuner)
-        .with_cache(cache.clone());
-    (svc, cache)
+    let cache = fresh_cache(tag);
+    (quick_service(&cache, 0.001), cache)
 }
 
 proptest! {
@@ -101,11 +115,7 @@ proptest! {
             // A budget large enough to find a feasible winner (the 0.001
             // coalescing budget is not); only the first case pays for the
             // one cold search — every later case rides the seed fast path.
-            let cache = TuningCache::new(temp_dir("warm"));
-            let _ = cache.clear();
-            let mut tuner = Tuner::new().with_scale(hpac_offload::harness::Scale::Quick);
-            tuner.budget_fraction = 0.01;
-            let svc = TuningService::new().with_tuner(tuner).with_cache(cache);
+            let svc = quick_service(&fresh_cache("warm"), 0.01);
             let bench = Blackscholes::default();
             let device = DeviceSpec::v100();
             let cold = svc.submit(
@@ -145,6 +155,252 @@ proptest! {
             Source::CacheHit | Source::Coalesced => prop_assert_eq!(resp.evals_spent, 0),
         }
     }
+}
+
+/// A benchmark under observation: counts its accurate runs (a baseline
+/// selection is `baseline_ipts` of them, and a search makes no others),
+/// panics on the `panic_on`-th one, and carries a `tag` in its parameter
+/// identity so that instances can be told apart by the evaluation scope —
+/// which is process-wide, and which other tests of this binary hold too.
+struct Probe<B> {
+    inner: B,
+    tag: u64,
+    accurate_runs: AtomicUsize,
+    panic_on: Option<usize>,
+}
+
+impl<B: Benchmark> Probe<B> {
+    fn new(inner: B, tag: u64) -> Self {
+        Probe {
+            inner,
+            tag,
+            accurate_runs: AtomicUsize::new(0),
+            panic_on: None,
+        }
+    }
+
+    fn accurate_runs(&self) -> usize {
+        self.accurate_runs.load(Ordering::SeqCst)
+    }
+}
+
+impl<B: Benchmark> Benchmark for Probe<B> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn error_metric(&self) -> &'static str {
+        self.inner.error_metric()
+    }
+
+    fn kernel_only_timing(&self) -> bool {
+        self.inner.kernel_only_timing()
+    }
+
+    fn block_level_only(&self) -> bool {
+        self.inner.block_level_only()
+    }
+
+    fn launch_class(&self, spec: &DeviceSpec, lp: &LaunchParams) -> Option<u64> {
+        self.inner.launch_class(spec, lp)
+    }
+
+    fn params_key(&self) -> Option<Vec<u64>> {
+        let mut key = self.inner.params_key()?;
+        key.extend(eval_key("probe", &[self.tag]));
+        Some(key)
+    }
+
+    fn run_opts(
+        &self,
+        spec: &DeviceSpec,
+        region: Option<&ApproxRegion>,
+        lp: &LaunchParams,
+        opts: &ExecOptions,
+    ) -> Result<AppResult, RegionError> {
+        if region.is_none() {
+            let nth = self.accurate_runs.fetch_add(1, Ordering::SeqCst) + 1;
+            if self.panic_on == Some(nth) {
+                panic!("injected fault: accurate run {nth} of {}", self.name());
+            }
+        }
+        self.inner.run_opts(spec, region, lp, opts)
+    }
+}
+
+fn small_bs() -> Blackscholes {
+    Blackscholes {
+        n_options: 8192,
+        distinct: 16,
+        run_len: 16,
+        seed: 7,
+    }
+}
+
+fn small_kmeans() -> KMeans {
+    KMeans {
+        n_points: 512,
+        max_iters: 30,
+        ..KMeans::default()
+    }
+}
+
+/// Everything a search decides, floats by bit pattern.
+fn plan_bits(p: &TunedPlan) -> impl PartialEq + std::fmt::Debug {
+    (
+        (p.config.clone(), p.technique.clone(), p.lp, p.baseline_lp),
+        (
+            p.predicted_speedup.to_bits(),
+            p.measured_error_pct.to_bits(),
+        ),
+        (p.evaluations, p.full_space),
+        p.frontier
+            .points()
+            .iter()
+            .map(|q| (q.config.clone(), q.speedup.to_bits(), q.error_pct.to_bits()))
+            .collect::<Vec<_>>(),
+    )
+}
+
+/// The bound sweep of one (benchmark, device): the four template bounds in
+/// ascending order — each after the first warm-starts from those before —
+/// then four bounds no cache has seen.
+const BOUND_SWEEP: [f64; 8] = [3.0, 5.0, 8.0, 12.0, 5.01, 5.02, 5.03, 5.04];
+
+/// One service answering a whole bound sweep measures each (benchmark,
+/// device) baseline once, and answers every request exactly as a service
+/// created for that request alone — which measures its own — does.
+fn check_bound_sweep_on_one_service<B: Benchmark + Copy>(inner: B, tag: &str) {
+    let devices = DeviceSpec::evaluation_platforms();
+    let candidates = baseline_ipts(&inner).len();
+    let tags = AtomicUsize::new(1);
+    let next_tag =
+        || (std::process::id() as u64) << 32 | tags.fetch_add(1, Ordering::SeqCst) as u64;
+
+    let retained_cache = fresh_cache(&format!("{tag}_retained"));
+    let retained = quick_service(&retained_cache, 0.005);
+    let probe = Probe::new(inner, next_tag());
+    let lone_cache = fresh_cache(&format!("{tag}_fresh"));
+
+    for (d, device) in devices.iter().enumerate() {
+        for bound in BOUND_SWEEP {
+            let bound = QualityBound::percent(bound);
+            let kept = retained.submit(TuneRequest::new(&probe, device, bound));
+            assert_eq!(
+                probe.accurate_runs(),
+                candidates * (d + 1),
+                "{tag}: one baseline per device, whatever the bound"
+            );
+
+            // Same persistent cache history, nothing kept in memory.
+            let lone_probe = Probe::new(inner, next_tag());
+            let lone = quick_service(&lone_cache, 0.005).submit(TuneRequest::new(
+                &lone_probe,
+                device,
+                bound,
+            ));
+            assert_eq!(lone_probe.accurate_runs(), candidates);
+
+            assert_eq!(kept.source, lone.source, "{tag} at {bound:?}");
+            assert!(kept.source.is_searched());
+            assert_eq!(
+                plan_bits(&kept.plan),
+                plan_bits(&lone.plan),
+                "{tag} at {bound:?}"
+            );
+            assert!(kept.plan.respects_bound());
+        }
+    }
+    let _ = retained_cache.clear();
+    let _ = lone_cache.clear();
+}
+
+#[test]
+fn bound_sweep_on_one_service_measures_each_baseline_once() {
+    check_bound_sweep_on_one_service(small_bs(), "sweep_bs");
+    check_bound_sweep_on_one_service(small_kmeans(), "sweep_km");
+}
+
+/// Fault injection: the benchmark panics in the middle of a baseline
+/// selection. The request that was searching is abandoned — its caller sees
+/// the panic, a concurrent identical request takes over and is answered —
+/// the next requests for that key and for a sibling (benchmark, device) whose
+/// baseline lives on the same shard of the scope succeed, and what they
+/// return is what an undisturbed service returns.
+#[test]
+fn panicking_accurate_run_abandons_one_request_and_wedges_nothing() {
+    let cache = fresh_cache("fault");
+    let svc = quick_service(&cache, 0.005);
+    let device = DeviceSpec::v100();
+    let bound = QualityBound::percent(5.0);
+    let tag = (std::process::id() as u64) << 32 | 0xFA17;
+    let faulty = Probe {
+        // The second of the three baseline candidates.
+        panic_on: Some(2),
+        ..Probe::new(small_bs(), tag)
+    };
+
+    // A sibling device (its own persistent-cache entries, by name) whose
+    // baseline key shares the faulty key's shard.
+    let shard = shard_of(&baseline_key(&faulty, &device).expect("keyed"));
+    let sibling_device = (1..)
+        .map(|extra| DeviceSpec {
+            name: "V100-sibling",
+            sm_count: device.sm_count + extra,
+            ..device
+        })
+        .find(|d| shard_of(&baseline_key(&faulty, d).expect("keyed")) == shard)
+        .expect("some device variant shares the shard");
+
+    // Two identical requests at once: whichever leads hits the fault.
+    let start = Barrier::new(2);
+    let outcomes: Vec<std::thread::Result<_>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    svc.submit(TuneRequest::new(&faulty, &device, bound))
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    let (answered, abandoned): (Vec<_>, Vec<_>) = outcomes.into_iter().partition(|o| o.is_ok());
+    assert_eq!(abandoned.len(), 1, "exactly one request meets the fault");
+    let answered = answered
+        .into_iter()
+        .next()
+        .expect("the other is answered")
+        .unwrap();
+    assert!(
+        answered.source.is_searched(),
+        "it searched after the leader died"
+    );
+    assert_eq!(faulty.accurate_runs(), 2 + baseline_ipts(&faulty).len());
+
+    let sibling = svc.submit(TuneRequest::new(&faulty, &sibling_device, bound));
+    assert!(sibling.source.is_searched());
+    let again = svc.submit(TuneRequest::new(&faulty, &device, bound));
+    assert_eq!(again.source, Source::CacheHit);
+    // A never-seen bound on the faulted key searches, and finds the baseline.
+    let runs_before = faulty.accurate_runs();
+    let next = svc.submit(TuneRequest::new(
+        &faulty,
+        &device,
+        QualityBound::percent(5.5),
+    ));
+    assert!(next.source.is_searched());
+    assert_eq!(faulty.accurate_runs(), runs_before, "baseline was retained");
+
+    let clean_cache = fresh_cache("fault_clean");
+    let clean = quick_service(&clean_cache, 0.005).submit(TuneRequest::new(
+        &Probe::new(small_bs(), tag + 1),
+        &device,
+        bound,
+    ));
+    assert_eq!(plan_bits(&answered.plan), plan_bits(&clean.plan));
+    let _ = cache.clear();
+    let _ = clean_cache.clear();
 }
 
 /// A plan with a deliberately wide frontier, so its JSON entry is large
