@@ -588,6 +588,12 @@ pub trait Benchmark: Send + Sync {
     /// [`Benchmark::run`] with explicit execution options — the executor
     /// knob (sequential reference vs parallel blocks) and ablations flow
     /// through here into every kernel launch of the application.
+    ///
+    /// Every approximated launch of a run must use `region` as given (true of
+    /// all seven apps; LULESH's two approximated kernels share it): the
+    /// harness reads [`AppResult::stats`]' merged decision margin as *the*
+    /// interval of thresholds over which this run repeats bit for bit, which
+    /// it is only if no launch compared against some other threshold.
     fn run_opts(
         &self,
         spec: &DeviceSpec,

@@ -15,7 +15,7 @@ use hpac_core::exec::ExecOptions;
 use hpac_core::params::PerfoKind;
 use hpac_core::region::ApproxRegion;
 use hpac_core::HierarchyLevel;
-use hpac_harness::runner::{run_config_bounded, select_baseline_opts};
+use hpac_harness::runner::{run_config_bounded, run_configs, select_baseline_opts};
 use hpac_harness::{Scale, SweepConfig};
 use hpac_service::{TuneRequest, TuningService};
 use hpac_tuner::{QualityBound, Tuner, TuningCache};
@@ -262,6 +262,45 @@ fn service_scope(c: &mut Criterion) {
     group.finish();
 }
 
+/// One five-threshold TAF family (the quick grid's thresholds at `h=3 p=32`,
+/// thread level) answered by `run_configs` — members inside a sibling's
+/// decision margin take its outcome — against the same five evaluated one by
+/// one. Both sides find the baseline and the inputs in a held scope.
+fn threshold_family(c: &mut Criterion) {
+    let spec = DeviceSpec::v100();
+    let opts = ExecOptions::default();
+    let suite: [(&str, Box<dyn Benchmark>); 2] = [
+        ("kmeans", Box::new(kmeans())),
+        ("blackscholes", Box::<Blackscholes>::default()),
+    ];
+    let mut group = c.benchmark_group("threshold_family");
+    group.sample_size(10);
+    let _scope = install_eval_memo();
+    for (name, bench) in &suite {
+        let bench = bench.as_ref();
+        let baseline = select_baseline_opts(bench, &spec, &opts);
+        let family: Vec<SweepConfig> = [0.3, 0.9, 1.5, 3.0, 20.0]
+            .iter()
+            .map(|&t| SweepConfig {
+                region: ApproxRegion::memo_out(3, 32, t),
+                lp: LaunchParams::new(8, 256),
+                label: format!("thr={t}"),
+            })
+            .collect();
+        group.bench_function(&format!("{name}/run_configs"), |b| {
+            b.iter(|| black_box(run_configs(bench, &spec, &family)))
+        });
+        group.bench_function(&format!("{name}/one_by_one"), |b| {
+            b.iter(|| {
+                for cfg in &family {
+                    black_box(run_config_bounded(bench, &spec, &baseline, cfg, &opts));
+                }
+            })
+        });
+    }
+    group.finish();
+}
+
 fn primitives(c: &mut Criterion) {
     use hpac_core::iact::IactPool;
     use hpac_core::metrics::RsdWindow;
@@ -295,5 +334,12 @@ fn primitives(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, apps, prepared_inputs, service_scope, primitives);
+criterion_group!(
+    benches,
+    apps,
+    prepared_inputs,
+    service_scope,
+    threshold_family,
+    primitives
+);
 criterion_main!(benches);

@@ -291,7 +291,7 @@ impl TaskWalk {
             }
 
             // Decide the block's path.
-            let (path, iact_slot) = match &state {
+            let (path, iact_slot) = match &mut state {
                 TaskState::Accurate => (Path::Accurate, None),
                 TaskState::Perfo(p) => {
                     if perfo::should_skip(p, task, s) {
@@ -310,7 +310,7 @@ impl TaskWalk {
                 TaskState::Iact(pool) => {
                     body.inputs(task, query);
                     let probe = pool.probe(0, query);
-                    if probe.hit(pool.params().threshold) {
+                    if pool.admit(&probe) {
                         (Path::Approx, probe.slot)
                     } else {
                         (Path::Accurate, None)
@@ -361,6 +361,11 @@ impl TaskWalk {
                     acc.note_step(1, 0, 0, false);
                 }
             }
+        }
+        match &state {
+            TaskState::Taf(pool) => acc.note_margin(pool.margin()),
+            TaskState::Iact(pool) => acc.note_margin(pool.margin()),
+            TaskState::Accurate | TaskState::Perfo(_) => {}
         }
     }
 }

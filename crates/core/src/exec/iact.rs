@@ -16,7 +16,7 @@ use crate::exec::walk::{Geom, WarpSlice};
 use crate::hierarchy::{self, HierarchyLevel, WarpDecision};
 use crate::iact::IactPool;
 use crate::params::IactParams;
-use gpu_sim::BlockAccumulator;
+use gpu_sim::{BlockAccumulator, DecisionMargin};
 
 pub(crate) struct IactPolicy {
     pub params: IactParams,
@@ -99,7 +99,7 @@ impl TechniquePolicy for IactPolicy {
                 .probe(t, &st.in_cache[kg * in_dim..(kg + 1) * in_dim]);
             st.probe_slot[kg] = probe.slot;
             st.probe_dist[kg] = probe.distance;
-            *v = probe.hit(self.params.threshold);
+            *v = st.pool.admit(&probe);
         }
     }
 
@@ -194,5 +194,9 @@ impl TechniquePolicy for IactPolicy {
         });
         acc.charge_precomposed(ctx.slice.warp, &cost);
         acc.note_step(n_acc, n_apx, 0, n_acc > 0 && n_apx > 0);
+    }
+
+    fn margin(&self, st: &IactState) -> DecisionMargin {
+        *st.pool.margin()
     }
 }

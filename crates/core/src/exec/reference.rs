@@ -20,7 +20,10 @@ use crate::params::{IactParams, PerfoParams, TafParams};
 use crate::perfo;
 use crate::region::{ApproxRegion, RegionError};
 use crate::taf::TafPool;
-use gpu_sim::{BlockAccumulator, CostProfile, DeviceSpec, KernelExec, KernelRecord, LaunchConfig};
+use gpu_sim::{
+    BlockAccumulator, CostProfile, DecisionMargin, DeviceSpec, KernelExec, KernelRecord,
+    LaunchConfig,
+};
 
 /// One active lane of a warp step (the old walk's unit of work).
 #[derive(Debug, Clone, Copy)]
@@ -110,6 +113,13 @@ trait RefPolicy {
         access: &mut A,
         acc: &mut BlockAccumulator,
     );
+
+    /// Not part of the old walk: the threshold's decision margin, folded
+    /// like the production walk folds it so whole-`KernelStats` equality
+    /// keeps comparing every field.
+    fn margin(&self, _st: &Self::State) -> DecisionMargin {
+        DecisionMargin::default()
+    }
 }
 
 /// The old unmemoized per-step cost assembly.
@@ -175,6 +185,7 @@ where
             policy.warp_step(&mut st, &ctx, access, &mut acc);
         }
     }
+    acc.note_margin(&policy.margin(&st));
     acc
 }
 
@@ -359,6 +370,10 @@ impl RefPolicy for RefTaf {
         }
         .commit(acc, ctx.warp, n_acc, n_apx);
     }
+
+    fn margin(&self, st: &RefTafState) -> DecisionMargin {
+        *st.pool.margin()
+    }
 }
 
 struct RefSerializedTaf {
@@ -429,6 +444,10 @@ impl RefPolicy for RefSerializedTaf {
         acc.charge(ctx.warp, &cost);
         acc.note_step(n_acc, n_apx, 0, n_acc > 0 && n_apx > 0);
     }
+
+    fn margin(&self, st: &RefSerializedTafState) -> DecisionMargin {
+        *st.pool.margin()
+    }
 }
 
 struct RefIact {
@@ -484,7 +503,7 @@ impl RefPolicy for RefIact {
         let probe = st.pool.probe(t, &st.in_cache[k * in_dim..(k + 1) * in_dim]);
         st.probe_slot[k] = probe.slot;
         st.probe_dist[k] = probe.distance;
-        probe.hit(self.params.threshold)
+        st.pool.admit(&probe)
     }
 
     fn warp_step<A: BodyAccess>(
@@ -560,6 +579,10 @@ impl RefPolicy for RefIact {
                 .add(&body.store_cost(n_apx.max(1), ctx.spec)),
         }
         .commit(acc, ctx.warp, n_acc, n_apx);
+    }
+
+    fn margin(&self, st: &RefIactState) -> DecisionMargin {
+        *st.pool.margin()
     }
 }
 

@@ -15,7 +15,7 @@ use crate::exec::walk::{Geom, WarpSlice};
 use crate::hierarchy::{self, HierarchyLevel, WarpDecision};
 use crate::params::TafParams;
 use crate::taf::TafPool;
-use gpu_sim::{BlockAccumulator, CostProfile};
+use gpu_sim::{BlockAccumulator, CostProfile, DecisionMargin};
 
 pub(crate) struct TafPolicy {
     pub params: TafParams,
@@ -123,6 +123,10 @@ impl TechniquePolicy for TafPolicy {
         acc.charge_precomposed(ctx.slice.warp, &cost);
         acc.note_step(n_acc, n_apx, 0, n_acc > 0 && n_apx > 0);
     }
+
+    fn margin(&self, st: &TafState) -> DecisionMargin {
+        *st.pool.margin()
+    }
 }
 
 /// Fig 4(c) ablation: the "semantically equivalent" GPU TAF. One state
@@ -201,5 +205,9 @@ impl TechniquePolicy for SerializedTafPolicy {
         }
         acc.charge(ctx.slice.warp, &cost);
         acc.note_step(n_acc, n_apx, 0, n_acc > 0 && n_apx > 0);
+    }
+
+    fn margin(&self, st: &SerializedTafState) -> DecisionMargin {
+        *st.pool.margin()
     }
 }

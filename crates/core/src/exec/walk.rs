@@ -201,6 +201,7 @@ pub(crate) fn walk_block<P, A>(
             policy.warp_step(&mut st, &ctx, access, &mut arena.memo, acc);
         }
     }
+    acc.note_margin(&policy.margin(&st));
 }
 
 /// How many chunks `chunk_ranges` aims for per worker: oversplitting lets

@@ -16,7 +16,7 @@
 //! made no difference, and we verify that.
 
 use crate::params::{IactParams, Replacement};
-use gpu_sim::CostProfile;
+use gpu_sim::{CostProfile, DecisionMargin};
 
 /// Result of probing a table.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,6 +54,8 @@ pub struct IactPool {
     referenced: Vec<bool>,
     /// Per-table round-robin pointer / clock hand.
     hand: Vec<u32>,
+    /// Every probe distance compared against the threshold so far.
+    margin: DecisionMargin,
 }
 
 impl IactPool {
@@ -71,6 +73,7 @@ impl IactPool {
             fill: vec![0; n_tables],
             referenced: vec![false; slots],
             hand: vec![0; n_tables],
+            margin: DecisionMargin::default(),
         }
     }
 
@@ -124,6 +127,24 @@ impl IactPool {
                 f64::INFINITY
             },
         }
+    }
+
+    /// Does `probe` hit at this pool's threshold? The pool's only use of the
+    /// threshold: the distance and the outcome go into the decision margin.
+    /// A probe of an empty table misses at every threshold and records
+    /// nothing.
+    pub fn admit(&mut self, probe: &Probe) -> bool {
+        let hit = probe.hit(self.params.threshold);
+        if probe.slot.is_some() {
+            self.margin.note(probe.distance, hit);
+        }
+        hit
+    }
+
+    /// The decision margin of the threshold over every probe admitted or
+    /// refused so far.
+    pub fn margin(&self) -> &DecisionMargin {
+        &self.margin
     }
 
     /// The cached output vector of `(table, slot)`.
@@ -256,6 +277,20 @@ mod tests {
         let probe = p.probe(0, &[1.0, 0.0]);
         assert!(!probe.hit(0.5));
         assert!(probe.hit(1.0));
+    }
+
+    #[test]
+    fn admit_records_the_margin_and_empty_tables_record_nothing() {
+        let mut p = pool(2, Replacement::RoundRobin); // threshold 0.5
+        let empty = p.probe(0, &[1.0, 0.0]);
+        assert!(!p.admit(&empty));
+        assert_eq!(*p.margin(), DecisionMargin::default());
+        p.insert(0, &[0.0, 0.0], &[1.0]);
+        let far = p.probe(0, &[1.0, 0.0]);
+        let near = p.probe(0, &[0.25, 0.0]);
+        assert!(!p.admit(&far));
+        assert!(p.admit(&near));
+        assert_eq!((p.margin().pass_max, p.margin().fail_min), (0.25, 1.0));
     }
 
     #[test]

@@ -193,6 +193,26 @@ impl ApproxRegion {
             }
         }
     }
+
+    /// Where [`ApproxRegion::fingerprint_words`] puts the activation
+    /// threshold; `None` for perforation, which has none.
+    fn threshold_word(&self) -> Option<usize> {
+        match self.technique {
+            Technique::Taf(_) => Some(3),
+            Technique::Iact(_) => Some(2),
+            Technique::Perfo(_) => None,
+        }
+    }
+
+    /// The activation threshold, and the fingerprint with the threshold word
+    /// removed: regions with equal second halves differ in threshold alone
+    /// (a *threshold family*). `None` for perforation.
+    pub fn threshold_family(&self) -> Option<(f64, Vec<u64>)> {
+        let at = self.threshold_word()?;
+        let mut words = self.fingerprint_words();
+        let threshold = f64::from_bits(words.remove(at));
+        Some((threshold, words))
+    }
 }
 
 #[cfg(test)]
@@ -297,6 +317,44 @@ mod tests {
             ApproxRegion::perfo(PerfoKind::Small { m: 4 }).fingerprint_words(),
             ApproxRegion::perfo(PerfoKind::Large { m: 4 }).fingerprint_words()
         );
+    }
+
+    #[test]
+    fn threshold_family_splits_the_fingerprint_at_the_threshold() {
+        let regions = [
+            ApproxRegion::memo_out(3, 5, 1.5).level(HierarchyLevel::Warp),
+            ApproxRegion::memo_in(4, 0.25)
+                .tables_per_warp(2)
+                .replacement(Replacement::Clock),
+        ];
+        for r in regions {
+            let (threshold, mut words) = r.threshold_family().expect("memoizing technique");
+            let expect = match r.technique {
+                Technique::Taf(p) => p.threshold,
+                Technique::Iact(p) => p.threshold,
+                Technique::Perfo(_) => unreachable!(),
+            };
+            assert_eq!(threshold.to_bits(), expect.to_bits());
+            words.insert(r.threshold_word().unwrap(), threshold.to_bits());
+            assert_eq!(words, r.fingerprint_words());
+        }
+        // Siblings share the family words; any other parameter separates them.
+        let family = |r: ApproxRegion| r.threshold_family().unwrap().1;
+        assert_eq!(
+            family(ApproxRegion::memo_out(3, 5, 1.5)),
+            family(ApproxRegion::memo_out(3, 5, 20.0))
+        );
+        assert_ne!(
+            family(ApproxRegion::memo_out(3, 5, 1.5)),
+            family(ApproxRegion::memo_out(3, 4, 1.5))
+        );
+        assert_ne!(
+            family(ApproxRegion::memo_in(3, 1.5)),
+            family(ApproxRegion::memo_out(3, 5, 1.5))
+        );
+        assert!(ApproxRegion::perfo(PerfoKind::Small { m: 4 })
+            .threshold_family()
+            .is_none());
     }
 
     #[test]

@@ -24,7 +24,7 @@
 
 use crate::metrics::rsd;
 use crate::params::TafParams;
-use gpu_sim::CostProfile;
+use gpu_sim::{CostProfile, DecisionMargin};
 
 /// All TAF state machines for one kernel launch.
 #[derive(Debug, Clone)]
@@ -43,6 +43,8 @@ pub struct TafPool {
     has_last: Vec<bool>,
     /// Remaining invocations in the current stable regime.
     approx_left: Vec<u32>,
+    /// Every window RSD compared against the threshold so far.
+    margin: DecisionMargin,
 }
 
 impl TafPool {
@@ -58,6 +60,7 @@ impl TafPool {
             last: vec![0.0; n * out_dim],
             has_last: vec![false; n],
             approx_left: vec![0; n],
+            margin: DecisionMargin::default(),
         }
     }
 
@@ -71,6 +74,12 @@ impl TafPool {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The decision margin of the threshold over every full window observed
+    /// so far — the pool's only use of the threshold is that comparison.
+    pub fn margin(&self) -> &DecisionMargin {
+        &self.margin
     }
 
     /// Does state machine `s` want to take the approximate path?
@@ -106,7 +115,9 @@ impl TafPool {
 
         if self.win_len[s] as usize == h {
             let r = rsd(&self.window[base..base + h]);
-            if r <= self.params.threshold {
+            let stable = r <= self.params.threshold;
+            self.margin.note(r, stable);
+            if stable {
                 // Enter the stable regime; the window restarts afterwards.
                 self.approx_left[s] = self.params.psize as u32;
                 self.win_len[s] = 0;
@@ -211,6 +222,27 @@ mod tests {
         p.observe(0, &[3.0]);
         // window = {3+1e-9, 3, 3}? hsize=2 so window = {3, 3}
         assert!(p.wants_approx(0));
+    }
+
+    #[test]
+    fn margin_brackets_the_threshold_between_observed_rsds() {
+        let mut p = pool(2, 1, 0.5);
+        assert_eq!(*p.margin(), DecisionMargin::default());
+        p.observe(0, &[1.0]);
+        assert_eq!(*p.margin(), DecisionMargin::default(), "window not full");
+        p.observe(0, &[4.0]); // RSD of {1, 4} = 1.5 / 2.5 > 0.5
+        let unstable = rsd(&[1.0, 4.0]);
+        assert_eq!(p.margin().fail_min, unstable);
+        assert_eq!(p.margin().pass_max, f64::NEG_INFINITY);
+        p.observe(1, &[4.0]);
+        p.observe(1, &[4.0]); // RSD 0 passes
+        assert_eq!(p.margin().pass_max, 0.0);
+        assert!(p.margin().covers(0.5) && !p.margin().covers(unstable));
+        // A NaN signature (0/0 mean) fails every threshold and records nothing.
+        let before = *p.margin();
+        p.observe(2, &[f64::NAN]);
+        p.observe(2, &[1.0]);
+        assert_eq!(*p.margin(), before);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::cost::{CostProfile, PrecomposedCost, WarpCycles};
 use crate::dim::LaunchConfig;
 use crate::spec::{CostParams, DeviceSpec};
-use crate::stats::KernelStats;
+use crate::stats::{DecisionMargin, KernelStats};
 use crate::timing::{self, TimingBreakdown};
 use std::cell::Cell;
 
@@ -139,6 +139,12 @@ impl BlockAccumulator {
         if divergent {
             self.stats.divergent_steps += 1;
         }
+    }
+
+    /// Fold in the decision margin of this block's approximation state (see
+    /// [`DecisionMargin`]); the walk calls it once, when the block retires.
+    pub fn note_margin(&mut self, margin: &DecisionMargin) {
+        self.stats.margin.merge(margin);
     }
 
     /// Statistics accumulated so far (tests and diagnostics).
@@ -332,6 +338,19 @@ mod tests {
         assert_eq!(rec.stats.accurate_lanes, 52);
         assert_eq!(rec.stats.approx_lanes, 12);
         assert!((rec.stats.approx_fraction() - 12.0 / 64.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn accumulator_reset_restores_the_margin_identity() {
+        let mut acc = BlockAccumulator::new(1, spec().costs);
+        acc.note_margin(&DecisionMargin {
+            pass_max: 0.25,
+            fail_min: 0.75,
+        });
+        assert!(!acc.stats().margin.covers(1.0));
+        acc.reset();
+        assert_eq!(acc.stats().margin, DecisionMargin::default());
+        assert!(acc.stats().margin.covers(0.0) && acc.stats().margin.covers(1e300));
     }
 
     #[test]

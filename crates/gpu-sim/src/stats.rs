@@ -4,6 +4,55 @@
 //! (Fig 8c's color scale), divergence counts (Fig 11c's motivation), and
 //! the cycle breakdown used to explain where speedup comes from.
 
+/// The decision margin of a run's activation threshold: the largest
+/// criterion value that passed a `value <= threshold` comparison and the
+/// smallest that failed one. Every threshold in `[pass_max, fail_min)` orders
+/// each compared value the same way, so a run repeated at any of them makes
+/// the same decisions — and, the threshold entering a run nowhere else, is
+/// the same run bit for bit.
+///
+/// The identity is `(−∞, +∞)`; `max`/`min` folding is commutative, so the
+/// margin is the same whatever order blocks and kernels merge in.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DecisionMargin {
+    pub pass_max: f64,
+    pub fail_min: f64,
+}
+
+impl Default for DecisionMargin {
+    fn default() -> Self {
+        DecisionMargin {
+            pass_max: f64::NEG_INFINITY,
+            fail_min: f64::INFINITY,
+        }
+    }
+}
+
+impl DecisionMargin {
+    /// Record one comparison's criterion value and outcome. A NaN or `+∞`
+    /// value fails at every finite threshold and narrows nothing
+    /// (`f64::min` keeps the non-NaN operand).
+    #[inline]
+    pub fn note(&mut self, value: f64, passed: bool) {
+        if passed {
+            self.pass_max = self.pass_max.max(value);
+        } else {
+            self.fail_min = self.fail_min.min(value);
+        }
+    }
+
+    pub fn merge(&mut self, other: &DecisionMargin) {
+        self.pass_max = self.pass_max.max(other.pass_max);
+        self.fail_min = self.fail_min.min(other.fail_min);
+    }
+
+    /// Would a run at `threshold` decide every recorded comparison the same
+    /// way? (Never for a NaN threshold.)
+    pub fn covers(&self, threshold: f64) -> bool {
+        self.pass_max <= threshold && threshold < self.fail_min
+    }
+}
+
 /// Counters accumulated over one kernel execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct KernelStats {
@@ -23,6 +72,9 @@ pub struct KernelStats {
     pub total_issue_cycles: f64,
     /// Total latency cycles across all warps (before hiding).
     pub total_latency_cycles: f64,
+    /// Decision margin of the launch's activation threshold (the identity
+    /// for accurate and perforated launches, which compare nothing).
+    pub margin: DecisionMargin,
 }
 
 impl KernelStats {
@@ -57,6 +109,7 @@ impl KernelStats {
         self.global_txns += other.global_txns;
         self.total_issue_cycles += other.total_issue_cycles;
         self.total_latency_cycles += other.total_latency_cycles;
+        self.margin.merge(&other.margin);
     }
 }
 
@@ -90,6 +143,29 @@ mod tests {
             ..Default::default()
         };
         assert!((s.divergence_fraction() - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn margin_identity_covers_everything_and_merging_narrows() {
+        let mut m = KernelStats::default().margin;
+        assert!(m.covers(0.0) && m.covers(f64::MAX));
+        assert!(!m.covers(f64::NAN));
+        m.note(0.5, true);
+        m.note(f64::NAN, false);
+        m.note(f64::INFINITY, false);
+        assert_eq!((m.pass_max, m.fail_min), (0.5, f64::INFINITY));
+        let mut other = DecisionMargin::default();
+        other.note(2.0, false);
+        other.note(0.25, true);
+        m.merge(&other);
+        assert_eq!((m.pass_max, m.fail_min), (0.5, 2.0));
+        assert!(m.covers(0.5) && m.covers(1.999) && !m.covers(2.0) && !m.covers(0.4));
+        let mut merged = KernelStats::default();
+        merged.merge(&KernelStats {
+            margin: m,
+            ..Default::default()
+        });
+        assert_eq!(merged.margin, m);
     }
 
     #[test]

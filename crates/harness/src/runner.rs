@@ -8,7 +8,7 @@
 
 use crate::db::Row;
 use crate::space::{self, Scale, SweepConfig};
-use gpu_sim::DeviceSpec;
+use gpu_sim::{DecisionMargin, DeviceSpec};
 use hpac_apps::common::{
     eval_key, install_eval_memo, scoped_inputs, AppResult, Benchmark, LaunchParams, Prepared, QoI,
 };
@@ -16,7 +16,7 @@ use hpac_core::exec::{engine, ExecOptions};
 use hpac_core::region::RegionError;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 const QUALITY_CACHE_SHARDS: usize = 8;
 
@@ -46,16 +46,24 @@ impl QualityCache {
         }
     }
 
+    /// The shard holding `fp`. No caller code runs under the lock and every
+    /// update is one whole insert, so the map is valid at every step and a
+    /// poisoned lock is safe to recover.
+    fn shard(&self, fp: (u64, u64)) -> MutexGuard<'_, HashMap<(u64, u64), f64>> {
+        self.shards[(fp.0 as usize) % QUALITY_CACHE_SHARDS]
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+    }
+
     /// The cached error for `fp`, or `compute`'s result (which is then
     /// cached). Returns `(error, was_hit)`. The lock is not held across
     /// `compute`; a racing duplicate computes the same value twice.
     pub fn get_or(&self, fp: (u64, u64), compute: impl FnOnce() -> f64) -> (f64, bool) {
-        let shard = (fp.0 as usize) % QUALITY_CACHE_SHARDS;
-        if let Some(&v) = self.shards[shard].lock().unwrap().get(&fp) {
+        if let Some(&v) = self.shard(fp).get(&fp) {
             return (v, true);
         }
         let v = compute();
-        self.shards[shard].lock().unwrap().insert(fp, v);
+        self.shard(fp).insert(fp, v);
         (v, false)
     }
 }
@@ -285,6 +293,19 @@ pub fn run_config_bounded(
     cfg: &SweepConfig,
     opts: &ExecOptions,
 ) -> ConfigOutcome {
+    evaluate(bench, spec, baseline, cfg, opts).0
+}
+
+/// [`run_config_bounded`], plus the interval of thresholds the run answers
+/// for: the decision margin of a run that finished. A rejected or aborted
+/// run made no (or not all of its) comparisons and answers for nobody.
+fn evaluate(
+    bench: &dyn Benchmark,
+    spec: &DeviceSpec,
+    baseline: &Baseline,
+    cfg: &SweepConfig,
+    opts: &ExecOptions,
+) -> (ConfigOutcome, Option<DecisionMargin>) {
     let kernel_only = bench.kernel_only_timing();
     let eval_from = hpac_obs::enabled().then(hpac_obs::now_ns);
     let _span = hpac_obs::span_named(
@@ -320,7 +341,7 @@ pub fn run_config_bounded(
                 hpac_obs::inc(hpac_obs::CounterId::QualityCacheHits);
             }
             let seconds = res.timing_basis_seconds(kernel_only);
-            ConfigOutcome::Done(Row {
+            let row = Row {
                 benchmark: bench.name().to_string(),
                 device: spec.name.to_string(),
                 technique: cfg.region.technique_name().to_string(),
@@ -333,10 +354,14 @@ pub fn run_config_bounded(
                 kernel_seconds: res.kernel_seconds,
                 end_to_end_seconds: res.end_to_end_seconds(),
                 iterations: res.iterations,
-            })
+            };
+            (ConfigOutcome::Done(row), Some(res.stats.margin))
         }
-        Err(RegionError::CostCeiling(_)) => ConfigOutcome::Aborted(cfg.label.clone()),
-        Err(e) => ConfigOutcome::Rejected(cfg.label.clone(), e.to_string()),
+        Err(RegionError::CostCeiling(_)) => (ConfigOutcome::Aborted(cfg.label.clone()), None),
+        Err(e) => (
+            ConfigOutcome::Rejected(cfg.label.clone(), e.to_string()),
+            None,
+        ),
     }
 }
 
@@ -405,9 +430,55 @@ impl<R: Clone> CanonicalReps<R> {
     }
 }
 
-/// The one sweep body: baseline → canonical dedup → fresh configurations
-/// (one engine task each, or serially on the caller) → every plan entry
-/// answered from its representative, in plan order.
+/// Group the fresh configurations into *threshold families*: members run the
+/// same execution — equal region apart from the threshold
+/// ([`ApproxRegion::threshold_family`]), equal launch class (the exact launch
+/// shape where the benchmark declares no classes) — and differ in threshold
+/// alone. Each family lists `(threshold, slot)` in ascending threshold;
+/// perforation has no threshold, so its configurations are families of one.
+/// Families come longest first, so a long one is not the tail of a round.
+///
+/// [`ApproxRegion::threshold_family`]: hpac_core::region::ApproxRegion::threshold_family
+fn threshold_families(
+    bench: &dyn Benchmark,
+    spec: &DeviceSpec,
+    fresh: &[&SweepConfig],
+) -> Vec<Vec<(f64, usize)>> {
+    let mut family_of: HashMap<Vec<u64>, usize> = HashMap::new();
+    let mut families: Vec<Vec<(f64, usize)>> = Vec::new();
+    for (slot, cfg) in fresh.iter().enumerate() {
+        let Some((threshold, mut key)) = cfg.region.threshold_family() else {
+            families.push(vec![(0.0, slot)]);
+            continue;
+        };
+        match bench.launch_class(spec, &cfg.lp) {
+            Some(class) => key.extend([1, class]),
+            None => key.extend([0, cfg.lp.items_per_thread as u64, cfg.lp.block_size as u64]),
+        }
+        let family = *family_of.entry(key).or_insert_with(|| {
+            families.push(Vec::new());
+            families.len() - 1
+        });
+        families[family].push((threshold, slot));
+    }
+    for family in &mut families {
+        family.sort_by(|a, b| a.0.total_cmp(&b.0));
+    }
+    families.sort_by_key(|family| std::cmp::Reverse(family.len()));
+    families
+}
+
+/// The one sweep body: baseline → canonical dedup → the fresh configurations
+/// as threshold families (one engine task each, or serially on the caller) →
+/// every plan entry answered from its representative, in plan order.
+///
+/// Within a family, members are evaluated in ascending threshold, and a
+/// member whose threshold lies inside the decision margin of a sibling that
+/// ran takes that sibling's outcome: the threshold enters a run only through
+/// the comparisons the margin records, so the member's own run would decide
+/// each of them the same way and be the same run. (Thresholds the region
+/// would refuse — negative, NaN, infinite — are never covered: negatives
+/// sort first and are rejected on their own, no margin covers the others.)
 fn sweep(
     bench: &dyn Benchmark,
     spec: &DeviceSpec,
@@ -434,17 +505,49 @@ fn sweep(
         })
         .collect();
 
-    let eval = |slot: usize| run_config_bounded(bench, spec, &baseline, fresh[slot], opts);
-    let outcomes: Vec<ConfigOutcome> = if on_engine {
-        engine().run(fresh.len(), engine().default_width(), eval)
-    } else {
-        (0..fresh.len()).map(eval).collect()
+    let families = threshold_families(bench, spec, &fresh);
+    let eval = |f: usize| -> Vec<ConfigOutcome> {
+        // The margins of this family's finished runs, each with the index in
+        // `outcomes` of the run that published it.
+        let mut published: Vec<(DecisionMargin, usize)> = Vec::new();
+        let mut outcomes: Vec<ConfigOutcome> = Vec::with_capacity(families[f].len());
+        for &(threshold, slot) in &families[f] {
+            let cfg = fresh[slot];
+            let outcome = match published.iter().rev().find(|(m, _)| m.covers(threshold)) {
+                Some(&(_, sibling)) => {
+                    hpac_obs::inc(hpac_obs::CounterId::ConfigsDeduped);
+                    hpac_obs::inc(hpac_obs::CounterId::ConfigsThresholdCovered);
+                    outcomes[sibling].relabelled(cfg)
+                }
+                None => {
+                    let (outcome, margin) = evaluate(bench, spec, &baseline, cfg, opts);
+                    published.extend(margin.map(|m| (m, outcomes.len())));
+                    outcome
+                }
+            };
+            outcomes.push(outcome);
+        }
+        outcomes
     };
+    let per_family: Vec<Vec<ConfigOutcome>> = if on_engine {
+        engine().run(families.len(), engine().default_width(), eval)
+    } else {
+        (0..families.len()).map(eval).collect()
+    };
+    // Every slot is in exactly one family: sorted by slot, entry `i` is
+    // slot `i`'s outcome.
+    let mut outcomes: Vec<(usize, ConfigOutcome)> = families
+        .iter()
+        .flatten()
+        .map(|&(_, slot)| slot)
+        .zip(per_family.into_iter().flatten())
+        .collect();
+    outcomes.sort_by_key(|&(slot, _)| slot);
 
     let mut rows = Vec::with_capacity(plan.len());
     let mut rejected = Vec::new();
     for (cfg, &slot) in plan.iter().zip(&slots) {
-        match outcomes[slot].relabelled(cfg).into_result() {
+        match outcomes[slot].1.relabelled(cfg).into_result() {
             Ok(row) => rows.push(row),
             Err(rej) => rejected.push(rej),
         }
@@ -459,9 +562,9 @@ fn sweep(
 /// Run a benchmark's full sweep plan on one device, in parallel across
 /// configurations.
 ///
-/// Configurations are submitted to the shared [`engine`] as one task each.
-/// Kernel launches *inside* a configuration go through the same engine, so
-/// no pinning is needed: the engine's depth guard runs nested block
+/// Threshold families are submitted to the shared [`engine`] as one task
+/// each. Kernel launches *inside* a configuration go through the same engine,
+/// so no pinning is needed: the engine's depth guard runs nested block
 /// fan-outs inline on the config task's worker, and the host is never
 /// oversubscribed. For intra-kernel parallelism measurements use
 /// [`run_sweep_serial`], which keeps the configurations serial so the
@@ -547,6 +650,26 @@ mod tests {
         let labels = QoI::Labels(vec![0, 1, 2, 3, 4]);
         let values = QoI::Values([0u64, 1, 2, 3, 4].map(f64::from_bits).to_vec());
         assert_ne!(qoi_fingerprint(&labels), qoi_fingerprint(&values));
+    }
+
+    #[test]
+    fn quality_cache_scores_through_a_poisoned_shard() {
+        let cache = QualityCache::new();
+        let fp = (5, 9);
+        assert_eq!(cache.get_or(fp, || 0.25), (0.25, false));
+        let died = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = cache.shard(fp);
+                panic!("a scorer died holding the shard");
+            })
+            .join()
+        });
+        assert!(died.is_err());
+        assert!(cache.shards[5 % QUALITY_CACHE_SHARDS].is_poisoned());
+        assert_eq!(cache.get_or(fp, || unreachable!()), (0.25, true));
+        let mate = (5 + QUALITY_CACHE_SHARDS as u64, 1);
+        assert_eq!(cache.get_or(mate, || 0.5), (0.5, false));
+        assert_eq!(cache.get_or(mate, || unreachable!()), (0.5, true));
     }
 
     #[test]

@@ -203,9 +203,12 @@ pub enum CounterId {
     ConfigsDeduped,
     /// Config evaluations aborted once they provably missed the frontier.
     EarlyAborts,
+    /// Sweep configs answered by a threshold-family sibling whose decision
+    /// margin covers their threshold (also counted in `ConfigsDeduped`).
+    ConfigsThresholdCovered,
 }
 
-pub const N_COUNTERS: usize = 40;
+pub const N_COUNTERS: usize = 41;
 
 impl CounterId {
     pub const ALL: [CounterId; N_COUNTERS] = [
@@ -249,6 +252,7 @@ impl CounterId {
         CounterId::QualityCacheHits,
         CounterId::ConfigsDeduped,
         CounterId::EarlyAborts,
+        CounterId::ConfigsThresholdCovered,
     ];
 
     pub fn name(self) -> &'static str {
@@ -293,6 +297,7 @@ impl CounterId {
             CounterId::QualityCacheHits => "quality_cache_hits",
             CounterId::ConfigsDeduped => "configs_deduped",
             CounterId::EarlyAborts => "early_aborts",
+            CounterId::ConfigsThresholdCovered => "configs_threshold_covered",
         }
     }
 }

@@ -139,7 +139,10 @@ proptest! {
             else {
                 continue; // launch legitimately rejected by both executors
             };
+            // Record equality includes the threshold's decision margin,
+            // folded by max/min in whatever order the blocks finished.
             prop_assert_eq!(r_seq, r_par);
+            prop_assert!(r_par.stats.margin.covers(0.3), "{:?}", r_par.stats.margin);
             for (a, b) in out_seq.iter().zip(&out_par) {
                 prop_assert!(
                     a.to_bits() == b.to_bits(),

@@ -192,7 +192,8 @@ fn traced_sweep_produces_metrics() {
 
 /// The three sweep entry points are one body: on a `launch_class`-opted-in
 /// app (so canonical dedup is live) they return identical rows and
-/// rejections in identical order and elide the same duplicates.
+/// rejections in identical order and elide the same duplicates — canonical
+/// ones and those a threshold-family sibling's margin covers.
 #[test]
 fn sweep_entry_points_agree_on_rows_and_dedup() {
     use hpac_offload::apps::kmeans::KMeans;
@@ -213,16 +214,30 @@ fn sweep_entry_points_agree_on_rows_and_dedup() {
         obs::set_enabled(false);
         let _ = obs::drain_events();
         let delta = obs::snapshot().delta_since(&before);
-        (out, delta.counter(obs::CounterId::ConfigsDeduped))
+        let elided = [
+            obs::CounterId::ConfigsDeduped,
+            obs::CounterId::ConfigsThresholdCovered,
+            obs::CounterId::ConfigsEvaluated,
+            obs::CounterId::ConfigsRejected,
+        ]
+        .map(|c| delta.counter(c));
+        (out, elided)
     };
     let (par, par_dups) = counted(&|| runner::run_sweep(&bench, &spec, Scale::Quick));
     let (ser, ser_dups) =
         counted(&|| runner::run_sweep_serial(&bench, &spec, Scale::Quick, &ExecOptions::default()));
     let (cfg, cfg_dups) = counted(&|| runner::run_configs(&bench, &spec, &plan));
 
-    assert!(par_dups > 0, "the plan must contain canonical duplicates");
+    let [deduped, covered, evaluated, refused] = par_dups;
+    assert!(covered > 0, "some sibling's margin must cover another");
+    assert!(
+        deduped > covered,
+        "the plan must contain canonical duplicates too"
+    );
     assert_eq!((par_dups, par_dups), (ser_dups, cfg_dups));
     assert_eq!(par.rows.len() + par.rejected.len(), plan.len());
+    // Every plan entry was run, refused at launch, or answered by another's run.
+    assert_eq!(evaluated + refused + deduped, plan.len() as u64);
     assert_eq!(par.rows, ser.rows);
     assert_eq!(par.rows, cfg.rows);
     assert_eq!(par.rejected, ser.rejected);
