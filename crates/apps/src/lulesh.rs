@@ -765,21 +765,17 @@ mod tests {
         let cfg = small();
         let lp = LaunchParams::new(8, 128);
         let region = ApproxRegion::memo_out(2, 8, 0.5);
-        let runs: Vec<_> = [
-            Executor::Sequential,
-            Executor::ParallelBlocks,
-            Executor::Auto,
-        ]
-        .into_iter()
-        .map(|executor| {
-            let opts = ExecOptions {
-                executor,
-                threads: Some(4),
-                ..ExecOptions::default()
-            };
-            cfg.run_opts(&spec(), Some(&region), &lp, &opts).unwrap()
-        })
-        .collect();
+        let runs: Vec<_> = [Executor::Sequential, Executor::ParallelBlocks]
+            .into_iter()
+            .map(|executor| {
+                let opts = ExecOptions {
+                    executor,
+                    threads: Some(4),
+                    ..ExecOptions::default()
+                };
+                cfg.run_opts(&spec(), Some(&region), &lp, &opts).unwrap()
+            })
+            .collect();
         for r in &runs[1..] {
             assert_eq!(r.qoi, runs[0].qoi);
             assert_eq!(r.kernel_seconds.to_bits(), runs[0].kernel_seconds.to_bits());

@@ -5,8 +5,8 @@
 //! kernels per timestep; submitting each through
 //! [`approx_parallel_for_opts`](crate::exec::approx_parallel_for_opts)
 //! pays one worker-pool handoff (dispatch, join, fold) per kernel. This
-//! module instead resolves every kernel up front ([`prepare`]) and submits
-//! all of them as the phases of a single
+//! module instead resolves every kernel up front ([`prepare`]) and hands
+//! all of them to the [`launch`] driver as the phases of a single
 //! [`ExecEngine::run_phases`](crate::exec::engine::ExecEngine::run_phases)
 //! call ([`run_batch`]): workers stay warm across the inter-kernel
 //! barriers, and the per-timestep handoff cost is paid once instead of
@@ -22,11 +22,11 @@
 //! one by one on either executor.
 
 use crate::exec::body::{RegionBody, SharedAccess, StoreVisibility};
-use crate::exec::engine::engine;
-use crate::exec::walk::{chunk_ranges, walk_block, Geom, WalkArena, AUTO_FANOUT_MIN_WARP_STEPS};
-use crate::exec::{resolve, ExecOptions, Executor, ResolvedKernel, ResolvedPolicy};
+use crate::exec::launch::{self, Phase};
+use crate::exec::walk::{Geom, WalkArena};
+use crate::exec::{resolve, ExecOptions, ResolvedKernel};
 use crate::region::{ApproxRegion, RegionError};
-use gpu_sim::{BlockAccumulator, DeviceSpec, KernelExec, KernelRecord};
+use gpu_sim::{DeviceSpec, KernelExec, KernelRecord};
 
 /// One kernel of a batch: the dispatch-stage output plus the shared body it
 /// will run against. Build with [`prepare`]; run with [`run_batch`].
@@ -58,48 +58,6 @@ pub fn prepare<'a>(
     Ok(BatchKernel { resolved, body })
 }
 
-impl ResolvedPolicy {
-    /// Walk blocks `[lo, hi)` against a shared body (stores through
-    /// `store_shared`), one fresh accumulator per block, one arena for the
-    /// whole range. The monomorphized-per-technique inner loop of
-    /// [`run_batch`]'s phase tasks.
-    fn walk_range_shared(
-        &self,
-        geom: &Geom,
-        body: &dyn RegionBody,
-        lo: u32,
-        hi: u32,
-    ) -> Vec<BlockAccumulator> {
-        fn go<P: crate::exec::policy::TechniquePolicy>(
-            policy: &P,
-            geom: &Geom,
-            body: &dyn RegionBody,
-            lo: u32,
-            hi: u32,
-        ) -> Vec<BlockAccumulator> {
-            let mut arena = WalkArena::new(geom);
-            let accs = (lo..hi)
-                .map(|b| {
-                    let mut acc =
-                        BlockAccumulator::new(geom.warps_per_block as usize, geom.spec.costs);
-                    let mut access = SharedAccess { body };
-                    walk_block(geom, policy, &mut access, b, &mut arena, &mut acc);
-                    acc
-                })
-                .collect();
-            crate::exec::walk::flush_memo_stats(&mut arena);
-            accs
-        }
-        match self {
-            ResolvedPolicy::Accurate(p) => go(p, geom, body, lo, hi),
-            ResolvedPolicy::Perfo(p) => go(p, geom, body, lo, hi),
-            ResolvedPolicy::Taf(p) => go(p, geom, body, lo, hi),
-            ResolvedPolicy::SerializedTaf(p) => go(p, geom, body, lo, hi),
-            ResolvedPolicy::Iact(p) => go(p, geom, body, lo, hi),
-        }
-    }
-}
-
 /// Run `kernels` in order as the phases of one engine submission and return
 /// each kernel's record. Equivalent, bit for bit, to running them one by
 /// one through the per-kernel entry point with the same options.
@@ -110,75 +68,40 @@ pub fn run_batch(
 ) -> Result<Vec<KernelRecord>, RegionError> {
     // Validate every launch before any phase runs: a batch must fail
     // atomically, not after earlier kernels already committed stores.
-    let mut execs = Vec::with_capacity(kernels.len());
+    let mut phases = Vec::with_capacity(kernels.len());
     let mut geoms = Vec::with_capacity(kernels.len());
     for k in kernels {
-        execs.push(KernelExec::new(
-            spec,
-            &k.resolved.launch,
-            k.resolved.shared,
-        )?);
+        phases.push(Phase {
+            exec: KernelExec::new(spec, &k.resolved.launch, k.resolved.shared)?,
+            may_fan_out: k.resolved.partition_kept,
+        });
         geoms.push(Geom::new(spec, &k.resolved.launch, k.resolved.item_lo));
     }
-
-    let width = engine().width_for(opts);
-    let modeled: usize = geoms
-        .iter()
-        .map(|g| g.n_blocks as usize * g.warps_per_block as usize * g.steps)
-        .sum();
-    let wants_fan_out = match opts.executor {
-        Executor::Sequential => false,
-        Executor::ParallelBlocks => true,
-        Executor::Auto => modeled >= AUTO_FANOUT_MIN_WARP_STEPS,
-    };
-    let parallel = wants_fan_out && width > 1 && !engine().is_nested();
-
-    let per_kernel: Vec<Vec<Vec<BlockAccumulator>>> = if parallel {
-        let chunks: Vec<Vec<(u32, u32)>> = geoms
-            .iter()
-            .map(|g| chunk_ranges(g.n_blocks, width))
-            .collect();
-        let sizes: Vec<usize> = chunks.iter().map(Vec::len).collect();
-        engine().run_phases(&sizes, width, |p, j| {
-            let (lo, hi) = chunks[p][j];
-            kernels[p]
-                .resolved
+    launch::run(
+        opts,
+        &mut phases,
+        &mut (),
+        |p| WalkArena::new(&geoms[p]),
+        |p, _, arena, b, acc| {
+            let k = &kernels[p];
+            let mut access = SharedAccess { body: k.body };
+            k.resolved
                 .policy
-                .walk_range_shared(&geoms[p], kernels[p].body, lo, hi)
-        })
-    } else {
-        // The sequential reference: kernels in order, each walked in one
-        // range. Same walk, same shared-store commits, no handoff.
-        kernels
-            .iter()
-            .zip(&geoms)
-            .map(|(k, g)| {
-                vec![k
-                    .resolved
-                    .policy
-                    .walk_range_shared(g, k.body, 0, g.n_blocks)]
-            })
-            .collect()
-    };
-
-    Ok(execs
-        .into_iter()
-        .zip(per_kernel)
-        .map(|(mut exec, chunks)| {
-            // Chunks come back in chunk (= ascending block) order.
-            for (b, acc) in chunks.iter().flatten().enumerate() {
-                exec.merge_block(b as u32, acc);
-            }
-            exec.finish()
-        })
-        .collect())
+                .walk_block(&geoms[p], &mut access, b, arena, acc)
+        },
+        // Stores committed inline above, and a batch never checks
+        // `abort_above_seconds`: turning that on changes which evaluations
+        // the tuner sees.
+        |_, _, _, _| Ok(()),
+    )?;
+    Ok(phases.into_iter().map(|p| p.exec.finish()).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::approx_parallel_for_opts;
     use crate::exec::body::BlockField;
+    use crate::exec::{approx_parallel_for_opts, Executor};
     use crate::region::ApproxRegion;
     use gpu_sim::{AccessPattern, CostProfile, LaunchConfig};
 
@@ -275,11 +198,7 @@ mod tests {
 
     #[test]
     fn batch_matches_one_by_one_submission() {
-        for executor in [
-            Executor::Sequential,
-            Executor::ParallelBlocks,
-            Executor::Auto,
-        ] {
+        for executor in [Executor::Sequential, Executor::ParallelBlocks] {
             let opts = ExecOptions {
                 executor,
                 threads: Some(4),

@@ -4,8 +4,8 @@
 //!
 //! Each block owns exactly one AC state (one TAF machine or one iACT
 //! table), and blocks grid-stride over disjoint task sets, so the same
-//! per-block decomposition that parallelizes the warp walker applies here:
-//! under [`Executor::ParallelBlocks`](crate::exec::Executor::ParallelBlocks)
+//! [`launch`] driver that runs the warp walker's blocks runs these: under
+//! [`Executor::ParallelBlocks`](crate::exec::Executor::ParallelBlocks)
 //! blocks run on the persistent [`engine`](crate::exec::engine) worker pool
 //! with buffered stores and fold back in block order, bit-identical to the
 //! sequential reference.
@@ -18,9 +18,8 @@
 
 use crate::exec::body::BlockTaskBody;
 use crate::exec::charge::StoreBuffer;
-use crate::exec::engine::engine;
-use crate::exec::walk::{self, chunk_ranges, AUTO_FANOUT_MIN_WARP_STEPS};
-use crate::exec::{ExecOptions, Executor};
+use crate::exec::launch::{self, Phase};
+use crate::exec::ExecOptions;
 use crate::hierarchy::{self, HierarchyLevel};
 use crate::iact::IactPool;
 use crate::params::PerfoParams;
@@ -90,7 +89,7 @@ pub fn approx_block_tasks_opts(
         }
     };
 
-    let mut exec = KernelExec::new(spec, &launch, shared)?;
+    let exec = KernelExec::new(spec, &launch, shared)?;
     let walk = TaskWalk {
         spec: *spec,
         n_tasks,
@@ -102,82 +101,37 @@ pub fn approx_block_tasks_opts(
         technique,
     };
     let costs = walk.precompose_costs(body);
-
-    let width = engine().width_for(opts);
-    let wants_fan_out = match opts.executor {
-        Executor::Sequential => false,
-        Executor::ParallelBlocks => true,
-        Executor::Auto => {
-            n_blocks as usize * walk.warps as usize * walk.steps >= AUTO_FANOUT_MIN_WARP_STEPS
-        }
-    };
-    let parallel = wants_fan_out && width > 1 && n_blocks > 1 && !engine().is_nested();
-    if hpac_obs::enabled() && matches!(opts.executor, Executor::Auto) {
-        hpac_obs::inc(if parallel {
-            hpac_obs::CounterId::AutoFanOut
-        } else {
-            hpac_obs::CounterId::AutoInline
-        });
-    }
     let _span = hpac_obs::span(
         hpac_obs::SpanId::BlockTasks,
         n_blocks as u64,
         walk.steps as u64,
     );
 
-    if parallel {
-        let shared_body: &dyn BlockTaskBody = body;
-        let ranges = chunk_ranges(n_blocks, width);
-        hpac_obs::add(hpac_obs::CounterId::WalkChunks, ranges.len() as u64);
-        let per_chunk: Vec<(Vec<BlockAccumulator>, StoreBuffer)> =
-            engine().run(ranges.len(), width, |k| {
-                let (lo, hi) = ranges[k];
-                let mut scratch = TaskScratch::new(&walk);
-                let mut buffer = StoreBuffer::new(walk.out_dim);
-                let accs = (lo..hi)
-                    .map(|b| {
-                        let mut acc = BlockAccumulator::new(walk.warps as usize, walk.spec.costs);
-                        walk.run_block(
-                            shared_body,
-                            b,
-                            &costs,
-                            &mut scratch,
-                            &mut acc,
-                            &mut |task, out| buffer.push(task, out),
-                        );
-                        acc
-                    })
-                    .collect();
-                (accs, buffer)
-            });
-        let mut b = 0u32;
-        for (accs, stores) in &per_chunk {
-            for acc in accs {
-                exec.merge_block(b, acc);
-                b += 1;
-            }
-            walk::check_ceiling(&exec, opts)?;
-            stores.replay(|task, out| body.store(task, out));
-        }
-    } else {
-        // Tasks are independent by the pattern's contract (one block, one
-        // work item), so the reference executor may buffer each block's
-        // stores and commit them as soon as the block finishes. One set of
-        // buffers serves every block.
-        let mut scratch = TaskScratch::new(&walk);
-        let mut buffer = StoreBuffer::new(walk.out_dim);
-        let mut acc = BlockAccumulator::new(walk.warps as usize, walk.spec.costs);
-        for b in 0..n_blocks {
-            walk.run_block(body, b, &costs, &mut scratch, &mut acc, &mut |task, out| {
+    // Tasks are independent by the pattern's contract (one block, one work
+    // item), so on either executor a block's stores are buffered and
+    // committed once it (or its chunk) has been merged.
+    let mut phase = [Phase {
+        exec,
+        may_fan_out: true,
+    }];
+    launch::run(
+        opts,
+        &mut phase,
+        body,
+        |_| (TaskScratch::new(&walk), StoreBuffer::new(walk.out_dim)),
+        |_, body, (scratch, buffer), b, acc| {
+            walk.run_block(body.shared(), b, &costs, scratch, acc, &mut |task, out| {
                 buffer.push(task, out)
-            });
-            exec.merge_block(b, &acc);
-            acc.reset();
-            walk::check_ceiling(&exec, opts)?;
+            })
+        },
+        |_, body, (_, buffer), exec| {
+            launch::check_ceiling(exec, opts)?;
             buffer.replay(|task, out| body.store(task, out));
             buffer.clear();
-        }
-    }
+            Ok(())
+        },
+    )?;
+    let [Phase { exec, .. }] = phase;
     Ok(exec.finish())
 }
 

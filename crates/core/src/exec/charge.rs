@@ -32,7 +32,7 @@ pub(crate) struct MixMemo {
     params: CostParams,
     // Plain (non-atomic) tallies: cheaper on the hot path than a gate
     // check, drained to obs counters at arena retirement when tracing is
-    // on (`hit_stats` + `reset_stats`).
+    // on (`hit_stats`).
     hits: u64,
     misses: u64,
 }
@@ -68,14 +68,9 @@ impl MixMemo {
         c
     }
 
-    /// Lookup tallies since the last [`reset_stats`](Self::reset_stats).
+    /// Lookup `(hits, misses)` over the memo's lifetime.
     pub fn hit_stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
-    }
-
-    pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
     }
 }
 

@@ -1,25 +1,32 @@
 //! The staged execution pipeline: functional execution of approximated
 //! kernels on the `gpu-sim` substrate.
 //!
-//! The pipeline has three stages, one module each:
+//! The pipeline has four stages, one module each:
 //!
 //! 1. **Dispatch** (this module) — validate the region against the body,
 //!    size the shared-memory AC state, and select the
 //!    [`TechniquePolicy`](policy) for the region's technique. [`resolve`]
 //!    is the shared front half, used both by [`approx_parallel_for_opts`]
 //!    and by the phased [`batch`] API.
-//! 2. **Walk** ([`walk`]) — the single grid walker iterates block →
+//! 2. **Launch** ([`launch`]) — the one block-launch driver under the warp
+//!    walk, the block tasks and the batch. It alone decides whether a
+//!    kernel's blocks stay on the calling thread
+//!    ([`Executor::Sequential`], a nested launch, a body or launch whose
+//!    blocks are not independent) or are chunked over the persistent
+//!    [`ExecEngine`](engine::ExecEngine) worker pool
+//!    ([`Executor::ParallelBlocks`]), and it merges blocks and commits
+//!    stores in ascending block order either way.
+//! 3. **Walk** ([`walk`]) — the single grid walker iterates block →
 //!    grid-stride step → warp, evaluates each warp step as one lane
 //!    *slice*, resolves hierarchy-level votes, and calls the policy's
 //!    hooks; [`taf`], [`iact`], and [`perfo`] each implement the policy
 //!    trait in ~150 lines of pure decision logic. The retired per-lane
 //!    walk survives as the bit-equivalence oracle in [`reference`].
-//! 3. **Accounting** ([`charge`], plus `gpu_sim::BlockAccumulator`) —
-//!    every block accumulates costs, statistics, and stores privately, and
-//!    the results fold back in block order, which is what lets
-//!    [`Executor::ParallelBlocks`] run blocks on the persistent
-//!    [`ExecEngine`](engine::ExecEngine) worker pool with results
-//!    bit-identical to the [`Executor::Sequential`] reference.
+//! 4. **Accounting** ([`charge`], plus `gpu_sim::BlockAccumulator`) —
+//!    every block accumulates costs, statistics, and stores privately and
+//!    the results fold back in block order, which is what makes
+//!    [`Executor::ParallelBlocks`] bit-identical to the
+//!    [`Executor::Sequential`] reference.
 //!
 //! [`approx_parallel_for`] is the analogue of launching an annotated
 //! `#pragma omp target teams distribute parallel for` region;
@@ -33,6 +40,7 @@ pub mod body;
 pub mod charge;
 pub mod engine;
 mod iact;
+mod launch;
 mod perfo;
 mod policy;
 #[cfg(test)]
@@ -61,11 +69,6 @@ pub enum Executor {
     /// its stores and accounting privately and the results fold back in
     /// block order, bit-identical to [`Executor::Sequential`].
     ParallelBlocks,
-    /// Fan out like [`Executor::ParallelBlocks`], but only when the
-    /// launch's modeled work (blocks × warps × steps) is large enough to
-    /// amortize the handoff to the worker pool; tiny launches run inline
-    /// on the calling thread. Results are bit-identical either way.
-    Auto,
 }
 
 impl Executor {
@@ -133,7 +136,7 @@ impl ExecOptions {
 
 /// A region's technique policy, resolved to a concrete implementation.
 /// This is the closed set [`resolve`] dispatches into; the walker is
-/// monomorphized per variant at the call sites.
+/// monomorphized per variant in [`ResolvedPolicy::walk_block`].
 pub(crate) enum ResolvedPolicy {
     Accurate(policy::AccuratePolicy),
     Perfo(perfo::PerfoPolicy),
@@ -152,33 +155,13 @@ pub(crate) struct ResolvedKernel {
     pub shared: usize,
     /// First iterated item (nonzero under ini-perforation).
     pub item_lo: usize,
-}
-
-impl ResolvedKernel {
-    pub(crate) fn execute(
-        &self,
-        spec: &DeviceSpec,
-        body: &mut dyn RegionBody,
-        opts: &ExecOptions,
-    ) -> Result<KernelRecord, RegionError> {
-        match &self.policy {
-            ResolvedPolicy::Accurate(p) => {
-                walk::execute(spec, &self.launch, self.shared, p, body, opts, self.item_lo)
-            }
-            ResolvedPolicy::Perfo(p) => {
-                walk::execute(spec, &self.launch, self.shared, p, body, opts, self.item_lo)
-            }
-            ResolvedPolicy::Taf(p) => {
-                walk::execute(spec, &self.launch, self.shared, p, body, opts, self.item_lo)
-            }
-            ResolvedPolicy::SerializedTaf(p) => {
-                walk::execute(spec, &self.launch, self.shared, p, body, opts, self.item_lo)
-            }
-            ResolvedPolicy::Iact(p) => {
-                walk::execute(spec, &self.launch, self.shared, p, body, opts, self.item_lo)
-            }
-        }
-    }
+    /// Whether every block still iterates the items the declared launch
+    /// gave it. Perforation re-partitions a [`Schedule::BlockLocal`] launch
+    /// (the effective launch is always grid-stride, over a shrunken range
+    /// under ini/fini), so the blocks of a body that declared them private
+    /// — Leukocyte's one cell per block — write into each other's
+    /// partitions; such a launch stays on the calling thread.
+    pub partition_kept: bool,
 }
 
 /// The dispatch stage: validate the region against the body, size the
@@ -197,6 +180,7 @@ pub(crate) fn resolve(
             launch: *launch,
             shared: 0,
             item_lo: 0,
+            partition_kept: true,
         });
     };
     region.validate()?;
@@ -241,6 +225,7 @@ pub(crate) fn resolve(
                 launch: eff,
                 shared,
                 item_lo: lo,
+                partition_kept: launch.schedule != Schedule::BlockLocal,
             })
         }
         Technique::Taf(params) => {
@@ -257,6 +242,7 @@ pub(crate) fn resolve(
                 launch: *launch,
                 shared,
                 item_lo: 0,
+                partition_kept: true,
             })
         }
         Technique::Iact(params) => {
@@ -273,6 +259,7 @@ pub(crate) fn resolve(
                 launch: *launch,
                 shared,
                 item_lo: 0,
+                partition_kept: true,
             })
         }
     }
@@ -298,5 +285,6 @@ pub fn approx_parallel_for_opts(
     body: &mut dyn RegionBody,
     opts: &ExecOptions,
 ) -> Result<KernelRecord, RegionError> {
-    resolve(spec, launch, region, body, opts.serialized_taf)?.execute(spec, body, opts)
+    let kernel = resolve(spec, launch, region, body, opts.serialized_taf)?;
+    walk::execute(spec, &kernel, body, opts)
 }

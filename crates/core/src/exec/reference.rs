@@ -928,32 +928,5 @@ mod tests {
                 }
             }
         }
-
-        /// `Executor::Auto` lands on one of the two proven-identical paths,
-        /// so it too must match the oracle — both below and above the
-        /// fan-out threshold.
-        #[test]
-        fn auto_executor_matches_per_lane_oracle(
-            n in 1usize..4000,
-            blocks in 1u32..17,
-            bs_idx in 0usize..5,
-            level_idx in 0usize..3,
-            seed in 1u64..1_000_000,
-        ) {
-            for lc in launches(n, bs_idx, blocks) {
-                for (region, serialized) in regions(level_idx, 4, 0.6) {
-                    assert_matches_oracle(
-                        &lc,
-                        region.as_ref(),
-                        serialized,
-                        n,
-                        seed,
-                        StoreVisibility::Independent,
-                        Executor::Auto,
-                        Some(4),
-                    )?;
-                }
-            }
-        }
     }
 }

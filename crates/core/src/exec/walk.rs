@@ -12,20 +12,20 @@
 //! re-collecting and re-voting every warp (the old walk did both twice).
 //!
 //! Because a block touches only its own technique state, its own store
-//! buffer, and its own accumulator, [`execute`] can run blocks sequentially
-//! (the reference executor) or fan them out over the persistent
-//! [`engine`](crate::exec::engine) worker pool
-//! ([`Executor::ParallelBlocks`]) with bit-identical results. The
-//! per-lane walk this replaced is preserved verbatim as the test oracle in
-//! [`reference`](crate::exec::reference).
+//! buffer, and its own accumulator, the [`launch`] driver can run
+//! [`execute`]'s blocks in order on the caller (the reference executor) or
+//! fan them out over the persistent [`engine`](crate::exec::engine) worker
+//! pool ([`Executor::ParallelBlocks`](crate::exec::Executor::ParallelBlocks))
+//! with bit-identical results. The per-lane walk this replaced is preserved
+//! verbatim as the test oracle in [`reference`](crate::exec::reference).
 
 use crate::exec::body::{
     BodyAccess, BufferedAccess, InlineAccess, RegionBody, SharedAccess, StoreVisibility,
 };
 use crate::exec::charge::{MixMemo, StoreBuffer};
-use crate::exec::engine::engine;
+use crate::exec::launch::{self, Lent, Phase};
 use crate::exec::policy::{TechniquePolicy, WarpCtx};
-use crate::exec::{ExecOptions, Executor};
+use crate::exec::{ExecOptions, ResolvedKernel, ResolvedPolicy};
 use crate::hierarchy::{self, HierarchyLevel};
 use crate::region::RegionError;
 use gpu_sim::{BlockAccumulator, DeviceSpec, KernelExec, KernelRecord, LaunchConfig, Schedule};
@@ -204,183 +204,95 @@ pub(crate) fn walk_block<P, A>(
     acc.note_margin(&policy.margin(&st));
 }
 
-/// How many chunks `chunk_ranges` aims for per worker: oversplitting lets
-/// the engine's atomic claim cursor rebalance unbalanced launches (blocks
-/// whose work varies) instead of pinning one fixed range per worker.
-const CHUNKS_PER_WORKER: usize = 4;
-
-/// Split `n` blocks into contiguous index ranges for the engine — about
-/// [`CHUNKS_PER_WORKER`] per worker, each at least one block.
-pub(crate) fn chunk_ranges(n: u32, threads: usize) -> Vec<(u32, u32)> {
-    let chunk = (n as usize)
-        .div_ceil(threads.max(1) * CHUNKS_PER_WORKER)
-        .max(1) as u32;
-    (0..n)
-        .step_by(chunk as usize)
-        .map(|lo| (lo, (lo + chunk).min(n)))
-        .collect()
-}
-
-/// Modeled warp-steps below which [`Executor::Auto`] keeps the walk on the
-/// calling thread: a handful of steps cannot amortize the handoff to the
-/// worker pool (task dispatch, per-chunk arenas, store buffering).
-pub(crate) const AUTO_FANOUT_MIN_WARP_STEPS: usize = 4096;
-
-fn should_fan_out(geom: &Geom, opts: &ExecOptions, width: usize) -> bool {
-    let wants = match opts.executor {
-        Executor::Sequential => false,
-        Executor::ParallelBlocks => true,
-        Executor::Auto => {
-            geom.n_blocks as usize * geom.warps_per_block as usize * geom.steps
-                >= AUTO_FANOUT_MIN_WARP_STEPS
-        }
-    };
-    let fan = wants && width > 1 && geom.n_blocks > 1 && !engine().is_nested();
-    if hpac_obs::enabled() && matches!(opts.executor, Executor::Auto) {
-        hpac_obs::inc(if fan {
-            hpac_obs::CounterId::AutoFanOut
-        } else {
-            hpac_obs::CounterId::AutoInline
-        });
-    }
-    fan
-}
-
-/// Drain an arena's memo tallies into the calling worker's obs counters.
-/// Called where an arena retires (end of chunk task / sequential walk), so
-/// the per-lookup hot path stays a plain integer increment.
-pub(crate) fn flush_memo_stats(arena: &mut WalkArena) {
-    if hpac_obs::enabled() {
-        let (h, m) = arena.memo.hit_stats();
-        hpac_obs::add(hpac_obs::CounterId::MixMemoHits, h);
-        hpac_obs::add(hpac_obs::CounterId::MixMemoMisses, m);
-        arena.memo.reset_stats();
-    }
-}
-
-/// Frontier-aware early abort: with a ceiling set, fail once the modeled
-/// time already spent — prior kernels finished on this thread plus a lower
-/// bound on the in-flight kernel's merged work — provably exceeds it.
-/// Checked at block boundaries so the bit-identical accounting of completed
-/// blocks is untouched; when no abort fires the run is indistinguishable
-/// from an unbounded one.
-pub(crate) fn check_ceiling(exec: &KernelExec, opts: &ExecOptions) -> Result<(), RegionError> {
-    if let Some(ceiling) = opts.abort_above_seconds {
-        if gpu_sim::modeled_seconds() + exec.lower_bound_seconds() > ceiling {
-            return Err(RegionError::CostCeiling(ceiling));
+impl Drop for WalkArena {
+    /// An arena retires where its task ends; its memo tallies drain into
+    /// the retiring thread's obs counters there, so the per-lookup hot path
+    /// stays a plain integer increment.
+    fn drop(&mut self) {
+        if hpac_obs::enabled() {
+            let (h, m) = self.memo.hit_stats();
+            hpac_obs::add(hpac_obs::CounterId::MixMemoHits, h);
+            hpac_obs::add(hpac_obs::CounterId::MixMemoMisses, m);
         }
     }
-    Ok(())
 }
 
-/// Run every block of the launch through `policy` and fold the results into
-/// a [`KernelRecord`], on the executor `opts` selects.
-pub(crate) fn execute<P: TechniquePolicy + ?Sized>(
+impl ResolvedPolicy {
+    /// [`walk_block`], monomorphized per technique.
+    pub(crate) fn walk_block<A: BodyAccess>(
+        &self,
+        geom: &Geom,
+        access: &mut A,
+        block: u32,
+        arena: &mut WalkArena,
+        acc: &mut BlockAccumulator,
+    ) {
+        match self {
+            ResolvedPolicy::Accurate(p) => walk_block(geom, p, access, block, arena, acc),
+            ResolvedPolicy::Perfo(p) => walk_block(geom, p, access, block, arena, acc),
+            ResolvedPolicy::Taf(p) => walk_block(geom, p, access, block, arena, acc),
+            ResolvedPolicy::SerializedTaf(p) => walk_block(geom, p, access, block, arena, acc),
+            ResolvedPolicy::Iact(p) => walk_block(geom, p, access, block, arena, acc),
+        }
+    }
+}
+
+/// Run every block of the resolved launch and fold the results into a
+/// [`KernelRecord`], on the executor `opts` selects.
+pub(crate) fn execute(
     spec: &DeviceSpec,
-    launch: &LaunchConfig,
-    shared: usize,
-    policy: &P,
+    kernel: &ResolvedKernel,
     body: &mut dyn RegionBody,
     opts: &ExecOptions,
-    item_lo: usize,
 ) -> Result<KernelRecord, RegionError> {
-    let mut exec = KernelExec::new(spec, launch, shared)?;
-    let geom = Geom::new(spec, launch, item_lo);
-
-    // Launches submitted from inside an engine task (a config-level sweep
-    // worker) run inline — the engine's depth guard would serialize them
-    // anyway, and skipping the fan-out avoids pointless store buffering.
-    let width = engine().width_for(opts);
-    let parallel = should_fan_out(&geom, opts, width);
-    let wpb = geom.warps_per_block as usize;
+    let exec = KernelExec::new(spec, &kernel.launch, kernel.shared)?;
+    let geom = Geom::new(spec, &kernel.launch, kernel.item_lo);
     let _walk = hpac_obs::span(
         hpac_obs::SpanId::KernelWalk,
         geom.n_blocks as u64,
-        (geom.n_blocks as usize * wpb * geom.steps) as u64,
+        (geom.n_blocks as usize * geom.warps_per_block as usize * geom.steps) as u64,
     );
 
-    match (parallel, body.store_visibility()) {
-        (true, StoreVisibility::Independent) => {
-            // Fan blocks out in contiguous chunks; results come back in
-            // chunk order, so the fold below visits blocks in ascending
-            // index order no matter which worker finished first. Each chunk
-            // task reuses one arena and one store buffer across its blocks
-            // (per-block accumulators must stay separate: the timing model
-            // wants per-block cycles).
-            let ranges = chunk_ranges(geom.n_blocks, width);
-            hpac_obs::add(hpac_obs::CounterId::WalkChunks, ranges.len() as u64);
-            let shared_body: &dyn RegionBody = body;
-            let per_chunk: Vec<(Vec<BlockAccumulator>, StoreBuffer)> =
-                engine().run(ranges.len(), width, |k| {
-                    let (lo, hi) = ranges[k];
-                    let mut arena = WalkArena::new(&geom);
-                    let mut stores = StoreBuffer::new(shared_body.out_dim());
-                    let accs = (lo..hi)
-                        .map(|b| {
-                            let mut acc = BlockAccumulator::new(wpb, geom.spec.costs);
-                            let mut access = BufferedAccess::new(shared_body, &mut stores);
-                            walk_block(&geom, policy, &mut access, b, &mut arena, &mut acc);
-                            acc
-                        })
-                        .collect();
-                    flush_memo_stats(&mut arena);
-                    (accs, stores)
-                });
-            let mut b = 0u32;
-            for (accs, stores) in &per_chunk {
-                for acc in accs {
-                    exec.merge_block(b, acc);
-                    b += 1;
+    // How a fanned-out block reaches the body. Independent bodies buffer
+    // each task's stores (replayed below in block order, so the global
+    // store order matches the sequential walk); BlockPrivate bodies own
+    // disjoint partitions of their shared state, so stores commit inline
+    // from each block's worker and the block's own later reads (Jacobi
+    // sweeps) observe them immediately; Global bodies never leave the
+    // caller. On the caller every body commits inline through `&mut`.
+    let visibility = body.store_visibility();
+    let out_dim = body.out_dim();
+    let mut phase = [Phase {
+        exec,
+        may_fan_out: kernel.partition_kept && visibility != StoreVisibility::Global,
+    }];
+    launch::run(
+        opts,
+        &mut phase,
+        body,
+        |_| (WalkArena::new(&geom), StoreBuffer::new(out_dim)),
+        |_, body, (arena, stores), b, acc| {
+            let policy = &kernel.policy;
+            match body {
+                Lent::Caller(body) => {
+                    policy.walk_block(&geom, &mut InlineAccess { body }, b, arena, acc)
                 }
-                check_ceiling(&exec, opts)?;
-                // Chunks replay in chunk (= block) order, and each chunk's
-                // buffer recorded its blocks' stores in walk order, so the
-                // global store order matches the sequential walk.
-                stores.replay(|item, out| body.store(item, out));
+                Lent::Task(body) if visibility == StoreVisibility::Independent => {
+                    let mut access = BufferedAccess::new(body, stores);
+                    policy.walk_block(&geom, &mut access, b, arena, acc)
+                }
+                Lent::Task(body) => {
+                    policy.walk_block(&geom, &mut SharedAccess { body }, b, arena, acc)
+                }
             }
-        }
-        (true, StoreVisibility::BlockPrivate) => {
-            // Blocks own disjoint partitions of the body's shared state, so
-            // stores commit inline from each block's worker and the block's
-            // own later reads (Jacobi sweeps) observe them immediately.
-            let ranges = chunk_ranges(geom.n_blocks, width);
-            hpac_obs::add(hpac_obs::CounterId::WalkChunks, ranges.len() as u64);
-            let shared_body: &dyn RegionBody = body;
-            let per_chunk: Vec<Vec<BlockAccumulator>> = engine().run(ranges.len(), width, |k| {
-                let (lo, hi) = ranges[k];
-                let mut arena = WalkArena::new(&geom);
-                let accs = (lo..hi)
-                    .map(|b| {
-                        let mut acc = BlockAccumulator::new(wpb, geom.spec.costs);
-                        let mut access = SharedAccess { body: shared_body };
-                        walk_block(&geom, policy, &mut access, b, &mut arena, &mut acc);
-                        acc
-                    })
-                    .collect::<Vec<_>>();
-                flush_memo_stats(&mut arena);
-                accs
-            });
-            for (b, acc) in per_chunk.iter().flatten().enumerate() {
-                exec.merge_block(b as u32, acc);
-                check_ceiling(&exec, opts)?;
-            }
-        }
-        // Sequential reference, or a Global-visibility body that must stay
-        // on it: blocks walked one after another, stores committed inline,
-        // one arena and one accumulator reused for the whole launch.
-        _ => {
-            let mut arena = WalkArena::new(&geom);
-            let mut acc = BlockAccumulator::new(wpb, geom.spec.costs);
-            for b in 0..geom.n_blocks {
-                let mut access = InlineAccess { body: &mut *body };
-                walk_block(&geom, policy, &mut access, b, &mut arena, &mut acc);
-                exec.merge_block(b, &acc);
-                acc.reset();
-                check_ceiling(&exec, opts)?;
-            }
-            flush_memo_stats(&mut arena);
-        }
-    }
+        },
+        |_, body, (_, stores), exec| {
+            launch::check_ceiling(exec, opts)?;
+            stores.replay(|item, out| body.store(item, out));
+            Ok(())
+        },
+    )?;
+    let [Phase { exec, .. }] = phase;
     Ok(exec.finish())
 }
 
@@ -426,21 +338,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn chunk_ranges_cover_and_oversplit() {
-        for (n, threads) in [(1u32, 4), (7, 2), (64, 4), (237, 8), (3, 16)] {
-            let ranges = chunk_ranges(n, threads);
-            let mut next = 0u32;
-            for &(lo, hi) in &ranges {
-                assert_eq!(lo, next);
-                assert!(hi > lo);
-                next = hi;
-            }
-            assert_eq!(next, n);
-            assert!(ranges.len() <= (threads * CHUNKS_PER_WORKER).max(1));
         }
     }
 }

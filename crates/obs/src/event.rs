@@ -149,10 +149,6 @@ pub enum CounterId {
     SkippedLanes,
     /// Modeled global memory transactions.
     GlobalTxns,
-    /// `Executor::Auto` decisions that fanned out to the pool.
-    AutoFanOut,
-    /// `Executor::Auto` decisions that stayed sequential.
-    AutoInline,
     /// Chunks produced by oversplitting parallel block walks.
     WalkChunks,
     /// `MixMemo` lane-mix cost lookups served from cache.
@@ -208,7 +204,7 @@ pub enum CounterId {
     ConfigsThresholdCovered,
 }
 
-pub const N_COUNTERS: usize = 41;
+pub const N_COUNTERS: usize = 39;
 
 impl CounterId {
     pub const ALL: [CounterId; N_COUNTERS] = [
@@ -225,8 +221,6 @@ impl CounterId {
         CounterId::AccurateLanes,
         CounterId::SkippedLanes,
         CounterId::GlobalTxns,
-        CounterId::AutoFanOut,
-        CounterId::AutoInline,
         CounterId::WalkChunks,
         CounterId::MixMemoHits,
         CounterId::MixMemoMisses,
@@ -270,8 +264,6 @@ impl CounterId {
             CounterId::AccurateLanes => "accurate_lanes",
             CounterId::SkippedLanes => "skipped_lanes",
             CounterId::GlobalTxns => "global_txns",
-            CounterId::AutoFanOut => "auto_fan_out",
-            CounterId::AutoInline => "auto_inline",
             CounterId::WalkChunks => "walk_chunks",
             CounterId::MixMemoHits => "mix_memo_hits",
             CounterId::MixMemoMisses => "mix_memo_misses",

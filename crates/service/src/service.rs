@@ -192,7 +192,7 @@ impl TuningService {
         self
     }
 
-    /// Replace the tuner policy (strategy, scale, default budget).
+    /// Replace the tuner policy (scale, default budget).
     pub fn with_tuner(mut self, tuner: Tuner) -> Self {
         self.tuner = tuner;
         self
@@ -381,7 +381,6 @@ impl TuningService {
     /// budget override.
     fn request_tuner(&self, req: &TuneRequest) -> Tuner {
         Tuner {
-            strategy: self.tuner.strategy.clone(),
             scale: self.tuner.scale,
             budget_fraction: req
                 .budget_fraction_override()

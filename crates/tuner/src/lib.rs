@@ -20,9 +20,9 @@
 //!   with dominance pruning: the whole tradeoff curve, not one point;
 //! * [`grid`] — indexable per-technique grids over the harness's exposed
 //!   Table 2 axes;
-//! * [`search`] — adaptive strategies (coordinate descent, successive
-//!   halving over grid resolution, random baseline) that evaluate orders
-//!   of magnitude fewer configurations than `Scale::Full`, in parallel;
+//! * [`search`] — coordinate descent with random restarts, evaluating
+//!   orders of magnitude fewer configurations than `Scale::Full`, in
+//!   parallel;
 //! * [`plan`] — [`QualityBound`] in, re-executable [`TunedPlan`] out;
 //! * [`cache`] — the sharded, lock-striped, atomic-write-replace JSON
 //!   tuning cache keyed by (benchmark, device, bound), invalidated by
@@ -42,5 +42,4 @@ pub use cache::{device_fingerprint, TuningCache};
 pub use grid::Grid;
 pub use pareto::{ParetoFrontier, ParetoPoint};
 pub use plan::{ExecutionReport, QualityBound, TunedPlan};
-pub use search::SearchStrategy;
 pub use tuner::Tuner;

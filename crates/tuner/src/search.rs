@@ -1,20 +1,12 @@
-//! Adaptive search strategies over the technique grids.
+//! Adaptive search over the technique grids.
 //!
 //! `Scale::Full` sweeps evaluate every point of the Table 2 product (the
-//! paper ran 57k+ configurations). The strategies here walk the same grids
-//! while evaluating orders of magnitude fewer points:
-//!
-//! * [`SearchStrategy::Random`] — uniform sampling; the baseline every
-//!   adaptive method must beat.
-//! * [`SearchStrategy::CoordinateDescent`] — axis-wise hill climbing from
-//!   the grid midpoint with random restarts. The paper's axes are
-//!   individually monotone-ish (thresholds trade error for speed, psize
-//!   trades error for speed), which is exactly when coordinate descent
-//!   shines.
-//! * [`SearchStrategy::SuccessiveHalving`] — halving over *grid
-//!   resolution*: a coarse lattice is sampled, survivors seed a finer
-//!   lattice around themselves, and the stride halves each rung until the
-//!   native grid resolution is reached.
+//! paper ran 57k+ configurations). [`search_grid`] walks the same grids
+//! while evaluating orders of magnitude fewer points, by coordinate
+//! descent: axis-wise hill climbing from the grid midpoint with random
+//! restarts. The paper's axes are individually monotone-ish (thresholds
+//! trade error for speed, psize trades error for speed), which is exactly
+//! when coordinate descent shines.
 //!
 //! Every evaluated point feeds the shared [`ParetoFrontier`], so the tuner
 //! keeps the whole tradeoff curve, not just the bound-feasible winner.
@@ -30,29 +22,6 @@ use hpac_harness::space::SweepConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-
-/// How the tuner walks a technique grid.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SearchStrategy {
-    /// Uniform random sampling of `samples` configurations per grid.
-    Random { samples: usize },
-    /// Axis-wise hill climbing: `restarts` starting points, each swept
-    /// axis-by-axis until a full sweep makes no move (at most `max_sweeps`).
-    CoordinateDescent { max_sweeps: usize, restarts: usize },
-    /// Coarse-to-fine lattice refinement: `population` random points on a
-    /// coarse lattice; each rung keeps the better half and halves the
-    /// lattice stride, for at most `rungs` rungs.
-    SuccessiveHalving { population: usize, rungs: usize },
-}
-
-impl Default for SearchStrategy {
-    fn default() -> Self {
-        SearchStrategy::CoordinateDescent {
-            max_sweeps: 4,
-            restarts: 2,
-        }
-    }
-}
 
 /// One evaluated configuration, kept so a frontier point can be turned back
 /// into an executable plan.
@@ -251,54 +220,33 @@ fn random_index(grid: &Grid, rng: &mut StdRng) -> Vec<usize> {
         .collect()
 }
 
-/// Walk one grid with the given strategy, feeding the evaluator's frontier.
-pub fn search_grid(
-    grid: &Grid,
-    ev: &mut Evaluator<'_>,
-    strategy: &SearchStrategy,
-    bound_pct: f64,
-    seed: u64,
-) {
+/// Full axis sweeps one descent makes before it gives up on converging.
+const MAX_SWEEPS: usize = 4;
+/// Descents per grid: one from the midpoint, the rest from random points.
+const RESTARTS: usize = 2;
+
+/// Walk one grid by coordinate descent — [`RESTARTS`] starting points, each
+/// swept axis by axis until a full sweep makes no move (at most
+/// [`MAX_SWEEPS`]) — feeding the evaluator's frontier.
+pub fn search_grid(grid: &Grid, ev: &mut Evaluator<'_>, bound_pct: f64, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
-    match *strategy {
-        SearchStrategy::Random { samples } => {
-            let configs: Vec<SweepConfig> = (0..samples.min(grid.size()))
-                .map(|_| grid.build(&random_index(grid, &mut rng)))
-                .collect();
-            ev.eval_batch(&configs);
+    for restart in 0..RESTARTS {
+        if ev.remaining() == 0 {
+            return;
         }
-        SearchStrategy::CoordinateDescent {
-            max_sweeps,
-            restarts,
-        } => {
-            for restart in 0..restarts.max(1) {
-                if ev.remaining() == 0 {
-                    return;
-                }
-                let start = if restart == 0 {
-                    (0..grid.axis_count())
-                        .map(|a| grid.axis_len(a) / 2)
-                        .collect()
-                } else {
-                    random_index(grid, &mut rng)
-                };
-                coordinate_descent(grid, ev, bound_pct, start, max_sweeps);
-            }
-        }
-        SearchStrategy::SuccessiveHalving { population, rungs } => {
-            successive_halving(grid, ev, bound_pct, population, rungs, &mut rng);
-        }
+        let start = if restart == 0 {
+            (0..grid.axis_count())
+                .map(|a| grid.axis_len(a) / 2)
+                .collect()
+        } else {
+            random_index(grid, &mut rng)
+        };
+        coordinate_descent(grid, ev, bound_pct, start);
     }
 }
 
-fn coordinate_descent(
-    grid: &Grid,
-    ev: &mut Evaluator<'_>,
-    bound_pct: f64,
-    mut idx: Vec<usize>,
-    max_sweeps: usize,
-) {
-    for _sweep in 0..max_sweeps {
+fn coordinate_descent(grid: &Grid, ev: &mut Evaluator<'_>, bound_pct: f64, mut idx: Vec<usize>) {
+    for _sweep in 0..MAX_SWEEPS {
         let mut moved = false;
         for axis in 0..grid.axis_count() {
             if ev.remaining() == 0 {
@@ -336,82 +284,6 @@ fn coordinate_descent(
     }
 }
 
-fn successive_halving(
-    grid: &Grid,
-    ev: &mut Evaluator<'_>,
-    bound_pct: f64,
-    population: usize,
-    rungs: usize,
-    rng: &mut StdRng,
-) {
-    // Initial lattice stride: a quarter of each axis (≥ 1).
-    let mut strides: Vec<usize> = (0..grid.axis_count())
-        .map(|a| (grid.axis_len(a) / 4).max(1))
-        .collect();
-    let snap = |idx: &mut [usize], strides: &[usize], grid: &Grid| {
-        for (a, v) in idx.iter_mut().enumerate() {
-            *v = (*v / strides[a]) * strides[a];
-            *v = (*v).min(grid.axis_len(a) - 1);
-        }
-    };
-    let mut pool: Vec<Vec<usize>> = (0..population.max(2))
-        .map(|_| {
-            let mut idx = random_index(grid, rng);
-            snap(&mut idx, &strides, grid);
-            idx
-        })
-        .collect();
-    let mut keep = population.max(2);
-    for _rung in 0..rungs.max(1) {
-        if ev.remaining() == 0 || pool.is_empty() {
-            return;
-        }
-        pool.sort();
-        pool.dedup();
-        let configs: Vec<SweepConfig> = pool.iter().map(|idx| grid.build(idx)).collect();
-        let outcomes = ev.eval_batch(&configs);
-        let mut ranked: Vec<(usize, &Evaluated)> = outcomes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, o)| o.as_ref().map(|e| (i, e)))
-            .collect();
-        ranked.sort_by(|a, b| {
-            if better(a.1, b.1, bound_pct) {
-                std::cmp::Ordering::Less
-            } else if better(b.1, a.1, bound_pct) {
-                std::cmp::Ordering::Greater
-            } else {
-                std::cmp::Ordering::Equal
-            }
-        });
-        keep = (keep / 2).max(1);
-        let survivors: Vec<Vec<usize>> = ranked
-            .iter()
-            .take(keep)
-            .map(|(i, _)| pool[*i].clone())
-            .collect();
-        // Refine: halve the stride and surround each survivor with its
-        // single-axis neighbors on the finer lattice.
-        let mut next = survivors.clone();
-        for s in strides.iter_mut() {
-            *s = (*s / 2).max(1);
-        }
-        for idx in &survivors {
-            for axis in 0..grid.axis_count() {
-                for dir in [-1isize, 1] {
-                    let v = idx[axis] as isize + dir * strides[axis] as isize;
-                    if v >= 0 && (v as usize) < grid.axis_len(axis) {
-                        let mut n = idx.clone();
-                        n[axis] = v as usize;
-                        next.push(n);
-                    }
-                }
-            }
-        }
-        pool = next;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,55 +300,24 @@ mod tests {
         }
     }
 
-    fn run_strategy_on(
-        bench: &dyn Benchmark,
-        strategy: SearchStrategy,
-        budget: usize,
-    ) -> (usize, ParetoFrontier) {
-        let spec = DeviceSpec::v100();
-        let baseline = select_baseline(bench, &spec);
-        let mut ev = Evaluator::new(bench, &spec, &baseline, budget);
-        for (i, grid) in Grid::grids_for(bench, &spec, Scale::Quick)
-            .iter()
-            .enumerate()
-        {
-            search_grid(grid, &mut ev, &strategy, 5.0, 42 + i as u64);
-        }
-        (ev.evaluations, ev.frontier)
-    }
-
-    #[test]
-    fn random_respects_budget_and_finds_points() {
-        let (evals, frontier) =
-            run_strategy_on(&tiny_bs(), SearchStrategy::Random { samples: 30 }, 50);
-        assert!(evals <= 50, "budget violated: {evals}");
-        assert!(!frontier.is_empty());
-    }
-
     #[test]
     fn coordinate_descent_finds_feasible_speedup() {
         // Default-size Blackscholes: a >1x point under 5% error exists (the
         // quick sweep tops out near 2x at 0% error).
-        let (evals, frontier) =
-            run_strategy_on(&Blackscholes::default(), SearchStrategy::default(), 400);
-        assert!(evals <= 400);
-        let best = frontier.best_under(5.0).expect("feasible point exists");
+        let bench = Blackscholes::default();
+        let spec = DeviceSpec::v100();
+        let baseline = select_baseline(&bench, &spec);
+        let mut ev = Evaluator::new(&bench, &spec, &baseline, 400);
+        for (i, grid) in Grid::grids_for(&bench, &spec, Scale::Quick)
+            .iter()
+            .enumerate()
+        {
+            search_grid(grid, &mut ev, 5.0, 42 + i as u64);
+        }
+        assert!(ev.evaluations <= 400);
+        let best = ev.frontier.best_under(5.0).expect("feasible point exists");
         assert!(best.error_pct <= 5.0);
         assert!(best.speedup > 1.0, "speedup {}", best.speedup);
-    }
-
-    #[test]
-    fn successive_halving_runs_within_budget() {
-        let (evals, frontier) = run_strategy_on(
-            &tiny_bs(),
-            SearchStrategy::SuccessiveHalving {
-                population: 8,
-                rungs: 3,
-            },
-            200,
-        );
-        assert!(evals <= 200);
-        assert!(!frontier.is_empty());
     }
 
     #[test]

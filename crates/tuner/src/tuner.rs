@@ -1,6 +1,6 @@
 //! The tuner core: adaptive search and plan selection.
 //!
-//! [`Tuner`] holds the search policy (strategy, grid scale, budget) and
+//! [`Tuner`] holds the search policy (grid scale, budget) and
 //! exposes one entry point, [`Tuner::search_plan`], which answers "fastest
 //! configuration for this benchmark on this device with at most X% error" —
 //! optionally warm-started from seed configurations (typically a cached
@@ -9,7 +9,7 @@
 
 use crate::grid::Grid;
 use crate::plan::{QualityBound, TunedPlan};
-use crate::search::{search_grid, Evaluator, SearchStrategy};
+use crate::search::{search_grid, Evaluator};
 use gpu_sim::DeviceSpec;
 use hpac_apps::common::Benchmark;
 use hpac_harness::runner::{select_baseline, Baseline};
@@ -18,8 +18,6 @@ use hpac_harness::space::{self, Scale, SweepConfig};
 /// The quality-constrained autotuner.
 #[derive(Debug)]
 pub struct Tuner {
-    /// How each technique grid is walked.
-    pub strategy: SearchStrategy,
     /// Grid resolution to search. `Scale::Full` (the default) searches the
     /// paper's native Table 2 axes; `Scale::Quick` searches the pruned CI
     /// grids.
@@ -32,7 +30,6 @@ pub struct Tuner {
 impl Default for Tuner {
     fn default() -> Self {
         Tuner {
-            strategy: SearchStrategy::default(),
             scale: Scale::Full,
             budget_fraction: 0.1,
         }
@@ -42,12 +39,6 @@ impl Default for Tuner {
 impl Tuner {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Override the search strategy.
-    pub fn with_strategy(mut self, strategy: SearchStrategy) -> Self {
-        self.strategy = strategy;
-        self
     }
 
     /// Override the searched grid resolution.
@@ -93,8 +84,7 @@ impl Tuner {
         let _memo_scope = hpac_apps::common::install_eval_memo();
         let baseline = select_baseline(bench, device);
         let full_space = space::full_space_size(bench, device);
-        let budget = ((full_space as f64 * self.budget_fraction) as usize).max(1);
-        let mut ev = Evaluator::new(bench, device, &baseline, budget);
+        let mut ev = Evaluator::new(bench, device, &baseline, self.budget(bench, device));
 
         if !seeds.is_empty() {
             ev.eval_batch(seeds);
@@ -121,7 +111,6 @@ impl Tuner {
             search_grid(
                 grid,
                 &mut ev,
-                &self.strategy,
                 bound.max_error_pct,
                 seed.wrapping_add(i as u64),
             );

@@ -8,12 +8,15 @@
 //! it is an implementation detail of the walk, never a semantic change.
 
 use gpu_sim::{AccessPattern, CostProfile, DeviceSpec, KernelRecord, LaunchConfig};
+use hpac_offload::apps::common::{Benchmark, QoI};
+use hpac_offload::apps::leukocyte::Leukocyte;
 use hpac_offload::core::exec::{
     approx_block_tasks_opts, approx_parallel_for_opts, engine, BlockTaskBody, ExecOptions,
     Executor, RegionBody,
 };
 use hpac_offload::core::params::PerfoKind;
 use hpac_offload::core::{ApproxRegion, HierarchyLevel};
+use hpac_offload::harness::space::{self, Scale};
 use proptest::prelude::*;
 
 /// A deterministic region body whose input stream mixes plateaus (so TAF
@@ -236,6 +239,63 @@ proptest! {
                 }
                 _ => prop_assert!(false, "acceptance diverged for config {}", k),
             }
+        }
+    }
+}
+
+/// Leukocyte declares one cell per block (`BlockLocal`, `BlockPrivate`
+/// stores re-read by the block's own Jacobi sweeps). Perforation turns the
+/// launch into a grid-stride one — over a shrunken range under ini/fini —
+/// so blocks write into each other's cells, and blocks fanned out over
+/// workers raced (37 to 1431 of 2700 launches differed at this size before
+/// the launch driver pinned re-partitioned `BlockLocal` launches to the
+/// calling thread). A stress test, not a proof: it needs release speed and
+/// two cores to have shown the race at all.
+#[test]
+fn leukocyte_perfo_parallel_blocks_equal_sequential() {
+    let bench = Leukocyte {
+        n_cells: 4,
+        grid: 16,
+        iterations: 12,
+        ..Leukocyte::default()
+    };
+    let spec = DeviceSpec::v100();
+    let seq_opts = ExecOptions {
+        executor: Executor::Sequential,
+        ..ExecOptions::default()
+    };
+    let par_opts = ExecOptions {
+        executor: Executor::ParallelBlocks,
+        threads: Some(4),
+        ..ExecOptions::default()
+    };
+    let qoi_bits = |qoi: &QoI| -> Vec<u64> {
+        let QoI::Values(v) = qoi else {
+            panic!("Leukocyte reports centroid coordinates")
+        };
+        v.iter().map(|x| x.to_bits()).collect()
+    };
+    for cfg in space::perfo_configs(&bench, &spec, Scale::Quick) {
+        let seq = bench
+            .run_opts(&spec, Some(&cfg.region), &cfg.lp, &seq_opts)
+            .unwrap();
+        for launch in 0..100 {
+            let par = bench
+                .run_opts(&spec, Some(&cfg.region), &cfg.lp, &par_opts)
+                .unwrap();
+            assert_eq!(
+                qoi_bits(&par.qoi),
+                qoi_bits(&seq.qoi),
+                "{} launch {launch}: QoI",
+                cfg.label
+            );
+            assert_eq!(
+                par.kernel_seconds.to_bits(),
+                seq.kernel_seconds.to_bits(),
+                "{} launch {launch}: kernel seconds",
+                cfg.label
+            );
+            assert_eq!(par.stats, seq.stats, "{} launch {launch}: stats", cfg.label);
         }
     }
 }

@@ -239,7 +239,7 @@ proptest! {
     fn sweep_scoped_memo_is_bit_identical(
         tech in 0usize..3,
         ipt_idx in 0usize..3,
-        exec_idx in 0usize..3,
+        exec_idx in 0usize..2,
         threads_idx in 0usize..2,
     ) {
         use hpac_offload::apps::blackscholes::Blackscholes;
@@ -256,7 +256,7 @@ proptest! {
             1 => ApproxRegion::memo_in(4, 0.5),
             _ => ApproxRegion::perfo(PerfoKind::Small { m: 2 }),
         };
-        let executor = [Executor::Sequential, Executor::ParallelBlocks, Executor::Auto][exec_idx];
+        let executor = [Executor::Sequential, Executor::ParallelBlocks][exec_idx];
         let threads = [None, Some(2usize)][threads_idx];
         let opts = ExecOptions { executor, threads, ..ExecOptions::default() };
         let cfg = SweepConfig {
@@ -296,16 +296,27 @@ proptest! {
         use hpac_offload::core::exec::ExecOptions;
         use hpac_offload::harness::runner::{run_config_bounded, select_baseline};
         use hpac_offload::harness::Scale;
-        use hpac_offload::tuner::search::{search_grid, Evaluator, SearchStrategy};
+        use hpac_offload::tuner::search::Evaluator;
         use hpac_offload::tuner::{Grid, ParetoPoint};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
 
         let bench = Blackscholes { n_options: 2048, distinct: 16, run_len: 16, seed: 1 };
         let spec = DeviceSpec::v100();
         let baseline = select_baseline(&bench, &spec);
         let mut ev = Evaluator::new(&bench, &spec, &baseline, 60);
-        let strategy = SearchStrategy::Random { samples: 20 };
+        // 20 uniformly sampled points per grid, one batch each: a search
+        // with no memory, so the ceiling in force varies from batch to batch.
         for (i, grid) in Grid::grids_for(&bench, &spec, Scale::Quick).iter().enumerate() {
-            search_grid(grid, &mut ev, &strategy, 5.0, seed.wrapping_add(i as u64));
+            let mut rng = StdRng::seed_from_u64(seed.wrapping_add(i as u64));
+            let configs: Vec<_> = (0..grid.size().min(20))
+                .map(|_| {
+                    let idx: Vec<usize> = (0..grid.axis_count())
+                        .map(|a| rng.gen_range(0..grid.axis_len(a)))
+                        .collect();
+                    grid.build(&idx)
+                })
+                .collect();
+            ev.eval_batch(&configs);
         }
         let mut frontier = ev.frontier.clone();
         for cfg in &ev.aborted {
