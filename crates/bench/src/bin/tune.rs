@@ -8,7 +8,9 @@
 //! Table 2 space, and persists the answer (plan + Pareto frontier) to the
 //! sharded cache under `target/tuner-cache/`. A second invocation is served
 //! entirely from the cache — the `source` column flips from `search` to
-//! `cache`.
+//! `cache`. A new `--bound` over a populated cache reads `warm (verified,
+//! 1 eval)` where a neighboring bound's stored winner reproduced, and
+//! `warm (re-measured, N evals)` where the search ran every seed.
 //!
 //! Flags: `--bound <pct>` changes the error bound; `--fresh` clears the
 //! cache first. `HPAC_TRACE=<path>[:jsonl|chrome]` records the tuner's
@@ -22,7 +24,7 @@ use hpac_apps::{
     leukocyte::Leukocyte, lulesh::Lulesh, minife::MiniFe,
 };
 use hpac_core::metrics::geomean;
-use hpac_service::{Source, TuneRequest, TuningService};
+use hpac_service::{Source, TuneRequest, TuneResponse, TuningService};
 use hpac_tuner::{QualityBound, TuningCache};
 
 /// Laptop-scale configurations of all seven applications (Table 1 order) —
@@ -65,12 +67,17 @@ fn suite() -> Vec<Box<dyn Benchmark>> {
     ]
 }
 
-fn source_label(source: Source) -> &'static str {
-    match source {
-        Source::CacheHit => "cache",
-        Source::Coalesced => "coalesced",
-        Source::Searched { warm_seeds: 0 } => "search",
-        Source::Searched { .. } => "warm",
+fn source_label(resp: &TuneResponse) -> String {
+    match resp.source {
+        Source::CacheHit => "cache".into(),
+        Source::Coalesced => "coalesced".into(),
+        Source::Searched { warm_seeds: 0 } => "search".into(),
+        Source::Searched { .. } if resp.plan.verified_seed => "warm (verified, 1 eval)".into(),
+        Source::Searched { .. } => format!(
+            "warm (re-measured, {} eval{})",
+            resp.evals_spent,
+            if resp.evals_spent == 1 { "" } else { "s" }
+        ),
     }
 }
 
@@ -135,7 +142,7 @@ fn main() {
                 plan.measured_error_pct,
                 resp.evals_spent,
                 plan.budget_fraction_used() * 100.0,
-                source_label(resp.source),
+                source_label(&resp),
             );
         }
         println!(

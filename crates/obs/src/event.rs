@@ -202,9 +202,15 @@ pub enum CounterId {
     /// Sweep configs answered by a threshold-family sibling whose decision
     /// margin covers their threshold (also counted in `ConfigsDeduped`).
     ConfigsThresholdCovered,
+    /// Warm-started searches answered by a stored frontier's winner after
+    /// one run that reproduced its stored speedup and error.
+    TunerSeedsVerified,
+    /// Warm-started searches whose stored winner did not reproduce (the
+    /// search then re-measured every seed).
+    TunerSeedMismatches,
 }
 
-pub const N_COUNTERS: usize = 39;
+pub const N_COUNTERS: usize = 41;
 
 impl CounterId {
     pub const ALL: [CounterId; N_COUNTERS] = [
@@ -247,6 +253,8 @@ impl CounterId {
         CounterId::ConfigsDeduped,
         CounterId::EarlyAborts,
         CounterId::ConfigsThresholdCovered,
+        CounterId::TunerSeedsVerified,
+        CounterId::TunerSeedMismatches,
     ];
 
     pub fn name(self) -> &'static str {
@@ -290,6 +298,8 @@ impl CounterId {
             CounterId::ConfigsDeduped => "configs_deduped",
             CounterId::EarlyAborts => "early_aborts",
             CounterId::ConfigsThresholdCovered => "configs_threshold_covered",
+            CounterId::TunerSeedsVerified => "tuner_seeds_verified",
+            CounterId::TunerSeedMismatches => "tuner_seed_mismatches",
         }
     }
 }

@@ -112,7 +112,10 @@ pub enum Source {
     /// leader's plan instead of searching again.
     Coalesced,
     /// This request ran the search. `warm_seeds` is the number of cached
-    /// neighbor configurations evaluated ahead of the grid walk (0 = cold).
+    /// neighbor configurations handed to it (0 = cold). A warm search that
+    /// verified the stored winner ran one of them
+    /// (`TunedPlan::verified_seed`); otherwise it ran them all ahead of the
+    /// grid walk.
     Searched { warm_seeds: usize },
 }
 

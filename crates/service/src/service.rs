@@ -15,10 +15,24 @@
 //!    in-flight slot, and a would-be second leader re-checks the cache
 //!    right after claiming the slot, so it finds the entry instead of
 //!    searching.
-//! 3. **Search** — the leader runs [`Tuner::search_plan`], optionally
-//!    warm-started from the re-executable Pareto frontiers of cached
-//!    *neighboring bounds* on the same (benchmark, device)
-//!    ([`Source::Searched`]).
+//! 3. **Search** — the leader runs [`Tuner::search_plan`], handing it the
+//!    re-executable Pareto frontier points of cached *neighboring bounds*
+//!    on the same (benchmark, device) when there are any
+//!    ([`Source::Searched`]). A frontier already answers any bound, so the
+//!    warm search does not re-measure the neighborhood: it runs the stored
+//!    frontier's winner under the requested bound once and, when that run
+//!    reproduces the stored speedup and error exactly, answers with it
+//!    (one evaluation, [`TunedPlan::verified_seed`]). A winner that does
+//!    not reproduce — a neighborhood tuned for another instance of the
+//!    benchmark, or an edited entry — is counted, warned about once, and
+//!    the search re-measures every seed and, if need be, walks the grids.
+//!    No evaluation outcome is kept from one request to the next.
+//!
+//! Entries and in-flight searches are keyed by the bound in basis points,
+//! so two bounds closer than 0.01% share a key. Layers 1 and 2 therefore
+//! check what they are about to serve against the *request's* bound: a plan
+//! measured above it is a miss, the request searches, and its plan replaces
+//! the entry.
 //!
 //! Batches go through [`submit_batch`](TuningService::submit_batch), which
 //! admits requests into the process-wide
@@ -52,13 +66,14 @@
 //!   identify a benchmark by its name alone (plus the device fingerprint
 //!   and the bound). Two differently sized instances of one benchmark on
 //!   one service share cache entries, as they always have; only the
-//!   in-memory scope tells them apart.
+//!   in-memory scope tells them apart. A warm start notices — the other
+//!   instance's stored winner does not reproduce, so it re-measures — and
+//!   a cache hit does not.
 
 use crate::request::{Source, TuneRequest, TuneResponse, WarmStart};
 use hpac_apps::common::{install_eval_memo, EvalMemoScope};
 use hpac_core::exec::engine;
-use hpac_harness::space::SweepConfig;
-use hpac_tuner::{device_fingerprint, TunedPlan, Tuner, TuningCache};
+use hpac_tuner::{device_fingerprint, ParetoPoint, TunedPlan, Tuner, TuningCache};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -227,20 +242,27 @@ impl TuningService {
         hpac_obs::inc(hpac_obs::CounterId::TunerRequests);
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
 
+        let max_error_pct = req.bound().max_error_pct;
         let inflight = loop {
-            if let Some(plan) = self.cache_lookup(&key) {
+            if let Some(plan) = self.cache_lookup(&key, max_error_pct) {
                 return self.respond(plan, Source::CacheHit, 0, t0);
             }
             match self.claim_or_join(&key) {
                 // We are the leader; go search.
                 None => break self.claimed(&key),
                 Some(existing) => {
-                    if let Some(plan) = existing.wait() {
+                    // The leader's bound shares our key, not necessarily
+                    // our value: its plan answers us only if it meets ours.
+                    if let Some(plan) = existing
+                        .wait()
+                        .filter(|plan| plan.measured_error_pct <= max_error_pct)
+                    {
                         hpac_obs::inc(hpac_obs::CounterId::ServiceCoalesced);
                         self.stats.coalesced.fetch_add(1, Ordering::Relaxed);
                         return self.respond(plan, Source::Coalesced, 0, t0);
                     }
-                    // Leader abandoned (panicked): start over.
+                    // Leader abandoned (panicked) or answered a looser
+                    // bound: start over.
                 }
             }
         };
@@ -249,7 +271,7 @@ impl TuningService {
         // previous leader may have published and retired. It stores to the
         // cache *before* retiring, so re-checking the cache here is enough
         // to guarantee exactly one search per key when a cache is attached.
-        if let Some(plan) = self.cache_lookup(&key) {
+        if let Some(plan) = self.cache_lookup(&key, max_error_pct) {
             self.retire(&key, &inflight, WaitState::Done(Box::new(plan.clone())));
             return self.respond(plan, Source::CacheHit, 0, t0);
         }
@@ -266,7 +288,7 @@ impl TuningService {
             done: false,
         };
         let seeds = match req.warm_start_policy() {
-            WarmStart::Auto => self.gather_seeds(&key, req.bound().max_error_pct),
+            WarmStart::Auto => self.gather_seeds(&key, max_error_pct),
             WarmStart::Never => Vec::new(),
         };
         let tuner = self.request_tuner(&req);
@@ -306,13 +328,20 @@ impl TuningService {
         })
     }
 
-    fn cache_lookup(&self, key: &Key) -> Option<TunedPlan> {
-        let plan = self.cache.as_ref()?.load(
-            &key.benchmark,
-            &key.device,
-            key.bound_bp as f64 / 100.0,
-            key.fingerprint,
-        )?;
+    /// The cached plan for `key`, if it meets the request's own bound: the
+    /// key rounds bounds to basis points, so the entry may have been tuned
+    /// for one up to half a basis point looser.
+    fn cache_lookup(&self, key: &Key, max_error_pct: f64) -> Option<TunedPlan> {
+        let plan = self
+            .cache
+            .as_ref()?
+            .load(
+                &key.benchmark,
+                &key.device,
+                key.bound_bp as f64 / 100.0,
+                key.fingerprint,
+            )
+            .filter(|plan| plan.measured_error_pct <= max_error_pct)?;
         hpac_obs::inc(hpac_obs::CounterId::TunerCacheHits);
         self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
         Some(plan)
@@ -351,8 +380,8 @@ impl TuningService {
 
     /// Warm-start seeds: every re-executable frontier point of every cached
     /// bound for this (benchmark, device), nearest bound first, deduplicated
-    /// by configuration label.
-    fn gather_seeds(&self, key: &Key, bound_pct: f64) -> Vec<SweepConfig> {
+    /// by configuration label, each with the numbers its entry stored.
+    fn gather_seeds(&self, key: &Key, bound_pct: f64) -> Vec<ParetoPoint> {
         let Some(cache) = &self.cache else {
             return Vec::new();
         };
@@ -366,11 +395,8 @@ impl TuningService {
         let mut seeds = Vec::new();
         for plan in &neighbors {
             for point in plan.frontier.points() {
-                let Some(cfg) = point.to_config() else {
-                    continue;
-                };
-                if seen.insert(cfg.label.clone()) {
-                    seeds.push(cfg);
+                if point.to_config().is_some() && seen.insert(&point.config) {
+                    seeds.push(point.clone());
                 }
             }
         }

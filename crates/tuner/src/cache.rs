@@ -199,8 +199,8 @@ impl TuningCache {
         fingerprint: u64,
     ) -> Option<TunedPlan> {
         let path = self.key_path(benchmark, device, bound_pct);
-        let text = std::fs::read_to_string(&path).ok()?;
-        match Json::parse(&text)
+        let bytes = std::fs::read(&path).ok()?;
+        match Json::parse_bytes(&bytes)
             .ok()
             .and_then(|v| plan_from_json(&v, fingerprint))
         {
@@ -260,10 +260,10 @@ impl TuningCache {
                 continue;
             }
             let path = entry.path();
-            let Ok(text) = std::fs::read_to_string(&path) else {
+            let Ok(bytes) = std::fs::read(&path) else {
                 continue;
             };
-            match Json::parse(&text)
+            match Json::parse_bytes(&bytes)
                 .ok()
                 .and_then(|v| plan_from_json(&v, fingerprint))
             {
@@ -519,6 +519,7 @@ fn plan_from_json(v: &Json, expected_fingerprint: u64) -> Option<TunedPlan> {
         evaluations: v.get("evaluations")?.as_usize()?,
         full_space: v.get("full_space")?.as_usize()?,
         from_cache: false,
+        verified_seed: false,
         frontier: frontier_from_json(v.get("frontier")?)?,
     })
 }
@@ -566,6 +567,7 @@ mod tests {
             evaluations: 123,
             full_space: 7854,
             from_cache: false,
+            verified_seed: false,
             frontier,
         }
     }
@@ -588,6 +590,20 @@ mod tests {
         assert_eq!(loaded.evaluations, plan.evaluations);
         assert_eq!(loaded.frontier.len(), plan.frontier.len());
         assert_eq!(loaded.predicted_speedup, plan.predicted_speedup);
+        cache.clear().unwrap();
+    }
+
+    /// An entry's text is a fixed point of parse → render: the decoder
+    /// drops nothing and reorders nothing the writer wrote.
+    #[test]
+    fn stored_entry_text_survives_parse_and_render() {
+        let cache = temp_cache("text_roundtrip");
+        let _ = cache.clear();
+        let path = cache.store(&sample_plan(), 42).unwrap();
+        let bytes = std::fs::read(path).unwrap();
+        let tree = Json::parse_bytes(&bytes).unwrap();
+        assert_eq!(tree.render().as_bytes(), bytes);
+        assert_eq!(tree, plan_to_json(&sample_plan(), 42));
         cache.clear().unwrap();
     }
 

@@ -130,10 +130,14 @@ impl Json {
     }
 
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        Json::parse_bytes(text.as_bytes())
+    }
+
+    /// Parse a file's bytes as read. UTF-8 is checked where it matters,
+    /// inside strings, as each is copied out; a stray byte anywhere else
+    /// is not JSON in the first place.
+    pub fn parse_bytes(bytes: &[u8]) -> Result<Json, JsonError> {
+        let mut p = Parser { bytes, pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -231,13 +235,30 @@ impl Parser<'_> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // Everything up to the next quote or backslash is copied in one
+            // piece. Both delimiters are ASCII, so a run never splits a
+            // multi-byte sequence.
+            let start = self.pos;
+            let rest = &self.bytes[start..];
+            self.pos += rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            match std::str::from_utf8(&rest[..self.pos - start]) {
+                Ok(run) => out.push_str(run),
+                Err(e) => {
+                    self.pos = start + e.valid_up_to();
+                    return Err(self.err("invalid UTF-8"));
+                }
+            }
             match self.bytes.get(self.pos) {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                // A backslash: the run loop stops at nothing else.
+                Some(_) => {
                     self.pos += 1;
                     match self.bytes.get(self.pos) {
                         Some(b'"') => out.push('"'),
@@ -259,20 +280,6 @@ impl Parser<'_> {
                         _ => return Err(self.err("unknown escape")),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through untouched.
-                    let s = &self.bytes[self.pos..];
-                    let ch_len = match s[0] {
-                        0x00..=0x7F => 1,
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        _ => 4,
-                    };
-                    let chunk = std::str::from_utf8(&s[..ch_len.min(s.len())])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(chunk);
-                    self.pos += chunk.len();
                 }
             }
         }
@@ -333,6 +340,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn roundtrip_nested() {
@@ -360,6 +368,60 @@ mod tests {
     fn unicode_passes_through() {
         let v = Json::str("grüße 💡 λ");
         assert_eq!(Json::parse(&v.render()).unwrap(), v);
+    }
+
+    /// Characters a string run can hold or break on: the escapes the writer
+    /// emits, control characters it spells `\u00XX`, the characters an
+    /// escape is made of, and UTF-8 sequences of two, three and four bytes.
+    const PALETTE: &str = "\"\\/\n\t\r\u{0}\u{1}\u{1f}\u{7f}aun 0éλ€漢\u{ffff}💡\u{10ffff}";
+
+    proptest! {
+        /// Any mix of them survives render → parse, as a value and as an
+        /// object key, from text and from bytes.
+        #[test]
+        fn strings_roundtrip(picks in prop::collection::vec(0usize..1024, 0..48)) {
+            let palette: Vec<char> = PALETTE.chars().collect();
+            let s: String = picks.iter().map(|&i| palette[i % palette.len()]).collect();
+            let v = Json::Obj(vec![(s.clone(), Json::Arr(vec![Json::str(s), Json::str("")]))]);
+            let text = v.render();
+            prop_assert_eq!(&Json::parse(&text).unwrap(), &v);
+            prop_assert_eq!(&Json::parse_bytes(text.as_bytes()).unwrap(), &v);
+            prop_assert_eq!(Json::parse(&text).unwrap().render(), text);
+        }
+    }
+
+    #[test]
+    fn escapes_the_writer_never_emits_still_parse() {
+        let v = Json::parse(r#""a\/b\u00e9\u20acz""#).unwrap();
+        assert_eq!(v, Json::str("a/bé€z"));
+    }
+
+    #[test]
+    fn broken_strings_are_errors_not_panics() {
+        for (bytes, message) in [
+            (&b"\"abc"[..], "unterminated string"),
+            (b"\"ab\xc3\xa9", "unterminated string"),
+            (b"\"abc\\", "unknown escape"),
+            (b"\"abc\\\"", "unterminated string"),
+            (b"\"abc\\x\"", "unknown escape"),
+            (b"\"abc\\u12", "malformed \\u escape"),
+            (b"\"abc\\u12\"", "malformed \\u escape"),
+            (b"\"abc\\u", "malformed \\u escape"),
+            (b"\"\\u00zz\"", "malformed \\u escape"),
+            (b"\"ab\xff\"", "invalid UTF-8"),
+            (b"\"\xe2\x82\"", "invalid UTF-8"),
+            (b"\"\xe2\x82", "invalid UTF-8"),
+            (b"\"ok\\n\x80\"", "invalid UTF-8"),
+            (b"{\"k\xc0\":1}", "invalid UTF-8"),
+            (b"\xff", "expected a JSON value"),
+            (b"[1,\xe9]", "expected a JSON value"),
+        ] {
+            let err = Json::parse_bytes(bytes).expect_err("must not parse");
+            assert_eq!(err.message, message, "{bytes:?}");
+            assert!(err.offset <= bytes.len());
+        }
+        // The offset of an encoding error is the first byte that is wrong.
+        assert_eq!(Json::parse_bytes(b"\"ab\xff\"").unwrap_err().offset, 3);
     }
 
     #[test]

@@ -20,9 +20,10 @@ pub struct ParetoPoint {
     pub items_per_thread: usize,
     /// The fully parameterized region behind this point, when known.
     /// Frontier points recorded by the search always carry it; it is what
-    /// makes a cached frontier *re-executable* — a warm-started search
-    /// re-evaluates neighboring bounds' points as concrete configurations
-    /// instead of searching cold.
+    /// makes a cached frontier *re-executable* — a warm-started search runs
+    /// the stored winner among neighboring bounds' points as a concrete
+    /// configuration, to check `speedup` and `error_pct` against what it
+    /// measures, instead of searching cold.
     pub region: Option<hpac_core::region::ApproxRegion>,
     /// Launch shape for [`ParetoPoint::region`], when known.
     pub lp: Option<hpac_apps::common::LaunchParams>,

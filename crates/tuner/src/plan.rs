@@ -52,6 +52,13 @@ pub struct TunedPlan {
     pub full_space: usize,
     /// Whether this plan was served from the persistent cache.
     pub from_cache: bool,
+    /// Whether the search that made this plan was a warm start answered by
+    /// verification: it ran this configuration alone, saw the numbers a
+    /// cached neighbor stored for it reproduce bit for bit, and took that
+    /// neighborhood's stored frontier as [`TunedPlan::frontier`] without
+    /// re-measuring the other points. Like `from_cache`, it describes how
+    /// the answer was reached and is not persisted.
+    pub verified_seed: bool,
     /// The full (speedup, error) tradeoff curve the search uncovered.
     pub frontier: ParetoFrontier,
 }
@@ -127,6 +134,7 @@ mod tests {
             evaluations: 0,
             full_space: 100,
             from_cache: false,
+            verified_seed: false,
             frontier: ParetoFrontier::new(),
         }
     }

@@ -3,17 +3,20 @@
 //! [`Tuner`] holds the search policy (grid scale, budget) and
 //! exposes one entry point, [`Tuner::search_plan`], which answers "fastest
 //! configuration for this benchmark on this device with at most X% error" —
-//! optionally warm-started from seed configurations (typically a cached
-//! neighbor bound's Pareto frontier). Caching, request coalescing, and
-//! provenance live a layer up, in `hpac-service`.
+//! optionally warm-started from stored frontier points (typically a cached
+//! neighbor bound's Pareto frontier), whose winner it verifies with one
+//! run. Caching, request coalescing, and provenance live a layer up, in
+//! `hpac-service`.
 
 use crate::grid::Grid;
+use crate::pareto::{ParetoFrontier, ParetoPoint};
 use crate::plan::{QualityBound, TunedPlan};
 use crate::search::{search_grid, Evaluator};
 use gpu_sim::DeviceSpec;
 use hpac_apps::common::Benchmark;
-use hpac_harness::runner::{select_baseline, Baseline};
-use hpac_harness::space::{self, Scale, SweepConfig};
+use hpac_harness::runner::select_baseline;
+use hpac_harness::space::{self, Scale};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// The quality-constrained autotuner.
 #[derive(Debug)]
@@ -56,15 +59,29 @@ impl Tuner {
     /// Search for the fastest plan under `bound`, never consulting or
     /// writing a cache.
     ///
-    /// `seeds` are concrete configurations evaluated *before* any grid walk
-    /// — typically the re-executable Pareto frontier of a neighboring
-    /// cached bound on the same (benchmark, device). If the seeds already
-    /// contain a feasible point genuinely faster than the accurate
-    /// baseline, that winner is returned immediately: a warm start spends
-    /// only `seeds.len()` evaluations instead of a full search. Otherwise
-    /// the full grid search proceeds with the same evaluator, so seed
-    /// evaluations still count against (and never exceed) the one budget a
-    /// cold search gets.
+    /// `seeds` are frontier points an earlier search stored — typically the
+    /// re-executable Pareto frontiers of neighboring cached bounds on the
+    /// same (benchmark, device), nearest bound first — each carrying the
+    /// (speedup, error) that search measured for it. A warm start *verifies*
+    /// them rather than re-measuring them: the stored points form a prior
+    /// frontier, its fastest point under `bound` is executed once, and if
+    /// that run reproduces the stored speedup and error bit for bit the
+    /// plan is returned with [`TunedPlan::verified_seed`] set: the measured
+    /// numbers, the prior frontier, one evaluation. Runs are deterministic,
+    /// so a point measured on this benchmark instance and device reproduces
+    /// exactly; one that does not was measured on something else (or written
+    /// by hand), and then nothing the seeds claim is taken on trust.
+    ///
+    /// In every other case — no stored point is feasible and faster than
+    /// the accurate baseline, the stored winner does not launch or does not
+    /// reproduce (counted in `TunerSeedMismatches`, one warning per
+    /// process), or there are more seeds than budget — every seed is
+    /// executed ahead of the grid walk and a feasible winner among them is
+    /// returned at `seeds.len()` evaluations. Failing that the full grid
+    /// search proceeds with the same evaluator, so seed evaluations still
+    /// count against (and never exceed) the one budget a cold search gets.
+    /// Seeds without a concrete configuration ([`ParetoPoint::to_config`])
+    /// are ignored, and nothing measured here outlives the call.
     ///
     /// With empty `seeds`, the search is cold and deterministic: repeated
     /// calls with the same inputs retrace the same walk and return
@@ -74,7 +91,7 @@ impl Tuner {
         bench: &dyn Benchmark,
         device: &DeviceSpec,
         bound: QualityBound,
-        seeds: &[SweepConfig],
+        seeds: &[ParetoPoint],
     ) -> TunedPlan {
         // One evaluation scope for the whole search. If the caller already
         // holds one (a tuning service does, across requests) this joins it,
@@ -86,10 +103,86 @@ impl Tuner {
         let full_space = space::full_space_size(bench, device);
         let mut ev = Evaluator::new(bench, device, &baseline, self.budget(bench, device));
 
-        if !seeds.is_empty() {
-            ev.eval_batch(seeds);
-            if let Some(plan) = self.winning_plan(bench, device, bound, &baseline, &ev, full_space)
-            {
+        // The plan for a frontier's best feasible point, if there is one. A
+        // feasible point that is not actually faster than the accurate
+        // baseline is worse than not approximating at all, so it never wins.
+        let winning_plan = |ev: &Evaluator, frontier: &ParetoFrontier, verified_seed: bool| {
+            let best = frontier
+                .best_under(bound.max_error_pct)
+                .filter(|best| best.speedup > 1.0)?;
+            let chosen = ev
+                .lookup(&best.config)
+                .expect("the evaluator has run the frontier's winner");
+            Some(TunedPlan {
+                benchmark: bench.name().to_string(),
+                device: device.name.to_string(),
+                bound_pct: bound.max_error_pct,
+                region: Some(chosen.region),
+                lp: chosen.lp,
+                technique: best.technique.clone(),
+                config: best.config.clone(),
+                predicted_speedup: best.speedup,
+                measured_error_pct: best.error_pct,
+                baseline_lp: baseline.lp,
+                evaluations: ev.evaluations,
+                full_space,
+                from_cache: false,
+                verified_seed,
+                frontier: frontier.clone(),
+            })
+        };
+
+        // Stored points in seed order; `insert` drops non-finite claims.
+        let mut prior = ParetoFrontier::new();
+        let mut configs = Vec::new();
+        for point in seeds {
+            if let Some(cfg) = point.to_config() {
+                configs.push(cfg);
+                prior.insert(point.clone());
+            }
+        }
+        if !configs.is_empty() {
+            // Running the stored winner first spends what running every
+            // seed spends only when every seed fits the budget.
+            let all_fit = configs.len() <= ev.remaining();
+            let claim = prior
+                .best_under(bound.max_error_pct)
+                .filter(|claim| all_fit && claim.speedup > 1.0);
+            if let Some(claim) = claim {
+                let cfg = claim
+                    .to_config()
+                    .expect("the prior holds executable points");
+                let run = ev.eval_batch(std::slice::from_ref(&cfg)).pop().flatten();
+                if run.as_ref().is_some_and(|run| {
+                    run.speedup.to_bits() == claim.speedup.to_bits()
+                        && run.error_pct.to_bits() == claim.error_pct.to_bits()
+                }) {
+                    hpac_obs::inc(hpac_obs::CounterId::TunerSeedsVerified);
+                    return winning_plan(&ev, &prior, true)
+                        .expect("the verified claim is the prior's winner");
+                }
+                hpac_obs::inc(hpac_obs::CounterId::TunerSeedMismatches);
+                if !SEED_MISMATCH_WARNED.swap(true, Ordering::Relaxed) {
+                    let measured = run.map_or("does not launch".to_string(), |run| {
+                        format!("measures {}x at {}%", run.speedup, run.error_pct)
+                    });
+                    hpac_obs::log_warn(&format!(
+                        "warm start: {:?} of {} on {} is cached at {}x and {}% error and \
+                         {measured} here: the cached neighborhood was tuned for another \
+                         problem instance, or edited. Re-measuring every seed (reported once \
+                         per process; the tuner_seed_mismatches counter has them all)",
+                        claim.config,
+                        bench.name(),
+                        device.name,
+                        claim.speedup,
+                        claim.error_pct,
+                    ));
+                }
+            }
+            // The evaluator remembers the run above: it is not repeated, and
+            // the spend comes to one evaluation per seed either way.
+            ev.eval_batch(&configs);
+            if let Some(plan) = winning_plan(&ev, &ev.frontier, false) {
                 return plan;
             }
             // No seed beats the baseline under the bound: fall through to
@@ -116,67 +209,33 @@ impl Tuner {
             );
         }
 
-        self.winning_plan(bench, device, bound, &baseline, &ev, full_space)
-            .unwrap_or_else(|| {
-                // Nothing feasible: fall back to the accurate baseline
-                // rather than violating the caller's bound.
-                TunedPlan {
-                    benchmark: bench.name().to_string(),
-                    device: device.name.to_string(),
-                    bound_pct: bound.max_error_pct,
-                    region: None,
-                    lp: baseline.lp,
-                    technique: "accurate".to_string(),
-                    config: "accurate".to_string(),
-                    predicted_speedup: 1.0,
-                    measured_error_pct: 0.0,
-                    baseline_lp: baseline.lp,
-                    evaluations: ev.evaluations,
-                    full_space,
-                    from_cache: false,
-                    frontier: ev.frontier.clone(),
-                }
-            })
-    }
-
-    /// The plan for the evaluator's current best feasible point, if one
-    /// exists. A feasible point that is not actually faster than the
-    /// accurate baseline is worse than not approximating at all, so it
-    /// never wins.
-    fn winning_plan(
-        &self,
-        bench: &dyn Benchmark,
-        device: &DeviceSpec,
-        bound: QualityBound,
-        baseline: &Baseline,
-        ev: &Evaluator,
-        full_space: usize,
-    ) -> Option<TunedPlan> {
-        let best = ev
-            .frontier
-            .best_under(bound.max_error_pct)
-            .filter(|best| best.speedup > 1.0)?;
-        let chosen = ev
-            .lookup(&best.config)
-            .expect("frontier points come from evaluated configs");
-        Some(TunedPlan {
-            benchmark: bench.name().to_string(),
-            device: device.name.to_string(),
-            bound_pct: bound.max_error_pct,
-            region: Some(chosen.region),
-            lp: chosen.lp,
-            technique: best.technique.clone(),
-            config: best.config.clone(),
-            predicted_speedup: best.speedup,
-            measured_error_pct: best.error_pct,
-            baseline_lp: baseline.lp,
-            evaluations: ev.evaluations,
-            full_space,
-            from_cache: false,
-            frontier: ev.frontier.clone(),
+        winning_plan(&ev, &ev.frontier, false).unwrap_or_else(|| {
+            // Nothing feasible: fall back to the accurate baseline rather
+            // than violating the caller's bound.
+            TunedPlan {
+                benchmark: bench.name().to_string(),
+                device: device.name.to_string(),
+                bound_pct: bound.max_error_pct,
+                region: None,
+                lp: baseline.lp,
+                technique: "accurate".to_string(),
+                config: "accurate".to_string(),
+                predicted_speedup: 1.0,
+                measured_error_pct: 0.0,
+                baseline_lp: baseline.lp,
+                evaluations: ev.evaluations,
+                full_space,
+                from_cache: false,
+                verified_seed: false,
+                frontier: ev.frontier.clone(),
+            }
         })
     }
 }
+
+/// One warning per process for a stored winner that does not reproduce; the
+/// counter has every occurrence.
+static SEED_MISMATCH_WARNED: AtomicBool = AtomicBool::new(false);
 
 #[cfg(test)]
 mod tests {
@@ -262,22 +321,16 @@ mod tests {
         let bound = QualityBound::percent(5.0);
         let cold = tuner.search_plan(&bench, &spec, bound, &[]);
         assert!(cold.region.is_some(), "test needs a feasible winner");
-        let seeds: Vec<_> = cold
-            .frontier
-            .points()
-            .iter()
-            .filter_map(|p| p.to_config())
-            .collect();
-        assert!(!seeds.is_empty());
-        let warm = tuner.search_plan(&bench, &spec, bound, &seeds);
+        assert!(!cold.verified_seed);
+        let seeds = cold.frontier.points();
+        assert!(seeds.len() > 1, "test needs more seeds than it will run");
+        let warm = tuner.search_plan(&bench, &spec, bound, seeds);
+        assert!(warm.verified_seed);
+        assert_eq!(warm.evaluations, 1, "only the stored winner is run");
         assert_eq!(warm.config, cold.config, "same winner, warm or cold");
-        assert!(
-            warm.evaluations <= seeds.len(),
-            "warm start evaluated {} > {} seeds",
-            warm.evaluations,
-            seeds.len()
-        );
-        assert!(warm.evaluations <= cold.evaluations);
+        assert_eq!(warm.predicted_speedup, cold.predicted_speedup);
+        assert_eq!(warm.measured_error_pct, cold.measured_error_pct);
+        assert_eq!(warm.frontier.points(), seeds);
         assert!(warm.respects_bound());
     }
 

@@ -158,14 +158,16 @@ proptest! {
 }
 
 /// A benchmark under observation: counts its accurate runs (a baseline
-/// selection is `baseline_ipts` of them, and a search makes no others),
-/// panics on the `panic_on`-th one, and carries a `tag` in its parameter
+/// selection is `baseline_ipts` of them, and a search makes no others) and
+/// its approximated ones (one per configuration a search evaluates),
+/// panics on the `panic_on`-th accurate one, and carries a `tag` in its parameter
 /// identity so that instances can be told apart by the evaluation scope —
 /// which is process-wide, and which other tests of this binary hold too.
 struct Probe<B> {
     inner: B,
     tag: u64,
     accurate_runs: AtomicUsize,
+    approx_runs: AtomicUsize,
     panic_on: Option<usize>,
 }
 
@@ -175,12 +177,17 @@ impl<B: Benchmark> Probe<B> {
             inner,
             tag,
             accurate_runs: AtomicUsize::new(0),
+            approx_runs: AtomicUsize::new(0),
             panic_on: None,
         }
     }
 
     fn accurate_runs(&self) -> usize {
         self.accurate_runs.load(Ordering::SeqCst)
+    }
+
+    fn approx_runs(&self) -> usize {
+        self.approx_runs.load(Ordering::SeqCst)
     }
 }
 
@@ -223,6 +230,8 @@ impl<B: Benchmark> Benchmark for Probe<B> {
             if self.panic_on == Some(nth) {
                 panic!("injected fault: accurate run {nth} of {}", self.name());
             }
+        } else {
+            self.approx_runs.fetch_add(1, Ordering::SeqCst);
         }
         self.inner.run_opts(spec, region, lp, opts)
     }
@@ -319,6 +328,155 @@ fn check_bound_sweep_on_one_service<B: Benchmark + Copy>(inner: B, tag: &str) {
 fn bound_sweep_on_one_service_measures_each_baseline_once() {
     check_bound_sweep_on_one_service(small_bs(), "sweep_bs");
     check_bound_sweep_on_one_service(small_kmeans(), "sweep_km");
+}
+
+/// A warm request whose stored winner reproduces makes one approximated run,
+/// whatever the size of the neighborhood it was seeded from, and answers
+/// what the cold search answers.
+#[test]
+fn verified_warm_request_makes_one_approximated_run() {
+    let cache = fresh_cache("verify_one");
+    let svc = quick_service(&cache, 0.1);
+    let device = DeviceSpec::v100();
+    let tag = (std::process::id() as u64) << 32 | 0x7E51;
+    let probe = Probe::new(Blackscholes::default(), tag);
+
+    // Two neighbors, one of them searched cold at a looser bound so that
+    // its frontier brings other points than the winner.
+    let cold = svc.submit(
+        TuneRequest::new(&probe, &device, QualityBound::percent(12.0)).warm_start(WarmStart::Never),
+    );
+    assert!(cold.plan.predicted_speedup > 1.0 && !cold.plan.verified_seed);
+    assert_eq!(probe.approx_runs(), cold.evals_spent);
+    svc.submit(TuneRequest::new(
+        &probe,
+        &device,
+        QualityBound::percent(5.0),
+    ));
+
+    for (i, bound) in [5.01, 5.02, 7.5, 40.0].into_iter().enumerate() {
+        let before = probe.approx_runs();
+        let warm = svc.submit(TuneRequest::new(
+            &probe,
+            &device,
+            QualityBound::percent(bound),
+        ));
+        let Source::Searched { warm_seeds } = warm.source else {
+            panic!("a never-seen bound searches, got {:?}", warm.source);
+        };
+        assert!(warm_seeds > 1, "a neighborhood, not one point");
+        assert!(warm.plan.verified_seed, "at {bound}%");
+        assert_eq!(warm.evals_spent, 1);
+        assert_eq!(probe.approx_runs() - before, 1, "at {bound}%");
+        assert_eq!(warm.plan.config, cold.plan.config);
+        assert_eq!(
+            warm.plan.predicted_speedup.to_bits(),
+            cold.plan.predicted_speedup.to_bits()
+        );
+        assert!(warm.plan.respects_bound());
+        assert_eq!(svc.stats().warm_starts, 2 + i as u64);
+    }
+    // One baseline for all six searches, and nothing kept of the runs: the
+    // fifth warm request ran its winner again.
+    assert_eq!(probe.accurate_runs(), baseline_ipts(&probe).len());
+    let _ = cache.clear();
+}
+
+/// Cache entries and in-flight searches are keyed by the bound rounded to a
+/// basis point. A request is answered from either only by a plan measured
+/// within *its* bound, whichever of two bounds sharing a key came first.
+#[test]
+fn a_hit_meets_the_requests_bound_not_the_entrys() {
+    let device = DeviceSpec::v100();
+    let bench = Blackscholes::default();
+    let fingerprint = device_fingerprint(&device);
+    let (loose, tight) = (5.0, 4.996);
+
+    // Looser first. The stored plan claims an error between the two bounds
+    // (no real plan of this benchmark lands in a window that narrow).
+    let cache = fresh_cache("bound_rounding");
+    let svc = quick_service(&cache, 0.1);
+    let first = svc.submit(TuneRequest::new(
+        &bench,
+        &device,
+        QualityBound::percent(loose),
+    ));
+    assert!(first.source.is_searched());
+    let mut stored = first.plan.clone();
+    stored.measured_error_pct = 4.999;
+    cache.store(&stored, fingerprint).unwrap();
+    let at_loose = svc.submit(TuneRequest::new(
+        &bench,
+        &device,
+        QualityBound::percent(loose),
+    ));
+    assert_eq!(at_loose.source, Source::CacheHit);
+    assert_eq!(at_loose.plan.measured_error_pct, 4.999);
+
+    let at_tight = svc.submit(TuneRequest::new(
+        &bench,
+        &device,
+        QualityBound::percent(tight),
+    ));
+    assert!(
+        at_tight.source.is_searched(),
+        "4.999% measured does not answer a 4.996% request: {:?}",
+        at_tight.source
+    );
+    assert!(at_tight.plan.measured_error_pct <= tight);
+    assert_eq!(at_tight.plan.bound_pct, tight);
+    // Its plan replaced the entry, and now answers both bounds.
+    for bound in [tight, loose] {
+        let again = svc.submit(TuneRequest::new(
+            &bench,
+            &device,
+            QualityBound::percent(bound),
+        ));
+        assert_eq!(again.source, Source::CacheHit, "at {bound}%");
+        assert_eq!(again.plan.bound_pct, tight);
+        assert!(again.plan.measured_error_pct <= bound);
+    }
+    assert_eq!(svc.stats().searches, 2);
+    let _ = cache.clear();
+
+    // Tighter first: what it stores is within the looser bound too.
+    let cache = fresh_cache("bound_rounding_rev");
+    let svc = quick_service(&cache, 0.1);
+    let first = svc.submit(TuneRequest::new(
+        &bench,
+        &device,
+        QualityBound::percent(tight),
+    ));
+    assert!(first.source.is_searched());
+    let second = svc.submit(TuneRequest::new(
+        &bench,
+        &device,
+        QualityBound::percent(loose),
+    ));
+    assert_eq!(second.source, Source::CacheHit);
+    assert!(second.plan.measured_error_pct <= tight);
+    let _ = cache.clear();
+
+    // Both at once, from a cold cache: one may lead and the other wait on
+    // it, and each is still answered within its own bound.
+    let cache = fresh_cache("bound_rounding_both");
+    let svc = quick_service(&cache, 0.1);
+    let start = Barrier::new(2);
+    std::thread::scope(|s| {
+        for bound in [loose, tight] {
+            let (svc, start, bench, device) = (&svc, &start, &bench, &device);
+            s.spawn(move || {
+                start.wait();
+                let resp = svc.submit(TuneRequest::new(
+                    bench,
+                    device,
+                    QualityBound::percent(bound),
+                ));
+                assert!(resp.plan.measured_error_pct <= bound, "at {bound}%");
+            });
+        }
+    });
+    let _ = cache.clear();
 }
 
 /// Fault injection: the benchmark panics in the middle of a baseline
@@ -435,6 +593,7 @@ fn bulky_plan(bound_pct: f64) -> TunedPlan {
         evaluations: 100,
         full_space: 7854,
         from_cache: false,
+        verified_seed: false,
         frontier,
     }
 }

@@ -1,12 +1,19 @@
 //! Cross-crate tests of the autotuning subsystem: Pareto-frontier
-//! invariants (property-based) and end-to-end bound compliance on real
-//! applications.
+//! invariants (property-based), end-to-end bound compliance on real
+//! applications, and warm starts that verify the stored winner against
+//! warm starts that run every seed.
 
 use gpu_sim::DeviceSpec;
+use hpac_offload::apps::binomial::BinomialOptions;
 use hpac_offload::apps::blackscholes::Blackscholes;
+use hpac_offload::apps::common::Benchmark;
 use hpac_offload::apps::kmeans::KMeans;
+use hpac_offload::apps::lavamd::LavaMd;
+use hpac_offload::apps::leukocyte::Leukocyte;
+use hpac_offload::apps::lulesh::Lulesh;
+use hpac_offload::apps::minife::MiniFe;
 use hpac_offload::harness::Scale;
-use hpac_offload::tuner::{ParetoFrontier, ParetoPoint, QualityBound, Tuner};
+use hpac_offload::tuner::{ParetoFrontier, ParetoPoint, QualityBound, TunedPlan, Tuner};
 use proptest::prelude::*;
 
 fn pt(speedup: f64, error_pct: f64) -> ParetoPoint {
@@ -180,4 +187,184 @@ fn kmeans_plan_respects_bound() {
         "re-executed error {}",
         report.error_pct
     );
+}
+
+/// The seven applications at sizes a debug-profile search gets through in
+/// seconds. Under the default budget five of them tune above 1x on at
+/// least one device; MiniFE and K-Means do not and take the other path.
+fn quick_apps() -> Vec<Box<dyn Benchmark>> {
+    vec![
+        Box::new(Lulesh {
+            edge: 8,
+            steps: 6,
+            dt: 1.0e-4,
+            ..Lulesh::default()
+        }),
+        Box::new(Leukocyte {
+            n_cells: 4,
+            grid: 16,
+            iterations: 12,
+            ..Leukocyte::default()
+        }),
+        Box::new(BinomialOptions {
+            n_options: 1024,
+            tree_steps: 96,
+            ..BinomialOptions::default()
+        }),
+        Box::new(MiniFe {
+            nx: 6,
+            max_iters: 20,
+            ..MiniFe::default()
+        }),
+        Box::<Blackscholes>::default(),
+        Box::new(LavaMd {
+            boxes_per_dim: 3,
+            par_per_box: 8,
+            ..LavaMd::default()
+        }),
+        Box::new(KMeans {
+            n_points: 512,
+            max_iters: 20,
+            ..KMeans::default()
+        }),
+    ]
+}
+
+/// The same configurations with nothing claimed for them: no point enters
+/// the prior frontier, so the search runs every seed, as it did before warm
+/// starts verified.
+fn claimless(seeds: &[ParetoPoint]) -> Vec<ParetoPoint> {
+    seeds
+        .iter()
+        .map(|p| ParetoPoint {
+            speedup: f64::NAN,
+            error_pct: f64::NAN,
+            ..p.clone()
+        })
+        .collect()
+}
+
+/// Everything a search decides except what it spent, floats by bit pattern,
+/// frontier points whole and in order.
+fn decided(p: &TunedPlan) -> impl PartialEq + std::fmt::Debug {
+    (
+        (p.benchmark.clone(), p.device.clone(), p.bound_pct.to_bits()),
+        (p.region, p.lp, p.technique.clone(), p.config.clone()),
+        (
+            p.predicted_speedup.to_bits(),
+            p.measured_error_pct.to_bits(),
+            p.baseline_lp,
+            p.full_space,
+        ),
+        p.frontier
+            .points()
+            .iter()
+            .map(|q| {
+                (
+                    (q.speedup.to_bits(), q.error_pct.to_bits()),
+                    (q.technique.clone(), q.config.clone(), q.items_per_thread),
+                    (q.region, q.lp),
+                )
+            })
+            .collect::<Vec<_>>(),
+    )
+}
+
+/// On every quick app and both devices, at a bound just above the one the
+/// seeds were searched at: a warm start that verifies the stored winner
+/// returns, one evaluation later, the plan that running every seed returns.
+/// Where no stored point beats the accurate run there is nothing to verify
+/// and the two searches are the same search.
+#[test]
+fn verified_warm_start_returns_the_all_seeds_plan() {
+    let tuner = Tuner::new().with_scale(Scale::Quick);
+    let mut verified = 0;
+    for device in DeviceSpec::evaluation_platforms() {
+        for bench in quick_apps() {
+            let bench = bench.as_ref();
+            let what = format!("{} on {}", bench.name(), device.name);
+            let cold = tuner.search_plan(bench, &device, QualityBound::percent(5.0), &[]);
+            let seeds = cold.frontier.points();
+            let bound = QualityBound::percent(5.01);
+            let warm = tuner.search_plan(bench, &device, bound, seeds);
+            let all_seeds = tuner.search_plan(bench, &device, bound, &claimless(seeds));
+            assert!(!all_seeds.verified_seed);
+            assert_eq!(decided(&warm), decided(&all_seeds), "{what}");
+            assert!(warm.respects_bound());
+            if cold.predicted_speedup > 1.0 {
+                assert!(warm.verified_seed, "{what}");
+                assert_eq!(warm.evaluations, 1, "{what}");
+                assert!(all_seeds.evaluations <= seeds.len());
+                assert_eq!(all_seeds.config, cold.config, "{what}");
+                verified += 1;
+            } else {
+                assert!(!warm.verified_seed, "{what}");
+                assert_eq!(warm.evaluations, all_seeds.evaluations, "{what}");
+            }
+        }
+    }
+    assert!(
+        verified >= 6,
+        "only {verified} of 14 had a winner to verify"
+    );
+}
+
+/// With fewer evaluations to spend than seeds to run, running the stored
+/// winner first could take the place of a seed the budget would have
+/// reached: the search does not verify, and spends its budget on the seeds
+/// in the order given.
+#[test]
+fn more_seeds_than_budget_are_run_in_order() {
+    let bench = Blackscholes::default();
+    let device = DeviceSpec::v100();
+    let bound = QualityBound::percent(5.0);
+    let cold = Tuner::new()
+        .with_scale(Scale::Quick)
+        .search_plan(&bench, &device, bound, &[]);
+    assert!(cold.predicted_speedup > 1.0);
+    // The stored winner last, behind a point the bound rules out.
+    let mut seeds = cold.frontier.points().to_vec();
+    seeds.reverse();
+    assert!(seeds.len() > 1 && seeds[0].error_pct > bound.max_error_pct);
+    assert_eq!(seeds.last().unwrap().config, cold.config);
+
+    let mut one_eval = Tuner::new().with_scale(Scale::Quick);
+    one_eval.budget_fraction = 1e-9;
+    assert_eq!(one_eval.budget(&bench, &device), 1);
+    let warm = one_eval.search_plan(&bench, &device, bound, &seeds);
+    let all_seeds = one_eval.search_plan(&bench, &device, bound, &claimless(&seeds));
+    assert!(!warm.verified_seed);
+    assert_eq!(warm.evaluations, 1);
+    assert_eq!(warm.evaluations, all_seeds.evaluations);
+    assert_eq!(decided(&warm), decided(&all_seeds));
+    // The one evaluation went to the first seed: the winner was never run.
+    assert_eq!(warm.config, "accurate");
+    assert_eq!(warm.frontier.points()[0].config, seeds[0].config);
+}
+
+/// A stored neighborhood with no feasible point above 1x has no winner to
+/// verify: the seeds are all run, then the grids, exactly as without claims.
+#[test]
+fn seeds_without_a_winner_fall_through_to_the_grids() {
+    let bench = Blackscholes::default();
+    let device = DeviceSpec::v100();
+    let tuner = Tuner::new().with_scale(Scale::Quick);
+    let bound = QualityBound::percent(5.0);
+    let cold = tuner.search_plan(&bench, &device, bound, &[]);
+    assert!(cold.predicted_speedup > 1.0);
+    let seeds: Vec<ParetoPoint> = cold
+        .frontier
+        .points()
+        .iter()
+        .filter(|p| p.error_pct > bound.max_error_pct)
+        .cloned()
+        .collect();
+    assert!(!seeds.is_empty());
+    let warm = tuner.search_plan(&bench, &device, bound, &seeds);
+    let all_seeds = tuner.search_plan(&bench, &device, bound, &claimless(&seeds));
+    assert!(!warm.verified_seed);
+    assert!(warm.evaluations > seeds.len(), "the grids were walked");
+    assert_eq!(warm.evaluations, all_seeds.evaluations);
+    assert_eq!(decided(&warm), decided(&all_seeds));
+    assert_eq!(warm.config, cold.config, "and they find the cold winner");
 }
