@@ -317,8 +317,8 @@ impl TaskWalk {
             }
         }
         match &state {
-            TaskState::Taf(pool) => acc.note_margin(pool.margin()),
-            TaskState::Iact(pool) => acc.note_margin(pool.margin()),
+            TaskState::Taf(pool) => acc.note_margins(&pool.margins()),
+            TaskState::Iact(pool) => acc.note_margins(&pool.margins()),
             TaskState::Accurate | TaskState::Perfo(_) => {}
         }
     }

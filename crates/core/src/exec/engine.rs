@@ -133,12 +133,32 @@ impl ExecEngine {
     /// order, so whichever thread holds the lowest unfinished index has all
     /// earlier phases complete and can always run; everyone else waits on
     /// the phase condvar. Results return per phase, in task order.
+    ///
+    /// A task that panics still counts as finished, so the tasks waiting on
+    /// its phase are released and the submission re-raises the panic once
+    /// every task has run, instead of hanging. The progress lock guards
+    /// plain counters, so a poisoned one is recovered.
     pub fn run_phases<R, F>(&self, sizes: &[usize], width: usize, f: F) -> Vec<Vec<R>>
     where
         R: Send,
         F: Fn(usize, usize) -> R + Sync,
     {
-        use std::sync::{Condvar, Mutex};
+        use std::sync::{Condvar, Mutex, PoisonError};
+
+        /// Counts its task finished when dropped, returned or unwound.
+        struct Finished<'a> {
+            progress: &'a Mutex<Vec<usize>>,
+            barrier: &'a Condvar,
+            phase: usize,
+        }
+        impl Drop for Finished<'_> {
+            fn drop(&mut self) {
+                let mut done = self.progress.lock().unwrap_or_else(PoisonError::into_inner);
+                done[self.phase] += 1;
+                drop(done);
+                self.barrier.notify_all();
+            }
+        }
 
         let offsets: Vec<usize> = sizes
             .iter()
@@ -168,9 +188,9 @@ impl ExecEngine {
                 };
                 if p > 0 {
                     let wait_from = hpac_obs::enabled().then(hpac_obs::now_ns);
-                    let mut done = progress.lock().unwrap();
+                    let mut done = progress.lock().unwrap_or_else(PoisonError::into_inner);
                     while !(0..p).all(|q| done[q] == sizes[q]) {
-                        done = barrier.wait(done).unwrap();
+                        done = barrier.wait(done).unwrap_or_else(PoisonError::into_inner);
                     }
                     drop(done);
                     if let Some(t0) = wait_from {
@@ -180,13 +200,12 @@ impl ExecEngine {
                         );
                     }
                 }
-                let r = f(p, idx - offsets[p]);
-                {
-                    let mut done = progress.lock().unwrap();
-                    done[p] += 1;
-                }
-                barrier.notify_all();
-                r
+                let _finished = Finished {
+                    progress: &progress,
+                    barrier: &barrier,
+                    phase: p,
+                };
+                f(p, idx - offsets[p])
             })
             .into_iter();
         sizes
@@ -294,6 +313,36 @@ mod tests {
         let out = engine().run(100, 4, |i| i * i);
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, i * i);
+        }
+    }
+
+    #[test]
+    fn a_panicking_phase_task_is_reraised_and_the_engine_keeps_running() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for width in [1, 3] {
+            let ran_later = AtomicUsize::new(0);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine().run_phases(&[2, 3], width, |p, j| {
+                    if (p, j) == (0, 1) {
+                        panic!("phase 0 task 1 dies");
+                    }
+                    if p == 1 {
+                        ran_later.fetch_add(1, Ordering::SeqCst);
+                    }
+                    (p, j)
+                })
+            }));
+            let payload = caught.expect_err("the task's panic reaches the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"phase 0 task 1 dies"));
+            // Fanned out, the later phase was released rather than left
+            // waiting; inline, the panic ends the submission on the spot.
+            let later = if width == 1 { 0 } else { 3 };
+            assert_eq!(ran_later.load(Ordering::SeqCst), later);
+            assert_eq!(
+                engine().run_phases(&[1, 2], width, |p, j| p + j),
+                [vec![0], vec![1, 2]]
+            );
+            assert_eq!(engine().run(4, width, |i| i), [0, 1, 2, 3]);
         }
     }
 

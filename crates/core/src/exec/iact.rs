@@ -16,7 +16,7 @@ use crate::exec::walk::{Geom, WarpSlice};
 use crate::hierarchy::{self, HierarchyLevel, WarpDecision};
 use crate::iact::IactPool;
 use crate::params::IactParams;
-use gpu_sim::{BlockAccumulator, DecisionMargin};
+use gpu_sim::{BlockAccumulator, DecisionMargins};
 
 pub(crate) struct IactPolicy {
     pub params: IactParams,
@@ -196,7 +196,7 @@ impl TechniquePolicy for IactPolicy {
         acc.note_step(n_acc, n_apx, 0, n_acc > 0 && n_apx > 0);
     }
 
-    fn margin(&self, st: &IactState) -> DecisionMargin {
-        *st.pool.margin()
+    fn margins(&self, st: &IactState) -> DecisionMargins {
+        st.pool.margins()
     }
 }

@@ -22,7 +22,7 @@ use crate::exec::body::{BodyAccess, RegionBody};
 use crate::exec::charge::MixMemo;
 use crate::exec::walk::{Geom, WarpSlice};
 use crate::hierarchy::{HierarchyLevel, WarpDecision};
-use gpu_sim::{BlockAccumulator, DecisionMargin, DeviceSpec};
+use gpu_sim::{BlockAccumulator, DecisionMargins, DeviceSpec};
 
 /// One warp step, as handed to a policy: the slice of active lanes, their
 /// activation votes, and the resolved hierarchy decision. Policies never
@@ -82,12 +82,12 @@ pub(crate) trait TechniquePolicy: Sync {
         acc: &mut BlockAccumulator,
     );
 
-    /// The decision margin of the region's threshold over everything this
-    /// block compared against it; the walker folds it into the block's
-    /// accumulator when the block retires. Techniques without a threshold
-    /// keep the identity.
-    fn margin(&self, _st: &Self::State) -> DecisionMargin {
-        DecisionMargin::default()
+    /// The decision margins of the region's threshold and prediction size
+    /// over everything this block compared against them; the walker folds
+    /// them into the block's accumulator when the block retires. Techniques
+    /// that compare nothing keep the identity.
+    fn margins(&self, _st: &Self::State) -> DecisionMargins {
+        DecisionMargins::default()
     }
 }
 

@@ -21,7 +21,7 @@ use crate::perfo;
 use crate::region::{ApproxRegion, RegionError};
 use crate::taf::TafPool;
 use gpu_sim::{
-    BlockAccumulator, CostProfile, DecisionMargin, DeviceSpec, KernelExec, KernelRecord,
+    BlockAccumulator, CostProfile, DecisionMargins, DeviceSpec, KernelExec, KernelRecord,
     LaunchConfig,
 };
 
@@ -114,11 +114,11 @@ trait RefPolicy {
         acc: &mut BlockAccumulator,
     );
 
-    /// Not part of the old walk: the threshold's decision margin, folded
-    /// like the production walk folds it so whole-`KernelStats` equality
-    /// keeps comparing every field.
-    fn margin(&self, _st: &Self::State) -> DecisionMargin {
-        DecisionMargin::default()
+    /// Not part of the old walk: the threshold's and the prediction size's
+    /// decision margins, folded like the production walk folds them so
+    /// whole-`KernelStats` equality keeps comparing every field.
+    fn margins(&self, _st: &Self::State) -> DecisionMargins {
+        DecisionMargins::default()
     }
 }
 
@@ -185,7 +185,7 @@ where
             policy.warp_step(&mut st, &ctx, access, &mut acc);
         }
     }
-    acc.note_margin(&policy.margin(&st));
+    acc.note_margins(&policy.margins(&st));
     acc
 }
 
@@ -371,8 +371,8 @@ impl RefPolicy for RefTaf {
         .commit(acc, ctx.warp, n_acc, n_apx);
     }
 
-    fn margin(&self, st: &RefTafState) -> DecisionMargin {
-        *st.pool.margin()
+    fn margins(&self, st: &RefTafState) -> DecisionMargins {
+        st.pool.margins()
     }
 }
 
@@ -445,8 +445,8 @@ impl RefPolicy for RefSerializedTaf {
         acc.note_step(n_acc, n_apx, 0, n_acc > 0 && n_apx > 0);
     }
 
-    fn margin(&self, st: &RefSerializedTafState) -> DecisionMargin {
-        *st.pool.margin()
+    fn margins(&self, st: &RefSerializedTafState) -> DecisionMargins {
+        st.pool.margins()
     }
 }
 
@@ -581,8 +581,8 @@ impl RefPolicy for RefIact {
         .commit(acc, ctx.warp, n_acc, n_apx);
     }
 
-    fn margin(&self, st: &RefIactState) -> DecisionMargin {
-        *st.pool.margin()
+    fn margins(&self, st: &RefIactState) -> DecisionMargins {
+        st.pool.margins()
     }
 }
 

@@ -15,7 +15,7 @@ use crate::exec::walk::{Geom, WarpSlice};
 use crate::hierarchy::{self, HierarchyLevel, WarpDecision};
 use crate::params::TafParams;
 use crate::taf::TafPool;
-use gpu_sim::{BlockAccumulator, CostProfile, DecisionMargin};
+use gpu_sim::{BlockAccumulator, CostProfile, DecisionMargins};
 
 pub(crate) struct TafPolicy {
     pub params: TafParams,
@@ -60,10 +60,7 @@ impl TechniquePolicy for TafPolicy {
         votes: &mut [bool],
         _body: &dyn RegionBody,
     ) {
-        let base = st.local(slice);
-        for (k, v) in votes.iter_mut().enumerate() {
-            *v = st.pool.wants_approx(base + k);
-        }
+        st.pool.vote(st.local(slice), votes);
     }
 
     fn warp_step<A: BodyAccess>(
@@ -124,8 +121,8 @@ impl TechniquePolicy for TafPolicy {
         acc.note_step(n_acc, n_apx, 0, n_acc > 0 && n_apx > 0);
     }
 
-    fn margin(&self, st: &TafState) -> DecisionMargin {
-        *st.pool.margin()
+    fn margins(&self, st: &TafState) -> DecisionMargins {
+        st.pool.margins()
     }
 }
 
@@ -207,7 +204,7 @@ impl TechniquePolicy for SerializedTafPolicy {
         acc.note_step(n_acc, n_apx, 0, n_acc > 0 && n_apx > 0);
     }
 
-    fn margin(&self, st: &SerializedTafState) -> DecisionMargin {
-        *st.pool.margin()
+    fn margins(&self, st: &SerializedTafState) -> DecisionMargins {
+        st.pool.margins()
     }
 }

@@ -201,7 +201,7 @@ pub(crate) fn walk_block<P, A>(
             policy.warp_step(&mut st, &ctx, access, &mut arena.memo, acc);
         }
     }
-    acc.note_margin(&policy.margin(&st));
+    acc.note_margins(&policy.margins(&st));
 }
 
 impl Drop for WalkArena {

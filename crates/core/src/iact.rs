@@ -16,7 +16,7 @@
 //! made no difference, and we verify that.
 
 use crate::params::{IactParams, Replacement};
-use gpu_sim::{CostProfile, DecisionMargin};
+use gpu_sim::{CostProfile, DecisionMargin, DecisionMargins};
 
 /// Result of probing a table.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -142,9 +142,13 @@ impl IactPool {
     }
 
     /// The decision margin of the threshold over every probe admitted or
-    /// refused so far.
-    pub fn margin(&self) -> &DecisionMargin {
-        &self.margin
+    /// refused so far (iACT has no prediction size; its margin is the
+    /// identity).
+    pub fn margins(&self) -> DecisionMargins {
+        DecisionMargins {
+            threshold: self.margin,
+            ..DecisionMargins::default()
+        }
     }
 
     /// The cached output vector of `(table, slot)`.
@@ -284,13 +288,15 @@ mod tests {
         let mut p = pool(2, Replacement::RoundRobin); // threshold 0.5
         let empty = p.probe(0, &[1.0, 0.0]);
         assert!(!p.admit(&empty));
-        assert_eq!(*p.margin(), DecisionMargin::default());
+        assert_eq!(p.margins(), DecisionMargins::default());
         p.insert(0, &[0.0, 0.0], &[1.0]);
         let far = p.probe(0, &[1.0, 0.0]);
         let near = p.probe(0, &[0.25, 0.0]);
         assert!(!p.admit(&far));
         assert!(p.admit(&near));
-        assert_eq!((p.margin().pass_max, p.margin().fail_min), (0.25, 1.0));
+        let m = p.margins();
+        assert_eq!((m.threshold.pass_max, m.threshold.fail_min), (0.25, 1.0));
+        assert_eq!(m.psize, DecisionMargin::default());
     }
 
     #[test]

@@ -55,4 +55,4 @@ pub use exec::{
 };
 pub use hierarchy::HierarchyLevel;
 pub use params::{IactParams, PerfoKind, PerfoParams, Replacement, TafParams};
-pub use region::{ApproxRegion, RegionError, Technique};
+pub use region::{ApproxRegion, FamilyPoint, RegionError, Technique};

@@ -37,6 +37,13 @@ impl TafParams {
         if self.psize == 0 {
             return Err("TAF prediction size must be >= 1".into());
         }
+        if u32::try_from(self.psize).is_err() {
+            return Err(format!(
+                "TAF prediction size must be at most {}, got {}",
+                u32::MAX,
+                self.psize
+            ));
+        }
         if !self.threshold.is_finite() || self.threshold < 0.0 {
             return Err(format!(
                 "TAF threshold must be finite and >= 0, got {}",
@@ -185,6 +192,10 @@ mod tests {
         assert!(TafParams::new(5, 8, 0.5).validate().is_ok());
         assert!(TafParams::new(0, 8, 0.5).validate().is_err());
         assert!(TafParams::new(5, 0, 0.5).validate().is_err());
+        assert!(TafParams::new(5, u32::MAX as usize, 0.5).validate().is_ok());
+        assert!(TafParams::new(5, u32::MAX as usize + 1, 0.5)
+            .validate()
+            .is_err());
         assert!(TafParams::new(5, 8, -1.0).validate().is_err());
         assert!(TafParams::new(5, 8, f64::NAN).validate().is_err());
     }

@@ -194,25 +194,49 @@ impl ApproxRegion {
         }
     }
 
-    /// Where [`ApproxRegion::fingerprint_words`] puts the activation
-    /// threshold; `None` for perforation, which has none.
-    fn threshold_word(&self) -> Option<usize> {
+    /// Where [`ApproxRegion::fingerprint_words`] puts the words a run reads
+    /// only through comparisons: the activation threshold and, for TAF, the
+    /// prediction size. Empty for perforation, which compares neither.
+    fn compared_words(&self) -> &'static [usize] {
         match self.technique {
-            Technique::Taf(_) => Some(3),
-            Technique::Iact(_) => Some(2),
-            Technique::Perfo(_) => None,
+            Technique::Taf(_) => &[2, 3],
+            Technique::Iact(_) => &[2],
+            Technique::Perfo(_) => &[],
         }
     }
 
-    /// The activation threshold, and the fingerprint with the threshold word
-    /// removed: regions with equal second halves differ in threshold alone
-    /// (a *threshold family*). `None` for perforation.
-    pub fn threshold_family(&self) -> Option<(f64, Vec<u64>)> {
-        let at = self.threshold_word()?;
+    /// Where the region sits in its *family*, and the fingerprint with the
+    /// compared words removed: regions with equal second halves differ in
+    /// threshold and prediction size alone, which a run reads only through
+    /// the comparisons its [`DecisionMargins`](gpu_sim::DecisionMargins)
+    /// record. `None` for perforation.
+    pub fn family(&self) -> Option<(FamilyPoint, Vec<u64>)> {
+        let point = match self.technique {
+            Technique::Taf(p) => FamilyPoint {
+                threshold: p.threshold,
+                psize: Some(p.psize),
+            },
+            Technique::Iact(p) => FamilyPoint {
+                threshold: p.threshold,
+                psize: None,
+            },
+            Technique::Perfo(_) => return None,
+        };
         let mut words = self.fingerprint_words();
-        let threshold = f64::from_bits(words.remove(at));
-        Some((threshold, words))
+        for &at in self.compared_words().iter().rev() {
+            words.remove(at);
+        }
+        Some((point, words))
     }
+}
+
+/// A region's values of the parameters a run reads only through
+/// comparisons: the activation threshold, and TAF's prediction size (`None`
+/// for iACT, which has none).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FamilyPoint {
+    pub threshold: f64,
+    pub psize: Option<usize>,
 }
 
 #[cfg(test)]
@@ -328,32 +352,45 @@ mod tests {
                 .replacement(Replacement::Clock),
         ];
         for r in regions {
-            let (threshold, mut words) = r.threshold_family().expect("memoizing technique");
-            let expect = match r.technique {
-                Technique::Taf(p) => p.threshold,
-                Technique::Iact(p) => p.threshold,
+            let (point, mut words) = r.family().expect("memoizing technique");
+            let (threshold, psize) = match r.technique {
+                Technique::Taf(p) => (p.threshold, Some(p.psize)),
+                Technique::Iact(p) => (p.threshold, None),
                 Technique::Perfo(_) => unreachable!(),
             };
-            assert_eq!(threshold.to_bits(), expect.to_bits());
-            words.insert(r.threshold_word().unwrap(), threshold.to_bits());
+            assert_eq!(point.threshold.to_bits(), threshold.to_bits());
+            assert_eq!(point.psize, psize);
+            let compared = r.compared_words();
+            let values = psize
+                .map(|p| p as u64)
+                .into_iter()
+                .chain([threshold.to_bits()]);
+            for (&at, value) in compared.iter().zip(values) {
+                words.insert(at, value);
+            }
             assert_eq!(words, r.fingerprint_words());
         }
-        // Siblings share the family words; any other parameter separates them.
-        let family = |r: ApproxRegion| r.threshold_family().unwrap().1;
+        // Siblings share the family words across threshold and psize; any
+        // other parameter separates them.
+        let family = |r: ApproxRegion| r.family().unwrap().1;
         assert_eq!(
             family(ApproxRegion::memo_out(3, 5, 1.5)),
-            family(ApproxRegion::memo_out(3, 5, 20.0))
+            family(ApproxRegion::memo_out(3, 512, 20.0))
         );
         assert_ne!(
             family(ApproxRegion::memo_out(3, 5, 1.5)),
-            family(ApproxRegion::memo_out(3, 4, 1.5))
+            family(ApproxRegion::memo_out(2, 5, 1.5))
+        );
+        assert_ne!(
+            family(ApproxRegion::memo_out(3, 5, 1.5)),
+            family(ApproxRegion::memo_out(3, 5, 1.5).level(HierarchyLevel::Block))
         );
         assert_ne!(
             family(ApproxRegion::memo_in(3, 1.5)),
             family(ApproxRegion::memo_out(3, 5, 1.5))
         );
         assert!(ApproxRegion::perfo(PerfoKind::Small { m: 4 })
-            .threshold_family()
+            .family()
             .is_none());
     }
 

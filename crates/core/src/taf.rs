@@ -21,10 +21,16 @@
 //! [`TafPool`] stores all state machines of a kernel launch in flat arrays
 //! (structure-of-arrays) so the per-launch allocation cost is a handful of
 //! `Vec`s rather than millions of small boxes.
+//!
+//! The pool reads its two comparison parameters nowhere but in comparisons:
+//! the threshold in `rsd <= threshold` and the prediction size in the
+//! `approx_left > 0` regime check. It records the decision margin of each
+//! ([`TafPool::margins`]), the interval of values that would decide every
+//! comparison made so far the same way.
 
 use crate::metrics::rsd;
 use crate::params::TafParams;
-use gpu_sim::{CostProfile, DecisionMargin};
+use gpu_sim::{CostProfile, DecisionMargin, DecisionMargins};
 
 /// All TAF state machines for one kernel launch.
 #[derive(Debug, Clone)]
@@ -43,8 +49,21 @@ pub struct TafPool {
     has_last: Vec<bool>,
     /// Remaining invocations in the current stable regime.
     approx_left: Vec<u32>,
+    /// Whether the machine has entered a regime. Until it does its
+    /// `approx_left` is 0 at any prediction size; from then on each regime
+    /// check compares the regime's predictions so far with `psize`.
+    entered: Vec<bool>,
     /// Every window RSD compared against the threshold so far.
     margin: DecisionMargin,
+    /// The smallest `approx_left − 1` a passing regime check saw. Every
+    /// check folds in `approx_left.wrapping_sub(1)`, branch-free: a failing
+    /// one wraps to `u32::MAX`, which no pass reaches (`validate` keeps
+    /// `psize` within `u32`), so `u32::MAX` means none passed. A pass at
+    /// `approx_left = L` is the comparison `psize − L <= psize − 1`.
+    pass_left_m1: u32,
+    /// Whether a regime check found an entered machine's regime spent —
+    /// the comparison `psize <= psize − 1` failing, first at `d = psize`.
+    spent_checked: bool,
 }
 
 impl TafPool {
@@ -60,7 +79,10 @@ impl TafPool {
             last: vec![0.0; n * out_dim],
             has_last: vec![false; n],
             approx_left: vec![0; n],
+            entered: vec![false; n],
             margin: DecisionMargin::default(),
+            pass_left_m1: u32::MAX,
+            spent_checked: false,
         }
     }
 
@@ -76,16 +98,62 @@ impl TafPool {
         self.len() == 0
     }
 
-    /// The decision margin of the threshold over every full window observed
-    /// so far — the pool's only use of the threshold is that comparison.
-    pub fn margin(&self) -> &DecisionMargin {
-        &self.margin
+    /// The decision margins of the threshold over every full window observed
+    /// so far, and of the prediction size over every regime check. A check
+    /// in a regime that has made `d` predictions passes `d <= psize − 1`, so
+    /// a regime cut short leaves the interval open above; one that ran out
+    /// fails `psize <= psize − 1` at its next check, which pins the interval
+    /// to this `psize`.
+    pub fn margins(&self) -> DecisionMargins {
+        let psize = self.params.psize as f64;
+        DecisionMargins {
+            threshold: self.margin,
+            psize: DecisionMargin {
+                pass_max: match self.pass_left_m1 {
+                    u32::MAX => f64::NEG_INFINITY,
+                    left_m1 => psize - 1.0 - f64::from(left_m1),
+                },
+                fail_min: if self.spent_checked {
+                    psize
+                } else {
+                    f64::INFINITY
+                },
+            },
+        }
     }
 
-    /// Does state machine `s` want to take the approximate path?
-    /// (In the stable regime with a memoized output available.)
-    pub fn wants_approx(&self, s: usize) -> bool {
-        self.approx_left[s] > 0 && self.has_last[s]
+    /// The regime check `approx_left > 0` of machine `s`, recorded into
+    /// the prediction size's margin (a failure only when `s` has entered a
+    /// regime).
+    #[inline]
+    fn in_regime(&mut self, s: usize) -> bool {
+        let left = self.approx_left[s];
+        self.pass_left_m1 = self.pass_left_m1.min(left.wrapping_sub(1));
+        self.spent_checked |= (left == 0) & self.entered[s];
+        left > 0
+    }
+
+    /// Does state machine `s` want to take the approximate path? (In the
+    /// stable regime, which implies a memoized output.)
+    pub fn wants_approx(&mut self, s: usize) -> bool {
+        debug_assert!(self.approx_left[s] == 0 || self.has_last[s]);
+        self.in_regime(s)
+    }
+
+    /// [`TafPool::wants_approx`] of machines `base..base + votes.len()`, into
+    /// `votes`: the walk's per-step vote, with the margin folded in
+    /// registers and stored once.
+    pub fn vote(&mut self, base: usize, votes: &mut [bool]) {
+        let range = base..base + votes.len();
+        let (left, entered) = (&self.approx_left[range.clone()], &self.entered[range]);
+        let (mut pass_left_m1, mut spent) = (self.pass_left_m1, self.spent_checked);
+        for ((v, &l), &e) in votes.iter_mut().zip(left).zip(entered) {
+            pass_left_m1 = pass_left_m1.min(l.wrapping_sub(1));
+            spent |= (l == 0) & e;
+            *v = l > 0;
+        }
+        self.pass_left_m1 = pass_left_m1;
+        self.spent_checked = spent;
     }
 
     /// Can machine `s` be *forced* to approximate by a group decision?
@@ -119,7 +187,9 @@ impl TafPool {
             self.margin.note(r, stable);
             if stable {
                 // Enter the stable regime; the window restarts afterwards.
+                // `validate` keeps `psize` within `u32`.
                 self.approx_left[s] = self.params.psize as u32;
+                self.entered[s] = true;
                 self.win_len[s] = 0;
                 self.win_head[s] = 0;
             }
@@ -129,7 +199,7 @@ impl TafPool {
     /// Consume one prediction from the stable regime (no-op when machine `s`
     /// was forced to approximate outside a regime).
     pub fn note_approx(&mut self, s: usize) {
-        if self.approx_left[s] > 0 {
+        if self.in_regime(s) {
             self.approx_left[s] -= 1;
         }
     }
@@ -227,22 +297,92 @@ mod tests {
     #[test]
     fn margin_brackets_the_threshold_between_observed_rsds() {
         let mut p = pool(2, 1, 0.5);
-        assert_eq!(*p.margin(), DecisionMargin::default());
+        assert_eq!(p.margins().threshold, DecisionMargin::default());
         p.observe(0, &[1.0]);
-        assert_eq!(*p.margin(), DecisionMargin::default(), "window not full");
+        assert_eq!(
+            p.margins().threshold,
+            DecisionMargin::default(),
+            "window not full"
+        );
         p.observe(0, &[4.0]); // RSD of {1, 4} = 1.5 / 2.5 > 0.5
         let unstable = rsd(&[1.0, 4.0]);
-        assert_eq!(p.margin().fail_min, unstable);
-        assert_eq!(p.margin().pass_max, f64::NEG_INFINITY);
+        assert_eq!(p.margins().threshold.fail_min, unstable);
+        assert_eq!(p.margins().threshold.pass_max, f64::NEG_INFINITY);
         p.observe(1, &[4.0]);
         p.observe(1, &[4.0]); // RSD 0 passes
-        assert_eq!(p.margin().pass_max, 0.0);
-        assert!(p.margin().covers(0.5) && !p.margin().covers(unstable));
+        assert_eq!(p.margins().threshold.pass_max, 0.0);
+        assert!(p.margins().covers(0.5, None) && !p.margins().covers(unstable, None));
         // A NaN signature (0/0 mean) fails every threshold and records nothing.
-        let before = *p.margin();
+        let before = p.margins();
         p.observe(2, &[f64::NAN]);
         p.observe(2, &[1.0]);
-        assert_eq!(*p.margin(), before);
+        assert_eq!(p.margins(), before);
+    }
+
+    #[test]
+    fn a_machine_that_never_entered_a_regime_records_no_psize_margin() {
+        let mut p = pool(2, 3, 0.1);
+        for v in [1.0, 100.0, 1.0] {
+            p.observe(0, &[v]);
+            assert!(!p.wants_approx(0));
+            p.note_approx(0); // a forced lane outside any regime
+        }
+        assert!(p.margins().threshold.fail_min.is_finite());
+        assert_eq!(p.margins().psize, DecisionMargin::default());
+        assert!(p.margins().covers(0.0, Some(1)) && p.margins().covers(0.0, Some(1 << 40)));
+    }
+
+    #[test]
+    fn a_range_vote_is_each_machines_vote() {
+        let (mut one, mut range) = (pool(1, 2, 0.5), pool(1, 2, 0.5));
+        for p in [&mut one, &mut range] {
+            p.observe(1, &[2.0]);
+            p.observe(2, &[2.0]);
+            p.note_approx(2);
+            p.note_approx(2); // machine 2's regime is spent, 1's is not
+        }
+        let each: Vec<bool> = (0..4).map(|s| one.wants_approx(s)).collect();
+        let mut votes = [true; 4];
+        range.vote(0, &mut votes);
+        assert_eq!(votes.to_vec(), each);
+        assert_eq!(each, [false, true, false, false]);
+        assert_eq!(range.margins(), one.margins());
+    }
+
+    #[test]
+    fn a_regime_cut_short_leaves_the_psize_interval_open_above() {
+        let mut p = pool(1, 8, 0.5);
+        p.observe(0, &[2.0]); // regime of 8 predictions
+        for _ in 0..3 {
+            assert!(p.wants_approx(0));
+            p.note_approx(0);
+        }
+        // The launch ends here: the checks passed at d = 0, 1, 2.
+        let m = p.margins().psize;
+        assert_eq!((m.pass_max, m.fail_min), (2.0, f64::INFINITY));
+        assert!(!p.margins().covers(0.5, Some(2)));
+        assert!(p.margins().covers(0.5, Some(3)) && p.margins().covers(0.5, Some(8)));
+        assert!(p.margins().covers(0.5, Some(usize::MAX)));
+    }
+
+    #[test]
+    fn an_expired_regime_pins_the_psize_interval_to_its_own_psize() {
+        let mut p = pool(1, 2, 0.5);
+        p.observe(1, &[2.0]);
+        while p.wants_approx(1) {
+            p.note_approx(1);
+        }
+        // A forced approximation past the end changes nothing but is
+        // checked, like the vote that found the regime spent.
+        p.note_approx(1);
+        let m = p.margins().psize;
+        assert_eq!((m.pass_max, m.fail_min), (1.0, 2.0));
+        assert!(p.margins().covers(0.5, Some(2)));
+        assert!(!p.margins().covers(0.5, Some(1)) && !p.margins().covers(0.5, Some(3)));
+        // Other machines' checks widen nothing: still pinned.
+        p.observe(2, &[2.0]);
+        assert!(p.wants_approx(2));
+        assert_eq!(p.margins().psize, m);
     }
 
     #[test]

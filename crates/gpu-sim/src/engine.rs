@@ -10,7 +10,7 @@
 use crate::cost::{CostProfile, PrecomposedCost, WarpCycles};
 use crate::dim::LaunchConfig;
 use crate::spec::{CostParams, DeviceSpec};
-use crate::stats::{DecisionMargin, KernelStats};
+use crate::stats::{DecisionMargins, KernelStats};
 use crate::timing::{self, TimingBreakdown};
 use std::cell::Cell;
 
@@ -141,10 +141,10 @@ impl BlockAccumulator {
         }
     }
 
-    /// Fold in the decision margin of this block's approximation state (see
-    /// [`DecisionMargin`]); the walk calls it once, when the block retires.
-    pub fn note_margin(&mut self, margin: &DecisionMargin) {
-        self.stats.margin.merge(margin);
+    /// Fold in the decision margins of this block's approximation state (see
+    /// [`DecisionMargins`]); the walk calls it once, when the block retires.
+    pub fn note_margins(&mut self, margins: &DecisionMargins) {
+        self.stats.margins.merge(margins);
     }
 
     /// Statistics accumulated so far (tests and diagnostics).
@@ -343,14 +343,20 @@ mod tests {
     #[test]
     fn accumulator_reset_restores_the_margin_identity() {
         let mut acc = BlockAccumulator::new(1, spec().costs);
-        acc.note_margin(&DecisionMargin {
+        let narrow = crate::DecisionMargin {
             pass_max: 0.25,
             fail_min: 0.75,
+        };
+        acc.note_margins(&DecisionMargins {
+            threshold: narrow,
+            psize: narrow,
         });
-        assert!(!acc.stats().margin.covers(1.0));
+        assert!(!acc.stats().margins.covers(1.0, None));
+        assert!(!acc.stats().margins.covers(0.5, Some(4)));
         acc.reset();
-        assert_eq!(acc.stats().margin, DecisionMargin::default());
-        assert!(acc.stats().margin.covers(0.0) && acc.stats().margin.covers(1e300));
+        assert_eq!(acc.stats().margins, DecisionMargins::default());
+        assert!(acc.stats().margins.covers(0.0, Some(1)));
+        assert!(acc.stats().margins.covers(1e300, Some(1 << 40)));
     }
 
     #[test]

@@ -44,5 +44,5 @@ pub use engine::{
     modeled_seconds, reset_modeled_seconds, BlockAccumulator, KernelExec, KernelRecord, LaunchError,
 };
 pub use spec::{CostParams, DeviceSpec, Vendor};
-pub use stats::{DecisionMargin, KernelStats};
+pub use stats::{DecisionMargin, DecisionMargins, KernelStats};
 pub use warp::{lane_mask_ballot, popcount, WarpVote};

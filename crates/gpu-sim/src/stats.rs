@@ -4,12 +4,12 @@
 //! (Fig 8c's color scale), divergence counts (Fig 11c's motivation), and
 //! the cycle breakdown used to explain where speedup comes from.
 
-/// The decision margin of a run's activation threshold: the largest
-/// criterion value that passed a `value <= threshold` comparison and the
-/// smallest that failed one. Every threshold in `[pass_max, fail_min)` orders
-/// each compared value the same way, so a run repeated at any of them makes
-/// the same decisions — and, the threshold entering a run nowhere else, is
-/// the same run bit for bit.
+/// The decision margin of one parameter a run reads only through
+/// `value <= parameter` comparisons: the largest compared value that passed
+/// and the smallest that failed. Every parameter value in
+/// `[pass_max, fail_min)` orders each compared value the same way, so a run
+/// repeated at any of them makes the same decisions — and, the parameter
+/// entering the run nowhere else, is the same run bit for bit.
 ///
 /// The identity is `(−∞, +∞)`; `max`/`min` folding is commutative, so the
 /// margin is the same whatever order blocks and kernels merge in.
@@ -53,6 +53,43 @@ impl DecisionMargin {
     }
 }
 
+/// The decision margins of the two parameters an approximated run reads only
+/// through comparisons (see [`DecisionMargin`]):
+///
+/// * `threshold` — the activation threshold, over `criterion <= threshold`
+///   (TAF's window RSD, iACT's probe distance);
+/// * `psize` — TAF's prediction size, over `d <= psize − 1`, where `d`
+///   counts the predictions a state machine's current regime has made (its
+///   `approx_left > 0` check). A machine that never entered a regime
+///   compares nothing, so iACT, perforation and accurate runs keep the
+///   identity.
+///
+/// A run at any (threshold, psize) that both margins cover decides every
+/// comparison the same way, step by step, and so is the same run.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct DecisionMargins {
+    pub threshold: DecisionMargin,
+    pub psize: DecisionMargin,
+}
+
+impl DecisionMargins {
+    pub fn merge(&mut self, other: &DecisionMargins) {
+        self.threshold.merge(&other.threshold);
+        self.psize.merge(&other.psize);
+    }
+
+    /// Would a run at `threshold` and `psize` (`None` for techniques without
+    /// a prediction size) decide every recorded comparison the same way?
+    /// Never for a NaN threshold or a zero `psize`.
+    pub fn covers(&self, threshold: f64, psize: Option<usize>) -> bool {
+        self.threshold.covers(threshold)
+            && psize.is_none_or(|p| {
+                p.checked_sub(1)
+                    .is_some_and(|c| self.psize.covers(c as f64))
+            })
+    }
+}
+
 /// Counters accumulated over one kernel execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct KernelStats {
@@ -72,9 +109,10 @@ pub struct KernelStats {
     pub total_issue_cycles: f64,
     /// Total latency cycles across all warps (before hiding).
     pub total_latency_cycles: f64,
-    /// Decision margin of the launch's activation threshold (the identity
-    /// for accurate and perforated launches, which compare nothing).
-    pub margin: DecisionMargin,
+    /// Decision margins of the launch's threshold and prediction size (the
+    /// identity for accurate and perforated launches, which compare
+    /// nothing).
+    pub margins: DecisionMargins,
 }
 
 impl KernelStats {
@@ -109,7 +147,7 @@ impl KernelStats {
         self.global_txns += other.global_txns;
         self.total_issue_cycles += other.total_issue_cycles;
         self.total_latency_cycles += other.total_latency_cycles;
-        self.margin.merge(&other.margin);
+        self.margins.merge(&other.margins);
     }
 }
 
@@ -147,7 +185,7 @@ mod tests {
 
     #[test]
     fn margin_identity_covers_everything_and_merging_narrows() {
-        let mut m = KernelStats::default().margin;
+        let mut m = KernelStats::default().margins.threshold;
         assert!(m.covers(0.0) && m.covers(f64::MAX));
         assert!(!m.covers(f64::NAN));
         m.note(0.5, true);
@@ -160,12 +198,29 @@ mod tests {
         m.merge(&other);
         assert_eq!((m.pass_max, m.fail_min), (0.5, 2.0));
         assert!(m.covers(0.5) && m.covers(1.999) && !m.covers(2.0) && !m.covers(0.4));
+        let margins = DecisionMargins {
+            threshold: m,
+            psize: DecisionMargin {
+                pass_max: 3.0,
+                fail_min: 4.0,
+            },
+        };
         let mut merged = KernelStats::default();
         merged.merge(&KernelStats {
-            margin: m,
+            margins,
             ..Default::default()
         });
-        assert_eq!(merged.margin, m);
+        assert_eq!(merged.margins, margins);
+        // psize is covered through `psize − 1`: [3, 4) holds psize 4 alone.
+        assert!(margins.covers(0.5, Some(4)) && margins.covers(1.0, None));
+        assert!(!margins.covers(0.5, Some(3)) && !margins.covers(0.5, Some(5)));
+        assert!(!margins.covers(2.0, Some(4)));
+        let open = DecisionMargins::default();
+        assert!(open.covers(0.0, Some(1)) && open.covers(0.0, Some(usize::MAX)));
+        assert!(
+            !open.covers(0.0, Some(0)),
+            "psize 0 is refused, never covered"
+        );
     }
 
     #[test]

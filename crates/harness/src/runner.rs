@@ -8,12 +8,12 @@
 
 use crate::db::Row;
 use crate::space::{self, Scale, SweepConfig};
-use gpu_sim::{DecisionMargin, DeviceSpec};
+use gpu_sim::{DecisionMargins, DeviceSpec};
 use hpac_apps::common::{
     eval_key, install_eval_memo, scoped_inputs, AppResult, Benchmark, LaunchParams, Prepared, QoI,
 };
 use hpac_core::exec::{engine, ExecOptions};
-use hpac_core::region::RegionError;
+use hpac_core::region::{FamilyPoint, RegionError};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -296,16 +296,18 @@ pub fn run_config_bounded(
     evaluate(bench, spec, baseline, cfg, opts).0
 }
 
-/// [`run_config_bounded`], plus the interval of thresholds the run answers
-/// for: the decision margin of a run that finished. A rejected or aborted
-/// run made no (or not all of its) comparisons and answers for nobody.
-fn evaluate(
+/// [`run_config_bounded`], plus the points of its family ([`family_key`])
+/// the run answers for: the decision margins of a run that finished. A
+/// rejected or aborted run made no (or not all of its) comparisons and
+/// answers for nobody. The margins hold under `opts` only: a run at another
+/// cost ceiling may abort where this one did not.
+pub fn evaluate(
     bench: &dyn Benchmark,
     spec: &DeviceSpec,
     baseline: &Baseline,
     cfg: &SweepConfig,
     opts: &ExecOptions,
-) -> (ConfigOutcome, Option<DecisionMargin>) {
+) -> (ConfigOutcome, Option<DecisionMargins>) {
     let kernel_only = bench.kernel_only_timing();
     let eval_from = hpac_obs::enabled().then(hpac_obs::now_ns);
     let _span = hpac_obs::span_named(
@@ -355,7 +357,7 @@ fn evaluate(
                 end_to_end_seconds: res.end_to_end_seconds(),
                 iterations: res.iterations,
             };
-            (ConfigOutcome::Done(row), Some(res.stats.margin))
+            (ConfigOutcome::Done(row), Some(res.stats.margins))
         }
         Err(RegionError::CostCeiling(_)) => (ConfigOutcome::Aborted(cfg.label.clone()), None),
         Err(e) => (
@@ -430,55 +432,68 @@ impl<R: Clone> CanonicalReps<R> {
     }
 }
 
-/// Group the fresh configurations into *threshold families*: members run the
-/// same execution — equal region apart from the threshold
-/// ([`ApproxRegion::threshold_family`]), equal launch class (the exact launch
-/// shape where the benchmark declares no classes) — and differ in threshold
-/// alone. Each family lists `(threshold, slot)` in ascending threshold;
-/// perforation has no threshold, so its configurations are families of one.
-/// Families come longest first, so a long one is not the tail of a round.
+/// The family of a configuration: the region fingerprint without the words
+/// a run only compares — the threshold and, for TAF, the prediction size
+/// ([`ApproxRegion::family`]) — plus the launch class (the exact launch shape
+/// where the benchmark declares no classes), with the configuration's point
+/// in it. Members of one family run the same execution up to those
+/// comparisons, so a finished run of one ([`evaluate`]) answers every member
+/// whose point its decision margins cover. `None` for perforation, which
+/// compares nothing, and for a region that fails validation: it is refused
+/// on its own and never covered.
 ///
-/// [`ApproxRegion::threshold_family`]: hpac_core::region::ApproxRegion::threshold_family
-fn threshold_families(
+/// [`ApproxRegion::family`]: hpac_core::region::ApproxRegion::family
+pub fn family_key(
+    bench: &dyn Benchmark,
+    spec: &DeviceSpec,
+    cfg: &SweepConfig,
+) -> Option<(FamilyPoint, Vec<u64>)> {
+    cfg.region.validate().ok()?;
+    let (point, mut key) = cfg.region.family()?;
+    match bench.launch_class(spec, &cfg.lp) {
+        Some(class) => key.extend([1, class]),
+        None => key.extend([0, cfg.lp.items_per_thread as u64, cfg.lp.block_size as u64]),
+    }
+    Some((point, key))
+}
+
+/// Group the fresh configurations into families ([`family_key`]), each
+/// listing its members' `(point, slot)` in plan order; a configuration
+/// without a family is a family of one. Families come longest first, so a
+/// long one is not the tail of a round.
+fn families(
     bench: &dyn Benchmark,
     spec: &DeviceSpec,
     fresh: &[&SweepConfig],
-) -> Vec<Vec<(f64, usize)>> {
+) -> Vec<Vec<(Option<FamilyPoint>, usize)>> {
     let mut family_of: HashMap<Vec<u64>, usize> = HashMap::new();
-    let mut families: Vec<Vec<(f64, usize)>> = Vec::new();
+    let mut families: Vec<Vec<(Option<FamilyPoint>, usize)>> = Vec::new();
     for (slot, cfg) in fresh.iter().enumerate() {
-        let Some((threshold, mut key)) = cfg.region.threshold_family() else {
-            families.push(vec![(0.0, slot)]);
+        let Some((point, key)) = family_key(bench, spec, cfg) else {
+            families.push(vec![(None, slot)]);
             continue;
         };
-        match bench.launch_class(spec, &cfg.lp) {
-            Some(class) => key.extend([1, class]),
-            None => key.extend([0, cfg.lp.items_per_thread as u64, cfg.lp.block_size as u64]),
-        }
         let family = *family_of.entry(key).or_insert_with(|| {
             families.push(Vec::new());
             families.len() - 1
         });
-        families[family].push((threshold, slot));
-    }
-    for family in &mut families {
-        family.sort_by(|a, b| a.0.total_cmp(&b.0));
+        families[family].push((Some(point), slot));
     }
     families.sort_by_key(|family| std::cmp::Reverse(family.len()));
     families
 }
 
 /// The one sweep body: baseline → canonical dedup → the fresh configurations
-/// as threshold families (one engine task each, or serially on the caller) →
-/// every plan entry answered from its representative, in plan order.
+/// as families (one engine task each, or serially on the caller) → every
+/// plan entry answered from its representative, in plan order.
 ///
-/// Within a family, members are evaluated in ascending threshold, and a
-/// member whose threshold lies inside the decision margin of a sibling that
-/// ran takes that sibling's outcome: the threshold enters a run only through
-/// the comparisons the margin records, so the member's own run would decide
-/// each of them the same way and be the same run. (Thresholds the region
-/// would refuse — negative, NaN, infinite — are never covered: negatives
-/// sort first and are rejected on their own, no margin covers the others.)
+/// Within a family, a member whose threshold and prediction size lie inside
+/// the decision margins of a sibling that ran takes that sibling's outcome:
+/// both enter a run only through the comparisons the margins record, so the
+/// member's own run would decide each of them the same way and be the same
+/// run. Covering is an equivalence — a covered member's run would publish
+/// the very margins that cover it — so a family costs one run per distinct
+/// run among its members, whatever order they come in.
 fn sweep(
     bench: &dyn Benchmark,
     spec: &DeviceSpec,
@@ -505,15 +520,20 @@ fn sweep(
         })
         .collect();
 
-    let families = threshold_families(bench, spec, &fresh);
+    let families = families(bench, spec, &fresh);
     let eval = |f: usize| -> Vec<ConfigOutcome> {
         // The margins of this family's finished runs, each with the index in
         // `outcomes` of the run that published it.
-        let mut published: Vec<(DecisionMargin, usize)> = Vec::new();
+        let mut published: Vec<(DecisionMargins, usize)> = Vec::new();
         let mut outcomes: Vec<ConfigOutcome> = Vec::with_capacity(families[f].len());
-        for &(threshold, slot) in &families[f] {
+        for &(point, slot) in &families[f] {
             let cfg = fresh[slot];
-            let outcome = match published.iter().rev().find(|(m, _)| m.covers(threshold)) {
+            let covering = point.and_then(|p| {
+                published
+                    .iter()
+                    .find(|(m, _)| m.covers(p.threshold, p.psize))
+            });
+            let outcome = match covering {
                 Some(&(_, sibling)) => {
                     hpac_obs::inc(hpac_obs::CounterId::ConfigsDeduped);
                     hpac_obs::inc(hpac_obs::CounterId::ConfigsThresholdCovered);

@@ -5,7 +5,7 @@
 //! event is four `u64` stores on the hot path; anything dynamic goes through
 //! [`intern`] once at the call site (always behind the enabled gate).
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Identity of a timed region. `name()` is the stable label used by both
 /// sinks; `arg_keys()` documents what the two payload words mean.
@@ -171,7 +171,8 @@ pub enum CounterId {
     TunerCacheHits,
     /// Tune requests that missed the persistent cache and searched.
     TunerCacheMisses,
-    /// Fresh evaluator runs during tuner search.
+    /// Configurations the tuner's evaluator admitted and charged to its
+    /// budget (run, or answered by a family sibling's decision margins).
     TunerEvals,
     /// Evaluator requests served from the in-process memo or dropped by budget.
     TunerEvalsSkipped,
@@ -199,8 +200,9 @@ pub enum CounterId {
     ConfigsDeduped,
     /// Config evaluations aborted once they provably missed the frontier.
     EarlyAborts,
-    /// Sweep configs answered by a threshold-family sibling whose decision
-    /// margin covers their threshold (also counted in `ConfigsDeduped`).
+    /// Configs (sweep or tuner) answered by a family sibling whose decision
+    /// margins cover their threshold and prediction size (also counted in
+    /// `ConfigsDeduped`).
     ConfigsThresholdCovered,
     /// Warm-started searches answered by a stored frontier's winner after
     /// one run that reproduced its stored speedup and error.
@@ -366,25 +368,31 @@ pub(crate) fn unpack_meta(meta: u64) -> Option<Payload> {
 // String interner
 // ---------------------------------------------------------------------------
 
-struct Interner {
+pub(crate) struct Interner {
     strings: Vec<String>,
 }
 
 static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
 
-fn interner() -> &'static Mutex<Interner> {
-    INTERNER.get_or_init(|| {
-        Mutex::new(Interner {
-            strings: Vec::new(),
+/// The interner, locked. Every update is one whole `push`, so the list is
+/// valid at every step and a lock poisoned by a panicking holder is safe
+/// to recover: a panic while tracing must not end the process's tracing.
+pub(crate) fn interner() -> MutexGuard<'static, Interner> {
+    INTERNER
+        .get_or_init(|| {
+            Mutex::new(Interner {
+                strings: Vec::new(),
+            })
         })
-    })
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Intern a string, returning a stable id usable as an event payload word.
 /// Takes a global lock — call only behind the enabled gate, and only for
 /// low-frequency names (apps, grids, log messages), never per warp-step.
 pub fn intern(s: &str) -> u64 {
-    let mut g = interner().lock().unwrap();
+    let mut g = interner();
     if let Some(i) = g.strings.iter().position(|x| x == s) {
         return i as u64;
     }
@@ -394,6 +402,6 @@ pub fn intern(s: &str) -> u64 {
 
 /// Resolve an interned id back to its string, if it exists.
 pub fn resolve(id: u64) -> Option<String> {
-    let g = interner().lock().unwrap();
+    let g = interner();
     g.strings.get(id as usize).cloned()
 }

@@ -236,6 +236,38 @@ mod tests {
     }
 
     #[test]
+    fn a_panic_holding_the_obs_locks_leaves_tracing_working() {
+        let _g = locked();
+        let died = std::thread::spawn(|| {
+            let _sink = sink::sink();
+            let _interner = event::interner();
+            let _registry = ring::registry();
+            panic!("a tracer died holding every obs lock");
+        })
+        .join();
+        assert!(died.is_err());
+        set_enabled(true);
+        let _ = drain_events();
+        // A new thread registers its ring through the poisoned registry and
+        // interns its name through the poisoned interner.
+        std::thread::spawn(|| drop(span_named(SpanId::KernelWalk, "after the panic", 3)))
+            .join()
+            .unwrap();
+        drop(span(SpanId::EngineBatch, 1, 2));
+        set_enabled(false);
+        assert!(flush().is_ok() && finish().is_ok());
+        let _ = sink_config();
+        let events = drain_events();
+        assert!(events
+            .iter()
+            .any(|e| e.payload == Payload::Span(SpanId::KernelWalk)
+                && resolve(e.a).as_deref() == Some("after the panic")));
+        assert!(events
+            .iter()
+            .any(|e| e.payload == Payload::Span(SpanId::EngineBatch) && (e.a, e.b) == (1, 2)));
+    }
+
+    #[test]
     fn parse_hpac_trace_accepts_valid_forms() {
         assert_eq!(parse_hpac_trace("").unwrap(), None);
         assert_eq!(parse_hpac_trace("   ").unwrap(), None);

@@ -14,7 +14,7 @@
 use crate::event::{pack_meta, unpack_meta, CounterId, Kind, OwnedEvent, N_COUNTERS};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Events retained per worker. Power of two so the slot index is a mask.
 pub const RING_CAP: usize = 1 << 14;
@@ -174,8 +174,14 @@ impl WorkerRing {
 
 static REGISTRY: OnceLock<Mutex<Vec<&'static WorkerRing>>> = OnceLock::new();
 
-fn registry() -> &'static Mutex<Vec<&'static WorkerRing>> {
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
+/// The ring registry, locked. Every update is one whole `push` of a leaked
+/// ring, so the list is valid at every step and a lock poisoned by a
+/// panicking holder is safe to recover.
+pub(crate) fn registry() -> MutexGuard<'static, Vec<&'static WorkerRing>> {
+    REGISTRY
+        .get_or_init(|| Mutex::new(Vec::new()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 thread_local! {
@@ -193,7 +199,7 @@ pub(crate) fn ring() -> &'static WorkerRing {
         let pool_worker = std::thread::current()
             .name()
             .is_some_and(|n| n.starts_with("hpac-pool-"));
-        let mut reg = registry().lock().unwrap();
+        let mut reg = registry();
         let r: &'static WorkerRing =
             Box::leak(Box::new(WorkerRing::new(reg.len() as u32, pool_worker)));
         reg.push(r);
@@ -204,7 +210,7 @@ pub(crate) fn ring() -> &'static WorkerRing {
 
 /// Snapshot of the registered rings (order = registration order).
 pub(crate) fn all_rings() -> Vec<&'static WorkerRing> {
-    registry().lock().unwrap().clone()
+    registry().clone()
 }
 
 /// Drain all rings into a single list ordered by start timestamp.

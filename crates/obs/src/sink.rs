@@ -11,7 +11,7 @@ use crate::ring::all_rings;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceFormat {
@@ -72,7 +72,7 @@ pub fn parse_hpac_trace(raw: &str) -> Result<Option<SinkConfig>, String> {
     }))
 }
 
-struct Sink {
+pub(crate) struct Sink {
     cfg: SinkConfig,
     file: std::fs::File,
     /// Chrome only: whether any event has been written (comma placement).
@@ -82,8 +82,14 @@ struct Sink {
 
 static SINK: OnceLock<Mutex<Option<Sink>>> = OnceLock::new();
 
-fn sink() -> &'static Mutex<Option<Sink>> {
+/// The sink slot, locked. Its fields change only after the write they
+/// describe succeeded, so the sink is valid at every step and a lock
+/// poisoned by a panicking holder is safe to recover: a panic while tracing
+/// must not end the process's tracing.
+pub(crate) fn sink() -> MutexGuard<'static, Option<Sink>> {
     SINK.get_or_init(|| Mutex::new(None))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Open the trace file and install it as the process sink. A Chrome sink
@@ -95,7 +101,7 @@ pub fn install_sink(cfg: SinkConfig) -> std::io::Result<()> {
     if cfg.format == TraceFormat::Chrome {
         file.write_all(b"[\n")?;
     }
-    *sink().lock().unwrap() = Some(Sink {
+    *sink() = Some(Sink {
         cfg,
         file,
         wrote_event: false,
@@ -106,7 +112,7 @@ pub fn install_sink(cfg: SinkConfig) -> std::io::Result<()> {
 
 /// The installed sink's configuration, if any.
 pub fn sink_config() -> Option<SinkConfig> {
-    sink().lock().unwrap().as_ref().map(|s| s.cfg.clone())
+    sink().as_ref().map(|s| s.cfg.clone())
 }
 
 fn escape_into(out: &mut String, s: &str) {
@@ -206,7 +212,7 @@ pub struct FlushStats {
 /// [`crate::snapshot`] still work without one). Call at quiescent points —
 /// between sweeps, after a tune — not from inside the hot path.
 pub fn flush() -> std::io::Result<FlushStats> {
-    let mut guard = sink().lock().unwrap();
+    let mut guard = sink();
     let Some(s) = guard.as_mut() else {
         return Ok(FlushStats::default());
     };
@@ -219,6 +225,7 @@ pub fn flush() -> std::io::Result<FlushStats> {
     }
     events.sort_by_key(|e| (e.t0_ns, e.worker, e.seq));
     let mut buf = String::with_capacity(events.len() * 160 + 16);
+    let mut wrote_event = s.wrote_event;
     for e in &events {
         match s.cfg.format {
             TraceFormat::Jsonl => {
@@ -226,15 +233,16 @@ pub fn flush() -> std::io::Result<FlushStats> {
                 buf.push('\n');
             }
             TraceFormat::Chrome => {
-                if s.wrote_event {
+                if wrote_event {
                     buf.push_str(",\n");
                 }
                 buf.push_str(&render_chrome(e));
-                s.wrote_event = true;
+                wrote_event = true;
             }
         }
     }
     s.file.write_all(buf.as_bytes())?;
+    s.wrote_event = wrote_event;
     s.file.flush()?;
     Ok(FlushStats {
         events: events.len() as u64,
@@ -245,7 +253,7 @@ pub fn flush() -> std::io::Result<FlushStats> {
 /// JSON array. The sink stays installed but ignores further flushes.
 pub fn finish() -> std::io::Result<FlushStats> {
     let stats = flush()?;
-    let mut guard = sink().lock().unwrap();
+    let mut guard = sink();
     let Some(s) = guard.as_mut() else {
         return Ok(stats);
     };
@@ -254,8 +262,9 @@ pub fn finish() -> std::io::Result<FlushStats> {
     }
     if s.cfg.format == TraceFormat::Chrome {
         let mut buf = String::new();
+        let mut wrote_event = s.wrote_event;
         for r in all_rings() {
-            if s.wrote_event {
+            if wrote_event {
                 buf.push_str(",\n");
             }
             let name = if r.pool_worker {
@@ -269,10 +278,11 @@ pub fn finish() -> std::io::Result<FlushStats> {
                  \"args\": {{\"name\": \"{name}\"}}}}",
                 r.worker
             );
-            s.wrote_event = true;
+            wrote_event = true;
         }
         buf.push_str("\n]\n");
         s.file.write_all(buf.as_bytes())?;
+        s.wrote_event = wrote_event;
     }
     s.file.flush()?;
     s.finished = true;

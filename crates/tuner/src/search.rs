@@ -10,13 +10,21 @@
 //!
 //! Every evaluated point feeds the shared [`ParetoFrontier`], so the tuner
 //! keeps the whole tradeoff curve, not just the bound-feasible winner.
+//!
+//! The [`Evaluator`] answers a configuration without running it when it can
+//! prove the run's outcome: a canonical duplicate takes its
+//! representative's, and a member of a family ([`runner::family_key`]) whose
+//! threshold and prediction size lie inside the decision margins of a
+//! sibling's finished run — published under the same cost ceiling — takes
+//! that sibling's. Either is still admitted and charged like a run, so the
+//! budget, the trajectory and every plan are those of running it.
 
 use crate::grid::Grid;
 use crate::pareto::{ParetoFrontier, ParetoPoint};
-use gpu_sim::DeviceSpec;
+use gpu_sim::{DecisionMargins, DeviceSpec};
 use hpac_apps::common::{Benchmark, LaunchParams};
 use hpac_core::exec::{engine, ExecOptions};
-use hpac_core::region::ApproxRegion;
+use hpac_core::region::{ApproxRegion, FamilyPoint};
 use hpac_harness::runner::{self, Baseline, CanonicalReps, ConfigOutcome};
 use hpac_harness::space::SweepConfig;
 use rand::rngs::StdRng;
@@ -34,6 +42,53 @@ pub struct Evaluated {
     pub error_pct: f64,
 }
 
+impl Evaluated {
+    /// This outcome as `cfg`'s own, for a configuration answered by another
+    /// one's run.
+    fn for_config(&self, cfg: &SweepConfig) -> Evaluated {
+        Evaluated {
+            region: cfg.region,
+            lp: cfg.lp,
+            technique: cfg.region.technique_name(),
+            ..*self
+        }
+    }
+
+    /// Can the descent move here? A non-finite speedup or error (a NaN or
+    /// infinite output scores infinite error) ranks against nothing.
+    fn is_candidate(&self) -> bool {
+        self.speedup.is_finite() && self.error_pct.is_finite()
+    }
+}
+
+/// How the evaluator answered one configuration.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Answer {
+    /// Run to completion.
+    Run,
+    /// A canonical duplicate of the named configuration: the same execution.
+    DuplicateOf(String),
+    /// Inside the decision margins the named configuration's finished run
+    /// published under the same cost ceiling (`None`: no ceiling), so its
+    /// own run would have been that run.
+    CoveredBy {
+        sibling: String,
+        ceiling: Option<f64>,
+    },
+    /// Abandoned once its modeled cost crossed the ceiling, in seconds.
+    Aborted { ceiling: f64 },
+    /// Refused at launch, for the given reason.
+    Rejected(String),
+}
+
+/// A finished run's margins, with the ceiling it ran under (as bits) and its
+/// label.
+struct Published {
+    margins: DecisionMargins,
+    ceiling: Option<u64>,
+    label: String,
+}
+
 /// Budgeted, memoizing configuration evaluator shared by all grids of one
 /// tuning request.
 pub struct Evaluator<'a> {
@@ -41,7 +96,8 @@ pub struct Evaluator<'a> {
     spec: &'a DeviceSpec,
     baseline: &'a Baseline,
     budget: usize,
-    /// Fresh (non-memoized) configuration executions so far.
+    /// Configurations charged to the budget so far: every one admitted,
+    /// whether it ran or a sibling's margins answered it.
     pub evaluations: usize,
     pub frontier: ParetoFrontier,
     /// Configurations abandoned by the frontier-aware cost ceiling: their
@@ -54,6 +110,10 @@ pub struct Evaluator<'a> {
     /// Canonical execution → label of the evaluated representative;
     /// equal-key configurations reuse its outcome instead of re-executing.
     canon: CanonicalReps<String>,
+    /// Family key → the margins its members' finished runs published.
+    published: HashMap<Vec<u64>, Vec<Published>>,
+    /// Every answered configuration's label and answer, in answer order.
+    answers: Vec<(String, Answer)>,
 }
 
 impl<'a> Evaluator<'a> {
@@ -73,6 +133,8 @@ impl<'a> Evaluator<'a> {
             aborted: Vec::new(),
             seen: HashMap::new(),
             canon: CanonicalReps::new(),
+            published: HashMap::new(),
+            answers: Vec::new(),
         }
     }
 
@@ -86,9 +148,29 @@ impl<'a> Evaluator<'a> {
         self.seen.get(label).and_then(|o| o.as_ref())
     }
 
+    /// How each configuration was answered, in the order answered.
+    pub fn answers(&self) -> &[(String, Answer)] {
+        &self.answers
+    }
+
+    /// The configuration whose run, finished under `ceiling`, published
+    /// margins covering `point` in family `key`.
+    fn covering_sibling(
+        &self,
+        (point, key): &(FamilyPoint, Vec<u64>),
+        ceiling: Option<u64>,
+    ) -> Option<String> {
+        self.published
+            .get(key)?
+            .iter()
+            .find(|p| p.ceiling == ceiling && p.margins.covers(point.threshold, point.psize))
+            .map(|p| p.label.clone())
+    }
+
     /// Evaluate a batch, running fresh configurations in parallel on the
     /// shared [`engine`] (nested kernel fan-outs run inline on each config
-    /// task's worker). Returns one outcome per input configuration
+    /// task's worker) — all but those an earlier batch's published margins
+    /// already answer. Returns one outcome per input configuration
     /// (memoized results included); fresh work beyond the remaining budget
     /// is skipped and reported as `None`.
     pub fn eval_batch(&mut self, configs: &[SweepConfig]) -> Vec<Option<Evaluated>> {
@@ -127,11 +209,33 @@ impl<'a> Evaluator<'a> {
                 .map(|s0| self.baseline.seconds / s0),
             ..ExecOptions::default()
         };
+        let ceiling = opts.abort_above_seconds;
+        let ceiling_bits = ceiling.map(f64::to_bits);
+        // Before the batch runs: the admitted configurations an earlier
+        // batch's margins answer under this very ceiling.
+        let families: Vec<_> = fresh
+            .iter()
+            .map(|cfg| runner::family_key(self.bench, self.spec, cfg))
+            .collect();
+        let covered: Vec<Option<String>> = families
+            .iter()
+            .map(|f| {
+                f.as_ref()
+                    .and_then(|f| self.covering_sibling(f, ceiling_bits))
+            })
+            .collect();
+        let to_run: Vec<&SweepConfig> = fresh
+            .iter()
+            .zip(&covered)
+            .filter(|(_, c)| c.is_none())
+            .map(|(cfg, _)| *cfg)
+            .collect();
         let (bench, spec, baseline) = (self.bench, self.spec, self.baseline);
-        let outcomes: Vec<ConfigOutcome> =
-            engine().run(fresh.len(), engine().default_width(), |i| {
-                runner::run_config_bounded(bench, spec, baseline, fresh[i], &opts)
-            });
+        let mut ran = engine()
+            .run(to_run.len(), engine().default_width(), |i| {
+                runner::evaluate(bench, spec, baseline, to_run[i], &opts)
+            })
+            .into_iter();
         self.evaluations += fresh.len();
         if hpac_obs::enabled() {
             hpac_obs::add(hpac_obs::CounterId::TunerEvals, fresh.len() as u64);
@@ -140,20 +244,39 @@ impl<'a> Evaluator<'a> {
                 (configs.len() - fresh.len()) as u64,
             );
         }
-        for (cfg, outcome) in fresh.iter().zip(outcomes) {
-            let outcome = match outcome {
-                ConfigOutcome::Done(row) => Some(Evaluated {
-                    region: cfg.region,
-                    lp: cfg.lp,
-                    technique: cfg.region.technique_name(),
-                    speedup: row.speedup,
-                    error_pct: row.error_pct,
-                }),
-                ConfigOutcome::Aborted(_) => {
-                    self.aborted.push((*cfg).clone());
-                    None
+        for ((cfg, family), sibling) in fresh.iter().zip(families).zip(covered) {
+            let (outcome, answer) = match sibling {
+                Some(sibling) => {
+                    hpac_obs::inc(hpac_obs::CounterId::ConfigsDeduped);
+                    hpac_obs::inc(hpac_obs::CounterId::ConfigsThresholdCovered);
+                    let outcome = self.lookup(&sibling).map(|rep| rep.for_config(cfg));
+                    (outcome, Answer::CoveredBy { sibling, ceiling })
                 }
-                ConfigOutcome::Rejected(..) => None,
+                None => match ran.next().expect("one outcome per configuration run") {
+                    (ConfigOutcome::Done(row), margins) => {
+                        if let (Some((_, key)), Some(margins)) = (family, margins) {
+                            self.published.entry(key).or_default().push(Published {
+                                margins,
+                                ceiling: ceiling_bits,
+                                label: cfg.label.clone(),
+                            });
+                        }
+                        let outcome = Evaluated {
+                            region: cfg.region,
+                            lp: cfg.lp,
+                            technique: cfg.region.technique_name(),
+                            speedup: row.speedup,
+                            error_pct: row.error_pct,
+                        };
+                        (Some(outcome), Answer::Run)
+                    }
+                    (ConfigOutcome::Aborted(_), _) => {
+                        self.aborted.push((*cfg).clone());
+                        let ceiling = ceiling.unwrap_or(f64::INFINITY);
+                        (None, Answer::Aborted { ceiling })
+                    }
+                    (ConfigOutcome::Rejected(_, reason), _) => (None, Answer::Rejected(reason)),
+                },
             };
             if let Some(ev) = &outcome {
                 self.frontier.insert(ParetoPoint {
@@ -167,24 +290,16 @@ impl<'a> Evaluator<'a> {
                 });
             }
             self.seen.insert(cfg.label.clone(), outcome);
+            self.answers.push((cfg.label.clone(), answer));
         }
         for (cfg, rep_label) in dups {
             hpac_obs::inc(hpac_obs::CounterId::ConfigsDeduped);
-            let synth = self
-                .seen
-                .get(&rep_label)
-                .cloned()
-                .flatten()
-                .map(|rep| Evaluated {
-                    region: cfg.region,
-                    lp: cfg.lp,
-                    technique: cfg.region.technique_name(),
-                    speedup: rep.speedup,
-                    error_pct: rep.error_pct,
-                });
+            let synth = self.lookup(&rep_label).map(|rep| rep.for_config(cfg));
             // The representative already holds the frontier point for these
             // coordinates; inserting the duplicate would be a no-op.
             self.seen.insert(cfg.label.clone(), synth);
+            self.answers
+                .push((cfg.label.clone(), Answer::DuplicateOf(rep_label)));
         }
         // One trajectory sample per batch: how far the search has come and
         // how selective the frontier is at this point.
@@ -201,7 +316,9 @@ impl<'a> Evaluator<'a> {
 }
 
 /// Candidate ordering under a quality bound: feasible beats infeasible,
-/// then faster, then more accurate.
+/// then faster, then more accurate. Both must be candidates
+/// ([`Evaluated::is_candidate`]): a NaN compares false both ways and would
+/// win by arriving first.
 fn better(a: &Evaluated, b: &Evaluated, bound_pct: f64) -> bool {
     let (fa, fb) = (a.error_pct <= bound_pct, b.error_pct <= bound_pct);
     if fa != fb {
@@ -212,6 +329,23 @@ fn better(a: &Evaluated, b: &Evaluated, bound_pct: f64) -> bool {
     } else {
         a.error_pct < b.error_pct || (a.error_pct == b.error_pct && a.speedup > b.speedup)
     }
+}
+
+/// The index the descent moves to along an axis: the best candidate
+/// outcome, the first among equals.
+fn best_candidate(outcomes: &[Option<Evaluated>], bound_pct: f64) -> Option<usize> {
+    outcomes
+        .iter()
+        .enumerate()
+        .filter_map(|(v, o)| o.as_ref().filter(|e| e.is_candidate()).map(|e| (v, e)))
+        .reduce(|acc, cur| {
+            if better(cur.1, acc.1, bound_pct) {
+                cur
+            } else {
+                acc
+            }
+        })
+        .map(|(v, _)| v)
 }
 
 fn random_index(grid: &Grid, rng: &mut StdRng) -> Vec<usize> {
@@ -260,18 +394,7 @@ fn coordinate_descent(grid: &Grid, ev: &mut Evaluator<'_>, bound_pct: f64, mut i
                 })
                 .collect();
             let outcomes = ev.eval_batch(&candidates);
-            let best = outcomes
-                .iter()
-                .enumerate()
-                .filter_map(|(v, o)| o.as_ref().map(|e| (v, e)))
-                .reduce(|acc, cur| {
-                    if better(cur.1, acc.1, bound_pct) {
-                        cur
-                    } else {
-                        acc
-                    }
-                });
-            if let Some((v, _)) = best {
+            if let Some(v) = best_candidate(&outcomes, bound_pct) {
                 if v != idx[axis] {
                     idx[axis] = v;
                     moved = true;
@@ -334,6 +457,123 @@ mod tests {
         assert_eq!(ev.evaluations, 1, "memoized eval must not re-run");
         assert!(again[0].is_some());
         assert!(ev.lookup(&cfg.label).is_some());
+    }
+
+    #[test]
+    fn margins_answer_only_under_the_ceiling_they_were_published_at() {
+        let bench = tiny_bs();
+        let spec = DeviceSpec::v100();
+        let baseline = select_baseline(&bench, &spec);
+        let mut ev = Evaluator::new(&bench, &spec, &baseline, 100);
+        // `hsize = 1` compares an RSD of 0: one run covers every threshold.
+        let at = |threshold: f64, label: &str| SweepConfig {
+            region: ApproxRegion::memo_out(1, 4, threshold),
+            lp: LaunchParams::new(8, 256),
+            label: label.into(),
+        };
+        let exact = SweepConfig {
+            region: ApproxRegion::memo_out(3, 4, 0.0),
+            lp: LaunchParams::new(8, 256),
+            label: "exact".into(),
+        };
+        let answer = |ev: &Evaluator, label: &str| {
+            let found = ev.answers().iter().find(|(l, _)| l == label);
+            found.map(|(_, a)| a.clone()).expect("answered")
+        };
+        // No ceiling yet; the exact run sets one for every later batch.
+        ev.eval_batch(&[at(0.3, "a"), exact]);
+        assert_eq!(ev.lookup("exact").map(|e| e.error_pct), Some(0.0));
+        let ceiling = ev
+            .frontier
+            .zero_error_speedup()
+            .map(|s| baseline.seconds / s);
+        assert!(ceiling.is_some());
+        // "a" published its margins with no ceiling in force: they answer
+        // nothing under one.
+        ev.eval_batch(&[at(0.9, "b")]);
+        assert_eq!(answer(&ev, "b"), Answer::Run);
+        // "b" ran under the ceiling still in force: its margins answer "c".
+        ev.eval_batch(&[at(20.0, "c")]);
+        let sibling = "b".to_string();
+        assert_eq!(answer(&ev, "c"), Answer::CoveredBy { sibling, ceiling });
+        assert_eq!(ev.evaluations, 4, "a covered configuration is charged");
+    }
+
+    /// Tiny Blackscholes, except that `nan` outputs NaN prices and every
+    /// other approximated configuration is refused.
+    struct OneNan {
+        inner: Blackscholes,
+        nan: ApproxRegion,
+    }
+
+    impl Benchmark for OneNan {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn kernel_only_timing(&self) -> bool {
+            self.inner.kernel_only_timing()
+        }
+        fn run_opts(
+            &self,
+            spec: &DeviceSpec,
+            region: Option<&ApproxRegion>,
+            lp: &LaunchParams,
+            opts: &ExecOptions,
+        ) -> Result<hpac_apps::common::AppResult, hpac_core::region::RegionError> {
+            match region {
+                Some(r) if *r != self.nan => Err(hpac_core::region::RegionError::Invalid(
+                    "refused by the test".into(),
+                )),
+                _ => {
+                    let mut res = self.inner.run_opts(spec, region, lp, opts)?;
+                    if region.is_some() {
+                        res.qoi = hpac_apps::common::QoI::Values(vec![f64::NAN; 4]);
+                    }
+                    Ok(res)
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_non_finite_outcome_is_never_a_candidate() {
+        let spec = DeviceSpec::v100();
+        let grid = &Grid::grids_for(&tiny_bs(), &spec, Scale::Quick)[0];
+        let axis: Vec<SweepConfig> = (0..grid.axis_len(0))
+            .map(|v| {
+                let mut idx = vec![0; grid.axis_count()];
+                idx[0] = v;
+                grid.build(&idx)
+            })
+            .collect();
+        let bench = OneNan {
+            inner: tiny_bs(),
+            nan: axis[0].region,
+        };
+        let baseline = select_baseline(&bench, &spec);
+        let mut ev = Evaluator::new(&bench, &spec, &baseline, 100);
+        let outcomes = ev.eval_batch(&axis);
+        // The NaN output scores infinite error; everything else is refused,
+        // so it is the only outcome on the axis — and still not a move.
+        assert!(outcomes[0]
+            .as_ref()
+            .is_some_and(|e| e.error_pct.is_infinite()));
+        assert!(outcomes[1..].iter().all(Option::is_none));
+        assert_eq!(best_candidate(&outcomes, 5.0), None);
+        assert!(ev.frontier.is_empty());
+        assert_eq!(ev.answers()[0], (axis[0].label.clone(), Answer::Run));
+        assert!(ev.answers()[1..]
+            .iter()
+            .all(|(_, a)| matches!(a, Answer::Rejected(r) if r.contains("refused by the test"))));
+
+        // A NaN error first in line used to win against every infeasible
+        // candidate after it.
+        let mut nan_first = vec![outcomes[0].clone(), None];
+        nan_first[0].as_mut().unwrap().error_pct = f64::NAN;
+        let mut infeasible = nan_first[0].clone().unwrap();
+        infeasible.error_pct = 30.0;
+        nan_first[1] = Some(infeasible);
+        assert_eq!(best_candidate(&nan_first, 5.0), Some(1));
     }
 
     #[test]

@@ -142,10 +142,15 @@ proptest! {
             else {
                 continue; // launch legitimately rejected by both executors
             };
-            // Record equality includes the threshold's decision margin,
-            // folded by max/min in whatever order the blocks finished.
+            // Record equality includes the threshold's and the prediction
+            // size's decision margins, folded by max/min in whatever order
+            // the blocks finished.
             prop_assert_eq!(r_seq, r_par);
-            prop_assert!(r_par.stats.margin.covers(0.3), "{:?}", r_par.stats.margin);
+            prop_assert!(
+                r_par.stats.margins.covers(0.3, Some(16)),
+                "{:?}",
+                r_par.stats.margins
+            );
             for (a, b) in out_seq.iter().zip(&out_par) {
                 prop_assert!(
                     a.to_bits() == b.to_bits(),

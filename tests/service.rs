@@ -347,7 +347,9 @@ fn verified_warm_request_makes_one_approximated_run() {
         TuneRequest::new(&probe, &device, QualityBound::percent(12.0)).warm_start(WarmStart::Never),
     );
     assert!(cold.plan.predicted_speedup > 1.0 && !cold.plan.verified_seed);
-    assert_eq!(probe.approx_runs(), cold.evals_spent);
+    // Configurations a sibling's decision margins answered are charged to
+    // the budget but not run.
+    assert!((1..=cold.evals_spent).contains(&probe.approx_runs()));
     svc.submit(TuneRequest::new(
         &probe,
         &device,

@@ -1,11 +1,15 @@
-//! Threshold families: a sweep answers a configuration from a sibling that
-//! differs in threshold alone when the sibling's decision margin covers it.
-//! Checked against evaluating every configuration on its own (all seven
-//! apps, both devices, random families), at the pool level (a run repeated
-//! at either end of its margin is the same run), and for the number of
-//! evaluations a quick sweep still makes at the benchmark's sizes.
+//! Families: a sweep answers a configuration from a sibling that differs in
+//! threshold and prediction size alone when the sibling's decision margins
+//! cover both. Checked against evaluating every configuration on its own
+//! (all seven apps, both devices, random families), at the pool level (a
+//! run repeated at either end of either margin is the same run, and one
+//! step past an end is not), and for the number of evaluations a quick
+//! sweep still makes at the benchmark's sizes.
 
-use gpu_sim::{AccessPattern, CostProfile, DecisionMargin, DeviceSpec, KernelRecord, LaunchConfig};
+use gpu_sim::{
+    AccessPattern, CostProfile, DecisionMargin, DecisionMargins, DeviceSpec, KernelRecord,
+    LaunchConfig,
+};
 use hpac_offload::apps::common::{AppResult, Benchmark, LaunchParams};
 use hpac_offload::apps::{
     binomial::BinomialOptions, blackscholes::Blackscholes, kmeans::KMeans, lavamd::LavaMd,
@@ -110,8 +114,13 @@ fn assert_reports(swept: &SweepOutcome, rows: &[Row], rejected: &[(String, Strin
     assert_eq!(swept.rejected, rejected, "{what}");
 }
 
-/// A family: the region at a given threshold.
-type RegionAt = Box<dyn Fn(f64) -> ApproxRegion>;
+/// A family: the region at a given threshold and prediction size (ignored
+/// by iACT, which has none).
+type RegionAt = Box<dyn Fn(f64, usize) -> ApproxRegion>;
+
+/// A prediction size no launch here reaches the end of: longer than any
+/// thread's grid-stride steps, so no regime runs out.
+const LONG_PSIZE: usize = 1 << 20;
 
 fn pick<T: Copy>(rng: &mut TestRng, from: &[T]) -> T {
     from[(0..from.len()).generate(rng)]
@@ -136,10 +145,12 @@ fn thresholds(rng: &mut TestRng) -> Vec<f64> {
     ts
 }
 
-/// One random plan: a TAF family, an iACT family and a perforation config,
-/// shuffled together. A quarter of the members take a second
-/// items-per-thread value, so families split (or, where launch classes
-/// clamp, do not).
+/// One random plan: a TAF family over threshold and prediction size, an
+/// iACT family and a perforation config, shuffled together. TAF members
+/// take psize 1, a grid value or [`LONG_PSIZE`] (every plan has a 1 and a
+/// [`LONG_PSIZE`] member) and, once in a while, 0, which the region
+/// refuses. A quarter of the members take a second items-per-thread value,
+/// so families split (or, where launch classes clamp, do not).
 fn random_plan(bench: &dyn Benchmark, spec: &DeviceSpec, rng: &mut TestRng) -> Vec<SweepConfig> {
     let block = hpac_offload::harness::space::block_size_for(bench);
     let levels: &[HierarchyLevel] = if bench.block_level_only() {
@@ -148,7 +159,8 @@ fn random_plan(bench: &dyn Benchmark, spec: &DeviceSpec, rng: &mut TestRng) -> V
         &[HierarchyLevel::Thread, HierarchyLevel::Warp]
     };
     let ipts = [pick(rng, &[1, 8, 64, 512]), pick(rng, &[8, 512])];
-    let (hsize, psize) = ((1usize..6).generate(rng), pick(rng, &[2, 4, 32, 512]));
+    let hsize = (1usize..6).generate(rng);
+    let psizes = [1, pick(rng, &[2, 4, 32, 512]), LONG_PSIZE];
     let tables: &[u32] = if spec.warp_size == 64 {
         &[1, 16, 64]
     } else {
@@ -156,30 +168,32 @@ fn random_plan(bench: &dyn Benchmark, spec: &DeviceSpec, rng: &mut TestRng) -> V
     };
     let (tsize, tpw) = ((1usize..9).generate(rng), pick(rng, tables));
     let (taf_level, iact_level) = (pick(rng, levels), pick(rng, levels));
-    let families: [RegionAt; 2] = [
-        Box::new(move |t| ApproxRegion::memo_out(hsize, psize, t).level(taf_level)),
-        Box::new(move |t| {
+
+    let mut regions = Vec::new();
+    for (i, t) in thresholds(rng).into_iter().enumerate() {
+        let psize = match i {
+            0 => 1,
+            1 => LONG_PSIZE,
+            _ if (0u32..8).generate(rng) == 0 => 0,
+            _ => pick(rng, &psizes),
+        };
+        regions.push(ApproxRegion::memo_out(hsize, psize, t).level(taf_level));
+    }
+    for t in thresholds(rng) {
+        regions.push(
             ApproxRegion::memo_in(tsize, t)
                 .tables_per_warp(tpw)
-                .level(iact_level)
-        }),
-    ];
-
+                .level(iact_level),
+        );
+    }
     let mut plan = Vec::new();
-    for region_at in &families {
-        for t in thresholds(rng) {
-            let region = region_at(t);
-            let ipt = ipts[usize::from((0u32..4).generate(rng) == 0)];
-            plan.push(SweepConfig {
-                region,
-                lp: LaunchParams::new(ipt, block),
-                label: format!(
-                    "#{} {} thr={t} ipt={ipt}",
-                    plan.len(),
-                    region.technique_name()
-                ),
-            });
-        }
+    for region in regions {
+        let ipt = ipts[usize::from((0u32..4).generate(rng) == 0)];
+        plan.push(SweepConfig {
+            region,
+            lp: LaunchParams::new(ipt, block),
+            label: format!("#{} {:?} ipt={ipt}", plan.len(), region.technique),
+        });
     }
     plan.push(SweepConfig {
         region: ApproxRegion::perfo(PerfoKind::Small { m: 4 }),
@@ -282,7 +296,7 @@ impl Benchmark for CountEvals<'_> {
 
 /// The approximated runs one V100 quick sweep makes at the repo benchmark's
 /// seed-0 sizes (`benchmark/src/suite.rs`); the README lists them beside the
-/// counts canonical dedup alone left. Print them with
+/// counts canonical dedup alone and threshold-only families left. Print them with
 /// `cargo test --release --test threshold_families fresh_evaluations -- --nocapture`.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "benchmark-size sweeps: run with --release")]
@@ -294,7 +308,7 @@ fn fresh_evaluations_at_benchmark_sizes() {
                 max_iters: 40,
                 ..KMeans::default()
             }),
-            152,
+            136,
         ),
         (
             Box::new(Lulesh {
@@ -303,7 +317,7 @@ fn fresh_evaluations_at_benchmark_sizes() {
                 dt: 1e-4,
                 ..Lulesh::default()
             }),
-            372,
+            286,
         ),
         (
             Box::new(MiniFe {
@@ -311,7 +325,7 @@ fn fresh_evaluations_at_benchmark_sizes() {
                 max_iters: 25,
                 ..MiniFe::default()
             }),
-            156,
+            72,
         ),
         (
             Box::new(Leukocyte {
@@ -320,16 +334,16 @@ fn fresh_evaluations_at_benchmark_sizes() {
                 iterations: 24,
                 ..Leukocyte::default()
             }),
-            312,
+            246,
         ),
-        (Box::<Blackscholes>::default(), 180),
+        (Box::<Blackscholes>::default(), 172),
         (
             Box::new(LavaMd {
                 boxes_per_dim: 4,
                 par_per_box: 16,
                 ..LavaMd::default()
             }),
-            332,
+            297,
         ),
         (
             Box::new(BinomialOptions {
@@ -337,7 +351,7 @@ fn fresh_evaluations_at_benchmark_sizes() {
                 tree_steps: 96,
                 ..BinomialOptions::default()
             }),
-            110,
+            103,
         ),
     ];
     let spec = DeviceSpec::v100();
@@ -462,16 +476,110 @@ fn margin_ends(m: &DecisionMargin) -> Vec<f64> {
         .collect()
 }
 
+/// Both ends of the prediction sizes a psize margin covers (it records
+/// `d <= psize − 1`): one past the largest `d` that passed, and the `d` that
+/// failed — or, when none failed, the largest psize a region accepts.
+fn psize_ends(m: &DecisionMargin) -> (usize, usize) {
+    let low = if m.pass_max.is_finite() {
+        m.pass_max as usize + 1
+    } else {
+        1
+    };
+    let high = if m.fail_min.is_finite() {
+        m.fail_min as usize
+    } else {
+        u32::MAX as usize
+    };
+    (low, high)
+}
+
 /// A run's observable result: the kernel record (timing, every statistic,
-/// the margin itself) and the bits of what it stored.
+/// the margins themselves) and the bits of what it stored.
 fn observed(rec: KernelRecord, out: &[f64]) -> (KernelRecord, Vec<u64>) {
     (rec, out.iter().map(|v| v.to_bits()).collect())
 }
 
+type Observed = (KernelRecord, Vec<u64>);
+
+/// The run at its own threshold `t` and prediction size `p`, repeated at
+/// both ends of each of its margins and jointly at the far corner, is the
+/// same run; one step past an end, the comparison there flips. Prediction
+/// sizes are checked for TAF only; iACT's psize margin is the identity.
+/// Returns the run's margins.
+fn check_margin_ends(
+    run: impl Fn(f64, usize) -> Observed,
+    t: f64,
+    p: usize,
+    taf: bool,
+) -> Result<DecisionMargins, TestCaseError> {
+    let at_t = run(t, p);
+    let margins = at_t.0.stats.margins;
+    let margin = margins.threshold;
+    prop_assert!(
+        margins.covers(t, Some(p)),
+        "{margins:?} does not cover its own ({t}, {p})"
+    );
+    for end in margin_ends(&margin) {
+        prop_assert!(margin.covers(end));
+        prop_assert!(
+            run(end, p) == at_t,
+            "differs at {end} inside {margin:?} of t={t}"
+        );
+    }
+    if margin.fail_min.is_finite() {
+        let past = run(margin.fail_min, p).0.stats.margins.threshold;
+        prop_assert!(past.pass_max == margin.fail_min, "{past:?} past {margin:?}");
+    }
+    if margin.pass_max > 0.0 {
+        let past = run(margin.pass_max.next_down(), p)
+            .0
+            .stats
+            .margins
+            .threshold;
+        prop_assert!(past.fail_min == margin.pass_max, "{past:?} past {margin:?}");
+    }
+    if !taf {
+        prop_assert!(margins.psize == DecisionMargin::default());
+        return Ok(margins);
+    }
+    let psize = margins.psize;
+    let (low, high) = psize_ends(&psize);
+    for end in [low, high] {
+        prop_assert!(margins.covers(t, Some(end)));
+        prop_assert!(
+            run(t, end) == at_t,
+            "differs at psize {end} inside {psize:?} of p={p}"
+        );
+    }
+    if let Some(&corner) = margin_ends(&margin).last() {
+        prop_assert!(run(corner, high) == at_t, "differs at ({corner}, {high})");
+    }
+    if psize.fail_min.is_finite() {
+        let past = run(t, high + 1).0.stats.margins.psize;
+        prop_assert!(past.pass_max == psize.fail_min, "{past:?} past {psize:?}");
+    }
+    if psize.pass_max >= 1.0 {
+        let past = run(t, low - 1).0.stats.margins.psize;
+        prop_assert!(past.fail_min == psize.pass_max, "{past:?} past {psize:?}");
+    }
+    Ok(margins)
+}
+
+/// A proptest index → a prediction size: mostly short enough for regimes
+/// to run out, sometimes [`LONG_PSIZE`].
+fn psize_of(idx: usize) -> usize {
+    if idx > 40 {
+        LONG_PSIZE
+    } else {
+        idx
+    }
+}
+
 proptest! {
-    /// A walk at `t`, repeated at either end of its own margin, reproduces
-    /// statistics, timing and outputs exactly; one step past either end a
-    /// comparison flips, so the interval is as wide as it can be.
+    /// A walk at its own threshold and prediction size, repeated at either end of its own margins,
+    /// reproduces statistics, timing and outputs exactly; one step past
+    /// either end a comparison flips, so the intervals are as wide as they
+    /// can be.
     #[test]
     fn walk_repeated_at_its_margin_ends_is_the_same_run(
         n in 64usize..4_000,
@@ -480,7 +588,7 @@ proptest! {
         seed in 1u64..1_000_000,
         level_idx in 0usize..3,
         shape in (1usize..5, 1usize..9, 0usize..3),
-        t in (0.0f64..0.6, 0.0f64..3.0),
+        at in (0.0f64..0.6, 0.0f64..3.0, 1usize..48),
     ) {
         let spec = DeviceSpec::v100();
         let lc = LaunchConfig::for_items_per_thread(n, warps * 32, ipt);
@@ -488,37 +596,24 @@ proptest! {
         let (hsize, tsize, tpw_idx) = shape;
         let opts = ExecOptions::with_executor(Executor::Sequential);
         let families: [(f64, RegionAt); 2] = [
-            (t.0, Box::new(move |t| ApproxRegion::memo_out(hsize, 8, t).level(level))),
-            (t.1, Box::new(move |t| {
+            (at.0, Box::new(move |t, p| ApproxRegion::memo_out(hsize, p, t).level(level))),
+            (at.1, Box::new(move |t, _| {
                 ApproxRegion::memo_in(tsize, t).tables_per_warp([1, 8, 32][tpw_idx]).level(level)
             })),
         ];
         for (t, region_at) in &families {
-            let run = |t: f64| {
+            let run = |t: f64, p: usize| {
                 let mut body = MixBody::new(n, seed);
-                let rec = approx_parallel_for_opts(&spec, &lc, Some(&region_at(t)), &mut body, &opts)
+                let rec = approx_parallel_for_opts(&spec, &lc, Some(&region_at(t, p)), &mut body, &opts)
                     .expect("launch fits");
                 observed(rec, &body.output)
             };
-            let at_t = run(*t);
-            let margin = at_t.0.stats.margin;
-            prop_assert!(margin.covers(*t), "{margin:?} does not cover its own {t}");
-            for end in margin_ends(&margin) {
-                prop_assert!(margin.covers(end));
-                prop_assert!(run(end) == at_t, "differs at {end} inside {margin:?} of t={t}");
-            }
-            if margin.fail_min.is_finite() {
-                let past = run(margin.fail_min).0.stats.margin;
-                prop_assert!(past.pass_max == margin.fail_min, "{past:?} past {margin:?}");
-            }
-            if margin.pass_max > 0.0 {
-                let past = run(margin.pass_max.next_down()).0.stats.margin;
-                prop_assert!(past.fail_min == margin.pass_max, "{past:?} past {margin:?}");
-            }
-            if hsize == 1 && region_at(0.0).technique_name() == "TAF" {
-                // A one-value window has RSD 0: every comparison passes.
-                let all = DecisionMargin { pass_max: 0.0, fail_min: f64::INFINITY };
-                prop_assert!(margin == all || margin == DecisionMargin::default());
+            let taf = region_at(0.0, 1).technique_name() == "TAF";
+            let margin = check_margin_ends(run, *t, psize_of(at.2), taf)?.threshold;
+            if hsize == 1 && taf {
+                // A one-value window has RSD 0: every comparison passes, so
+                // the run answers every threshold.
+                prop_assert!(margin.covers(0.0) && margin.covers(f64::MAX), "{margin:?}");
             }
         }
     }
@@ -530,33 +625,29 @@ proptest! {
         n_blocks in 2u32..40,
         modulus in 2usize..16,
         hsize in 1usize..4,
-        t in (0.0f64..0.4, 0.0f64..4.0),
+        at in (0.0f64..0.4, 0.0f64..4.0, 1usize..48),
     ) {
         let spec = DeviceSpec::v100();
         let opts = ExecOptions::with_executor(Executor::Sequential);
         let families: [(f64, RegionAt); 2] = [
-            (t.0, Box::new(move |t| ApproxRegion::memo_out(hsize, 4, t))),
-            (t.1, Box::new(|t| ApproxRegion::memo_in(3, t))),
+            (at.0, Box::new(move |t, p| ApproxRegion::memo_out(hsize, p, t))),
+            (at.1, Box::new(|t, _| ApproxRegion::memo_in(3, t))),
         ];
         for (t, region_at) in &families {
-            let run = |t: f64| {
+            let run = |t: f64, p: usize| {
                 let mut body = PriceBody {
                     params: (0..n_tasks).map(|i| ((i * 7) % modulus) as f64 * 0.5).collect(),
                     prices: vec![0.0; n_tasks],
                 };
-                let region = region_at(t).level(HierarchyLevel::Block);
+                let region = region_at(t, p).level(HierarchyLevel::Block);
                 let rec = approx_block_tasks_opts(
                     &spec, n_tasks, 128, n_blocks, Some(&region), &mut body, &opts,
                 )
                 .expect("launch fits");
                 observed(rec, &body.prices)
             };
-            let at_t = run(*t);
-            let margin = at_t.0.stats.margin;
-            prop_assert!(margin.covers(*t));
-            for end in margin_ends(&margin) {
-                prop_assert!(run(end) == at_t, "differs at {end} inside {margin:?} of t={t}");
-            }
+            let taf = region_at(0.0, 1).technique_name() == "TAF";
+            check_margin_ends(run, *t, psize_of(at.2), taf)?;
         }
     }
 }
@@ -575,7 +666,7 @@ fn unit_history_publishes_every_threshold() {
         &ExecOptions::with_executor(Executor::Sequential),
     )
     .unwrap();
-    let margin = rec.stats.margin;
+    let margin = rec.stats.margins.threshold;
     assert_eq!((margin.pass_max, margin.fail_min), (0.0, f64::INFINITY));
     assert!(margin.covers(0.0) && margin.covers(20.0) && margin.covers(f64::MAX));
 }

@@ -1,7 +1,8 @@
 //! Cross-crate tests of the autotuning subsystem: Pareto-frontier
 //! invariants (property-based), end-to-end bound compliance on real
-//! applications, and warm starts that verify the stored winner against
-//! warm starts that run every seed.
+//! applications, warm starts that verify the stored winner against warm
+//! starts that run every seed, and configurations the evaluator answered
+//! from a sibling's decision margins against running them alone.
 
 use gpu_sim::DeviceSpec;
 use hpac_offload::apps::binomial::BinomialOptions;
@@ -12,9 +13,14 @@ use hpac_offload::apps::lavamd::LavaMd;
 use hpac_offload::apps::leukocyte::Leukocyte;
 use hpac_offload::apps::lulesh::Lulesh;
 use hpac_offload::apps::minife::MiniFe;
+use hpac_offload::core::exec::ExecOptions;
+use hpac_offload::harness::runner::{run_config_bounded, select_baseline, ConfigOutcome};
+use hpac_offload::harness::space::SweepConfig;
 use hpac_offload::harness::Scale;
-use hpac_offload::tuner::{ParetoFrontier, ParetoPoint, QualityBound, TunedPlan, Tuner};
+use hpac_offload::tuner::search::{search_grid, Answer, Evaluator};
+use hpac_offload::tuner::{Grid, ParetoFrontier, ParetoPoint, QualityBound, TunedPlan, Tuner};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 fn pt(speedup: f64, error_pct: f64) -> ParetoPoint {
     ParetoPoint {
@@ -367,4 +373,65 @@ fn seeds_without_a_winner_fall_through_to_the_grids() {
     assert_eq!(warm.evaluations, all_seeds.evaluations);
     assert_eq!(decided(&warm), decided(&all_seeds));
     assert_eq!(warm.config, cold.config, "and they find the cold winner");
+}
+
+/// On every quick app and both devices at 5%, a search's evaluator answers
+/// some configurations from a family sibling's decision margins, with and
+/// without a cost ceiling in force; each of them, run alone under the
+/// ceiling it was covered at, reproduces the outcome it was given bit for
+/// bit, and its sibling ran.
+#[test]
+fn margin_covered_configurations_reproduce_when_run_alone() {
+    let tuner = Tuner::new().with_scale(Scale::Quick);
+    // Covered configurations without and with a ceiling in force.
+    let mut covered = [0; 2];
+    for device in DeviceSpec::evaluation_platforms() {
+        for bench in quick_apps() {
+            let bench = bench.as_ref();
+            let baseline = select_baseline(bench, &device);
+            let mut ev = Evaluator::new(bench, &device, &baseline, tuner.budget(bench, &device));
+            for (i, grid) in Grid::grids_for(bench, &device, Scale::Quick)
+                .iter()
+                .enumerate()
+            {
+                search_grid(grid, &mut ev, 5.0, i as u64);
+            }
+            let answers: HashMap<&str, &Answer> =
+                ev.answers().iter().map(|(l, a)| (l.as_str(), a)).collect();
+            assert_eq!(
+                answers.len(),
+                ev.answers().len(),
+                "each label answered once"
+            );
+            for (label, answer) in ev.answers() {
+                let Answer::CoveredBy { sibling, ceiling } = answer else {
+                    continue;
+                };
+                let what = format!("{label} on {} ({})", bench.name(), device.name);
+                assert_eq!(answers[sibling.as_str()], &Answer::Run, "{what}");
+                let given = ev.lookup(label).expect("covered by a finished run");
+                let cfg = SweepConfig {
+                    region: given.region,
+                    lp: given.lp,
+                    label: label.clone(),
+                };
+                let opts = ExecOptions {
+                    abort_above_seconds: *ceiling,
+                    ..ExecOptions::default()
+                };
+                let ConfigOutcome::Done(row) =
+                    run_config_bounded(bench, &device, &baseline, &cfg, &opts)
+                else {
+                    panic!("{what}: covered, yet aborted or refused alone");
+                };
+                assert_eq!(row.speedup.to_bits(), given.speedup.to_bits(), "{what}");
+                assert_eq!(row.error_pct.to_bits(), given.error_pct.to_bits(), "{what}");
+                covered[usize::from(ceiling.is_some())] += 1;
+            }
+        }
+    }
+    assert!(
+        covered.iter().all(|&n| n > 0),
+        "covered (no ceiling, ceiling): {covered:?}"
+    );
 }
