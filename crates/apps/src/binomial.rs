@@ -19,6 +19,7 @@ use crate::common::{
 use gpu_sim::transfer::Direction;
 use gpu_sim::{AccessPattern, CostProfile, DeviceSpec};
 use hpac_core::exec::{approx_block_tasks_opts, BlockTaskBody, ExecOptions};
+use hpac_core::lane;
 use hpac_core::region::{ApproxRegion, RegionError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -174,7 +175,10 @@ impl BlockTaskBody for BinomialBody<'_> {
     }
 
     fn inputs(&self, task: usize, buf: &mut [f64]) {
-        buf.copy_from_slice(&self.options[task * OPTION_DIMS..(task + 1) * OPTION_DIMS]);
+        lane::copy(
+            buf,
+            &self.options[task * OPTION_DIMS..(task + 1) * OPTION_DIMS],
+        );
     }
 
     fn compute(&self, task: usize, out: &mut [f64]) {

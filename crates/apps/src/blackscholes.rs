@@ -17,6 +17,7 @@ use crate::common::{
 use gpu_sim::transfer::Direction;
 use gpu_sim::{AccessPattern, CostProfile, DeviceSpec, LaunchConfig};
 use hpac_core::exec::{approx_parallel_for_opts, ExecOptions, RegionBody};
+use hpac_core::lane;
 use hpac_core::region::{ApproxRegion, RegionError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -211,7 +212,7 @@ impl RegionBody for BsBody<'_> {
     }
 
     fn inputs(&self, i: usize, buf: &mut [f64]) {
-        buf.copy_from_slice(self.portfolio.option(i));
+        lane::copy(buf, self.portfolio.option(i));
     }
 
     fn compute(&self, i: usize, out: &mut [f64]) {

@@ -19,6 +19,7 @@ use crate::common::{
 use gpu_sim::transfer::Direction;
 use gpu_sim::{AccessPattern, CostProfile, DeviceSpec, LaunchConfig};
 use hpac_core::exec::{approx_parallel_for_opts, ExecOptions, RegionBody};
+use hpac_core::lane;
 use hpac_core::region::{ApproxRegion, RegionError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -157,7 +158,10 @@ impl RegionBody for DistanceBody<'_> {
     fn inputs(&self, item: usize, buf: &mut [f64]) {
         let (c, p) = (item / self.n, item % self.n);
         debug_assert!(c < self.k);
-        buf[..self.dims].copy_from_slice(&self.points[p * self.dims..(p + 1) * self.dims]);
+        lane::copy(
+            &mut buf[..self.dims],
+            &self.points[p * self.dims..(p + 1) * self.dims],
+        );
         // Distinguish clusters in the input signature so shared tables
         // cannot hit across clusters.
         buf[self.dims] = 100.0 * c as f64;

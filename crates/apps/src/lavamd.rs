@@ -23,6 +23,7 @@ use crate::common::{
 use gpu_sim::transfer::Direction;
 use gpu_sim::{AccessPattern, CostProfile, DeviceSpec, LaunchConfig};
 use hpac_core::exec::{approx_parallel_for_opts, ExecOptions, RegionBody};
+use hpac_core::lane;
 use hpac_core::region::{ApproxRegion, RegionError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -186,9 +187,9 @@ impl RegionBody for ForceBody<'_> {
         let (nb, p) = self.decode(item);
         let bx = self.cfg.box_of(p);
         let b = self.cfg.boxes_per_dim as f64;
-        buf[0] = self.pos[3 * p] % 1.0;
-        buf[1] = self.pos[3 * p + 1] % 1.0;
-        buf[2] = self.pos[3 * p + 2] % 1.0;
+        buf[0] = lane::rem_one(self.pos[3 * p]);
+        buf[1] = lane::rem_one(self.pos[3 * p + 1]);
+        buf[2] = lane::rem_one(self.pos[3 * p + 2]);
         buf[3] = self.charge[p];
         buf[4] = nb as f64 / NEIGHBORS as f64 + bx as f64 / (b * b * b);
     }
@@ -201,7 +202,10 @@ impl RegionBody for ForceBody<'_> {
     }
 
     fn store(&mut self, item: usize, out: &[f64]) {
-        self.contrib[item * OUT_DIMS..(item + 1) * OUT_DIMS].copy_from_slice(out);
+        lane::copy(
+            &mut self.contrib[item * OUT_DIMS..(item + 1) * OUT_DIMS],
+            out,
+        );
     }
 
     fn accurate_cost(&self, lanes: u32, _spec: &DeviceSpec) -> CostProfile {

@@ -26,6 +26,7 @@ use gpu_sim::transfer::Direction;
 use gpu_sim::{AccessPattern, CostProfile, DeviceSpec, LaunchConfig};
 use hpac_core::exec::batch;
 use hpac_core::exec::{BlockField, ExecOptions, RegionBody, StoreVisibility};
+use hpac_core::lane;
 use hpac_core::region::{ApproxRegion, RegionError};
 use std::sync::Arc;
 
@@ -510,7 +511,7 @@ impl RegionBody for NodeBody<'_> {
                 *fd += sf[d] * stress_sign(corner, d) + hf[d];
             }
         }
-        out.copy_from_slice(&f);
+        lane::copy(out, &f);
     }
 
     fn store(&mut self, n: usize, out: &[f64]) {

@@ -22,6 +22,7 @@ use crate::exec::launch::{self, Phase};
 use crate::exec::ExecOptions;
 use crate::hierarchy::{self, HierarchyLevel};
 use crate::iact::IactPool;
+use crate::lane;
 use crate::params::PerfoParams;
 use crate::perfo;
 use crate::region::{ApproxRegion, RegionError, Technique};
@@ -282,12 +283,12 @@ impl TaskWalk {
                 Path::Approx => {
                     match &mut state {
                         TaskState::Taf(pool) => {
-                            out.copy_from_slice(pool.last(0));
+                            lane::copy(out, pool.last(0));
                             pool.note_approx(0);
                         }
                         TaskState::Iact(pool) => {
                             let slot = iact_slot.expect("iACT hit must carry a slot");
-                            out.copy_from_slice(pool.output(0, slot));
+                            lane::copy(out, pool.output(0, slot));
                             pool.touch(0, slot);
                         }
                         _ => unreachable!("only memoizing techniques approximate"),

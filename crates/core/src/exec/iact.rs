@@ -15,6 +15,7 @@ use crate::exec::policy::{TechniquePolicy, WarpCtx};
 use crate::exec::walk::{Geom, WarpSlice};
 use crate::hierarchy::{self, HierarchyLevel, WarpDecision};
 use crate::iact::IactPool;
+use crate::lane;
 use crate::params::IactParams;
 use gpu_sim::{BlockAccumulator, DecisionMargins};
 
@@ -139,13 +140,13 @@ impl TechniquePolicy for IactPolicy {
             };
             if approx {
                 let slot = st.probe_slot[kg].expect("approx lane must have an entry");
-                st.out.copy_from_slice(st.pool.output(t, slot));
+                lane::copy(&mut st.out, st.pool.output(t, slot));
                 st.pool.touch(t, slot);
                 access.store(item, &st.out);
                 n_apx += 1;
             } else {
                 access.compute(item, &mut st.out);
-                st.out_cache[kg * out_dim..(kg + 1) * out_dim].copy_from_slice(&st.out);
+                lane::copy(&mut st.out_cache[kg * out_dim..(kg + 1) * out_dim], &st.out);
                 access.store(item, &st.out);
                 n_acc += 1;
                 let table_off = k / self.lanes_per_table as usize;

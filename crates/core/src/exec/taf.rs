@@ -13,6 +13,7 @@ use crate::exec::charge::MixMemo;
 use crate::exec::policy::{TechniquePolicy, WarpCtx};
 use crate::exec::walk::{Geom, WarpSlice};
 use crate::hierarchy::{self, HierarchyLevel, WarpDecision};
+use crate::lane;
 use crate::params::TafParams;
 use crate::taf::TafPool;
 use gpu_sim::{BlockAccumulator, CostProfile, DecisionMargins};
@@ -83,7 +84,7 @@ impl TechniquePolicy for TafPolicy {
                 WarpDecision::GroupAccurate => false,
             };
             if approx {
-                st.out.copy_from_slice(st.pool.last(s));
+                lane::copy(&mut st.out, st.pool.last(s));
                 access.store(item, &st.out);
                 st.pool.note_approx(s);
                 n_apx += 1;
@@ -186,7 +187,7 @@ impl TechniquePolicy for SerializedTafPolicy {
         for k in 0..ctx.slice.n as usize {
             let item = ctx.slice.item_base + k;
             if st.pool.wants_approx(wid) {
-                st.out.copy_from_slice(st.pool.last(wid));
+                lane::copy(&mut st.out, st.pool.last(wid));
                 access.store(item, &st.out);
                 st.pool.note_approx(wid);
                 n_apx += 1;

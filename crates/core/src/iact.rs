@@ -15,6 +15,7 @@
 //! default; CLOCK is implemented because the paper's footnote 3 reports it
 //! made no difference, and we verify that.
 
+use crate::lane;
 use crate::params::{IactParams, Replacement};
 use gpu_sim::{CostProfile, DecisionMargin, DecisionMargins};
 
@@ -203,8 +204,14 @@ impl IactPool {
         debug_assert_eq!(outputs.len(), self.out_dim);
         let slot = self.victim(table);
         let idx = self.slot_index(table, slot);
-        self.inputs[idx * self.in_dim..(idx + 1) * self.in_dim].copy_from_slice(inputs);
-        self.outputs[idx * self.out_dim..(idx + 1) * self.out_dim].copy_from_slice(outputs);
+        lane::copy(
+            &mut self.inputs[idx * self.in_dim..(idx + 1) * self.in_dim],
+            inputs,
+        );
+        lane::copy(
+            &mut self.outputs[idx * self.out_dim..(idx + 1) * self.out_dim],
+            outputs,
+        );
         self.fill[table] = self.fill[table].max(slot as u32 + 1);
         self.referenced[idx] = false;
     }

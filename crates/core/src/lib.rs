@@ -42,6 +42,7 @@ pub mod exec;
 pub mod hash;
 pub mod hierarchy;
 pub mod iact;
+pub mod lane;
 pub mod metrics;
 pub mod params;
 pub mod perfo;

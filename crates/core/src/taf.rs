@@ -28,6 +28,7 @@
 //! ([`TafPool::margins`]), the interval of values that would decide every
 //! comparison made so far the same way.
 
+use crate::lane;
 use crate::metrics::rsd;
 use crate::params::TafParams;
 use gpu_sim::{CostProfile, DecisionMargin, DecisionMargins};
@@ -170,7 +171,10 @@ impl TafPool {
     /// Record an accurately computed output and update the state machine.
     pub fn observe(&mut self, s: usize, out: &[f64]) {
         debug_assert_eq!(out.len(), self.out_dim);
-        self.last[s * self.out_dim..(s + 1) * self.out_dim].copy_from_slice(out);
+        lane::copy(
+            &mut self.last[s * self.out_dim..(s + 1) * self.out_dim],
+            out,
+        );
         self.has_last[s] = true;
 
         let sig = out.iter().sum::<f64>() / self.out_dim as f64;

@@ -28,6 +28,9 @@
 //!    the search re-measures every seed and, if need be, walks the grids.
 //!    No evaluation outcome is kept from one request to the next.
 //!
+//! A cache that cannot be read or written degrades each layer to the next
+//! one; it never fails a request (see [`TuningService::submit`]).
+//!
 //! Entries and in-flight searches are keyed by the bound in basis points,
 //! so two bounds closer than 0.01% share a key. Layers 1 and 2 therefore
 //! check what they are about to serve against the *request's* bound: a plan
@@ -229,6 +232,15 @@ impl TuningService {
     }
 
     /// Resolve one request: cache, then coalesce, then search.
+    ///
+    /// Infallible: a cache fault costs time, never the answer. The contract
+    /// is *search and serve, warn once per failed store, persist nothing*.
+    /// An entry that cannot be read is a miss (a torn or stale one is
+    /// deleted) and the request searches; a store that fails — its shard
+    /// directory unwritable or not a directory — is reported once through
+    /// `hpac_obs::log_warn` and not retried, and the searched plan is served
+    /// anyway. The signature stays as it is because `benchmark/` calls it;
+    /// `tests/warm_faults.rs` holds both paths to this contract.
     pub fn submit(&self, req: TuneRequest) -> TuneResponse {
         let t0 = Instant::now();
         let fingerprint = device_fingerprint(req.device());

@@ -1,9 +1,10 @@
-//! Fault injection on the warm-start path of the tuning service: cached
-//! neighbors that claim what was never measured, that cannot be decoded, or
-//! whose directory is gone. Whatever the neighborhood says, the answer is a
-//! plan that re-executes to its own numbers; a claim that does not reproduce
-//! is counted and nothing is deleted for it; entries that were not damaged
-//! stay on disk; nothing panics.
+//! Fault injection on the cache paths of the tuning service. On the warm
+//! path: cached neighbors that claim what was never measured, that cannot be
+//! decoded, or whose directory is gone. On the hit path: the requested key's
+//! own entry torn, or its shard directory gone. Whatever the cache says, the
+//! answer is a plan that re-executes to its own numbers; a claim that does
+//! not reproduce is counted and nothing is deleted for it; entries that were
+//! not damaged stay on disk; nothing panics.
 //!
 //! The tests read `hpac-obs` counters, which are process-wide, so this file
 //! is its own test binary and its tests take turns.
@@ -81,26 +82,29 @@ struct Observed {
     warnings: u64,
 }
 
-/// Ask a fresh service over `cache` for `bench` at 5.01%, a bound the cache
-/// has not seen, and count what the warm path reported meanwhile.
-fn ask(cache: &TuningCache, bench: &Blackscholes) -> Observed {
+/// The bound the warm-path tests ask for: one the cache has not seen, whose
+/// nearest neighbor is the 5% entry.
+const UNSEEN: f64 = 5.01;
+
+/// Ask a fresh service over `cache` for `bench` on `device` at `bound_pct`,
+/// and count what the service reported meanwhile.
+fn ask(cache: &TuningCache, bench: &Blackscholes, device: &DeviceSpec, bound_pct: f64) -> Observed {
     let svc = TuningService::new()
         .with_tuner(Tuner::new().with_scale(Scale::Quick))
         .with_cache(cache.clone());
-    let device = DeviceSpec::v100();
     obs::set_enabled(true);
     let before = obs::snapshot();
     let resp = svc.submit(TuneRequest::new(
         bench,
-        &device,
-        QualityBound::percent(5.01),
+        device,
+        QualityBound::percent(bound_pct),
     ));
     obs::set_enabled(false);
     let _ = obs::drain_events();
     let delta = obs::snapshot().delta_since(&before);
 
     // Whatever the cache said, the plan is this benchmark's own.
-    let report = resp.plan.execute(bench, &device).unwrap();
+    let report = resp.plan.execute(bench, device).unwrap();
     assert_eq!(
         report.speedup.to_bits(),
         resp.plan.predicted_speedup.to_bits()
@@ -131,7 +135,7 @@ fn same_answer(a: &TunedPlan, b: &TunedPlan) {
 fn an_undamaged_neighborhood_is_verified() {
     let _turn = turn();
     let (cache, ..) = neighborhood("clean");
-    let seen = ask(&cache, &bench());
+    let seen = ask(&cache, &bench(), &DeviceSpec::v100(), UNSEEN);
     assert_eq!((seen.verified, seen.mismatches), (1, 0));
     assert!(seen.resp.plan.verified_seed);
     assert_eq!(seen.resp.evals_spent, 1);
@@ -149,7 +153,7 @@ fn a_forged_claim_is_run_found_out_and_not_served() {
     forge_last_point(&nearest, "1e9", "0");
     let forged = std::fs::read(&nearest).unwrap();
 
-    let seen = ask(&cache, &bench());
+    let seen = ask(&cache, &bench(), &DeviceSpec::v100(), UNSEEN);
     assert_eq!((seen.verified, seen.mismatches), (0, 1));
     assert!(!seen.resp.plan.verified_seed);
     assert_eq!(
@@ -194,7 +198,7 @@ fn a_neighborhood_tuned_for_another_instance_is_found_out() {
         n_options: 16384,
         ..bench()
     };
-    let seen = ask(&cache, &smaller);
+    let seen = ask(&cache, &smaller, &DeviceSpec::v100(), UNSEEN);
     assert_eq!((seen.verified, seen.mismatches), (0, 1));
     assert!(!seen.resp.plan.verified_seed);
     assert!(seen.resp.source.is_searched());
@@ -216,7 +220,7 @@ fn non_finite_claims_never_reach_the_search() {
     ] {
         let (cache, nearest, sibling) = neighborhood(tag);
         forge_last_point(&nearest, speedup, error_pct);
-        let seen = ask(&cache, &bench());
+        let seen = ask(&cache, &bench(), &DeviceSpec::v100(), UNSEEN);
         assert_eq!((seen.verified, seen.mismatches), (1, 0), "{tag}");
         same_answer(&seen.resp.plan, cold_plan());
         assert!(seen
@@ -239,7 +243,7 @@ fn a_truncated_neighbor_is_dropped_and_its_sibling_seeds_the_request() {
     let text = std::fs::read(&nearest).unwrap();
     std::fs::write(&nearest, &text[..text.len() / 2]).unwrap();
 
-    let seen = ask(&cache, &bench());
+    let seen = ask(&cache, &bench(), &DeviceSpec::v100(), UNSEEN);
     assert_eq!((seen.verified, seen.mismatches), (1, 0));
     assert!(matches!(
         seen.resp.source,
@@ -272,7 +276,7 @@ fn a_shard_that_is_a_file_means_a_cold_search_and_a_warning() {
     std::fs::write(&shard, "not a directory").unwrap();
 
     for _ in 0..2 {
-        let seen = ask(&cache, &bench());
+        let seen = ask(&cache, &bench(), &DeviceSpec::v100(), UNSEEN);
         assert_eq!(seen.resp.source, Source::Searched { warm_seeds: 0 });
         assert_eq!((seen.verified, seen.mismatches), (0, 0));
         assert_eq!(seen.warnings, 1, "the failed store is reported");
@@ -280,5 +284,82 @@ fn a_shard_that_is_a_file_means_a_cold_search_and_a_warning() {
         assert_eq!(seen.resp.evals_spent, cold_plan().evaluations);
     }
     assert!(shard.is_file() && elsewhere.exists());
+    let _ = cache.clear();
+}
+
+/// The hit path's torn entry: the request's own key is truncated. The load
+/// deletes it, the request searches (seeded by the 8% sibling) and stores a
+/// whole entry in its place, which the next request hits.
+#[test]
+fn a_truncated_entry_at_the_requested_key_is_replaced_by_a_search() {
+    let _turn = turn();
+    let (cache, nearest, sibling) = neighborhood("hit_truncated");
+    let text = std::fs::read(&nearest).unwrap();
+    std::fs::write(&nearest, &text[..text.len() / 2]).unwrap();
+
+    let seen = ask(&cache, &bench(), &DeviceSpec::v100(), 5.0);
+    assert!(seen.resp.source.is_searched(), "{:?}", seen.resp.source);
+    assert_eq!((seen.verified, seen.mismatches, seen.warnings), (1, 0, 0));
+    same_answer(&seen.resp.plan, cold_plan());
+    assert!(sibling.exists());
+
+    let stored = cache
+        .load(
+            "Blackscholes",
+            "V100",
+            5.0,
+            device_fingerprint(&DeviceSpec::v100()),
+        )
+        .expect("the search stored a whole entry at the key");
+    same_answer(&stored, cold_plan());
+    let again = ask(&cache, &bench(), &DeviceSpec::v100(), 5.0);
+    assert_eq!(again.resp.source, Source::CacheHit);
+    same_answer(&again.resp.plan, cold_plan());
+    let _ = cache.clear();
+}
+
+/// The hit path's lost shard: the requested key's shard directory is a
+/// file. The entry cannot be read, so every request searches cold, is
+/// answered, and warns once for the store that fails; nothing is persisted.
+/// A key in another shard still hits.
+#[test]
+fn a_shard_that_is_a_file_turns_hits_into_searches_and_spares_other_shards() {
+    let _turn = turn();
+    let (cache, nearest, _) = neighborhood("hit_shard_file");
+    let shard = nearest.parent().unwrap().to_path_buf();
+    // The same device model under another name: its numbers are the cold
+    // plan's, and its key hashes to its own shard.
+    let twin = ["V100-a", "V100-b", "V100-c", "V100-d", "V100-e"]
+        .into_iter()
+        .map(|name| DeviceSpec {
+            name,
+            ..DeviceSpec::v100()
+        })
+        .find(|twin| {
+            let plan = TunedPlan {
+                device: twin.name.to_string(),
+                ..cold_plan().clone()
+            };
+            let path = cache.store(&plan, device_fingerprint(twin)).unwrap();
+            path.parent().unwrap() != shard
+        })
+        .expect("some name hashes to another shard");
+    std::fs::remove_dir_all(&shard).unwrap();
+    std::fs::write(&shard, "not a directory").unwrap();
+
+    for _ in 0..2 {
+        let seen = ask(&cache, &bench(), &DeviceSpec::v100(), 5.0);
+        assert_eq!(seen.resp.source, Source::Searched { warm_seeds: 0 });
+        assert_eq!((seen.verified, seen.mismatches), (0, 0));
+        assert_eq!(seen.warnings, 1, "the failed store is reported");
+        same_answer(&seen.resp.plan, cold_plan());
+        assert_eq!(seen.resp.evals_spent, cold_plan().evaluations);
+    }
+    assert!(shard.is_file());
+
+    let elsewhere = ask(&cache, &bench(), &twin, 5.0);
+    assert_eq!(elsewhere.resp.source, Source::CacheHit);
+    assert_eq!(elsewhere.warnings, 0);
+    same_answer(&elsewhere.resp.plan, cold_plan());
     let _ = cache.clear();
 }
