@@ -1,34 +1,8 @@
-//! # hpac-bench — figure/table regeneration binaries and Criterion benches.
+//! # hpac-bench — the paper's figures, the tuner driver, and Criterion benches.
 //!
 //! Binaries (`cargo run --release -p hpac-bench --bin <name>`):
-//! `table1`, `table2`, `fig03`, `fig06`, `fig07`, `fig08`, `fig09`,
-//! `fig10`, `fig11`, `fig12`, `ablations`. Pass `--full` for the paper's
-//! complete Table 2 grids (hours); the default quick grids subsample each
-//! axis. CSV copies land in `target/figures/`.
-
-use hpac_harness::Scale;
-
-/// Parse the common `--full` flag.
-pub fn scale_from_args() -> Scale {
-    if std::env::args().any(|a| a == "--full") {
-        Scale::Full
-    } else {
-        Scale::Quick
-    }
-}
-
-/// Output directory for CSV copies of figure data.
-pub fn figures_dir() -> std::path::PathBuf {
-    std::path::PathBuf::from("target/figures")
-}
-
-/// Print and persist a batch of figure tables.
-pub fn emit(figs: &[hpac_harness::figures::FigureData]) {
-    let dir = figures_dir();
-    for fig in figs {
-        println!("{}", fig.render());
-        if let Err(e) = fig.save_csv(&dir) {
-            eprintln!("warning: could not save {}: {e}", fig.id);
-        }
-    }
-}
+//! `figures <id>… | all [--full]` regenerates the paper's tables and
+//! figures through `hpac_harness::figures::generate` (CSV copies land in
+//! `target/figures/`; `--full` runs the paper's complete Table 2 grids,
+//! hours); `tune` runs the autotuner over all seven benchmarks on both
+//! device models.

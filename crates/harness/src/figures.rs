@@ -1,8 +1,10 @@
 //! Per-figure/table data generation: every table and figure of the paper's
 //! evaluation has one entry point here that regenerates its data series.
 //!
-//! Each function returns one or more [`FigureData`] tables that the
-//! `hpac-bench` binaries print and persist to CSV. Absolute numbers come
+//! Each generator takes its benchmark instance(s) and a [`Scale`], runs its
+//! own sweeps, and returns one or more [`FigureData`] tables; [`generate`]
+//! maps a figure id ([`IDS`]) to its generator, and the `hpac-bench`
+//! `figures` binary prints and persists them to CSV. Absolute numbers come
 //! from the simulator's cycle model, so the quantities to compare against
 //! the paper are the *shapes*: orderings between techniques, crossover
 //! locations, and error magnitudes (see EXPERIMENTS.md).
@@ -10,14 +12,19 @@
 use crate::analyze;
 use crate::db::ResultsDb;
 use crate::runner::{self, SweepOutcome};
-use crate::space::{self, Scale, SweepConfig};
+use crate::space::{Grid, Scale, SweepConfig};
 use gpu_sim::memory;
 use gpu_sim::DeviceSpec;
 use hpac_apps::common::{Benchmark, LaunchParams, QoI};
-use hpac_apps::{blackscholes::Blackscholes, kmeans::KMeans, lavamd::LavaMd};
+use hpac_apps::{
+    binomial::BinomialOptions, blackscholes::Blackscholes, kmeans::KMeans, lavamd::LavaMd,
+    leukocyte::Leukocyte, lulesh::Lulesh, minife::MiniFe,
+};
 use hpac_core::exec::ExecOptions;
+use hpac_core::params::{PerfoKind, Replacement};
 use hpac_core::region::ApproxRegion;
 use hpac_core::HierarchyLevel;
+use std::borrow::Cow;
 use std::path::Path;
 
 /// One printable/saveable data table.
@@ -73,13 +80,23 @@ impl FigureData {
         out
     }
 
-    /// Save as CSV under `dir/<id>.csv`.
+    /// Save as CSV under `dir/<id>.csv`. A cell holding `,` or `"` is
+    /// quoted, its quotes doubled (RFC 4180): Table 2's values are comma
+    /// lists.
     pub fn save_csv(&self, dir: &Path) -> std::io::Result<()> {
+        fn cell(c: &str) -> Cow<'_, str> {
+            if c.contains([',', '"']) {
+                format!("\"{}\"", c.replace('"', "\"\"")).into()
+            } else {
+                c.into()
+            }
+        }
+        let line = |cells: &[String]| cells.iter().map(|c| cell(c)).collect::<Vec<_>>().join(",");
         std::fs::create_dir_all(dir)?;
-        let mut s = self.headers.join(",");
+        let mut s = line(&self.headers);
         s.push('\n');
         for row in &self.rows {
-            s.push_str(&row.join(","));
+            s.push_str(&line(row));
             s.push('\n');
         }
         std::fs::write(dir.join(format!("{}.csv", self.id)), s)
@@ -94,6 +111,68 @@ fn f(v: f64) -> String {
     } else {
         format!("{v:.3}")
     }
+}
+
+/// The seven benchmark instances the figures run on.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Suite {
+    pub lulesh: Lulesh,
+    pub leukocyte: Leukocyte,
+    pub binomial: BinomialOptions,
+    pub minife: MiniFe,
+    pub blackscholes: Blackscholes,
+    pub lavamd: LavaMd,
+    pub kmeans: KMeans,
+}
+
+impl Suite {
+    /// All seven, in Table 1 order.
+    pub(crate) fn all(&self) -> [&dyn Benchmark; 7] {
+        [
+            &self.lulesh,
+            &self.leukocyte,
+            &self.binomial,
+            &self.minife,
+            &self.blackscholes,
+            &self.lavamd,
+            &self.kmeans,
+        ]
+    }
+}
+
+/// Every figure id [`generate`] knows, in paper order. The tables each id
+/// returns carry ids that start with it.
+pub const IDS: [&str; 11] = [
+    "table1",
+    "table2",
+    "fig03",
+    "fig06",
+    "fig07",
+    "fig08",
+    "fig09",
+    "fig10",
+    "fig11",
+    "fig12",
+    "ablations",
+];
+
+/// The tables of figure `id` on `suite`'s instances, or `None` for an id not
+/// in [`IDS`].
+pub fn generate(id: &str, suite: &Suite, scale: Scale) -> Option<Vec<FigureData>> {
+    Some(match id {
+        "table1" => vec![table1(&suite.all())],
+        "table2" => vec![table2(&suite.all(), scale)],
+        "fig03" => vec![fig03()],
+        "fig06" => fig06(&suite.all(), scale),
+        "fig07" => fig07(&suite.lulesh, scale),
+        "fig08" => fig08(&suite.binomial, scale),
+        "fig09" => fig09(&suite.leukocyte, &suite.minife, scale),
+        "fig10" => fig10(&suite.blackscholes, scale),
+        "fig11" => fig11(&suite.lavamd, scale),
+        "fig12" => fig12(&suite.kmeans, scale),
+        "ablations" => ablations(&suite.blackscholes, &suite.lulesh, &suite.lavamd),
+        _ => return None,
+    })
 }
 
 /// Figure 3: percent of device global memory needed for per-thread
@@ -118,24 +197,22 @@ pub fn fig03() -> FigureData {
     fig
 }
 
-/// Run the full Table 2 sweep for a set of benchmarks on both devices,
-/// returning the populated database (the substrate for Figs 6-12).
-pub fn full_sweep(benches: &[&dyn Benchmark], scale: Scale) -> (ResultsDb, Vec<(String, String)>) {
+/// The Table 2 sweeps of `benches` on `devices`, in one database.
+fn sweep(benches: &[&dyn Benchmark], devices: &[DeviceSpec], scale: Scale) -> ResultsDb {
     let mut db = ResultsDb::new();
-    let mut rejected = Vec::new();
-    for spec in DeviceSpec::evaluation_platforms() {
+    for spec in devices {
         for bench in benches {
-            let outcome = runner::run_sweep(*bench, &spec, scale);
-            db.extend(outcome.rows);
-            rejected.extend(outcome.rejected);
+            db.extend(runner::run_sweep(*bench, spec, scale).rows);
         }
     }
-    (db, rejected)
+    db
 }
 
 /// Figure 6: highest speedup with error < 10% per benchmark, technique, and
-/// platform, plus the headline aggregates (max speedup, geomean).
-pub fn fig06(db: &ResultsDb) -> Vec<FigureData> {
+/// platform, plus the headline aggregates (max speedup, geomean), over the
+/// Table 2 sweep of every benchmark on both platforms.
+pub fn fig06(benches: &[&dyn Benchmark], scale: Scale) -> Vec<FigureData> {
+    let db = sweep(benches, &DeviceSpec::evaluation_platforms(), scale);
     let mut best = FigureData::new(
         "fig06_best",
         "Highest speedup with error < 10% (per benchmark/technique/platform)",
@@ -186,7 +263,7 @@ pub fn fig06(db: &ResultsDb) -> Vec<FigureData> {
     }
 
     let mut headline = FigureData::new(
-        "headline",
+        "fig06_headline",
         "Paper §1/§6 headline aggregates",
         &["metric", "value"],
     );
@@ -236,13 +313,14 @@ pub fn cloud(
 }
 
 /// Figure 7: LULESH perforation/TAF/iACT clouds on both platforms.
-pub fn fig07(db: &ResultsDb) -> Vec<FigureData> {
+pub fn fig07(lulesh: &Lulesh, scale: Scale) -> Vec<FigureData> {
+    let db = sweep(&[lulesh], &DeviceSpec::evaluation_platforms(), scale);
     let mut out = Vec::new();
     for (device, tag) in [("V100", "nvidia"), ("MI250X", "amd")] {
         for (tech, t) in [("Perfo", "perfo"), ("TAF", "taf"), ("iACT", "iact")] {
             out.push(cloud(
-                db,
-                "LULESH",
+                &db,
+                lulesh.name(),
                 device,
                 tech,
                 &format!("fig07_{t}_{tag}"),
@@ -252,12 +330,23 @@ pub fn fig07(db: &ResultsDb) -> Vec<FigureData> {
     out
 }
 
-/// Figure 8a/8b: Binomial Options TAF and iACT clouds on NVIDIA.
-pub fn fig08ab(db: &ResultsDb) -> Vec<FigureData> {
+/// Figure 8: Binomial Options TAF and iACT clouds on NVIDIA (8a/8b) and the
+/// parallelism-vs-approximation tradeoff on both platforms (8c).
+pub fn fig08(binomial: &BinomialOptions, scale: Scale) -> Vec<FigureData> {
+    let db = sweep(&[binomial], &[DeviceSpec::v100()], scale);
     vec![
-        cloud(db, "Binomial Options", "V100", "TAF", "fig08a_taf_nvidia"),
-        cloud(db, "Binomial Options", "V100", "iACT", "fig08b_iact_nvidia"),
+        cloud(&db, binomial.name(), "V100", "TAF", "fig08a_taf_nvidia"),
+        cloud(&db, binomial.name(), "V100", "iACT", "fig08b_iact_nvidia"),
+        fig08c(binomial, scale),
     ]
+}
+
+/// The extended options-per-block axis of Fig 8c.
+fn fig08c_items_per_thread(scale: Scale) -> Vec<usize> {
+    match scale {
+        Scale::Full => vec![1, 4, 16, 64, 256, 1024, 2048, 4096, 8192, 16384],
+        Scale::Quick => vec![1, 16, 64, 256, 1024, 4096, 16384],
+    }
 }
 
 /// Figure 8c: parallelism vs approximation — speedup and percent
@@ -269,7 +358,7 @@ pub fn fig08c(bench: &dyn Benchmark, scale: Scale) -> FigureData {
         &["device", "items_per_thread", "speedup", "pct_approximated"],
     );
     for spec in DeviceSpec::evaluation_platforms() {
-        let configs: Vec<SweepConfig> = space::fig8c_items_per_thread(scale)
+        let configs: Vec<SweepConfig> = fig08c_items_per_thread(scale)
             .into_iter()
             .map(|ipt| SweepConfig {
                 region: ApproxRegion::memo_out(1, 64, 5.0).level(HierarchyLevel::Block),
@@ -294,27 +383,49 @@ pub fn fig08c(bench: &dyn Benchmark, scale: Scale) -> FigureData {
 
 /// Figure 9: Leukocyte TAF/iACT clouds (NVIDIA) and MiniFE TAF, plus the
 /// iACT-inapplicability demonstration for MiniFE.
-pub fn fig09(db: &ResultsDb, minife_iact_rejection: &str) -> Vec<FigureData> {
-    let mut out = vec![
-        cloud(db, "Leukocyte", "V100", "TAF", "fig09a_taf_nvidia"),
-        cloud(db, "Leukocyte", "V100", "iACT", "fig09b_iact_nvidia"),
-        cloud(db, "MiniFE", "V100", "TAF", "fig09c_minife_taf_nvidia"),
-    ];
+pub fn fig09(leukocyte: &Leukocyte, minife: &MiniFe, scale: Scale) -> Vec<FigureData> {
+    let v100 = DeviceSpec::v100();
+    let db = sweep(&[leukocyte, minife], std::slice::from_ref(&v100), scale);
     let mut note = FigureData::new(
         "fig09_minife_iact",
         "MiniFE: iACT applicability",
         &["outcome"],
     );
-    note.push_row(vec![minife_iact_rejection.to_string()]);
-    out.push(note);
-    out
+    let iact = ApproxRegion::memo_in(4, 0.5);
+    note.push_row(vec![
+        match minife.run(&v100, Some(&iact), &LaunchParams::new(8, 256)) {
+            Err(e) => format!("rejected as in the paper: {e}"),
+            Ok(_) => "UNEXPECTED: iACT ran on MiniFE".to_string(),
+        },
+    ]);
+    vec![
+        cloud(&db, leukocyte.name(), "V100", "TAF", "fig09a_taf_nvidia"),
+        cloud(&db, leukocyte.name(), "V100", "iACT", "fig09b_iact_nvidia"),
+        cloud(
+            &db,
+            minife.name(),
+            "V100",
+            "TAF",
+            "fig09c_minife_taf_nvidia",
+        ),
+        note,
+    ]
 }
 
-/// Figure 10a/10b: Blackscholes TAF and iACT clouds on AMD.
-pub fn fig10ab(db: &ResultsDb) -> Vec<FigureData> {
+/// Figure 10: Blackscholes TAF and iACT clouds on AMD (10a/10b) and the
+/// output price distribution vs RSD threshold (10c).
+pub fn fig10(blackscholes: &Blackscholes, scale: Scale) -> Vec<FigureData> {
+    let db = sweep(&[blackscholes], &[DeviceSpec::mi250x()], scale);
     vec![
-        cloud(db, "Blackscholes", "MI250X", "TAF", "fig10a_taf_amd"),
-        cloud(db, "Blackscholes", "MI250X", "iACT", "fig10b_iact_amd"),
+        cloud(&db, blackscholes.name(), "MI250X", "TAF", "fig10a_taf_amd"),
+        cloud(
+            &db,
+            blackscholes.name(),
+            "MI250X",
+            "iACT",
+            "fig10b_iact_amd",
+        ),
+        fig10c(blackscholes, scale),
     ]
 }
 
@@ -384,11 +495,14 @@ pub fn fig10c(cfg: &Blackscholes, scale: Scale) -> FigureData {
     fig
 }
 
-/// Figure 11a/11b: LavaMD TAF and iACT clouds on AMD.
-pub fn fig11ab(db: &ResultsDb) -> Vec<FigureData> {
+/// Figure 11: LavaMD TAF and iACT clouds on AMD (11a/11b) and the
+/// hierarchical-decision ablation (11c).
+pub fn fig11(lavamd: &LavaMd, scale: Scale) -> Vec<FigureData> {
+    let db = sweep(&[lavamd], &[DeviceSpec::mi250x()], scale);
     vec![
-        cloud(db, "LavaMD", "MI250X", "TAF", "fig11a_taf_amd"),
-        cloud(db, "LavaMD", "MI250X", "iACT", "fig11b_iact_amd"),
+        cloud(&db, lavamd.name(), "MI250X", "TAF", "fig11a_taf_amd"),
+        cloud(&db, lavamd.name(), "MI250X", "iACT", "fig11b_iact_amd"),
+        fig11c(lavamd, scale),
     ]
 }
 
@@ -450,17 +564,22 @@ pub fn fig11c(cfg: &LavaMd, scale: Scale) -> FigureData {
     fig
 }
 
-/// Figure 12a/12b: K-Means TAF and iACT clouds on AMD (MCR metric).
-pub fn fig12ab(db: &ResultsDb) -> Vec<FigureData> {
+/// Figure 12: K-Means TAF and iACT clouds on AMD, MCR metric (12a/12b), and
+/// the convergence-speedup vs time-speedup correlation (12c).
+pub fn fig12(kmeans: &KMeans, scale: Scale) -> Vec<FigureData> {
+    let outcome = runner::run_sweep(kmeans, &DeviceSpec::mi250x(), scale);
+    let mut db = ResultsDb::new();
+    db.extend(outcome.rows.iter().cloned());
     vec![
-        cloud(db, "K-Means", "MI250X", "TAF", "fig12a_taf_amd"),
-        cloud(db, "K-Means", "MI250X", "iACT", "fig12b_iact_amd"),
+        cloud(&db, kmeans.name(), "MI250X", "TAF", "fig12a_taf_amd"),
+        cloud(&db, kmeans.name(), "MI250X", "iACT", "fig12b_iact_amd"),
+        fig12c(&outcome),
     ]
 }
 
-/// Figure 12c: time speedup vs convergence speedup with the linear-fit R².
-pub fn fig12c(cfg: &KMeans, outcome: &SweepOutcome) -> (FigureData, f64) {
-    let _ = cfg;
+/// Figure 12c: time speedup vs convergence speedup over a K-Means sweep's
+/// TAF rows, with the linear-fit R² in the title (the paper reports 0.95).
+pub fn fig12c(outcome: &SweepOutcome) -> FigureData {
     let base_iters = outcome
         .baseline
         .result
@@ -482,10 +601,125 @@ pub fn fig12c(cfg: &KMeans, outcome: &SweepOutcome) -> (FigureData, f64) {
         }
     }
     let (_, _, r2) = analyze::linear_fit(&xs, &ys);
-    let mut note = format!("R2={r2:.3}");
-    note.push_str(&format!(" over {} TAF configs", xs.len()));
-    fig.title = format!("{} [{}]", fig.title, note);
-    (fig, r2)
+    fig.title = format!("{} [R2={r2:.3} over {} TAF configs]", fig.title, xs.len());
+    fig
+}
+
+/// Ablations of the design choices the paper argues for, on the V100 model:
+///
+/// 1. relaxed-locality TAF (Fig 4d) vs the serialized "semantically
+///    equivalent" GPU TAF (Fig 4c);
+/// 2. herded vs naive (item-indexed) small/large perforation;
+/// 3. iACT round-robin vs CLOCK replacement (paper footnote 3: no effect);
+/// 4. iACT table-sharing degree (memory vs synchronization vs hit rate);
+/// 5. shared-memory AC state vs the per-thread global-memory design (Fig 3).
+pub fn ablations(blackscholes: &Blackscholes, lulesh: &Lulesh, lavamd: &LavaMd) -> Vec<FigureData> {
+    let v100 = DeviceSpec::v100();
+
+    let mut serialization = FigureData::new(
+        "ablations_taf_serialization",
+        "TAF algorithm: relaxed grid-stride locality (Fig 4d) vs serialized (Fig 4c)",
+        &["variant", "kernel_seconds", "speedup_vs_baseline"],
+    );
+    let base = runner::select_baseline(blackscholes, &v100);
+    let region = ApproxRegion::memo_out(3, 64, 1.5);
+    for (variant, serialized_taf) in [
+        ("relaxed (hpac-offload)", false),
+        ("serialized (Fig 4c)", true),
+    ] {
+        let opts = ExecOptions {
+            serialized_taf,
+            ..ExecOptions::default()
+        };
+        let res = blackscholes
+            .run_opts(&v100, Some(&region), &LaunchParams::new(64, 256), &opts)
+            .expect("TAF runs on Blackscholes");
+        serialization.push_row(vec![
+            variant.into(),
+            f(res.kernel_seconds),
+            f(base.result.kernel_seconds / res.kernel_seconds),
+        ]);
+    }
+
+    let mut herding = FigureData::new(
+        "ablations_herded_perfo",
+        "LULESH large:8 perforation: herded vs naive (item-indexed)",
+        &["variant", "speedup", "error_pct", "divergent_fraction"],
+    );
+    let base = runner::select_baseline(lulesh, &v100);
+    for (variant, herded) in [("herded", true), ("naive", false)] {
+        let region = ApproxRegion::perfo(PerfoKind::Large { m: 8 }).herded(herded);
+        let res = lulesh
+            .run(&v100, Some(&region), &LaunchParams::new(4, 64))
+            .expect("perforation runs on LULESH");
+        herding.push_row(vec![
+            variant.into(),
+            f(base.seconds / res.end_to_end_seconds()),
+            f(res.qoi.error_vs(&base.result.qoi) * 100.0),
+            f(res.stats.divergence_fraction()),
+        ]);
+    }
+
+    // LavaMD iACT at one table size and threshold: speedup, error and
+    // approximated fraction of a variant.
+    let base = runner::select_baseline(lavamd, &v100);
+    let lavamd_iact = |region: ApproxRegion| -> [String; 3] {
+        let res = lavamd
+            .run(&v100, Some(&region), &LaunchParams::new(64, 256))
+            .expect("iACT runs on LavaMD");
+        [
+            f(base.seconds / res.end_to_end_seconds()),
+            f(res.qoi.error_vs(&base.result.qoi) * 100.0),
+            f(res.stats.approx_fraction()),
+        ]
+    };
+    let mut replacement = FigureData::new(
+        "ablations_replacement",
+        "LavaMD iACT: round-robin vs CLOCK replacement (paper fn.3: no effect)",
+        &["policy", "speedup", "error_pct", "approx_fraction"],
+    );
+    for (policy, r) in [
+        ("round-robin", Replacement::RoundRobin),
+        ("CLOCK", Replacement::Clock),
+    ] {
+        let region = ApproxRegion::memo_in(4, 0.3)
+            .tables_per_warp(16)
+            .replacement(r);
+        let mut row = vec![policy.to_string()];
+        row.extend(lavamd_iact(region));
+        replacement.push_row(row);
+    }
+    let mut sharing = FigureData::new(
+        "ablations_table_sharing",
+        "LavaMD iACT: tables per warp (sharing degree)",
+        &["tables_per_warp", "speedup", "error_pct", "approx_fraction"],
+    );
+    for tpw in [1u32, 2, 16, 32] {
+        let mut row = vec![tpw.to_string()];
+        row.extend(lavamd_iact(
+            ApproxRegion::memo_in(4, 0.3).tables_per_warp(tpw),
+        ));
+        sharing.push_row(row);
+    }
+
+    let mut shared_state = FigureData::new(
+        "ablations_shared_state",
+        "AC state placement: per-block shared-memory budget enforcement",
+        &["config", "outcome"],
+    );
+    for (config, tsize, tpw) in [
+        ("iACT ts=64 tpw=32 block=1024", 64, 32),
+        ("iACT ts=8 tpw=2 block=1024", 8, 2),
+    ] {
+        let region = ApproxRegion::memo_in(tsize, 0.5).tables_per_warp(tpw);
+        let outcome = match blackscholes.run(&v100, Some(&region), &LaunchParams::new(64, 1024)) {
+            Ok(_) => "ran".to_string(),
+            Err(e) => format!("rejected: {e}"),
+        };
+        shared_state.push_row(vec![config.into(), outcome]);
+    }
+
+    vec![serialization, herding, replacement, sharing, shared_state]
 }
 
 /// Table 1: the benchmark suite.
@@ -519,51 +753,43 @@ pub fn table1(benches: &[&dyn Benchmark]) -> FigureData {
     fig
 }
 
-/// Table 2: the design-space parameter grids actually swept.
-pub fn table2(scale: Scale) -> FigureData {
+/// Table 2: the design-space parameter grids the sweeps and the tuner use,
+/// per evaluation platform, technique and parameter — the values the
+/// benchmarks' [`Grid`]s hold. An axis whose values differ between the
+/// benchmarks (the hierarchy levels) lists their union.
+pub fn table2(benches: &[&dyn Benchmark], scale: Scale) -> FigureData {
     let mut fig = FigureData::new(
         "table2",
         "Design-space parameters (Table 2)",
-        &["technique", "parameter", "values"],
+        &["device", "technique", "parameter", "values"],
     );
-    let (h, p, t) = match scale {
-        Scale::Full => ("1,2,3,4,5", "2,4,8,...,512", "0.3,0.6,...,1.5,3,5,20"),
-        Scale::Quick => ("1,3,5", "4,32,512", "0.3,0.9,1.5,3,20"),
-    };
-    fig.push_row(vec!["TAF".into(), "hSize".into(), h.into()]);
-    fig.push_row(vec!["TAF".into(), "pSize".into(), p.into()]);
-    fig.push_row(vec!["TAF".into(), "threshold".into(), t.into()]);
-    let (tpw, ts, it) = match scale {
-        Scale::Full => ("1,2,16,32,64(AMD)", "1,2,4,8", "0.1,0.3,...,0.9,3,5,20"),
-        Scale::Quick => ("1,16,32,64(AMD)", "2,8", "0.1,0.5,0.9,5"),
-    };
-    fig.push_row(vec!["iACT".into(), "tPerWarp".into(), tpw.into()]);
-    fig.push_row(vec!["iACT".into(), "tSize".into(), ts.into()]);
-    fig.push_row(vec!["iACT".into(), "threshold".into(), it.into()]);
-    let (skips, pcts) = match scale {
-        Scale::Full => ("2,4,8,16,32,64", "10,20,...,90"),
-        Scale::Quick => ("2,8,64", "10,50,90"),
-    };
-    fig.push_row(vec![
-        "Perfo".into(),
-        "skip (small,large)".into(),
-        skips.into(),
-    ]);
-    fig.push_row(vec![
-        "Perfo".into(),
-        "skipPercent (ini,fini)".into(),
-        pcts.into(),
-    ]);
-    let ipt = match scale {
-        Scale::Full => "8,16,32,...,512",
-        Scale::Quick => "8,64,512",
-    };
-    fig.push_row(vec!["Memo".into(), "items per thread".into(), ipt.into()]);
-    fig.push_row(vec![
-        "Memo".into(),
-        "hierarchy".into(),
-        "thread, warp (block where required)".into(),
-    ]);
+    let mut rows: Vec<([&str; 3], Vec<String>)> = Vec::new();
+    for device in DeviceSpec::evaluation_platforms() {
+        for bench in benches {
+            for grid in Grid::grids_for(*bench, &device, scale) {
+                for (parameter, values) in grid.axes() {
+                    let key = [device.name, grid.technique(), parameter];
+                    let at = match rows.iter().position(|(k, _)| *k == key) {
+                        Some(at) => at,
+                        None => {
+                            rows.push((key, Vec::new()));
+                            rows.len() - 1
+                        }
+                    };
+                    for v in values.iter().map(|v| v.to_string()) {
+                        if !rows[at].1.contains(&v) {
+                            rows[at].1.push(v);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    for (key, values) in rows {
+        let mut row: Vec<String> = key.iter().map(|s| s.to_string()).collect();
+        row.push(values.join(","));
+        fig.push_row(row);
+    }
     fig
 }
 
@@ -593,11 +819,18 @@ mod tests {
 
     #[test]
     fn table2_lists_all_techniques() {
-        let t = table2(Scale::Full);
-        let techs: Vec<&String> = t.rows.iter().map(|r| &r[0]).collect();
-        assert!(techs.iter().any(|s| s.as_str() == "TAF"));
-        assert!(techs.iter().any(|s| s.as_str() == "iACT"));
-        assert!(techs.iter().any(|s| s.as_str() == "Perfo"));
+        let suite = Suite::default();
+        let t = table2(&suite.all(), Scale::Full);
+        for tech in ["TAF", "iACT", "Perfo"] {
+            assert!(t.rows.iter().any(|r| r[1] == tech), "{tech}");
+        }
+        // 64 tables per warp needs a 64-lane wavefront: MI250X only.
+        let tpw = |device: &str| {
+            let row = t.rows.iter().find(|r| r[0] == device && r[2] == "tPerWarp");
+            row.unwrap()[3].clone()
+        };
+        assert_eq!(tpw("V100"), "1,2,16,32");
+        assert_eq!(tpw("MI250X"), "1,2,16,32,64");
     }
 
     #[test]

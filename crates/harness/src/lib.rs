@@ -24,4 +24,4 @@ pub mod space;
 
 pub use db::{ResultsDb, Row};
 pub use runner::{run_sweep, select_baseline, SweepOutcome};
-pub use space::{IactAxes, PerfoAxes, Scale, SweepConfig, TafAxes};
+pub use space::{Scale, SweepConfig};

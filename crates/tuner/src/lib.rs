@@ -18,9 +18,8 @@
 //!
 //! * [`pareto`] — the incremental Pareto frontier over (speedup, error)
 //!   with dominance pruning: the whole tradeoff curve, not one point;
-//! * [`grid`] — indexable per-technique grids over the harness's exposed
-//!   Table 2 axes;
-//! * [`search`] — coordinate descent with random restarts, evaluating
+//! * [`search`] — coordinate descent with random restarts over the
+//!   harness's Table 2 grids (`hpac_harness::space::Grid`), evaluating
 //!   orders of magnitude fewer configurations than `Scale::Full`, in
 //!   parallel;
 //! * [`plan`] — [`QualityBound`] in, re-executable [`TunedPlan`] out;
@@ -31,7 +30,6 @@
 //!   flat and fully owned here, like the harness's CSV).
 
 pub mod cache;
-pub mod grid;
 pub mod json;
 pub mod pareto;
 pub mod plan;
@@ -39,7 +37,6 @@ pub mod search;
 pub mod tuner;
 
 pub use cache::{device_fingerprint, TuningCache};
-pub use grid::Grid;
 pub use pareto::{ParetoFrontier, ParetoPoint};
 pub use plan::{ExecutionReport, QualityBound, TunedPlan};
 pub use tuner::Tuner;

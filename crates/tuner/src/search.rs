@@ -19,14 +19,13 @@
 //! that sibling's. Either is still admitted and charged like a run, so the
 //! budget, the trajectory and every plan are those of running it.
 
-use crate::grid::Grid;
 use crate::pareto::{ParetoFrontier, ParetoPoint};
 use gpu_sim::{DecisionMargins, DeviceSpec};
 use hpac_apps::common::{Benchmark, LaunchParams};
 use hpac_core::exec::{engine, ExecOptions};
 use hpac_core::region::{ApproxRegion, FamilyPoint};
 use hpac_harness::runner::{self, Baseline, CanonicalReps, ConfigOutcome};
-use hpac_harness::space::SweepConfig;
+use hpac_harness::space::{Grid, SweepConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;

@@ -8,14 +8,13 @@
 //! run. Caching, request coalescing, and provenance live a layer up, in
 //! `hpac-service`.
 
-use crate::grid::Grid;
 use crate::pareto::{ParetoFrontier, ParetoPoint};
 use crate::plan::{QualityBound, TunedPlan};
 use crate::search::{search_grid, Evaluator};
 use gpu_sim::DeviceSpec;
 use hpac_apps::common::Benchmark;
 use hpac_harness::runner::select_baseline;
-use hpac_harness::space::{self, Scale};
+use hpac_harness::space::{self, Grid, Scale};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// The quality-constrained autotuner.

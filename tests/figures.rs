@@ -1,0 +1,147 @@
+//! Every id of the `figures` binary generates at a small instance size: its
+//! tables carry ids that start with it and are unique across ids, each has
+//! the row count its shape fixes (or at least one row), every row has the
+//! header's arity, and the CSV each table saves reads back cell for cell.
+//! Whether a figure reproduces the paper's shape is not checked here; see
+//! EXPERIMENTS.md.
+
+use hpac_offload::apps::common::install_eval_memo;
+use hpac_offload::apps::{
+    binomial::BinomialOptions, blackscholes::Blackscholes, kmeans::KMeans, lavamd::LavaMd,
+    leukocyte::Leukocyte, lulesh::Lulesh, minife::MiniFe,
+};
+use hpac_offload::harness::figures::{generate, Suite, IDS};
+use hpac_offload::harness::Scale;
+use std::collections::HashSet;
+
+fn small_suite() -> Suite {
+    Suite {
+        lulesh: Lulesh {
+            edge: 4,
+            steps: 4,
+            dt: 1e-4,
+            ..Lulesh::default()
+        },
+        leukocyte: Leukocyte {
+            n_cells: 2,
+            grid: 8,
+            iterations: 8,
+            ..Leukocyte::default()
+        },
+        binomial: BinomialOptions {
+            n_options: 128,
+            tree_steps: 16,
+            ..BinomialOptions::default()
+        },
+        minife: MiniFe {
+            nx: 4,
+            max_iters: 10,
+            ..MiniFe::default()
+        },
+        blackscholes: Blackscholes {
+            n_options: 1024,
+            ..Blackscholes::default()
+        },
+        lavamd: LavaMd {
+            boxes_per_dim: 2,
+            par_per_box: 8,
+            ..LavaMd::default()
+        },
+        kmeans: KMeans {
+            n_points: 256,
+            max_iters: 10,
+            ..KMeans::default()
+        },
+    }
+}
+
+/// The cells of one CSV line: RFC 4180 quoting, a doubled quote inside a
+/// quoted cell standing for one.
+fn csv_cells(line: &str) -> Vec<String> {
+    let mut cells = vec![String::new()];
+    let mut quoted = false;
+    let mut chars = line.chars().peekable();
+    while let Some(c) = chars.next() {
+        let cell = cells.last_mut().expect("one cell at least");
+        match c {
+            '"' if quoted && chars.peek() == Some(&'"') => {
+                chars.next();
+                cell.push('"');
+            }
+            '"' => quoted = !quoted,
+            ',' if !quoted => cells.push(String::new()),
+            _ => cell.push(c),
+        }
+    }
+    cells
+}
+
+#[test]
+fn csv_cells_reads_quoted_commas_and_quotes() {
+    assert_eq!(
+        csv_cells("a,\"1,3\",\"say \"\"hi\"\"\""),
+        ["a", "1,3", "say \"hi\""]
+    );
+}
+
+#[test]
+fn every_figure_id_generates_at_a_small_size() {
+    // One scope for all ids: inputs and baselines are built once.
+    let _scope = install_eval_memo();
+    let suite = small_suite();
+    let dir = std::env::temp_dir().join(format!("hpac_figures_smoke_{}", std::process::id()));
+    // Tables whose shape fixes their row count at the quick scale.
+    let fixed_rows = [
+        ("table1", 7),
+        ("table2", 2 * (5 + 5 + 4)),
+        ("fig03", 14),
+        ("fig06_best", 2 * 7 * 3),
+        ("fig06_headline", 2),
+        ("fig08c_parallelism", 2 * 7),
+        ("fig09_minife_iact", 1),
+        ("fig10c_distributions", 1 + 4),
+        ("ablations_taf_serialization", 2),
+        ("ablations_herded_perfo", 2),
+        ("ablations_replacement", 2),
+        ("ablations_table_sharing", 4),
+        ("ablations_shared_state", 2),
+    ];
+    let mut seen = HashSet::new();
+    for id in IDS {
+        let figs = generate(id, &suite, Scale::Quick).expect("every id has a generator");
+        assert!(!figs.is_empty(), "{id} generates no table");
+        for fig in figs {
+            let what = format!("{id}: {}", fig.id);
+            assert!(fig.id.starts_with(id), "{what}");
+            assert!(
+                seen.insert(fig.id.clone()),
+                "{what}: a second table has this id"
+            );
+            match fixed_rows.iter().find(|(table, _)| *table == fig.id) {
+                Some(&(_, rows)) => assert_eq!(fig.rows.len(), rows, "{what}"),
+                None => assert!(!fig.rows.is_empty(), "{what}: no rows"),
+            }
+            for row in &fig.rows {
+                assert_eq!(row.len(), fig.headers.len(), "{what}: {row:?}");
+            }
+            fig.save_csv(&dir).unwrap();
+            let text = std::fs::read_to_string(dir.join(format!("{}.csv", fig.id))).unwrap();
+            let lines: Vec<Vec<String>> = text.lines().map(csv_cells).collect();
+            for (n, cells) in lines.iter().enumerate() {
+                let arity = cells.len();
+                assert_eq!(arity, fig.headers.len(), "{what}: CSV line {}", n + 1);
+            }
+            assert_eq!(lines[0], fig.headers, "{what}");
+            assert_eq!(
+                lines[1..],
+                fig.rows[..],
+                "{what}: CSV reads back other cells"
+            );
+        }
+    }
+    for (table, _) in fixed_rows {
+        assert!(seen.contains(table), "no id generated {table}");
+    }
+    assert!(generate("fig99", &suite, Scale::Quick).is_none());
+    let _ = std::fs::remove_dir_all(&dir);
+}

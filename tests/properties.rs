@@ -295,9 +295,9 @@ proptest! {
         use hpac_offload::apps::blackscholes::Blackscholes;
         use hpac_offload::core::exec::ExecOptions;
         use hpac_offload::harness::runner::{run_config_bounded, select_baseline};
-        use hpac_offload::harness::Scale;
+        use hpac_offload::harness::space::{Grid, Scale};
         use hpac_offload::tuner::search::Evaluator;
-        use hpac_offload::tuner::{Grid, ParetoPoint};
+        use hpac_offload::tuner::ParetoPoint;
         use rand::{rngs::StdRng, Rng, SeedableRng};
 
         let bench = Blackscholes { n_options: 2048, distinct: 16, run_len: 16, seed: 1 };

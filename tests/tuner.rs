@@ -15,10 +15,10 @@ use hpac_offload::apps::lulesh::Lulesh;
 use hpac_offload::apps::minife::MiniFe;
 use hpac_offload::core::exec::ExecOptions;
 use hpac_offload::harness::runner::{run_config_bounded, select_baseline, ConfigOutcome};
-use hpac_offload::harness::space::SweepConfig;
+use hpac_offload::harness::space::{Grid, SweepConfig};
 use hpac_offload::harness::Scale;
 use hpac_offload::tuner::search::{search_grid, Answer, Evaluator};
-use hpac_offload::tuner::{Grid, ParetoFrontier, ParetoPoint, QualityBound, TunedPlan, Tuner};
+use hpac_offload::tuner::{ParetoFrontier, ParetoPoint, QualityBound, TunedPlan, Tuner};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
