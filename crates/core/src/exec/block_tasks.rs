@@ -126,7 +126,7 @@ pub fn approx_block_tasks_opts(
             })
         },
         |_, body, (_, buffer), exec| {
-            launch::check_ceiling(exec, opts)?;
+            launch::check_ceiling(exec.lower_bound_seconds(), opts)?;
             buffer.replay(|task, out| body.store(task, out));
             buffer.clear();
             Ok(())

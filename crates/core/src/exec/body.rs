@@ -232,10 +232,35 @@ pub trait BlockTaskBody: Sync {
 /// How the walker reaches the body: the sequential executor commits stores
 /// inline through `&mut`; the parallel executor shares the body immutably
 /// and buffers stores per block.
+///
+/// The last three methods serve a walk that records its decisions for
+/// [`RepeatedLaunch`](crate::exec::RepeatedLaunch) (the `Recording` access
+/// in [`replay`](crate::exec::replay)). Every other access keeps their
+/// defaults, and policies guard their recording-only work with
+/// [`BodyAccess::RECORDS`], so a plain walk compiles to what it was.
 pub(crate) trait BodyAccess {
+    /// Whether this access records a decision trace.
+    const RECORDS: bool = false;
     fn body(&self) -> &dyn RegionBody;
     fn compute(&mut self, i: usize, out: &mut [f64]);
     fn store(&mut self, i: usize, out: &[f64]);
+
+    /// Commit item `i`'s memoized output `out`, which the lane recorded as
+    /// writer `writer` computed.
+    fn store_memo(&mut self, i: usize, out: &[f64], _writer: u32) {
+        self.store(i, out);
+    }
+
+    /// The trace position the next executed lane will take.
+    fn trace_pos(&self) -> u32 {
+        0
+    }
+
+    /// Mark the lane recorded at trace position `pos` as a writer whose
+    /// output later lanes may reuse; returns its writer id.
+    fn keep(&mut self, _pos: u32) -> u32 {
+        0
+    }
 }
 
 pub(crate) struct InlineAccess<'a> {

@@ -125,6 +125,8 @@ impl TechniquePolicy for IactPolicy {
         st.writer_kg[..tables_touched].fill(usize::MAX);
         st.writer_dist[..tables_touched].fill(f64::NEG_INFINITY);
 
+        // Each lane of the step takes one trace position, in lane order.
+        let step_pos = access.trace_pos();
         let mut n_acc = 0u32;
         let mut n_apx = 0u32;
         for k in 0..n {
@@ -142,7 +144,12 @@ impl TechniquePolicy for IactPolicy {
                 let slot = st.probe_slot[kg].expect("approx lane must have an entry");
                 lane::copy(&mut st.out, st.pool.output(t, slot));
                 st.pool.touch(t, slot);
-                access.store(item, &st.out);
+                let writer = if A::RECORDS {
+                    st.pool.writer(t, slot)
+                } else {
+                    0
+                };
+                access.store_memo(item, &st.out, writer);
                 n_apx += 1;
             } else {
                 access.compute(item, &mut st.out);
@@ -166,11 +173,15 @@ impl TechniquePolicy for IactPolicy {
                     continue;
                 }
                 let t = (ctx.slice.warp * self.tables_per_warp) as usize + table_off;
-                st.pool.insert(
+                let slot = st.pool.insert(
                     t,
                     &st.in_cache[kg * in_dim..(kg + 1) * in_dim],
                     &st.out_cache[kg * out_dim..(kg + 1) * out_dim],
                 );
+                if A::RECORDS {
+                    let writer = access.keep(step_pos + (kg - base) as u32);
+                    st.pool.set_writer(t, slot, writer);
+                }
             }
         }
 

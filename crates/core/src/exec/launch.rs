@@ -87,12 +87,18 @@ fn chunk_ranges(n: u32, threads: usize) -> Vec<(u32, u32)> {
 /// Frontier-aware early abort: with a ceiling set, fail once the modeled
 /// time already spent — prior kernels finished on this thread plus a lower
 /// bound on the in-flight kernel's merged work — provably exceeds it.
-/// Checked at block boundaries so the bit-identical accounting of completed
-/// blocks is untouched; when no abort fires the run is indistinguishable
-/// from an unbounded one.
-pub(crate) fn check_ceiling(exec: &KernelExec, opts: &ExecOptions) -> Result<(), RegionError> {
+/// Checked at block boundaries, against the in-flight kernel's
+/// [`KernelExec::lower_bound_seconds`], so the bit-identical accounting of
+/// completed blocks is untouched; when no abort fires the run is
+/// indistinguishable from an unbounded one. The bound only grows as blocks
+/// merge, so a launch aborts exactly when the bound after its last block
+/// exceeds the ceiling; a replayed launch checks that recorded bound once.
+pub(crate) fn check_ceiling(
+    lower_bound_seconds: f64,
+    opts: &ExecOptions,
+) -> Result<(), RegionError> {
     if let Some(ceiling) = opts.abort_above_seconds {
-        if gpu_sim::modeled_seconds() + exec.lower_bound_seconds() > ceiling {
+        if gpu_sim::modeled_seconds() + lower_bound_seconds > ceiling {
             return Err(RegionError::CostCeiling(ceiling));
         }
     }

@@ -32,7 +32,10 @@
 //! `#pragma omp target teams distribute parallel for` region;
 //! [`approx_block_tasks_opts`] is the cooperative-block variant used by
 //! benchmarks like Binomial Options where one block computes one work item
-//! and decisions are block-scoped.
+//! and decisions are block-scoped. [`RepeatedLaunch`] issues one
+//! grid-stride launch again and again over unchanged declared inputs: it
+//! walks the first launch, recording decisions that read only declared
+//! inputs, and replays them on the rest (see [`replay`]).
 
 pub mod batch;
 mod block_tasks;
@@ -45,6 +48,7 @@ mod perfo;
 mod policy;
 #[cfg(test)]
 mod reference;
+mod replay;
 mod taf;
 mod walk;
 
@@ -52,6 +56,7 @@ pub use block_tasks::approx_block_tasks_opts;
 pub use body::{BlockField, BlockTaskBody, RegionBody, StoreVisibility};
 pub use charge::StoreBuffer;
 pub use engine::{engine, ExecEngine};
+pub use replay::RepeatedLaunch;
 
 use crate::region::{ApproxRegion, RegionError, Technique};
 use crate::shared_state;
@@ -87,7 +92,7 @@ impl Executor {
 
 /// Execution options beyond the pragma surface: ablation switches and the
 /// executor knob.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecOptions {
     /// Run the "semantically equivalent" serialized GPU TAF of Fig 4(c)
     /// instead of the relaxed-locality algorithm of Fig 4(d): one state

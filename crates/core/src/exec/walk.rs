@@ -25,6 +25,7 @@ use crate::exec::body::{
 use crate::exec::charge::{MixMemo, StoreBuffer};
 use crate::exec::launch::{self, Lent, Phase};
 use crate::exec::policy::{TechniquePolicy, WarpCtx};
+use crate::exec::replay::{Recording, Trace};
 use crate::exec::{ExecOptions, ResolvedKernel, ResolvedPolicy};
 use crate::hierarchy::{self, HierarchyLevel};
 use crate::region::RegionError;
@@ -235,6 +236,32 @@ impl ResolvedPolicy {
             ResolvedPolicy::Iact(p) => walk_block(geom, p, access, block, arena, acc),
         }
     }
+
+    /// [`ResolvedPolicy::walk_block`], appending the block's decisions to
+    /// `trace`. Only the policies whose decisions read declared inputs and
+    /// item indices alone record (see [`replay`](crate::exec::replay)).
+    pub(crate) fn walk_block_recorded<A: BodyAccess>(
+        &self,
+        geom: &Geom,
+        access: A,
+        trace: &mut Trace,
+        block: u32,
+        arena: &mut WalkArena,
+        acc: &mut BlockAccumulator,
+    ) {
+        let access = &mut Recording {
+            inner: access,
+            trace,
+        };
+        match self {
+            ResolvedPolicy::Accurate(p) => walk_block(geom, p, access, block, arena, acc),
+            ResolvedPolicy::Perfo(p) => walk_block(geom, p, access, block, arena, acc),
+            ResolvedPolicy::Iact(p) => walk_block(geom, p, access, block, arena, acc),
+            ResolvedPolicy::Taf(_) | ResolvedPolicy::SerializedTaf(_) => {
+                unreachable!("TAF decisions read outputs; a TAF launch never records")
+            }
+        }
+    }
 }
 
 /// Run every block of the resolved launch and fold the results into a
@@ -245,6 +272,21 @@ pub(crate) fn execute(
     body: &mut dyn RegionBody,
     opts: &ExecOptions,
 ) -> Result<KernelRecord, RegionError> {
+    execute_traced(spec, kernel, body, opts, None).map(|(record, _)| record)
+}
+
+/// [`execute`], also recording the launch's decision trace into `trace`
+/// when one is given (the caller has checked the launch is
+/// [`replayable`](crate::exec::replay)). Returns the record and the
+/// [`KernelExec::lower_bound_seconds`] of the fully merged launch, the
+/// bound a replay checks the cost ceiling against.
+pub(crate) fn execute_traced(
+    spec: &DeviceSpec,
+    kernel: &ResolvedKernel,
+    body: &mut dyn RegionBody,
+    opts: &ExecOptions,
+    mut trace: Option<&mut Trace>,
+) -> Result<(KernelRecord, f64), RegionError> {
     let exec = KernelExec::new(spec, &kernel.launch, kernel.shared)?;
     let geom = Geom::new(spec, &kernel.launch, kernel.item_lo);
     let _walk = hpac_obs::span(
@@ -260,8 +302,11 @@ pub(crate) fn execute(
     // from each block's worker and the block's own later reads (Jacobi
     // sweeps) observe them immediately; Global bodies never leave the
     // caller. On the caller every body commits inline through `&mut`.
+    // A recording walk keeps each task's trace chunk beside its stores and
+    // appends it at commit, in block order, just as the stores replay.
     let visibility = body.store_visibility();
     let out_dim = body.out_dim();
+    let recording = trace.is_some();
     let mut phase = [Phase {
         exec,
         may_fan_out: kernel.partition_kept && visibility != StoreVisibility::Global,
@@ -270,30 +315,46 @@ pub(crate) fn execute(
         opts,
         &mut phase,
         body,
-        |_| (WalkArena::new(&geom), StoreBuffer::new(out_dim)),
-        |_, body, (arena, stores), b, acc| {
+        |_| {
+            let chunk = Trace::default();
+            (WalkArena::new(&geom), StoreBuffer::new(out_dim), chunk)
+        },
+        |_, body, (arena, stores, chunk), b, acc| {
             let policy = &kernel.policy;
             match body {
+                Lent::Caller(body) if recording => {
+                    let access = InlineAccess { body };
+                    policy.walk_block_recorded(&geom, access, chunk, b, arena, acc)
+                }
                 Lent::Caller(body) => {
                     policy.walk_block(&geom, &mut InlineAccess { body }, b, arena, acc)
                 }
                 Lent::Task(body) if visibility == StoreVisibility::Independent => {
                     let mut access = BufferedAccess::new(body, stores);
-                    policy.walk_block(&geom, &mut access, b, arena, acc)
+                    if recording {
+                        policy.walk_block_recorded(&geom, access, chunk, b, arena, acc)
+                    } else {
+                        policy.walk_block(&geom, &mut access, b, arena, acc)
+                    }
                 }
                 Lent::Task(body) => {
+                    debug_assert!(!recording, "only Independent bodies record");
                     policy.walk_block(&geom, &mut SharedAccess { body }, b, arena, acc)
                 }
             }
         },
-        |_, body, (_, stores), exec| {
-            launch::check_ceiling(exec, opts)?;
+        |_, body, (_, stores, chunk), exec| {
+            launch::check_ceiling(exec.lower_bound_seconds(), opts)?;
             stores.replay(|item, out| body.store(item, out));
+            if let Some(trace) = trace.as_deref_mut() {
+                trace.append(chunk);
+            }
             Ok(())
         },
     )?;
     let [Phase { exec, .. }] = phase;
-    Ok(exec.finish())
+    let bound = exec.lower_bound_seconds();
+    Ok((exec.finish(), bound))
 }
 
 #[cfg(test)]

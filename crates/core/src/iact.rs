@@ -55,6 +55,11 @@ pub struct IactPool {
     referenced: Vec<bool>,
     /// Per-table round-robin pointer / clock hand.
     hand: Vec<u32>,
+    /// Writer of each slot, `n_tables * tsize`: an id the caller chose for
+    /// the lane whose output the slot holds (see [`IactPool::set_writer`]).
+    /// Empty until a caller tracks writers, so a walk that does not pays
+    /// nothing for it.
+    writers: Vec<u32>,
     /// Every probe distance compared against the threshold so far.
     margin: DecisionMargin,
 }
@@ -74,6 +79,7 @@ impl IactPool {
             fill: vec![0; n_tables],
             referenced: vec![false; slots],
             hand: vec![0; n_tables],
+            writers: Vec::new(),
             margin: DecisionMargin::default(),
         }
     }
@@ -198,8 +204,8 @@ impl IactPool {
     }
 
     /// Insert an `(inputs, outputs)` pair (write phase; the runtime selects
-    /// one writer per table per step).
-    pub fn insert(&mut self, table: usize, inputs: &[f64], outputs: &[f64]) {
+    /// one writer per table per step). Returns the slot it went into.
+    pub fn insert(&mut self, table: usize, inputs: &[f64], outputs: &[f64]) -> usize {
         debug_assert_eq!(inputs.len(), self.in_dim);
         debug_assert_eq!(outputs.len(), self.out_dim);
         let slot = self.victim(table);
@@ -214,6 +220,24 @@ impl IactPool {
         );
         self.fill[table] = self.fill[table].max(slot as u32 + 1);
         self.referenced[idx] = false;
+        slot
+    }
+
+    /// Record `writer` as the lane whose output `(table, slot)` holds.
+    /// Writers are tracked only by callers that ask: the first call sizes
+    /// the tracking, and a slot filled before it reads as writer 0.
+    pub fn set_writer(&mut self, table: usize, slot: usize, writer: u32) {
+        if self.writers.is_empty() {
+            self.writers = vec![0; self.n_tables * self.params.tsize];
+        }
+        let idx = self.slot_index(table, slot);
+        self.writers[idx] = writer;
+    }
+
+    /// The writer last recorded for `(table, slot)` by
+    /// [`IactPool::set_writer`].
+    pub fn writer(&self, table: usize, slot: usize) -> u32 {
+        self.writers[self.slot_index(table, slot)]
     }
 
     /// Number of valid entries in `table` (diagnostics and tests).
@@ -337,6 +361,17 @@ mod tests {
         // Slot 0 was referenced, so the hand clears its bit and evicts slot 1.
         assert_eq!(p.output(0, 0), &[0.0]);
         assert_eq!(p.output(0, 1), &[2.0]);
+    }
+
+    #[test]
+    fn writers_follow_their_slots() {
+        let mut p = pool(2, Replacement::RoundRobin);
+        for (w, v) in [(7, 0.0), (8, 1.0), (9, 2.0)] {
+            let slot = p.insert(0, &[v, 0.0], &[v]);
+            p.set_writer(0, slot, w);
+        }
+        // The third insert evicted slot 0, and its writer with it.
+        assert_eq!((p.writer(0, 0), p.writer(0, 1)), (9, 8));
     }
 
     #[test]

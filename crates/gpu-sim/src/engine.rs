@@ -258,24 +258,34 @@ impl KernelExec {
             self.shared_bytes_per_block,
             &self.blocks,
         );
-        MODELED_SECONDS.with(|m| m.set(m.get() + timing.seconds));
-        // Every kernel — slice walk, block tasks, uniform charge — funnels
-        // through here, so this is the one place modeled execution stats
-        // feed the obs counters.
-        if hpac_obs::enabled() {
-            use hpac_obs::CounterId as C;
-            hpac_obs::inc(C::KernelLaunches);
-            hpac_obs::add(C::WarpSteps, self.stats.warp_steps);
-            hpac_obs::add(C::DivergentSteps, self.stats.divergent_steps);
-            hpac_obs::add(C::ApproxLanes, self.stats.approx_lanes);
-            hpac_obs::add(C::AccurateLanes, self.stats.accurate_lanes);
-            hpac_obs::add(C::SkippedLanes, self.stats.skipped_lanes);
-            hpac_obs::add(C::GlobalTxns, self.stats.global_txns);
-        }
-        KernelRecord {
+        let record = KernelRecord {
             timing,
             stats: self.stats,
-        }
+        };
+        account_kernel(&record);
+        record
+    }
+}
+
+/// Account one finished kernel: add its modeled duration to this thread's
+/// modeled-seconds meter and its execution statistics to the obs counters.
+///
+/// Every kernel — slice walk, block tasks, uniform charge, and a replayed
+/// launch that reuses a recorded [`KernelRecord`] — funnels through here,
+/// so this is the one place modeled execution feeds the meter and the
+/// counters.
+pub fn account_kernel(record: &KernelRecord) {
+    MODELED_SECONDS.with(|m| m.set(m.get() + record.timing.seconds));
+    if hpac_obs::enabled() {
+        use hpac_obs::CounterId as C;
+        let stats = &record.stats;
+        hpac_obs::inc(C::KernelLaunches);
+        hpac_obs::add(C::WarpSteps, stats.warp_steps);
+        hpac_obs::add(C::DivergentSteps, stats.divergent_steps);
+        hpac_obs::add(C::ApproxLanes, stats.approx_lanes);
+        hpac_obs::add(C::AccurateLanes, stats.accurate_lanes);
+        hpac_obs::add(C::SkippedLanes, stats.skipped_lanes);
+        hpac_obs::add(C::GlobalTxns, stats.global_txns);
     }
 }
 

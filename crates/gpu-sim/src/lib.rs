@@ -41,7 +41,8 @@ pub use coalesce::AccessPattern;
 pub use cost::{CostProfile, PrecomposedCost};
 pub use dim::{LaunchConfig, Schedule};
 pub use engine::{
-    modeled_seconds, reset_modeled_seconds, BlockAccumulator, KernelExec, KernelRecord, LaunchError,
+    account_kernel, modeled_seconds, reset_modeled_seconds, BlockAccumulator, KernelExec,
+    KernelRecord, LaunchError,
 };
 pub use spec::{CostParams, DeviceSpec, Vendor};
 pub use stats::{DecisionMargin, DecisionMargins, KernelStats};

@@ -30,7 +30,7 @@ impl std::fmt::Display for Vendor {
 /// `flop_cycles` regardless of how many lanes are active, which is exactly
 /// what makes divergence expensive — a warp with one accurate lane still pays
 /// the full accurate path.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostParams {
     /// Issue cycles for one warp-wide floating-point instruction.
     pub flop_cycles: f64,
@@ -62,7 +62,7 @@ pub struct CostParams {
 }
 
 /// A GPU device description: geometry limits plus cost parameters.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceSpec {
     pub name: &'static str,
     pub vendor: Vendor,

@@ -135,7 +135,8 @@ pub enum CounterId {
     EnginePhases,
     /// Nanoseconds the `run_phases` submitter spent blocked on phase barriers.
     EngineBarrierWaitNs,
-    /// Kernel launches finishing through `KernelExec::finish`.
+    /// Kernel launches accounted through `gpu_sim::account_kernel`: every
+    /// walked launch and every replayed one.
     KernelLaunches,
     /// Modeled warp-steps (slice iterations) across all kernels.
     WarpSteps,
@@ -210,9 +211,12 @@ pub enum CounterId {
     /// Warm-started searches whose stored winner did not reproduce (the
     /// search then re-measured every seed).
     TunerSeedMismatches,
+    /// Launches a `RepeatedLaunch` replayed from its recorded decision
+    /// trace instead of walking (also counted in `KernelLaunches`).
+    KernelReplays,
 }
 
-pub const N_COUNTERS: usize = 41;
+pub const N_COUNTERS: usize = 42;
 
 impl CounterId {
     pub const ALL: [CounterId; N_COUNTERS] = [
@@ -257,6 +261,7 @@ impl CounterId {
         CounterId::ConfigsThresholdCovered,
         CounterId::TunerSeedsVerified,
         CounterId::TunerSeedMismatches,
+        CounterId::KernelReplays,
     ];
 
     pub fn name(self) -> &'static str {
@@ -302,6 +307,7 @@ impl CounterId {
             CounterId::ConfigsThresholdCovered => "configs_threshold_covered",
             CounterId::TunerSeedsVerified => "tuner_seeds_verified",
             CounterId::TunerSeedMismatches => "tuner_seed_mismatches",
+            CounterId::KernelReplays => "kernel_replays",
         }
     }
 }

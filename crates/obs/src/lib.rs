@@ -205,6 +205,21 @@ mod tests {
     }
 
     #[test]
+    fn summary_table_renders_kernel_replays() {
+        let _g = locked();
+        set_enabled(true);
+        let before = snapshot();
+        add(CounterId::KernelReplays, 3);
+        set_enabled(false);
+        let table = snapshot().delta_since(&before).render_table();
+        let row = table
+            .lines()
+            .find(|l| l.starts_with("kernel_replays"))
+            .expect("kernel_replays row rendered");
+        assert!(row.ends_with(" 3"), "{row}");
+    }
+
+    #[test]
     fn ring_wrap_keeps_newest_and_counts_dropped() {
         let _g = locked();
         set_enabled(true);
