@@ -575,7 +575,7 @@ pub trait Benchmark: Send + Sync {
 
     /// Execute the benchmark, approximating its designated kernel(s) with
     /// `region` (or accurately when `None`), under default execution
-    /// options (the `HPAC_THREADS` environment override applies).
+    /// options.
     fn run(
         &self,
         spec: &DeviceSpec,

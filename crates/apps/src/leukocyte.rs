@@ -13,10 +13,9 @@
 //!
 //! Uses the substrate's block-local schedule: block = cell, items =
 //! `iterations × pixels`, iteration-major within the block so the Jacobi
-//! double-buffer dependency is honoured. Each cell owns a private slice of
-//! the IMGVF field ([`BlockField`] partitions), so the solve is
-//! block-private ([`StoreVisibility::BlockPrivate`]) and independent cells
-//! relax in parallel on the engine's worker pool.
+//! double-buffer dependency is honoured: a sweep reads the field the
+//! previous sweep of the same launch stored
+//! ([`StoreVisibility::InLaunch`]).
 //!
 //! QoI: each cell's final location (intensity-weighted centroid of the
 //! converged field).
@@ -26,9 +25,7 @@ use crate::common::{
 };
 use gpu_sim::transfer::Direction;
 use gpu_sim::{AccessPattern, CostProfile, DeviceSpec, LaunchConfig};
-use hpac_core::exec::{
-    approx_parallel_for_opts, BlockField, ExecOptions, RegionBody, StoreVisibility,
-};
+use hpac_core::exec::{approx_parallel_for_opts, ExecOptions, RegionBody, StoreVisibility};
 use hpac_core::region::{ApproxRegion, RegionError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -148,9 +145,8 @@ struct ImgvfBody<'a> {
     image: &'a [f64],
     /// Double buffer: `buf[parity]` is read, `buf[1 - parity]` written.
     /// Cell `c` touches only indices `[c * pixels, (c + 1) * pixels)` of
-    /// either buffer — the private per-block slices that make the solve
-    /// block-parallel.
-    buf: [BlockField; 2],
+    /// either buffer.
+    buf: [Vec<f64>; 2],
 }
 
 impl ImgvfBody<'_> {
@@ -169,7 +165,7 @@ impl ImgvfBody<'_> {
         let g = self.cfg.grid;
         let (x, y) = (pixel % g, pixel / g);
         let base = cell * self.cfg.pixels_per_cell();
-        let at = |xx: usize, yy: usize| self.buf[parity].get(base + yy * g + xx);
+        let at = |xx: usize, yy: usize| self.buf[parity][base + yy * g + xx];
         let l = at(x.saturating_sub(1), y);
         let r = at((x + 1).min(g - 1), y);
         let u = at(x, y.saturating_sub(1));
@@ -192,7 +188,7 @@ impl RegionBody for ImgvfBody<'_> {
         let (cell, iter, pixel) = self.decode(item);
         let parity = iter % 2;
         let idx = cell * self.cfg.pixels_per_cell() + pixel;
-        buf[0] = self.buf[parity].get(idx);
+        buf[0] = self.buf[parity][idx];
         buf[1] = self.neighbor_avg(cell, pixel, parity);
         buf[2] = self.image[idx];
     }
@@ -201,29 +197,22 @@ impl RegionBody for ImgvfBody<'_> {
         let (cell, iter, pixel) = self.decode(item);
         let parity = iter % 2;
         let idx = cell * self.cfg.pixels_per_cell() + pixel;
-        let m = self.buf[parity].get(idx);
+        let m = self.buf[parity][idx];
         let avg = self.neighbor_avg(cell, pixel, parity);
         let i = self.image[idx];
         out[0] = (1.0 - self.cfg.omega) * m + self.cfg.omega * avg + self.cfg.kappa * (i - m);
     }
 
     fn store(&mut self, item: usize, out: &[f64]) {
-        // Same commit path as the parallel executor's inline route.
-        self.store_shared(item, out);
+        let (cell, iter, pixel) = self.decode(item);
+        let idx = cell * self.cfg.pixels_per_cell() + pixel;
+        self.buf[1 - iter % 2][idx] = out[0];
     }
 
     /// Iteration `i+1` of a cell's in-kernel Jacobi sweep reads the field
-    /// iteration `i` stored — but only within the cell's own partition
-    /// (one cell per block under `Schedule::BlockLocal`), so blocks may
-    /// run in parallel with stores committed inline per block.
+    /// iteration `i` stored.
     fn store_visibility(&self) -> StoreVisibility {
-        StoreVisibility::BlockPrivate
-    }
-
-    fn store_shared(&self, item: usize, out: &[f64]) {
-        let (cell, iter, pixel) = self.decode(item);
-        let idx = cell * self.cfg.pixels_per_cell() + pixel;
-        self.buf[1 - iter % 2].set(idx, out[0]);
+        StoreVisibility::InLaunch
     }
 
     fn accurate_cost(&self, lanes: u32, _spec: &DeviceSpec) -> CostProfile {
@@ -284,10 +273,7 @@ impl Benchmark for Leukocyte {
             cfg: self,
             image,
             // IMGVF starts from the image itself.
-            buf: [
-                BlockField::from_vec(image.clone()),
-                BlockField::from_vec(image.clone()),
-            ],
+            buf: [image.clone(), image.clone()],
         };
 
         // One block per cell, iteration-major items within the block.
@@ -302,8 +288,8 @@ impl Benchmark for Leukocyte {
         let mut qoi = Vec::with_capacity(self.n_cells * 2);
         for cell in 0..self.n_cells {
             let base = cell * self.pixels_per_cell();
-            let field = body.buf[final_parity].to_vec(base..base + self.pixels_per_cell());
-            let (cx, cy) = self.centroid(&field);
+            let field = &body.buf[final_parity][base..base + self.pixels_per_cell()];
+            let (cx, cy) = self.centroid(field);
             qoi.push(cx);
             qoi.push(cy);
         }
@@ -395,51 +381,6 @@ mod tests {
         assert!(approx.kernel_seconds < accurate.kernel_seconds);
         let err = approx.qoi.error_vs(&accurate.qoi);
         assert!(err < 0.05, "tracking error {err}");
-    }
-
-    #[test]
-    fn parallel_blocks_bit_identical_despite_jacobi_dependency() {
-        // The in-kernel Jacobi sweeps read the block's own stores, but the
-        // field is partitioned per cell (BlockPrivate), so the engine may
-        // relax cells in parallel — and must still match the sequential
-        // reference bit for bit.
-        use hpac_core::exec::Executor;
-        let cfg = small();
-        let regions = [
-            None,
-            Some(ApproxRegion::memo_out(2, 32, 0.05)),
-            Some(ApproxRegion::memo_in(4, 0.1).tables_per_warp(16)),
-        ];
-        for region in &regions {
-            let seq_opts = ExecOptions {
-                executor: Executor::Sequential,
-                ..ExecOptions::default()
-            };
-            let par_opts = ExecOptions {
-                executor: Executor::ParallelBlocks,
-                threads: Some(4),
-                ..ExecOptions::default()
-            };
-            let lp = LaunchParams::default();
-            let seq = cfg
-                .run_opts(&spec(), region.as_ref(), &lp, &seq_opts)
-                .unwrap();
-            let par = cfg
-                .run_opts(&spec(), region.as_ref(), &lp, &par_opts)
-                .unwrap();
-            let (QoI::Values(a), QoI::Values(b)) = (&seq.qoi, &par.qoi) else {
-                panic!()
-            };
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "QoI diverged between executors for {region:?}"
-                );
-            }
-            assert_eq!(seq.kernel_seconds, par.kernel_seconds);
-            assert_eq!(seq.stats, par.stats);
-        }
     }
 
     #[test]

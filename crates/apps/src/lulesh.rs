@@ -24,8 +24,7 @@ use crate::common::{
 };
 use gpu_sim::transfer::Direction;
 use gpu_sim::{AccessPattern, CostProfile, DeviceSpec, LaunchConfig};
-use hpac_core::exec::batch;
-use hpac_core::exec::{BlockField, ExecOptions, RegionBody, StoreVisibility};
+use hpac_core::exec::{approx_parallel_for_opts, BlockField, ExecOptions, RegionBody};
 use hpac_core::lane;
 use hpac_core::region::{ApproxRegion, RegionError};
 use std::sync::Arc;
@@ -87,10 +86,8 @@ impl Prepared for Topology {
 /// The mesh a run evolves: the shared [`Topology`] plus this run's mutable
 /// simulation state.
 ///
-/// Written fields live in [`BlockField`]s so the five per-timestep kernels
-/// can run as one engine batch ([`batch::run_batch`]): bodies then share
-/// the mesh immutably and commit stores through `store_shared`, with the
-/// engine's phase barriers providing the kernel-to-kernel happens-before.
+/// Written fields live in [`BlockField`]s so the five per-timestep bodies
+/// can share one `&Mesh` and still commit their stores into it.
 /// Vector-valued fields are flattened `[x, y, z]` rows — see [`get3`] /
 /// [`set3`].
 pub struct Mesh {
@@ -353,14 +350,6 @@ impl RegionBody for HgControlBody<'_> {
     }
 
     fn store(&mut self, e: usize, out: &[f64]) {
-        self.store_shared(e, out);
-    }
-
-    fn store_visibility(&self) -> StoreVisibility {
-        StoreVisibility::BlockPrivate
-    }
-
-    fn store_shared(&self, e: usize, out: &[f64]) {
         set3(&self.mesh.hg_coef, e, [out[0], out[0], out[0]]);
         self.mesh.visc.set(e, out[1]);
     }
@@ -418,14 +407,6 @@ impl RegionBody for HgForceBody<'_> {
     }
 
     fn store(&mut self, e: usize, out: &[f64]) {
-        self.store_shared(e, out);
-    }
-
-    fn store_visibility(&self) -> StoreVisibility {
-        StoreVisibility::BlockPrivate
-    }
-
-    fn store_shared(&self, e: usize, out: &[f64]) {
         set3(&self.mesh.hg_f, e, [out[0], out[1], out[2]]);
     }
 
@@ -466,14 +447,6 @@ impl RegionBody for StressBody<'_> {
     }
 
     fn store(&mut self, e: usize, out: &[f64]) {
-        self.store_shared(e, out);
-    }
-
-    fn store_visibility(&self) -> StoreVisibility {
-        StoreVisibility::BlockPrivate
-    }
-
-    fn store_shared(&self, e: usize, out: &[f64]) {
         set3(&self.mesh.stress_f, e, [out[0], out[1], out[2]]);
     }
 
@@ -515,14 +488,6 @@ impl RegionBody for NodeBody<'_> {
     }
 
     fn store(&mut self, n: usize, out: &[f64]) {
-        self.store_shared(n, out);
-    }
-
-    fn store_visibility(&self) -> StoreVisibility {
-        StoreVisibility::BlockPrivate
-    }
-
-    fn store_shared(&self, n: usize, out: &[f64]) {
         let m = self.mesh;
         set3(&m.force, n, [out[0], out[1], out[2]]);
         let inv_m = 1.0 / m.topo.mass[n];
@@ -570,14 +535,6 @@ impl RegionBody for EosBody<'_> {
     }
 
     fn store(&mut self, e: usize, out: &[f64]) {
-        self.store_shared(e, out);
-    }
-
-    fn store_visibility(&self) -> StoreVisibility {
-        StoreVisibility::BlockPrivate
-    }
-
-    fn store_shared(&self, e: usize, out: &[f64]) {
         let m = self.mesh;
         m.volume.set(e, out[0]);
         m.energy.set(e, out[1]);
@@ -643,39 +600,44 @@ impl Benchmark for Lulesh {
         let node_launch = LaunchConfig::one_item_per_thread(n_nodes, lp.block_size);
         let elem_acc_launch = LaunchConfig::one_item_per_thread(n_elems, lp.block_size);
 
-        // All five kernels of a timestep go down as ONE engine submission
-        // ([`batch::run_batch`]); the engine's phase barriers serialize the
-        // kernels (2 reads hg_coef from 1, 3 reads visc from 1, 4 reads
-        // stress_f/hg_f from 3/2, 5 reads pos from 4) while blocks within
-        // each kernel still fan out, so workers never park and respawn
-        // between the five launches.
-        let hg_control = HgControlBody {
+        // The five kernels of a timestep run one after another: 2 reads
+        // hg_coef from 1, 3 reads visc from 1, 4 reads stress_f/hg_f from
+        // 3/2, 5 reads pos from 4. None of them checks the cost ceiling, so
+        // a LULESH run never aborts early; checking it would change which
+        // evaluations the tuner completes, and with them its plans.
+        let opts = ExecOptions {
+            abort_above_seconds: None,
+            ..*opts
+        };
+        let mut hg_control = HgControlBody {
             mesh: &mesh,
             hgcoef: self.hgcoef,
             dt: self.dt,
         };
-        let hg_force = HgForceBody { mesh: &mesh };
-        let stress = StressBody { mesh: &mesh, area };
-        let node = NodeBody {
+        let mut hg_force = HgForceBody { mesh: &mesh };
+        let mut stress = StressBody { mesh: &mesh, area };
+        let mut node = NodeBody {
             mesh: &mesh,
             dt: self.dt,
         };
-        let eos = EosBody { mesh: &mesh };
+        let mut eos = EosBody { mesh: &mesh };
         for _ in 0..self.steps {
-            let kernels = [
+            let kernels: [(&LaunchConfig, Option<&ApproxRegion>, &mut dyn RegionBody); 5] = [
                 // 1. Hourglass control + artificial viscosity (approximated).
-                batch::prepare(spec, &elem_launch, region, &hg_control, opts)?,
+                (&elem_launch, region, &mut hg_control),
                 // 2. FB hourglass force (approximated).
-                batch::prepare(spec, &elem_launch, region, &hg_force, opts)?,
+                (&elem_launch, region, &mut hg_force),
                 // 3. Stress force (accurate).
-                batch::prepare(spec, &elem_acc_launch, None, &stress, opts)?,
+                (&elem_acc_launch, None, &mut stress),
                 // 4. Node gather + integration (accurate).
-                batch::prepare(spec, &node_launch, None, &node, opts)?,
+                (&node_launch, None, &mut node),
                 // 5. EOS / volume update (accurate).
-                batch::prepare(spec, &elem_acc_launch, None, &eos, opts)?,
+                (&elem_acc_launch, None, &mut eos),
             ];
-            for rec in batch::run_batch(spec, &kernels, opts)? {
-                acc.kernel(&rec);
+            for (launch, region, body) in kernels {
+                acc.kernel(&approx_parallel_for_opts(
+                    spec, launch, region, body, &opts,
+                )?);
             }
         }
 
@@ -758,28 +720,37 @@ mod tests {
     }
 
     #[test]
-    fn batched_step_agrees_across_executors() {
-        // The five batched kernels must give bit-identical records and QoI
-        // under every executor: the phase barriers are the only ordering
-        // the step's dependency chain needs.
-        use hpac_core::exec::Executor;
+    fn cost_ceiling_never_aborts_a_run() {
+        // A ceiling below the run's own modeled seconds changes nothing:
+        // the run completes with the unbounded run's QoI and seconds.
         let cfg = small();
         let lp = LaunchParams::new(8, 128);
         let region = ApproxRegion::memo_out(2, 8, 0.5);
-        let runs: Vec<_> = [Executor::Sequential, Executor::ParallelBlocks]
-            .into_iter()
-            .map(|executor| {
+        let bits = |qoi: &QoI| -> Vec<u64> {
+            let QoI::Values(v) = qoi else { panic!() };
+            v.iter().map(|x| x.to_bits()).collect()
+        };
+        for region in [None, Some(&region)] {
+            let unbounded = cfg.run(&spec(), region, &lp).unwrap();
+            for ceiling in [0.0, 0.5 * unbounded.kernel_seconds] {
                 let opts = ExecOptions {
-                    executor,
-                    threads: Some(4),
+                    abort_above_seconds: Some(ceiling),
                     ..ExecOptions::default()
                 };
-                cfg.run_opts(&spec(), Some(&region), &lp, &opts).unwrap()
-            })
-            .collect();
-        for r in &runs[1..] {
-            assert_eq!(r.qoi, runs[0].qoi);
-            assert_eq!(r.kernel_seconds.to_bits(), runs[0].kernel_seconds.to_bits());
+                let bounded = cfg
+                    .run_opts(&spec(), region, &lp, &opts)
+                    .expect("LULESH ignores the cost ceiling");
+                assert_eq!(
+                    bits(&bounded.qoi),
+                    bits(&unbounded.qoi),
+                    "{region:?} at {ceiling}"
+                );
+                assert_eq!(
+                    bounded.kernel_seconds.to_bits(),
+                    unbounded.kernel_seconds.to_bits(),
+                    "{region:?} at {ceiling}"
+                );
+            }
         }
     }
 

@@ -6,7 +6,7 @@
 //! whitespace-only value also means "use the default" (so `HPAC_X= cmd`
 //! and `unset HPAC_X` behave the same), and a malformed value **aborts
 //! with a clear error** rather than silently falling back — a typo in
-//! `HPAC_THREADS` must not quietly run sequentially, and a typo in
+//! `HPAC_THREADS` must not quietly change the batch width, and a typo in
 //! `HPAC_TRACE` must not quietly drop a bench run's trace.
 //!
 //! The variables routed through here:

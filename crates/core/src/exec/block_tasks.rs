@@ -3,22 +3,17 @@
 //! with block-scoped approximation decisions.
 //!
 //! Each block owns exactly one AC state (one TAF machine or one iACT
-//! table), and blocks grid-stride over disjoint task sets, so the same
-//! [`launch`] driver that runs the warp walker's blocks runs these: under
-//! [`Executor::ParallelBlocks`](crate::exec::Executor::ParallelBlocks)
-//! blocks run on the persistent [`engine`](crate::exec::engine) worker pool
-//! with buffered stores and fold back in block order, bit-identical to the
-//! sequential reference.
+//! table), and blocks grid-stride over disjoint task sets; the same
+//! [`launch`] driver that runs the warp walker's blocks runs these, in
+//! order on the calling thread, committing each task's outputs as it goes.
 //!
 //! The per-step path costs are fixed for the whole launch (they depend only
 //! on body, device, and technique parameters), so they are precomposed once
 //! into cycle sums ([`TaskCosts`]) and replayed per warp, and the per-block
-//! scratch (output/query vectors, store buffer, accumulator) is hoisted
-//! into reusable per-task state.
+//! scratch (output/query vectors) is hoisted out of the block loop.
 
 use crate::exec::body::BlockTaskBody;
-use crate::exec::charge::StoreBuffer;
-use crate::exec::launch::{self, Phase};
+use crate::exec::launch;
 use crate::exec::ExecOptions;
 use crate::hierarchy::{self, HierarchyLevel};
 use crate::iact::IactPool;
@@ -90,7 +85,7 @@ pub fn approx_block_tasks_opts(
         }
     };
 
-    let exec = KernelExec::new(spec, &launch, shared)?;
+    let mut exec = KernelExec::new(spec, &launch, shared)?;
     let walk = TaskWalk {
         spec: *spec,
         n_tasks,
@@ -107,32 +102,10 @@ pub fn approx_block_tasks_opts(
         n_blocks as u64,
         walk.steps as u64,
     );
-
-    // Tasks are independent by the pattern's contract (one block, one work
-    // item), so on either executor a block's stores are buffered and
-    // committed once it (or its chunk) has been merged.
-    let mut phase = [Phase {
-        exec,
-        may_fan_out: true,
-    }];
-    launch::run(
-        opts,
-        &mut phase,
-        body,
-        |_| (TaskScratch::new(&walk), StoreBuffer::new(walk.out_dim)),
-        |_, body, (scratch, buffer), b, acc| {
-            walk.run_block(body.shared(), b, &costs, scratch, acc, &mut |task, out| {
-                buffer.push(task, out)
-            })
-        },
-        |_, body, (_, buffer), exec| {
-            launch::check_ceiling(exec.lower_bound_seconds(), opts)?;
-            buffer.replay(|task, out| body.store(task, out));
-            buffer.clear();
-            Ok(())
-        },
-    )?;
-    let [Phase { exec, .. }] = phase;
+    let mut scratch = TaskScratch::new(&walk);
+    launch::run(&mut exec, opts, |b, acc| {
+        walk.run_block(body, b, &costs, &mut scratch, acc)
+    })?;
     Ok(exec.finish())
 }
 
@@ -224,17 +197,16 @@ impl TaskWalk {
         }
     }
 
-    /// Walk block `b` over its grid-stride tasks, emitting stores through
-    /// `store` and charging into `acc` (provided empty, reusable via
-    /// [`BlockAccumulator::reset`]).
+    /// Walk block `b` over its grid-stride tasks, committing each task's
+    /// outputs through `body.store` and charging into `acc` (provided
+    /// empty, reusable via [`BlockAccumulator::reset`]).
     fn run_block(
         &self,
-        body: &dyn BlockTaskBody,
+        body: &mut dyn BlockTaskBody,
         b: u32,
         costs: &TaskCosts,
         scratch: &mut TaskScratch,
         acc: &mut BlockAccumulator,
-        store: &mut dyn FnMut(usize, &[f64]),
     ) {
         let mut state = self.block_state();
         let (out, query) = (&mut scratch.out, &mut scratch.query);
@@ -293,7 +265,7 @@ impl TaskWalk {
                         }
                         _ => unreachable!("only memoizing techniques approximate"),
                     }
-                    store(task, out);
+                    body.store(task, out);
                     for w in 0..self.warps {
                         acc.charge_precomposed(w, &costs.approx);
                     }
@@ -301,7 +273,6 @@ impl TaskWalk {
                 }
                 Path::Accurate => {
                     body.compute(task, out);
-                    store(task, out);
                     match &mut state {
                         TaskState::Taf(pool) => pool.observe(0, out),
                         TaskState::Iact(pool) => {
@@ -310,6 +281,7 @@ impl TaskWalk {
                         }
                         _ => {}
                     }
+                    body.store(task, out);
                     for w in 0..self.warps {
                         acc.charge_precomposed(w, &costs.accurate);
                     }

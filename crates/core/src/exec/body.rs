@@ -2,68 +2,39 @@
 //! parallel-for regions and [`BlockTaskBody`] for block-cooperative tasks.
 //!
 //! Both traits split a region into a *pure* compute path (`compute`, taking
-//! `&self`, so independent blocks can run it from separate threads) and a
-//! mutable commit path (`store`, taking `&mut self`). Under the
-//! [`Executor::Sequential`](crate::exec::Executor::Sequential) reference
-//! executor stores are applied inline as the walk proceeds; under
-//! [`Executor::ParallelBlocks`](crate::exec::Executor::ParallelBlocks) the
-//! commit route is chosen by the body's [`StoreVisibility`]: independent
-//! bodies buffer each block's stores in a private [`StoreBuffer`] that the
-//! runtime replays in block order after all blocks finish, while
-//! block-private bodies (Leukocyte's in-kernel Jacobi, whose later sweeps
-//! re-read their own block's stores) commit inline into per-block
-//! partitioned state ([`BlockField`]) through
-//! [`RegionBody::store_shared`]. Either way the call sequence each block
-//! observes is exactly the sequential walk's, so outputs are
-//! bit-identical.
+//! `&self`) and a commit path (`store`, taking `&mut self`). The walk calls
+//! them lane by lane in walk order on the calling thread, so a store is
+//! committed before the next lane computes.
 
-use crate::exec::charge::StoreBuffer;
 use gpu_sim::{AccessPattern, CostProfile, DeviceSpec};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// What a region's `store` calls are allowed to feed back into `compute`
-/// within one launch — the property that decides how the parallel executor
-/// may commit them.
+/// Whether a region's `compute` reads what its `store` calls committed
+/// earlier in the same launch — the one question
+/// [`RepeatedLaunch`](crate::exec::RepeatedLaunch) asks before it records
+/// a launch's decisions for replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StoreVisibility {
-    /// `compute` never reads in-launch stores. The parallel executor
-    /// buffers each block's stores privately and replays them in block
-    /// order after the join (the default).
+    /// `compute` never reads in-launch stores (the default).
     #[default]
     Independent,
-    /// `compute` reads in-launch stores, but only those of its *own* block,
-    /// held in per-block private state reachable through `&self`
-    /// ([`RegionBody::store_shared`], typically backed by a [`BlockField`]).
-    /// Legal only under [`gpu_sim::Schedule::BlockLocal`]-style launches
-    /// where blocks own disjoint item ranges (Leukocyte's in-kernel Jacobi
-    /// sweeps); the parallel executor commits such stores inline from the
-    /// block's worker, so the block sees its own writes immediately.
-    BlockPrivate,
-    /// `compute` reads stores of other blocks. Such bodies always execute
-    /// on the sequential reference executor, because no buffering or
-    /// partitioning discipline can make their cross-block timing
-    /// deterministic.
-    Global,
+    /// `compute` reads in-launch stores (Leukocyte's in-kernel Jacobi
+    /// sweeps re-read the field the previous sweep stored). Such a launch
+    /// never replays.
+    InLaunch,
 }
 
-/// A field partitioned into per-block private slices, giving a region body
-/// interior-mutable storage that independent block workers can write
-/// concurrently.
-///
-/// The contract mirrors GPU shared/global memory under
-/// `Schedule::BlockLocal`: while a kernel is in flight, the thread walking
-/// block `b` reads and writes only `b`'s partition, so every index has at
-/// most one writer. Values are stored as their IEEE-754 bit patterns in
-/// relaxed atomics — races are impossible by construction and every
-/// round-trip is bit-exact, which preserves the executor-equivalence
-/// guarantee.
+/// A field of `f64`s that several region bodies can write through a shared
+/// reference: LULESH's five per-timestep bodies share one `&Mesh` and
+/// commit their stores into its fields. Values are stored as their
+/// IEEE-754 bit patterns, so every round-trip is bit-exact.
 #[derive(Debug)]
 pub struct BlockField {
     bits: Vec<AtomicU64>,
 }
 
 impl BlockField {
-    /// A field initialized from `init` (e.g. the input image).
+    /// A field initialized from `init`.
     pub fn from_vec(init: Vec<f64>) -> Self {
         BlockField {
             bits: init
@@ -71,16 +42,6 @@ impl BlockField {
                 .map(|v| AtomicU64::new(v.to_bits()))
                 .collect(),
         }
-    }
-
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.bits.len()
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
     }
 
     // get/set are the per-scalar hot path of every field-backed body;
@@ -94,11 +55,6 @@ impl BlockField {
     #[inline]
     pub fn set(&self, i: usize, v: f64) {
         self.bits[i].store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Snapshot a contiguous range (e.g. one block's slice after launch).
-    pub fn to_vec(&self, range: std::ops::Range<usize>) -> Vec<f64> {
-        range.map(|i| self.get(i)).collect()
     }
 }
 
@@ -117,7 +73,7 @@ impl BlockField {
 ///   inputs (paid by iACT's activation on every invocation);
 /// * [`RegionBody::store_cost`] — only the write of the region outputs
 ///   (paid by the approximate path when it stores a memoized value).
-pub trait RegionBody: Sync {
+pub trait RegionBody {
     /// Scalars in the declared region input (`in(...)` clause). 0 means the
     /// region declares no inputs (TAF and perforation need none).
     fn in_dim(&self) -> usize {
@@ -142,23 +98,10 @@ pub trait RegionBody: Sync {
     /// Commit the region outputs for item `i`.
     fn store(&mut self, i: usize, out: &[f64]);
 
-    /// How this body's stores feed back into `compute` within one launch.
-    /// [`StoreVisibility::Independent`] (the default) lets the parallel
-    /// executor buffer stores per block; [`StoreVisibility::BlockPrivate`]
-    /// commits them inline through [`RegionBody::store_shared`];
-    /// [`StoreVisibility::Global`] pins the body to the sequential
-    /// reference executor.
+    /// Whether `compute` reads this launch's stores (see
+    /// [`StoreVisibility`]).
     fn store_visibility(&self) -> StoreVisibility {
         StoreVisibility::Independent
-    }
-
-    /// Commit the region outputs for item `i` through a shared reference,
-    /// into per-block private state (see [`StoreVisibility::BlockPrivate`];
-    /// typically a [`BlockField`] write). Required exactly when
-    /// `store_visibility()` returns `BlockPrivate`; `store` should delegate
-    /// here so both executors commit through the same path.
-    fn store_shared(&self, _i: usize, _out: &[f64]) {
-        unreachable!("store_shared is required for StoreVisibility::BlockPrivate bodies");
     }
 
     /// Cost of one warp executing the accurate path with `lanes` active
@@ -190,7 +133,7 @@ pub trait RegionBody: Sync {
 /// (Binomial Options' one-block-per-option pattern). Decisions are
 /// block-scoped — there is one AC state per block and the whole block takes
 /// one path.
-pub trait BlockTaskBody: Sync {
+pub trait BlockTaskBody {
     /// Scalars in the declared task input.
     fn in_dim(&self) -> usize {
         0
@@ -229,14 +172,13 @@ pub trait BlockTaskBody: Sync {
     }
 }
 
-/// How the walker reaches the body: the sequential executor commits stores
-/// inline through `&mut`; the parallel executor shares the body immutably
-/// and buffers stores per block.
+/// How the walker reaches the body: [`InlineAccess`] forwards to it, and a
+/// walk that records its decisions for
+/// [`RepeatedLaunch`](crate::exec::RepeatedLaunch) wraps that in the
+/// `Recording` access of [`replay`](crate::exec::replay).
 ///
-/// The last three methods serve a walk that records its decisions for
-/// [`RepeatedLaunch`](crate::exec::RepeatedLaunch) (the `Recording` access
-/// in [`replay`](crate::exec::replay)). Every other access keeps their
-/// defaults, and policies guard their recording-only work with
+/// The last three methods serve the recording walk. Every other access
+/// keeps their defaults, and policies guard their recording-only work with
 /// [`BodyAccess::RECORDS`], so a plain walk compiles to what it was.
 pub(crate) trait BodyAccess {
     /// Whether this access records a decision trace.
@@ -278,55 +220,5 @@ impl BodyAccess for InlineAccess<'_> {
 
     fn store(&mut self, i: usize, out: &[f64]) {
         self.body.store(i, out);
-    }
-}
-
-pub(crate) struct BufferedAccess<'a> {
-    pub body: &'a dyn RegionBody,
-    /// Borrowed so one executor task can append several blocks' stores into
-    /// a single buffer (replayed in block order after the join) instead of
-    /// allocating a buffer per block.
-    pub buffer: &'a mut StoreBuffer,
-}
-
-impl<'a> BufferedAccess<'a> {
-    pub fn new(body: &'a dyn RegionBody, buffer: &'a mut StoreBuffer) -> Self {
-        debug_assert_eq!(buffer.out_dim(), body.out_dim());
-        BufferedAccess { body, buffer }
-    }
-}
-
-impl BodyAccess for BufferedAccess<'_> {
-    fn body(&self) -> &dyn RegionBody {
-        self.body
-    }
-
-    fn compute(&mut self, i: usize, out: &mut [f64]) {
-        self.body.compute(i, out);
-    }
-
-    fn store(&mut self, i: usize, out: &[f64]) {
-        self.buffer.push(i, out);
-    }
-}
-
-/// Parallel-executor access for [`StoreVisibility::BlockPrivate`] bodies:
-/// stores commit inline through `store_shared` into the body's per-block
-/// partitioned state, so the block's later `compute` calls see them.
-pub(crate) struct SharedAccess<'a> {
-    pub body: &'a dyn RegionBody,
-}
-
-impl BodyAccess for SharedAccess<'_> {
-    fn body(&self) -> &dyn RegionBody {
-        self.body
-    }
-
-    fn compute(&mut self, i: usize, out: &mut [f64]) {
-        self.body.compute(i, out);
-    }
-
-    fn store(&mut self, i: usize, out: &[f64]) {
-        self.body.store_shared(i, out);
     }
 }

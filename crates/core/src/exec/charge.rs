@@ -1,16 +1,10 @@
-//! Charging and accounting for the execution pipeline.
-//!
-//! Two concerns live here, shared by every technique policy:
-//!
-//! * **Cost memoization** — [`MixMemo`] caches the fully composed,
-//!   device-resolved cost of a warp step per lane mix `(n_acc, n_apx)`.
-//!   Policies assemble a mix's [`CostProfile`] at most once per executor
-//!   task and replay the precomposed cycle sums on every later step with
-//!   the same mix, which removes the profile summing and cycle dot products
-//!   from the hot path without changing a single charged bit.
-//! * **Output accounting** — [`StoreBuffer`] records buffered `store`
-//!   calls when the parallel executor cannot commit them inline, preserving
-//!   the exact call order of the sequential walk for later replay.
+//! Cost memoization for the execution pipeline, shared by every technique
+//! policy: [`MixMemo`] caches the fully composed, device-resolved cost of a
+//! warp step per lane mix `(n_acc, n_apx)`. Policies assemble a mix's
+//! [`CostProfile`] at most once per launch and replay the precomposed cycle
+//! sums on every later step with the same mix, which removes the profile
+//! summing and cycle dot products from the hot path without changing a
+//! single charged bit.
 
 use gpu_sim::{CostParams, CostProfile, PrecomposedCost};
 
@@ -74,72 +68,10 @@ impl MixMemo {
     }
 }
 
-/// One block's buffered `store` calls: items in walk order with their
-/// output vectors, replayed through `&mut` body access after the parallel
-/// phase joins.
-#[derive(Debug, Default)]
-pub struct StoreBuffer {
-    out_dim: usize,
-    items: Vec<usize>,
-    data: Vec<f64>,
-}
-
-impl StoreBuffer {
-    pub fn new(out_dim: usize) -> Self {
-        StoreBuffer {
-            out_dim,
-            items: Vec::new(),
-            data: Vec::new(),
-        }
-    }
-
-    pub fn push(&mut self, item: usize, out: &[f64]) {
-        debug_assert_eq!(out.len(), self.out_dim);
-        self.items.push(item);
-        self.data.extend_from_slice(out);
-    }
-
-    pub(crate) fn out_dim(&self) -> usize {
-        self.out_dim
-    }
-
-    /// Drop the recorded stores, keeping the backing capacity for reuse.
-    pub fn clear(&mut self) {
-        self.items.clear();
-        self.data.clear();
-    }
-
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Apply the buffered stores in the order they were recorded.
-    pub fn replay(&self, mut store: impl FnMut(usize, &[f64])) {
-        for (k, &item) in self.items.iter().enumerate() {
-            store(item, &self.data[k * self.out_dim..(k + 1) * self.out_dim]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gpu_sim::DeviceSpec;
-
-    #[test]
-    fn store_buffer_replays_in_order() {
-        let mut buf = StoreBuffer::new(2);
-        buf.push(5, &[1.0, 2.0]);
-        buf.push(3, &[3.0, 4.0]);
-        assert_eq!(buf.len(), 2);
-        let mut seen = Vec::new();
-        buf.replay(|item, out| seen.push((item, out.to_vec())));
-        assert_eq!(seen, vec![(5, vec![1.0, 2.0]), (3, vec![3.0, 4.0])]);
-    }
 
     #[test]
     fn mix_memo_builds_once_and_matches_direct_precompose() {

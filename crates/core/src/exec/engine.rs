@@ -1,36 +1,30 @@
-//! The `ExecEngine`: one persistent worker pool unifying block-level and
-//! config-level parallelism across the stack.
+//! The `ExecEngine`: one persistent worker pool for the stack's host
+//! parallelism, which is over *configurations*.
 //!
-//! Every site that fans work out over host threads — the block executor in
-//! [`walk`](crate::exec) / `block_tasks`, the harness's configuration
-//! sweeps, the tuner's batched evaluations — submits to this engine. The
-//! engine fronts the process-wide pool of `rayon::pool`: workers are
-//! spawned once, on first demand, and reused for every subsequent launch,
-//! so the per-launch thread-spawn cost that used to tax many-small-kernel
-//! applications (LULESH) is paid exactly once per process.
+//! The harness's configuration sweeps, the tuner's batched evaluations and
+//! the service's request batches submit to this engine; a kernel launch
+//! never does — its blocks walk in order on the calling thread (see
+//! [`exec`](crate::exec)). The engine fronts the process-wide pool of
+//! `rayon::pool`: workers are spawned once, on first demand, and reused
+//! for every later batch.
 //!
 //! Nesting is safe by construction: a task already running on the engine
-//! that submits again (a config task whose kernel launches fan out blocks)
-//! executes the nested batch inline on its own thread. One level of the
-//! stack parallelizes, every level below it serializes — no
-//! oversubscription, and no need to manually pin inner launches to the
-//! sequential executor.
+//! that submits again executes the nested batch inline on its own thread.
+//! One level of the stack parallelizes, every level below it serializes —
+//! no oversubscription.
 //!
 //! # Worker-count precedence
 //!
-//! This is the single source of truth for how many threads work a batch:
+//! This is the single source of truth for how many threads work a batch
+//! ([`ExecEngine::default_width`]):
 //!
-//! 1. an explicit [`ExecOptions::threads`] (`Some(n)`; `0` is clamped to
-//!    1, larger values are honored verbatim — the equivalence tests force
-//!    widths beyond the core count);
-//! 2. else the `HPAC_THREADS` environment variable — must be a
-//!    non-negative integer, where `0` means "all available cores"; any
-//!    other value aborts with a clear error rather than silently falling
-//!    back. Values above the core count are capped to it: fanning a batch
-//!    wider than the machine only adds handoff overhead (measured 0.70x →
-//!    0.54x on LULESH on a 1-core host), so the environment knob never
+//! 1. the `HPAC_THREADS` environment variable — must be a non-negative
+//!    integer, where `0` means "all available cores"; any other value
+//!    aborts with a clear error rather than silently falling back. Values
+//!    above the core count are capped to it: fanning a batch wider than
+//!    the machine only adds handoff overhead, so the knob never
 //!    oversubscribes;
-//! 3. else every available core
+//! 2. else every available core
 //!    (`std::thread::available_parallelism()`, read once per process).
 //!
 //! An unset or empty `HPAC_THREADS` counts as absent. The resolved width
@@ -38,7 +32,6 @@
 //! grows lazily to the largest width ever requested (bounded by
 //! [`rayon::pool::MAX_WORKERS`]) and idle workers cost nothing.
 
-use crate::exec::ExecOptions;
 use rayon::pool::{self, WorkerPool};
 use std::sync::OnceLock;
 use std::thread::ThreadId;
@@ -94,28 +87,13 @@ impl ExecEngine {
         })
     }
 
-    /// Is the calling thread already inside an engine task? Submissions
-    /// from such a context execute inline.
-    pub fn is_nested(&self) -> bool {
-        pool::in_task()
-    }
-
-    /// The batch width used when no explicit option narrows it:
-    /// `HPAC_THREADS` capped at the core count, else every available core
-    /// (precedence rules 2–3).
+    /// The batch width: `HPAC_THREADS` capped at the core count, else every
+    /// available core (see the module docs).
     pub fn default_width(&self) -> usize {
         let cores = available_cores();
         match env_threads() {
             Some(0) | None => cores,
             Some(n) => n.min(cores),
-        }
-    }
-
-    /// The batch width `opts` resolves to (the full precedence chain).
-    pub fn width_for(&self, opts: &ExecOptions) -> usize {
-        match opts.threads {
-            Some(n) => n.max(1),
-            None => self.default_width(),
         }
     }
 
@@ -125,9 +103,9 @@ impl ExecEngine {
     /// task `j` of phase `p`. Tasks of phase `p` only start after every
     /// task of every earlier phase has finished (a barrier), but the
     /// submission as a whole claims from one task queue, so workers stay
-    /// warm across the barriers instead of being re-dispatched per phase —
-    /// the batching [`crate::exec::batch`] uses to submit LULESH's five
-    /// dependent kernels per timestep at once.
+    /// warm across the barriers instead of being re-dispatched per phase.
+    /// No library path submits phases; the repo benchmark's layer pass
+    /// times this call (`core.engine_phases_us`).
     ///
     /// Deadlock-free by construction: the pool claims tasks in flat index
     /// order, so whichever thread holds the lowest unfinished index has all
@@ -253,16 +231,16 @@ pub fn parse_hpac_threads(raw: &str) -> Result<Option<usize>, String> {
     trimmed.parse::<usize>().map(Some).map_err(|_| {
         format!(
             "HPAC_THREADS must be a non-negative integer \
-             (0 = all cores, 1 = sequential, N = N workers); got {trimmed:?}"
+             (0 = all cores, N = N workers); got {trimmed:?}"
         )
     })
 }
 
 /// The validated `HPAC_THREADS` environment override. A malformed value
-/// aborts with the parse error — a typo must not silently run sequentially.
-/// Read-validate-abort behavior comes from [`crate::env::strict_var`], the
-/// helper shared by every `HPAC_*` variable.
-pub(crate) fn env_threads() -> Option<usize> {
+/// aborts with the parse error — a typo must not silently change the
+/// width. Read-validate-abort behavior comes from [`crate::env::strict_var`],
+/// the helper shared by every `HPAC_*` variable.
+fn env_threads() -> Option<usize> {
     crate::env::strict_var("HPAC_THREADS", parse_hpac_threads)
 }
 
@@ -292,20 +270,6 @@ mod tests {
                 "unhelpful error for {bad:?}: {err}"
             );
         }
-    }
-
-    #[test]
-    fn explicit_threads_beats_environment() {
-        let opts = ExecOptions {
-            threads: Some(3),
-            ..ExecOptions::default()
-        };
-        assert_eq!(engine().width_for(&opts), 3);
-        let zero = ExecOptions {
-            threads: Some(0),
-            ..ExecOptions::default()
-        };
-        assert_eq!(engine().width_for(&zero), 1);
     }
 
     #[test]

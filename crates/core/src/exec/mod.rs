@@ -6,16 +6,13 @@
 //! 1. **Dispatch** (this module) — validate the region against the body,
 //!    size the shared-memory AC state, and select the
 //!    [`TechniquePolicy`](policy) for the region's technique. [`resolve`]
-//!    is the shared front half, used both by [`approx_parallel_for_opts`]
-//!    and by the phased [`batch`] API.
-//! 2. **Launch** ([`launch`]) — the one block-launch driver under the warp
-//!    walk, the block tasks and the batch. It alone decides whether a
-//!    kernel's blocks stay on the calling thread
-//!    ([`Executor::Sequential`], a nested launch, a body or launch whose
-//!    blocks are not independent) or are chunked over the persistent
-//!    [`ExecEngine`](engine::ExecEngine) worker pool
-//!    ([`Executor::ParallelBlocks`]), and it merges blocks and commits
-//!    stores in ascending block order either way.
+//!    is the shared front half of [`approx_parallel_for_opts`] and
+//!    [`RepeatedLaunch`].
+//! 2. **Launch** ([`launch`]) — the one block loop under the warp walk,
+//!    the block tasks and the recording walk. Every launch walks its blocks
+//!    in ascending order on the calling thread: the GPU model, not the
+//!    host, supplies a launch's block parallelism. Host threads work on
+//!    whole configurations instead, through the [`ExecEngine`].
 //! 3. **Walk** ([`walk`]) — the single grid walker iterates block →
 //!    grid-stride step → warp, evaluates each warp step as one lane
 //!    *slice*, resolves hierarchy-level votes, and calls the policy's
@@ -23,10 +20,8 @@
 //!    trait in ~150 lines of pure decision logic. The retired per-lane
 //!    walk survives as the bit-equivalence oracle in [`reference`].
 //! 4. **Accounting** ([`charge`], plus `gpu_sim::BlockAccumulator`) —
-//!    every block accumulates costs, statistics, and stores privately and
-//!    the results fold back in block order, which is what makes
-//!    [`Executor::ParallelBlocks`] bit-identical to the
-//!    [`Executor::Sequential`] reference.
+//!    every block accumulates its costs and statistics, which merge into
+//!    the kernel's record in block order.
 //!
 //! [`approx_parallel_for`] is the analogue of launching an annotated
 //! `#pragma omp target teams distribute parallel for` region;
@@ -37,7 +32,6 @@
 //! walks the first launch, recording decisions that read only declared
 //! inputs, and replays them on the rest (see [`replay`]).
 
-pub mod batch;
 mod block_tasks;
 pub mod body;
 pub mod charge;
@@ -54,7 +48,6 @@ mod walk;
 
 pub use block_tasks::approx_block_tasks_opts;
 pub use body::{BlockField, BlockTaskBody, RegionBody, StoreVisibility};
-pub use charge::StoreBuffer;
 pub use engine::{engine, ExecEngine};
 pub use replay::RepeatedLaunch;
 
@@ -62,50 +55,24 @@ use crate::region::{ApproxRegion, RegionError, Technique};
 use crate::shared_state;
 use gpu_sim::{DeviceSpec, KernelRecord, LaunchConfig, Schedule};
 
-/// Which executor drives the block walk.
+/// Which executor drives the block walk. There is one: blocks walked one
+/// after another on the calling thread, stores committed inline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Executor {
-    /// The reference executor: blocks walked one after another on the
-    /// calling thread, stores committed inline.
     #[default]
     Sequential,
-    /// Independent blocks fan out over the persistent
-    /// [`ExecEngine`](engine::ExecEngine) worker pool; each block buffers
-    /// its stores and accounting privately and the results fold back in
-    /// block order, bit-identical to [`Executor::Sequential`].
-    ParallelBlocks,
 }
 
-impl Executor {
-    /// The executor selected by the `HPAC_THREADS` environment override:
-    /// unset or `1` keeps the sequential reference; a worker count (or `0`
-    /// for all cores) enables [`Executor::ParallelBlocks`]. A malformed
-    /// value aborts with a clear error (see [`engine`] for the full
-    /// precedence rules).
-    pub fn from_env() -> Executor {
-        match engine::env_threads() {
-            Some(1) | None => Executor::Sequential,
-            Some(_) => Executor::ParallelBlocks,
-        }
-    }
-}
-
-/// Execution options beyond the pragma surface: ablation switches and the
-/// executor knob.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Execution options beyond the pragma surface.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ExecOptions {
     /// Run the "semantically equivalent" serialized GPU TAF of Fig 4(c)
     /// instead of the relaxed-locality algorithm of Fig 4(d): one state
     /// machine per warp consumes the warp's items in loop order, and every
     /// lane's region execution serializes.
     pub serialized_taf: bool,
-    /// Which executor drives the block walk. `Default::default()` consults
-    /// the `HPAC_THREADS` environment override (see [`Executor::from_env`]).
+    /// Which executor drives the block walk (see [`Executor`]).
     pub executor: Executor,
-    /// Worker threads for [`Executor::ParallelBlocks`]. `None` falls back
-    /// to `HPAC_THREADS`, then to every available core — the canonical
-    /// precedence chain lives in the [`engine`] module docs.
-    pub threads: Option<usize>,
     /// Modeled-seconds ceiling for frontier-aware early abort. When set,
     /// the walk compares a *lower bound* of the run's accumulated modeled
     /// time (prior kernels on this thread plus the in-flight kernel's
@@ -115,28 +82,6 @@ pub struct ExecOptions {
     /// callers must only set a ceiling they are prepared to treat as a
     /// proof of "cannot beat the incumbent" (see the tuner's wiring).
     pub abort_above_seconds: Option<f64>,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            serialized_taf: false,
-            executor: Executor::from_env(),
-            threads: None,
-            abort_above_seconds: None,
-        }
-    }
-}
-
-impl ExecOptions {
-    /// Options pinned to one executor (threads still resolved from the
-    /// environment / core count).
-    pub fn with_executor(executor: Executor) -> Self {
-        ExecOptions {
-            executor,
-            ..ExecOptions::default()
-        }
-    }
 }
 
 /// A region's technique policy, resolved to a concrete implementation.
@@ -160,13 +105,6 @@ pub(crate) struct ResolvedKernel {
     pub shared: usize,
     /// First iterated item (nonzero under ini-perforation).
     pub item_lo: usize,
-    /// Whether every block still iterates the items the declared launch
-    /// gave it. Perforation re-partitions a [`Schedule::BlockLocal`] launch
-    /// (the effective launch is always grid-stride, over a shrunken range
-    /// under ini/fini), so the blocks of a body that declared them private
-    /// — Leukocyte's one cell per block — write into each other's
-    /// partitions; such a launch stays on the calling thread.
-    pub partition_kept: bool,
 }
 
 /// The dispatch stage: validate the region against the body, size the
@@ -185,7 +123,6 @@ pub(crate) fn resolve(
             launch: *launch,
             shared: 0,
             item_lo: 0,
-            partition_kept: true,
         });
     };
     region.validate()?;
@@ -230,7 +167,6 @@ pub(crate) fn resolve(
                 launch: eff,
                 shared,
                 item_lo: lo,
-                partition_kept: launch.schedule != Schedule::BlockLocal,
             })
         }
         Technique::Taf(params) => {
@@ -247,7 +183,6 @@ pub(crate) fn resolve(
                 launch: *launch,
                 shared,
                 item_lo: 0,
-                partition_kept: true,
             })
         }
         Technique::Iact(params) => {
@@ -264,7 +199,6 @@ pub(crate) fn resolve(
                 launch: *launch,
                 shared,
                 item_lo: 0,
-                partition_kept: true,
             })
         }
     }

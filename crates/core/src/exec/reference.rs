@@ -8,8 +8,8 @@
 //! `BlockAccumulator` per block. [`reference_parallel_for`] drives it
 //! sequentially through the same dispatch (`resolve`) as the production
 //! entry point, so the property tests at the bottom can assert that the
-//! slice-wise walk — sequential or fanned out — reproduces the old walk's
-//! outputs, costs, and statistics bit for bit.
+//! slice-wise walk reproduces the old walk's outputs, costs, and
+//! statistics bit for bit.
 
 use crate::exec::body::{BodyAccess, InlineAccess, RegionBody};
 use crate::exec::walk::Geom;
@@ -650,8 +650,7 @@ fn ref_execute<P: RefPolicy>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::body::{BlockField, StoreVisibility};
-    use crate::exec::{approx_parallel_for_opts, ExecOptions, Executor};
+    use crate::exec::{approx_parallel_for_opts, ExecOptions};
     use crate::params::PerfoKind;
     use gpu_sim::{AccessPattern, Schedule};
     use proptest::prelude::*;
@@ -664,12 +663,10 @@ mod tests {
     struct OracleBody {
         input: Vec<f64>,
         output: Vec<f64>,
-        field: Option<BlockField>,
-        visibility: StoreVisibility,
     }
 
     impl OracleBody {
-        fn new(n: usize, seed: u64, visibility: StoreVisibility) -> Self {
+        fn new(n: usize, seed: u64) -> Self {
             let input = (0..n)
                 .map(|i| {
                     let plateau = (i >> 5) as f64;
@@ -677,21 +674,9 @@ mod tests {
                     plateau + if i % 3 == 0 { 0.0 } else { wiggle * 0.25 }
                 })
                 .collect();
-            let field = (visibility == StoreVisibility::BlockPrivate)
-                .then(|| BlockField::from_vec(vec![-1.0; n]));
             OracleBody {
                 input,
                 output: vec![-1.0; n],
-                field,
-                visibility,
-            }
-        }
-
-        /// The committed outputs, wherever they live.
-        fn result(&self) -> Vec<f64> {
-            match &self.field {
-                Some(f) => f.to_vec(0..f.len()),
-                None => self.output.clone(),
             }
         }
     }
@@ -712,19 +697,7 @@ mod tests {
             out[1] = x.ln();
         }
         fn store(&mut self, i: usize, out: &[f64]) {
-            match self.visibility {
-                StoreVisibility::BlockPrivate => self.store_shared(i, out),
-                _ => self.output[i] = out[0] + 0.5 * out[1],
-            }
-        }
-        fn store_visibility(&self) -> StoreVisibility {
-            self.visibility
-        }
-        fn store_shared(&self, i: usize, out: &[f64]) {
-            self.field
-                .as_ref()
-                .expect("BlockPrivate body carries a field")
-                .set(i, out[0] + 0.5 * out[1]);
+            self.output[i] = out[0] + 0.5 * out[1];
         }
         fn accurate_cost(&self, lanes: u32, _spec: &DeviceSpec) -> CostProfile {
             CostProfile::new()
@@ -740,14 +713,6 @@ mod tests {
             0 => HierarchyLevel::Thread,
             1 => HierarchyLevel::Warp,
             _ => HierarchyLevel::Block,
-        }
-    }
-
-    fn visibility_of(idx: usize) -> StoreVisibility {
-        match idx % 3 {
-            0 => StoreVisibility::Independent,
-            1 => StoreVisibility::BlockPrivate,
-            _ => StoreVisibility::Global,
         }
     }
 
@@ -807,33 +772,27 @@ mod tests {
         ]
     }
 
-    /// The new walk (on `executor`) must reproduce the old per-lane walk
-    /// bit for bit: same `KernelRecord` (costs, timing, statistics), same
-    /// committed output bits.
-    #[allow(clippy::too_many_arguments)]
+    /// The slice-wise walk must reproduce the old per-lane walk bit for
+    /// bit: same `KernelRecord` (costs, timing, statistics), same committed
+    /// output bits.
     fn assert_matches_oracle(
         lc: &LaunchConfig,
         region: Option<&ApproxRegion>,
         serialized: bool,
         n: usize,
         seed: u64,
-        vis: StoreVisibility,
-        executor: Executor,
-        threads: Option<usize>,
     ) -> Result<(), TestCaseError> {
         let spec = DeviceSpec::v100();
-        let mut oracle = OracleBody::new(n, seed, vis);
+        let opts = ExecOptions {
+            serialized_taf: serialized,
+            ..ExecOptions::default()
+        };
+        let mut oracle = OracleBody::new(n, seed);
         let expect = match reference_parallel_for(&spec, lc, region, &mut oracle, serialized) {
             Ok(r) => r,
             // Launches the dispatch rejects must be rejected identically.
             Err(_) => {
-                let mut body = OracleBody::new(n, seed, vis);
-                let opts = ExecOptions {
-                    serialized_taf: serialized,
-                    executor,
-                    threads,
-                    abort_above_seconds: None,
-                };
+                let mut body = OracleBody::new(n, seed);
                 prop_assert!(
                     approx_parallel_for_opts(&spec, lc, region, &mut body, &opts).is_err(),
                     "walk accepted a launch the oracle dispatch rejects"
@@ -842,89 +801,44 @@ mod tests {
             }
         };
 
-        let mut body = OracleBody::new(n, seed, vis);
-        let opts = ExecOptions {
-            serialized_taf: serialized,
-            executor,
-            threads,
-            abort_above_seconds: None,
-        };
+        let mut body = OracleBody::new(n, seed);
         let got = approx_parallel_for_opts(&spec, lc, region, &mut body, &opts)
             .expect("walk rejected a launch the oracle accepts");
 
         prop_assert_eq!(
             got,
             expect,
-            "kernel record diverged from per-lane oracle: {:?} region={:?} serialized={} vis={:?} exec={:?}",
+            "kernel record diverged from per-lane oracle: {:?} region={:?} serialized={}",
             lc,
             region,
-            serialized,
-            vis,
-            executor
+            serialized
         );
-        let (got_out, expect_out) = (body.result(), oracle.result());
         prop_assert!(
-            got_out.iter().zip(&expect_out).all(|(a, b)| a.to_bits() == b.to_bits()),
-            "outputs diverged from per-lane oracle: {:?} region={:?} serialized={} vis={:?} exec={:?}",
+            body.output
+                .iter()
+                .zip(&oracle.output)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "outputs diverged from per-lane oracle: {:?} region={:?} serialized={}",
             lc,
             region,
-            serialized,
-            vis,
-            executor
+            serialized
         );
         Ok(())
     }
 
     proptest! {
-        /// Sequential slice-wise walk ≡ per-lane oracle.
+        /// Slice-wise walk ≡ per-lane oracle.
         #[test]
         fn slice_walk_matches_per_lane_oracle(
             n in 1usize..260,
             blocks in 1u32..7,
             bs_idx in 0usize..5,
             level_idx in 0usize..3,
-            vis_idx in 0usize..3,
             seed in 1u64..1_000_000,
         ) {
             for lc in launches(n, bs_idx, blocks) {
                 for (region, serialized) in regions(level_idx, 4, 0.6) {
-                    assert_matches_oracle(
-                        &lc,
-                        region.as_ref(),
-                        serialized,
-                        n,
-                        seed,
-                        visibility_of(vis_idx),
-                        Executor::Sequential,
-                        None,
-                    )?;
-                }
-            }
-        }
-
-        /// Fanned-out slice-wise walk ≡ per-lane oracle (store buffering,
-        /// chunked arenas, block-order folds included).
-        #[test]
-        fn parallel_slice_walk_matches_per_lane_oracle(
-            n in 1usize..260,
-            blocks in 2u32..9,
-            bs_idx in 0usize..5,
-            level_idx in 0usize..3,
-            vis_idx in 0usize..2,
-            seed in 1u64..1_000_000,
-        ) {
-            for lc in launches(n, bs_idx, blocks) {
-                for (region, serialized) in regions(level_idx, 4, 0.6) {
-                    assert_matches_oracle(
-                        &lc,
-                        region.as_ref(),
-                        serialized,
-                        n,
-                        seed,
-                        visibility_of(vis_idx),
-                        Executor::ParallelBlocks,
-                        Some(4),
-                    )?;
+                    assert_matches_oracle(&lc, region.as_ref(), serialized, n, seed)?;
                 }
             }
         }

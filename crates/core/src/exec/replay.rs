@@ -47,28 +47,12 @@ pub(crate) struct Step {
     src: u32,
 }
 
-/// A launch's decisions in walk order. A walk records one chunk per
-/// executor task with writer ids local to the chunk; [`Trace::append`]
-/// assembles the chunks in block order at commit.
+/// A launch's decisions in walk order.
 #[derive(Debug, Default)]
 pub(crate) struct Trace {
     steps: Vec<Step>,
-    /// Writers ([`KEPT`] steps) so far.
+    /// Writers ([`KEPT`] steps) so far, numbered in trace order.
     writers: u32,
-}
-
-impl Trace {
-    /// Move `chunk`'s steps to the end of this trace, renumbering its
-    /// writers after the ones already here; leaves `chunk` empty.
-    pub(crate) fn append(&mut self, chunk: &mut Trace) {
-        let base = self.writers;
-        self.steps.extend(chunk.steps.drain(..).map(|s| Step {
-            src: if s.src < KEPT { s.src + base } else { s.src },
-            ..s
-        }));
-        self.writers += chunk.writers;
-        chunk.writers = 0;
-    }
 }
 
 /// The body access of a recording walk: forwards to `inner` and appends
@@ -320,34 +304,6 @@ fn fingerprint(spec: &DeviceSpec, body: &dyn RegionBody, trace: &Trace) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn computed(item: u32) -> Step {
-        Step {
-            item,
-            src: COMPUTED,
-        }
-    }
-
-    #[test]
-    fn append_renumbers_chunk_writers_in_block_order() {
-        let mut trace = Trace::default();
-        let mut chunk = Trace::default();
-        for (item, src) in [(0, KEPT), (1, 0), (2, KEPT), (3, 1)] {
-            chunk.steps.push(Step { item, src });
-        }
-        chunk.writers = 2;
-        trace.append(&mut chunk);
-        assert!(chunk.steps.is_empty() && chunk.writers == 0);
-        chunk
-            .steps
-            .extend([computed(4), Step { item: 5, src: KEPT }]);
-        chunk.steps.push(Step { item: 6, src: 0 });
-        chunk.writers = 1;
-        trace.append(&mut chunk);
-        let srcs: Vec<u32> = trace.steps.iter().map(|s| s.src).collect();
-        assert_eq!(srcs, [KEPT, 0, KEPT, 1, COMPUTED, KEPT, 2]);
-        assert_eq!(trace.writers, 3);
-    }
 
     #[test]
     fn a_step_is_eight_bytes() {

@@ -11,19 +11,13 @@
 //! buffers — block-level decisions tally that single pass instead of
 //! re-collecting and re-voting every warp (the old walk did both twice).
 //!
-//! Because a block touches only its own technique state, its own store
-//! buffer, and its own accumulator, the [`launch`] driver can run
-//! [`execute`]'s blocks in order on the caller (the reference executor) or
-//! fan them out over the persistent [`engine`](crate::exec::engine) worker
-//! pool ([`Executor::ParallelBlocks`](crate::exec::Executor::ParallelBlocks))
-//! with bit-identical results. The per-lane walk this replaced is preserved
-//! verbatim as the test oracle in [`reference`](crate::exec::reference).
+//! The [`launch`] driver runs [`execute`]'s blocks in order on the calling
+//! thread. The per-lane walk this replaced is preserved verbatim as the
+//! test oracle in [`reference`](crate::exec::reference).
 
-use crate::exec::body::{
-    BodyAccess, BufferedAccess, InlineAccess, RegionBody, SharedAccess, StoreVisibility,
-};
-use crate::exec::charge::{MixMemo, StoreBuffer};
-use crate::exec::launch::{self, Lent, Phase};
+use crate::exec::body::{BodyAccess, InlineAccess, RegionBody};
+use crate::exec::charge::MixMemo;
+use crate::exec::launch;
 use crate::exec::policy::{TechniquePolicy, WarpCtx};
 use crate::exec::replay::{Recording, Trace};
 use crate::exec::{ExecOptions, ResolvedKernel, ResolvedPolicy};
@@ -105,7 +99,7 @@ impl Geom {
 
 /// Reusable per-walk buffers: the SoA step state (one slice and one vote
 /// segment per warp) and the cost-composition memo. One arena serves every
-/// block an executor task walks — nothing here is allocated per block.
+/// block of a launch — nothing here is allocated per block.
 pub(crate) struct WalkArena {
     /// spans[w] = this step's slice of warp `w`.
     spans: Vec<WarpSlice>,
@@ -206,9 +200,9 @@ pub(crate) fn walk_block<P, A>(
 }
 
 impl Drop for WalkArena {
-    /// An arena retires where its task ends; its memo tallies drain into
-    /// the retiring thread's obs counters there, so the per-lookup hot path
-    /// stays a plain integer increment.
+    /// An arena retires with its launch; its memo tallies drain into the
+    /// obs counters there, so the per-lookup hot path stays a plain integer
+    /// increment.
     fn drop(&mut self) {
         if hpac_obs::enabled() {
             let (h, m) = self.memo.hit_stats();
@@ -265,7 +259,7 @@ impl ResolvedPolicy {
 }
 
 /// Run every block of the resolved launch and fold the results into a
-/// [`KernelRecord`], on the executor `opts` selects.
+/// [`KernelRecord`].
 pub(crate) fn execute(
     spec: &DeviceSpec,
     kernel: &ResolvedKernel,
@@ -287,72 +281,22 @@ pub(crate) fn execute_traced(
     opts: &ExecOptions,
     mut trace: Option<&mut Trace>,
 ) -> Result<(KernelRecord, f64), RegionError> {
-    let exec = KernelExec::new(spec, &kernel.launch, kernel.shared)?;
+    let mut exec = KernelExec::new(spec, &kernel.launch, kernel.shared)?;
     let geom = Geom::new(spec, &kernel.launch, kernel.item_lo);
     let _walk = hpac_obs::span(
         hpac_obs::SpanId::KernelWalk,
         geom.n_blocks as u64,
         (geom.n_blocks as usize * geom.warps_per_block as usize * geom.steps) as u64,
     );
-
-    // How a fanned-out block reaches the body. Independent bodies buffer
-    // each task's stores (replayed below in block order, so the global
-    // store order matches the sequential walk); BlockPrivate bodies own
-    // disjoint partitions of their shared state, so stores commit inline
-    // from each block's worker and the block's own later reads (Jacobi
-    // sweeps) observe them immediately; Global bodies never leave the
-    // caller. On the caller every body commits inline through `&mut`.
-    // A recording walk keeps each task's trace chunk beside its stores and
-    // appends it at commit, in block order, just as the stores replay.
-    let visibility = body.store_visibility();
-    let out_dim = body.out_dim();
-    let recording = trace.is_some();
-    let mut phase = [Phase {
-        exec,
-        may_fan_out: kernel.partition_kept && visibility != StoreVisibility::Global,
-    }];
-    launch::run(
-        opts,
-        &mut phase,
-        body,
-        |_| {
-            let chunk = Trace::default();
-            (WalkArena::new(&geom), StoreBuffer::new(out_dim), chunk)
-        },
-        |_, body, (arena, stores, chunk), b, acc| {
-            let policy = &kernel.policy;
-            match body {
-                Lent::Caller(body) if recording => {
-                    let access = InlineAccess { body };
-                    policy.walk_block_recorded(&geom, access, chunk, b, arena, acc)
-                }
-                Lent::Caller(body) => {
-                    policy.walk_block(&geom, &mut InlineAccess { body }, b, arena, acc)
-                }
-                Lent::Task(body) if visibility == StoreVisibility::Independent => {
-                    let mut access = BufferedAccess::new(body, stores);
-                    if recording {
-                        policy.walk_block_recorded(&geom, access, chunk, b, arena, acc)
-                    } else {
-                        policy.walk_block(&geom, &mut access, b, arena, acc)
-                    }
-                }
-                Lent::Task(body) => {
-                    debug_assert!(!recording, "only Independent bodies record");
-                    policy.walk_block(&geom, &mut SharedAccess { body }, b, arena, acc)
-                }
-            }
-        },
-        |_, body, (_, stores, chunk), exec| {
-            launch::check_ceiling(exec.lower_bound_seconds(), opts)?;
-            stores.replay(|item, out| body.store(item, out));
-            if let Some(trace) = trace.as_deref_mut() {
-                trace.append(chunk);
-            }
-            Ok(())
-        },
-    )?;
-    let [Phase { exec, .. }] = phase;
+    let mut arena = WalkArena::new(&geom);
+    let policy = &kernel.policy;
+    launch::run(&mut exec, opts, |b, acc| {
+        let mut access = InlineAccess { body: &mut *body };
+        match trace.as_deref_mut() {
+            Some(trace) => policy.walk_block_recorded(&geom, access, trace, b, &mut arena, acc),
+            None => policy.walk_block(&geom, &mut access, b, &mut arena, acc),
+        }
+    })?;
     let bound = exec.lower_bound_seconds();
     Ok((exec.finish(), bound))
 }

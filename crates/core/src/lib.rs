@@ -19,10 +19,9 @@
 //! the accurate execution path, its region inputs/outputs, and its cost.
 //!
 //! The runtime is a staged pipeline (see [`exec`]): one generic grid walker,
-//! a pluggable technique-policy layer, per-block accounting that lets
-//! independent blocks execute on separate threads
-//! ([`exec::Executor::ParallelBlocks`]), and it implements the paper's
-//! GPU-aware designs:
+//! a pluggable technique-policy layer and per-block accounting folded into
+//! the `gpu-sim` timing model, and it implements the paper's GPU-aware
+//! designs:
 //!
 //! * [`taf`] — relaxed-locality temporal output memoization (Fig 4d), with
 //!   the serialized "semantically equivalent" variant (Fig 4c) available for

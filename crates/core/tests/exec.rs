@@ -1,10 +1,10 @@
 //! Behavioural tests of the execution pipeline (migrated from the former
-//! `runtime.rs` module tests, plus executor-equivalence coverage).
+//! `runtime.rs` module tests).
 
 use gpu_sim::{AccessPattern, CostProfile, DeviceSpec, LaunchConfig, Schedule};
 use hpac_core::exec::{
     approx_block_tasks_opts, approx_parallel_for, approx_parallel_for_opts, engine, BlockTaskBody,
-    ExecOptions, Executor, RegionBody,
+    ExecOptions, RegionBody,
 };
 use hpac_core::params::PerfoKind;
 use hpac_core::region::{ApproxRegion, RegionError};
@@ -67,21 +67,6 @@ const N: usize = 4096;
 
 fn launch(ipt: usize) -> LaunchConfig {
     LaunchConfig::for_items_per_thread(N, 128, ipt)
-}
-
-fn sequential() -> ExecOptions {
-    ExecOptions {
-        executor: Executor::Sequential,
-        ..ExecOptions::default()
-    }
-}
-
-fn parallel(threads: usize) -> ExecOptions {
-    ExecOptions {
-        executor: Executor::ParallelBlocks,
-        threads: Some(threads),
-        ..ExecOptions::default()
-    }
 }
 
 #[test]
@@ -348,45 +333,6 @@ fn oversized_ac_state_rejected_at_launch() {
     ));
 }
 
-#[test]
-fn parallel_blocks_matches_sequential_for_all_techniques() {
-    let regions = [
-        None,
-        Some(ApproxRegion::memo_out(2, 16, 0.3)),
-        Some(ApproxRegion::memo_out(2, 16, 0.3).level(HierarchyLevel::Warp)),
-        Some(ApproxRegion::memo_in(4, 0.2).tables_per_warp(8)),
-        Some(ApproxRegion::perfo(PerfoKind::Small { m: 4 })),
-    ];
-    for region in &regions {
-        let mut seq = SqrtBody::new(N);
-        let r_seq = approx_parallel_for_opts(
-            &spec(),
-            &launch(16),
-            region.as_ref(),
-            &mut seq,
-            &sequential(),
-        )
-        .unwrap();
-        let mut par = SqrtBody::new(N);
-        let r_par = approx_parallel_for_opts(
-            &spec(),
-            &launch(16),
-            region.as_ref(),
-            &mut par,
-            &parallel(3),
-        )
-        .unwrap();
-        assert_eq!(r_seq, r_par, "kernel record diverged for {region:?}");
-        assert!(
-            seq.output
-                .iter()
-                .zip(&par.output)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "outputs diverged for {region:?}"
-        );
-    }
-}
-
 /// A body that records which threads executed `compute`.
 struct TracingBody {
     input: Vec<f64>,
@@ -428,31 +374,43 @@ impl RegionBody for TracingBody {
 
 #[test]
 fn engine_is_reused_across_launches_no_respawn() {
-    // Launch once to force the pool up to the requested width, then pin
-    // down the observable contract: repeated launches execute on the same
-    // persistent workers — worker ids stay stable, nothing respawns.
-    let opts = parallel(4);
-    {
-        let mut warm = TracingBody::new(N);
-        approx_parallel_for_opts(&spec(), &launch(8), None, &mut warm, &opts).unwrap();
-    }
+    // Configuration batches run on the persistent engine workers. Each
+    // kernel launch inside a task walks all of its blocks on that task's
+    // thread, and repeated batches run on the same workers: worker ids stay
+    // stable, nothing respawns.
+    let batch = || {
+        engine().run(8, 4, |_| {
+            let mut body = TracingBody::new(N);
+            approx_parallel_for_opts(
+                &spec(),
+                &launch(8),
+                None,
+                &mut body,
+                &ExecOptions::default(),
+            )
+            .unwrap();
+            body.threads_seen.into_inner().unwrap()
+        })
+    };
+    batch();
     let ids_before = engine().worker_thread_ids();
     let spawned_before = engine().spawned_workers();
     assert!(
         spawned_before >= 3,
-        "width-4 launch should have spawned 3 helpers, saw {spawned_before}"
+        "a width-4 batch should have spawned 3 helpers, saw {spawned_before}"
     );
 
-    let caller = std::thread::current().id();
     let mut seen = std::collections::HashSet::new();
     for _ in 0..25 {
-        let mut body = TracingBody::new(N);
-        approx_parallel_for_opts(&spec(), &launch(8), None, &mut body, &opts).unwrap();
-        seen.extend(body.threads_seen.into_inner().unwrap());
+        for threads in batch() {
+            assert_eq!(threads.len(), 1, "a launch's blocks left its thread");
+            seen.extend(threads);
+        }
     }
 
     // Every thread that ran kernel work is a pool worker (or the caller,
     // which always participates in its own batch)...
+    let caller = std::thread::current().id();
     let ids_after = engine().worker_thread_ids();
     for t in &seen {
         assert!(
@@ -465,7 +423,7 @@ fn engine_is_reused_across_launches_no_respawn() {
     assert_eq!(
         &ids_after[..ids_before.len()],
         &ids_before[..],
-        "existing workers were replaced between launches"
+        "existing workers were replaced between batches"
     );
 }
 
@@ -622,46 +580,4 @@ fn block_tasks_taf_cheaper_on_stable_stream() {
     )
     .unwrap();
     assert!(fast.timing.cycles < base.timing.cycles);
-}
-
-#[test]
-fn block_tasks_parallel_matches_sequential() {
-    let regions = [
-        None,
-        Some(ApproxRegion::memo_out(2, 8, 0.01).level(HierarchyLevel::Block)),
-        Some(ApproxRegion::memo_in(8, 1e-9).level(HierarchyLevel::Block)),
-        Some(ApproxRegion::perfo(PerfoKind::Small { m: 4 })),
-    ];
-    for region in &regions {
-        let mut seq = TaskBody::new(1024);
-        let r_seq = approx_block_tasks_opts(
-            &spec(),
-            1024,
-            128,
-            64,
-            region.as_ref(),
-            &mut seq,
-            &sequential(),
-        )
-        .unwrap();
-        let mut par = TaskBody::new(1024);
-        let r_par = approx_block_tasks_opts(
-            &spec(),
-            1024,
-            128,
-            64,
-            region.as_ref(),
-            &mut par,
-            &parallel(3),
-        )
-        .unwrap();
-        assert_eq!(r_seq, r_par, "kernel record diverged for {region:?}");
-        assert!(
-            seq.prices
-                .iter()
-                .zip(&par.prices)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "prices diverged for {region:?}"
-        );
-    }
 }

@@ -1,56 +1,44 @@
 //! The three launch entry points — `approx_parallel_for_opts`,
-//! `batch::run_batch`, `approx_block_tasks_opts` — go through one driver
-//! and account alike.
+//! `RepeatedLaunch::run` and `approx_block_tasks_opts` — go through one
+//! driver and account alike: every launch counts once in `kernel_launches`,
+//! advances the modeled-seconds meter by exactly its record's seconds, and
+//! walks its blocks on the calling thread, never on the engine.
 //!
 //! In a binary of its own, with one test: the obs gate and its counters are
-//! process-global, and `exec.rs`'s tests fan blocks out concurrently (all
-//! of them under `HPAC_THREADS=4`), which would land in the same counter.
+//! process-global, and `exec.rs`'s tests launch kernels concurrently, which
+//! would land in the same counters.
 
 use gpu_sim::{AccessPattern, CostProfile, DeviceSpec, KernelRecord, LaunchConfig};
-use hpac_core::exec::batch::{prepare, run_batch};
 use hpac_core::exec::{
-    approx_block_tasks_opts, approx_parallel_for_opts, BlockField, BlockTaskBody, ExecOptions,
-    Executor, RegionBody, StoreVisibility,
+    approx_block_tasks_opts, approx_parallel_for_opts, BlockTaskBody, ExecOptions, RegionBody,
+    RepeatedLaunch,
 };
+use hpac_core::region::ApproxRegion;
 use hpac_obs::CounterId;
 
 const N: usize = 1000;
 const BLOCKS: u32 = 8;
 
-/// One stage of a dependent pair over block-private fields: reads `src`
-/// (the previous stage's output, if any), writes `dst`.
-struct Stage<'m> {
-    src: Option<&'m BlockField>,
-    dst: BlockField,
+/// Declared inputs repeat every four items, so iACT hits.
+struct Items {
+    out: Vec<f64>,
 }
 
-impl<'m> Stage<'m> {
-    fn new(src: Option<&'m BlockField>) -> Self {
-        Stage {
-            src,
-            dst: BlockField::from_vec(vec![0.0; N]),
-        }
+impl RegionBody for Items {
+    fn in_dim(&self) -> usize {
+        1
     }
-}
-
-impl RegionBody for Stage<'_> {
     fn out_dim(&self) -> usize {
         1
     }
+    fn inputs(&self, i: usize, buf: &mut [f64]) {
+        buf[0] = (i % 4) as f64;
+    }
     fn compute(&self, i: usize, out: &mut [f64]) {
-        out[0] = match self.src {
-            None => (i as f64).sqrt() + 1.0,
-            Some(src) => src.get(i) * 2.0 - 1.0,
-        };
+        out[0] = ((i % 4) as f64).sqrt() + 1.0;
     }
     fn store(&mut self, i: usize, out: &[f64]) {
-        self.store_shared(i, out);
-    }
-    fn store_visibility(&self) -> StoreVisibility {
-        StoreVisibility::BlockPrivate
-    }
-    fn store_shared(&self, i: usize, out: &[f64]) {
-        self.dst.set(i, out[0]);
+        self.out[i] = out[0];
     }
     fn accurate_cost(&self, lanes: u32, _spec: &DeviceSpec) -> CostProfile {
         CostProfile::new()
@@ -82,68 +70,59 @@ fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-/// Run `f` and return what it added to `WalkChunks` beside its result.
-fn walk_chunks<R>(f: impl FnOnce() -> R) -> (u64, R) {
+/// Run one launch and check how it accounted: one `kernel_launches`, the
+/// meter advanced by the record's seconds, no engine batch, phase or task.
+fn launch_once(f: impl FnOnce() -> KernelRecord) -> KernelRecord {
+    gpu_sim::reset_modeled_seconds();
     let before = hpac_obs::snapshot();
-    let r = f();
-    let counted = hpac_obs::snapshot()
-        .delta_since(&before)
-        .counter(CounterId::WalkChunks);
-    (counted, r)
+    let record = f();
+    let delta = hpac_obs::snapshot().delta_since(&before);
+    assert_eq!(delta.counter(CounterId::KernelLaunches), 1);
+    assert_eq!(
+        gpu_sim::modeled_seconds().to_bits(),
+        record.seconds().to_bits()
+    );
+    for engine in [
+        CounterId::EngineBatches,
+        CounterId::EnginePhases,
+        CounterId::EngineTasks,
+        CounterId::EngineNestedInline,
+    ] {
+        assert_eq!(delta.counter(engine), 0, "{engine:?}");
+    }
+    record
 }
 
 #[test]
 fn entry_points_account_alike() {
     let spec = DeviceSpec::v100();
-    let lc = LaunchConfig::block_local(N, 64, BLOCKS);
-    let sequential = ExecOptions {
-        executor: Executor::Sequential,
-        ..ExecOptions::default()
-    };
-    let parallel = ExecOptions {
-        executor: Executor::ParallelBlocks,
-        threads: Some(4),
-        ..ExecOptions::default()
-    };
+    let lc = LaunchConfig::for_items_per_thread(N, 64, 2);
+    assert!(lc.n_blocks > 1);
+    let region = ApproxRegion::memo_in(2, 0.5);
+    let opts = ExecOptions::default();
     hpac_obs::set_enabled(true);
 
-    // Two dependent kernels, submitted one by one and as one batch.
-    let one_by_one = |opts: &ExecOptions| -> (Vec<KernelRecord>, Vec<u64>) {
-        let mut one = Stage::new(None);
-        let r1 = approx_parallel_for_opts(&spec, &lc, None, &mut one, opts).unwrap();
-        let mut two = Stage::new(Some(&one.dst));
-        let r2 = approx_parallel_for_opts(&spec, &lc, None, &mut two, opts).unwrap();
-        (vec![r1, r2], bits(&two.dst.to_vec(0..N)))
-    };
-    let (solo_chunks, solo) = walk_chunks(|| one_by_one(&parallel));
-    let (batch_chunks, batch) = walk_chunks(|| {
-        let one = Stage::new(None);
-        let two = Stage::new(Some(&one.dst));
-        let kernels = [
-            prepare(&spec, &lc, None, &one, &parallel).unwrap(),
-            prepare(&spec, &lc, None, &two, &parallel).unwrap(),
-        ];
-        let records = run_batch(&spec, &kernels, &parallel).unwrap();
-        (records, bits(&two.dst.to_vec(0..N)))
+    let mut walked_body = Items { out: vec![0.0; N] };
+    let walked = launch_once(|| {
+        approx_parallel_for_opts(&spec, &lc, Some(&region), &mut walked_body, &opts).unwrap()
     });
-    assert!(solo_chunks > 0, "the launches must have fanned out");
-    assert_eq!(batch_chunks, solo_chunks);
-    assert_eq!(batch, solo);
-    let (inline_chunks, inline) = walk_chunks(|| one_by_one(&sequential));
-    assert_eq!(inline_chunks, 0);
-    assert_eq!(inline, solo);
+    assert!(walked.stats.approx_lanes > 0, "iACT must hit");
 
-    // One block-task launch over as many blocks: as many chunks as one of
-    // the kernels above, and the sequential launch's record and outputs.
-    let tasks = |opts: &ExecOptions| {
-        let mut body = Tasks { out: vec![0.0; N] };
-        let record = approx_block_tasks_opts(&spec, N, 64, BLOCKS, None, &mut body, opts).unwrap();
-        (record, bits(&body.out))
-    };
-    let (task_chunks, fanned) = walk_chunks(|| tasks(&parallel));
-    assert_eq!(2 * task_chunks, solo_chunks);
-    let (inline_chunks, inline) = walk_chunks(|| tasks(&sequential));
-    assert_eq!(inline_chunks, 0);
-    assert_eq!(fanned, inline);
+    // The first run walks and records, the later ones replay.
+    let mut handle = RepeatedLaunch::new();
+    let mut body = Items { out: vec![0.0; N] };
+    for run in 0..3 {
+        let record = launch_once(|| {
+            handle
+                .run(&spec, &lc, Some(&region), &mut body, &opts)
+                .unwrap()
+        });
+        assert_eq!(record, walked, "run {run}");
+        assert_eq!(bits(&body.out), bits(&walked_body.out), "run {run}");
+    }
+
+    let mut tasks = Tasks { out: vec![0.0; N] };
+    launch_once(|| approx_block_tasks_opts(&spec, N, 64, BLOCKS, None, &mut tasks, &opts).unwrap());
+    assert!(tasks.out.iter().all(|&v| v > 0.0));
     hpac_obs::set_enabled(false);
 }

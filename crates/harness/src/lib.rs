@@ -9,8 +9,8 @@
 //!   quick variants, per benchmark and device;
 //! * [`runner`] — baseline selection and the parallel sweep executor
 //!   (configurations fan out as tasks on the shared
-//!   [`hpac_core::exec::engine`] worker pool; kernel launches nested
-//!   inside a config task run inline via the engine's depth guard);
+//!   [`hpac_core::exec::engine`] worker pool; each kernel launch walks its
+//!   blocks on its config task's thread);
 //! * [`db`] — the results table with CSV persistence;
 //! * [`analyze`] — best-speedup-under-error-cap queries, the paper's
 //!   error-decile overplot reduction, and linear fits (Fig 12c's R²);

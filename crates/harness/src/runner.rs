@@ -169,9 +169,9 @@ pub fn baseline_key(bench: &dyn Benchmark, spec: &DeviceSpec) -> Option<Vec<u64>
 /// Inside a sweep scope the baseline is measured by the first caller that
 /// asks for its [`baseline_key`] and shared with every later one — the
 /// accurate run is deterministic, so the shared value is the one each caller
-/// would have measured, and the executor and thread count in `opts` do not
-/// enter the key (they never change a result). A cost ceiling in `opts`
-/// could cut the accurate run short, so it bypasses the scope.
+/// would have measured, and the executor in `opts` does not enter the key
+/// (it never changes a result). A cost ceiling in `opts` could cut the
+/// accurate run short, so it bypasses the scope.
 pub fn select_baseline_opts(
     bench: &dyn Benchmark,
     spec: &DeviceSpec,
@@ -182,7 +182,6 @@ pub fn select_baseline_opts(
     let ExecOptions {
         serialized_taf: _, // an accurate run has no TAF state machine
         executor: _,
-        threads: _,
         abort_above_seconds,
     } = *opts;
     match (abort_above_seconds, baseline_key(bench, spec)) {
@@ -583,22 +582,18 @@ fn sweep(
 /// configurations.
 ///
 /// Threshold families are submitted to the shared [`engine`] as one task
-/// each. Kernel launches *inside* a configuration go through the same engine,
-/// so no pinning is needed: the engine's depth guard runs nested block
-/// fan-outs inline on the config task's worker, and the host is never
-/// oversubscribed. For intra-kernel parallelism measurements use
-/// [`run_sweep_serial`], which keeps the configurations serial so the
-/// block executor is the only parallelism in play.
+/// each; every kernel launch inside a configuration walks its blocks on
+/// that task's thread. [`run_sweep_serial`] runs the same plan with no
+/// host parallelism at all.
 pub fn run_sweep(bench: &dyn Benchmark, spec: &DeviceSpec, scale: Scale) -> SweepOutcome {
     let opts = ExecOptions::default();
     sweep(bench, spec, &space::plan(bench, spec, scale), &opts, true)
 }
 
 /// Run a benchmark's full sweep plan on one device with each configuration
-/// executed *serially*, under explicit execution options. This is the
-/// harness entry for intra-kernel parallelism
-/// ([`hpac_core::exec::Executor::ParallelBlocks`]): the configurations run
-/// one at a time and each kernel launch fans its blocks out instead.
+/// executed *serially* on the calling thread, under explicit execution
+/// options: the single-threaded reference for [`run_sweep`], which returns
+/// the same outcome.
 pub fn run_sweep_serial(
     bench: &dyn Benchmark,
     spec: &DeviceSpec,

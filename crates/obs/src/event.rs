@@ -150,8 +150,6 @@ pub enum CounterId {
     SkippedLanes,
     /// Modeled global memory transactions.
     GlobalTxns,
-    /// Chunks produced by oversplitting parallel block walks.
-    WalkChunks,
     /// `MixMemo` lane-mix cost lookups served from cache.
     MixMemoHits,
     /// `MixMemo` lookups that had to precompose costs.
@@ -216,7 +214,7 @@ pub enum CounterId {
     KernelReplays,
 }
 
-pub const N_COUNTERS: usize = 42;
+pub const N_COUNTERS: usize = 41;
 
 impl CounterId {
     pub const ALL: [CounterId; N_COUNTERS] = [
@@ -233,7 +231,6 @@ impl CounterId {
         CounterId::AccurateLanes,
         CounterId::SkippedLanes,
         CounterId::GlobalTxns,
-        CounterId::WalkChunks,
         CounterId::MixMemoHits,
         CounterId::MixMemoMisses,
         CounterId::ComputeMemoHits,
@@ -279,7 +276,6 @@ impl CounterId {
             CounterId::AccurateLanes => "accurate_lanes",
             CounterId::SkippedLanes => "skipped_lanes",
             CounterId::GlobalTxns => "global_txns",
-            CounterId::WalkChunks => "walk_chunks",
             CounterId::MixMemoHits => "mix_memo_hits",
             CounterId::MixMemoMisses => "mix_memo_misses",
             CounterId::ComputeMemoHits => "compute_memo_hits",

@@ -18,8 +18,8 @@
 //!   the rest of the batch completes (other tasks may borrow the same
 //!   environment), and the panic resumes on the submitting thread;
 //! * submission from *inside* a pool task runs inline on the owning
-//!   thread — the depth guard that lets config-level fan-outs nest
-//!   block-level fan-outs without oversubscribing the host.
+//!   thread — the depth guard that lets nested submissions run without
+//!   oversubscribing the host.
 //!
 //! Tasks may borrow the caller's stack (`run` is scoped): safety rests on
 //! `run` not returning until every task of the batch has finished, and on

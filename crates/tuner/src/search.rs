@@ -167,8 +167,8 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Evaluate a batch, running fresh configurations in parallel on the
-    /// shared [`engine`] (nested kernel fan-outs run inline on each config
-    /// task's worker) — all but those an earlier batch's published margins
+    /// shared [`engine`] (each kernel launch walks its blocks on its config
+    /// task's thread) — all but those an earlier batch's published margins
     /// already answer. Returns one outcome per input configuration
     /// (memoized results included); fresh work beyond the remaining budget
     /// is skipped and reported as `None`.

@@ -14,7 +14,7 @@
 
 use gpu_sim::DeviceSpec;
 use hpac_offload::apps::blackscholes::Blackscholes;
-use hpac_offload::core::exec::{engine, ExecOptions, Executor};
+use hpac_offload::core::exec::{engine, ExecOptions};
 use hpac_offload::harness::runner;
 use hpac_offload::harness::space::Scale;
 use hpac_offload::obs;
@@ -128,10 +128,7 @@ fn tracing_leaves_sweep_outputs_bit_identical() {
     let _g = obs_lock();
     let bench = tiny_bs();
     let spec = DeviceSpec::v100();
-    let opts = ExecOptions {
-        executor: Executor::ParallelBlocks,
-        ..ExecOptions::default()
-    };
+    let opts = ExecOptions::default();
 
     obs::set_enabled(false);
     let untraced = runner::run_sweep_serial(&bench, &spec, Scale::Quick, &opts);
@@ -159,21 +156,17 @@ fn tracing_leaves_sweep_outputs_bit_identical() {
     }
 }
 
-/// A traced sweep yields non-zero memo hit rates, engine activity, and
-/// per-worker attribution in the `MetricsSnapshot`.
+/// A traced sweep yields non-zero memo hit rates, engine activity (its
+/// configurations run as engine tasks), and per-worker attribution in the
+/// `MetricsSnapshot`.
 #[test]
 fn traced_sweep_produces_metrics() {
     let _g = obs_lock();
     let bench = tiny_bs();
     let spec = DeviceSpec::v100();
-    let opts = ExecOptions {
-        executor: Executor::ParallelBlocks,
-        threads: Some(4),
-        ..ExecOptions::default()
-    };
     obs::set_enabled(true);
     let before = obs::snapshot();
-    let _ = runner::run_sweep_serial(&bench, &spec, Scale::Quick, &opts);
+    let _ = runner::run_sweep(&bench, &spec, Scale::Quick);
     obs::set_enabled(false);
     let _ = obs::drain_events();
     let delta = obs::snapshot().delta_since(&before);

@@ -15,7 +15,7 @@ use hpac_offload::apps::{
     lulesh::{Lulesh, Topology},
     minife::MiniFe,
 };
-use hpac_offload::core::exec::{ExecOptions, Executor};
+use hpac_offload::core::exec::ExecOptions;
 use hpac_offload::harness::runner::{run_config_bounded, run_sweep, select_baseline_opts};
 use hpac_offload::harness::space::{self, Scale};
 use hpac_offload::harness::Row;
@@ -405,11 +405,9 @@ fn row_bits(r: &Row) -> (String, String, usize, [u64; 6], Option<usize>) {
 fn scoped_sweep_rows_equal_unscoped_evaluation() {
     let _turn = scope_turn();
     let spec = DeviceSpec::v100();
-    // A sweep's config tasks walk their blocks inline whatever `HPAC_THREADS`
-    // says; the lone side is pinned to the same reference executor, so the
-    // two sides differ in the scope alone (executor equivalence is
-    // `tests/exec_equivalence.rs`'s subject).
-    let opts = ExecOptions::with_executor(Executor::Sequential);
+    // The two sides differ in the scope alone (config tasks on the engine
+    // against a serial loop is `tests/exec_equivalence.rs`'s subject).
+    let opts = ExecOptions::default();
     for bench in suite() {
         let bench = bench.as_ref();
         let swept = run_sweep(bench, &spec, Scale::Quick);

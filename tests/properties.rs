@@ -234,17 +234,15 @@ proptest! {
     /// evaluated under an installed [`EvalMemo`] scope — including a second
     /// evaluation served from a warm memo — produces bit-identical speedup,
     /// error, and kernel seconds to a memo-free evaluation, across
-    /// techniques, executors, and worker counts.
+    /// techniques and launch shapes.
     #[test]
     fn sweep_scoped_memo_is_bit_identical(
         tech in 0usize..3,
         ipt_idx in 0usize..3,
-        exec_idx in 0usize..2,
-        threads_idx in 0usize..2,
     ) {
         use hpac_offload::apps::blackscholes::Blackscholes;
         use hpac_offload::apps::common::{install_eval_memo, LaunchParams};
-        use hpac_offload::core::exec::{ExecOptions, Executor};
+        use hpac_offload::core::exec::ExecOptions;
         use hpac_offload::core::region::ApproxRegion;
         use hpac_offload::harness::runner::{run_config_bounded, select_baseline_opts};
         use hpac_offload::harness::SweepConfig;
@@ -256,9 +254,7 @@ proptest! {
             1 => ApproxRegion::memo_in(4, 0.5),
             _ => ApproxRegion::perfo(PerfoKind::Small { m: 2 }),
         };
-        let executor = [Executor::Sequential, Executor::ParallelBlocks][exec_idx];
-        let threads = [None, Some(2usize)][threads_idx];
-        let opts = ExecOptions { executor, threads, ..ExecOptions::default() };
+        let opts = ExecOptions::default();
         let cfg = SweepConfig {
             region,
             lp: LaunchParams::new([4usize, 16, 64][ipt_idx], 256),

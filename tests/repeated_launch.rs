@@ -13,8 +13,7 @@ use gpu_sim::{AccessPattern, CostProfile, DeviceSpec, KernelRecord, LaunchConfig
 use hpac_offload::apps::common::{Benchmark, LaunchParams};
 use hpac_offload::apps::kmeans::KMeans;
 use hpac_offload::core::exec::{
-    approx_parallel_for_opts, BlockField, ExecOptions, Executor, RegionBody, RepeatedLaunch,
-    StoreVisibility,
+    approx_parallel_for_opts, ExecOptions, RegionBody, RepeatedLaunch, StoreVisibility,
 };
 use hpac_offload::core::params::{PerfoKind, Replacement};
 use hpac_offload::core::{ApproxRegion, HierarchyLevel, RegionError};
@@ -130,10 +129,8 @@ fn iact(tsize: usize, tables_per_warp: u32, level: usize, clock: bool) -> Approx
         .replacement(replacement)
 }
 
-fn opts(executor: Executor, threads: usize, ceiling: Option<f64>) -> ExecOptions {
+fn opts(ceiling: Option<f64>) -> ExecOptions {
     ExecOptions {
-        executor,
-        threads: Some(threads),
         abort_above_seconds: ceiling,
         ..ExecOptions::default()
     }
@@ -212,7 +209,7 @@ fn ceilings_around(
     let spec = DeviceSpec::v100();
     let mut before = 0.0;
     let mut around = Vec::new();
-    let o = opts(Executor::Sequential, 1, None);
+    let o = opts(None);
     let mut l = 0;
     observe(n, seed, |body| {
         let rec = approx_parallel_for_opts(&spec, lc, region, body, &o)?;
@@ -251,8 +248,8 @@ fn assert_same(region: Option<&ApproxRegion>, o: &ExecOptions, a: &Observed, b: 
 }
 
 proptest! {
-    /// Random grid-stride shapes (one to many blocks), both executors,
-    /// accurate, every perforation kind and one random iACT configuration,
+    /// Random grid-stride shapes (one to many blocks), accurate, every
+    /// perforation kind and one random iACT configuration,
     /// with no ceiling and with a ceiling placed around a random launch.
     #[test]
     fn repeated_launch_matches_one_walk_per_launch(
@@ -260,7 +257,6 @@ proptest! {
         warps in 1u32..5,
         ipt in 1usize..40,
         seed in 1u64..1_000_000,
-        parallel in any::<bool>(),
         tsize_log in 0usize..4,
         tables_log in 0usize..6,
         level in 0usize..3,
@@ -270,14 +266,13 @@ proptest! {
     ) {
         let _serial = serial();
         let lc = LaunchConfig::for_items_per_thread(n, warps * 32, ipt);
-        let executor = if parallel { Executor::ParallelBlocks } else { Executor::Sequential };
         let mut regions = fixed_regions();
         regions.push(Some(iact(1 << tsize_log, 1 << tables_log, level, clock)));
         for region in &regions {
             let region = region.as_ref();
             let ceilings = ceilings_around(&lc, region, n, seed, crossing);
             for ceiling in [None, ceilings.get(ceiling_idx).copied()] {
-                let o = opts(executor, 3, ceiling);
+                let o = opts(ceiling);
                 let a = walked(&lc, region, &o, n, seed);
                 let b = repeated(&lc, region, &o, n, seed);
                 assert_same(region, &o, &a, &b);
@@ -295,7 +290,7 @@ proptest! {
 }
 
 /// Every iACT table size, tables-per-warp, hierarchy level and replacement
-/// policy, on a launch of several blocks, under both executors.
+/// policy, on a launch of several blocks.
 #[test]
 fn every_iact_configuration_replays_like_a_walk() {
     let _serial = serial();
@@ -308,14 +303,12 @@ fn every_iact_configuration_replays_like_a_walk() {
             for level in 0..3 {
                 for clock in [false, true] {
                     let region = iact(tsize, tables, level, clock);
-                    for executor in [Executor::Sequential, Executor::ParallelBlocks] {
-                        let o = opts(executor, 2, None);
-                        let a = walked(&lc, Some(&region), &o, n, 7);
-                        let b = repeated(&lc, Some(&region), &o, n, 7);
-                        assert_same(Some(&region), &o, &a, &b);
-                        let rec = a.outcomes[0].as_ref().expect("the launch runs");
-                        approx_lanes += rec.stats.approx_lanes;
-                    }
+                    let o = opts(None);
+                    let a = walked(&lc, Some(&region), &o, n, 7);
+                    let b = repeated(&lc, Some(&region), &o, n, 7);
+                    assert_same(Some(&region), &o, &a, &b);
+                    let rec = a.outcomes[0].as_ref().expect("the launch runs");
+                    approx_lanes += rec.stats.approx_lanes;
                 }
             }
         }
@@ -347,13 +340,12 @@ fn run_repeated<B: RegionBody>(region: Option<&ApproxRegion>, o: &ExecOptions, b
     }
 }
 
-/// A body whose `compute` reads its own block's stores.
-struct PrivateBody {
-    field: BlockField,
-    visibility: StoreVisibility,
+/// A body whose `compute` reads this launch's stores.
+struct FeedbackBody {
+    field: Vec<f64>,
 }
 
-impl RegionBody for PrivateBody {
+impl RegionBody for FeedbackBody {
     fn in_dim(&self) -> usize {
         1
     }
@@ -364,16 +356,13 @@ impl RegionBody for PrivateBody {
         buf[0] = (i / 16) as f64;
     }
     fn compute(&self, i: usize, out: &mut [f64]) {
-        out[0] = self.field.get(i) + 1.0;
+        out[0] = self.field[i] + 1.0;
     }
     fn store(&mut self, i: usize, out: &[f64]) {
-        self.store_shared(i, out);
+        self.field[i] = out[0];
     }
     fn store_visibility(&self) -> StoreVisibility {
-        self.visibility
-    }
-    fn store_shared(&self, i: usize, out: &[f64]) {
-        self.field.set(i, out[0]);
+        StoreVisibility::InLaunch
     }
     fn accurate_cost(&self, lanes: u32, _spec: &DeviceSpec) -> CostProfile {
         CostProfile::new()
@@ -385,7 +374,7 @@ impl RegionBody for PrivateBody {
 #[test]
 fn taf_and_store_dependent_bodies_never_replay() {
     let _serial = serial();
-    let o = opts(Executor::Sequential, 1, None);
+    let o = opts(None);
     let taf = ApproxRegion::memo_out(2, 8, 0.5);
     for serialized_taf in [false, true] {
         let o = ExecOptions {
@@ -399,17 +388,14 @@ fn taf_and_store_dependent_bodies_never_replay() {
             "TAF (serialized: {serialized_taf})"
         );
     }
-    for visibility in [StoreVisibility::BlockPrivate, StoreVisibility::Global] {
-        let region = ApproxRegion::memo_in(2, 0.5);
-        let counts = count_launches(|| {
-            let mut body = PrivateBody {
-                field: BlockField::from_vec(vec![0.0; ITEMS]),
-                visibility,
-            };
-            run_repeated(Some(&region), &o, &mut body);
-        });
-        assert_eq!(counts, (0, LAUNCHES as u64), "{visibility:?}");
-    }
+    let region = ApproxRegion::memo_in(2, 0.5);
+    let counts = count_launches(|| {
+        let mut body = FeedbackBody {
+            field: vec![0.0; ITEMS],
+        };
+        run_repeated(Some(&region), &o, &mut body);
+    });
+    assert_eq!(counts, (0, LAUNCHES as u64), "in-launch stores");
     // The control: an independent body's iACT launch replays.
     let region = ApproxRegion::memo_in(2, 0.5);
     let counts = count_launches(|| run_repeated(Some(&region), &o, &mut ParamBody::new(ITEMS, 3)));
@@ -421,7 +407,7 @@ fn taf_and_store_dependent_bodies_never_replay() {
 fn a_changed_region_between_runs_panics() {
     let spec = DeviceSpec::v100();
     let lc = LaunchConfig::for_items_per_thread(ITEMS, 64, 2);
-    let o = opts(Executor::Sequential, 1, None);
+    let o = opts(None);
     let mut body = ParamBody::new(ITEMS, 3);
     let mut handle = RepeatedLaunch::new();
     let _ = handle.run(&spec, &lc, None, &mut body, &o);
@@ -440,7 +426,7 @@ fn a_changed_region_between_runs_panics() {
 fn changed_inputs_between_runs_panic_in_debug_builds() {
     let spec = DeviceSpec::v100();
     let lc = LaunchConfig::for_items_per_thread(ITEMS, 64, 2);
-    let o = opts(Executor::Sequential, 1, None);
+    let o = opts(None);
     let region = ApproxRegion::memo_in(2, 0.5);
     let mut body = ParamBody::new(ITEMS, 3);
     let mut handle = RepeatedLaunch::new();

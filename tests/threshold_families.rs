@@ -16,8 +16,7 @@ use hpac_offload::apps::{
     leukocyte::Leukocyte, lulesh::Lulesh, minife::MiniFe,
 };
 use hpac_offload::core::exec::{
-    approx_block_tasks_opts, approx_parallel_for_opts, BlockTaskBody, ExecOptions, Executor,
-    RegionBody,
+    approx_block_tasks_opts, approx_parallel_for_opts, BlockTaskBody, ExecOptions, RegionBody,
 };
 use hpac_offload::core::params::PerfoKind;
 use hpac_offload::core::region::RegionError;
@@ -213,9 +212,7 @@ fn family_rows_equal_lone_evaluation() {
     // The seven-app comparison is slow in debug; CI runs it in release too.
     let cases = if cfg!(debug_assertions) { 4 } else { 12 };
     let mut rng = TestRng::from_name("family_rows_equal_lone_evaluation");
-    // The lone side is pinned to the reference executor (a sweep's engine
-    // tasks walk inline whatever `HPAC_THREADS` says).
-    let opts = ExecOptions::with_executor(Executor::Sequential);
+    let opts = ExecOptions::default();
     for bench in suite() {
         let bench = bench.as_ref();
         for spec in DeviceSpec::evaluation_platforms() {
@@ -594,7 +591,7 @@ proptest! {
         let lc = LaunchConfig::for_items_per_thread(n, warps * 32, ipt);
         let level = level_of(level_idx);
         let (hsize, tsize, tpw_idx) = shape;
-        let opts = ExecOptions::with_executor(Executor::Sequential);
+        let opts = ExecOptions::default();
         let families: [(f64, RegionAt); 2] = [
             (at.0, Box::new(move |t, p| ApproxRegion::memo_out(hsize, p, t).level(level))),
             (at.1, Box::new(move |t, _| {
@@ -628,7 +625,7 @@ proptest! {
         at in (0.0f64..0.4, 0.0f64..4.0, 1usize..48),
     ) {
         let spec = DeviceSpec::v100();
-        let opts = ExecOptions::with_executor(Executor::Sequential);
+        let opts = ExecOptions::default();
         let families: [(f64, RegionAt); 2] = [
             (at.0, Box::new(move |t, p| ApproxRegion::memo_out(hsize, p, t))),
             (at.1, Box::new(|t, _| ApproxRegion::memo_in(3, t))),
@@ -663,7 +660,7 @@ fn unit_history_publishes_every_threshold() {
         &lc,
         Some(&ApproxRegion::memo_out(1, 4, 0.3)),
         &mut body,
-        &ExecOptions::with_executor(Executor::Sequential),
+        &ExecOptions::default(),
     )
     .unwrap();
     let margin = rec.stats.margins.threshold;
