@@ -162,9 +162,10 @@ impl RunAccumulator {
 /// it — the simulator still *charges* every accurate execution through the
 /// body's cost profile, so modeled timing and statistics are untouched;
 /// only host wall-clock drops. Outputs live in relaxed atomics (bit
-/// patterns) behind an acquire/release filled flag, so parallel block
-/// workers can fill and read classes concurrently; a racing double-fill
-/// writes the same bits twice.
+/// patterns) behind an acquire/release filled flag, because configuration
+/// tasks on different engine threads share one memo through the
+/// [`EvalMemo`]'s prepared inputs and fill and read classes concurrently; a
+/// racing double-fill writes the same bits twice.
 pub struct ComputeMemo {
     class_of: Vec<u32>,
     n_classes: usize,
@@ -585,9 +586,9 @@ pub trait Benchmark: Send + Sync {
         self.run_opts(spec, region, lp, &ExecOptions::default())
     }
 
-    /// [`Benchmark::run`] with explicit execution options — the executor
-    /// knob (sequential reference vs parallel blocks) and ablations flow
-    /// through here into every kernel launch of the application.
+    /// [`Benchmark::run`] with explicit execution options — the serialized
+    /// TAF ablation and the cost ceiling flow through here into every
+    /// kernel launch of the application.
     ///
     /// Every approximated launch of a run must use `region` as given (true of
     /// all seven apps; LULESH's two approximated kernels share it): the

@@ -17,6 +17,8 @@
 //! | [`lavamd`] | LavaMD | particle forces & positions | MAPE |
 //! | [`kmeans`] | K-Means | cluster assignments | MCR |
 
+#![forbid(unsafe_code)]
+
 pub mod binomial;
 pub mod blackscholes;
 pub mod common;

@@ -24,7 +24,7 @@ use crate::common::{
 };
 use gpu_sim::transfer::Direction;
 use gpu_sim::{AccessPattern, CostProfile, DeviceSpec, LaunchConfig};
-use hpac_core::exec::{approx_parallel_for_opts, BlockField, ExecOptions, RegionBody};
+use hpac_core::exec::{approx_parallel_for_opts, ExecOptions, RegionBody};
 use hpac_core::lane;
 use hpac_core::region::{ApproxRegion, RegionError};
 use std::sync::Arc;
@@ -86,40 +86,39 @@ impl Prepared for Topology {
 /// The mesh a run evolves: the shared [`Topology`] plus this run's mutable
 /// simulation state.
 ///
-/// Written fields live in [`BlockField`]s so the five per-timestep bodies
-/// can share one `&Mesh` and still commit their stores into it.
-/// Vector-valued fields are flattened `[x, y, z]` rows — see [`get3`] /
-/// [`set3`].
+/// Each of the five per-timestep bodies borrows the mesh mutably for its
+/// own launch. Vector-valued fields are flattened `[x, y, z]` rows — see
+/// [`get3`] / [`set3`].
 pub struct Mesh {
     pub topo: Arc<Topology>,
     // Node-centred state.
-    pub pos: BlockField,
-    pub vel: BlockField,
-    pub force: BlockField,
+    pub pos: Vec<f64>,
+    pub vel: Vec<f64>,
+    pub force: Vec<f64>,
     // Element-centred state.
-    pub energy: BlockField,
-    pub pressure: BlockField,
-    pub visc: BlockField,
-    pub volume: BlockField,
+    pub energy: Vec<f64>,
+    pub pressure: Vec<f64>,
+    pub visc: Vec<f64>,
+    pub volume: Vec<f64>,
     /// Volume change of the last EOS update (feeds the next viscosity calc).
-    pub delv: BlockField,
+    pub delv: Vec<f64>,
     // Per-element force contributions (stress + hourglass).
-    pub stress_f: BlockField,
-    pub hg_f: BlockField,
+    pub stress_f: Vec<f64>,
+    pub hg_f: Vec<f64>,
     // Hourglass control coefficients (output of the first approx kernel).
-    pub hg_coef: BlockField,
+    pub hg_coef: Vec<f64>,
 }
 
 /// Read row `i` of a flattened `[f64; 3]` field.
-pub fn get3(f: &BlockField, i: usize) -> [f64; 3] {
-    [f.get(3 * i), f.get(3 * i + 1), f.get(3 * i + 2)]
+pub fn get3(f: &[f64], i: usize) -> [f64; 3] {
+    [f[3 * i], f[3 * i + 1], f[3 * i + 2]]
 }
 
 /// Write row `i` of a flattened `[f64; 3]` field.
-pub fn set3(f: &BlockField, i: usize, v: [f64; 3]) {
-    f.set(3 * i, v[0]);
-    f.set(3 * i + 1, v[1]);
-    f.set(3 * i + 2, v[2]);
+pub fn set3(f: &mut [f64], i: usize, v: [f64; 3]) {
+    f[3 * i] = v[0];
+    f[3 * i + 1] = v[1];
+    f[3 * i + 2] = v[2];
 }
 
 /// Corner offsets in x-fastest order.
@@ -230,17 +229,17 @@ impl Mesh {
         energy[0] = cfg.e0; // Sedov deposit at the origin element.
 
         Mesh {
-            pos: BlockField::from_vec(topo.pos0.clone()),
-            vel: BlockField::from_vec(vec![0.0; 3 * n_nodes]),
-            force: BlockField::from_vec(vec![0.0; 3 * n_nodes]),
-            energy: BlockField::from_vec(energy),
-            pressure: BlockField::from_vec(vec![0.0; n_elems]),
-            visc: BlockField::from_vec(vec![0.0; n_elems]),
-            volume: BlockField::from_vec(topo.vol0.clone()),
-            delv: BlockField::from_vec(vec![0.0; n_elems]),
-            stress_f: BlockField::from_vec(vec![0.0; 3 * n_elems]),
-            hg_f: BlockField::from_vec(vec![0.0; 3 * n_elems]),
-            hg_coef: BlockField::from_vec(vec![0.0; 3 * n_elems]),
+            pos: topo.pos0.clone(),
+            vel: vec![0.0; 3 * n_nodes],
+            force: vec![0.0; 3 * n_nodes],
+            energy,
+            pressure: vec![0.0; n_elems],
+            visc: vec![0.0; n_elems],
+            volume: topo.vol0.clone(),
+            delv: vec![0.0; n_elems],
+            stress_f: vec![0.0; 3 * n_elems],
+            hg_f: vec![0.0; 3 * n_elems],
+            hg_coef: vec![0.0; 3 * n_elems],
             topo,
         }
     }
@@ -302,7 +301,7 @@ fn sub(a: [f64; 3], b: [f64; 3]) -> [f64; 3] {
 /// the proxy at two approximated element kernels, as the paper evaluates,
 /// while making their outputs load-bearing for the blast QoI.)
 struct HgControlBody<'a> {
-    mesh: &'a Mesh,
+    mesh: &'a mut Mesh,
     hgcoef: f64,
     dt: f64,
 }
@@ -317,26 +316,24 @@ impl RegionBody for HgControlBody<'_> {
     }
 
     fn inputs(&self, e: usize, buf: &mut [f64]) {
-        buf[0] = self.mesh.volume.get(e) / self.mesh.topo.vol0[e];
-        buf[1] = self.mesh.energy.get(e);
-        buf[2] = self.mesh.pressure.get(e);
-        buf[3] = self.mesh.delv.get(e) / self.mesh.topo.vol0[e];
+        buf[0] = self.mesh.volume[e] / self.mesh.topo.vol0[e];
+        buf[1] = self.mesh.energy[e];
+        buf[2] = self.mesh.pressure[e];
+        buf[3] = self.mesh.delv[e] / self.mesh.topo.vol0[e];
     }
 
     fn compute(&self, e: usize, out: &mut [f64]) {
         let m = &self.mesh;
-        let vol = m.volume.get(e);
+        let vol = m.volume[e];
         let dens = m.topo.vol0[e] / vol.max(1e-12);
         // Sound speed from the ideal-gas EOS; the coefficient scales with
         // rho * c * characteristic area (standard Flanagan-Belytschko).
-        let ss = ((m.pressure.get(e) + 1e-12) / dens.max(1e-12))
-            .sqrt()
-            .max(1e-6);
+        let ss = ((m.pressure[e] + 1e-12) / dens.max(1e-12)).sqrt().max(1e-6);
         let length = vol.cbrt();
         let coef = self.hgcoef * dens * ss * length * length;
         // Artificial viscosity: quadratic in the compression velocity
         // u_c = (|ΔV|/V) · (l/Δt), the standard von Neumann–Richtmyer form.
-        let delv = m.delv.get(e);
+        let delv = m.delv[e];
         let q = if delv < 0.0 {
             let strain_rate = -delv / vol.max(1e-12);
             let u_c = strain_rate * length / self.dt;
@@ -350,8 +347,8 @@ impl RegionBody for HgControlBody<'_> {
     }
 
     fn store(&mut self, e: usize, out: &[f64]) {
-        set3(&self.mesh.hg_coef, e, [out[0], out[0], out[0]]);
-        self.mesh.visc.set(e, out[1]);
+        set3(&mut self.mesh.hg_coef, e, [out[0], out[0], out[0]]);
+        self.mesh.visc[e] = out[1];
     }
 
     fn accurate_cost(&self, lanes: u32, _spec: &DeviceSpec) -> CostProfile {
@@ -374,7 +371,7 @@ impl RegionBody for HgControlBody<'_> {
 /// Approximated kernel 2: `CalcFBHourglassForceForElems` — the
 /// Flanagan-Belytschko antihourglass force from nodal velocities.
 struct HgForceBody<'a> {
-    mesh: &'a Mesh,
+    mesh: &'a mut Mesh,
 }
 
 impl RegionBody for HgForceBody<'_> {
@@ -388,7 +385,7 @@ impl RegionBody for HgForceBody<'_> {
 
     fn inputs(&self, e: usize, buf: &mut [f64]) {
         let hv = self.mesh.hg_mode_vel(e);
-        buf[0] = self.mesh.hg_coef.get(3 * e);
+        buf[0] = self.mesh.hg_coef[3 * e];
         buf[1] = hv[0];
         buf[2] = hv[1];
         buf[3] = hv[2];
@@ -407,7 +404,7 @@ impl RegionBody for HgForceBody<'_> {
     }
 
     fn store(&mut self, e: usize, out: &[f64]) {
-        set3(&self.mesh.hg_f, e, [out[0], out[1], out[2]]);
+        set3(&mut self.mesh.hg_f, e, [out[0], out[1], out[2]]);
     }
 
     fn accurate_cost(&self, lanes: u32, _spec: &DeviceSpec) -> CostProfile {
@@ -428,7 +425,7 @@ impl RegionBody for HgForceBody<'_> {
 
 /// Accurate per-element stress force (σ = -p - q, pushing corners outward).
 struct StressBody<'a> {
-    mesh: &'a Mesh,
+    mesh: &'a mut Mesh,
     area: f64,
 }
 
@@ -439,7 +436,7 @@ impl RegionBody for StressBody<'_> {
 
     fn compute(&self, e: usize, out: &mut [f64]) {
         let m = &self.mesh;
-        let sig = m.pressure.get(e) + m.visc.get(e);
+        let sig = m.pressure[e] + m.visc[e];
         let f = sig * self.area;
         out[0] = f;
         out[1] = f;
@@ -447,7 +444,7 @@ impl RegionBody for StressBody<'_> {
     }
 
     fn store(&mut self, e: usize, out: &[f64]) {
-        set3(&self.mesh.stress_f, e, [out[0], out[1], out[2]]);
+        set3(&mut self.mesh.stress_f, e, [out[0], out[1], out[2]]);
     }
 
     fn accurate_cost(&self, lanes: u32, _spec: &DeviceSpec) -> CostProfile {
@@ -460,7 +457,7 @@ impl RegionBody for StressBody<'_> {
 
 /// Accurate node kernel: gather element forces, integrate kinematics.
 struct NodeBody<'a> {
-    mesh: &'a Mesh,
+    mesh: &'a mut Mesh,
     dt: f64,
 }
 
@@ -488,14 +485,14 @@ impl RegionBody for NodeBody<'_> {
     }
 
     fn store(&mut self, n: usize, out: &[f64]) {
-        let m = self.mesh;
-        set3(&m.force, n, [out[0], out[1], out[2]]);
+        let m = &mut *self.mesh;
+        set3(&mut m.force, n, [out[0], out[1], out[2]]);
         let inv_m = 1.0 / m.topo.mass[n];
         for (d, &o) in out.iter().enumerate() {
             let a = o * inv_m;
-            let v = m.vel.get(3 * n + d) + a * self.dt;
-            m.vel.set(3 * n + d, v);
-            m.pos.set(3 * n + d, m.pos.get(3 * n + d) + v * self.dt);
+            let v = m.vel[3 * n + d] + a * self.dt;
+            m.vel[3 * n + d] = v;
+            m.pos[3 * n + d] += v * self.dt;
         }
     }
 
@@ -509,7 +506,7 @@ impl RegionBody for NodeBody<'_> {
 
 /// Accurate element EOS/volume update.
 struct EosBody<'a> {
-    mesh: &'a Mesh,
+    mesh: &'a mut Mesh,
 }
 
 impl RegionBody for EosBody<'_> {
@@ -520,13 +517,13 @@ impl RegionBody for EosBody<'_> {
     fn compute(&self, e: usize, out: &mut [f64]) {
         let m = &self.mesh;
         let vnew = m.elem_volume(e);
-        let delv = vnew - m.volume.get(e);
+        let delv = vnew - m.volume[e];
         // Compression work dE = -(p + q) dV with the (approximated) q from
         // the hourglass-control kernel; with the ideal-gas pressure
         // p = (γ-1) e / V below, free expansion is adiabatic (e ∝ V^{1-γ})
         // and energy stays positive.
-        let work = -(m.pressure.get(e) + m.visc.get(e)) * delv;
-        let e_new = (m.energy.get(e) + work).max(0.0);
+        let work = -(m.pressure[e] + m.visc[e]) * delv;
+        let e_new = (m.energy[e] + work).max(0.0);
         let p_new = (2.0 / 3.0) * e_new / vnew.max(1e-12);
         out[0] = vnew;
         out[1] = e_new;
@@ -535,11 +532,11 @@ impl RegionBody for EosBody<'_> {
     }
 
     fn store(&mut self, e: usize, out: &[f64]) {
-        let m = self.mesh;
-        m.volume.set(e, out[0]);
-        m.energy.set(e, out[1]);
-        m.pressure.set(e, out[2]);
-        m.delv.set(e, out[3]);
+        let m = &mut *self.mesh;
+        m.volume[e] = out[0];
+        m.energy[e] = out[1];
+        m.pressure[e] = out[2];
+        m.delv[e] = out[3];
     }
 
     fn accurate_cost(&self, lanes: u32, _spec: &DeviceSpec) -> CostProfile {
@@ -583,7 +580,7 @@ impl Benchmark for Lulesh {
         lp: &LaunchParams,
         opts: &ExecOptions,
     ) -> Result<AppResult, RegionError> {
-        let mesh = Mesh::new(self);
+        let mut mesh = Mesh::new(self);
         let n_elems = mesh.topo.n_elems;
         let n_nodes = mesh.topo.n_nodes;
         let area = (1.0 / self.edge as f64).powi(2);
@@ -609,41 +606,38 @@ impl Benchmark for Lulesh {
             abort_above_seconds: None,
             ..*opts
         };
-        let mut hg_control = HgControlBody {
-            mesh: &mesh,
-            hgcoef: self.hgcoef,
-            dt: self.dt,
+        let mut launch = |lc: &LaunchConfig, region, body: &mut dyn RegionBody| {
+            approx_parallel_for_opts(spec, lc, region, body, &opts).map(|rec| acc.kernel(&rec))
         };
-        let mut hg_force = HgForceBody { mesh: &mesh };
-        let mut stress = StressBody { mesh: &mesh, area };
-        let mut node = NodeBody {
-            mesh: &mesh,
-            dt: self.dt,
-        };
-        let mut eos = EosBody { mesh: &mesh };
         for _ in 0..self.steps {
-            let kernels: [(&LaunchConfig, Option<&ApproxRegion>, &mut dyn RegionBody); 5] = [
-                // 1. Hourglass control + artificial viscosity (approximated).
-                (&elem_launch, region, &mut hg_control),
-                // 2. FB hourglass force (approximated).
-                (&elem_launch, region, &mut hg_force),
-                // 3. Stress force (accurate).
-                (&elem_acc_launch, None, &mut stress),
-                // 4. Node gather + integration (accurate).
-                (&node_launch, None, &mut node),
-                // 5. EOS / volume update (accurate).
-                (&elem_acc_launch, None, &mut eos),
-            ];
-            for (launch, region, body) in kernels {
-                acc.kernel(&approx_parallel_for_opts(
-                    spec, launch, region, body, &opts,
-                )?);
-            }
+            // 1. Hourglass control + artificial viscosity (approximated).
+            let mut hg_control = HgControlBody {
+                mesh: &mut mesh,
+                hgcoef: self.hgcoef,
+                dt: self.dt,
+            };
+            launch(&elem_launch, region, &mut hg_control)?;
+            // 2. FB hourglass force (approximated).
+            launch(&elem_launch, region, &mut HgForceBody { mesh: &mut mesh })?;
+            // 3. Stress force (accurate).
+            let mut stress = StressBody {
+                mesh: &mut mesh,
+                area,
+            };
+            launch(&elem_acc_launch, None, &mut stress)?;
+            // 4. Node gather + integration (accurate).
+            let mut node = NodeBody {
+                mesh: &mut mesh,
+                dt: self.dt,
+            };
+            launch(&node_launch, None, &mut node)?;
+            // 5. EOS / volume update (accurate).
+            launch(&elem_acc_launch, None, &mut EosBody { mesh: &mut mesh })?;
         }
 
         acc.transfer(spec, (n_elems * 8) as u64, Direction::DeviceToHost);
         // QoI: final origin energy.
-        let qoi = QoI::Values(vec![mesh.energy.get(0)]);
+        let qoi = QoI::Values(vec![mesh.energy[0]]);
         Ok(acc.finish(qoi, None))
     }
 }

@@ -6,3 +6,5 @@
 //! `target/figures/`; `--full` runs the paper's complete Table 2 grids,
 //! hours); `tune` runs the autotuner over all seven benchmarks on both
 //! device models.
+
+#![forbid(unsafe_code)]

@@ -7,7 +7,6 @@
 //! committed before the next lane computes.
 
 use gpu_sim::{AccessPattern, CostProfile, DeviceSpec};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Whether a region's `compute` reads what its `store` calls committed
 /// earlier in the same launch — the one question
@@ -22,40 +21,6 @@ pub enum StoreVisibility {
     /// sweeps re-read the field the previous sweep stored). Such a launch
     /// never replays.
     InLaunch,
-}
-
-/// A field of `f64`s that several region bodies can write through a shared
-/// reference: LULESH's five per-timestep bodies share one `&Mesh` and
-/// commit their stores into its fields. Values are stored as their
-/// IEEE-754 bit patterns, so every round-trip is bit-exact.
-#[derive(Debug)]
-pub struct BlockField {
-    bits: Vec<AtomicU64>,
-}
-
-impl BlockField {
-    /// A field initialized from `init`.
-    pub fn from_vec(init: Vec<f64>) -> Self {
-        BlockField {
-            bits: init
-                .into_iter()
-                .map(|v| AtomicU64::new(v.to_bits()))
-                .collect(),
-        }
-    }
-
-    // get/set are the per-scalar hot path of every field-backed body;
-    // without the inline hint they stay opaque calls across the crate
-    // boundary and field reads dominate the kernel walk.
-    #[inline]
-    pub fn get(&self, i: usize) -> f64 {
-        f64::from_bits(self.bits[i].load(Ordering::Relaxed))
-    }
-
-    #[inline]
-    pub fn set(&self, i: usize, v: f64) {
-        self.bits[i].store(v.to_bits(), Ordering::Relaxed);
-    }
 }
 
 /// The annotated code region: the accurate path, its declared inputs and

@@ -1,12 +1,14 @@
-//! The `ExecEngine`: one persistent worker pool for the stack's host
-//! parallelism, which is over *configurations*.
+//! The `ExecEngine`: the stack's host parallelism, which is over
+//! *configurations*.
 //!
 //! The harness's configuration sweeps, the tuner's batched evaluations and
 //! the service's request batches submit to this engine; a kernel launch
 //! never does — its blocks walk in order on the calling thread (see
-//! [`exec`](crate::exec)). The engine fronts the process-wide pool of
-//! `rayon::pool`: workers are spawned once, on first demand, and reused
-//! for every later batch.
+//! [`exec`](crate::exec)). The engine fronts `rayon::pool::run`: each batch
+//! spawns its helper threads under a thread scope and joins them before it
+//! returns. A batch holds a few configuration tasks of milliseconds each,
+//! so the tens of microseconds a spawn costs are noise next to the work,
+//! and nothing outlives the batch.
 //!
 //! Nesting is safe by construction: a task already running on the engine
 //! that submits again executes the nested batch inline on its own thread.
@@ -28,13 +30,11 @@
 //!    (`std::thread::available_parallelism()`, read once per process).
 //!
 //! An unset or empty `HPAC_THREADS` counts as absent. The resolved width
-//! is a *cap on threads touching one batch*, not a pool size: the pool
-//! grows lazily to the largest width ever requested (bounded by
-//! [`rayon::pool::MAX_WORKERS`]) and idle workers cost nothing.
+//! is a *cap on threads touching one batch*: a batch of `n` tasks at width
+//! `w` spawns `min(n, w) - 1` helpers, since the caller works too.
 
-use rayon::pool::{self, WorkerPool};
+use rayon::pool;
 use std::sync::OnceLock;
-use std::thread::ThreadId;
 
 /// Handle to the process-wide execution engine.
 pub fn engine() -> &'static ExecEngine {
@@ -42,8 +42,8 @@ pub fn engine() -> &'static ExecEngine {
     &ENGINE
 }
 
-/// The facade over the persistent worker pool. Obtain it with [`engine`];
-/// there is exactly one per process.
+/// The facade over the scoped batches of `rayon::pool`. Obtain it with
+/// [`engine`]; there is exactly one per process.
 pub struct ExecEngine {
     _priv: (),
 }
@@ -59,22 +59,22 @@ impl ExecEngine {
         F: Fn(usize) -> R + Sync,
     {
         if !hpac_obs::enabled() {
-            return pool::global().run(n, width, f);
+            return pool::run(n, width, f);
         }
         if pool::in_task() {
             // Nested submission: runs inline inside the enclosing task, so
             // it is already inside that task's span and busy time.
             hpac_obs::inc(hpac_obs::CounterId::EngineNestedInline);
-            return pool::global().run(n, width, f);
+            return pool::run(n, width, f);
         }
         hpac_obs::inc(hpac_obs::CounterId::EngineBatches);
         hpac_obs::mark(
             hpac_obs::Mark::QueueDepth,
-            pool::global().busy_workers() as u64,
+            pool::live_helpers() as u64,
             n as u64,
         );
         let _batch = hpac_obs::span(hpac_obs::SpanId::EngineBatch, n as u64, width as u64);
-        pool::global().run(n, width, |i| {
+        pool::run(n, width, |i| {
             let t0 = hpac_obs::now_ns();
             let _task = hpac_obs::span(hpac_obs::SpanId::EngineTask, i as u64, n as u64);
             let r = f(i);
@@ -102,12 +102,12 @@ impl ExecEngine {
     /// Phase `p` consists of `sizes[p]` independent tasks; `f(p, j)` runs
     /// task `j` of phase `p`. Tasks of phase `p` only start after every
     /// task of every earlier phase has finished (a barrier), but the
-    /// submission as a whole claims from one task queue, so workers stay
-    /// warm across the barriers instead of being re-dispatched per phase.
+    /// submission as a whole is one batch claiming from one task queue, so
+    /// one set of helpers works every phase instead of one per phase.
     /// No library path submits phases; the repo benchmark's layer pass
     /// times this call (`core.engine_phases_us`).
     ///
-    /// Deadlock-free by construction: the pool claims tasks in flat index
+    /// Deadlock-free by construction: the batch claims tasks in flat index
     /// order, so whichever thread holds the lowest unfinished index has all
     /// earlier phases complete and can always run; everyone else waits on
     /// the phase condvar. Results return per phase, in task order.
@@ -190,23 +190,6 @@ impl ExecEngine {
             .iter()
             .map(|&s| flat.by_ref().take(s).collect())
             .collect()
-    }
-
-    /// Workers spawned so far (grows lazily; never shrinks).
-    pub fn spawned_workers(&self) -> usize {
-        pool::global().spawned_workers()
-    }
-
-    /// Thread ids of the live pool workers, in worker-index order. The
-    /// list only grows and existing entries never change — the observable
-    /// behind the "no respawn" regression tests.
-    pub fn worker_thread_ids(&self) -> Vec<ThreadId> {
-        pool::global().worker_thread_ids()
-    }
-
-    /// The underlying pool, for callers that need the raw abstraction.
-    pub fn pool(&self) -> &'static WorkerPool {
-        pool::global()
     }
 }
 

@@ -47,7 +47,7 @@ mod taf;
 mod walk;
 
 pub use block_tasks::approx_block_tasks_opts;
-pub use body::{BlockField, BlockTaskBody, RegionBody, StoreVisibility};
+pub use body::{BlockTaskBody, RegionBody, StoreVisibility};
 pub use engine::{engine, ExecEngine};
 pub use replay::RepeatedLaunch;
 

@@ -10,13 +10,13 @@
 //! virtual call per lane. Adding a fourth technique to the runtime means
 //! implementing this trait (~150 lines of pure decision logic) and adding
 //! one dispatch arm in [`exec`](crate::exec); the grid walk, the hierarchy
-//! voting machinery, the executors, and the accounting are inherited
+//! voting machinery, the block loop, and the accounting are inherited
 //! unchanged.
 //!
 //! Policies must be block-decomposable: `block_state` returns state private
-//! to one block (per-thread TAF machines, per-warp iACT tables, …), which
-//! is what lets the parallel executor run blocks on separate threads
-//! without locks and still match the sequential walk bit for bit.
+//! to one block (per-thread TAF machines, per-warp iACT tables, …), created
+//! fresh when the walk enters the block, so no decision of one block
+//! depends on what another block did.
 
 use crate::exec::body::{BodyAccess, RegionBody};
 use crate::exec::charge::MixMemo;
@@ -39,7 +39,7 @@ pub(crate) struct WarpCtx<'a> {
 }
 
 /// One approximation technique, as seen by the grid walker.
-pub(crate) trait TechniquePolicy: Sync {
+pub(crate) trait TechniquePolicy {
     /// Per-block approximation state (pools, scratch). Created fresh for
     /// every block; must not alias state of any other block.
     type State;

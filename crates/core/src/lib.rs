@@ -36,6 +36,8 @@
 //! * [`shared_state`] — AC state sized and placed in block shared memory,
 //!   with launches rejected when the device limit is exceeded.
 
+#![forbid(unsafe_code)]
+
 pub mod env;
 pub mod exec;
 pub mod hash;

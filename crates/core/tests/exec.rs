@@ -373,13 +373,11 @@ impl RegionBody for TracingBody {
 }
 
 #[test]
-fn engine_is_reused_across_launches_no_respawn() {
-    // Configuration batches run on the persistent engine workers. Each
-    // kernel launch inside a task walks all of its blocks on that task's
-    // thread, and repeated batches run on the same workers: worker ids stay
-    // stable, nothing respawns.
-    let batch = || {
-        engine().run(8, 4, |_| {
+fn engine_config_tasks_walk_each_launch_on_one_thread() {
+    // Configuration batches run on the engine. Each kernel launch inside a
+    // task walks all of its blocks on that task's thread.
+    for _ in 0..25 {
+        let seen = engine().run(8, 4, |_| {
             let mut body = TracingBody::new(N);
             approx_parallel_for_opts(
                 &spec(),
@@ -390,41 +388,11 @@ fn engine_is_reused_across_launches_no_respawn() {
             )
             .unwrap();
             body.threads_seen.into_inner().unwrap()
-        })
-    };
-    batch();
-    let ids_before = engine().worker_thread_ids();
-    let spawned_before = engine().spawned_workers();
-    assert!(
-        spawned_before >= 3,
-        "a width-4 batch should have spawned 3 helpers, saw {spawned_before}"
-    );
-
-    let mut seen = std::collections::HashSet::new();
-    for _ in 0..25 {
-        for threads in batch() {
+        });
+        for threads in seen {
             assert_eq!(threads.len(), 1, "a launch's blocks left its thread");
-            seen.extend(threads);
         }
     }
-
-    // Every thread that ran kernel work is a pool worker (or the caller,
-    // which always participates in its own batch)...
-    let caller = std::thread::current().id();
-    let ids_after = engine().worker_thread_ids();
-    for t in &seen {
-        assert!(
-            *t == caller || ids_after.contains(t),
-            "kernel work ran outside the engine pool"
-        );
-    }
-    // ...and the workers that existed before are still the same threads,
-    // in the same slots: the pool only ever grows, it never respawns.
-    assert_eq!(
-        &ids_after[..ids_before.len()],
-        &ids_before[..],
-        "existing workers were replaced between batches"
-    );
 }
 
 // --- block tasks -----------------------------------------------------------

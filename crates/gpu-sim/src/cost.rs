@@ -129,10 +129,6 @@ impl CostProfile {
         self.mem_rounds * p.global_latency_cycles
     }
 
-    pub fn is_zero(&self) -> bool {
-        *self == CostProfile::default()
-    }
-
     /// Resolve this profile against a device's cost parameters once, so the
     /// result can be charged repeatedly without re-deriving the cycle sums.
     ///
@@ -245,11 +241,5 @@ mod tests {
         w.charge(&c, &p);
         assert!((w.issue - 2.0 * c.issue_cycles(&p)).abs() < 1e-9);
         assert!((w.latency - 2.0 * p.global_latency_cycles).abs() < 1e-9);
-    }
-
-    #[test]
-    fn is_zero_detects_empty() {
-        assert!(CostProfile::new().is_zero());
-        assert!(!CostProfile::new().flops(1.0).is_zero());
     }
 }

@@ -74,13 +74,12 @@ impl KernelRecord {
 
 /// Accounting for one block's execution, independent of every other block.
 ///
-/// A runtime that executes blocks on separate threads gives each block its
-/// own accumulator, charges costs and step outcomes into it, and folds the
-/// finished accumulators back with [`KernelExec::merge_block`]. Each
-/// accumulator is deterministic given the block's work, and the fold visits
-/// blocks in ascending index order, so the resulting [`KernelRecord`] is
-/// bit-identical to a sequential walk that used the same per-block
-/// accumulators — regardless of which thread finished first.
+/// The walk gives each block its own accumulator, charges the block's costs
+/// and step outcomes into it, and folds the finished accumulator back with
+/// [`KernelExec::merge_block`]. Each accumulator is deterministic given the
+/// block's work, and the fold visits blocks in ascending index order, so
+/// the resulting [`KernelRecord`] is a function of the per-block work
+/// alone.
 #[derive(Debug, Clone)]
 pub struct BlockAccumulator {
     costs: CostParams,

@@ -26,6 +26,8 @@
 //! [`timing::kernel_time`] converts into a kernel runtime for a given
 //! [`spec::DeviceSpec`].
 
+#![forbid(unsafe_code)]
+
 pub mod coalesce;
 pub mod cost;
 pub mod dim;

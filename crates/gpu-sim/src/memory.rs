@@ -4,8 +4,8 @@
 //! The paper's Figure 3 argument — per-thread memoization tables exhaust a
 //! V100's 16 GB long before the 2^72-thread limit — is a *capacity* argument,
 //! and HPAC-Offload's answer is to place AC state in block shared memory.
-//! This module provides both sides: a global-memory budget checker and a
-//! shared-memory allocator with the device's hard per-block limit.
+//! This module checks the global-memory side; the per-block shared-memory
+//! limit is enforced where a launch sizes its AC state (`KernelExec::new`).
 
 use crate::spec::DeviceSpec;
 
@@ -40,93 +40,6 @@ pub fn per_thread_state_fit(
     }
 }
 
-/// A bump allocator over one block's shared memory, with the device's
-/// per-block capacity as a hard limit.
-///
-/// HPAC-Offload reserves part of shared memory for AC state at kernel build
-/// time (§3.3); allocation failures here are the moment a configuration is
-/// rejected.
-#[derive(Debug, Clone)]
-pub struct SharedMemLayout {
-    capacity: usize,
-    used: usize,
-    allocations: Vec<(String, usize)>,
-}
-
-/// Error returned when shared memory is exhausted.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SharedMemExhausted {
-    pub requested: usize,
-    pub used: usize,
-    pub capacity: usize,
-    pub label: String,
-}
-
-impl std::fmt::Display for SharedMemExhausted {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "shared memory exhausted allocating {} bytes for '{}': {}/{} bytes already in use",
-            self.requested, self.label, self.used, self.capacity
-        )
-    }
-}
-
-impl std::error::Error for SharedMemExhausted {}
-
-impl SharedMemLayout {
-    /// A layout covering the whole per-block shared memory of `spec`.
-    pub fn for_device(spec: &DeviceSpec) -> Self {
-        SharedMemLayout {
-            capacity: spec.shared_mem_per_block,
-            used: 0,
-            allocations: Vec::new(),
-        }
-    }
-
-    /// A layout with an explicit capacity (for tests and sub-budgets).
-    pub fn with_capacity(capacity: usize) -> Self {
-        SharedMemLayout {
-            capacity,
-            used: 0,
-            allocations: Vec::new(),
-        }
-    }
-
-    /// Reserve `bytes` of shared memory under `label`; returns the offset.
-    pub fn alloc(&mut self, label: &str, bytes: usize) -> Result<usize, SharedMemExhausted> {
-        if self.used + bytes > self.capacity {
-            return Err(SharedMemExhausted {
-                requested: bytes,
-                used: self.used,
-                capacity: self.capacity,
-                label: label.to_string(),
-            });
-        }
-        let offset = self.used;
-        self.used += bytes;
-        self.allocations.push((label.to_string(), bytes));
-        Ok(offset)
-    }
-
-    pub fn used(&self) -> usize {
-        self.used
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    pub fn remaining(&self) -> usize {
-        self.capacity - self.used
-    }
-
-    /// Labelled allocations in order, for diagnostics.
-    pub fn allocations(&self) -> &[(String, usize)] {
-        &self.allocations
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,43 +61,5 @@ mod tests {
         // 16 GiB / 180 B ~= 95.4e6 threads; 2^26 = 67.1e6 fits, 2^27 doesn't.
         assert!(per_thread_state_fit(&spec, 1 << 26, 180).fits());
         assert!(!per_thread_state_fit(&spec, 1 << 27, 180).fits());
-    }
-
-    #[test]
-    fn shared_alloc_bump_offsets() {
-        let mut l = SharedMemLayout::with_capacity(100);
-        assert_eq!(l.alloc("a", 40).unwrap(), 0);
-        assert_eq!(l.alloc("b", 60).unwrap(), 40);
-        assert_eq!(l.remaining(), 0);
-    }
-
-    #[test]
-    fn shared_alloc_rejects_overflow() {
-        let mut l = SharedMemLayout::with_capacity(100);
-        l.alloc("a", 90).unwrap();
-        let err = l.alloc("big", 20).unwrap_err();
-        assert_eq!(err.requested, 20);
-        assert_eq!(err.used, 90);
-        assert!(err.to_string().contains("big"));
-        // Failed alloc must not change state.
-        assert_eq!(l.used(), 90);
-    }
-
-    #[test]
-    fn device_layout_uses_block_limit() {
-        let spec = DeviceSpec::v100();
-        let l = SharedMemLayout::for_device(&spec);
-        assert_eq!(l.capacity(), 48 * 1024);
-    }
-
-    #[test]
-    fn allocations_are_recorded() {
-        let mut l = SharedMemLayout::with_capacity(64);
-        l.alloc("taf", 16).unwrap();
-        l.alloc("iact", 32).unwrap();
-        assert_eq!(
-            l.allocations(),
-            &[("taf".to_string(), 16), ("iact".to_string(), 32)]
-        );
     }
 }

@@ -52,11 +52,6 @@ impl WarpVote {
         2 * self.yes > self.active
     }
 
-    /// All lanes voted yes.
-    pub fn unanimous(&self) -> bool {
-        self.active > 0 && self.yes == self.active
-    }
-
     /// Any lane voted yes.
     pub fn any(&self) -> bool {
         self.yes > 0
@@ -121,14 +116,6 @@ mod tests {
         assert_eq!(v.active, 4);
         assert_eq!(v.yes, 3);
         assert!(v.majority());
-        assert!(!v.unanimous());
         assert!(v.any());
-    }
-
-    #[test]
-    fn unanimous_requires_participants() {
-        let v = WarpVote::collect(&[]);
-        assert!(!v.unanimous());
-        assert!(!v.any());
     }
 }

@@ -78,11 +78,6 @@ pub fn linear_fit(xs: &[f64], ys: &[f64]) -> (f64, f64, f64) {
     (slope, intercept, r2)
 }
 
-/// Geometric mean of the speedups (the paper's "geomean speedup 1.42×").
-pub fn geomean_speedup(rows: &[&Row]) -> f64 {
-    hpac_core::metrics::geomean(&rows.iter().map(|r| r.speedup).collect::<Vec<_>>())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,12 +154,5 @@ mod tests {
         let (_, _, r2) = linear_fit(&xs, &ys);
         assert!(r2 < 0.9);
         assert!(r2 > 0.0);
-    }
-
-    #[test]
-    fn geomean_speedup_of_ones_is_one() {
-        let rows = [row(1.0, 0.0), row(1.0, 0.0)];
-        let refs: Vec<&Row> = rows.iter().collect();
-        assert!((geomean_speedup(&refs) - 1.0).abs() < 1e-12);
     }
 }

@@ -9,12 +9,14 @@
 //!   quick variants, per benchmark and device;
 //! * [`runner`] — baseline selection and the parallel sweep executor
 //!   (configurations fan out as tasks on the shared
-//!   [`hpac_core::exec::engine`] worker pool; each kernel launch walks its
+//!   [`hpac_core::exec::engine`]; each kernel launch walks its
 //!   blocks on its config task's thread);
 //! * [`db`] — the results table with CSV persistence;
 //! * [`analyze`] — best-speedup-under-error-cap queries, the paper's
 //!   error-decile overplot reduction, and linear fits (Fig 12c's R²);
 //! * [`figures`] — one data-generation entry point per paper table/figure.
+
+#![forbid(unsafe_code)]
 
 pub mod analyze;
 pub mod db;

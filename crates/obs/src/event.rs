@@ -14,7 +14,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 pub enum SpanId {
     /// One `ExecEngine::run` submission. a = tasks, b = width.
     EngineBatch = 0,
-    /// One task executed by a pool worker (or inline). a = task index, b = batch tasks.
+    /// One task executed by an engine helper or the submitter. a = task index, b = batch tasks.
     EngineTask = 1,
     /// One kernel grid walk (`exec::walk`). a = blocks, b = modeled warp-steps.
     KernelWalk = 2,
@@ -84,7 +84,8 @@ impl SpanId {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Mark {
-    /// Engine queue pressure at submit time. a = busy workers, b = batch tasks.
+    /// Engine queue pressure at submit time. a = helper threads alive across
+    /// every batch in flight, b = batch tasks.
     QueueDepth = 0,
     /// Tuner search trajectory sample. a = total evaluations, b = frontier size.
     SearchPoint = 1,
@@ -106,7 +107,7 @@ impl Mark {
     /// Keys for the two payload words, and whether `a` is an interned string.
     pub fn arg_keys(self) -> (&'static str, &'static str, bool) {
         match self {
-            Mark::QueueDepth => ("busy_workers", "tasks", false),
+            Mark::QueueDepth => ("live_helpers", "tasks", false),
             Mark::SearchPoint => ("evaluations", "frontier", false),
             Mark::LogWarn => ("message", "b", true),
         }

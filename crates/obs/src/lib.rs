@@ -9,8 +9,9 @@
 //! - **No locks on the hot path.** Each recording thread owns a private
 //!   ring buffer ([`ring`] module) reached via a thread-local; records are
 //!   plain atomic stores, counters are relaxed `fetch_add`s on per-worker
-//!   cells. Locks exist only at the edges: first-use ring registration,
-//!   string interning (low-frequency names), and sink flushes.
+//!   cells. Locks exist only at the edges: taking a ring at a thread's
+//!   first record and returning it at thread exit, string interning
+//!   (low-frequency names), and sink flushes.
 //! - **One diagnostics path.** Library crates report problems through
 //!   [`log_warn`], which lands in the trace *and* on stderr; ad-hoc
 //!   `eprintln!`/`println!` in library code is a CI failure.
@@ -23,6 +24,8 @@
 //! `hpac-core` with every other `HPAC_*` variable. Tests and embedders can
 //! flip the gate directly with [`set_enabled`] and inspect metrics
 //! in-process via [`snapshot`] without any sink.
+
+#![forbid(unsafe_code)]
 
 mod event;
 mod ring;
@@ -79,12 +82,13 @@ impl Span {
         Span { live: None }
     }
 
-    /// Update the payload words of a live span (e.g. a count known only at
-    /// region end). No-op on an inert span.
-    pub fn set_args(&mut self, a: u64, b: u64) {
-        if let Some((_, _, la, lb)) = self.live.as_mut() {
-            *la = a;
-            *lb = b;
+    /// A live span starting now. The thread takes its ring first: a ring
+    /// passes from an exited thread to the next, and binding it before the
+    /// start timestamp keeps the spans of one ring from overlapping.
+    fn open(id: SpanId, a: u64, b: u64) -> Span {
+        ring::with_ring(|_| {});
+        Span {
+            live: Some((id, now_ns(), a, b)),
         }
     }
 }
@@ -92,7 +96,7 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some((id, t0, a, b)) = self.live.take() {
-            ring::ring().record(Kind::Span, id as u8, t0, now_ns(), a, b);
+            ring::with_ring(|r| r.record(Kind::Span, id as u8, t0, now_ns(), a, b));
         }
     }
 }
@@ -103,9 +107,7 @@ pub fn span(id: SpanId, a: u64, b: u64) -> Span {
     if !enabled() {
         return Span::none();
     }
-    Span {
-        live: Some((id, now_ns(), a, b)),
-    }
+    Span::open(id, a, b)
 }
 
 /// Open a timed span whose `a` payload is an interned string (app names and
@@ -115,9 +117,7 @@ pub fn span_named(id: SpanId, name: &str, b: u64) -> Span {
     if !enabled() {
         return Span::none();
     }
-    Span {
-        live: Some((id, now_ns(), intern(name), b)),
-    }
+    Span::open(id, intern(name), b)
 }
 
 /// Record an instant event. Free when disabled.
@@ -125,7 +125,7 @@ pub fn span_named(id: SpanId, name: &str, b: u64) -> Span {
 pub fn mark(m: Mark, a: u64, b: u64) {
     if enabled() {
         let t = now_ns();
-        ring::ring().record(Kind::Instant, m as u8, t, t, a, b);
+        ring::with_ring(|r| r.record(Kind::Instant, m as u8, t, t, a, b));
     }
 }
 
@@ -133,7 +133,7 @@ pub fn mark(m: Mark, a: u64, b: u64) {
 #[inline]
 pub fn add(c: CounterId, n: u64) {
     if enabled() {
-        ring::ring().add(c, n);
+        ring::with_ring(|r| r.add(c, n));
     }
 }
 
@@ -149,8 +149,11 @@ pub fn inc(c: CounterId) {
 pub fn log_warn(msg: &str) {
     if enabled() {
         let t = now_ns();
-        ring::ring().record(Kind::Instant, Mark::LogWarn as u8, t, t, intern(msg), 0);
-        ring::ring().add(CounterId::LogWarnings, 1);
+        let msg_id = intern(msg);
+        ring::with_ring(|r| {
+            r.record(Kind::Instant, Mark::LogWarn as u8, t, t, msg_id, 0);
+            r.add(CounterId::LogWarnings, 1);
+        });
     }
     eprintln!("warning: {msg}");
 }
@@ -312,17 +315,51 @@ mod tests {
     }
 
     #[test]
-    fn span_set_args_updates_payload() {
+    fn exited_threads_hand_their_rings_on() {
         let _g = locked();
         set_enabled(true);
         let _ = drain_events();
-        let mut s = span(SpanId::EngineBatch, 0, 0);
-        s.set_args(9, 10);
-        drop(s);
+        let before = snapshot().workers.len();
+        for i in 0..50 {
+            std::thread::spawn(move || drop(span(SpanId::EngineTask, i, 50)))
+                .join()
+                .unwrap();
+        }
         set_enabled(false);
-        let events = drain_events();
-        assert!(events
+        let grew = snapshot().workers.len() - before;
+        assert!(grew <= 1, "50 threads in turn registered {grew} rings");
+        let tasks = drain_events()
+            .into_iter()
+            .filter(|e| e.payload == Payload::Span(SpanId::EngineTask) && e.b == 50)
+            .count();
+        assert_eq!(tasks, 50);
+    }
+
+    #[test]
+    fn a_record_during_thread_teardown_lands() {
+        struct RecordOnDrop;
+        impl Drop for RecordOnDrop {
+            fn drop(&mut self) {
+                drop(span(SpanId::EngineTask, 7, 0xD0D0));
+            }
+        }
+        thread_local! {
+            static LATE: RecordOnDrop = const { RecordOnDrop };
+        }
+        let _g = locked();
+        set_enabled(true);
+        let _ = drain_events();
+        // `LATE` is touched before the thread's ring is taken, so its
+        // destructor runs after the ring's hold is gone.
+        std::thread::spawn(|| {
+            LATE.with(|_| ());
+            inc(CounterId::KernelLaunches);
+        })
+        .join()
+        .unwrap();
+        set_enabled(false);
+        assert!(drain_events()
             .iter()
-            .any(|e| e.payload == Payload::Span(SpanId::EngineBatch) && e.a == 9 && e.b == 10));
+            .any(|e| e.payload == Payload::Span(SpanId::EngineTask) && (e.a, e.b) == (7, 0xD0D0)));
     }
 }

@@ -1,7 +1,7 @@
 //! Per-worker event rings and the process-wide ring registry.
 //!
 //! Each thread that records events owns exactly one ring, reached through a
-//! thread-local pointer, so the hot path takes no locks: a record is a
+//! thread-local hold, so the hot path takes no locks: a record is a
 //! handful of relaxed/release stores into slots the owning thread alone
 //! writes. Readers (snapshot/flush) run on other threads, so every slot
 //! field is an atomic and each slot carries a seqlock-style sequence word —
@@ -10,11 +10,15 @@
 //! The ring keeps the newest [`RING_CAP`] events; when a writer laps the
 //! flush cursor the oldest unflushed events are overwritten and counted as
 //! dropped rather than blocking the worker.
+//!
+//! A thread that exits returns its ring to a free list, and the next thread
+//! of the same kind (engine helper or not) records into it: engine helpers
+//! live for one batch, and a ring per helper ever spawned would grow
+//! without bound.
 
 use crate::event::{pack_meta, unpack_meta, CounterId, Kind, OwnedEvent, N_COUNTERS};
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Events retained per worker. Power of two so the slot index is a mask.
 pub const RING_CAP: usize = 1 << 14;
@@ -46,9 +50,10 @@ impl Slot {
 }
 
 pub struct WorkerRing {
-    /// Registration order; stable for the process lifetime.
+    /// Registration order; stable for the process lifetime, and shared by
+    /// every thread that records into this ring in turn.
     pub(crate) worker: u32,
-    /// Whether the owning thread is an engine pool worker (`hpac-pool-*`).
+    /// Whether the owning threads are engine helpers (`hpac-pool-*`).
     pub(crate) pool_worker: bool,
     /// Next event index; only the owning thread stores.
     head: AtomicU64,
@@ -172,45 +177,82 @@ impl WorkerRing {
 // Registry
 // ---------------------------------------------------------------------------
 
-static REGISTRY: OnceLock<Mutex<Vec<&'static WorkerRing>>> = OnceLock::new();
+/// Every ring ever created, plus the rings whose threads have exited.
+pub(crate) struct Registry {
+    /// Registration order; a ring's index here is its `worker` id.
+    rings: Vec<&'static WorkerRing>,
+    /// Rings free for the next thread of their kind, indexed by
+    /// `pool_worker`.
+    free: [Vec<&'static WorkerRing>; 2],
+}
 
-/// The ring registry, locked. Every update is one whole `push` of a leaked
-/// ring, so the list is valid at every step and a lock poisoned by a
-/// panicking holder is safe to recover.
-pub(crate) fn registry() -> MutexGuard<'static, Vec<&'static WorkerRing>> {
-    REGISTRY
-        .get_or_init(|| Mutex::new(Vec::new()))
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
+static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
+    rings: Vec::new(),
+    free: [Vec::new(), Vec::new()],
+});
+
+/// The ring registry, locked. Every update is one whole `push` or `pop`,
+/// so the lists are valid at every step and a lock poisoned by a panicking
+/// holder is safe to recover.
+pub(crate) fn registry() -> MutexGuard<'static, Registry> {
+    REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A free ring of the calling thread's kind, or a new registered one.
+/// Rings are leaked intentionally: drains may read them at any time, so
+/// they outlive their threads and pass from an exited thread to the next
+/// one of its kind. The registry is thus bounded by the number of
+/// recording threads alive at once.
+fn take_ring() -> &'static WorkerRing {
+    let pool_worker = std::thread::current()
+        .name()
+        .is_some_and(|n| n.starts_with("hpac-pool-"));
+    let mut reg = registry();
+    if let Some(r) = reg.free[pool_worker as usize].pop() {
+        return r;
+    }
+    let r: &'static WorkerRing = Box::leak(Box::new(WorkerRing::new(
+        reg.rings.len() as u32,
+        pool_worker,
+    )));
+    reg.rings.push(r);
+    r
+}
+
+fn release_ring(r: &'static WorkerRing) {
+    registry().free[r.pool_worker as usize].push(r);
+}
+
+/// A thread's hold on its ring; returns the ring at thread exit.
+struct Held(&'static WorkerRing);
+
+impl Drop for Held {
+    fn drop(&mut self) {
+        release_ring(self.0);
+    }
 }
 
 thread_local! {
-    static TL_RING: Cell<Option<&'static WorkerRing>> = const { Cell::new(None) };
+    static TL_RING: Held = Held(take_ring());
 }
 
-/// The calling thread's ring, created and registered on first use. Rings are
-/// leaked intentionally: they must outlive the worker threads that own them
-/// so late drains stay safe, and the set is bounded by the pool size.
-pub(crate) fn ring() -> &'static WorkerRing {
-    TL_RING.with(|tl| {
-        if let Some(r) = tl.get() {
-            return r;
+/// Run `f` on the calling thread's ring, taken on first use. A recording
+/// made while the thread's locals are torn down, after its hold is gone,
+/// borrows a free ring for the one call instead of panicking.
+pub(crate) fn with_ring(f: impl FnOnce(&WorkerRing)) {
+    match TL_RING.try_with(|h| h.0) {
+        Ok(r) => f(r),
+        Err(_) => {
+            let r = take_ring();
+            f(r);
+            release_ring(r);
         }
-        let pool_worker = std::thread::current()
-            .name()
-            .is_some_and(|n| n.starts_with("hpac-pool-"));
-        let mut reg = registry();
-        let r: &'static WorkerRing =
-            Box::leak(Box::new(WorkerRing::new(reg.len() as u32, pool_worker)));
-        reg.push(r);
-        tl.set(Some(r));
-        r
-    })
+    }
 }
 
 /// Snapshot of the registered rings (order = registration order).
 pub(crate) fn all_rings() -> Vec<&'static WorkerRing> {
-    registry().clone()
+    registry().rings.clone()
 }
 
 /// Drain all rings into a single list ordered by start timestamp.

@@ -7,9 +7,11 @@ use crate::ring::all_rings;
 /// Per-worker counter values at snapshot time.
 #[derive(Clone, Debug)]
 pub struct WorkerMetrics {
-    /// Ring registration index; stable for the process lifetime.
+    /// Ring registration index; stable for the process lifetime. Threads
+    /// that exit hand their ring on, so one index can cover several
+    /// threads of one kind in turn.
     pub worker: u32,
-    /// True for engine pool workers (`hpac-pool-*` threads).
+    /// True for engine helper threads (`hpac-pool-*`).
     pub pool_worker: bool,
     /// Events recorded on this ring so far.
     pub events: u64,
@@ -24,8 +26,8 @@ impl WorkerMetrics {
     }
 
     /// Nanoseconds this worker spent doing attributable work: engine tasks
-    /// for pool workers, config evaluations for submitter threads (whose
-    /// own pool participation is already inside the eval wall-clock).
+    /// for engine helpers, config evaluations for submitter threads (whose
+    /// own batch participation is already inside the eval wall-clock).
     pub fn busy_ns(&self) -> u64 {
         if self.pool_worker {
             self.counter(CounterId::EngineBusyNs)

@@ -31,6 +31,8 @@
 //! let report = resp.plan.execute(&bench, &device)?;
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod request;
 pub mod service;
 

@@ -38,9 +38,8 @@
 //! the entry.
 //!
 //! Batches go through [`submit_batch`](TuningService::submit_batch), which
-//! admits requests into the process-wide
-//! [`ExecEngine`](hpac_core::exec::ExecEngine) worker pool at its default
-//! width.
+//! admits requests as one batch on the process-wide
+//! [`ExecEngine`](hpac_core::exec::ExecEngine) at its default width.
 //!
 //! # What a service retains
 //!

@@ -6,6 +6,8 @@
 //! mean-per-iteration report. No statistics, warm-up scheduling, or HTML
 //! output; good enough to watch for order-of-magnitude regressions.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 /// Drives one benchmark closure.

@@ -10,6 +10,8 @@
 //! panics with the case number on the first failure, which is enough to
 //! reproduce — the stream is a pure function of the test name.
 
+#![forbid(unsafe_code)]
+
 use std::marker::PhantomData;
 use std::ops::Range;
 

@@ -7,6 +7,8 @@
 //! platforms and plenty for seeded benchmark input generation (it is not,
 //! and does not need to be, cryptographic).
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 
 /// Seeding interface (subset of `rand::SeedableRng`).

@@ -1,19 +1,18 @@
-//! The workspace's persistent worker pool (named for the `rayon` crate it
+//! Scoped task batches for the HPAC stack (named for the `rayon` crate it
 //! once shimmed).
 //!
-//! Earlier revisions exposed a rayon-compatible
-//! `par_iter().map(..).collect()` surface implemented on fresh
-//! `std::thread::scope` threads per call. Every caller has since migrated
-//! to the `ExecEngine` (`hpac_core::exec::engine`), which fronts the
-//! [`pool`] module here, so the compatibility layer is gone: this crate is
-//! now exactly the reusable pool abstraction — spawn-once workers, scoped
-//! batch submission, deterministic join order, and the nested-submission
-//! depth guard. See [`pool`] for the full contract.
+//! Every caller goes through the `ExecEngine` (`hpac_core::exec::engine`),
+//! which fronts [`pool::run`]: a batch of independent configuration tasks
+//! worked by the calling thread plus helpers spawned under
+//! `std::thread::scope` for that batch alone, results in index order, and
+//! a depth guard that runs nested submissions inline. See [`pool`] for the
+//! full contract.
 //!
-//! The motivation is the HPAC-Offload argument itself: approximation (or
-//! any per-launch win) only pays if the runtime does not tax every
-//! invocation. Spawning threads per kernel launch taxed exactly the
-//! many-small-kernel applications the paper accelerates; the pool pays the
-//! spawn cost once per process.
+//! Helpers are spawned per batch rather than kept in a persistent pool:
+//! kernel launches never submit to the engine, so the batches left are a
+//! few per tuning request, each holding tasks of milliseconds, and a spawn
+//! costs tens of microseconds.
+
+#![forbid(unsafe_code)]
 
 pub mod pool;

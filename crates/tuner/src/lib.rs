@@ -29,6 +29,8 @@
 //! * [`json`] — the hand-rolled JSON tree behind the cache (the schema is
 //!   flat and fully owned here, like the harness's CSV).
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod json;
 pub mod pareto;

@@ -20,6 +20,8 @@
 //! See `examples/quickstart.rs` for a five-minute tour and
 //! `examples/autotune.rs` for the tuner.
 
+#![forbid(unsafe_code)]
+
 pub use gpu_sim;
 pub use hpac_apps as apps;
 pub use hpac_core as core;
