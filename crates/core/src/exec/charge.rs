@@ -54,6 +54,13 @@ impl MixMemo {
         let i = n_acc as usize * self.side + n_apx as usize;
         if let Some(c) = self.slots[i] {
             self.hits += 1;
+            // A policy's composed cost may read nothing but the lane mix.
+            #[cfg(test)]
+            assert_eq!(
+                assemble().precompose(&self.params),
+                c,
+                "the cost of mix ({n_acc}, {n_apx}) changed within a launch"
+            );
             return c;
         }
         self.misses += 1;
@@ -78,20 +85,25 @@ mod tests {
         let spec = DeviceSpec::v100();
         let mut memo = MixMemo::new(spec.warp_size, spec.costs);
         let profile = CostProfile::new().flops(7.0).barriers(1.0);
-        let mut builds = 0;
-        let a = memo.get_or(3, 1, || {
-            builds += 1;
-            profile
-        });
-        let b = memo.get_or(3, 1, || {
-            builds += 1;
-            profile
-        });
-        assert_eq!(builds, 1, "second lookup must hit the cache");
+        let a = memo.get_or(3, 1, || profile);
+        let b = memo.get_or(3, 1, || profile);
+        assert_eq!(memo.hit_stats(), (1, 1), "second lookup must hit the cache");
         assert_eq!(a, b);
         assert_eq!(a, profile.precompose(&spec.costs));
         // A different mix is a different slot.
         let c = memo.get_or(1, 3, || CostProfile::new().flops(1.0));
         assert_ne!(a, c);
+    }
+
+    /// Under test, every hit re-assembles its mix's cost, so a policy whose
+    /// composed cost reads anything but the lane mix fails there.
+    #[test]
+    #[should_panic(expected = "the cost of mix (3, 1) changed within a launch")]
+    fn a_cost_that_reads_more_than_its_mix_fails_on_the_next_hit() {
+        let spec = DeviceSpec::v100();
+        let mut memo = MixMemo::new(spec.warp_size, spec.costs);
+        for flops in [7.0, 8.0] {
+            memo.get_or(3, 1, || CostProfile::new().flops(flops));
+        }
     }
 }

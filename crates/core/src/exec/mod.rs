@@ -17,8 +17,8 @@
 //!    grid-stride step → warp, evaluates each warp step as one lane
 //!    *slice*, resolves hierarchy-level votes, and calls the policy's
 //!    hooks; [`taf`], [`iact`], and [`perfo`] each implement the policy
-//!    trait in ~150 lines of pure decision logic. The retired per-lane
-//!    walk survives as the bit-equivalence oracle in [`reference`].
+//!    trait in ~150 lines of pure decision logic. Tests hold the walk to
+//!    an executable per-lane spec of Fig 4 written from the paper (`spec`).
 //! 4. **Accounting** ([`charge`], plus `gpu_sim::BlockAccumulator`) —
 //!    every block accumulates its costs and statistics, which merge into
 //!    the kernel's record in block order.
@@ -40,9 +40,9 @@ mod iact;
 mod launch;
 mod perfo;
 mod policy;
-#[cfg(test)]
-mod reference;
 mod replay;
+#[cfg(test)]
+mod spec;
 mod taf;
 mod walk;
 

@@ -171,6 +171,12 @@ impl RepeatedLaunch {
         RepeatedLaunch::default()
     }
 
+    /// Whether later runs replay a recording (tests only).
+    #[cfg(test)]
+    pub(crate) fn replays(&self) -> bool {
+        self.recorded.is_some()
+    }
+
     /// Run the launch: walk it (recording its decisions if it can replay)
     /// on the first call, replay it on later calls.
     pub fn run<B: RegionBody>(

@@ -12,8 +12,8 @@
 //! re-collecting and re-voting every warp (the old walk did both twice).
 //!
 //! The [`launch`] driver runs [`execute`]'s blocks in order on the calling
-//! thread. The per-lane walk this replaced is preserved verbatim as the
-//! test oracle in [`reference`](crate::exec::reference).
+//! thread. Its decisions are tested against a per-lane spec of Fig 4
+//! written from the paper, in `exec/spec.rs`.
 
 use crate::exec::body::{BodyAccess, InlineAccess, RegionBody};
 use crate::exec::charge::MixMemo;

@@ -2,15 +2,15 @@
 //! tables carry ids that start with it and are unique across ids, each has
 //! the row count its shape fixes (or at least one row), every row has the
 //! header's arity, and the CSV each table saves reads back cell for cell.
-//! Whether a figure reproduces the paper's shape is not checked here; see
-//! EXPERIMENTS.md.
+//! Of the paper's shapes, only the ablations' design claims are asserted
+//! here; EXPERIMENTS.md records the status of every other figure.
 
 use hpac_offload::apps::common::install_eval_memo;
 use hpac_offload::apps::{
     binomial::BinomialOptions, blackscholes::Blackscholes, kmeans::KMeans, lavamd::LavaMd,
     leukocyte::Leukocyte, lulesh::Lulesh, minife::MiniFe,
 };
-use hpac_offload::harness::figures::{generate, Suite, IDS};
+use hpac_offload::harness::figures::{ablations, generate, FigureData, Suite, IDS};
 use hpac_offload::harness::Scale;
 use std::collections::HashSet;
 
@@ -144,4 +144,51 @@ fn every_figure_id_generates_at_a_small_size() {
     }
     assert!(generate("fig99", &suite, Scale::Quick).is_none());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The cell under `column` in the row whose first cell is `row`.
+fn cell(fig: &FigureData, row: &str, column: &str) -> f64 {
+    let col = fig.headers.iter().position(|h| h == column).expect(column);
+    let cells = fig.rows.iter().find(|r| r[0].starts_with(row)).expect(row);
+    cells[col].parse().expect("a numeric cell")
+}
+
+/// Three of the paper's design arguments, at the quick run's sizes (the
+/// default instances): relaxed-locality TAF (Fig 4d) beats serialized TAF
+/// (Fig 4c), herded perforation never diverges while naive perforation
+/// does, and iACT's replacement policy has no effect (footnote 3).
+#[test]
+fn ablations_reproduce_the_design_claims() {
+    let _scope = install_eval_memo();
+    let suite = Suite::default();
+    let figs = ablations(&suite.blackscholes, &suite.lulesh, &suite.lavamd);
+    let fig = |id: &str| figs.iter().find(|f| f.id == id).expect(id);
+
+    let taf = fig("ablations_taf_serialization");
+    let relaxed = cell(taf, "relaxed", "speedup_vs_baseline");
+    let serialized = cell(taf, "serialized", "speedup_vs_baseline");
+    assert!(
+        relaxed > serialized,
+        "relaxed {relaxed} vs serialized {serialized}"
+    );
+
+    let perfo = fig("ablations_herded_perfo");
+    let herded = cell(perfo, "herded", "divergent_fraction");
+    let naive = cell(perfo, "naive", "divergent_fraction");
+    assert!(
+        herded == 0.0 && naive > herded,
+        "herded {herded} vs naive {naive}"
+    );
+
+    let policy = fig("ablations_replacement");
+    let (rr, clock) = (
+        cell(policy, "round-robin", "speedup"),
+        cell(policy, "CLOCK", "speedup"),
+    );
+    assert!((rr - clock).abs() <= 0.01 * rr, "speedup {rr} vs {clock}");
+    let (rr, clock) = (
+        cell(policy, "round-robin", "error_pct"),
+        cell(policy, "CLOCK", "error_pct"),
+    );
+    assert!((rr - clock).abs() <= 0.1, "error {rr}% vs {clock}%");
 }
