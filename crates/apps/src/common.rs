@@ -51,15 +51,25 @@ pub enum QoI {
 
 impl QoI {
     /// Error of `self` (the approximate run) against `accurate`, as a
-    /// fraction (MAPE or MCR depending on the QoI kind). Non-finite values
-    /// anywhere yield `f64::INFINITY` (a destroyed QoI is infinitely wrong).
+    /// fraction (MAPE or MCR depending on the QoI kind), in one pass over
+    /// the values. Non-finite values anywhere, and a length other than the
+    /// accurate one's, yield `f64::INFINITY` (a destroyed QoI is infinitely
+    /// wrong).
     pub fn error_vs(&self, accurate: &QoI) -> f64 {
+        if self.len() != accurate.len() {
+            return f64::INFINITY;
+        }
         match (accurate, self) {
+            // A NaN or infinity anywhere makes some MAPE term NaN or +inf;
+            // finite inputs give finite non-negative terms. So a non-finite
+            // MAPE is exactly the destroyed-QoI case, or an overflowing sum.
             (QoI::Values(a), QoI::Values(p)) => {
-                if p.iter().chain(a.iter()).any(|v| !v.is_finite()) {
-                    return f64::INFINITY;
+                let e = metrics::mape(a, p);
+                if e.is_finite() {
+                    e
+                } else {
+                    f64::INFINITY
                 }
-                metrics::mape(a, p)
             }
             (QoI::Labels(a), QoI::Labels(p)) => metrics::mcr(a, p),
             _ => panic!("comparing mismatched QoI kinds"),
@@ -607,6 +617,7 @@ pub trait Benchmark: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn qoi_mape_roundtrip() {
@@ -628,6 +639,57 @@ mod tests {
         let a = QoI::Values(vec![1.0]);
         let p = QoI::Values(vec![f64::NAN]);
         assert!(p.error_vs(&a).is_infinite());
+    }
+
+    #[test]
+    fn qoi_length_mismatch_is_infinite_error() {
+        let a = QoI::Values(vec![1.0; 4]);
+        assert_eq!(QoI::Values(vec![1.0; 3]).error_vs(&a), f64::INFINITY);
+        assert_eq!(QoI::Values(vec![f64::NAN; 5]).error_vs(&a), f64::INFINITY);
+        let a = QoI::Labels(vec![1; 4]);
+        assert_eq!(QoI::Labels(vec![1; 3]).error_vs(&a), f64::INFINITY);
+        assert_eq!(QoI::Labels(vec![]).error_vs(&a), f64::INFINITY);
+    }
+
+    /// The values a scored output can hold: ordinary finite values, signed
+    /// zeros, NaN, infinities, and magnitudes whose differences overflow.
+    fn score_value(pick: u32, x: f64) -> f64 {
+        match pick {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::NAN,
+            3 => f64::INFINITY,
+            4 => f64::NEG_INFINITY,
+            5 => 1e308,
+            6 => -1e308,
+            _ => x,
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn one_pass_score_matches_the_two_scan_formula(
+            outputs in prop::collection::vec(
+                prop::collection::vec(((0u32..40, -1e3f64..1e3), (0u32..40, -1e3f64..1e3)), 0..10),
+                32..33,
+            ),
+        ) {
+            for pairs in outputs {
+                let (a, p): (Vec<f64>, Vec<f64>) = pairs
+                    .iter()
+                    .map(|&((ka, xa), (kp, xp))| (score_value(ka, xa), score_value(kp, xp)))
+                    .unzip();
+                // The formula this scorer replaced: scan both outputs for a
+                // non-finite value, then take the MAPE.
+                let two_scan = if p.iter().chain(&a).any(|v| !v.is_finite()) {
+                    f64::INFINITY
+                } else {
+                    metrics::mape(&a, &p)
+                };
+                let one_pass = QoI::Values(p.clone()).error_vs(&QoI::Values(a.clone()));
+                prop_assert_eq!(one_pass.to_bits(), two_scan.to_bits(), "a {:?}, p {:?}", a, p);
+            }
+        }
     }
 
     #[test]

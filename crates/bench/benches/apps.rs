@@ -131,9 +131,10 @@ fn apps(c: &mut Criterion) {
 /// holds the price memo, which a lone run does without, so that pair differs
 /// by more than the build).
 /// `config_eval_exact` against `scoped_exact` is what `run_config_bounded`
-/// adds to the run it wraps when the output is bit-identical to the
-/// baseline's (threshold-0 memoization), so the quality cache answers and no
-/// error metric runs: the output fingerprint.
+/// adds to the run it wraps, here on an output bit-identical to the
+/// baseline's (threshold-0 memoization): the one-pass error metric against
+/// the baseline's output, and the row. `error_vs` times that metric alone
+/// over the 131 072 prices.
 fn prepared_inputs(c: &mut Criterion) {
     let spec = DeviceSpec::v100();
     let opts = ExecOptions::default();
@@ -179,6 +180,13 @@ fn prepared_inputs(c: &mut Criterion) {
     });
     group.bench_function("blackscholes/config_eval_exact", |b| {
         b.iter(|| black_box(run_config_bounded(&bs, &spec, &baseline, &exact, &opts)))
+    });
+    let output = bs
+        .run_opts(&spec, Some(&exact.region), &exact.lp, &opts)
+        .expect("the exact configuration runs")
+        .qoi;
+    group.bench_function("blackscholes/error_vs", |b| {
+        b.iter(|| black_box(output.error_vs(black_box(&baseline.result.qoi))))
     });
     group.finish();
 }

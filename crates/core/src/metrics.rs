@@ -9,7 +9,9 @@
 ///
 /// Elements where the accurate output is exactly zero are compared
 /// absolutely (|diff| contributes directly), avoiding division by zero —
-/// the same convention HPAC's harness uses.
+/// the same convention HPAC's harness uses. The terms are summed in element
+/// order: error scores are compared bit for bit, and another order would
+/// change their bits.
 pub fn mape(accurate: &[f64], approximate: &[f64]) -> f64 {
     assert_eq!(
         accurate.len(),

@@ -1,9 +1,6 @@
-//! The harness results database: one row per executed configuration, with
-//! CSV persistence (hand-rolled — the schema is flat and fully owned here).
-
-use std::fmt::Write as _;
-use std::io::{self, BufRead, Write};
-use std::path::Path;
+//! The harness results database: one row per executed configuration, held
+//! in memory and queried by the figure generators. Figures write their CSV
+//! through `FigureData::save_csv`.
 
 /// One executed configuration's outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,83 +26,7 @@ pub struct Row {
     pub iterations: Option<usize>,
 }
 
-impl Row {
-    /// CSV header matching [`Row::to_csv`].
-    pub const CSV_HEADER: &'static str = "benchmark,device,technique,config,items_per_thread,\
-speedup,error_pct,approx_fraction,divergent_fraction,kernel_seconds,end_to_end_seconds,iterations";
-
-    pub fn to_csv(&self) -> String {
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{},{},{},\"{}\",{},{},{},{},{},{},{},{}",
-            self.benchmark,
-            self.device,
-            self.technique,
-            self.config,
-            self.items_per_thread,
-            self.speedup,
-            self.error_pct,
-            self.approx_fraction,
-            self.divergent_fraction,
-            self.kernel_seconds,
-            self.end_to_end_seconds,
-            self.iterations.map_or(String::new(), |i| i.to_string()),
-        );
-        s
-    }
-
-    pub fn from_csv(line: &str) -> Option<Row> {
-        // The only quoted field is `config`; split around it. A trailing
-        // comma produces a final empty field (iterations = None).
-        let mut fields: Vec<String> = Vec::new();
-        let mut rest = line;
-        loop {
-            if let Some(stripped) = rest.strip_prefix('"') {
-                let end = stripped.find('"')?;
-                fields.push(stripped[..end].to_string());
-                match stripped[end + 1..].strip_prefix(',') {
-                    Some(r) => rest = r,
-                    None => break,
-                }
-            } else {
-                match rest.find(',') {
-                    Some(c) => {
-                        fields.push(rest[..c].to_string());
-                        rest = &rest[c + 1..];
-                    }
-                    None => {
-                        fields.push(rest.to_string());
-                        break;
-                    }
-                }
-            }
-        }
-        if fields.len() != 12 {
-            return None;
-        }
-        Some(Row {
-            benchmark: fields[0].clone(),
-            device: fields[1].clone(),
-            technique: fields[2].clone(),
-            config: fields[3].clone(),
-            items_per_thread: fields[4].parse().ok()?,
-            speedup: fields[5].parse().ok()?,
-            error_pct: fields[6].parse().ok()?,
-            approx_fraction: fields[7].parse().ok()?,
-            divergent_fraction: fields[8].parse().ok()?,
-            kernel_seconds: fields[9].parse().ok()?,
-            end_to_end_seconds: fields[10].parse().ok()?,
-            iterations: if fields[11].is_empty() {
-                None
-            } else {
-                fields[11].parse().ok()
-            },
-        })
-    }
-}
-
-/// A collection of result rows with query and persistence helpers.
+/// A collection of result rows with a query helper.
 #[derive(Debug, Clone, Default)]
 pub struct ResultsDb {
     pub rows: Vec<Row>,
@@ -116,20 +37,8 @@ impl ResultsDb {
         Self::default()
     }
 
-    pub fn push(&mut self, row: Row) {
-        self.rows.push(row);
-    }
-
     pub fn extend(&mut self, rows: impl IntoIterator<Item = Row>) {
         self.rows.extend(rows);
-    }
-
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Rows for one benchmark/device/technique.
@@ -138,37 +47,6 @@ impl ResultsDb {
             .iter()
             .filter(|r| r.benchmark == benchmark && r.device == device && r.technique == technique)
             .collect()
-    }
-
-    pub fn write_csv<W: Write>(&self, mut w: W) -> io::Result<()> {
-        writeln!(w, "{}", Row::CSV_HEADER)?;
-        for r in &self.rows {
-            writeln!(w, "{}", r.to_csv())?;
-        }
-        Ok(())
-    }
-
-    pub fn save(&self, path: &Path) -> io::Result<()> {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        let f = std::fs::File::create(path)?;
-        self.write_csv(io::BufWriter::new(f))
-    }
-
-    pub fn load(path: &Path) -> io::Result<Self> {
-        let f = std::fs::File::open(path)?;
-        let mut rows = Vec::new();
-        for (i, line) in io::BufReader::new(f).lines().enumerate() {
-            let line = line?;
-            if i == 0 || line.trim().is_empty() {
-                continue;
-            }
-            if let Some(row) = Row::from_csv(&line) {
-                rows.push(row);
-            }
-        }
-        Ok(ResultsDb { rows })
     }
 }
 
@@ -194,53 +72,13 @@ mod tests {
     }
 
     #[test]
-    fn csv_roundtrip() {
-        let r = sample();
-        let parsed = Row::from_csv(&r.to_csv()).unwrap();
-        assert_eq!(parsed, r);
-    }
-
-    #[test]
-    fn csv_roundtrip_with_iterations() {
-        let mut r = sample();
-        r.iterations = Some(17);
-        let parsed = Row::from_csv(&r.to_csv()).unwrap();
-        assert_eq!(parsed.iterations, Some(17));
-    }
-
-    #[test]
-    fn csv_config_commas_survive() {
-        let mut r = sample();
-        r.config = "a=1,b=2,c=3".into();
-        let parsed = Row::from_csv(&r.to_csv()).unwrap();
-        assert_eq!(parsed.config, "a=1,b=2,c=3");
-    }
-
-    #[test]
     fn select_filters() {
-        let mut db = ResultsDb::new();
-        db.push(sample());
         let mut other = sample();
         other.technique = "iACT".into();
-        db.push(other);
+        let mut db = ResultsDb::new();
+        db.extend([sample(), other]);
         assert_eq!(db.select("LULESH", "V100", "TAF").len(), 1);
         assert_eq!(db.select("LULESH", "V100", "iACT").len(), 1);
         assert_eq!(db.select("LULESH", "MI250X", "TAF").len(), 0);
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let mut db = ResultsDb::new();
-        db.push(sample());
-        let path = std::env::temp_dir().join("hpac_test_db.csv");
-        db.save(&path).unwrap();
-        let loaded = ResultsDb::load(&path).unwrap();
-        assert_eq!(loaded.rows, db.rows);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn malformed_lines_are_skipped() {
-        assert!(Row::from_csv("not,enough,fields").is_none());
     }
 }

@@ -16,128 +16,21 @@ use hpac_core::exec::{engine, ExecOptions};
 use hpac_core::region::{FamilyPoint, RegionError};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
-const QUALITY_CACHE_SHARDS: usize = 8;
-
-/// Output-fingerprint quality cache: error scores keyed by a 128-bit
-/// fingerprint of the approximate run's QoI bit patterns. Many grid points
-/// produce bit-identical outputs (exact-threshold memoization, herded
-/// convergence to the same assignment); their error metric is computed once
-/// per baseline and served from here afterwards. Owned by the [`Baseline`],
-/// so the (fingerprint → error) mapping is per-baseline by construction.
-#[derive(Debug)]
-pub struct QualityCache {
-    shards: Vec<Mutex<HashMap<(u64, u64), f64>>>,
-}
-
-impl Default for QualityCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl QualityCache {
-    pub fn new() -> Self {
-        QualityCache {
-            shards: (0..QUALITY_CACHE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-        }
-    }
-
-    /// The shard holding `fp`. No caller code runs under the lock and every
-    /// update is one whole insert, so the map is valid at every step and a
-    /// poisoned lock is safe to recover.
-    fn shard(&self, fp: (u64, u64)) -> MutexGuard<'_, HashMap<(u64, u64), f64>> {
-        self.shards[(fp.0 as usize) % QUALITY_CACHE_SHARDS]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The cached error for `fp`, or `compute`'s result (which is then
-    /// cached). Returns `(error, was_hit)`. The lock is not held across
-    /// `compute`; a racing duplicate computes the same value twice.
-    pub fn get_or(&self, fp: (u64, u64), compute: impl FnOnce() -> f64) -> (f64, bool) {
-        if let Some(&v) = self.shard(fp).get(&fp) {
-            return (v, true);
-        }
-        let v = compute();
-        self.shard(fp).insert(fp, v);
-        (v, false)
-    }
-}
-
-/// 128-bit fingerprint of a QoI's exact bit patterns. Equal outputs always
-/// collide; unequal outputs colliding on both halves is vanishingly
-/// unlikely. The value lives only in a [`QualityCache`] and is never
-/// persisted.
-fn qoi_fingerprint(q: &QoI) -> (u64, u64) {
-    match q {
-        QoI::Values(v) => fingerprint_words(1, v, |x| x.to_bits()),
-        QoI::Labels(l) => fingerprint_words(2, l, |&x| u64::from(x)),
-    }
-}
-
-/// Word `i` feeds lane `i & 3`; each lane keeps two multiply-xor
-/// accumulators (distinct odd multipliers), so eight independent chains are
-/// in flight instead of two dependent ones — this pass runs once per
-/// evaluated config over the whole output. The lanes, the kind tag and the
-/// length are folded at the end; every chain and the fold are
-/// order-sensitive, so permuted outputs do not collide.
-fn fingerprint_words<T>(kind: u64, items: &[T], word: impl Fn(&T) -> u64) -> (u64, u64) {
-    const LANES: usize = 4;
-    const M1: u64 = 0x100_0000_01b3;
-    const M2: u64 = 0x9e37_79b9_7f4a_7c15;
-    let mut h1 = [
-        0xcbf2_9ce4_8422_2325u64,
-        0x8422_2325_cbf2_9ce4,
-        0x6c62_272e_07bb_0142,
-        0x07bb_0142_6c62_272e,
-    ];
-    let mut h2 = [
-        0x2545_f491_4f6c_dd1du64,
-        0x4f6c_dd1d_2545_f491,
-        0xd6e8_feb8_6659_fd93,
-        0x6659_fd93_d6e8_feb8,
-    ];
-    let mut feed = |lane: usize, w: u64| {
-        h1[lane] = (h1[lane] ^ w).wrapping_mul(M1);
-        h2[lane] = (h2[lane] ^ w).wrapping_mul(M2);
-    };
-    let mut chunks = items.chunks_exact(LANES);
-    for chunk in &mut chunks {
-        for (lane, x) in chunk.iter().enumerate() {
-            feed(lane, word(x));
-        }
-    }
-    for (lane, x) in chunks.remainder().iter().enumerate() {
-        feed(lane, word(x));
-    }
-    let fold = |lanes: [u64; LANES], m: u64| {
-        [kind, items.len() as u64]
-            .into_iter()
-            .chain(lanes)
-            .fold(0, |h, w| (h ^ w).wrapping_mul(m).rotate_left(29))
-    };
-    (fold(h1, M1), fold(h2, M2))
-}
-
-/// The chosen baseline: launch shape, result, its timing-basis seconds, and
-/// the quality cache scoring approximate outputs against it. Cloning shares
-/// the result and the cache, so a baseline fetched from a sweep scope costs
-/// two reference counts, not a copy of the output.
+/// The chosen baseline: launch shape, result, and its timing-basis seconds;
+/// every approximate output is scored against its result. Cloning shares
+/// the result, so a baseline fetched from a sweep scope costs one reference
+/// count, not a copy of the output.
 #[derive(Debug, Clone)]
 pub struct Baseline {
     pub lp: LaunchParams,
     pub result: Arc<AppResult>,
     pub seconds: f64,
-    pub quality: Arc<QualityCache>,
 }
 
 impl Prepared for Baseline {
-    /// The output; the quality cache grows by 24 bytes per distinct output
-    /// scored and is left out.
+    /// The output.
     fn approx_bytes(&self) -> usize {
         std::mem::size_of::<AppResult>()
             + match &self.result.qoi {
@@ -214,16 +107,10 @@ fn measure_baseline(bench: &dyn Benchmark, spec: &DeviceSpec, opts: &ExecOptions
         })
         .min_by(|a, b| a.2.total_cmp(&b.2))
         .expect("at least one baseline candidate");
-    let quality = Arc::new(QualityCache::new());
-    // Pre-seed the baseline's own output at zero error: any approximate
-    // configuration that reproduces the accurate output bit-for-bit scores
-    // 0.0 without an error-metric pass.
-    quality.get_or(qoi_fingerprint(&result.qoi), || 0.0);
     Baseline {
         lp,
         result: Arc::new(result),
         seconds,
-        quality,
     }
 }
 
@@ -335,12 +222,7 @@ pub fn evaluate(
     }
     match outcome {
         Ok(res) => {
-            let (err, quality_hit) = baseline.quality.get_or(qoi_fingerprint(&res.qoi), || {
-                res.qoi.error_vs(&baseline.result.qoi)
-            });
-            if quality_hit {
-                hpac_obs::inc(hpac_obs::CounterId::QualityCacheHits);
-            }
+            let err = res.qoi.error_vs(&baseline.result.qoi);
             let seconds = res.timing_basis_seconds(kernel_only);
             let row = Row {
                 benchmark: bench.name().to_string(),
@@ -631,63 +513,6 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_separates_value_length_kind_and_order() {
-        let base: Vec<f64> = (0..11).map(|i| 1.5 * i as f64).collect();
-        let fp = |v: &[f64]| qoi_fingerprint(&QoI::Values(v.to_vec()));
-        assert_eq!(fp(&base), fp(&base.clone()), "equal outputs collide");
-
-        let mut one_word = base.clone();
-        one_word[9] = f64::from_bits(one_word[9].to_bits() ^ 1);
-        let mut longer = base.clone();
-        longer.push(0.0);
-        // Words 1 and 5 share lane 1; words 1 and 2 sit in lanes 1 and 2;
-        // words 8 and 10 are in the tail past the last full chunk.
-        let swapped = |a: usize, b: usize| {
-            let mut v = base.clone();
-            v.swap(a, b);
-            v
-        };
-        let variants = [
-            one_word,
-            longer,
-            base[..10].to_vec(),
-            swapped(1, 5),
-            swapped(1, 2),
-            swapped(8, 10),
-        ];
-        let mut seen = vec![fp(&base)];
-        for v in &variants {
-            let f = fp(v);
-            assert!(!seen.contains(&f), "collision for {v:?}");
-            seen.push(f);
-        }
-
-        let labels = QoI::Labels(vec![0, 1, 2, 3, 4]);
-        let values = QoI::Values([0u64, 1, 2, 3, 4].map(f64::from_bits).to_vec());
-        assert_ne!(qoi_fingerprint(&labels), qoi_fingerprint(&values));
-    }
-
-    #[test]
-    fn quality_cache_scores_through_a_poisoned_shard() {
-        let cache = QualityCache::new();
-        let fp = (5, 9);
-        assert_eq!(cache.get_or(fp, || 0.25), (0.25, false));
-        let died = std::thread::scope(|s| {
-            s.spawn(|| {
-                let _held = cache.shard(fp);
-                panic!("a scorer died holding the shard");
-            })
-            .join()
-        });
-        assert!(died.is_err());
-        assert!(cache.shards[5 % QUALITY_CACHE_SHARDS].is_poisoned());
-        assert_eq!(cache.get_or(fp, || unreachable!()), (0.25, true));
-        let mate = (5 + QUALITY_CACHE_SHARDS as u64, 1);
-        assert_eq!(cache.get_or(mate, || 0.5), (0.5, false));
-        assert_eq!(cache.get_or(mate, || unreachable!()), (0.5, true));
-    }
-
-    #[test]
     fn baseline_is_accurate_and_timed() {
         let bench = tiny_bs();
         let spec = DeviceSpec::v100();
@@ -713,6 +538,24 @@ mod tests {
         assert!(row.error_pct >= 0.0);
         assert_eq!(row.technique, "TAF");
         assert_eq!(row.device, "V100");
+    }
+
+    #[test]
+    fn an_output_identical_to_the_baseline_scores_exactly_zero() {
+        let bench = tiny_bs();
+        let spec = DeviceSpec::v100();
+        let baseline = select_baseline(&bench, &spec);
+        // Threshold-0 memoization reuses only bit-equal outputs.
+        let cfg = SweepConfig {
+            region: ApproxRegion::memo_out(2, 8, 0.0),
+            lp: baseline.lp,
+            label: "exact".into(),
+        };
+        let (outcome, _) = evaluate(&bench, &spec, &baseline, &cfg, &ExecOptions::default());
+        let ConfigOutcome::Done(row) = outcome else {
+            panic!("threshold-0 run did not finish: {outcome:?}");
+        };
+        assert_eq!(row.error_pct.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -194,7 +194,9 @@ pub enum CounterId {
     EvalMemoHits,
     /// `EvalMemo` lookups that built a fresh entry.
     EvalMemoMisses,
-    /// Quality-score computations skipped via the output-fingerprint cache.
+    /// Retired, never incremented: every finished run is scored, none is
+    /// served from a score cache. Kept because the benchmark driver reads
+    /// it.
     QualityCacheHits,
     /// Configs that canonicalized onto an already-submitted evaluation.
     ConfigsDeduped,

@@ -149,9 +149,9 @@ impl MetricsSnapshot {
         )
     }
 
-    /// Output-fingerprint quality-cache hit rate: fraction of config
-    /// evaluations whose error metric was served from the cache. `None`
-    /// before any config was scored.
+    /// Retired score-cache hit rate over the retired
+    /// [`CounterId::QualityCacheHits`]: `Some(0.0)` once any config was
+    /// scored, `None` before. Kept because the benchmark driver reads it.
     pub fn quality_cache_hit_rate(&self) -> Option<f64> {
         rate(
             self.counter(CounterId::QualityCacheHits),

@@ -1,8 +1,10 @@
 //! The typed request/response vocabulary of the tuning service.
 //!
 //! A [`TuneRequest`] names *what* the caller wants tuned — benchmark,
-//! device, quality bound — plus the two knobs the service honors per
-//! request: the evaluation budget and the warm-start policy. A
+//! device, quality bound — plus the one knob the service honors per
+//! request: the warm-start policy. The evaluation budget is the service's
+//! (`TuningService::with_tuner`), so every request for one key searches
+//! alike and may share one answer. A
 //! [`TuneResponse`] carries the plan back together with its provenance:
 //! where the answer came from ([`Source`]), how many fresh evaluations it
 //! cost, and how long the caller waited.
@@ -23,13 +25,12 @@ pub enum WarmStart {
     Never,
 }
 
-/// A tuning request: benchmark + device + quality bound, with optional
-/// per-request overrides. Built with [`TuneRequest::new`] and the chained
-/// setters; submitted to a `TuningService`.
+/// A tuning request: benchmark + device + quality bound, with an optional
+/// warm-start policy. Built with [`TuneRequest::new`] and the chained
+/// setter; submitted to a `TuningService`.
 ///
 /// ```ignore
 /// let req = TuneRequest::new(&bench, &device, QualityBound::percent(5.0))
-///     .budget_fraction(0.05)
 ///     .warm_start(WarmStart::Never);
 /// let resp = service.submit(req);
 /// ```
@@ -38,7 +39,6 @@ pub struct TuneRequest<'a> {
     bench: &'a dyn Benchmark,
     device: &'a DeviceSpec,
     bound: QualityBound,
-    budget_fraction: Option<f64>,
     warm_start: WarmStart,
 }
 
@@ -48,20 +48,8 @@ impl<'a> TuneRequest<'a> {
             bench,
             device,
             bound,
-            budget_fraction: None,
             warm_start: WarmStart::default(),
         }
-    }
-
-    /// Override the service tuner's evaluation budget (as a fraction of the
-    /// full design-space size) for this request only.
-    pub fn budget_fraction(mut self, fraction: f64) -> Self {
-        assert!(
-            fraction.is_finite() && fraction > 0.0,
-            "budget fraction must be a finite positive number"
-        );
-        self.budget_fraction = Some(fraction);
-        self
     }
 
     /// Set the warm-start policy for this request.
@@ -82,10 +70,6 @@ impl<'a> TuneRequest<'a> {
         self.bound
     }
 
-    pub fn budget_fraction_override(&self) -> Option<f64> {
-        self.budget_fraction
-    }
-
     pub fn warm_start_policy(&self) -> WarmStart {
         self.warm_start
     }
@@ -97,7 +81,6 @@ impl std::fmt::Debug for TuneRequest<'_> {
             .field("bench", &self.bench.name())
             .field("device", &self.device.name)
             .field("bound_pct", &self.bound.max_error_pct)
-            .field("budget_fraction", &self.budget_fraction)
             .field("warm_start", &self.warm_start)
             .finish()
     }
@@ -166,22 +149,12 @@ mod tests {
         let device = DeviceSpec::v100();
         let req = TuneRequest::new(&bench, &device, QualityBound::percent(5.0));
         assert_eq!(req.warm_start_policy(), WarmStart::Auto);
-        assert!(req.budget_fraction_override().is_none());
-        let req = req.budget_fraction(0.05).warm_start(WarmStart::Never);
-        assert_eq!(req.budget_fraction_override(), Some(0.05));
+        let req = req.warm_start(WarmStart::Never);
         assert_eq!(req.warm_start_policy(), WarmStart::Never);
         assert_eq!(req.bound().max_error_pct, 5.0);
         assert_eq!(req.bench().name(), "Blackscholes");
         let dbg = format!("{req:?}");
         assert!(dbg.contains("Blackscholes") && dbg.contains("V100"));
-    }
-
-    #[test]
-    #[should_panic(expected = "budget fraction")]
-    fn budget_fraction_rejects_zero() {
-        let bench = Blackscholes::default();
-        let device = DeviceSpec::v100();
-        let _ = TuneRequest::new(&bench, &device, QualityBound::percent(5.0)).budget_fraction(0.0);
     }
 
     #[test]

@@ -48,11 +48,12 @@
 //! that reaches the search layer takes an evaluation scope
 //! ([`install_eval_memo`]) and the service holds it until it is dropped.
 //! Every later search finds there what an earlier one built — per
-//! (benchmark parameters, device) the measured baseline with its quality
-//! cache, and per (benchmark parameters) the prepared inputs with the
-//! accurate outputs interned in them — instead of re-running three accurate
-//! launches and the input build before its first evaluation. A service that
-//! only ever answers cache hits takes no scope and retains nothing.
+//! (benchmark parameters, device) the measured baseline, and per
+//! (benchmark parameters) the prepared inputs with the accurate outputs
+//! interned in them — instead of re-running three accurate launches and the
+//! input build before its first evaluation. A service that only ever
+//! answers cache hits takes no scope and retains nothing. Error scores are
+//! not retained: every evaluation scores its own output in one pass.
 //!
 //! * **For how long:** the service's lifetime. The scope is process-wide
 //!   and reference-counted, so sweeps and other services running meanwhile
@@ -302,9 +303,10 @@ impl TuningService {
             WarmStart::Auto => self.gather_seeds(&key, max_error_pct),
             WarmStart::Never => Vec::new(),
         };
-        let tuner = self.request_tuner(&req);
         self.scope.get_or_init(install_eval_memo);
-        let plan = tuner.search_plan(req.bench(), req.device(), req.bound(), &seeds);
+        let plan = self
+            .tuner
+            .search_plan(req.bench(), req.device(), req.bound(), &seeds);
         self.stats.searches.fetch_add(1, Ordering::Relaxed);
         if !seeds.is_empty() {
             hpac_obs::inc(hpac_obs::CounterId::ServiceWarmStarts);
@@ -412,17 +414,6 @@ impl TuningService {
             }
         }
         seeds
-    }
-
-    /// The per-request tuner: the service policy with any per-request
-    /// budget override.
-    fn request_tuner(&self, req: &TuneRequest) -> Tuner {
-        Tuner {
-            scale: self.tuner.scale,
-            budget_fraction: req
-                .budget_fraction_override()
-                .unwrap_or(self.tuner.budget_fraction),
-        }
     }
 
     fn respond(&self, plan: TunedPlan, source: Source, evals: usize, t0: Instant) -> TuneResponse {
@@ -602,22 +593,5 @@ mod tests {
         assert_eq!(stats.searches, 2);
         assert_eq!(stats.cache_hits + stats.coalesced, 3);
         let _ = cache.clear();
-    }
-
-    #[test]
-    fn per_request_budget_override_caps_evals() {
-        let svc = quick_service();
-        let bench = Blackscholes::default();
-        let device = DeviceSpec::v100();
-        let bound = QualityBound::percent(5.0);
-        let tiny = svc.submit(
-            TuneRequest::new(&bench, &device, bound)
-                .budget_fraction(0.001)
-                .warm_start(WarmStart::Never),
-        );
-        let full =
-            svc.submit(TuneRequest::new(&bench, &device, bound).warm_start(WarmStart::Never));
-        assert!(tiny.evals_spent <= full.evals_spent);
-        assert!(tiny.evals_spent <= (tiny.plan.full_space as f64 * 0.001).max(1.0) as usize);
     }
 }

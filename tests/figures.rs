@@ -2,15 +2,16 @@
 //! tables carry ids that start with it and are unique across ids, each has
 //! the row count its shape fixes (or at least one row), every row has the
 //! header's arity, and the CSV each table saves reads back cell for cell.
-//! Of the paper's shapes, only the ablations' design claims are asserted
-//! here; EXPERIMENTS.md records the status of every other figure.
+//! Of the paper's shapes, the ablations' design claims and the Fig 8c and
+//! Fig 11c panels are asserted here, at the default instance sizes;
+//! EXPERIMENTS.md records the status of every other figure.
 
 use hpac_offload::apps::common::install_eval_memo;
 use hpac_offload::apps::{
     binomial::BinomialOptions, blackscholes::Blackscholes, kmeans::KMeans, lavamd::LavaMd,
     leukocyte::Leukocyte, lulesh::Lulesh, minife::MiniFe,
 };
-use hpac_offload::harness::figures::{ablations, generate, FigureData, Suite, IDS};
+use hpac_offload::harness::figures::{ablations, fig08c, fig11c, generate, FigureData, Suite, IDS};
 use hpac_offload::harness::Scale;
 use std::collections::HashSet;
 
@@ -191,4 +192,60 @@ fn ablations_reproduce_the_design_claims() {
         cell(policy, "CLOCK", "error_pct"),
     );
     assert!((rr - clock).abs() <= 0.1, "error {rr}% vs {clock}%");
+}
+
+/// The cell under `column` in every row, parsed.
+fn column(fig: &FigureData, column: &str) -> Vec<f64> {
+    let col = fig.headers.iter().position(|h| h == column).expect(column);
+    fig.rows
+        .iter()
+        .map(|r| r[col].parse().expect("a numeric cell"))
+        .collect()
+}
+
+/// Fig 8c: on each platform, Binomial Options' TAF speedup rises with items
+/// per thread to a peak, then falls as too few threads are left to hide
+/// latency — the peak is interior, above both ends of the axis.
+#[test]
+fn fig08c_speedup_peaks_at_an_interior_items_per_thread() {
+    let _scope = install_eval_memo();
+    let fig = fig08c(&BinomialOptions::default(), Scale::Quick);
+    let speedups = column(&fig, "speedup");
+    let ipts = column(&fig, "items_per_thread");
+    let devices: Vec<&str> = fig.rows.iter().map(|r| r[0].as_str()).collect();
+    let mut platforms = devices.clone();
+    platforms.dedup();
+    assert_eq!(platforms.len(), 2, "one curve per platform: {platforms:?}");
+    for device in platforms {
+        let curve: Vec<(f64, f64)> = (0..fig.rows.len())
+            .filter(|&i| devices[i] == device)
+            .map(|i| (ipts[i], speedups[i]))
+            .collect();
+        let peak = (0..curve.len())
+            .max_by(|&a, &b| curve[a].1.total_cmp(&curve[b].1))
+            .expect("a non-empty curve");
+        assert!(
+            0 < peak && peak + 1 < curve.len(),
+            "{device}: peak at an end of {curve:?}"
+        );
+        let (first, last) = (curve[0].1, curve[curve.len() - 1].1);
+        assert!(
+            first < curve[peak].1 && last < curve[peak].1,
+            "{device}: {curve:?}"
+        );
+    }
+}
+
+/// Fig 11c: on AMD, LavaMD's TAF taking its decisions at warp level beats
+/// the same configuration deciding per thread, at every threshold.
+#[test]
+fn fig11c_warp_level_decisions_beat_thread_level() {
+    let _scope = install_eval_memo();
+    let fig = fig11c(&LavaMd::default(), Scale::Quick);
+    assert!(!fig.rows.is_empty());
+    let thread = column(&fig, "thread_speedup");
+    let warp = column(&fig, "warp_speedup");
+    for (row, (t, w)) in fig.rows.iter().zip(thread.iter().zip(&warp)) {
+        assert!(w > t, "row {row:?}: warp {w} vs thread {t}");
+    }
 }
