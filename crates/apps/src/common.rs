@@ -281,7 +281,6 @@ impl std::hash::Hash for RowBits<'_> {
     }
 }
 
-const EVAL_MEMO_SHARDS: usize = 16;
 /// Cap on resident prepared bytes across one sweep scope. On overflow,
 /// entries are still built and used for the requesting run, just not
 /// retained — correctness never depends on retention.
@@ -327,15 +326,15 @@ type Cell = Arc<OnceLock<Entry>>;
 ///
 /// None of this varies with approximation parameters, so it is built once
 /// per scope and replayed across all configs instead of once per config.
-/// Striped like `TuningCache`: 16 mutex-guarded shards selected by an fnv1a
-/// hash of the key. A shard lock covers only finding or inserting a key's
-/// cell; the build runs under the cell, so concurrent requests for one key
-/// build it once while other keys of the shard — and builds that themselves
-/// ask the store for another key, as a baseline asks for its app's inputs —
-/// proceed. A build that panics leaves its cell empty, and the next request
-/// for the key builds again.
+/// One mutex guards the map; there is one lookup per app run and one per
+/// baseline selection, so it never contends. The lock covers only finding
+/// or inserting a key's cell; the build runs under the cell, so concurrent
+/// requests for one key build it once while other keys — and builds that
+/// themselves ask the store for another key, as a baseline asks for its
+/// app's inputs — proceed. A build that panics leaves its cell empty, and
+/// the next request for the key builds again.
 pub struct EvalMemo {
-    shards: Vec<Mutex<HashMap<Vec<u64>, Cell>>>,
+    cells: Mutex<HashMap<Vec<u64>, Cell>>,
     bytes: AtomicUsize,
     cap_warned: AtomicBool,
 }
@@ -346,36 +345,26 @@ impl Default for EvalMemo {
     }
 }
 
-/// Which of a store's shards holds `key`. Public for tests that need two
-/// keys on one shard.
-pub fn shard_of(key: &[u64]) -> usize {
-    (fnv1a(key.iter().flat_map(|w| w.to_le_bytes())) as usize) % EVAL_MEMO_SHARDS
-}
-
 impl EvalMemo {
     pub fn new() -> Self {
         EvalMemo {
-            shards: (0..EVAL_MEMO_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+            cells: Mutex::new(HashMap::new()),
             bytes: AtomicUsize::new(0),
             cap_warned: AtomicBool::new(false),
         }
     }
 
-    /// The shard holding `key`. Cells are inserted and removed whole, so the
+    /// The key-to-cell map. Cells are inserted and removed whole, so the
     /// map is valid at every step and a poisoned lock is safe to recover.
-    fn shard(&self, key: &[u64]) -> MutexGuard<'_, HashMap<Vec<u64>, Cell>> {
-        self.shards[shard_of(key)]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+    fn cells(&self) -> MutexGuard<'_, HashMap<Vec<u64>, Cell>> {
+        self.cells.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Fetch the prepared state for `key`, building (and, capacity
     /// permitting, retaining) it on first request.
     pub fn prepared<T: Prepared>(&self, key: &[u64], build: impl FnOnce() -> T) -> Arc<T> {
         let cell = {
-            let mut map = self.shard(key);
+            let mut map = self.cells();
             match map.get(key) {
                 Some(cell) => Arc::clone(cell),
                 None => Arc::clone(map.entry(key.to_vec()).or_default()),
@@ -414,7 +403,7 @@ impl EvalMemo {
         {
             return;
         }
-        self.shard(key).remove(key);
+        self.cells().remove(key);
         if !self.cap_warned.swap(true, Ordering::Relaxed) {
             hpac_obs::log_warn(&format!(
                 "sweep scope holds {} of {EVAL_MEMO_BYTE_CAP} prepared bytes; a {sz}-byte \
@@ -867,29 +856,21 @@ mod tests {
         }
     }
 
-    /// A key on the same shard as `key`.
-    fn shard_mate(key: &[u64]) -> Vec<u64> {
-        (1..)
-            .map(|w| eval_key("mate", &[w]))
-            .find(|k| shard_of(k) == shard_of(key))
-            .expect("some key shares the shard")
-    }
-
     /// How long a test waits for something that must happen before it calls
     /// the store stuck; a regression fails here instead of hanging.
     const STUCK: std::time::Duration = std::time::Duration::from_secs(20);
 
     #[test]
-    fn eval_memo_builds_of_two_keys_on_one_shard_overlap() {
+    fn eval_memo_builds_of_two_keys_of_one_store_overlap() {
         use std::sync::mpsc::channel;
         let store = EvalMemo::new();
         let key_a = eval_key("app", &[0]);
-        let key_b = shard_mate(&key_a);
+        let key_b = eval_key("app", &[1]);
         let (a_is_building, a_began) = channel();
         let (b_has_built, b_done) = channel();
         std::thread::scope(|s| {
             let (store, key_a) = (&store, &key_a);
-            // Build A finishes only once build B, on its shard, has run.
+            // Build A finishes only once build B, in its store, has run.
             let a = s.spawn(move || {
                 store.prepared(key_a, || {
                     a_is_building.send(()).unwrap();
@@ -909,12 +890,12 @@ mod tests {
     }
 
     #[test]
-    fn eval_memo_build_may_ask_for_another_key_of_its_shard() {
+    fn eval_memo_build_may_ask_for_another_key_of_its_store() {
         // What a scoped baseline does: its build runs the app, which asks
-        // the same store for its inputs — 1 time in 16 on the same shard.
+        // the same store for its inputs.
         let store = Arc::new(EvalMemo::new());
         let key_a = eval_key("app", &[0]);
-        let key_b = shard_mate(&key_a);
+        let key_b = eval_key("app", &[1]);
         let (done, outcome) = std::sync::mpsc::channel();
         // Not joined: were the inner request to deadlock, the thread would
         // never finish and the test must still fail.
@@ -936,12 +917,12 @@ mod tests {
     fn panicking_build_does_not_poison_the_store() {
         let store = EvalMemo::new();
         let key_a = eval_key("app", &[0]);
-        let key_b = shard_mate(&key_a);
+        let key_b = eval_key("app", &[1]);
         let blew = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             store.prepared(&key_a, || -> Blob { panic!("generator failed") })
         }));
         assert!(blew.is_err());
-        // Both accessors, on the shard the panic unwound through.
+        // Both accessors, on the map the panic unwound through.
         store.get_or_build(&key_b, || ComputeMemo::identity(1, 1));
         let retried = store.prepared(&key_a, || Blob(8));
         assert!(Arc::ptr_eq(&retried, &store.prepared(&key_a, || Blob(8))));

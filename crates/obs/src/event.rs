@@ -2,35 +2,35 @@
 //! string interner backing dynamic names (benchmark names, log messages).
 //!
 //! Identities are fixed enums rather than free-form strings so a recorded
-//! event is four `u64` stores on the hot path; anything dynamic goes through
-//! [`intern`] once at the call site (always behind the enabled gate).
+//! event is a fixed-size value with no allocation of its own; anything
+//! dynamic goes through [`intern`] once at the call site (always behind the
+//! enabled gate).
 
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Identity of a timed region. `name()` is the stable label used by both
 /// sinks; `arg_keys()` documents what the two payload words mean.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[repr(u8)]
 pub enum SpanId {
     /// One `ExecEngine::run` submission. a = tasks, b = width.
-    EngineBatch = 0,
+    EngineBatch,
     /// One task executed by an engine helper or the submitter. a = task index, b = batch tasks.
-    EngineTask = 1,
+    EngineTask,
     /// One kernel grid walk (`exec::walk`). a = blocks, b = modeled warp-steps.
-    KernelWalk = 2,
+    KernelWalk,
     /// One block-task kernel (`exec::block_tasks`). a = blocks, b = tasks per block.
-    BlockTasks = 3,
+    BlockTasks,
     /// Baseline (accurate) run selection in the harness. a = interned app name, b = 0.
-    BaselineSelect = 4,
+    BaselineSelect,
     /// One approximate config evaluation. a = interned app name, b = config ordinal.
-    ConfigEval = 5,
+    ConfigEval,
     /// One full per-app sweep. a = interned app name, b = configs in plan.
-    SweepApp = 6,
+    SweepApp,
     /// One technique grid searched within a tune request. a = grid index, b = grid size.
-    TunerSearchGrid = 7,
+    TunerSearchGrid,
     /// One `TuningService` request, cache lookup through response.
     /// a = interned app name, b = error bound in basis points.
-    ServiceRequest = 8,
+    ServiceRequest,
 }
 
 impl SpanId {
@@ -74,23 +74,18 @@ impl SpanId {
             SpanId::ServiceRequest => ("app", "bound_bp", true),
         }
     }
-
-    fn from_u8(v: u8) -> Option<SpanId> {
-        SpanId::ALL.get(v as usize).copied()
-    }
 }
 
 /// Identity of an instant (point-in-time) event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[repr(u8)]
 pub enum Mark {
     /// Engine queue pressure at submit time. a = helper threads alive across
     /// every batch in flight, b = batch tasks.
-    QueueDepth = 0,
+    QueueDepth,
     /// Tuner search trajectory sample. a = total evaluations, b = frontier size.
-    SearchPoint = 1,
+    SearchPoint,
     /// Warning routed through [`crate::log_warn`]. a = interned message, b = 0.
-    LogWarn = 2,
+    LogWarn,
 }
 
 impl Mark {
@@ -111,10 +106,6 @@ impl Mark {
             Mark::SearchPoint => ("evaluations", "frontier", false),
             Mark::LogWarn => ("message", "b", true),
         }
-    }
-
-    fn from_u8(v: u8) -> Option<Mark> {
-        Mark::ALL.get(v as usize).copied()
     }
 }
 
@@ -311,14 +302,7 @@ impl CounterId {
     }
 }
 
-/// Event kind tag packed into the ring slot's meta word.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Kind {
-    Span = 0,
-    Instant = 1,
-}
-
-/// A decoded event drained out of a ring, safe to hold after the ring moves on.
+/// One recorded event, as a ring holds it and a drain hands it out.
 #[derive(Clone, Debug)]
 pub struct OwnedEvent {
     /// Ring-local sequence number (monotone per worker).
@@ -353,19 +337,6 @@ impl Payload {
             Payload::Span(s) => s.arg_keys(),
             Payload::Instant(m) => m.arg_keys(),
         }
-    }
-}
-
-pub(crate) fn pack_meta(kind: Kind, id: u8) -> u64 {
-    ((kind as u64) << 8) | id as u64
-}
-
-pub(crate) fn unpack_meta(meta: u64) -> Option<Payload> {
-    let id = (meta & 0xff) as u8;
-    match meta >> 8 {
-        0 => SpanId::from_u8(id).map(Payload::Span),
-        1 => Mark::from_u8(id).map(Payload::Instant),
-        _ => None,
     }
 }
 

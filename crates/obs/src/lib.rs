@@ -6,12 +6,17 @@
 //!   on one static `AtomicBool` loaded `Relaxed` ([`enabled`]); nothing else
 //!   happens when tracing is off, so instrumented hot paths (the walk
 //!   benches) stay within noise of uninstrumented ones.
-//! - **No locks on the hot path.** Each recording thread owns a private
-//!   ring buffer ([`ring`] module) reached via a thread-local; records are
-//!   plain atomic stores, counters are relaxed `fetch_add`s on per-worker
-//!   cells. Locks exist only at the edges: taking a ring at a thread's
-//!   first record and returning it at thread exit, string interning
-//!   (low-frequency names), and sink flushes.
+//! - **Enabled takes one uncontended lock per event.** Each recording
+//!   thread owns a private ring ([`ring`] module) reached via a
+//!   thread-local; an event is one push under the ring's own mutex, which
+//!   only a drain or a [`snapshot`] ever shares, and only for the moment it
+//!   takes to swap the buffer out or read two totals. Counters are relaxed `fetch_add`s on per-worker
+//!   cells and take no lock. Process-wide locks exist only at the edges:
+//!   taking a ring at a thread's first record and returning it at thread
+//!   exit, string interning (low-frequency names), and sink flushes.
+//! - **Each event is counted once.** A drain takes what it moves out of a
+//!   ring, so concurrent drains ([`drain_events`], [`flush`]) never hand
+//!   out one event twice, and per worker `events == drained + dropped`.
 //! - **One diagnostics path.** Library crates report problems through
 //!   [`log_warn`], which lands in the trace *and* on stderr; ad-hoc
 //!   `eprintln!`/`println!` in library code is a CI failure.
@@ -39,7 +44,6 @@ pub use sink::{
 };
 pub use snapshot::{snapshot, MetricsSnapshot, WorkerMetrics};
 
-use event::Kind;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -96,7 +100,7 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some((id, t0, a, b)) = self.live.take() {
-            ring::with_ring(|r| r.record(Kind::Span, id as u8, t0, now_ns(), a, b));
+            ring::with_ring(|r| r.record(Payload::Span(id), t0, now_ns(), a, b));
         }
     }
 }
@@ -125,7 +129,7 @@ pub fn span_named(id: SpanId, name: &str, b: u64) -> Span {
 pub fn mark(m: Mark, a: u64, b: u64) {
     if enabled() {
         let t = now_ns();
-        ring::with_ring(|r| r.record(Kind::Instant, m as u8, t, t, a, b));
+        ring::with_ring(|r| r.record(Payload::Instant(m), t, t, a, b));
     }
 }
 
@@ -151,7 +155,7 @@ pub fn log_warn(msg: &str) {
         let t = now_ns();
         let msg_id = intern(msg);
         ring::with_ring(|r| {
-            r.record(Kind::Instant, Mark::LogWarn as u8, t, t, msg_id, 0);
+            r.record(Payload::Instant(Mark::LogWarn), t, t, msg_id, 0);
             r.add(CounterId::LogWarnings, 1);
         });
     }

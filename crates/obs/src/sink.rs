@@ -3,11 +3,11 @@
 //! Sink selection follows the `HPAC_THREADS` pattern: a strictly-validated
 //! environment variable (`HPAC_TRACE=<path>[:jsonl|chrome]`) parsed once at
 //! process start; malformed values are a hard error, never silently
-//! ignored. Flushing drains every worker ring under a single sink lock, so
-//! drains never race each other.
+//! ignored. A flush drains every worker ring and writes the events under
+//! the sink lock, so two flushes never interleave their lines.
 
 use crate::event::{resolve, OwnedEvent, Payload};
-use crate::ring::all_rings;
+use crate::ring::{all_rings, drain_events};
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -219,11 +219,7 @@ pub fn flush() -> std::io::Result<FlushStats> {
     if s.finished {
         return Ok(FlushStats::default());
     }
-    let mut events = Vec::new();
-    for r in all_rings() {
-        r.drain(&mut events);
-    }
-    events.sort_by_key(|e| (e.t0_ns, e.worker, e.seq));
+    let events = drain_events();
     let mut buf = String::with_capacity(events.len() * 160 + 16);
     let mut wrote_event = s.wrote_event;
     for e in &events {

@@ -15,7 +15,7 @@ pub struct WorkerMetrics {
     pub pool_worker: bool,
     /// Events recorded on this ring so far.
     pub events: u64,
-    /// Events overwritten before any sink drained them.
+    /// Events dropped from a full ring before any drain took them.
     pub dropped: u64,
     counters: Vec<u64>,
 }
@@ -47,9 +47,9 @@ pub struct MetricsSnapshot {
     pub workers: Vec<WorkerMetrics>,
 }
 
-/// Capture current counter values across all registered rings. Relaxed
-/// reads: values are monotone and may trail in-flight increments by a few
-/// counts, which delta arithmetic tolerates.
+/// Capture current counter values across all registered rings. Counter
+/// reads are relaxed: values are monotone and may trail in-flight
+/// increments by a few counts, which delta arithmetic tolerates.
 pub fn snapshot() -> MetricsSnapshot {
     let mut totals = vec![0u64; N_COUNTERS];
     let mut workers = Vec::new();
@@ -58,11 +58,12 @@ pub fn snapshot() -> MetricsSnapshot {
         for (t, v) in totals.iter_mut().zip(&counters) {
             *t += v;
         }
+        let (events, dropped) = r.totals();
         workers.push(WorkerMetrics {
             worker: r.worker,
             pool_worker: r.pool_worker,
-            events: r.head_seq(),
-            dropped: r.dropped(),
+            events,
+            dropped,
             counters,
         });
     }
@@ -151,7 +152,8 @@ impl MetricsSnapshot {
 
     /// Retired score-cache hit rate over the retired
     /// [`CounterId::QualityCacheHits`]: `Some(0.0)` once any config was
-    /// scored, `None` before. Kept because the benchmark driver reads it.
+    /// scored, `None` before. Kept because the benchmark driver reads it;
+    /// [`MetricsSnapshot::render_table`] leaves it out.
     pub fn quality_cache_hit_rate(&self) -> Option<f64> {
         rate(
             self.counter(CounterId::QualityCacheHits),
@@ -191,7 +193,6 @@ impl MetricsSnapshot {
             ("compute_memo_hit_rate", self.compute_memo_hit_rate()),
             ("tuner_cache_hit_rate", self.tuner_cache_hit_rate()),
             ("eval_memo_hit_rate", self.eval_memo_hit_rate()),
-            ("quality_cache_hit_rate", self.quality_cache_hit_rate()),
         ] {
             if let Some(r) = r {
                 let _ = writeln!(out, "{:<24} {:>15.1}%", label, r * 100.0);

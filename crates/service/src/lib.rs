@@ -9,7 +9,7 @@
 //!   [`QualityBound`](hpac_tuner::QualityBound), budget, warm-start
 //!   policy), [`TuneResponse`] out (plan + provenance: [`Source`],
 //!   evaluations spent, wall time);
-//! * a sharded, lock-striped persistent cache
+//! * a sharded persistent cache
 //!   ([`TuningCache`](hpac_tuner::TuningCache)) safe for concurrent
 //!   readers and writers across processes;
 //! * request coalescing — concurrent identical requests run exactly one

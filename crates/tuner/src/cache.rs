@@ -1,5 +1,5 @@
-//! The persistent tuning cache: a sharded, lock-striped store safe for
-//! concurrent readers and writers.
+//! The persistent tuning cache: a sharded store safe for concurrent readers
+//! and writers.
 //!
 //! A production tuner is asked the same question many times: "fastest
 //! configuration for benchmark B on device D under bound X". The answer
@@ -18,9 +18,10 @@
 //!   [`N_SHARDS`] subdirectories, so directory scans for one key's
 //!   neighbors ([`TuningCache::neighbors`]) touch one small shard, not the
 //!   whole cache.
-//! * **Lock striping** — in-process writers to the same key serialize on
-//!   one of [`N_STRIPES`] process-wide stripe locks indexed by the key
-//!   hash; writers to different keys proceed in parallel.
+//! * **One write lock** — in-process writers serialize on one process-wide
+//!   lock, taken only for the `rename` of a store and for deleting a stale
+//!   entry: about once per search, so it never contends. Reads take no
+//!   lock.
 //! * **Atomic write-replace** — [`TuningCache::store`] writes the entry to
 //!   a uniquely-named temp file in the same directory and `rename`s it
 //!   over the final path. Rename is atomic on POSIX, so a reader opening
@@ -49,12 +50,8 @@ const CACHE_VERSION: f64 = 2.0;
 /// Shard subdirectories under the cache root.
 pub const N_SHARDS: u64 = 16;
 
-/// Process-wide stripe locks serializing same-key writers.
-const N_STRIPES: usize = 16;
-
-#[allow(clippy::declare_interior_mutable_const)] // repeat-initializer only
-const STRIPE_INIT: Mutex<()> = Mutex::new(());
-static STRIPES: [Mutex<()>; N_STRIPES] = [STRIPE_INIT; N_STRIPES];
+/// Serializes in-process renames onto, and deletes of, final entry paths.
+static WRITE_LOCK: Mutex<()> = Mutex::new(());
 
 /// Uniquifier for temp file names within the process (the pid distinguishes
 /// processes).
@@ -65,8 +62,8 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 /// the device fingerprint persisted in every on-disk entry and the tuner's
 /// deterministic search seeds, so swapping in the standard prime would
 /// invalidate caches and move search trajectories; it stays for those two.
-/// Shard and stripe selection read only low bits, which the two primes
-/// agree on, and use the shared `fnv1a`.
+/// Shard selection reads only low bits, which the two primes agree on, and
+/// uses the shared `fnv1a`.
 pub(crate) fn fnv1a_p48(bytes: impl IntoIterator<Item = u8>) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     for b in bytes {
@@ -145,7 +142,7 @@ impl TuningCache {
         &self.dir
     }
 
-    /// Shard/stripe hash of a (benchmark, device) key. Bound-independent on
+    /// Shard hash of a (benchmark, device) key. Bound-independent on
     /// purpose: every bound for one (benchmark, device) lands in the same
     /// shard, so neighbor enumeration is a single small directory scan.
     fn key_hash(benchmark: &str, device: &str) -> u64 {
@@ -159,9 +156,10 @@ impl TuningCache {
         ))
     }
 
-    fn stripe(benchmark: &str, device: &str) -> MutexGuard<'static, ()> {
-        let idx = (Self::key_hash(benchmark, device) as usize) % N_STRIPES;
-        STRIPES[idx].lock().unwrap_or_else(|e| e.into_inner())
+    /// The write lock. It guards no data, so a poisoned lock is safe to
+    /// recover.
+    fn write_lock() -> MutexGuard<'static, ()> {
+        WRITE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn entry_name(benchmark: &str, device: &str, bound_pct: f64) -> String {
@@ -185,12 +183,11 @@ impl TuningCache {
     /// A missing entry returns `None`; a stale or unreadable entry is
     /// deleted and also returns `None`.
     ///
-    /// Reads never take a stripe lock: the file at the final path is always
-    /// a complete entry (writers only `rename` onto it), and an open file
-    /// handle keeps reading its inode even if a writer replaces the path
-    /// mid-read. Only the invalidation *delete* serializes on the stripe,
-    /// so it cannot race a concurrent write-replace and delete a fresh
-    /// entry.
+    /// Reads never take the write lock: the file at the final path is
+    /// always a complete entry (writers only `rename` onto it), and an open
+    /// file handle keeps reading its inode even if a writer replaces the
+    /// path mid-read. Only the invalidation *delete* takes the write lock,
+    /// so it cannot interleave with an in-process rename onto the path.
     pub fn load(
         &self,
         benchmark: &str,
@@ -210,7 +207,7 @@ impl TuningCache {
             }
             None => {
                 // Stale fingerprint, version bump, or corrupt entry.
-                let _g = Self::stripe(benchmark, device);
+                let _g = Self::write_lock();
                 let _ = std::fs::remove_file(&path);
                 None
             }
@@ -219,8 +216,7 @@ impl TuningCache {
 
     /// Persist a plan under its (benchmark, device, bound) key, atomically:
     /// the entry is written to a uniquely-named `.tmp` file in the shard
-    /// directory and renamed over the final path under the key's stripe
-    /// lock. A crash mid-write leaves only temp debris; the final path
+    /// directory and renamed over the final path under the write lock. A crash mid-write leaves only temp debris; the final path
     /// never holds a partial entry.
     pub fn store(&self, plan: &TunedPlan, fingerprint: u64) -> io::Result<PathBuf> {
         let shard = self.shard_dir(&plan.benchmark, &plan.device);
@@ -234,7 +230,7 @@ impl TuningCache {
         ));
         std::fs::write(&tmp, plan_to_json(plan, fingerprint).render())?;
         {
-            let _g = Self::stripe(&plan.benchmark, &plan.device);
+            let _g = Self::write_lock();
             std::fs::rename(&tmp, &path)?;
         }
         Ok(path)
@@ -275,7 +271,7 @@ impl TuningCache {
                 }
                 Some(_) => {}
                 None => {
-                    let _g = Self::stripe(benchmark, device);
+                    let _g = Self::write_lock();
                     let _ = std::fs::remove_file(&path);
                 }
             }

@@ -23,7 +23,7 @@
 //!   orders of magnitude fewer configurations than `Scale::Full`, in
 //!   parallel;
 //! * [`plan`] — [`QualityBound`] in, re-executable [`TunedPlan`] out;
-//! * [`cache`] — the sharded, lock-striped, atomic-write-replace JSON
+//! * [`cache`] — the sharded, atomic-write-replace JSON
 //!   tuning cache keyed by (benchmark, device, bound), invalidated by
 //!   device-spec fingerprint, safe for concurrent readers and writers;
 //! * [`json`] — the hand-rolled JSON tree behind the cache (the schema is

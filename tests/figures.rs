@@ -3,15 +3,19 @@
 //! the row count its shape fixes (or at least one row), every row has the
 //! header's arity, and the CSV each table saves reads back cell for cell.
 //! Of the paper's shapes, the ablations' design claims and the Fig 8c and
-//! Fig 11c panels are asserted here, at the default instance sizes;
-//! EXPERIMENTS.md records the status of every other figure.
+//! Fig 11c panels are asserted here, at the default instance sizes, and the
+//! Fig 12c fit at the small suite's; EXPERIMENTS.md records the status of
+//! every other figure.
 
 use hpac_offload::apps::common::install_eval_memo;
 use hpac_offload::apps::{
     binomial::BinomialOptions, blackscholes::Blackscholes, kmeans::KMeans, lavamd::LavaMd,
     leukocyte::Leukocyte, lulesh::Lulesh, minife::MiniFe,
 };
-use hpac_offload::harness::figures::{ablations, fig08c, fig11c, generate, FigureData, Suite, IDS};
+use hpac_offload::harness::analyze::linear_fit;
+use hpac_offload::harness::figures::{
+    ablations, fig08c, fig11c, fig12, generate, FigureData, Suite, IDS,
+};
 use hpac_offload::harness::Scale;
 use std::collections::HashSet;
 
@@ -248,4 +252,20 @@ fn fig11c_warp_level_decisions_beat_thread_level() {
     for (row, (t, w)) in fig.rows.iter().zip(thread.iter().zip(&warp)) {
         assert!(w > t, "row {row:?}: warp {w} vs thread {t}");
     }
+}
+
+/// Fig 12c: over K-Means' TAF configurations, time speedup follows
+/// convergence speedup along a line; the paper's fit has R² = 0.95.
+#[test]
+fn fig12c_time_speedup_tracks_convergence_speedup() {
+    let _scope = install_eval_memo();
+    let figs = fig12(&small_suite().kmeans, Scale::Quick);
+    let fig = figs
+        .iter()
+        .find(|f| f.id == "fig12c_convergence")
+        .expect("the 12c panel");
+    let convergence = column(fig, "convergence_speedup");
+    let time = column(fig, "time_speedup");
+    let (_, _, r2) = linear_fit(&convergence, &time);
+    assert!(r2 > 0.95, "R2 {r2} over {} TAF configs", time.len());
 }

@@ -1,7 +1,8 @@
 //! Integration tests for the `hpac-obs` tracing layer.
 //!
 //! Covers the concurrency contract (per-worker rings lose nothing and never
-//! interleave under an `HPAC_THREADS=4`-style engine width), the
+//! interleave under an `HPAC_THREADS=4`-style engine width, and concurrent
+//! drains never hand out one event twice), the
 //! no-observer-effect contract (tracing cannot change sweep outputs by a
 //! bit), the sink schemas (JSONL lines and Chrome trace arrays parse and
 //! carry the required fields — validated with the tuner's own JSON parser),
@@ -21,8 +22,8 @@ use hpac_offload::obs;
 use hpac_offload::tuner::json::Json;
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Barrier, Mutex, MutexGuard, OnceLock};
 
 fn obs_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -181,6 +182,73 @@ fn traced_sweep_produces_metrics() {
     let table = delta.render_table();
     assert!(table.contains("kernel_launches"));
     assert!(table.contains("mix_memo_hit_rate"));
+    assert!(
+        !table.contains("quality_cache_hit_rate"),
+        "the retired score cache has no row: {table}"
+    );
+}
+
+/// Two threads draining while a third records: every event leaves its ring
+/// with exactly one drain, and per worker the snapshot's `events` is the
+/// sum of what the drains took and what a full ring dropped.
+#[test]
+fn concurrent_drains_take_each_event_once() {
+    const MARKS: usize = 200_000;
+    let _g = obs_lock();
+    obs::set_enabled(true);
+    let _ = obs::drain_events();
+    let before = obs::snapshot();
+    let writing = AtomicBool::new(true);
+    let start = Barrier::new(3);
+    let tagged = |events: Vec<obs::OwnedEvent>| -> Vec<obs::OwnedEvent> {
+        events
+            .into_iter()
+            .filter(|e| e.payload == obs::Payload::Instant(obs::Mark::SearchPoint) && e.b == TAG)
+            .collect()
+    };
+    let mut drained: Vec<obs::OwnedEvent> = std::thread::scope(|s| {
+        let drainers: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut got = Vec::new();
+                    start.wait();
+                    while writing.load(Ordering::Relaxed) {
+                        got.extend(tagged(obs::drain_events()));
+                    }
+                    got
+                })
+            })
+            .collect();
+        s.spawn(|| {
+            start.wait();
+            for i in 0..MARKS {
+                obs::mark(obs::Mark::SearchPoint, i as u64, TAG);
+            }
+            writing.store(false, Ordering::Relaxed);
+        });
+        drainers
+            .into_iter()
+            .flat_map(|h| h.join().expect("drainer"))
+            .collect()
+    });
+    drained.extend(tagged(obs::drain_events()));
+    obs::set_enabled(false);
+
+    let mut seen = vec![false; MARKS];
+    for e in &drained {
+        assert!(!seen[e.a as usize], "mark {} drained twice", e.a);
+        seen[e.a as usize] = true;
+    }
+    let writer = drained.first().expect("some marks were drained").worker;
+    assert!(drained.iter().all(|e| e.worker == writer));
+    let delta = obs::snapshot().delta_since(&before);
+    let w = delta
+        .workers
+        .iter()
+        .find(|w| w.worker == writer)
+        .expect("the writer's ring");
+    assert_eq!(w.events, MARKS as u64);
+    assert_eq!(w.events, drained.len() as u64 + w.dropped);
 }
 
 /// The three sweep entry points are one body: on a `launch_class`-opted-in

@@ -5,11 +5,10 @@
 
 use gpu_sim::DeviceSpec;
 use hpac_offload::apps::blackscholes::Blackscholes;
-use hpac_offload::apps::common::{eval_key, shard_of, AppResult, Benchmark, LaunchParams};
+use hpac_offload::apps::common::{eval_key, AppResult, Benchmark, LaunchParams};
 use hpac_offload::apps::kmeans::KMeans;
 use hpac_offload::core::exec::ExecOptions;
 use hpac_offload::core::region::{ApproxRegion, RegionError};
-use hpac_offload::harness::runner::baseline_key;
 use hpac_offload::harness::space::baseline_ipts;
 use hpac_offload::service::{Source, TuneRequest, TuningService, WarmStart};
 use hpac_offload::tuner::{
@@ -485,8 +484,8 @@ fn a_hit_meets_the_requests_bound_not_the_entrys() {
 /// selection. The request that was searching is abandoned — its caller sees
 /// the panic, a concurrent identical request takes over and is answered —
 /// the next requests for that key and for a sibling (benchmark, device) whose
-/// baseline lives on the same shard of the scope succeed, and what they
-/// return is what an undisturbed service returns.
+/// baseline lives in the same scope succeed, and what they return is what
+/// an undisturbed service returns.
 #[test]
 fn panicking_accurate_run_abandons_one_request_and_wedges_nothing() {
     let cache = fresh_cache("fault");
@@ -501,16 +500,12 @@ fn panicking_accurate_run_abandons_one_request_and_wedges_nothing() {
     };
 
     // A sibling device (its own persistent-cache entries, by name) whose
-    // baseline key shares the faulty key's shard.
-    let shard = shard_of(&baseline_key(&faulty, &device).expect("keyed"));
-    let sibling_device = (1..)
-        .map(|extra| DeviceSpec {
-            name: "V100-sibling",
-            sm_count: device.sm_count + extra,
-            ..device
-        })
-        .find(|d| shard_of(&baseline_key(&faulty, d).expect("keyed")) == shard)
-        .expect("some device variant shares the shard");
+    // baseline key shares the faulty key's store.
+    let sibling_device = DeviceSpec {
+        name: "V100-sibling",
+        sm_count: device.sm_count + 1,
+        ..device
+    };
 
     // Two identical requests at once: whichever leads hits the fault.
     let start = Barrier::new(2);
