@@ -12,9 +12,9 @@
 //! here (fewer blocks ⇒ each block prices more options in sequence ⇒ more
 //! approximation potential but less latency-hiding parallelism — Fig 8c).
 
+use crate::blackscholes::{Portfolio, OPTION_DIMS};
 use crate::common::{
-    eval_key, scoped_inputs, AppResult, Benchmark, ComputeMemo, LaunchParams, Prepared, QoI,
-    RunAccumulator,
+    eval_key, scoped_inputs, AppResult, Benchmark, LaunchParams, QoI, RunAccumulator,
 };
 use gpu_sim::transfer::Direction;
 use gpu_sim::{AccessPattern, CostProfile, DeviceSpec};
@@ -24,9 +24,6 @@ use hpac_core::region::{ApproxRegion, RegionError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-
-/// Per-option parameters: spot, strike, rate, volatility, expiry.
-pub const OPTION_DIMS: usize = 5;
 
 /// Configuration for the Binomial Options benchmark.
 #[derive(Debug, Clone, Copy)]
@@ -56,10 +53,11 @@ impl Default for BinomialOptions {
 }
 
 impl BinomialOptions {
-    pub fn generate(&self) -> Vec<f64> {
+    /// The `distinct` base options the portfolio replicates, row-major.
+    fn base_options(&self) -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let base: Vec<[f64; OPTION_DIMS]> = (0..self.distinct)
-            .map(|_| {
+        (0..self.distinct)
+            .flat_map(|_| {
                 // Near-the-money puts: prices bounded away from zero so the
                 // relative-error metric stays conditioned.
                 [
@@ -70,17 +68,24 @@ impl BinomialOptions {
                     rng.gen_range(0.50..1.50),
                 ]
             })
-            .collect();
-        let period = self.distinct * self.run_len;
-        let mut data = Vec::with_capacity(self.n_options * OPTION_DIMS);
-        for i in 0..self.n_options {
-            let b = (i % period) / self.run_len;
-            data.extend_from_slice(&base[b]);
-        }
-        data
+            .collect()
     }
 
-    /// The portfolio and the memo interning its lattice walks, keyed by
+    /// Generate the portfolio in full: `OPTION_DIMS` scalars per option,
+    /// row-major. A run prices from the compact [`Portfolio`] instead; this
+    /// is the layout it stands for.
+    pub fn generate(&self) -> Vec<f64> {
+        let base = self.base_options();
+        let period = self.distinct * self.run_len;
+        (0..self.n_options)
+            .flat_map(|i| {
+                let b = (i % period) / self.run_len * OPTION_DIMS;
+                base[b..b + OPTION_DIMS].iter().copied()
+            })
+            .collect()
+    }
+
+    /// The portfolio with each base option's lattice price, keyed by
     /// everything that shapes either: the portfolio parameters and the tree
     /// depth.
     pub fn inputs(&self) -> Arc<Portfolio> {
@@ -97,29 +102,12 @@ impl BinomialOptions {
                     ],
                 )
             },
-            |_shared| {
-                let options = self.generate();
-                let memo = ComputeMemo::from_rows(&options, OPTION_DIMS, 1);
-                Portfolio { options, memo }
+            || {
+                Portfolio::new(self.base_options(), self.run_len, self.n_options, |o| {
+                    price_american_put(o[0], o[1], o[2], o[3], o[4], self.tree_steps)
+                })
             },
         )
-    }
-}
-
-/// Binomial Options' prepared inputs.
-pub struct Portfolio {
-    pub options: Vec<f64>,
-    /// Interns the pure lattice walk per distinct option row: the portfolio
-    /// tiles `distinct` base options, so at most that many O(n²) walks run
-    /// per launch while the simulator still charges every accurate task
-    /// (see [`ComputeMemo`]). Under a sweep scope the entry is shared across
-    /// all configs of the sweep, so each distinct walk runs once per sweep.
-    memo: ComputeMemo,
-}
-
-impl Prepared for Portfolio {
-    fn approx_bytes(&self) -> usize {
-        self.options.len() * 8 + self.memo.approx_bytes()
     }
 }
 
@@ -157,9 +145,12 @@ pub fn price_american_put(spot: f64, strike: f64, rate: f64, vol: f64, t: f64, n
     v[0]
 }
 
+/// One option's O(n²) lattice walk per block task, read from the
+/// portfolio's prices: the portfolio tiles `distinct` base options, so
+/// `distinct` walks run when it is built, while the simulator still charges
+/// every accurate task.
 struct BinomialBody<'a> {
-    options: &'a [f64],
-    memo: &'a ComputeMemo,
+    portfolio: &'a Portfolio,
     prices: Vec<f64>,
     tree_steps: usize,
     warps_per_block: u32,
@@ -175,17 +166,11 @@ impl BlockTaskBody for BinomialBody<'_> {
     }
 
     fn inputs(&self, task: usize, buf: &mut [f64]) {
-        lane::copy(
-            buf,
-            &self.options[task * OPTION_DIMS..(task + 1) * OPTION_DIMS],
-        );
+        lane::copy(buf, self.portfolio.option(task));
     }
 
     fn compute(&self, task: usize, out: &mut [f64]) {
-        self.memo.get_or(task, out, |out| {
-            let o = &self.options[task * OPTION_DIMS..(task + 1) * OPTION_DIMS];
-            out[0] = price_american_put(o[0], o[1], o[2], o[3], o[4], self.tree_steps);
-        });
+        out[0] = self.portfolio.price(task);
     }
 
     fn store(&mut self, task: usize, out: &[f64]) {
@@ -263,8 +248,7 @@ impl Benchmark for BinomialOptions {
         let warps_per_block = block_size.div_ceil(spec.warp_size);
 
         let mut body = BinomialBody {
-            options: &inputs.options,
-            memo: &inputs.memo,
+            portfolio: &inputs,
             prices: vec![0.0; self.n_options],
             tree_steps: self.tree_steps,
             warps_per_block,

@@ -11,8 +11,8 @@
 //! paper's "unintuitive" TAF threshold behaviour (Fig 10c).
 
 use crate::common::{
-    eval_key, grid_stride_launch_class, scoped_inputs, AppResult, Benchmark, ComputeMemo,
-    LaunchParams, Prepared, QoI, RunAccumulator,
+    eval_key, grid_stride_launch_class, scoped_inputs, AppResult, Benchmark, LaunchParams,
+    Prepared, QoI, RunAccumulator,
 };
 use gpu_sim::transfer::Direction;
 use gpu_sim::{AccessPattern, CostProfile, DeviceSpec, LaunchConfig};
@@ -87,8 +87,9 @@ impl Blackscholes {
             .collect()
     }
 
-    /// The portfolio this run prices. It is a pure function of the four
-    /// parameters below, so they key the sweep-scoped entry exactly.
+    /// The portfolio this run prices, with each base option's price. It is
+    /// a pure function of the four parameters below, so they key the
+    /// sweep-scoped entry exactly.
     pub fn inputs(&self) -> Arc<Portfolio> {
         scoped_inputs(
             || {
@@ -102,41 +103,62 @@ impl Blackscholes {
                     ],
                 )
             },
-            |shared| {
-                // One period of runs, copied until the portfolio is full:
-                // `class_of` without its two divisions per option.
-                let period: Vec<u32> = (0..self.distinct as u32)
-                    .flat_map(|b| std::iter::repeat_n(b, self.run_len))
-                    .collect();
-                let mut class = Vec::with_capacity(self.n_options);
-                while class.len() < self.n_options {
-                    let tile = period.len().min(self.n_options - class.len());
-                    assert!(tile > 0, "a portfolio needs a base option and a run");
-                    class.extend_from_slice(&period[..tile]);
-                }
-                Portfolio {
-                    base: self.base_options(),
-                    class,
-                    memo: shared.then(|| ComputeMemo::identity(self.distinct, 1)),
-                }
+            || {
+                Portfolio::new(self.base_options(), self.run_len, self.n_options, |o| {
+                    price_call(o[0], o[1], o[2], o[3], o[4])
+                })
             },
         )
     }
 }
 
-/// Blackscholes' prepared inputs, kept the way the portfolio is generated:
-/// the `distinct` base options plus, per option, the base row it copies —
-/// 4 bytes an option instead of 40, and the classes a price memo needs are
-/// known without hashing every row to rediscover them. When a sweep scope
-/// shares the portfolio across runs it also carries that memo, one slot per
-/// base option.
+/// An option portfolio kept the way PARSEC's input is generated: `distinct`
+/// base options, each copied `run_len` times in a row, that period tiled
+/// until the portfolio is full. It holds the base rows, the base row each
+/// option copies — 4 bytes an option instead of 40 — and each base row's
+/// accurate price, computed when the portfolio is built. Blackscholes and
+/// Binomial Options both price from it; their `generate()` is the full
+/// row-major layout it stands for.
+///
+/// Every accurate execution is still charged through the region body's cost
+/// profile, so reading the price here instead of recomputing it changes no
+/// modeled time or statistic: pricing is pure in the option's row, and the
+/// row is its base row.
 pub struct Portfolio {
     base: Vec<f64>,
     class: Vec<u32>,
-    memo: Option<ComputeMemo>,
+    prices: Vec<f64>,
 }
 
 impl Portfolio {
+    /// Tile `base` (row-major, `OPTION_DIMS` scalars a row) in runs of
+    /// `run_len` to `n_options` options, and price each base row.
+    pub(crate) fn new(
+        base: Vec<f64>,
+        run_len: usize,
+        n_options: usize,
+        price: impl Fn(&[f64]) -> f64,
+    ) -> Self {
+        // One period of runs, copied until the portfolio is full: option
+        // `i` copies base row `(i % period) / run_len`, without the two
+        // divisions per option.
+        let period: Vec<u32> = (0..(base.len() / OPTION_DIMS) as u32)
+            .flat_map(|b| std::iter::repeat_n(b, run_len))
+            .collect();
+        let mut class = Vec::with_capacity(n_options);
+        while class.len() < n_options {
+            let tile = period.len().min(n_options - class.len());
+            assert!(tile > 0, "a portfolio needs a base option and a run");
+            class.extend_from_slice(&period[..tile]);
+        }
+        let prices = base.chunks_exact(OPTION_DIMS).map(price).collect();
+        Portfolio {
+            base,
+            class,
+            prices,
+        }
+    }
+
     /// Options in the portfolio.
     pub fn len(&self) -> usize {
         self.class.len()
@@ -151,13 +173,16 @@ impl Portfolio {
         let b = self.class[i] as usize * OPTION_DIMS;
         &self.base[b..b + OPTION_DIMS]
     }
+
+    /// Option `i`'s accurate price.
+    pub(crate) fn price(&self, i: usize) -> f64 {
+        self.prices[self.class[i] as usize]
+    }
 }
 
 impl Prepared for Portfolio {
     fn approx_bytes(&self) -> usize {
-        self.base.len() * 8
-            + self.class.len() * 4
-            + self.memo.as_ref().map_or(0, Prepared::approx_bytes)
+        (self.base.len() + self.prices.len()) * 8 + self.class.len() * 4
     }
 }
 
@@ -188,15 +213,8 @@ pub fn price_call(spot: f64, strike: f64, rate: f64, vol: f64, t: f64) -> f64 {
     spot * cndf(d1) - strike * (-rate * t).exp() * cndf(d2)
 }
 
-/// The approximated region: one option's full price calculation.
-///
-/// Interning here is scope-dependent. *Per-run* interning lost when it was
-/// measured (PR 6 reverted it, with classes found by hashing every row), and
-/// has not been re-measured since the classes became structural. Under a
-/// sweep-scoped [`EvalMemo`](crate::common::EvalMemo) the `distinct` cached
-/// prices serve every config of the sweep, which measures faster — so the
-/// memo is used only when a sweep scope is active, and a plain standalone
-/// run still prices inline.
+/// The approximated region: one option's full price calculation, read
+/// from the portfolio's prices.
 struct BsBody<'a> {
     portfolio: &'a Portfolio,
     prices: Vec<f64>,
@@ -216,14 +234,7 @@ impl RegionBody for BsBody<'_> {
     }
 
     fn compute(&self, i: usize, out: &mut [f64]) {
-        let price = |out: &mut [f64]| {
-            let o = self.portfolio.option(i);
-            out[0] = price_call(o[0], o[1], o[2], o[3], o[4]);
-        };
-        match &self.portfolio.memo {
-            Some(memo) => memo.get_or(self.portfolio.class[i] as usize, out, price),
-            None => price(out),
-        }
+        out[0] = self.portfolio.price(i);
     }
 
     fn store(&mut self, i: usize, out: &[f64]) {

@@ -1,5 +1,6 @@
 //! Shared application plumbing: results, QoI comparison, launch parameters,
-//! compute interning, and the [`Benchmark`] trait the harness drives.
+//! sweep-scoped prepared inputs, and the [`Benchmark`] trait the harness
+//! drives.
 
 use gpu_sim::transfer::{self, Direction};
 use gpu_sim::{CostProfile, DeviceSpec, KernelExec, KernelRecord, KernelStats, LaunchConfig};
@@ -9,7 +10,7 @@ use hpac_core::metrics;
 use hpac_core::region::{ApproxRegion, RegionError};
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 
 /// Launch-shape parameters swept by the paper's design-space exploration
@@ -161,123 +162,42 @@ impl RunAccumulator {
     }
 }
 
-/// Interning cache for pure per-item compute over datasets with duplicated
-/// rows (the portfolio generators tile `distinct` base rows `run_len`
-/// times).
+/// A per-item memo of pure compute, filled lazily: item `i`'s output is
+/// produced at most once and replayed for every later lookup.
 ///
-/// Rows are classed by their exact input bit patterns at construction; each
-/// class's output is produced at most once and replayed for every later
-/// item of the class. Because the region bodies' `compute` is pure in the
-/// input row, replaying the cached output is bit-identical to recomputing
-/// it — the simulator still *charges* every accurate execution through the
-/// body's cost profile, so modeled timing and statistics are untouched;
-/// only host wall-clock drops. Outputs live in relaxed atomics (bit
-/// patterns) behind an acquire/release filled flag, because configuration
-/// tasks on different engine threads share one memo through the
-/// [`EvalMemo`]'s prepared inputs and fill and read classes concurrently; a
-/// racing double-fill writes the same bits twice.
+/// No app uses it: each builds the accurate outputs it reuses together with
+/// its prepared inputs (Blackscholes' and Binomial Options' prices per base
+/// option, LavaMD's force contributions), so a shared entry is complete and
+/// immutable from the start. It stays as the primitive the repo benchmark's
+/// layer pass times. Each slot is set once; a racing double-fill computes
+/// the same output twice and keeps the first.
 pub struct ComputeMemo {
-    class_of: Vec<u32>,
-    n_classes: usize,
     out_dim: usize,
-    filled: Vec<AtomicBool>,
-    slots: Vec<AtomicU64>,
+    slots: Vec<OnceLock<Box<[f64]>>>,
 }
 
 impl ComputeMemo {
-    /// Class the items of `rows` (row-major, `dims` scalars each) by exact
-    /// bit equality.
-    pub fn from_rows(rows: &[f64], dims: usize, out_dim: usize) -> Self {
-        assert!(dims > 0 && out_dim > 0);
-        // Key the map on the rows where they lie, compared by bit pattern:
-        // no per-row Vec and no bits copy of the dataset — interning must
-        // stay cheap, in time and footprint, relative to what it elides.
-        let mut ids: HashMap<RowBits, u32> = HashMap::new();
-        let class_of: Vec<u32> = rows
-            .chunks_exact(dims)
-            .map(|row| {
-                let next = ids.len() as u32;
-                *ids.entry(RowBits(row)).or_insert(next)
-            })
-            .collect();
-        let n_classes = ids.len();
-        ComputeMemo {
-            class_of,
-            n_classes,
-            out_dim,
-            filled: (0..n_classes).map(|_| AtomicBool::new(false)).collect(),
-            slots: (0..n_classes * out_dim)
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-        }
-    }
-
-    /// Identity classing: item `i` is its own class, with no row hashing.
-    ///
-    /// Sound for any compute that is pure in the *item index* over a fixed
-    /// dataset — including bodies (LavaMD) that read data beyond their
-    /// declared input row, where [`ComputeMemo::from_rows`] classing would
-    /// be unsound. Pays off only when the memo outlives a single run (the
-    /// sweep-scoped [`EvalMemo`]), since within one run each item computes
-    /// once anyway.
+    /// One slot per item, `out_dim` outputs each.
     pub fn identity(n_items: usize, out_dim: usize) -> Self {
         assert!(out_dim > 0);
         ComputeMemo {
-            class_of: (0..n_items as u32).collect(),
-            n_classes: n_items,
             out_dim,
-            filled: (0..n_items).map(|_| AtomicBool::new(false)).collect(),
-            slots: (0..n_items * out_dim).map(|_| AtomicU64::new(0)).collect(),
+            slots: (0..n_items).map(|_| OnceLock::new()).collect(),
         }
     }
 
-    /// Distinct input rows found.
-    pub fn classes(&self) -> usize {
-        self.n_classes
-    }
-
-    /// Produce item `i`'s output into `out`: from the cache when its class
-    /// has been computed, else by running `compute` and caching the result.
+    /// Produce item `i`'s output into `out`: from its slot when filled, else
+    /// by running `compute` and filling the slot.
     pub fn get_or(&self, i: usize, out: &mut [f64], compute: impl FnOnce(&mut [f64])) {
         debug_assert_eq!(out.len(), self.out_dim);
-        let c = self.class_of[i] as usize;
-        let base = c * self.out_dim;
-        if self.filled[c].load(Ordering::Acquire) {
+        if let Some(row) = self.slots[i].get() {
             hpac_obs::inc(hpac_obs::CounterId::ComputeMemoHits);
-            for (d, o) in out.iter_mut().enumerate() {
-                *o = f64::from_bits(self.slots[base + d].load(Ordering::Relaxed));
-            }
+            out.copy_from_slice(row);
             return;
         }
         hpac_obs::inc(hpac_obs::CounterId::ComputeMemoMisses);
         compute(out);
-        for (d, o) in out.iter().enumerate() {
-            self.slots[base + d].store(o.to_bits(), Ordering::Relaxed);
-        }
-        self.filled[c].store(true, Ordering::Release);
-    }
-}
-
-/// A row keyed by its exact bit patterns (`-0.0 != 0.0`, `NaN == NaN`).
-struct RowBits<'a>(&'a [f64]);
-
-impl RowBits<'_> {
-    fn bits(&self) -> impl Iterator<Item = u64> + '_ {
-        self.0.iter().map(|v| v.to_bits())
-    }
-}
-
-impl PartialEq for RowBits<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.bits().eq(other.bits())
-    }
-}
-
-impl Eq for RowBits<'_> {}
-
-impl std::hash::Hash for RowBits<'_> {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.bits().for_each(|w| state.write_u64(w));
+        let _ = self.slots[i].set(out.into());
     }
 }
 
@@ -298,9 +218,9 @@ pub fn eval_key(app: &str, param_bits: &[u64]) -> Vec<u64> {
 }
 
 /// State built from parameters alone and never mutated afterwards — an
-/// app's generated dataset or assembled matrix with the [`ComputeMemo`]
-/// classed from it, the harness's measured baseline — so one copy can serve
-/// every run of a sweep scope.
+/// app's generated dataset or assembled matrix together with the accurate
+/// outputs its runs reuse, the harness's measured baseline — so one copy
+/// can serve every run of a sweep scope.
 pub trait Prepared: Any + Send + Sync {
     /// Approximate resident size, for the [`EvalMemo`] byte cap.
     fn approx_bytes(&self) -> usize;
@@ -308,7 +228,7 @@ pub trait Prepared: Any + Send + Sync {
 
 impl Prepared for ComputeMemo {
     fn approx_bytes(&self) -> usize {
-        self.class_of.len() * 4 + self.n_classes * (1 + self.out_dim * 8)
+        self.slots.len() * (std::mem::size_of::<OnceLock<Box<[f64]>>>() + self.out_dim * 8)
     }
 }
 
@@ -413,7 +333,8 @@ impl EvalMemo {
         }
     }
 
-    /// [`EvalMemo::prepared`] for a bare [`ComputeMemo`].
+    /// [`EvalMemo::prepared`] for a bare [`ComputeMemo`] (the repo
+    /// benchmark's layer pass times its hit path).
     pub fn get_or_build(
         &self,
         key: &[u64],
@@ -474,16 +395,15 @@ pub fn current_eval_memo() -> Option<Arc<EvalMemo>> {
 
 /// Prepared state by scope: the active sweep scope's entry for `key()`
 /// (built by the first caller that asks, shared by every later one), or a
-/// private copy for this caller alone when no scope is installed. `build` is
-/// told which, since a memo that only pays off across runs is worth classing
-/// only for a shared entry.
+/// private copy for this caller alone when no scope is installed. Both are
+/// built alike.
 pub fn scoped_inputs<T: Prepared>(
     key: impl FnOnce() -> Vec<u64>,
-    build: impl FnOnce(bool) -> T,
+    build: impl FnOnce() -> T,
 ) -> Arc<T> {
     match current_eval_memo() {
-        Some(store) => store.prepared(&key(), || build(true)),
-        None => Arc::new(build(false)),
+        Some(store) => store.prepared(&key(), build),
+        None => Arc::new(build()),
     }
 }
 
@@ -715,37 +635,8 @@ mod tests {
     }
 
     #[test]
-    fn compute_memo_interns_by_exact_bits() {
-        let rows = vec![1.0, 2.0, 1.0, 2.0, 3.0, 4.0, 1.0, 2.0];
-        let memo = ComputeMemo::from_rows(&rows, 2, 1);
-        assert_eq!(memo.classes(), 2);
-        let mut calls = 0;
-        let mut got = Vec::new();
-        for i in 0..4 {
-            let mut out = [0.0];
-            memo.get_or(i, &mut out, |o| {
-                calls += 1;
-                o[0] = rows[i * 2] + 10.0 * rows[i * 2 + 1];
-            });
-            got.push(out[0]);
-        }
-        assert_eq!(calls, 2, "each class computes once");
-        assert_eq!(got, vec![21.0, 21.0, 43.0, 21.0]);
-    }
-
-    #[test]
-    fn compute_memo_distinguishes_negative_zero() {
-        // Bit-exact classing: -0.0 and 0.0 compare equal but are different
-        // inputs to sign-sensitive compute.
-        let rows = vec![0.0, -0.0];
-        let memo = ComputeMemo::from_rows(&rows, 1, 1);
-        assert_eq!(memo.classes(), 2);
-    }
-
-    #[test]
     fn compute_memo_identity_classes_every_item() {
         let memo = ComputeMemo::identity(3, 2);
-        assert_eq!(memo.classes(), 3);
         let mut calls = 0;
         for i in 0..3 {
             for _ in 0..2 {

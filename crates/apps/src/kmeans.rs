@@ -113,7 +113,7 @@ impl KMeans {
                     ],
                 )
             },
-            |_shared| {
+            || {
                 let (points, init_centroids) = self.generate();
                 Observations {
                     points,

@@ -100,7 +100,7 @@ impl Leukocyte {
                     &[self.n_cells as u64, self.grid as u64, self.seed],
                 )
             },
-            |_shared| Frame {
+            || Frame {
                 image: self.generate().0,
             },
         )

@@ -159,7 +159,7 @@ impl Lulesh {
     pub fn inputs(&self) -> Arc<Topology> {
         scoped_inputs(
             || eval_key("LULESH", &[self.edge as u64]),
-            |_shared| Topology::new(self.edge),
+            || Topology::new(self.edge),
         )
     }
 }

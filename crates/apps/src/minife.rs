@@ -131,7 +131,7 @@ impl MiniFe {
     pub fn inputs(&self) -> Arc<LinearSystem> {
         scoped_inputs(
             || eval_key("MiniFE", &[self.nx as u64, self.seed]),
-            |_shared| LinearSystem {
+            || LinearSystem {
                 a: self.assemble(),
                 b: self.rhs(),
             },

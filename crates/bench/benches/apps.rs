@@ -127,9 +127,9 @@ fn apps(c: &mut Criterion) {
 /// The per-config fixed costs of a sweep. `<app>/build` is one app's input
 /// build — what every config paid before the sweep scope owned the inputs.
 /// `unscoped` against `scoped` is an accurate run that builds its own inputs
-/// against one that finds them in the scope (for Blackscholes the scope also
-/// holds the price memo, which a lone run does without, so that pair differs
-/// by more than the build).
+/// against one that finds them in the scope; for Blackscholes the build
+/// includes the 64 base-option prices either way, so the pair differs by the
+/// build alone.
 /// `config_eval_exact` against `scoped_exact` is what `run_config_bounded`
 /// adds to the run it wraps, here on an output bit-identical to the
 /// baseline's (threshold-0 memoization): the one-pass error metric against

@@ -80,7 +80,7 @@ pub fn select_baseline_opts(
     match (abort_above_seconds, baseline_key(bench, spec)) {
         (None, Some(key)) => Baseline::clone(&scoped_inputs(
             || key,
-            |_| measure_baseline(bench, spec, opts),
+            || measure_baseline(bench, spec, opts),
         )),
         _ => measure_baseline(bench, spec, opts),
     }

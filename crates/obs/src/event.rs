@@ -146,9 +146,11 @@ pub enum CounterId {
     MixMemoHits,
     /// `MixMemo` lookups that had to precompose costs.
     MixMemoMisses,
-    /// `ComputeMemo` input-row lookups served from cache.
+    /// `ComputeMemo` lookups served from a filled slot. No app uses the
+    /// memo, so only the repo benchmark's layer pass moves this.
     ComputeMemoHits,
-    /// `ComputeMemo` lookups that computed and stored a fresh row.
+    /// `ComputeMemo` lookups that computed and filled a slot (benchmark
+    /// layer pass only, as for the hits).
     ComputeMemoMisses,
     /// Approximate configs fully evaluated by the harness.
     ConfigsEvaluated,

@@ -126,7 +126,9 @@ impl MetricsSnapshot {
         )
     }
 
-    /// `ComputeMemo` hit rate, or `None` if no lookups happened.
+    /// `ComputeMemo` hit rate, or `None` if no lookups happened — as in
+    /// every app run, since apps read accurate outputs from their prepared
+    /// inputs; the repo benchmark still reports it.
     pub fn compute_memo_hit_rate(&self) -> Option<f64> {
         rate(
             self.counter(CounterId::ComputeMemoHits),

@@ -2,10 +2,10 @@
 //! tables carry ids that start with it and are unique across ids, each has
 //! the row count its shape fixes (or at least one row), every row has the
 //! header's arity, and the CSV each table saves reads back cell for cell.
-//! Of the paper's shapes, the ablations' design claims and the Fig 8c and
-//! Fig 11c panels are asserted here, at the default instance sizes, and the
-//! Fig 12c fit at the small suite's; EXPERIMENTS.md records the status of
-//! every other figure.
+//! Of the paper's shapes, the ablations' design claims and the Fig 8c,
+//! Fig 10b and Fig 11c panels are asserted here, at the default instance
+//! sizes, and the Fig 12c fit at the small suite's; EXPERIMENTS.md records
+//! the status of every other figure.
 
 use hpac_offload::apps::common::install_eval_memo;
 use hpac_offload::apps::{
@@ -14,7 +14,7 @@ use hpac_offload::apps::{
 };
 use hpac_offload::harness::analyze::linear_fit;
 use hpac_offload::harness::figures::{
-    ablations, fig08c, fig11c, fig12, generate, FigureData, Suite, IDS,
+    ablations, fig08c, fig10, fig11c, fig12, generate, FigureData, Suite, IDS,
 };
 use hpac_offload::harness::Scale;
 use std::collections::HashSet;
@@ -238,6 +238,26 @@ fn fig08c_speedup_peaks_at_an_interior_items_per_thread() {
             "{device}: {curve:?}"
         );
     }
+}
+
+/// Fig 10b: on AMD, iACT never speeds Blackscholes up — its table search
+/// costs more than the closed-form price it would skip.
+#[test]
+fn fig10b_iact_never_speeds_blackscholes_up() {
+    let _scope = install_eval_memo();
+    let figs = fig10(&Blackscholes::default(), Scale::Quick);
+    let fig = figs
+        .iter()
+        .find(|f| f.id == "fig10b_iact_amd")
+        .expect("the 10b panel");
+    let speedups = column(fig, "speedup");
+    assert!(!speedups.is_empty());
+    let fastest = speedups.iter().copied().fold(0.0, f64::max);
+    assert!(
+        fastest < 1.0,
+        "iACT reaches {fastest}x over {} configs",
+        speedups.len()
+    );
 }
 
 /// Fig 11c: on AMD, LavaMD's TAF taking its decisions at warp level beats

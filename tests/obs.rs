@@ -177,6 +177,11 @@ fn traced_sweep_produces_metrics() {
     assert!(delta.counter(obs::CounterId::ConfigsEvaluated) > 0);
     let mix = delta.mix_memo_hit_rate().expect("MixMemo was exercised");
     assert!(mix > 0.0, "mix memo hit rate {mix}");
+    assert_eq!(
+        delta.compute_memo_hit_rate(),
+        None,
+        "prepared inputs carry their prices: no run looks one up"
+    );
     assert!(delta.busy_ns_total() > 0);
     assert!(delta.utilization(delta.taken_ns.max(1), 4) > 0.0);
     let table = delta.render_table();

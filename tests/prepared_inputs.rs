@@ -7,8 +7,8 @@ use hpac_offload::apps::common::{
     current_eval_memo, install_eval_memo, Benchmark, LaunchParams, QoI,
 };
 use hpac_offload::apps::{
-    binomial::BinomialOptions,
-    blackscholes::{price_call, Blackscholes, OPTION_DIMS},
+    binomial::{price_american_put, BinomialOptions},
+    blackscholes::{price_call, Blackscholes, Portfolio, OPTION_DIMS},
     kmeans::KMeans,
     lavamd::LavaMd,
     leukocyte::Leukocyte,
@@ -178,6 +178,11 @@ fn check_scope_sharing<A: Benchmark, T, D: PartialEq + Debug>(
     );
 }
 
+/// A portfolio's options, row-major: the layout `generate()` produces.
+fn rows(p: &Portfolio) -> Vec<f64> {
+    (0..p.len()).flat_map(|i| p.option(i).to_vec()).collect()
+}
+
 #[test]
 fn blackscholes_shares_one_portfolio_per_parameter_set() {
     let cfg = bs();
@@ -194,41 +199,59 @@ fn blackscholes_shares_one_portfolio_per_parameter_set() {
             Blackscholes { seed: 8, ..cfg },
         ],
         Blackscholes::inputs,
-        |p| {
-            (0..p.len())
-                .flat_map(|i| p.option(i).to_vec())
-                .collect::<Vec<f64>>()
-        },
+        rows,
         Blackscholes::generate,
     );
 }
 
-/// The compact portfolio (base rows and a class index) prices every option
-/// exactly as the fully generated rows do — alone, and with the scope's
-/// price memo answering per class.
+/// The compact portfolio (base rows, a class index and a price per base row)
+/// prices every option exactly as pricing the fully generated rows does —
+/// alone, and from the scope's shared entry — for both apps that keep one:
+/// Blackscholes' closed form and Binomial Options' lattice walk.
 #[test]
 fn blackscholes_compact_portfolio_prices_as_the_generated_rows() {
     let _turn = scope_turn();
-    // A size the period does not divide, so the last tile is cut short.
-    let cfg = Blackscholes {
+    // Sizes the period does not divide, so the last tile is cut short.
+    let bs = Blackscholes {
         n_options: 4000,
         ..bs()
     };
-    let expected: Vec<u64> = cfg
-        .generate()
-        .chunks_exact(OPTION_DIMS)
-        .map(|o| price_call(o[0], o[1], o[2], o[3], o[4]).to_bits())
-        .collect();
-    assert_eq!(expected.len(), cfg.n_options);
-    let (spec, lp) = (DeviceSpec::v100(), LaunchParams::new(8, 128));
-    let priced = || match cfg.run(&spec, None, &lp).unwrap().qoi {
-        QoI::Values(p) => p.into_iter().map(f64::to_bits).collect::<Vec<u64>>(),
-        QoI::Labels(_) => panic!("Blackscholes prices are values"),
+    let binomial = BinomialOptions {
+        n_options: 200,
+        ..binomial()
     };
-    assert_eq!(priced(), expected, "lone run");
-    let _scope = install_eval_memo();
-    assert_eq!(priced(), expected, "scoped run, memo cold");
-    assert_eq!(priced(), expected, "scoped run, memo warm");
+    // Each generated row priced on its own, as bit patterns.
+    let priced_rows = |rows: Vec<f64>, price: &dyn Fn(&[f64]) -> f64| -> Vec<u64> {
+        rows.chunks_exact(OPTION_DIMS)
+            .map(|o| price(o).to_bits())
+            .collect()
+    };
+    assert_eq!(bs.generate().len(), bs.n_options * OPTION_DIMS);
+    let steps = binomial.tree_steps;
+    let cases: [(&dyn Benchmark, Vec<u64>); 2] = [
+        (
+            &bs,
+            priced_rows(bs.generate(), &|o| price_call(o[0], o[1], o[2], o[3], o[4])),
+        ),
+        (
+            &binomial,
+            priced_rows(binomial.generate(), &|o| {
+                price_american_put(o[0], o[1], o[2], o[3], o[4], steps)
+            }),
+        ),
+    ];
+    let (spec, lp) = (DeviceSpec::v100(), LaunchParams::new(8, 128));
+    for (bench, expected) in cases {
+        let name = bench.name();
+        let priced = || match bench.run(&spec, None, &lp).unwrap().qoi {
+            QoI::Values(p) => p.into_iter().map(f64::to_bits).collect::<Vec<u64>>(),
+            QoI::Labels(_) => panic!("{name} prices are values"),
+        };
+        assert_eq!(priced(), expected, "{name}: lone run");
+        let _scope = install_eval_memo();
+        assert_eq!(priced(), expected, "{name}: scoped run, entry built");
+        assert_eq!(priced(), expected, "{name}: scoped run, entry shared");
+    }
 }
 
 #[test]
@@ -249,14 +272,14 @@ fn binomial_shares_one_portfolio_per_parameter_set() {
             BinomialOptions { distinct: 4, ..cfg },
             BinomialOptions { run_len: 8, ..cfg },
             BinomialOptions { seed: 4, ..cfg },
-            // Same portfolio, but the memoized walks are deeper.
+            // Same options, but the lattice prices are walked deeper.
             BinomialOptions {
                 tree_steps: 96,
                 ..cfg
             },
         ],
         BinomialOptions::inputs,
-        |p| p.options.clone(),
+        rows,
         BinomialOptions::generate,
     );
 }
@@ -277,7 +300,7 @@ fn lavamd_shares_one_particle_set_per_parameter_set() {
                 ..cfg
             },
             LavaMd { seed: 6, ..cfg },
-            // Same particles, but the memoized forces are screened harder.
+            // Same particles, but the forces are screened harder.
             LavaMd { alpha: 0.7, ..cfg },
         ],
         LavaMd::inputs,
