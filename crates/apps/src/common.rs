@@ -474,10 +474,11 @@ pub trait Benchmark: Send + Sync {
     /// A key identifying the *effective* execution the launch parameters
     /// resolve to (e.g. the clamped grid once items-per-thread exceeds the
     /// problem span). Two launch parameters with equal keys must produce
-    /// bit-identical results for every region, letting the harness dedup
-    /// grid points before evaluation. `None` (the default) opts out of
-    /// deduplication — mandatory for benchmarks where the launch shape
-    /// feeds anything beyond a single grid-stride kernel.
+    /// bit-identical results for every region, which lets the harness answer
+    /// a grid point from another launch shape of the same class. `None` (the
+    /// default) makes the exact launch shape the class — mandatory for
+    /// benchmarks where the launch shape feeds anything beyond a single
+    /// grid-stride kernel.
     fn launch_class(&self, _spec: &DeviceSpec, _lp: &LaunchParams) -> Option<u64> {
         None
     }

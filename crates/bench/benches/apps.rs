@@ -311,7 +311,6 @@ fn threshold_family(c: &mut Criterion) {
 
 fn primitives(c: &mut Criterion) {
     use hpac_core::iact::IactPool;
-    use hpac_core::metrics::RsdWindow;
     use hpac_core::params::{IactParams, TafParams};
     use hpac_core::taf::TafPool;
 
@@ -330,15 +329,6 @@ fn primitives(c: &mut Criterion) {
             pool.insert(0, &[k as f64; 5], &[k as f64]);
         }
         b.iter(|| black_box(pool.probe(0, black_box(&[3.3; 5]))))
-    });
-    c.bench_function("rsd_window_push", |b| {
-        let mut w = RsdWindow::new(5);
-        let mut x = 0.0f64;
-        b.iter(|| {
-            w.push(black_box(x));
-            x += 1.0;
-            black_box(w.rsd())
-        })
     });
 }
 

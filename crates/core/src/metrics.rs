@@ -80,54 +80,6 @@ pub fn rsd(values: &[f64]) -> f64 {
     }
 }
 
-/// Online RSD over a fixed-capacity ring of values, used by the TAF state
-/// machine so the window never allocates in the kernel hot loop.
-#[derive(Debug, Clone)]
-pub struct RsdWindow {
-    values: Vec<f64>,
-    head: usize,
-    len: usize,
-}
-
-impl RsdWindow {
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity >= 1);
-        RsdWindow {
-            values: vec![0.0; capacity],
-            head: 0,
-            len: 0,
-        }
-    }
-
-    pub fn push(&mut self, v: f64) {
-        self.values[self.head] = v;
-        self.head = (self.head + 1) % self.values.len();
-        self.len = (self.len + 1).min(self.values.len());
-    }
-
-    pub fn is_full(&self) -> bool {
-        self.len == self.values.len()
-    }
-
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    pub fn clear(&mut self) {
-        self.len = 0;
-        self.head = 0;
-    }
-
-    /// RSD over the currently held values.
-    pub fn rsd(&self) -> f64 {
-        rsd(&self.values[..self.len.min(self.values.len())])
-    }
-}
-
 /// Geometric mean of positive values, used for the paper's headline
 /// "geomean speedup 1.42×" aggregation.
 pub fn geomean(values: &[f64]) -> f64 {
@@ -205,41 +157,6 @@ mod tests {
     #[test]
     fn rsd_single_is_zero() {
         assert_eq!(rsd(&[7.0]), 0.0);
-    }
-
-    #[test]
-    fn window_slides() {
-        let mut w = RsdWindow::new(3);
-        for v in [1.0, 1.0, 1.0, 100.0] {
-            w.push(v);
-        }
-        // window now holds {1, 1, 100}
-        assert!(w.is_full());
-        assert!(w.rsd() > 1.0);
-        w.push(100.0);
-        w.push(100.0);
-        // window now holds {100, 100, 100}
-        assert_eq!(w.rsd(), 0.0);
-    }
-
-    #[test]
-    fn window_partial_rsd() {
-        let mut w = RsdWindow::new(5);
-        w.push(2.0);
-        w.push(4.0);
-        assert_eq!(w.len(), 2);
-        assert!(!w.is_full());
-        assert!((w.rsd() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn window_clear_resets() {
-        let mut w = RsdWindow::new(2);
-        w.push(1.0);
-        w.push(2.0);
-        w.clear();
-        assert!(w.is_empty());
-        assert_eq!(w.rsd(), 0.0);
     }
 
     #[test]

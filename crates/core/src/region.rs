@@ -159,8 +159,8 @@ impl ApproxRegion {
     /// Exact-bit fingerprint of the region as `u64` words: technique and
     /// level discriminants plus every parameter's bit pattern. Two regions
     /// with equal fingerprints behave identically on any body and launch,
-    /// which lets the harness dedup grid points whose launch shapes also
-    /// coincide.
+    /// so two grid points with equal fingerprints in one launch class run
+    /// the same execution: the harness answers the second as a duplicate.
     pub fn fingerprint_words(&self) -> Vec<u64> {
         let level = self.level as u64;
         match &self.technique {

@@ -2,11 +2,13 @@
 
 use crate::db::Row;
 
-/// Best (highest-speedup) row with error below `cap_pct` percent — the
-/// query behind Fig 6 ("Highest speedup where error is less than 10%").
+/// Best (highest-speedup) row with error at or under `cap_pct` percent — the
+/// query behind Fig 6 ("Highest speedup where error is less than 10%"). The
+/// cap is inclusive, as the tuner's bound is
+/// (`hpac_tuner::ParetoFrontier::best_under`), so both read the same optimum.
 pub fn best_under_error<'a>(rows: &[&'a Row], cap_pct: f64) -> Option<&'a Row> {
     rows.iter()
-        .filter(|r| r.error_pct < cap_pct && r.error_pct.is_finite())
+        .filter(|r| r.error_pct <= cap_pct && r.error_pct.is_finite())
         .max_by(|a, b| a.speedup.total_cmp(&b.speedup))
         .copied()
 }
@@ -101,10 +103,10 @@ mod tests {
 
     #[test]
     fn best_under_error_respects_cap() {
-        let rows = [row(3.0, 15.0), row(2.0, 5.0), row(1.5, 1.0)];
+        let rows = [row(3.0, 15.0), row(2.5, 10.0), row(2.0, 5.0), row(1.5, 1.0)];
         let refs: Vec<&Row> = rows.iter().collect();
         let best = best_under_error(&refs, 10.0).unwrap();
-        assert_eq!(best.speedup, 2.0);
+        assert_eq!(best.speedup, 2.5, "a row at the cap is under it");
     }
 
     #[test]

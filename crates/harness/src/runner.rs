@@ -13,8 +13,7 @@ use hpac_apps::common::{
     eval_key, install_eval_memo, scoped_inputs, AppResult, Benchmark, LaunchParams, Prepared, QoI,
 };
 use hpac_core::exec::{engine, ExecOptions};
-use hpac_core::region::{FamilyPoint, RegionError};
-use std::collections::hash_map::Entry;
+use hpac_core::region::RegionError;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -152,8 +151,8 @@ impl ConfigOutcome {
         }
     }
 
-    /// This outcome as `cfg`'s own: a canonical duplicate takes its
-    /// representative's result under its own label and items-per-thread.
+    /// This outcome as `cfg`'s own: a configuration answered by another
+    /// one's run takes its result under its own label and items-per-thread.
     fn relabelled(&self, cfg: &SweepConfig) -> ConfigOutcome {
         match self {
             ConfigOutcome::Done(row) => ConfigOutcome::Done(Row {
@@ -182,11 +181,11 @@ pub fn run_config_bounded(
     evaluate(bench, spec, baseline, cfg, opts).0
 }
 
-/// [`run_config_bounded`], plus the points of its family ([`family_key`])
-/// the run answers for: the decision margins of a run that finished. A
-/// rejected or aborted run made no (or not all of its) comparisons and
-/// answers for nobody. The margins hold under `opts` only: a run at another
-/// cost ceiling may abort where this one did not.
+/// [`run_config_bounded`], plus the decision margins of a run that finished:
+/// what it publishes to its [`Family`]. A rejected or aborted run made no
+/// (or not all of its) comparisons and publishes nothing. The margins hold
+/// under `opts` only: a run at another cost ceiling may abort where this one
+/// did not.
 pub fn evaluate(
     bench: &dyn Benchmark,
     spec: &DeviceSpec,
@@ -250,9 +249,11 @@ pub fn evaluate(
 
 /// The canonical-execution key of a configuration: region fingerprint plus
 /// the benchmark's launch class for the configuration's launch shape. Two
-/// configurations with equal keys perform bit-identical executions, so one
-/// evaluation serves both. `None` when the benchmark opts out of launch
-/// classification.
+/// configurations with equal keys perform bit-identical executions. `None`
+/// when the benchmark declares no launch classes. Sweeps and the tuner find
+/// such duplicates through [`Family::answer`]; this key stays for the
+/// benchmark driver's layer pass (`benchmark/src/sweep.rs`), which dedups a
+/// plan itself.
 pub fn canonical_key(
     bench: &dyn Benchmark,
     spec: &DeviceSpec,
@@ -265,116 +266,120 @@ pub fn canonical_key(
     })
 }
 
-/// The one canonical-dedup table: execution key ([`canonical_key`]) → the
-/// representative `R` admitted for it. A sweep keeps one per plan (`R` = the
-/// representative's evaluation slot); the tuner's evaluator keeps one per
-/// search (`R` = the representative's label), so duplicates are recognised
-/// across batches too.
-#[derive(Debug)]
-pub struct CanonicalReps<R> {
-    seen: HashMap<Vec<u64>, R>,
-}
-
-impl<R> Default for CanonicalReps<R> {
-    fn default() -> Self {
-        CanonicalReps {
-            seen: HashMap::new(),
-        }
-    }
-}
-
-impl<R: Clone> CanonicalReps<R> {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The representative of `cfg`'s execution, if an equal-key
-    /// configuration was admitted before. Otherwise `None`, and `candidate`
-    /// (when given) is admitted as the representative of `cfg`'s key; a
-    /// caller that will not evaluate `cfg` passes `None` and leaves the key
-    /// open. Benchmarks that opt out of launch classification never match
-    /// and never register.
-    pub fn rep_or_admit(
-        &mut self,
-        bench: &dyn Benchmark,
-        spec: &DeviceSpec,
-        cfg: &SweepConfig,
-        candidate: Option<R>,
-    ) -> Option<R> {
-        match self.seen.entry(canonical_key(bench, spec, cfg)?) {
-            Entry::Occupied(e) => Some(e.get().clone()),
-            Entry::Vacant(e) => {
-                if let Some(rep) = candidate {
-                    e.insert(rep);
-                }
-                None
-            }
-        }
-    }
-}
-
 /// The family of a configuration: the region fingerprint without the words
 /// a run only compares — the threshold and, for TAF, the prediction size
 /// ([`ApproxRegion::family`]) — plus the launch class (the exact launch shape
-/// where the benchmark declares no classes), with the configuration's point
-/// in it. Members of one family run the same execution up to those
-/// comparisons, so a finished run of one ([`evaluate`]) answers every member
-/// whose point its decision margins cover. `None` for perforation, which
-/// compares nothing, and for a region that fails validation: it is refused
-/// on its own and never covered.
+/// where the benchmark declares no classes). Perforation compares nothing,
+/// so its family is its whole fingerprint. Members of one family run the
+/// same execution up to those comparisons; [`Family::answer`] says when one
+/// member's run answers another.
 ///
 /// [`ApproxRegion::family`]: hpac_core::region::ApproxRegion::family
-pub fn family_key(
-    bench: &dyn Benchmark,
-    spec: &DeviceSpec,
-    cfg: &SweepConfig,
-) -> Option<(FamilyPoint, Vec<u64>)> {
-    cfg.region.validate().ok()?;
-    let (point, mut key) = cfg.region.family()?;
+pub fn family_key(bench: &dyn Benchmark, spec: &DeviceSpec, cfg: &SweepConfig) -> Vec<u64> {
+    let mut key = match cfg.region.family() {
+        Some((_, words)) => words,
+        None => cfg.region.fingerprint_words(),
+    };
     match bench.launch_class(spec, &cfg.lp) {
         Some(class) => key.extend([1, class]),
         None => key.extend([0, cfg.lp.items_per_thread as u64, cfg.lp.block_size as u64]),
     }
-    Some((point, key))
+    key
 }
 
-/// Group the fresh configurations into families ([`family_key`]), each
-/// listing its members' `(point, slot)` in plan order; a configuration
-/// without a family is a family of one. Families come longest first, so a
-/// long one is not the tail of a round.
-fn families(
-    bench: &dyn Benchmark,
-    spec: &DeviceSpec,
-    fresh: &[&SweepConfig],
-) -> Vec<Vec<(Option<FamilyPoint>, usize)>> {
-    let mut family_of: HashMap<Vec<u64>, usize> = HashMap::new();
-    let mut families: Vec<Vec<(Option<FamilyPoint>, usize)>> = Vec::new();
-    for (slot, cfg) in fresh.iter().enumerate() {
-        let Some((point, key)) = family_key(bench, spec, cfg) else {
-            families.push(vec![(None, slot)]);
-            continue;
-        };
-        let family = *family_of.entry(key).or_insert_with(|| {
-            families.push(Vec::new());
-            families.len() - 1
-        });
-        families[family].push((Some(point), slot));
+/// How [`Family::answer`] answers a configuration without running it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Reuse<R> {
+    /// An admitted member has the same fingerprint, so the same execution.
+    Duplicate(R),
+    /// A finished member's decision margins, published under the same cost
+    /// ceiling, cover the configuration's threshold and prediction size.
+    Covered(R),
+}
+
+/// One admitted member of a [`Family`].
+#[derive(Debug)]
+struct Member<R> {
+    fingerprint: Vec<u64>,
+    rep: R,
+    /// The margins its finished run published, with the cost ceiling (as
+    /// bits) it ran under.
+    published: Option<(DecisionMargins, Option<u64>)>,
+}
+
+/// The members one family ([`family_key`]) has admitted: the one rule that
+/// answers a configuration without running it. A sweep keeps one per family
+/// task (`R` = the member's index among the task's outcomes); the tuner's
+/// evaluator keeps one per family for a whole search (`R` = the member's
+/// label), so answers reach across batches.
+#[derive(Debug)]
+pub struct Family<R> {
+    members: Vec<Member<R>>,
+}
+
+impl<R> Default for Family<R> {
+    fn default() -> Self {
+        Family {
+            members: Vec::new(),
+        }
     }
-    families.sort_by_key(|family| std::cmp::Reverse(family.len()));
-    families
 }
 
-/// The one sweep body: baseline → canonical dedup → the fresh configurations
-/// as families (one engine task each, or serially on the caller) → every
-/// plan entry answered from its representative, in plan order.
-///
-/// Within a family, a member whose threshold and prediction size lie inside
-/// the decision margins of a sibling that ran takes that sibling's outcome:
-/// both enter a run only through the comparisons the margins record, so the
-/// member's own run would decide each of them the same way and be the same
-/// run. Covering is an equivalence — a covered member's run would publish
-/// the very margins that cover it — so a family costs one run per distinct
-/// run among its members, whatever order they come in.
+impl<R: Clone> Family<R> {
+    /// `cfg`'s answer from the members admitted so far, or `None` when it
+    /// has to run.
+    ///
+    /// A member with the same region fingerprint runs the same execution
+    /// (one family shares a launch class), so it answers `cfg` whatever its
+    /// outcome or ceiling. Otherwise a valid `cfg` takes the outcome of a
+    /// member whose run finished under `ceiling` with margins covering its
+    /// threshold and prediction size: both enter a run only through the
+    /// comparisons the margins record, so `cfg`'s run would decide each of
+    /// them the same way and be the same run. A run at another ceiling may
+    /// abort where that one did not, and an invalid region is refused on its
+    /// own. Covering is an equivalence — a covered member's run would
+    /// publish the very margins that cover it — so a family costs one run
+    /// per distinct run among its members, whatever order they come in.
+    pub fn answer(&self, cfg: &SweepConfig, ceiling: Option<f64>) -> Option<Reuse<R>> {
+        let fingerprint = cfg.region.fingerprint_words();
+        if let Some(m) = self.members.iter().find(|m| m.fingerprint == fingerprint) {
+            return Some(Reuse::Duplicate(m.rep.clone()));
+        }
+        cfg.region.validate().ok()?;
+        let (point, _) = cfg.region.family()?;
+        let ceiling = ceiling.map(f64::to_bits);
+        self.members
+            .iter()
+            .find(|m| {
+                m.published.is_some_and(|(margins, at)| {
+                    at == ceiling && margins.covers(point.threshold, point.psize)
+                })
+            })
+            .map(|m| Reuse::Covered(m.rep.clone()))
+    }
+
+    /// Admit `cfg` as `rep`, so later duplicates of it read as duplicates;
+    /// returns the member's index for [`Family::publish`].
+    pub fn admit(&mut self, cfg: &SweepConfig, rep: R) -> usize {
+        self.members.push(Member {
+            fingerprint: cfg.region.fingerprint_words(),
+            rep,
+            published: None,
+        });
+        self.members.len() - 1
+    }
+
+    /// Record the margins `member`'s run published when it finished under
+    /// `ceiling`.
+    pub fn publish(&mut self, member: usize, margins: DecisionMargins, ceiling: Option<f64>) {
+        self.members[member].published = Some((margins, ceiling.map(f64::to_bits)));
+    }
+}
+
+/// The one sweep body: baseline → the plan grouped into families, one
+/// engine task each (or serially on the caller), every member answered by
+/// its [`Family`] or run → the outcomes in plan order. Families come
+/// longest first, so a long one is not the tail of a round.
 fn sweep(
     bench: &dyn Benchmark,
     spec: &DeviceSpec,
@@ -386,43 +391,43 @@ fn sweep(
     let baseline = select_baseline_opts(bench, spec, opts);
     let _sweep = hpac_obs::span_named(hpac_obs::SpanId::SweepApp, bench.name(), plan.len() as u64);
 
-    let mut reps = CanonicalReps::new();
-    let mut fresh: Vec<&SweepConfig> = Vec::new();
-    // Per plan entry, the slot in `fresh` whose evaluation answers it.
-    let slots: Vec<usize> = plan
-        .iter()
-        .map(|cfg| {
-            if let Some(slot) = reps.rep_or_admit(bench, spec, cfg, Some(fresh.len())) {
-                hpac_obs::inc(hpac_obs::CounterId::ConfigsDeduped);
-                return slot;
-            }
-            fresh.push(cfg);
-            fresh.len() - 1
-        })
-        .collect();
-
-    let families = families(bench, spec, &fresh);
-    let eval = |f: usize| -> Vec<ConfigOutcome> {
-        // The margins of this family's finished runs, each with the index in
-        // `outcomes` of the run that published it.
-        let mut published: Vec<(DecisionMargins, usize)> = Vec::new();
-        let mut outcomes: Vec<ConfigOutcome> = Vec::with_capacity(families[f].len());
-        for &(point, slot) in &families[f] {
-            let cfg = fresh[slot];
-            let covering = point.and_then(|p| {
-                published
-                    .iter()
-                    .find(|(m, _)| m.covers(p.threshold, p.psize))
+    // Each family's members as plan indices, in plan order.
+    let mut family_of: HashMap<Vec<u64>, usize> = HashMap::new();
+    let mut families: Vec<Vec<usize>> = Vec::new();
+    for (i, cfg) in plan.iter().enumerate() {
+        let family = *family_of
+            .entry(family_key(bench, spec, cfg))
+            .or_insert_with(|| {
+                families.push(Vec::new());
+                families.len() - 1
             });
-            let outcome = match covering {
-                Some(&(_, sibling)) => {
+        families[family].push(i);
+    }
+    families.sort_by_key(|family| std::cmp::Reverse(family.len()));
+
+    let ceiling = opts.abort_above_seconds;
+    let eval = |f: usize| -> Vec<ConfigOutcome> {
+        let mut family: Family<usize> = Family::default();
+        let mut outcomes: Vec<ConfigOutcome> = Vec::with_capacity(families[f].len());
+        for &i in &families[f] {
+            let cfg = &plan[i];
+            let outcome = match family.answer(cfg, ceiling) {
+                Some(Reuse::Duplicate(rep)) => {
+                    hpac_obs::inc(hpac_obs::CounterId::ConfigsDeduped);
+                    outcomes[rep].relabelled(cfg)
+                }
+                Some(Reuse::Covered(sibling)) => {
                     hpac_obs::inc(hpac_obs::CounterId::ConfigsDeduped);
                     hpac_obs::inc(hpac_obs::CounterId::ConfigsThresholdCovered);
+                    family.admit(cfg, outcomes.len());
                     outcomes[sibling].relabelled(cfg)
                 }
                 None => {
-                    let (outcome, margin) = evaluate(bench, spec, &baseline, cfg, opts);
-                    published.extend(margin.map(|m| (m, outcomes.len())));
+                    let (outcome, margins) = evaluate(bench, spec, &baseline, cfg, opts);
+                    let member = family.admit(cfg, outcomes.len());
+                    if let Some(margins) = margins {
+                        family.publish(member, margins, ceiling);
+                    }
                     outcome
                 }
             };
@@ -435,20 +440,20 @@ fn sweep(
     } else {
         (0..families.len()).map(eval).collect()
     };
-    // Every slot is in exactly one family: sorted by slot, entry `i` is
-    // slot `i`'s outcome.
+    // Every plan index is in exactly one family: sorted by index, entry `i`
+    // is plan entry `i`'s outcome.
     let mut outcomes: Vec<(usize, ConfigOutcome)> = families
         .iter()
         .flatten()
-        .map(|&(_, slot)| slot)
+        .copied()
         .zip(per_family.into_iter().flatten())
         .collect();
-    outcomes.sort_by_key(|&(slot, _)| slot);
+    outcomes.sort_by_key(|&(i, _)| i);
 
     let mut rows = Vec::with_capacity(plan.len());
     let mut rejected = Vec::new();
-    for (cfg, &slot) in plan.iter().zip(&slots) {
-        match outcomes[slot].1.relabelled(cfg).into_result() {
+    for (_, outcome) in outcomes {
+        match outcome.into_result() {
             Ok(row) => rows.push(row),
             Err(rej) => rejected.push(rej),
         }
@@ -556,6 +561,40 @@ mod tests {
             panic!("threshold-0 run did not finish: {outcome:?}");
         };
         assert_eq!(row.error_pct.to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn a_duplicate_matches_across_ceilings_and_covering_never_does() {
+        let bench = tiny_bs();
+        let spec = DeviceSpec::v100();
+        let baseline = select_baseline(&bench, &spec);
+        // `hsize = 1` compares an RSD of 0, and no regime runs out of a
+        // prediction size this long: the run's margins cover every
+        // threshold and every longer prediction size.
+        let at = |psize: usize, threshold: f64| SweepConfig {
+            region: ApproxRegion::memo_out(1, psize, threshold),
+            lp: LaunchParams::new(8, 256),
+            label: format!("p={psize} thr={threshold}"),
+        };
+        let ran = at(1 << 20, 0.3);
+        let (outcome, margins) = evaluate(&bench, &spec, &baseline, &ran, &ExecOptions::default());
+        assert!(matches!(outcome, ConfigOutcome::Done(_)), "{outcome:?}");
+        let margins = margins.expect("a finished run publishes its margins");
+        let mut family = Family::default();
+        let member = family.admit(&ran, "ran");
+        family.publish(member, margins, None);
+
+        let (twin, sibling) = (at(1 << 20, 0.3), at(1 << 21, 20.0));
+        for ceiling in [None, Some(1.0)] {
+            assert_eq!(family.answer(&twin, ceiling), Some(Reuse::Duplicate("ran")));
+        }
+        assert_eq!(family.answer(&sibling, None), Some(Reuse::Covered("ran")));
+        assert_eq!(family.answer(&sibling, Some(1.0)), None);
+        // Past `u32::MAX` the region refuses its prediction size: the
+        // margins cover it, but an invalid region is never covered.
+        let invalid = at(1 << 33, 0.3);
+        assert!(margins.covers(0.3, Some(1 << 33)));
+        assert_eq!(family.answer(&invalid, None), None);
     }
 
     #[test]

@@ -191,7 +191,9 @@ pub enum CounterId {
     /// served from a score cache. Kept because the benchmark driver reads
     /// it.
     QualityCacheHits,
-    /// Configs that canonicalized onto an already-submitted evaluation.
+    /// Configs (sweep or tuner) answered without a run of their own: a
+    /// family's duplicates and its margin-covered members
+    /// (`runner::Family::answer`).
     ConfigsDeduped,
     /// Config evaluations aborted once they provably missed the frontier.
     EarlyAborts,

@@ -2,7 +2,7 @@
 
 use crate::pareto::ParetoFrontier;
 use gpu_sim::DeviceSpec;
-use hpac_apps::common::{Benchmark, LaunchParams};
+use hpac_apps::common::{install_eval_memo, Benchmark, LaunchParams};
 use hpac_core::region::{ApproxRegion, RegionError};
 
 /// The caller's quality constraint: maximum acceptable QoI error, in
@@ -101,6 +101,9 @@ impl TunedPlan {
             "plan was tuned for a different benchmark"
         );
         let kernel_only = bench.kernel_only_timing();
+        // One evaluation scope for both runs: the chosen run finds the
+        // inputs and accurate outputs the baseline run prepared.
+        let _scope = install_eval_memo();
         let baseline = bench.run(spec, None, &self.baseline_lp)?;
         let chosen = bench.run(spec, self.region.as_ref(), &self.lp)?;
         let error_pct = chosen.qoi.error_vs(&baseline.qoi) * 100.0;

@@ -11,20 +11,19 @@
 //! Every evaluated point feeds the shared [`ParetoFrontier`], so the tuner
 //! keeps the whole tradeoff curve, not just the bound-feasible winner.
 //!
-//! The [`Evaluator`] answers a configuration without running it when it can
-//! prove the run's outcome: a canonical duplicate takes its
-//! representative's, and a member of a family ([`runner::family_key`]) whose
-//! threshold and prediction size lie inside the decision margins of a
-//! sibling's finished run — published under the same cost ceiling — takes
-//! that sibling's. Either is still admitted and charged like a run, so the
-//! budget, the trajectory and every plan are those of running it.
+//! The [`Evaluator`] answers a configuration without running it when its
+//! family ([`runner::Family`]) proves the run's outcome: a duplicate of an
+//! admitted member is free, and a configuration a sibling's finished run
+//! covers — under the same cost ceiling — is admitted and charged like a
+//! run, so the budget, the trajectory and every plan are those of running
+//! it.
 
 use crate::pareto::{ParetoFrontier, ParetoPoint};
-use gpu_sim::{DecisionMargins, DeviceSpec};
+use gpu_sim::DeviceSpec;
 use hpac_apps::common::{Benchmark, LaunchParams};
 use hpac_core::exec::{engine, ExecOptions};
-use hpac_core::region::{ApproxRegion, FamilyPoint};
-use hpac_harness::runner::{self, Baseline, CanonicalReps, ConfigOutcome};
+use hpac_core::region::ApproxRegion;
+use hpac_harness::runner::{self, Baseline, ConfigOutcome, Family, Reuse};
 use hpac_harness::space::{Grid, SweepConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -65,11 +64,11 @@ impl Evaluated {
 pub enum Answer {
     /// Run to completion.
     Run,
-    /// A canonical duplicate of the named configuration: the same execution.
+    /// A duplicate of the named configuration: the same execution. Free.
     DuplicateOf(String),
     /// Inside the decision margins the named configuration's finished run
     /// published under the same cost ceiling (`None`: no ceiling), so its
-    /// own run would have been that run.
+    /// own run would have been that run. Charged like a run.
     CoveredBy {
         sibling: String,
         ceiling: Option<f64>,
@@ -78,14 +77,6 @@ pub enum Answer {
     Aborted { ceiling: f64 },
     /// Refused at launch, for the given reason.
     Rejected(String),
-}
-
-/// A finished run's margins, with the ceiling it ran under (as bits) and its
-/// label.
-struct Published {
-    margins: DecisionMargins,
-    ceiling: Option<u64>,
-    label: String,
 }
 
 /// Budgeted, memoizing configuration evaluator shared by all grids of one
@@ -106,11 +97,8 @@ pub struct Evaluator<'a> {
     /// label → outcome; `None` records a configuration rejected at launch
     /// or abandoned by the cost ceiling.
     seen: HashMap<String, Option<Evaluated>>,
-    /// Canonical execution → label of the evaluated representative;
-    /// equal-key configurations reuse its outcome instead of re-executing.
-    canon: CanonicalReps<String>,
-    /// Family key → the margins its members' finished runs published.
-    published: HashMap<Vec<u64>, Vec<Published>>,
+    /// Family key ([`runner::family_key`]) → its admitted members, by label.
+    families: HashMap<Vec<u64>, Family<String>>,
     /// Every answered configuration's label and answer, in answer order.
     answers: Vec<(String, Answer)>,
 }
@@ -131,8 +119,7 @@ impl<'a> Evaluator<'a> {
             frontier: ParetoFrontier::new(),
             aborted: Vec::new(),
             seen: HashMap::new(),
-            canon: CanonicalReps::new(),
-            published: HashMap::new(),
+            families: HashMap::new(),
             answers: Vec::new(),
         }
     }
@@ -152,51 +139,14 @@ impl<'a> Evaluator<'a> {
         &self.answers
     }
 
-    /// The configuration whose run, finished under `ceiling`, published
-    /// margins covering `point` in family `key`.
-    fn covering_sibling(
-        &self,
-        (point, key): &(FamilyPoint, Vec<u64>),
-        ceiling: Option<u64>,
-    ) -> Option<String> {
-        self.published
-            .get(key)?
-            .iter()
-            .find(|p| p.ceiling == ceiling && p.margins.covers(point.threshold, point.psize))
-            .map(|p| p.label.clone())
-    }
-
     /// Evaluate a batch, running fresh configurations in parallel on the
     /// shared [`engine`] (each kernel launch walks its blocks on its config
-    /// task's thread) — all but those an earlier batch's published margins
-    /// already answer. Returns one outcome per input configuration
-    /// (memoized results included); fresh work beyond the remaining budget
-    /// is skipped and reported as `None`.
+    /// task's thread) — all but those their family answers: duplicates of
+    /// admitted configurations, and those an earlier batch's published
+    /// margins cover. Returns one outcome per input configuration (memoized
+    /// results included); fresh work beyond the remaining budget is skipped
+    /// and reported as `None`.
     pub fn eval_batch(&mut self, configs: &[SweepConfig]) -> Vec<Option<Evaluated>> {
-        let mut fresh: Vec<&SweepConfig> = Vec::new();
-        // (duplicate config, label of its canonical representative).
-        let mut dups: Vec<(&SweepConfig, String)> = Vec::new();
-        let remaining = self.remaining();
-        for cfg in configs {
-            if self.seen.contains_key(&cfg.label)
-                || fresh.iter().any(|f| f.label == cfg.label)
-                || dups.iter().any(|(d, _)| d.label == cfg.label)
-            {
-                continue;
-            }
-            // A duplicate is free; a fresh configuration is admitted (and
-            // becomes its key's representative) only while budget remains.
-            let room = fresh.len() < remaining;
-            let candidate = room.then(|| cfg.label.clone());
-            match self
-                .canon
-                .rep_or_admit(self.bench, self.spec, cfg, candidate)
-            {
-                Some(rep) => dups.push((cfg, rep)),
-                None if room => fresh.push(cfg),
-                None => {}
-            }
-        }
         // Frontier-aware early abort: a zero-error frontier point at
         // speedup S₀ dominates anything slower than baseline/S₀ seconds,
         // so the walk may abandon a config once its modeled-cost lower
@@ -209,25 +159,40 @@ impl<'a> Evaluator<'a> {
             ..ExecOptions::default()
         };
         let ceiling = opts.abort_above_seconds;
-        let ceiling_bits = ceiling.map(f64::to_bits);
-        // Before the batch runs: the admitted configurations an earlier
-        // batch's margins answer under this very ceiling.
-        let families: Vec<_> = fresh
+        // Charged configurations in admission order: family key, member
+        // index, and the sibling whose margins answer it (`None`: it runs).
+        let mut admitted: Vec<(&SweepConfig, Vec<u64>, usize, Option<String>)> = Vec::new();
+        // (duplicate config, label of the member it duplicates).
+        let mut dups: Vec<(&SweepConfig, String)> = Vec::new();
+        let remaining = self.remaining();
+        for cfg in configs {
+            if self.seen.contains_key(&cfg.label)
+                || admitted.iter().any(|a| a.0.label == cfg.label)
+                || dups.iter().any(|(d, _)| d.label == cfg.label)
+            {
+                continue;
+            }
+            let key = runner::family_key(self.bench, self.spec, cfg);
+            let family = self.families.entry(key.clone()).or_default();
+            // A duplicate is free; anything else is admitted only while
+            // budget remains.
+            match family.answer(cfg, ceiling) {
+                Some(Reuse::Duplicate(rep)) => dups.push((cfg, rep)),
+                answer if admitted.len() < remaining => {
+                    let member = family.admit(cfg, cfg.label.clone());
+                    let sibling = match answer {
+                        Some(Reuse::Covered(sibling)) => Some(sibling),
+                        _ => None,
+                    };
+                    admitted.push((cfg, key, member, sibling));
+                }
+                _ => {}
+            }
+        }
+        let to_run: Vec<&SweepConfig> = admitted
             .iter()
-            .map(|cfg| runner::family_key(self.bench, self.spec, cfg))
-            .collect();
-        let covered: Vec<Option<String>> = families
-            .iter()
-            .map(|f| {
-                f.as_ref()
-                    .and_then(|f| self.covering_sibling(f, ceiling_bits))
-            })
-            .collect();
-        let to_run: Vec<&SweepConfig> = fresh
-            .iter()
-            .zip(&covered)
-            .filter(|(_, c)| c.is_none())
-            .map(|(cfg, _)| *cfg)
+            .filter(|a| a.3.is_none())
+            .map(|a| a.0)
             .collect();
         let (bench, spec, baseline) = (self.bench, self.spec, self.baseline);
         let mut ran = engine()
@@ -235,15 +200,15 @@ impl<'a> Evaluator<'a> {
                 runner::evaluate(bench, spec, baseline, to_run[i], &opts)
             })
             .into_iter();
-        self.evaluations += fresh.len();
+        self.evaluations += admitted.len();
         if hpac_obs::enabled() {
-            hpac_obs::add(hpac_obs::CounterId::TunerEvals, fresh.len() as u64);
+            hpac_obs::add(hpac_obs::CounterId::TunerEvals, admitted.len() as u64);
             hpac_obs::add(
                 hpac_obs::CounterId::TunerEvalsSkipped,
-                (configs.len() - fresh.len()) as u64,
+                (configs.len() - admitted.len()) as u64,
             );
         }
-        for ((cfg, family), sibling) in fresh.iter().zip(families).zip(covered) {
+        for (cfg, key, member, sibling) in admitted {
             let (outcome, answer) = match sibling {
                 Some(sibling) => {
                     hpac_obs::inc(hpac_obs::CounterId::ConfigsDeduped);
@@ -251,31 +216,31 @@ impl<'a> Evaluator<'a> {
                     let outcome = self.lookup(&sibling).map(|rep| rep.for_config(cfg));
                     (outcome, Answer::CoveredBy { sibling, ceiling })
                 }
-                None => match ran.next().expect("one outcome per configuration run") {
-                    (ConfigOutcome::Done(row), margins) => {
-                        if let (Some((_, key)), Some(margins)) = (family, margins) {
-                            self.published.entry(key).or_default().push(Published {
-                                margins,
-                                ceiling: ceiling_bits,
-                                label: cfg.label.clone(),
-                            });
+                None => {
+                    let (outcome, margins) = ran.next().expect("one outcome per configuration run");
+                    if let Some(margins) = margins {
+                        let family = self.families.get_mut(&key).expect("admitted");
+                        family.publish(member, margins, ceiling);
+                    }
+                    match outcome {
+                        ConfigOutcome::Done(row) => {
+                            let outcome = Evaluated {
+                                region: cfg.region,
+                                lp: cfg.lp,
+                                technique: cfg.region.technique_name(),
+                                speedup: row.speedup,
+                                error_pct: row.error_pct,
+                            };
+                            (Some(outcome), Answer::Run)
                         }
-                        let outcome = Evaluated {
-                            region: cfg.region,
-                            lp: cfg.lp,
-                            technique: cfg.region.technique_name(),
-                            speedup: row.speedup,
-                            error_pct: row.error_pct,
-                        };
-                        (Some(outcome), Answer::Run)
+                        ConfigOutcome::Aborted(_) => {
+                            self.aborted.push(cfg.clone());
+                            let ceiling = ceiling.unwrap_or(f64::INFINITY);
+                            (None, Answer::Aborted { ceiling })
+                        }
+                        ConfigOutcome::Rejected(_, reason) => (None, Answer::Rejected(reason)),
                     }
-                    (ConfigOutcome::Aborted(_), _) => {
-                        self.aborted.push((*cfg).clone());
-                        let ceiling = ceiling.unwrap_or(f64::INFINITY);
-                        (None, Answer::Aborted { ceiling })
-                    }
-                    (ConfigOutcome::Rejected(_, reason), _) => (None, Answer::Rejected(reason)),
-                },
+                }
             };
             if let Some(ev) = &outcome {
                 self.frontier.insert(ParetoPoint {
@@ -294,8 +259,8 @@ impl<'a> Evaluator<'a> {
         for (cfg, rep_label) in dups {
             hpac_obs::inc(hpac_obs::CounterId::ConfigsDeduped);
             let synth = self.lookup(&rep_label).map(|rep| rep.for_config(cfg));
-            // The representative already holds the frontier point for these
-            // coordinates; inserting the duplicate would be a no-op.
+            // The member it duplicates already holds the frontier point for
+            // these coordinates; inserting the duplicate would be a no-op.
             self.seen.insert(cfg.label.clone(), synth);
             self.answers
                 .push((cfg.label.clone(), Answer::DuplicateOf(rep_label)));

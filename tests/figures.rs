@@ -3,20 +3,21 @@
 //! the row count its shape fixes (or at least one row), every row has the
 //! header's arity, and the CSV each table saves reads back cell for cell.
 //! Of the paper's shapes, the ablations' design claims and the Fig 8c,
-//! Fig 10b and Fig 11c panels are asserted here, at the default instance
+//! Fig 10b, Fig 11b and Fig 11c panels are asserted here, at the default instance
 //! sizes, and the Fig 12c fit at the small suite's; EXPERIMENTS.md records
 //! the status of every other figure.
 
+use gpu_sim::DeviceSpec;
 use hpac_offload::apps::common::install_eval_memo;
 use hpac_offload::apps::{
     binomial::BinomialOptions, blackscholes::Blackscholes, kmeans::KMeans, lavamd::LavaMd,
     leukocyte::Leukocyte, lulesh::Lulesh, minife::MiniFe,
 };
-use hpac_offload::harness::analyze::linear_fit;
+use hpac_offload::harness::analyze::{best_under_error, linear_fit};
 use hpac_offload::harness::figures::{
     ablations, fig08c, fig10, fig11c, fig12, generate, FigureData, Suite, IDS,
 };
-use hpac_offload::harness::Scale;
+use hpac_offload::harness::{run_sweep, Row, Scale};
 use std::collections::HashSet;
 
 fn small_suite() -> Suite {
@@ -257,6 +258,29 @@ fn fig10b_iact_never_speeds_blackscholes_up() {
         fastest < 1.0,
         "iACT reaches {fastest}x over {} configs",
         speedups.len()
+    );
+}
+
+/// Fig 11b: on AMD, iACT slows LavaMD down. The paper says "always"; here
+/// that holds under Fig 6's 10% error bound — a few rows far above it pass
+/// 1× (EXPERIMENTS.md records the deviation). Checked on every row the
+/// panel's cloud is drawn from.
+#[test]
+fn fig11b_iact_never_speeds_lavamd_up_under_ten_percent_error() {
+    let _scope = install_eval_memo();
+    let swept = run_sweep(&LavaMd::default(), &DeviceSpec::mi250x(), Scale::Quick);
+    let iact: Vec<&Row> = swept
+        .rows
+        .iter()
+        .filter(|r| r.technique == "iACT")
+        .collect();
+    let best = best_under_error(&iact, 10.0).expect("an iACT row at or under 10% error");
+    assert!(
+        best.speedup < 1.0,
+        "{}: {}x at {}% error",
+        best.config,
+        best.speedup,
+        best.error_pct
     );
 }
 

@@ -257,9 +257,9 @@ fn concurrent_drains_take_each_event_once() {
 }
 
 /// The three sweep entry points are one body: on a `launch_class`-opted-in
-/// app (so canonical dedup is live) they return identical rows and
-/// rejections in identical order and elide the same duplicates — canonical
-/// ones and those a threshold-family sibling's margin covers.
+/// app (so one execution recurs under several launch shapes) they return
+/// identical rows and rejections in identical order and elide the same
+/// configurations — duplicates and those a family sibling's margins cover.
 #[test]
 fn sweep_entry_points_agree_on_rows_and_dedup() {
     use hpac_offload::apps::kmeans::KMeans;
@@ -296,10 +296,7 @@ fn sweep_entry_points_agree_on_rows_and_dedup() {
 
     let [deduped, covered, evaluated, refused] = par_dups;
     assert!(covered > 0, "some sibling's margin must cover another");
-    assert!(
-        deduped > covered,
-        "the plan must contain canonical duplicates too"
-    );
+    assert!(deduped > covered, "the plan must contain duplicates too");
     assert_eq!((par_dups, par_dups), (ser_dups, cfg_dups));
     assert_eq!(par.rows.len() + par.rejected.len(), plan.len());
     // Every plan entry was run, refused at launch, or answered by another's run.

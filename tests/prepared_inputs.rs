@@ -421,8 +421,8 @@ fn row_bits(r: &Row) -> (String, String, usize, [u64; 6], Option<usize>) {
     )
 }
 
-/// A sweep (one scope, shared prepared inputs, canonical dedup, configs on
-/// the engine) reports, bit for bit and in order, what evaluating each
+/// A sweep (one scope, shared prepared inputs, families, configs on the
+/// engine) reports, bit for bit and in order, what evaluating each
 /// configuration of the same plan on its own outside any scope reports.
 #[test]
 fn scoped_sweep_rows_equal_unscoped_evaluation() {

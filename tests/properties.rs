@@ -3,7 +3,7 @@
 
 use gpu_sim::{AccessPattern, DeviceSpec, LaunchConfig};
 use hpac_offload::core::iact::IactPool;
-use hpac_offload::core::metrics::{geomean, mape, mcr, rsd, RsdWindow};
+use hpac_offload::core::metrics::{geomean, mape, mcr, rsd};
 use hpac_offload::core::params::{IactParams, PerfoKind, PerfoParams, TafParams};
 use hpac_offload::core::perfo;
 use hpac_offload::core::taf::TafPool;
@@ -172,17 +172,6 @@ proptest! {
         prop_assert!((rsd(&v) - rsd(&scaled)).abs() < 1e-9);
         let c = vec![v[0]; v.len()];
         prop_assert!(rsd(&c) < 1e-9);
-    }
-
-    /// The sliding window reports the RSD of exactly its last `cap` values.
-    #[test]
-    fn window_matches_direct_rsd(values in prop::collection::vec(0.1f64..10.0, 1..40), cap in 1usize..8) {
-        let mut w = RsdWindow::new(cap);
-        for &v in &values {
-            w.push(v);
-        }
-        let tail: Vec<f64> = values.iter().rev().take(cap).copied().collect();
-        prop_assert!((w.rsd() - rsd(&tail)).abs() < 1e-9);
     }
 
     /// Geomean lies between min and max.

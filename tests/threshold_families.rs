@@ -1,7 +1,8 @@
 //! Families: a sweep answers a configuration from a sibling that differs in
 //! threshold and prediction size alone when the sibling's decision margins
-//! cover both. Checked against evaluating every configuration on its own
-//! (all seven apps, both devices, random families), at the pool level (a
+//! cover both, and from an earlier duplicate of it. Checked against
+//! evaluating every configuration on its own (all seven apps, both devices,
+//! random families; and a plan full of duplicates), at the pool level (a
 //! run repeated at either end of either margin is the same run, and one
 //! step past an end is not), and for the number of evaluations a quick
 //! sweep still makes at the benchmark's sizes.
@@ -22,14 +23,16 @@ use hpac_offload::core::params::PerfoKind;
 use hpac_offload::core::region::RegionError;
 use hpac_offload::core::{ApproxRegion, HierarchyLevel};
 use hpac_offload::harness::runner::{
-    run_config_bounded, run_configs, run_sweep, run_sweep_serial, select_baseline_opts,
-    SweepOutcome,
+    canonical_key, run_config_bounded, run_configs, run_sweep, run_sweep_serial,
+    select_baseline_opts, SweepOutcome,
 };
 use hpac_offload::harness::space::{Scale, SweepConfig};
 use hpac_offload::harness::Row;
 use proptest::prelude::*;
 use proptest::TestRng;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 fn suite() -> Vec<Box<dyn Benchmark>> {
     vec![
@@ -288,6 +291,127 @@ impl Benchmark for CountEvals<'_> {
             self.evaluated.fetch_add(1, Ordering::Relaxed);
         }
         result
+    }
+}
+
+/// Items-per-thread past which [`ClampedIpt`]'s launches all run alike.
+const CLAMP_IPT: usize = 8;
+
+/// Small Blackscholes whose launches clamp items-per-thread at
+/// [`CLAMP_IPT`], and whose launch classes say so, so that every quick-plan
+/// entry above it duplicates one at it. Records the execution
+/// ([`canonical_key`]) of every approximated launch it is asked for,
+/// refused ones included.
+struct ClampedIpt {
+    inner: Blackscholes,
+    launches: Mutex<Vec<Vec<u64>>>,
+}
+
+impl Benchmark for ClampedIpt {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn kernel_only_timing(&self) -> bool {
+        self.inner.kernel_only_timing()
+    }
+    fn launch_class(&self, _spec: &DeviceSpec, lp: &LaunchParams) -> Option<u64> {
+        Some(((lp.block_size as u64) << 32) | lp.items_per_thread.min(CLAMP_IPT) as u64)
+    }
+    fn run_opts(
+        &self,
+        spec: &DeviceSpec,
+        region: Option<&ApproxRegion>,
+        lp: &LaunchParams,
+        opts: &ExecOptions,
+    ) -> Result<AppResult, RegionError> {
+        if let Some(&region) = region {
+            let cfg = SweepConfig {
+                region,
+                lp: *lp,
+                label: String::new(),
+            };
+            let key = canonical_key(self, spec, &cfg).expect("every launch has a class");
+            self.launches.lock().unwrap().push(key);
+        }
+        let clamped = LaunchParams::new(lp.items_per_thread.min(CLAMP_IPT), lp.block_size);
+        self.inner.run_opts(spec, region, &clamped, opts)
+    }
+}
+
+/// A duplicate — the same region in the same launch class — costs no run,
+/// whatever its technique and whether its first copy finished or was
+/// refused at launch, in either sweep entry point; and every entry reports
+/// what running it alone reports.
+#[test]
+fn duplicates_cost_no_run_and_match_lone_evaluation() {
+    let spec = DeviceSpec::v100();
+    let bench = ClampedIpt {
+        inner: Blackscholes {
+            n_options: 2048,
+            distinct: 16,
+            run_len: 16,
+            seed: 1,
+        },
+        launches: Mutex::new(Vec::new()),
+    };
+    let opts = ExecOptions::default();
+    let plan = hpac_offload::harness::space::plan(&bench, &spec, Scale::Quick);
+    let baseline = select_baseline_opts(&bench, &spec, &opts);
+    let lone: Vec<_> = plan
+        .iter()
+        .map(|cfg| run_config_bounded(&bench, &spec, &baseline, cfg, &opts).into_result())
+        .collect();
+
+    // The plan holds each kind of duplicate: of a perforation run, of a
+    // configuration refused at launch, and of a finished TAF run.
+    let mut first: HashMap<Vec<u64>, usize> = HashMap::new();
+    let mut kinds = HashSet::new();
+    for (i, cfg) in plan.iter().enumerate() {
+        let key = canonical_key(&bench, &spec, cfg).expect("every launch has a class");
+        if let Some(&rep) = first.get(&key) {
+            kinds.insert(match (&lone[rep], cfg.region.technique_name()) {
+                (Err(_), _) => "refused",
+                (Ok(_), technique) => technique,
+            });
+        } else {
+            first.insert(key, i);
+        }
+    }
+    for kind in ["Perfo", "refused", "TAF"] {
+        assert!(kinds.contains(kind), "no {kind} duplicate in {kinds:?}");
+    }
+    // Distinct executions that finish: at most one finished run each.
+    let finishing = first.values().filter(|&&i| lone[i].is_ok()).count();
+
+    let (mut rows, mut rejected) = (Vec::new(), Vec::new());
+    for outcome in lone {
+        match outcome {
+            Ok(row) => rows.push(row),
+            Err(rej) => rejected.push(rej),
+        }
+    }
+    for serial in [false, true] {
+        let counting = CountEvals {
+            inner: &bench,
+            evaluated: AtomicUsize::new(0),
+        };
+        bench.launches.lock().unwrap().clear();
+        let swept = if serial {
+            run_sweep_serial(&counting, &spec, Scale::Quick, &opts)
+        } else {
+            run_sweep(&counting, &spec, Scale::Quick)
+        };
+        let what = if serial {
+            "run_sweep_serial"
+        } else {
+            "run_sweep"
+        };
+        let launches = std::mem::take(&mut *bench.launches.lock().unwrap());
+        let distinct: HashSet<&Vec<u64>> = launches.iter().collect();
+        assert_eq!(distinct.len(), launches.len(), "{what}: a duplicate ran");
+        let evaluated = counting.evaluated.load(Ordering::Relaxed);
+        assert!(evaluated <= finishing, "{what}: {evaluated} finished runs");
+        assert_reports(&swept, &rows, &rejected, what);
     }
 }
 

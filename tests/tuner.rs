@@ -379,12 +379,15 @@ fn seeds_without_a_winner_fall_through_to_the_grids() {
 /// some configurations from a family sibling's decision margins, with and
 /// without a cost ceiling in force; each of them, run alone under the
 /// ceiling it was covered at, reproduces the outcome it was given bit for
-/// bit, and its sibling ran.
+/// bit, and its sibling ran. Every duplicate names a configuration answered
+/// before it and takes that one's outcome: none for a rejected or aborted
+/// one.
 #[test]
 fn margin_covered_configurations_reproduce_when_run_alone() {
     let tuner = Tuner::new().with_scale(Scale::Quick);
     // Covered configurations without and with a ceiling in force.
     let mut covered = [0; 2];
+    let mut duplicates = 0;
     for device in DeviceSpec::evaluation_platforms() {
         for bench in quick_apps() {
             let bench = bench.as_ref();
@@ -403,11 +406,26 @@ fn margin_covered_configurations_reproduce_when_run_alone() {
                 ev.answers().len(),
                 "each label answered once"
             );
-            for (label, answer) in ev.answers() {
+            let order: HashMap<&str, usize> = ev
+                .answers()
+                .iter()
+                .enumerate()
+                .map(|(i, (l, _))| (l.as_str(), i))
+                .collect();
+            for (i, (label, answer)) in ev.answers().iter().enumerate() {
+                let what = format!("{label} on {} ({})", bench.name(), device.name);
+                if let Answer::DuplicateOf(rep) = answer {
+                    assert!(order[rep.as_str()] < i, "{what}: {rep} answered later");
+                    let bits = |l: &str| {
+                        ev.lookup(l)
+                            .map(|e| (e.speedup.to_bits(), e.error_pct.to_bits()))
+                    };
+                    assert_eq!(bits(label), bits(rep), "{what}");
+                    duplicates += 1;
+                }
                 let Answer::CoveredBy { sibling, ceiling } = answer else {
                     continue;
                 };
-                let what = format!("{label} on {} ({})", bench.name(), device.name);
                 assert_eq!(answers[sibling.as_str()], &Answer::Run, "{what}");
                 let given = ev.lookup(label).expect("covered by a finished run");
                 let cfg = SweepConfig {
@@ -434,4 +452,5 @@ fn margin_covered_configurations_reproduce_when_run_alone() {
         covered.iter().all(|&n| n > 0),
         "covered (no ceiling, ceiling): {covered:?}"
     );
+    assert!(duplicates > 0, "no duplicate answered");
 }

@@ -187,9 +187,10 @@ fn a_forged_claim_is_run_found_out_and_not_served() {
     let _ = cache.clear();
 }
 
-/// The name-only cache key (ROADMAP item 2), seen from the warm path: a
-/// neighborhood tuned for another instance of the same benchmark does not
-/// reproduce on this one, and the plan served is this instance's.
+/// The name-only cache key (ROADMAP, "The thaw, led by one instance key"),
+/// seen from the warm path: a neighborhood tuned for another instance of the
+/// same benchmark does not reproduce on this one, and the plan served is
+/// this instance's.
 #[test]
 fn a_neighborhood_tuned_for_another_instance_is_found_out() {
     let _turn = turn();
