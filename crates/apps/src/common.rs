@@ -7,11 +7,11 @@ use gpu_sim::{CostProfile, DeviceSpec, KernelExec, KernelRecord, KernelStats, La
 use hpac_core::exec::ExecOptions;
 use hpac_core::hash::fnv1a;
 use hpac_core::metrics;
+use hpac_core::once_map::{Cell, OnceMap};
 use hpac_core::region::{ApproxRegion, RegionError};
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// Launch-shape parameters swept by the paper's design-space exploration
 /// (the `num_teams`-derived "Items per Thread" and the block size).
@@ -201,10 +201,14 @@ impl ComputeMemo {
     }
 }
 
-/// Cap on resident prepared bytes across one sweep scope. On overflow,
-/// entries are still built and used for the requesting run, just not
-/// retained — correctness never depends on retention.
-const EVAL_MEMO_BYTE_CAP: usize = 256 << 20;
+/// Cap on the prepared bytes one [`EvalMemo`] retains, summed over
+/// [`Prepared::approx_bytes`]. An entry that would pass it is still built
+/// and used by the requests waiting on its build, just not retained: the
+/// next request for its key builds it again. The first refusal logs a
+/// warning, once per store. Nothing is evicted, so a store that reaches the
+/// cap keeps what it holds and builds everything else per request.
+/// Correctness never depends on retention.
+pub const EVAL_MEMO_BYTE_CAP: usize = 256 << 20;
 
 /// Build an [`EvalMemo`] key from an app tag and the exact parameter bits
 /// that determine the prepared state. Keys must uniquely identify
@@ -235,9 +239,6 @@ impl Prepared for ComputeMemo {
 /// A stored [`Prepared`] value; [`EvalMemo::prepared`] recovers its type.
 type Entry = Arc<dyn Any + Send + Sync>;
 
-/// One key's slot: set once, by whichever requester builds the entry.
-type Cell = Arc<OnceLock<Entry>>;
-
 /// Sweep-scoped store of [`Prepared`] state, shared by every config task of
 /// a harness sweep or tuner search — and, while a tuning service holds the
 /// scope, by every request it searches: one entry per key, holding an app's
@@ -246,15 +247,14 @@ type Cell = Arc<OnceLock<Entry>>;
 ///
 /// None of this varies with approximation parameters, so it is built once
 /// per scope and replayed across all configs instead of once per config.
-/// One mutex guards the map; there is one lookup per app run and one per
-/// baseline selection, so it never contends. The lock covers only finding
-/// or inserting a key's cell; the build runs under the cell, so concurrent
-/// requests for one key build it once while other keys — and builds that
-/// themselves ask the store for another key, as a baseline asks for its
-/// app's inputs — proceed. A build that panics leaves its cell empty, and
-/// the next request for the key builds again.
+/// The entries live in a [`OnceMap`]: concurrent requests for one key build
+/// it once while other keys — and builds that themselves ask the store for
+/// another key, as a baseline asks for its app's inputs — proceed. There is
+/// one lookup per app run and one per baseline selection, so its lock never
+/// contends. A build that panics leaves its cell empty, and the next request
+/// for the key builds again. Retention stops at [`EVAL_MEMO_BYTE_CAP`].
 pub struct EvalMemo {
-    cells: Mutex<HashMap<Vec<u64>, Cell>>,
+    entries: OnceMap<Vec<u64>, Entry>,
     bytes: AtomicUsize,
     cap_warned: AtomicBool,
 }
@@ -268,50 +268,32 @@ impl Default for EvalMemo {
 impl EvalMemo {
     pub fn new() -> Self {
         EvalMemo {
-            cells: Mutex::new(HashMap::new()),
+            entries: OnceMap::new(),
             bytes: AtomicUsize::new(0),
             cap_warned: AtomicBool::new(false),
         }
     }
 
-    /// The key-to-cell map. Cells are inserted and removed whole, so the
-    /// map is valid at every step and a poisoned lock is safe to recover.
-    fn cells(&self) -> MutexGuard<'_, HashMap<Vec<u64>, Cell>> {
-        self.cells.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// Fetch the prepared state for `key`, building (and, capacity
     /// permitting, retaining) it on first request.
     pub fn prepared<T: Prepared>(&self, key: &[u64], build: impl FnOnce() -> T) -> Arc<T> {
-        let cell = {
-            let mut map = self.cells();
-            match map.get(key) {
-                Some(cell) => Arc::clone(cell),
-                None => Arc::clone(map.entry(key.to_vec()).or_default()),
-            }
-        };
-        let mut built_bytes = None;
-        let entry = cell.get_or_init(|| {
-            let built = Arc::new(build());
-            built_bytes = Some(built.approx_bytes());
-            built
-        });
-        match built_bytes {
-            None => hpac_obs::inc(hpac_obs::CounterId::EvalMemoHits),
-            Some(sz) => {
-                hpac_obs::inc(hpac_obs::CounterId::EvalMemoMisses);
-                self.retain_or_release(key, sz);
-            }
-        }
-        Arc::clone(entry)
+        let (cell, built) = self.entries.get_or_init(key, || Arc::new(build()));
+        let entry: Arc<T> = Arc::clone(cell.get().expect("get_or_init returns a set cell"))
             .downcast()
-            .unwrap_or_else(|_| panic!("eval key {key:?} names two prepared types"))
+            .unwrap_or_else(|_| panic!("eval key {key:?} names two prepared types"));
+        if built {
+            hpac_obs::inc(hpac_obs::CounterId::EvalMemoMisses);
+            self.retain_or_release(key, &cell, entry.approx_bytes());
+        } else {
+            hpac_obs::inc(hpac_obs::CounterId::EvalMemoHits);
+        }
+        entry
     }
 
     /// Charge a freshly built `sz`-byte entry to the byte cap, or — when it
     /// does not fit — take its cell back out of the map: requesters already
     /// waiting on the cell still share the build, later ones build again.
-    fn retain_or_release(&self, key: &[u64], sz: usize) {
+    fn retain_or_release(&self, key: &[u64], cell: &Cell<Entry>, sz: usize) {
         let fits = |held: usize| {
             held.checked_add(sz)
                 .filter(|&sum| sum <= EVAL_MEMO_BYTE_CAP)
@@ -323,7 +305,7 @@ impl EvalMemo {
         {
             return;
         }
-        self.cells().remove(key);
+        self.entries.forget(key, cell);
         if !self.cap_warned.swap(true, Ordering::Relaxed) {
             hpac_obs::log_warn(&format!(
                 "sweep scope holds {} of {EVAL_MEMO_BYTE_CAP} prepared bytes; a {sz}-byte \
@@ -528,6 +510,7 @@ pub trait Benchmark: Send + Sync {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::sync::Mutex;
 
     #[test]
     fn qoi_mape_roundtrip() {

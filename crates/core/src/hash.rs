@@ -1,9 +1,9 @@
 //! The stack's one byte-wise hash.
 
 /// 64-bit FNV-1a over a byte stream (offset basis `0xcbf29ce484222325`,
-/// prime `0x100000001b3`). Shards the apps' `EvalMemo` and the tuner's
-/// on-disk cache and tags `eval_key`s, so its values are load-bearing:
-/// changing it moves cache entries between shard directories.
+/// prime `0x100000001b3`). Shards the tuner's on-disk cache and tags the
+/// apps' `eval_key`s, so its values are load-bearing: changing it moves
+/// cache entries between shard directories.
 pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     // `fold`, not `for`: adapters like `flat_map` (word keys hashed byte by
     // byte) only compile down to plain nested loops under internal iteration.

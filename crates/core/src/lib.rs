@@ -45,6 +45,7 @@ pub mod hierarchy;
 pub mod iact;
 pub mod lane;
 pub mod metrics;
+pub mod once_map;
 pub mod params;
 pub mod perfo;
 pub mod region;

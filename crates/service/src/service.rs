@@ -7,14 +7,17 @@
 //!
 //! 1. **Cache** — a valid entry in the sharded [`TuningCache`] answers
 //!    immediately ([`Source::CacheHit`], zero evaluations).
-//! 2. **Coalescing** — if an identical request (same benchmark, device
-//!    fingerprint, and bound) is already searching, this one waits for the
-//!    leader's plan instead of searching again ([`Source::Coalesced`]).
-//!    With a cache attached, N concurrent identical requests run *exactly
-//!    one* search: the leader stores the entry before retiring its
-//!    in-flight slot, and a would-be second leader re-checks the cache
-//!    right after claiming the slot, so it finds the entry instead of
-//!    searching.
+//! 2. **Coalescing** — identical requests (same benchmark, device
+//!    fingerprint, and bound) meet on one once-cell of an
+//!    [`OnceMap`]: the first to arrive leads and searches, and the others
+//!    block on the cell and take the leader's plan instead of searching
+//!    again ([`Source::Coalesced`]). Every caller then removes the cell, so
+//!    the map holds only searches in flight. With a cache attached, N
+//!    concurrent identical requests run *exactly one* search: the leader
+//!    stores the entry before it sets the cell, and a leader re-checks the
+//!    cache before it searches, so a request that arrives after the cell is
+//!    gone finds the entry instead of searching. A leader that panics
+//!    leaves the cell empty, and a request blocked on it leads in its place.
 //! 3. **Search** — the leader runs [`Tuner::search_plan`], handing it the
 //!    re-executable Pareto frontier points of cached *neighboring bounds*
 //!    on the same (benchmark, device) when there are any
@@ -58,13 +61,17 @@
 //! * **For how long:** the service's lifetime. The scope is process-wide
 //!   and reference-counted, so sweeps and other services running meanwhile
 //!   share the same store, and it is freed with its last holder.
-//! * **How much:** retained entries stop at 256 MiB; past that an entry is
-//!   still built and used by the request that needs it, just not kept (one
-//!   warning per scope). Nothing is evicted.
+//! * **How much:** retained entries stop at
+//!   [`EVAL_MEMO_BYTE_CAP`](hpac_apps::common::EVAL_MEMO_BYTE_CAP)
+//!   (256 MiB). Past it an entry is still built and used by the request
+//!   that needs it, just not kept (one warning per scope), so a baseline
+//!   refused there is measured again by every search that needs it.
+//!   Nothing is evicted.
 //! * **Results:** retention never changes one. Baselines and inputs are
 //!   deterministic functions of their keys — every benchmark field and the
 //!   exact bits of every device field — so a retained value is the one the
-//!   request would have measured itself.
+//!   request would have measured itself, and a service at the cap answers
+//!   what a fresh one does.
 //! * **Known limit:** the *persistent* cache and the coalescing key still
 //!   identify a benchmark by its name alone (plus the device fingerprint
 //!   and the bound). Two differently sized instances of one benchmark on
@@ -76,10 +83,10 @@
 use crate::request::{Source, TuneRequest, TuneResponse, WarmStart};
 use hpac_apps::common::{install_eval_memo, EvalMemoScope};
 use hpac_core::exec::engine;
+use hpac_core::once_map::OnceMap;
 use hpac_tuner::{device_fingerprint, ParetoPoint, TunedPlan, Tuner, TuningCache};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Identity of a coalescable request: same benchmark, same device (by
@@ -100,49 +107,6 @@ impl Key {
             fingerprint,
             bound_bp: (req.bound().max_error_pct * 100.0).round() as i64,
         }
-    }
-}
-
-/// What waiters on an in-flight search eventually observe.
-#[derive(Debug)]
-enum WaitState {
-    Pending,
-    Done(Box<TunedPlan>),
-    /// The leader died without publishing (panicked); waiters retry.
-    Abandoned,
-}
-
-#[derive(Debug)]
-struct InFlight {
-    state: Mutex<WaitState>,
-    cv: Condvar,
-}
-
-impl InFlight {
-    fn new() -> Self {
-        InFlight {
-            state: Mutex::new(WaitState::Pending),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Block until the leader publishes; `None` means it was abandoned.
-    fn wait(&self) -> Option<TunedPlan> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            match &*state {
-                WaitState::Pending => {
-                    state = self.cv.wait(state).unwrap_or_else(|e| e.into_inner());
-                }
-                WaitState::Done(plan) => return Some((**plan).clone()),
-                WaitState::Abandoned => return None,
-            }
-        }
-    }
-
-    fn publish(&self, outcome: WaitState) {
-        *self.state.lock().unwrap_or_else(|e| e.into_inner()) = outcome;
-        self.cv.notify_all();
     }
 }
 
@@ -176,7 +140,9 @@ pub struct ServiceStats {
 pub struct TuningService {
     tuner: Tuner,
     cache: Option<TuningCache>,
-    inflight: Mutex<HashMap<Key, Arc<InFlight>>>,
+    /// One cell per search in flight, set to the leader's plan and where
+    /// it came from (see the module docs).
+    inflight: OnceMap<Key, (TunedPlan, Source)>,
     stats: StatsInner,
     /// The evaluation scope, taken by the first request that searches and
     /// held until the service is dropped (see the module docs).
@@ -197,7 +163,7 @@ impl TuningService {
         TuningService {
             tuner: Tuner::new(),
             cache: None,
-            inflight: Mutex::new(HashMap::new()),
+            inflight: OnceMap::new(),
             stats: StatsInner::default(),
             scope: OnceLock::new(),
         }
@@ -255,52 +221,44 @@ impl TuningService {
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
 
         let max_error_pct = req.bound().max_error_pct;
-        let inflight = loop {
+        loop {
             if let Some(plan) = self.cache_lookup(&key, max_error_pct) {
-                return self.respond(plan, Source::CacheHit, 0, t0);
+                return self.respond(plan, Source::CacheHit, t0);
             }
-            match self.claim_or_join(&key) {
-                // We are the leader; go search.
-                None => break self.claimed(&key),
-                Some(existing) => {
-                    // The leader's bound shares our key, not necessarily
-                    // our value: its plan answers us only if it meets ours.
-                    if let Some(plan) = existing
-                        .wait()
-                        .filter(|plan| plan.measured_error_pct <= max_error_pct)
-                    {
-                        hpac_obs::inc(hpac_obs::CounterId::ServiceCoalesced);
-                        self.stats.coalesced.fetch_add(1, Ordering::Relaxed);
-                        return self.respond(plan, Source::Coalesced, 0, t0);
-                    }
-                    // Leader abandoned (panicked) or answered a looser
-                    // bound: start over.
-                }
+            let (cell, led) = self.inflight.get_or_init(&key, || self.lead(&req, &key));
+            self.inflight.forget(&key, &cell);
+            let (plan, source) = cell.get().expect("get_or_init returns a set cell");
+            if led {
+                return self.respond(plan.clone(), *source, t0);
             }
-        };
+            // The leader's bound shares our key, not necessarily our value:
+            // its plan answers us only if it meets ours. Otherwise start
+            // over.
+            if plan.measured_error_pct <= max_error_pct {
+                hpac_obs::inc(hpac_obs::CounterId::ServiceCoalesced);
+                self.stats.coalesced.fetch_add(1, Ordering::Relaxed);
+                return self.respond(plan.clone(), Source::Coalesced, t0);
+            }
+        }
+    }
 
-        // Second-leader guard: between our cache miss and our claim, a
-        // previous leader may have published and retired. It stores to the
-        // cache *before* retiring, so re-checking the cache here is enough
-        // to guarantee exactly one search per key when a cache is attached.
-        if let Some(plan) = self.cache_lookup(&key, max_error_pct) {
-            self.retire(&key, &inflight, WaitState::Done(Box::new(plan.clone())));
-            return self.respond(plan, Source::CacheHit, 0, t0);
+    /// The leader's path, run under the key's in-flight cell: the plan for
+    /// `req`, and where it came from.
+    fn lead(&self, req: &TuneRequest, key: &Key) -> (TunedPlan, Source) {
+        let max_error_pct = req.bound().max_error_pct;
+        // Second-leader guard: between our cache miss and our cell, an
+        // earlier leader may have stored its plan and dropped its cell. It
+        // stores *before* it sets the cell, so re-checking the cache here
+        // is enough for exactly one search per key when a cache is attached.
+        if let Some(plan) = self.cache_lookup(key, max_error_pct) {
+            return (plan, Source::CacheHit);
         }
         if self.cache.is_some() {
             hpac_obs::inc(hpac_obs::CounterId::TunerCacheMisses);
         }
 
-        // Leader path. The guard retires the in-flight slot as Abandoned if
-        // the search panics, so waiters never deadlock.
-        let guard = RetireGuard {
-            svc: self,
-            key: &key,
-            inflight: &inflight,
-            done: false,
-        };
         let seeds = match req.warm_start_policy() {
-            WarmStart::Auto => self.gather_seeds(&key, max_error_pct),
+            WarmStart::Auto => self.gather_seeds(key, max_error_pct),
             WarmStart::Never => Vec::new(),
         };
         self.scope.get_or_init(install_eval_memo);
@@ -312,24 +270,15 @@ impl TuningService {
             hpac_obs::inc(hpac_obs::CounterId::ServiceWarmStarts);
             self.stats.warm_starts.fetch_add(1, Ordering::Relaxed);
         }
-
-        // Store BEFORE retiring the in-flight slot (see the second-leader
-        // guard above — this ordering is what makes "exactly one search"
-        // airtight).
         if let Some(cache) = &self.cache {
-            if let Err(e) = cache.store(&plan, fingerprint) {
+            if let Err(e) = cache.store(&plan, key.fingerprint) {
                 hpac_obs::log_warn(&format!("tuning cache write failed: {e}"));
             }
         }
-        guard.retire(WaitState::Done(Box::new(plan.clone())));
-        self.respond(
-            plan,
-            Source::Searched {
-                warm_seeds: seeds.len(),
-            },
-            0,
-            t0,
-        )
+        let source = Source::Searched {
+            warm_seeds: seeds.len(),
+        };
+        (plan, source)
     }
 
     /// Resolve a batch of requests concurrently through the engine's worker
@@ -360,37 +309,6 @@ impl TuningService {
         Some(plan)
     }
 
-    /// Claim the key's in-flight slot (returning `None` = we lead) or join
-    /// an existing one.
-    fn claim_or_join(&self, key: &Key) -> Option<Arc<InFlight>> {
-        let mut map = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
-        match map.get(key) {
-            Some(existing) => Some(existing.clone()),
-            None => {
-                map.insert(key.clone(), Arc::new(InFlight::new()));
-                None
-            }
-        }
-    }
-
-    fn claimed(&self, key: &Key) -> Arc<InFlight> {
-        self.inflight
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(key)
-            .expect("leader's in-flight slot exists until it retires")
-            .clone()
-    }
-
-    /// Publish an outcome to waiters and remove the in-flight slot.
-    fn retire(&self, key: &Key, inflight: &Arc<InFlight>, outcome: WaitState) {
-        inflight.publish(outcome);
-        self.inflight
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(key);
-    }
-
     /// Warm-start seeds: every re-executable frontier point of every cached
     /// bound for this (benchmark, device), nearest bound first, deduplicated
     /// by configuration label, each with the numbers its entry stored.
@@ -416,41 +334,16 @@ impl TuningService {
         seeds
     }
 
-    fn respond(&self, plan: TunedPlan, source: Source, evals: usize, t0: Instant) -> TuneResponse {
+    fn respond(&self, plan: TunedPlan, source: Source, t0: Instant) -> TuneResponse {
         let evals_spent = match source {
             Source::Searched { .. } => plan.evaluations,
-            _ => evals,
+            _ => 0,
         };
         TuneResponse {
             plan,
             source,
             evals_spent,
             wall_ns: t0.elapsed().as_nanos() as u64,
-        }
-    }
-}
-
-/// Retires the leader's in-flight slot exactly once — as `Abandoned` if the
-/// search unwinds, so waiters wake up and retry instead of deadlocking.
-struct RetireGuard<'a> {
-    svc: &'a TuningService,
-    key: &'a Key,
-    inflight: &'a Arc<InFlight>,
-    done: bool,
-}
-
-impl RetireGuard<'_> {
-    fn retire(mut self, outcome: WaitState) {
-        self.done = true;
-        self.svc.retire(self.key, self.inflight, outcome);
-    }
-}
-
-impl Drop for RetireGuard<'_> {
-    fn drop(&mut self) {
-        if !self.done {
-            self.svc
-                .retire(self.key, self.inflight, WaitState::Abandoned);
         }
     }
 }

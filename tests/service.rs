@@ -1,40 +1,25 @@
 //! Cross-crate tests of the tuning service: request coalescing under real
 //! thread concurrency, warm-start bound/budget guarantees, what a service
-//! retains between requests (and that a panicking benchmark cannot wedge
-//! it), and crash-atomicity of the sharded cache's write-replace protocol.
+//! retains between requests (and that a panicking benchmark or a non-finite
+//! output cannot wedge or mislead it), and crash-atomicity of the sharded
+//! cache's write-replace protocol.
 
+mod common;
+
+use common::{fresh_cache, plan_bits, quick_service, small_bs, temp_dir, Probe};
 use gpu_sim::DeviceSpec;
 use hpac_offload::apps::blackscholes::Blackscholes;
-use hpac_offload::apps::common::{eval_key, AppResult, Benchmark, LaunchParams};
+use hpac_offload::apps::common::{Benchmark, LaunchParams};
 use hpac_offload::apps::kmeans::KMeans;
-use hpac_offload::core::exec::ExecOptions;
-use hpac_offload::core::region::{ApproxRegion, RegionError};
+use hpac_offload::core::region::ApproxRegion;
 use hpac_offload::harness::space::baseline_ipts;
 use hpac_offload::service::{Source, TuneRequest, TuningService, WarmStart};
 use hpac_offload::tuner::{
-    device_fingerprint, ParetoFrontier, ParetoPoint, QualityBound, TunedPlan, Tuner, TuningCache,
+    device_fingerprint, ParetoFrontier, ParetoPoint, QualityBound, TunedPlan, TuningCache,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Barrier, OnceLock};
-
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("hpac_service_it_{tag}_{}", std::process::id()))
-}
-
-fn fresh_cache(tag: &str) -> TuningCache {
-    let cache = TuningCache::new(temp_dir(tag));
-    let _ = cache.clear();
-    cache
-}
-
-fn quick_service(cache: &TuningCache, budget_fraction: f64) -> TuningService {
-    let mut tuner = Tuner::new().with_scale(hpac_offload::harness::Scale::Quick);
-    tuner.budget_fraction = budget_fraction;
-    TuningService::new()
-        .with_tuner(tuner)
-        .with_cache(cache.clone())
-}
 
 /// A quick-scale service over a fresh cache, with a small search budget so
 /// property cases stay fast.
@@ -156,118 +141,12 @@ proptest! {
     }
 }
 
-/// A benchmark under observation: counts its accurate runs (a baseline
-/// selection is `baseline_ipts` of them, and a search makes no others) and
-/// its approximated ones (one per configuration a search evaluates),
-/// panics on the `panic_on`-th accurate one, and carries a `tag` in its parameter
-/// identity so that instances can be told apart by the evaluation scope —
-/// which is process-wide, and which other tests of this binary hold too.
-struct Probe<B> {
-    inner: B,
-    tag: u64,
-    accurate_runs: AtomicUsize,
-    approx_runs: AtomicUsize,
-    panic_on: Option<usize>,
-}
-
-impl<B: Benchmark> Probe<B> {
-    fn new(inner: B, tag: u64) -> Self {
-        Probe {
-            inner,
-            tag,
-            accurate_runs: AtomicUsize::new(0),
-            approx_runs: AtomicUsize::new(0),
-            panic_on: None,
-        }
-    }
-
-    fn accurate_runs(&self) -> usize {
-        self.accurate_runs.load(Ordering::SeqCst)
-    }
-
-    fn approx_runs(&self) -> usize {
-        self.approx_runs.load(Ordering::SeqCst)
-    }
-}
-
-impl<B: Benchmark> Benchmark for Probe<B> {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn error_metric(&self) -> &'static str {
-        self.inner.error_metric()
-    }
-
-    fn kernel_only_timing(&self) -> bool {
-        self.inner.kernel_only_timing()
-    }
-
-    fn block_level_only(&self) -> bool {
-        self.inner.block_level_only()
-    }
-
-    fn launch_class(&self, spec: &DeviceSpec, lp: &LaunchParams) -> Option<u64> {
-        self.inner.launch_class(spec, lp)
-    }
-
-    fn params_key(&self) -> Option<Vec<u64>> {
-        let mut key = self.inner.params_key()?;
-        key.extend(eval_key("probe", &[self.tag]));
-        Some(key)
-    }
-
-    fn run_opts(
-        &self,
-        spec: &DeviceSpec,
-        region: Option<&ApproxRegion>,
-        lp: &LaunchParams,
-        opts: &ExecOptions,
-    ) -> Result<AppResult, RegionError> {
-        if region.is_none() {
-            let nth = self.accurate_runs.fetch_add(1, Ordering::SeqCst) + 1;
-            if self.panic_on == Some(nth) {
-                panic!("injected fault: accurate run {nth} of {}", self.name());
-            }
-        } else {
-            self.approx_runs.fetch_add(1, Ordering::SeqCst);
-        }
-        self.inner.run_opts(spec, region, lp, opts)
-    }
-}
-
-fn small_bs() -> Blackscholes {
-    Blackscholes {
-        n_options: 8192,
-        distinct: 16,
-        run_len: 16,
-        seed: 7,
-    }
-}
-
 fn small_kmeans() -> KMeans {
     KMeans {
         n_points: 512,
         max_iters: 30,
         ..KMeans::default()
     }
-}
-
-/// Everything a search decides, floats by bit pattern.
-fn plan_bits(p: &TunedPlan) -> impl PartialEq + std::fmt::Debug {
-    (
-        (p.config.clone(), p.technique.clone(), p.lp, p.baseline_lp),
-        (
-            p.predicted_speedup.to_bits(),
-            p.measured_error_pct.to_bits(),
-        ),
-        (p.evaluations, p.full_space),
-        p.frontier
-            .points()
-            .iter()
-            .map(|q| (q.config.clone(), q.speedup.to_bits(), q.error_pct.to_bits()))
-            .collect::<Vec<_>>(),
-    )
 }
 
 /// The bound sweep of one (benchmark, device): the four template bounds in
@@ -556,6 +435,78 @@ fn panicking_accurate_run_abandons_one_request_and_wedges_nothing() {
     assert_eq!(plan_bits(&answered.plan), plan_bits(&clean.plan));
     let _ = cache.clear();
     let _ = clean_cache.clear();
+}
+
+/// Fault injection: one approximated run of a search returns a QoI holding
+/// NaN, +inf or −inf. The search scores it infinitely wrong and goes on:
+/// every frontier point and the served plan are finite, the plan meets its
+/// bound when run again, and a later request on a sibling device, whose
+/// baseline lives in the faulted benchmark's scope, returns what an
+/// undisturbed service returns.
+#[test]
+fn a_non_finite_qoi_is_scored_out_and_disturbs_no_sibling() {
+    let device = DeviceSpec::v100();
+    let sibling_device = DeviceSpec {
+        name: "V100-sibling",
+        sm_count: device.sm_count + 1,
+        ..device
+    };
+    let bound = QualityBound::percent(5.0);
+    for (i, value) in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+        .into_iter()
+        .enumerate()
+    {
+        let tag = (std::process::id() as u64) << 32 | 0x0BAD_0000 | (i as u64) << 4;
+        let cache = fresh_cache(&format!("value_fault_{i}"));
+        let svc = quick_service(&cache, 0.1);
+        let faulty = Probe {
+            corrupt_on: Some((2, value)),
+            ..Probe::new(Blackscholes::default(), tag)
+        };
+        let resp = svc.submit(TuneRequest::new(&faulty, &device, bound));
+        assert!(resp.source.is_searched());
+        assert!(resp.plan.predicted_speedup > 1.0, "an approximated winner");
+        assert!(
+            faulty.approx_runs() >= 2,
+            "the fault at {value} never fired"
+        );
+
+        let plan = &resp.plan;
+        assert!(
+            plan.predicted_speedup.is_finite() && plan.measured_error_pct.is_finite(),
+            "after {value}: served {plan:?}"
+        );
+        for point in plan.frontier.points() {
+            assert!(
+                point.speedup.is_finite() && point.error_pct.is_finite(),
+                "after {value}: frontier holds {point:?}"
+            );
+        }
+        let rerun = plan
+            .execute(&Blackscholes::default(), &device)
+            .expect("the served plan re-executes");
+        assert!(
+            rerun.error_pct <= bound.max_error_pct,
+            "after {value}: the plan re-executes at {}% error",
+            rerun.error_pct
+        );
+
+        let sibling = svc.submit(TuneRequest::new(&faulty, &sibling_device, bound));
+        let clean_cache = fresh_cache(&format!("value_fault_clean_{i}"));
+        let clean = quick_service(&clean_cache, 0.1).submit(TuneRequest::new(
+            &Probe::new(Blackscholes::default(), tag + 1),
+            &sibling_device,
+            bound,
+        ));
+        assert_eq!(sibling.source, clean.source, "after {value}");
+        assert_eq!(
+            plan_bits(&sibling.plan),
+            plan_bits(&clean.plan),
+            "after {value}"
+        );
+        let _ = cache.clear();
+        let _ = clean_cache.clear();
+    }
 }
 
 /// A plan with a deliberately wide frontier, so its JSON entry is large
