@@ -14,7 +14,7 @@ use hpac_apps::common::Benchmark;
 use hpac_tuner::{QualityBound, TunedPlan};
 
 /// Whether a search may seed itself from cached neighboring bounds on the
-/// same (benchmark, device).
+/// same (instance, device).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WarmStart {
     /// Seed from neighbors when the service has a cache (the default).

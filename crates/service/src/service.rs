@@ -7,7 +7,7 @@
 //!
 //! 1. **Cache** — a valid entry in the sharded [`TuningCache`] answers
 //!    immediately ([`Source::CacheHit`], zero evaluations).
-//! 2. **Coalescing** — identical requests (same benchmark, device
+//! 2. **Coalescing** — identical requests (same benchmark instance, device
 //!    fingerprint, and bound) meet on one once-cell of an
 //!    [`OnceMap`]: the first to arrive leads and searches, and the others
 //!    block on the cell and take the leader's plan instead of searching
@@ -20,19 +20,33 @@
 //!    leaves the cell empty, and a request blocked on it leads in its place.
 //! 3. **Search** — the leader runs [`Tuner::search_plan`], handing it the
 //!    re-executable Pareto frontier points of cached *neighboring bounds*
-//!    on the same (benchmark, device) when there are any
+//!    on the same (instance, device) when there are any
 //!    ([`Source::Searched`]). A frontier already answers any bound, so the
 //!    warm search does not re-measure the neighborhood: it runs the stored
 //!    frontier's winner under the requested bound once and, when that run
 //!    reproduces the stored speedup and error exactly, answers with it
 //!    (one evaluation, [`TunedPlan::verified_seed`]). A winner that does
-//!    not reproduce — a neighborhood tuned for another instance of the
-//!    benchmark, or an edited entry — is counted, warned about once, and
+//!    not reproduce — an edited entry — is counted, warned about once, and
 //!    the search re-measures every seed and, if need be, walks the grids.
 //!    No evaluation outcome is kept from one request to the next.
 //!
 //! A cache that cannot be read or written degrades each layer to the next
 //! one; it never fails a request (see [`TuningService::submit`]).
+//!
+//! # Which instance a plan answers
+//!
+//! A plan is a claim about one instance of a benchmark: its error on other
+//! inputs can be anything. Cache hits, coalesced answers and warm-start
+//! seeds are therefore all keyed by the request's
+//! [`params_key`](hpac_apps::common::Benchmark::params_key), the identity
+//! the evaluation scope already keys baselines and inputs by, and each
+//! stored plan carries it ([`TunedPlan::instance`]). A benchmark whose
+//! `params_key` is `None` has no such identity: its requests search alone,
+//! and nothing is looked up, shared or stored for them. The entry's file
+//! name holds (benchmark, device, bound) and not the instance, so two
+//! instances of one benchmark at one bound take turns at one path: the
+//! last to search replaces the other's entry, and the other searches again
+//! when next asked. Neither is ever served the other's plan.
 //!
 //! Entries and in-flight searches are keyed by the bound in basis points,
 //! so two bounds closer than 0.01% share a key. Layers 1 and 2 therefore
@@ -72,13 +86,6 @@
 //!   exact bits of every device field — so a retained value is the one the
 //!   request would have measured itself, and a service at the cap answers
 //!   what a fresh one does.
-//! * **Known limit:** the *persistent* cache and the coalescing key still
-//!   identify a benchmark by its name alone (plus the device fingerprint
-//!   and the bound). Two differently sized instances of one benchmark on
-//!   one service share cache entries, as they always have; only the
-//!   in-memory scope tells them apart. A warm start notices — the other
-//!   instance's stored winner does not reproduce, so it re-measures — and
-//!   a cache hit does not.
 
 use crate::request::{Source, TuneRequest, TuneResponse, WarmStart};
 use hpac_apps::common::{install_eval_memo, EvalMemoScope};
@@ -89,26 +96,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Identity of a coalescable request: same benchmark, same device (by
-/// fingerprint, not just name), same bound.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct Key {
-    benchmark: String,
-    device: String,
-    fingerprint: u64,
-    bound_bp: i64,
-}
-
-impl Key {
-    fn new(req: &TuneRequest, fingerprint: u64) -> Self {
-        Key {
-            benchmark: req.bench().name().to_string(),
-            device: req.device().name.to_string(),
-            fingerprint,
-            bound_bp: (req.bound().max_error_pct * 100.0).round() as i64,
-        }
-    }
-}
+/// Identity of a coalescable request: the benchmark instance's
+/// [`params_key`](hpac_apps::common::Benchmark::params_key) (whose first word
+/// is the app name's hash), the device fingerprint (the device name is
+/// hashed into it) and the bound in basis points.
+type Key = (Vec<u64>, u64, i64);
 
 #[derive(Debug, Default)]
 struct StatsInner {
@@ -209,20 +201,26 @@ impl TuningService {
     /// `tests/warm_faults.rs` holds both paths to this contract.
     pub fn submit(&self, req: TuneRequest) -> TuneResponse {
         let t0 = Instant::now();
-        let fingerprint = device_fingerprint(req.device());
-        let key = Key::new(&req, fingerprint);
+        let bound_bp = (req.bound().max_error_pct * 100.0).round() as i64;
         let _span = hpac_obs::span_named(
             hpac_obs::SpanId::ServiceRequest,
-            &key.benchmark,
-            key.bound_bp as u64,
+            req.bench().name(),
+            bound_bp as u64,
         );
         hpac_obs::inc(hpac_obs::CounterId::ServiceRequests);
         hpac_obs::inc(hpac_obs::CounterId::TunerRequests);
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
 
+        let Some(instance) = req.bench().params_key() else {
+            // No instance to file a plan under: nothing is looked up,
+            // shared or stored.
+            let (plan, source) = self.search(&req, None);
+            return self.respond(plan, source, t0);
+        };
+        let key = (instance, device_fingerprint(req.device()), bound_bp);
         let max_error_pct = req.bound().max_error_pct;
         loop {
-            if let Some(plan) = self.cache_lookup(&key, max_error_pct) {
+            if let Some(plan) = self.cache_lookup(&req, &key) {
                 return self.respond(plan, Source::CacheHit, t0);
             }
             let (cell, led) = self.inflight.get_or_init(&key, || self.lead(&req, &key));
@@ -245,21 +243,25 @@ impl TuningService {
     /// The leader's path, run under the key's in-flight cell: the plan for
     /// `req`, and where it came from.
     fn lead(&self, req: &TuneRequest, key: &Key) -> (TunedPlan, Source) {
-        let max_error_pct = req.bound().max_error_pct;
         // Second-leader guard: between our cache miss and our cell, an
         // earlier leader may have stored its plan and dropped its cell. It
         // stores *before* it sets the cell, so re-checking the cache here
         // is enough for exactly one search per key when a cache is attached.
-        if let Some(plan) = self.cache_lookup(key, max_error_pct) {
+        if let Some(plan) = self.cache_lookup(req, key) {
             return (plan, Source::CacheHit);
         }
         if self.cache.is_some() {
             hpac_obs::inc(hpac_obs::CounterId::TunerCacheMisses);
         }
+        self.search(req, Some(key))
+    }
 
-        let seeds = match req.warm_start_policy() {
-            WarmStart::Auto => self.gather_seeds(key, max_error_pct),
-            WarmStart::Never => Vec::new(),
+    /// Search for `req`, warm-started from and stored under `key`'s
+    /// instance when there is one.
+    fn search(&self, req: &TuneRequest, key: Option<&Key>) -> (TunedPlan, Source) {
+        let seeds = match (req.warm_start_policy(), key) {
+            (WarmStart::Auto, Some(key)) => self.gather_seeds(req, key),
+            _ => Vec::new(),
         };
         self.scope.get_or_init(install_eval_memo);
         let plan = self
@@ -270,8 +272,8 @@ impl TuningService {
             hpac_obs::inc(hpac_obs::CounterId::ServiceWarmStarts);
             self.stats.warm_starts.fetch_add(1, Ordering::Relaxed);
         }
-        if let Some(cache) = &self.cache {
-            if let Err(e) = cache.store(&plan, key.fingerprint) {
+        if let (Some(cache), Some((_, fingerprint, _))) = (&self.cache, key) {
+            if let Err(e) = cache.store(&plan, *fingerprint) {
                 hpac_obs::log_warn(&format!("tuning cache write failed: {e}"));
             }
         }
@@ -290,33 +292,42 @@ impl TuningService {
         })
     }
 
-    /// The cached plan for `key`, if it meets the request's own bound: the
-    /// key rounds bounds to basis points, so the entry may have been tuned
-    /// for one up to half a basis point looser.
-    fn cache_lookup(&self, key: &Key, max_error_pct: f64) -> Option<TunedPlan> {
+    /// The cached plan for `key`, if it was tuned on the request's instance
+    /// and meets the request's own bound: the key rounds bounds to basis
+    /// points, so the entry may have been tuned for one up to half a basis
+    /// point looser.
+    fn cache_lookup(&self, req: &TuneRequest, key: &Key) -> Option<TunedPlan> {
+        let (instance, fingerprint, bound_bp) = key;
         let plan = self
             .cache
             .as_ref()?
             .load(
-                &key.benchmark,
-                &key.device,
-                key.bound_bp as f64 / 100.0,
-                key.fingerprint,
+                req.bench().name(),
+                req.device().name,
+                *bound_bp as f64 / 100.0,
+                *fingerprint,
             )
-            .filter(|plan| plan.measured_error_pct <= max_error_pct)?;
+            .filter(|plan| {
+                plan.instance.as_ref() == Some(instance)
+                    && plan.measured_error_pct <= req.bound().max_error_pct
+            })?;
         hpac_obs::inc(hpac_obs::CounterId::TunerCacheHits);
         self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
         Some(plan)
     }
 
-    /// Warm-start seeds: every re-executable frontier point of every cached
-    /// bound for this (benchmark, device), nearest bound first, deduplicated
-    /// by configuration label, each with the numbers its entry stored.
-    fn gather_seeds(&self, key: &Key, bound_pct: f64) -> Vec<ParetoPoint> {
+    /// Warm-start seeds: every re-executable frontier point of every bound
+    /// cached for this (instance, device), nearest bound first,
+    /// deduplicated by configuration label, each with the numbers its entry
+    /// stored.
+    fn gather_seeds(&self, req: &TuneRequest, key: &Key) -> Vec<ParetoPoint> {
         let Some(cache) = &self.cache else {
             return Vec::new();
         };
-        let mut neighbors = cache.neighbors(&key.benchmark, &key.device, key.fingerprint);
+        let (instance, fingerprint, _) = key;
+        let bound_pct = req.bound().max_error_pct;
+        let mut neighbors = cache.neighbors(req.bench().name(), req.device().name, *fingerprint);
+        neighbors.retain(|plan| plan.instance.as_ref() == Some(instance));
         neighbors.sort_by(|a, b| {
             (a.bound_pct - bound_pct)
                 .abs()

@@ -3,12 +3,14 @@
 //!
 //! A production tuner is asked the same question many times: "fastest
 //! configuration for benchmark B on device D under bound X". The answer
-//! only changes when the device changes, so each answer — the chosen plan
-//! *and* the whole Pareto frontier behind it — is serialized to one JSON
-//! file keyed by (benchmark, device, bound). A stored entry carries a
-//! fingerprint of the device spec it was tuned against; loading with a
-//! different fingerprint invalidates (deletes) the entry instead of serving
-//! a stale plan.
+//! only changes when the device or the instance changes, so each answer —
+//! the chosen plan *and* the whole Pareto frontier behind it — is
+//! serialized to one JSON file keyed by (benchmark, device, bound). A
+//! stored entry carries a fingerprint of the device spec it was tuned
+//! against; loading with a different fingerprint invalidates (deletes) the
+//! entry instead of serving a stale plan. It also names the instance it was
+//! tuned on ([`TunedPlan::instance`]), which the tuning service matches
+//! against the request's before it serves the entry.
 //!
 //! # Concurrency
 //!
@@ -45,7 +47,8 @@ use std::sync::{Mutex, MutexGuard};
 
 /// Format version; bump to invalidate every cached entry on schema change.
 /// v2: sharded layout, frontier points carry their region + launch shape.
-const CACHE_VERSION: f64 = 2.0;
+/// v3: the entry names the instance it was tuned on ([`TunedPlan::instance`]).
+const CACHE_VERSION: f64 = 3.0;
 
 /// Shard subdirectories under the cache root.
 pub const N_SHARDS: u64 = 16;
@@ -465,6 +468,13 @@ fn plan_to_json(plan: &TunedPlan, fingerprint: u64) -> Json {
         ),
         ("benchmark".into(), Json::str(plan.benchmark.clone())),
         ("device".into(), Json::str(plan.device.clone())),
+        // Hex strings: a JSON number is an f64 and holds no u64 exactly.
+        (
+            "instance".into(),
+            plan.instance.as_ref().map_or(Json::Null, |words| {
+                Json::Arr(words.iter().map(|w| Json::str(format!("{w:x}"))).collect())
+            }),
+        ),
         ("bound_pct".into(), Json::num(plan.bound_pct)),
         (
             "region".into(),
@@ -501,9 +511,20 @@ fn plan_from_json(v: &Json, expected_fingerprint: u64) -> Option<TunedPlan> {
         Json::Null => None,
         r => Some(region_from_json(r)?),
     };
+    let instance = match v.get("instance")? {
+        Json::Null => None,
+        words => Some(
+            words
+                .as_arr()?
+                .iter()
+                .map(|w| u64::from_str_radix(w.as_str()?, 16).ok())
+                .collect::<Option<_>>()?,
+        ),
+    };
     Some(TunedPlan {
         benchmark: v.get("benchmark")?.as_str()?.to_string(),
         device: v.get("device")?.as_str()?.to_string(),
+        instance,
         bound_pct: v.get("bound_pct")?.as_f64()?,
         region,
         lp: lp_from_json(v.get("lp")?)?,
@@ -552,6 +573,7 @@ mod tests {
         TunedPlan {
             benchmark: "Blackscholes".into(),
             device: "V100".into(),
+            instance: Some(vec![0x0123_4567_89ab_cdef, u64::MAX, 0]),
             bound_pct,
             region: Some(taf_region),
             lp: LaunchParams::new(16, 256),
@@ -581,6 +603,7 @@ mod tests {
         let loaded = cache.load("Blackscholes", "V100", 5.0, 42).unwrap();
         assert!(loaded.from_cache);
         assert_eq!(loaded.config, plan.config);
+        assert_eq!(loaded.instance, plan.instance, "every word, exactly");
         assert_eq!(loaded.region, plan.region);
         assert_eq!(loaded.lp, plan.lp);
         assert_eq!(loaded.evaluations, plan.evaluations);

@@ -29,6 +29,12 @@ impl QualityBound {
 pub struct TunedPlan {
     pub benchmark: String,
     pub device: String,
+    /// The instance the plan was tuned on: the benchmark's
+    /// [`Benchmark::params_key`], `None` for one that declares none. A plan
+    /// is a claim about this instance only, so a cache hit, a coalesced
+    /// answer or a warm-start seed is taken from it only for a request
+    /// whose benchmark has the same key.
+    pub instance: Option<Vec<u64>>,
     pub bound_pct: f64,
     /// The chosen approximated region, or `None` when no approximate
     /// configuration met the bound (run accurately).
@@ -126,6 +132,7 @@ mod tests {
         TunedPlan {
             benchmark: bench.name().to_string(),
             device: "V100".into(),
+            instance: bench.params_key(),
             bound_pct: 5.0,
             region: None,
             lp: LaunchParams::new(8, 256),

@@ -101,6 +101,7 @@ impl Tuner {
         let baseline = select_baseline(bench, device);
         let full_space = space::full_space_size(bench, device);
         let mut ev = Evaluator::new(bench, device, &baseline, self.budget(bench, device));
+        let instance = bench.params_key();
 
         // The plan for a frontier's best feasible point, if there is one. A
         // feasible point that is not actually faster than the accurate
@@ -115,6 +116,7 @@ impl Tuner {
             Some(TunedPlan {
                 benchmark: bench.name().to_string(),
                 device: device.name.to_string(),
+                instance: instance.clone(),
                 bound_pct: bound.max_error_pct,
                 region: Some(chosen.region),
                 lp: chosen.lp,
@@ -214,6 +216,7 @@ impl Tuner {
             TunedPlan {
                 benchmark: bench.name().to_string(),
                 device: device.name.to_string(),
+                instance,
                 bound_pct: bound.max_error_pct,
                 region: None,
                 lp: baseline.lp,

@@ -38,7 +38,7 @@ pub fn quick_service(cache: &TuningCache, budget_fraction: f64) -> TuningService
 /// QoI of the approximated run `corrupt_on` names with the value it names,
 /// and carries a `tag` in its parameter identity so that instances can be
 /// told apart by the evaluation scope — which is process-wide, and which
-/// other tests of the same binary hold too.
+/// other tests of the same binary hold too — and by the tuning cache.
 pub struct Probe<B> {
     pub inner: B,
     pub tag: u64,

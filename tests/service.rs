@@ -8,12 +8,14 @@ mod common;
 
 use common::{fresh_cache, plan_bits, quick_service, small_bs, temp_dir, Probe};
 use gpu_sim::DeviceSpec;
+use hpac_offload::apps::binomial::BinomialOptions;
 use hpac_offload::apps::blackscholes::Blackscholes;
-use hpac_offload::apps::common::{Benchmark, LaunchParams};
+use hpac_offload::apps::common::{AppResult, Benchmark, LaunchParams};
 use hpac_offload::apps::kmeans::KMeans;
-use hpac_offload::core::region::ApproxRegion;
+use hpac_offload::core::exec::ExecOptions;
+use hpac_offload::core::region::{ApproxRegion, RegionError};
 use hpac_offload::harness::space::baseline_ipts;
-use hpac_offload::service::{Source, TuneRequest, TuningService, WarmStart};
+use hpac_offload::service::{Source, TuneRequest, TuneResponse, TuningService, WarmStart};
 use hpac_offload::tuner::{
     device_fingerprint, ParetoFrontier, ParetoPoint, QualityBound, TunedPlan, TuningCache,
 };
@@ -179,8 +181,22 @@ fn check_bound_sweep_on_one_service<B: Benchmark + Copy>(inner: B, tag: &str) {
                 "{tag}: one baseline per device, whatever the bound"
             );
 
-            // Same persistent cache history, nothing kept in memory.
+            // Same persistent cache history, nothing kept in memory. The
+            // lone probe is a new instance to the cache, so its history is
+            // re-keyed to it first: a re-tagged probe computes bit-identical
+            // results, so that is the history it would have made itself.
+            // Only this (benchmark, device)'s entries are asked for from
+            // here on, and they are written back into a cleared cache: a
+            // rename over an existing entry waits on a data flush on ext4
+            // (about 80 ms a store), a rename onto a new path does not.
             let lone_probe = Probe::new(inner, next_tag());
+            let fingerprint = device_fingerprint(device);
+            let history = lone_cache.neighbors(lone_probe.name(), device.name, fingerprint);
+            lone_cache.clear().unwrap();
+            for mut plan in history {
+                plan.instance = lone_probe.params_key();
+                lone_cache.store(&plan, fingerprint).unwrap();
+            }
             let lone = quick_service(&lone_cache, 0.005).submit(TuneRequest::new(
                 &lone_probe,
                 device,
@@ -364,18 +380,20 @@ fn a_hit_meets_the_requests_bound_not_the_entrys() {
 /// the panic, a concurrent identical request takes over and is answered —
 /// the next requests for that key and for a sibling (benchmark, device) whose
 /// baseline lives in the same scope succeed, and what they return is what
-/// an undisturbed service returns.
+/// an undisturbed service returns. The instance and budget are ones where
+/// the search finds an approximated winner, so that comparison is between
+/// two searched plans, not two accurate fallbacks.
 #[test]
 fn panicking_accurate_run_abandons_one_request_and_wedges_nothing() {
     let cache = fresh_cache("fault");
-    let svc = quick_service(&cache, 0.005);
+    let svc = quick_service(&cache, 0.01);
     let device = DeviceSpec::v100();
     let bound = QualityBound::percent(5.0);
     let tag = (std::process::id() as u64) << 32 | 0xFA17;
     let faulty = Probe {
         // The second of the three baseline candidates.
         panic_on: Some(2),
-        ..Probe::new(small_bs(), tag)
+        ..Probe::new(Blackscholes::default(), tag)
     };
 
     // A sibling device (its own persistent-cache entries, by name) whose
@@ -427,11 +445,12 @@ fn panicking_accurate_run_abandons_one_request_and_wedges_nothing() {
     assert_eq!(faulty.accurate_runs(), runs_before, "baseline was retained");
 
     let clean_cache = fresh_cache("fault_clean");
-    let clean = quick_service(&clean_cache, 0.005).submit(TuneRequest::new(
-        &Probe::new(small_bs(), tag + 1),
+    let clean = quick_service(&clean_cache, 0.01).submit(TuneRequest::new(
+        &Probe::new(Blackscholes::default(), tag + 1),
         &device,
         bound,
     ));
+    assert_ne!(answered.plan.technique, "accurate", "a searched winner");
     assert_eq!(plan_bits(&answered.plan), plan_bits(&clean.plan));
     let _ = cache.clear();
     let _ = clean_cache.clear();
@@ -530,6 +549,7 @@ fn bulky_plan(bound_pct: f64) -> TunedPlan {
     TunedPlan {
         benchmark: "Blackscholes".into(),
         device: "V100".into(),
+        instance: None,
         bound_pct,
         region: Some(region),
         lp,
@@ -649,5 +669,154 @@ fn service_cache_keys_on_device_fingerprint() {
         second.source.is_searched(),
         "recalibrated device must not be served the stale entry"
     );
+    let _ = cache.clear();
+}
+
+/// Binomial Options at the sizes where a plan tuned on one seed's portfolio
+/// errs past the bound on others.
+fn binomial(seed: u64) -> BinomialOptions {
+    BinomialOptions {
+        n_options: 1024,
+        tree_steps: 96,
+        seed,
+        ..BinomialOptions::default()
+    }
+}
+
+/// A plan answers only the instance it was tuned on. Seed 0's plan sits in
+/// the cache at the bound every other seed asks for, and on some of them it
+/// errs past that bound. Asked one after another and all at once, each
+/// other seed searches its own instance cold and is served a plan that
+/// meets the bound when run again on it. The instances take turns at the
+/// one entry path: seed 0, asked again, searches again.
+#[test]
+fn no_plan_crosses_instances() {
+    let cache = fresh_cache("instances");
+    let device = DeviceSpec::v100();
+    let bound = QualityBound::percent(5.0);
+    let fingerprint = device_fingerprint(&device);
+    let tuned = quick_service(&cache, 0.1)
+        .submit(TuneRequest::new(&binomial(0), &device, bound))
+        .plan;
+    assert!(tuned.region.is_some(), "seed 0 tunes an approximated plan");
+    let others: Vec<BinomialOptions> = (1001..1005).map(binomial).collect();
+    assert!(
+        others.iter().any(|bench| {
+            tuned.execute(bench, &device).unwrap().error_pct > bound.max_error_pct
+        }),
+        "seed 0's plan meets the bound on every other seed: nothing to show"
+    );
+
+    let check = |bench: &BinomialOptions, resp: &TuneResponse| {
+        assert_eq!(
+            resp.source,
+            Source::Searched { warm_seeds: 0 },
+            "seed {}",
+            bench.seed
+        );
+        assert_eq!(
+            resp.plan.instance,
+            bench.params_key(),
+            "seed {}",
+            bench.seed
+        );
+        if resp.plan.region.is_some() {
+            let rerun = resp.plan.execute(bench, &device).unwrap();
+            assert!(
+                rerun.error_pct <= bound.max_error_pct,
+                "seed {}: {}% error",
+                bench.seed,
+                rerun.error_pct
+            );
+        }
+    };
+    let svc = quick_service(&cache, 0.1);
+    for bench in &others {
+        check(bench, &svc.submit(TuneRequest::new(bench, &device, bound)));
+    }
+    // All at once, from seed 0's entry again.
+    cache.store(&tuned, fingerprint).unwrap();
+    let svc = quick_service(&cache, 0.1);
+    let reqs: Vec<TuneRequest> = others
+        .iter()
+        .map(|bench| TuneRequest::new(bench, &device, bound))
+        .collect();
+    for (bench, resp) in others.iter().zip(svc.submit_batch(&reqs)) {
+        check(bench, &resp);
+    }
+    assert_eq!(svc.stats().searches, others.len() as u64);
+
+    let seed0 = binomial(0);
+    let again = svc.submit(TuneRequest::new(&seed0, &device, bound));
+    assert!(again.source.is_searched(), "the last writer took the entry");
+    assert_eq!(plan_bits(&again.plan), plan_bits(&tuned));
+    let hit = svc.submit(TuneRequest::new(&seed0, &device, bound));
+    assert_eq!(hit.source, Source::CacheHit);
+    assert_eq!(hit.plan.instance, seed0.params_key());
+    let _ = cache.clear();
+}
+
+/// A benchmark that declares no parameter identity.
+struct Unkeyed<B>(B);
+
+impl<B: Benchmark> Benchmark for Unkeyed<B> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn error_metric(&self) -> &'static str {
+        self.0.error_metric()
+    }
+
+    fn kernel_only_timing(&self) -> bool {
+        self.0.kernel_only_timing()
+    }
+
+    fn run_opts(
+        &self,
+        spec: &DeviceSpec,
+        region: Option<&ApproxRegion>,
+        lp: &LaunchParams,
+        opts: &ExecOptions,
+    ) -> Result<AppResult, RegionError> {
+        self.0.run_opts(spec, region, lp, opts)
+    }
+}
+
+/// An instance without a `params_key` cannot say which instance a plan
+/// answers, so none is shared with it: two identical requests at once both
+/// search, and nothing is stored.
+#[test]
+fn an_unkeyed_instance_is_never_coalesced_or_cached() {
+    let (svc, cache) = small_budget_service("unkeyed");
+    let bench = Unkeyed(small_bs());
+    assert_eq!(bench.params_key(), None);
+    let device = DeviceSpec::v100();
+    let start = Barrier::new(2);
+    let responses: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    svc.submit(TuneRequest::new(
+                        &bench,
+                        &device,
+                        QualityBound::percent(5.0),
+                    ))
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for resp in &responses {
+        assert_eq!(resp.source, Source::Searched { warm_seeds: 0 });
+        assert_eq!(resp.plan.instance, None);
+    }
+    let stats = svc.stats();
+    assert_eq!(
+        (stats.searches, stats.coalesced, stats.cache_hits),
+        (2, 0, 0)
+    );
+    assert!(!cache.dir().exists(), "nothing was stored");
     let _ = cache.clear();
 }

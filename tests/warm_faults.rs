@@ -1,7 +1,8 @@
 //! Fault injection on the cache paths of the tuning service. On the warm
-//! path: cached neighbors that claim what was never measured, that cannot be
-//! decoded, or whose directory is gone. On the hit path: the requested key's
-//! own entry torn, or its shard directory gone. Whatever the cache says, the
+//! path: cached neighbors that claim what was never measured, that were tuned
+//! for another instance, that cannot be decoded, or whose directory is gone.
+//! On the hit path: the requested key's own entry torn or in an older format,
+//! or its shard directory gone. Whatever the cache says, the
 //! answer is a plan that re-executes to its own numbers; a claim that does
 //! not reproduce is counted and nothing is deleted for it; entries that were
 //! not damaged stay on disk; nothing panics.
@@ -11,6 +12,7 @@
 
 use gpu_sim::DeviceSpec;
 use hpac_offload::apps::blackscholes::Blackscholes;
+use hpac_offload::apps::common::Benchmark;
 use hpac_offload::harness::Scale;
 use hpac_offload::obs::{self, CounterId};
 use hpac_offload::service::{Source, TuneRequest, TuneResponse, TuningService};
@@ -187,10 +189,10 @@ fn a_forged_claim_is_run_found_out_and_not_served() {
     let _ = cache.clear();
 }
 
-/// The name-only cache key (ROADMAP, "The thaw, led by one instance key"),
-/// seen from the warm path: a neighborhood tuned for another instance of the
-/// same benchmark does not reproduce on this one, and the plan served is
-/// this instance's.
+/// A neighborhood tuned for another instance of the same benchmark is no
+/// claim about this one: it offers no seeds, so nothing is run to check it
+/// and no mismatch is counted. The plan served is the one a cold search of
+/// this instance finds, and the other instance's entries stay on disk.
 #[test]
 fn a_neighborhood_tuned_for_another_instance_is_found_out() {
     let _turn = turn();
@@ -200,9 +202,16 @@ fn a_neighborhood_tuned_for_another_instance_is_found_out() {
         ..bench()
     };
     let seen = ask(&cache, &smaller, &DeviceSpec::v100(), UNSEEN);
-    assert_eq!((seen.verified, seen.mismatches), (0, 1));
-    assert!(!seen.resp.plan.verified_seed);
-    assert!(seen.resp.source.is_searched());
+    assert_eq!(seen.resp.source, Source::Searched { warm_seeds: 0 });
+    assert_eq!((seen.verified, seen.mismatches), (0, 0));
+    let cold = Tuner::new().with_scale(Scale::Quick).search_plan(
+        &smaller,
+        &DeviceSpec::v100(),
+        QualityBound::percent(UNSEEN),
+        &[],
+    );
+    same_answer(&seen.resp.plan, &cold);
+    assert_eq!(seen.resp.evals_spent, cold.evaluations);
     assert!(nearest.exists() && sibling.exists());
     let _ = cache.clear();
 }
@@ -363,4 +372,50 @@ fn a_shard_that_is_a_file_turns_hits_into_searches_and_spares_other_shards() {
     assert_eq!(elsewhere.warnings, 0);
     same_answer(&elsewhere.resp.plan, cold_plan());
     let _ = cache.clear();
+}
+
+/// An entry in an older format at the requested key: version 2, once as
+/// that format wrote it (no instance) and once with every v3 field intact,
+/// so that only the version tells it apart. It is a miss and is deleted,
+/// never read as a plan; the request searches and stores a v3 entry, which
+/// the next request hits.
+#[test]
+fn an_entry_of_an_older_format_is_deleted_and_searched_over() {
+    let _turn = turn();
+    let fingerprint = device_fingerprint(&DeviceSpec::v100());
+    for (tag, keep_instance) in [("v2", false), ("v2_with_instance", true)] {
+        let (cache, nearest, _) = neighborhood(tag);
+        let v3 = std::fs::read_to_string(&nearest).unwrap();
+        let mut v2 = v3.replacen("{\"version\":3,", "{\"version\":2,", 1);
+        assert_ne!(v2, v3, "{tag}: entries are written as version 3");
+        if !keep_instance {
+            let at = v2.find("\"instance\":").unwrap();
+            let len = v2[at..].find("],").unwrap() + 2;
+            v2.replace_range(at..at + len, "");
+        }
+        std::fs::write(&nearest, &v2).unwrap();
+        assert!(
+            cache
+                .load("Blackscholes", "V100", 5.0, fingerprint)
+                .is_none(),
+            "{tag}"
+        );
+        assert!(!nearest.exists(), "{tag}: the old entry is deleted");
+
+        std::fs::write(&nearest, &v2).unwrap();
+        let seen = ask(&cache, &bench(), &DeviceSpec::v100(), 5.0);
+        assert!(
+            seen.resp.source.is_searched(),
+            "{tag}: {:?}",
+            seen.resp.source
+        );
+        same_answer(&seen.resp.plan, cold_plan());
+        let stored = std::fs::read_to_string(&nearest).unwrap();
+        assert!(stored.starts_with("{\"version\":3,"), "{tag}: {stored}");
+        let entry = cache.load("Blackscholes", "V100", 5.0, fingerprint);
+        assert_eq!(entry.unwrap().instance, bench().params_key(), "{tag}");
+        let again = ask(&cache, &bench(), &DeviceSpec::v100(), 5.0);
+        assert_eq!(again.resp.source, Source::CacheHit, "{tag}");
+        let _ = cache.clear();
+    }
 }
