@@ -25,6 +25,7 @@ use hpac_core::params::{PerfoKind, Replacement};
 use hpac_core::region::ApproxRegion;
 use hpac_core::HierarchyLevel;
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::path::Path;
 
 /// One printable/saveable data table.
@@ -530,35 +531,35 @@ pub fn fig11c(cfg: &LavaMd, scale: Scale) -> FigureData {
         Scale::Full => (vec![2, 5], vec![8, 64], vec![32, 128]),
         Scale::Quick => (vec![2], vec![32], vec![64]),
     };
-    let baseline = runner::select_baseline(cfg, &spec);
+    // Every (thread, warp) pair, answered through one sweep, then paired
+    // by label.
+    let (mut points, mut configs) = (Vec::new(), Vec::new());
     for &t in &thresholds {
         for &h in &hsizes {
             for &p in &psizes {
                 for &ipt in &ipts {
-                    let mk = |lvl: HierarchyLevel| SweepConfig {
-                        region: ApproxRegion::memo_out(h, p, t).level(lvl),
-                        lp: LaunchParams::new(ipt, 256),
-                        label: String::new(),
-                    };
-                    let run = |lvl| {
-                        let opts = ExecOptions::default();
-                        runner::run_config_bounded(cfg, &spec, &baseline, &mk(lvl), &opts)
-                            .into_result()
-                    };
-                    if let (Ok(tr), Ok(wr)) =
-                        (run(HierarchyLevel::Thread), run(HierarchyLevel::Warp))
-                    {
-                        fig.push_row(vec![
-                            f(t),
-                            h.to_string(),
-                            p.to_string(),
-                            ipt.to_string(),
-                            f(tr.speedup),
-                            f(wr.speedup),
-                        ]);
+                    for lvl in [HierarchyLevel::Thread, HierarchyLevel::Warp] {
+                        configs.push(SweepConfig {
+                            region: ApproxRegion::memo_out(h, p, t).level(lvl),
+                            lp: LaunchParams::new(ipt, 256),
+                            label: format!("h={h} p={p} thr={t} ipt={ipt} lvl={lvl:?}"),
+                        });
                     }
+                    points.push(vec![f(t), h.to_string(), p.to_string(), ipt.to_string()]);
                 }
             }
+        }
+    }
+    let outcome = runner::run_configs(cfg, &spec, &configs);
+    let speedup: HashMap<&str, f64> = outcome
+        .rows
+        .iter()
+        .map(|r| (r.config.as_str(), r.speedup))
+        .collect();
+    for (mut row, pair) in points.into_iter().zip(configs.chunks(2)) {
+        if let [Some(&tr), Some(&wr)] = [0, 1].map(|i| speedup.get(pair[i].label.as_str())) {
+            row.extend([f(tr), f(wr)]);
+            fig.push_row(row);
         }
     }
     fig

@@ -1,4 +1,5 @@
-//! Sweep execution: baseline selection and the parallel configuration sweep.
+//! Sweep execution: baseline selection, the ledger that answers
+//! configurations, and the parallel configuration sweep.
 //!
 //! Speedup follows the paper's definition: the baseline is the
 //! *non-approximated* application at its best launch configuration, and
@@ -14,7 +15,7 @@ use hpac_apps::common::{
 };
 use hpac_core::exec::{engine, ExecOptions};
 use hpac_core::region::RegionError;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// The chosen baseline: launch shape, result, and its timing-basis seconds;
@@ -151,6 +152,14 @@ impl ConfigOutcome {
         }
     }
 
+    /// The row of a run that finished.
+    pub fn row(&self) -> Option<&Row> {
+        match self {
+            ConfigOutcome::Done(row) => Some(row),
+            _ => None,
+        }
+    }
+
     /// This outcome as `cfg`'s own: a configuration answered by another
     /// one's run takes its result under its own label and items-per-thread.
     fn relabelled(&self, cfg: &SweepConfig) -> ConfigOutcome {
@@ -186,7 +195,7 @@ pub fn run_config_bounded(
 /// (or not all of its) comparisons and publishes nothing. The margins hold
 /// under `opts` only: a run at another cost ceiling may abort where this one
 /// did not.
-pub fn evaluate(
+fn evaluate(
     bench: &dyn Benchmark,
     spec: &DeviceSpec,
     baseline: &Baseline,
@@ -251,7 +260,7 @@ pub fn evaluate(
 /// the benchmark's launch class for the configuration's launch shape. Two
 /// configurations with equal keys perform bit-identical executions. `None`
 /// when the benchmark declares no launch classes. Sweeps and the tuner find
-/// such duplicates through [`Family::answer`]; this key stays for the
+/// such duplicates through [`Ledger::answer`]; this key stays for the
 /// benchmark driver's layer pass (`benchmark/src/sweep.rs`), which dedups a
 /// plan itself.
 pub fn canonical_key(
@@ -275,7 +284,7 @@ pub fn canonical_key(
 /// member's run answers another.
 ///
 /// [`ApproxRegion::family`]: hpac_core::region::ApproxRegion::family
-pub fn family_key(bench: &dyn Benchmark, spec: &DeviceSpec, cfg: &SweepConfig) -> Vec<u64> {
+fn family_key(bench: &dyn Benchmark, spec: &DeviceSpec, cfg: &SweepConfig) -> Vec<u64> {
     let mut key = match cfg.region.family() {
         Some((_, words)) => words,
         None => cfg.region.fingerprint_words(),
@@ -287,45 +296,40 @@ pub fn family_key(bench: &dyn Benchmark, spec: &DeviceSpec, cfg: &SweepConfig) -
     key
 }
 
-/// How [`Family::answer`] answers a configuration without running it.
+/// How a [`Ledger`] answered a configuration. Whether a run finished, was
+/// abandoned at the cost ceiling or was refused at launch is its
+/// [`ConfigOutcome`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum Reuse<R> {
-    /// An admitted member has the same fingerprint, so the same execution.
-    Duplicate(R),
-    /// A finished member's decision margins, published under the same cost
-    /// ceiling, cover the configuration's threshold and prediction size.
-    Covered(R),
+pub enum Answer {
+    /// It ran. Charged.
+    Run,
+    /// A duplicate of the named configuration: the same execution. Free.
+    DuplicateOf(String),
+    /// Inside the decision margins the named configuration's finished run
+    /// published under the same cost ceiling (`None`: no ceiling), so its
+    /// own run would have been that run. Charged like a run.
+    CoveredBy {
+        sibling: String,
+        ceiling: Option<f64>,
+    },
 }
 
 /// One admitted member of a [`Family`].
 #[derive(Debug)]
-struct Member<R> {
+struct Member {
     fingerprint: Vec<u64>,
-    rep: R,
+    label: String,
     /// The margins its finished run published, with the cost ceiling (as
     /// bits) it ran under.
     published: Option<(DecisionMargins, Option<u64>)>,
 }
 
-/// The members one family ([`family_key`]) has admitted: the one rule that
-/// answers a configuration without running it. A sweep keeps one per family
-/// task (`R` = the member's index among the task's outcomes); the tuner's
-/// evaluator keeps one per family for a whole search (`R` = the member's
-/// label), so answers reach across batches.
-#[derive(Debug)]
-pub struct Family<R> {
-    members: Vec<Member<R>>,
-}
+/// The members one family ([`family_key`]) has admitted, in admission
+/// order: the one rule that answers a configuration without running it.
+#[derive(Debug, Default)]
+struct Family(Vec<Member>);
 
-impl<R> Default for Family<R> {
-    fn default() -> Self {
-        Family {
-            members: Vec::new(),
-        }
-    }
-}
-
-impl<R: Clone> Family<R> {
+impl Family {
     /// `cfg`'s answer from the members admitted so far, or `None` when it
     /// has to run.
     ///
@@ -340,46 +344,175 @@ impl<R: Clone> Family<R> {
     /// own. Covering is an equivalence — a covered member's run would
     /// publish the very margins that cover it — so a family costs one run
     /// per distinct run among its members, whatever order they come in.
-    pub fn answer(&self, cfg: &SweepConfig, ceiling: Option<f64>) -> Option<Reuse<R>> {
+    fn answer(&self, cfg: &SweepConfig, ceiling: Option<f64>) -> Option<Answer> {
         let fingerprint = cfg.region.fingerprint_words();
-        if let Some(m) = self.members.iter().find(|m| m.fingerprint == fingerprint) {
-            return Some(Reuse::Duplicate(m.rep.clone()));
+        if let Some(m) = self.0.iter().find(|m| m.fingerprint == fingerprint) {
+            return Some(Answer::DuplicateOf(m.label.clone()));
         }
         cfg.region.validate().ok()?;
         let (point, _) = cfg.region.family()?;
-        let ceiling = ceiling.map(f64::to_bits);
-        self.members
-            .iter()
-            .find(|m| {
-                m.published.is_some_and(|(margins, at)| {
-                    at == ceiling && margins.covers(point.threshold, point.psize)
-                })
+        let at = ceiling.map(f64::to_bits);
+        let sibling = self.0.iter().find(|m| {
+            m.published.is_some_and(|(margins, published_at)| {
+                published_at == at && margins.covers(point.threshold, point.psize)
             })
-            .map(|m| Reuse::Covered(m.rep.clone()))
+        })?;
+        Some(Answer::CoveredBy {
+            sibling: sibling.label.clone(),
+            ceiling,
+        })
+    }
+}
+
+/// One configuration a [`Ledger`] answered.
+#[derive(Debug, Clone)]
+pub struct Answered {
+    pub config: SweepConfig,
+    pub answer: Answer,
+    /// Its own outcome, under its own label and items-per-thread, whichever
+    /// run it came from.
+    pub outcome: ConfigOutcome,
+}
+
+/// The configurations of one (benchmark, platform) answered so far, in
+/// answer order, and the families they were admitted to: the one loop that
+/// answers configurations. A sweep keeps one per family task; the tuner's
+/// evaluator keeps one for a whole search, so answers reach across batches.
+/// A label names one configuration: a label answered once is not answered
+/// again.
+pub struct Ledger<'a> {
+    bench: &'a dyn Benchmark,
+    spec: &'a DeviceSpec,
+    baseline: &'a Baseline,
+    families: HashMap<Vec<u64>, Family>,
+    /// Label → its record in `answered`.
+    index: HashMap<String, usize>,
+    answered: Vec<Answered>,
+}
+
+impl<'a> Ledger<'a> {
+    pub fn new(bench: &'a dyn Benchmark, spec: &'a DeviceSpec, baseline: &'a Baseline) -> Self {
+        Ledger {
+            bench,
+            spec,
+            baseline,
+            families: HashMap::new(),
+            index: HashMap::new(),
+            answered: Vec::new(),
+        }
     }
 
-    /// Admit `cfg` as `rep`, so later duplicates of it read as duplicates;
-    /// returns the member's index for [`Family::publish`].
-    pub fn admit(&mut self, cfg: &SweepConfig, rep: R) -> usize {
-        self.members.push(Member {
-            fingerprint: cfg.region.fingerprint_words(),
-            rep,
-            published: None,
-        });
-        self.members.len() - 1
+    /// The baseline every outcome is scored against.
+    pub fn baseline(&self) -> &'a Baseline {
+        self.baseline
     }
 
-    /// Record the margins `member`'s run published when it finished under
-    /// `ceiling`.
-    pub fn publish(&mut self, member: usize, margins: DecisionMargins, ceiling: Option<f64>) {
-        self.members[member].published = Some((margins, ceiling.map(f64::to_bits)));
+    /// Every answered configuration, in answer order.
+    pub fn answered(&self) -> &[Answered] {
+        &self.answered
+    }
+
+    /// The record of the configuration labelled `label`, once answered.
+    pub fn get(&self, label: &str) -> Option<&Answered> {
+        self.index.get(label).map(|&i| &self.answered[i])
+    }
+
+    /// Answer `configs` under `opts`, skipping labels already answered. A
+    /// duplicate of an admitted configuration is free; any other one is
+    /// admitted — and charged — while `budget` (`None`: unbounded) lasts,
+    /// answered by a sibling's published margins or else run. The runs go
+    /// through `evaluate`, as one `engine()` batch when `on_engine`, else
+    /// in order on the calling thread, and each finished one publishes its
+    /// margins under `opts`' cost ceiling. Margins published in this call
+    /// answer only later calls. Records the admitted configurations in
+    /// admission order, then the duplicates; returns how many were charged.
+    pub fn answer(
+        &mut self,
+        configs: &[SweepConfig],
+        opts: &ExecOptions,
+        budget: Option<usize>,
+        on_engine: bool,
+    ) -> usize {
+        let ceiling = opts.abort_above_seconds;
+        // Admitted configurations in admission order, each with its answer
+        // and, if it runs, the family member its margins publish to; then
+        // the duplicates.
+        type Pending<'c> = (&'c SweepConfig, Answer, Option<(Vec<u64>, usize)>);
+        let mut admitted: Vec<Pending> = Vec::new();
+        let mut duplicates: Vec<Pending> = Vec::new();
+        for cfg in configs {
+            let pending = |p: &Pending| p.0.label == cfg.label;
+            if self.index.contains_key(&cfg.label)
+                || admitted.iter().any(pending)
+                || duplicates.iter().any(pending)
+            {
+                continue;
+            }
+            let key = family_key(self.bench, self.spec, cfg);
+            let family = self.families.entry(key.clone()).or_default();
+            match family.answer(cfg, ceiling) {
+                Some(dup @ Answer::DuplicateOf(_)) => duplicates.push((cfg, dup, None)),
+                answer if budget.is_none_or(|budget| admitted.len() < budget) => {
+                    let runs = answer.is_none().then_some((key, family.0.len()));
+                    family.0.push(Member {
+                        fingerprint: cfg.region.fingerprint_words(),
+                        label: cfg.label.clone(),
+                        published: None,
+                    });
+                    admitted.push((cfg, answer.unwrap_or(Answer::Run), runs));
+                }
+                _ => {}
+            }
+        }
+        let charged = admitted.len();
+        let to_run: Vec<&SweepConfig> = admitted
+            .iter()
+            .filter(|p| p.2.is_some())
+            .map(|p| p.0)
+            .collect();
+        let (bench, spec, baseline) = (self.bench, self.spec, self.baseline);
+        let run = |i: usize| evaluate(bench, spec, baseline, to_run[i], opts);
+        let mut ran = if on_engine {
+            engine().run(to_run.len(), engine().default_width(), run)
+        } else {
+            (0..to_run.len()).map(run).collect()
+        }
+        .into_iter();
+        for (cfg, answer, runs) in admitted.into_iter().chain(duplicates) {
+            let outcome = match &answer {
+                Answer::Run => {
+                    let (outcome, margins) = ran.next().expect("one outcome per configuration run");
+                    if let (Some(margins), Some((key, member))) = (margins, runs) {
+                        let family = self.families.get_mut(&key).expect("admitted");
+                        family.0[member].published = Some((margins, ceiling.map(f64::to_bits)));
+                    }
+                    outcome
+                }
+                Answer::DuplicateOf(rep) | Answer::CoveredBy { sibling: rep, .. } => {
+                    hpac_obs::inc(hpac_obs::CounterId::ConfigsDeduped);
+                    if let Answer::CoveredBy { .. } = answer {
+                        hpac_obs::inc(hpac_obs::CounterId::ConfigsThresholdCovered);
+                    }
+                    self.answered[self.index[rep]].outcome.relabelled(cfg)
+                }
+            };
+            self.index.insert(cfg.label.clone(), self.answered.len());
+            self.answered.push(Answered {
+                config: cfg.clone(),
+                answer,
+                outcome,
+            });
+        }
+        charged
     }
 }
 
 /// The one sweep body: baseline → the plan grouped into families, one
-/// engine task each (or serially on the caller), every member answered by
-/// its [`Family`] or run → the outcomes in plan order. Families come
-/// longest first, so a long one is not the tail of a round.
+/// engine task each (or serially on the caller), each task answering its
+/// members one at a time through a [`Ledger`] of its own, so a member's
+/// margins answer the next → the outcomes in plan order. Families come
+/// longest first, so a long one is not the tail of a round. A label
+/// repeated in the plan is answered once, at its first entry.
 fn sweep(
     bench: &dyn Benchmark,
     spec: &DeviceSpec,
@@ -392,9 +525,13 @@ fn sweep(
     let _sweep = hpac_obs::span_named(hpac_obs::SpanId::SweepApp, bench.name(), plan.len() as u64);
 
     // Each family's members as plan indices, in plan order.
+    let mut labels = HashSet::new();
     let mut family_of: HashMap<Vec<u64>, usize> = HashMap::new();
     let mut families: Vec<Vec<usize>> = Vec::new();
     for (i, cfg) in plan.iter().enumerate() {
+        if !labels.insert(cfg.label.as_str()) {
+            continue;
+        }
         let family = *family_of
             .entry(family_key(bench, spec, cfg))
             .or_insert_with(|| {
@@ -405,52 +542,30 @@ fn sweep(
     }
     families.sort_by_key(|family| std::cmp::Reverse(family.len()));
 
-    let ceiling = opts.abort_above_seconds;
-    let eval = |f: usize| -> Vec<ConfigOutcome> {
-        let mut family: Family<usize> = Family::default();
-        let mut outcomes: Vec<ConfigOutcome> = Vec::with_capacity(families[f].len());
+    let eval = |f: usize| -> Vec<Answered> {
+        let mut ledger = Ledger::new(bench, spec, &baseline);
         for &i in &families[f] {
-            let cfg = &plan[i];
-            let outcome = match family.answer(cfg, ceiling) {
-                Some(Reuse::Duplicate(rep)) => {
-                    hpac_obs::inc(hpac_obs::CounterId::ConfigsDeduped);
-                    outcomes[rep].relabelled(cfg)
-                }
-                Some(Reuse::Covered(sibling)) => {
-                    hpac_obs::inc(hpac_obs::CounterId::ConfigsDeduped);
-                    hpac_obs::inc(hpac_obs::CounterId::ConfigsThresholdCovered);
-                    family.admit(cfg, outcomes.len());
-                    outcomes[sibling].relabelled(cfg)
-                }
-                None => {
-                    let (outcome, margins) = evaluate(bench, spec, &baseline, cfg, opts);
-                    let member = family.admit(cfg, outcomes.len());
-                    if let Some(margins) = margins {
-                        family.publish(member, margins, ceiling);
-                    }
-                    outcome
-                }
-            };
-            outcomes.push(outcome);
+            ledger.answer(std::slice::from_ref(&plan[i]), opts, None, false);
         }
-        outcomes
+        ledger.answered
     };
-    let per_family: Vec<Vec<ConfigOutcome>> = if on_engine {
+    let per_family: Vec<Vec<Answered>> = if on_engine {
         engine().run(families.len(), engine().default_width(), eval)
     } else {
         (0..families.len()).map(eval).collect()
     };
-    // Every plan index is in exactly one family: sorted by index, entry `i`
-    // is plan entry `i`'s outcome.
+    // Labels are distinct, so a family's records are its members' in order,
+    // and every answered plan index is in exactly one family: sorted by
+    // index, the outcomes come in plan order.
     let mut outcomes: Vec<(usize, ConfigOutcome)> = families
         .iter()
         .flatten()
         .copied()
-        .zip(per_family.into_iter().flatten())
+        .zip(per_family.into_iter().flatten().map(|a| a.outcome))
         .collect();
     outcomes.sort_by_key(|&(i, _)| i);
 
-    let mut rows = Vec::with_capacity(plan.len());
+    let mut rows = Vec::with_capacity(outcomes.len());
     let mut rejected = Vec::new();
     for (_, outcome) in outcomes {
         match outcome.into_result() {
@@ -492,7 +607,8 @@ pub fn run_sweep_serial(
 
 /// Run specific configurations, config-parallel like [`run_sweep`] (used by
 /// figure generators with bespoke grids, e.g. Fig 8c's extended
-/// items-per-thread axis).
+/// items-per-thread axis). A label names one configuration: a label repeated
+/// in `configs` is answered once, at its first entry.
 pub fn run_configs(
     bench: &dyn Benchmark,
     spec: &DeviceSpec,
@@ -580,15 +696,22 @@ mod tests {
         let (outcome, margins) = evaluate(&bench, &spec, &baseline, &ran, &ExecOptions::default());
         assert!(matches!(outcome, ConfigOutcome::Done(_)), "{outcome:?}");
         let margins = margins.expect("a finished run publishes its margins");
-        let mut family = Family::default();
-        let member = family.admit(&ran, "ran");
-        family.publish(member, margins, None);
+        let family = Family(vec![Member {
+            fingerprint: ran.region.fingerprint_words(),
+            label: ran.label.clone(),
+            published: Some((margins, None)),
+        }]);
 
         let (twin, sibling) = (at(1 << 20, 0.3), at(1 << 21, 20.0));
         for ceiling in [None, Some(1.0)] {
-            assert_eq!(family.answer(&twin, ceiling), Some(Reuse::Duplicate("ran")));
+            let dup = Answer::DuplicateOf(ran.label.clone());
+            assert_eq!(family.answer(&twin, ceiling), Some(dup));
         }
-        assert_eq!(family.answer(&sibling, None), Some(Reuse::Covered("ran")));
+        let covered = Answer::CoveredBy {
+            sibling: ran.label.clone(),
+            ceiling: None,
+        };
+        assert_eq!(family.answer(&sibling, None), Some(covered));
         assert_eq!(family.answer(&sibling, Some(1.0)), None);
         // Past `u32::MAX` the region refuses its prediction size: the
         // margins cover it, but an invalid region is never covered.

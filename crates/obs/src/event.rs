@@ -167,7 +167,9 @@ pub enum CounterId {
     /// Configurations the tuner's evaluator admitted and charged to its
     /// budget (run, or answered by a family sibling's decision margins).
     TunerEvals,
-    /// Evaluator requests served from the in-process memo or dropped by budget.
+    /// Evaluator requests not charged to the budget: labels already
+    /// answered, duplicates of an admitted configuration (answered free),
+    /// and configurations dropped once the budget ran out.
     TunerEvalsSkipped,
     /// Pareto frontier insertions that succeeded.
     ParetoInserts,
@@ -193,7 +195,7 @@ pub enum CounterId {
     QualityCacheHits,
     /// Configs (sweep or tuner) answered without a run of their own: a
     /// family's duplicates and its margin-covered members
-    /// (`runner::Family::answer`).
+    /// (`runner::Ledger::answer`).
     ConfigsDeduped,
     /// Config evaluations aborted once they provably missed the frontier.
     EarlyAborts,

@@ -11,96 +11,29 @@
 //! Every evaluated point feeds the shared [`ParetoFrontier`], so the tuner
 //! keeps the whole tradeoff curve, not just the bound-feasible winner.
 //!
-//! The [`Evaluator`] answers a configuration without running it when its
-//! family ([`runner::Family`]) proves the run's outcome: a duplicate of an
-//! admitted member is free, and a configuration a sibling's finished run
-//! covers — under the same cost ceiling — is admitted and charged like a
-//! run, so the budget, the trajectory and every plan are those of running
-//! it.
+//! The [`Evaluator`] answers each batch through one [`Ledger`] for the
+//! whole search: a duplicate of an admitted configuration is free, and a
+//! configuration a sibling's finished run covers — under the same cost
+//! ceiling — is admitted and charged like a run, so the budget, the
+//! trajectory and every plan are those of running it.
 
 use crate::pareto::{ParetoFrontier, ParetoPoint};
 use gpu_sim::DeviceSpec;
-use hpac_apps::common::{Benchmark, LaunchParams};
-use hpac_core::exec::{engine, ExecOptions};
-use hpac_core::region::ApproxRegion;
-use hpac_harness::runner::{self, Baseline, ConfigOutcome, Family, Reuse};
+use hpac_apps::common::Benchmark;
+use hpac_core::exec::ExecOptions;
+use hpac_harness::db::Row;
+use hpac_harness::runner::{Answer, Baseline, Ledger};
 use hpac_harness::space::{Grid, SweepConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
-
-/// One evaluated configuration, kept so a frontier point can be turned back
-/// into an executable plan.
-#[derive(Debug, Clone)]
-pub struct Evaluated {
-    pub region: ApproxRegion,
-    pub lp: LaunchParams,
-    pub technique: &'static str,
-    pub speedup: f64,
-    pub error_pct: f64,
-}
-
-impl Evaluated {
-    /// This outcome as `cfg`'s own, for a configuration answered by another
-    /// one's run.
-    fn for_config(&self, cfg: &SweepConfig) -> Evaluated {
-        Evaluated {
-            region: cfg.region,
-            lp: cfg.lp,
-            technique: cfg.region.technique_name(),
-            ..*self
-        }
-    }
-
-    /// Can the descent move here? A non-finite speedup or error (a NaN or
-    /// infinite output scores infinite error) ranks against nothing.
-    fn is_candidate(&self) -> bool {
-        self.speedup.is_finite() && self.error_pct.is_finite()
-    }
-}
-
-/// How the evaluator answered one configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Answer {
-    /// Run to completion.
-    Run,
-    /// A duplicate of the named configuration: the same execution. Free.
-    DuplicateOf(String),
-    /// Inside the decision margins the named configuration's finished run
-    /// published under the same cost ceiling (`None`: no ceiling), so its
-    /// own run would have been that run. Charged like a run.
-    CoveredBy {
-        sibling: String,
-        ceiling: Option<f64>,
-    },
-    /// Abandoned once its modeled cost crossed the ceiling, in seconds.
-    Aborted { ceiling: f64 },
-    /// Refused at launch, for the given reason.
-    Rejected(String),
-}
 
 /// Budgeted, memoizing configuration evaluator shared by all grids of one
 /// tuning request.
 pub struct Evaluator<'a> {
-    bench: &'a dyn Benchmark,
-    spec: &'a DeviceSpec,
-    baseline: &'a Baseline,
+    /// Every configuration answered so far, and how.
+    ledger: Ledger<'a>,
     budget: usize,
-    /// Configurations charged to the budget so far: every one admitted,
-    /// whether it ran or a sibling's margins answered it.
-    pub evaluations: usize,
     pub frontier: ParetoFrontier,
-    /// Configurations abandoned by the frontier-aware cost ceiling: their
-    /// modeled-cost lower bound already proved them slower than the
-    /// frontier's zero-error point, which dominates them at any error.
-    pub aborted: Vec<SweepConfig>,
-    /// label → outcome; `None` records a configuration rejected at launch
-    /// or abandoned by the cost ceiling.
-    seen: HashMap<String, Option<Evaluated>>,
-    /// Family key ([`runner::family_key`]) → its admitted members, by label.
-    families: HashMap<Vec<u64>, Family<String>>,
-    /// Every answered configuration's label and answer, in answer order.
-    answers: Vec<(String, Answer)>,
 }
 
 impl<'a> Evaluator<'a> {
@@ -111,179 +44,109 @@ impl<'a> Evaluator<'a> {
         budget: usize,
     ) -> Self {
         Evaluator {
-            bench,
-            spec,
-            baseline,
+            ledger: Ledger::new(bench, spec, baseline),
             budget,
-            evaluations: 0,
             frontier: ParetoFrontier::new(),
-            aborted: Vec::new(),
-            seen: HashMap::new(),
-            families: HashMap::new(),
-            answers: Vec::new(),
         }
+    }
+
+    /// Configurations charged to the budget so far: every one admitted,
+    /// whether it ran or a sibling's margins answered it.
+    pub fn evaluations(&self) -> usize {
+        self.ledger
+            .answered()
+            .iter()
+            .filter(|a| !matches!(a.answer, Answer::DuplicateOf(_)))
+            .count()
     }
 
     /// Evaluations left before the budget is exhausted.
     pub fn remaining(&self) -> usize {
-        self.budget.saturating_sub(self.evaluations)
+        self.budget.saturating_sub(self.evaluations())
     }
 
-    /// Outcome of a previously evaluated configuration.
-    pub fn lookup(&self, label: &str) -> Option<&Evaluated> {
-        self.seen.get(label).and_then(|o| o.as_ref())
+    /// Every configuration answered so far, in answer order.
+    pub fn ledger(&self) -> &Ledger<'a> {
+        &self.ledger
     }
 
-    /// How each configuration was answered, in the order answered.
-    pub fn answers(&self) -> &[(String, Answer)] {
-        &self.answers
+    /// The frontier-aware cost ceiling: a zero-error frontier point at
+    /// speedup S₀ dominates anything slower than baseline/S₀ seconds, so
+    /// the walk may abandon a config once its modeled-cost lower bound
+    /// crosses it. Such a config is dominated at any error.
+    fn ceiling(&self) -> Option<f64> {
+        let baseline = self.ledger.baseline();
+        self.frontier
+            .zero_error_speedup()
+            .map(|s0| baseline.seconds / s0)
     }
 
-    /// Evaluate a batch, running fresh configurations in parallel on the
-    /// shared [`engine`] (each kernel launch walks its blocks on its config
-    /// task's thread) — all but those their family answers: duplicates of
-    /// admitted configurations, and those an earlier batch's published
-    /// margins cover. Returns one outcome per input configuration (memoized
-    /// results included); fresh work beyond the remaining budget is skipped
-    /// and reported as `None`.
-    pub fn eval_batch(&mut self, configs: &[SweepConfig]) -> Vec<Option<Evaluated>> {
-        // Frontier-aware early abort: a zero-error frontier point at
-        // speedup S₀ dominates anything slower than baseline/S₀ seconds,
-        // so the walk may abandon a config once its modeled-cost lower
-        // bound crosses that ceiling.
+    /// Evaluate a batch under the current ceiling, running fresh
+    /// configurations in parallel on the shared engine (each kernel launch
+    /// walks its blocks on its config task's thread) — all but those the
+    /// ledger answers: labels already answered, duplicates of admitted
+    /// configurations, and those an earlier batch's published margins
+    /// cover. Returns the row of each input configuration that finished
+    /// (memoized results included); fresh work beyond the remaining budget
+    /// is skipped and reported as `None`, like a rejected or aborted run.
+    pub fn eval_batch(&mut self, configs: &[SweepConfig]) -> Vec<Option<&Row>> {
         let opts = ExecOptions {
-            abort_above_seconds: self
-                .frontier
-                .zero_error_speedup()
-                .map(|s0| self.baseline.seconds / s0),
+            abort_above_seconds: self.ceiling(),
             ..ExecOptions::default()
         };
-        let ceiling = opts.abort_above_seconds;
-        // Charged configurations in admission order: family key, member
-        // index, and the sibling whose margins answer it (`None`: it runs).
-        let mut admitted: Vec<(&SweepConfig, Vec<u64>, usize, Option<String>)> = Vec::new();
-        // (duplicate config, label of the member it duplicates).
-        let mut dups: Vec<(&SweepConfig, String)> = Vec::new();
-        let remaining = self.remaining();
-        for cfg in configs {
-            if self.seen.contains_key(&cfg.label)
-                || admitted.iter().any(|a| a.0.label == cfg.label)
-                || dups.iter().any(|(d, _)| d.label == cfg.label)
-            {
-                continue;
-            }
-            let key = runner::family_key(self.bench, self.spec, cfg);
-            let family = self.families.entry(key.clone()).or_default();
-            // A duplicate is free; anything else is admitted only while
-            // budget remains.
-            match family.answer(cfg, ceiling) {
-                Some(Reuse::Duplicate(rep)) => dups.push((cfg, rep)),
-                answer if admitted.len() < remaining => {
-                    let member = family.admit(cfg, cfg.label.clone());
-                    let sibling = match answer {
-                        Some(Reuse::Covered(sibling)) => Some(sibling),
-                        _ => None,
-                    };
-                    admitted.push((cfg, key, member, sibling));
-                }
-                _ => {}
-            }
-        }
-        let to_run: Vec<&SweepConfig> = admitted
-            .iter()
-            .filter(|a| a.3.is_none())
-            .map(|a| a.0)
-            .collect();
-        let (bench, spec, baseline) = (self.bench, self.spec, self.baseline);
-        let mut ran = engine()
-            .run(to_run.len(), engine().default_width(), |i| {
-                runner::evaluate(bench, spec, baseline, to_run[i], &opts)
-            })
-            .into_iter();
-        self.evaluations += admitted.len();
+        let from = self.ledger.answered().len();
+        let charged = self
+            .ledger
+            .answer(configs, &opts, Some(self.remaining()), true);
         if hpac_obs::enabled() {
-            hpac_obs::add(hpac_obs::CounterId::TunerEvals, admitted.len() as u64);
+            hpac_obs::add(hpac_obs::CounterId::TunerEvals, charged as u64);
             hpac_obs::add(
                 hpac_obs::CounterId::TunerEvalsSkipped,
-                (configs.len() - admitted.len()) as u64,
+                (configs.len() - charged) as u64,
             );
         }
-        for (cfg, key, member, sibling) in admitted {
-            let (outcome, answer) = match sibling {
-                Some(sibling) => {
-                    hpac_obs::inc(hpac_obs::CounterId::ConfigsDeduped);
-                    hpac_obs::inc(hpac_obs::CounterId::ConfigsThresholdCovered);
-                    let outcome = self.lookup(&sibling).map(|rep| rep.for_config(cfg));
-                    (outcome, Answer::CoveredBy { sibling, ceiling })
-                }
-                None => {
-                    let (outcome, margins) = ran.next().expect("one outcome per configuration run");
-                    if let Some(margins) = margins {
-                        let family = self.families.get_mut(&key).expect("admitted");
-                        family.publish(member, margins, ceiling);
-                    }
-                    match outcome {
-                        ConfigOutcome::Done(row) => {
-                            let outcome = Evaluated {
-                                region: cfg.region,
-                                lp: cfg.lp,
-                                technique: cfg.region.technique_name(),
-                                speedup: row.speedup,
-                                error_pct: row.error_pct,
-                            };
-                            (Some(outcome), Answer::Run)
-                        }
-                        ConfigOutcome::Aborted(_) => {
-                            self.aborted.push(cfg.clone());
-                            let ceiling = ceiling.unwrap_or(f64::INFINITY);
-                            (None, Answer::Aborted { ceiling })
-                        }
-                        ConfigOutcome::Rejected(_, reason) => (None, Answer::Rejected(reason)),
-                    }
-                }
-            };
-            if let Some(ev) = &outcome {
+        for a in &self.ledger.answered()[from..] {
+            // A duplicate's run is its member's, whose frontier point these
+            // coordinates already are.
+            if let (Answer::Run | Answer::CoveredBy { .. }, Some(row)) =
+                (&a.answer, a.outcome.row())
+            {
                 self.frontier.insert(ParetoPoint {
-                    speedup: ev.speedup,
-                    error_pct: ev.error_pct,
-                    technique: ev.technique.to_string(),
-                    config: cfg.label.clone(),
-                    items_per_thread: ev.lp.items_per_thread,
-                    region: Some(ev.region),
-                    lp: Some(ev.lp),
+                    speedup: row.speedup,
+                    error_pct: row.error_pct,
+                    technique: row.technique.clone(),
+                    config: row.config.clone(),
+                    items_per_thread: row.items_per_thread,
+                    region: Some(a.config.region),
+                    lp: Some(a.config.lp),
                 });
             }
-            self.seen.insert(cfg.label.clone(), outcome);
-            self.answers.push((cfg.label.clone(), answer));
-        }
-        for (cfg, rep_label) in dups {
-            hpac_obs::inc(hpac_obs::CounterId::ConfigsDeduped);
-            let synth = self.lookup(&rep_label).map(|rep| rep.for_config(cfg));
-            // The member it duplicates already holds the frontier point for
-            // these coordinates; inserting the duplicate would be a no-op.
-            self.seen.insert(cfg.label.clone(), synth);
-            self.answers
-                .push((cfg.label.clone(), Answer::DuplicateOf(rep_label)));
         }
         // One trajectory sample per batch: how far the search has come and
         // how selective the frontier is at this point.
         hpac_obs::mark(
             hpac_obs::Mark::SearchPoint,
-            self.evaluations as u64,
+            self.evaluations() as u64,
             self.frontier.len() as u64,
         );
         configs
             .iter()
-            .map(|cfg| self.seen.get(&cfg.label).cloned().flatten())
+            .map(|cfg| self.ledger.get(&cfg.label)?.outcome.row())
             .collect()
     }
 }
 
+/// Can the descent move here? A non-finite speedup or error (a NaN or
+/// infinite output scores infinite error) ranks against nothing.
+fn is_candidate(row: &Row) -> bool {
+    row.speedup.is_finite() && row.error_pct.is_finite()
+}
+
 /// Candidate ordering under a quality bound: feasible beats infeasible,
 /// then faster, then more accurate. Both must be candidates
-/// ([`Evaluated::is_candidate`]): a NaN compares false both ways and would
-/// win by arriving first.
-fn better(a: &Evaluated, b: &Evaluated, bound_pct: f64) -> bool {
+/// ([`is_candidate`]): a NaN compares false both ways and would win by
+/// arriving first.
+fn better(a: &Row, b: &Row, bound_pct: f64) -> bool {
     let (fa, fb) = (a.error_pct <= bound_pct, b.error_pct <= bound_pct);
     if fa != fb {
         return fa;
@@ -297,11 +160,11 @@ fn better(a: &Evaluated, b: &Evaluated, bound_pct: f64) -> bool {
 
 /// The index the descent moves to along an axis: the best candidate
 /// outcome, the first among equals.
-fn best_candidate(outcomes: &[Option<Evaluated>], bound_pct: f64) -> Option<usize> {
+fn best_candidate(outcomes: &[Option<&Row>], bound_pct: f64) -> Option<usize> {
     outcomes
         .iter()
         .enumerate()
-        .filter_map(|(v, o)| o.as_ref().filter(|e| e.is_candidate()).map(|e| (v, e)))
+        .filter_map(|(v, o)| o.filter(|row| is_candidate(row)).map(|row| (v, row)))
         .reduce(|acc, cur| {
             if better(cur.1, acc.1, bound_pct) {
                 cur
@@ -375,7 +238,9 @@ fn coordinate_descent(grid: &Grid, ev: &mut Evaluator<'_>, bound_pct: f64, mut i
 mod tests {
     use super::*;
     use hpac_apps::blackscholes::Blackscholes;
-    use hpac_harness::runner::select_baseline;
+    use hpac_apps::common::LaunchParams;
+    use hpac_core::region::ApproxRegion;
+    use hpac_harness::runner::{select_baseline, ConfigOutcome};
     use hpac_harness::space::Scale;
 
     fn tiny_bs() -> Blackscholes {
@@ -401,7 +266,7 @@ mod tests {
         {
             search_grid(grid, &mut ev, 5.0, 42 + i as u64);
         }
-        assert!(ev.evaluations <= 400);
+        assert!(ev.evaluations() <= 400);
         let best = ev.frontier.best_under(5.0).expect("feasible point exists");
         assert!(best.error_pct <= 5.0);
         assert!(best.speedup > 1.0, "speedup {}", best.speedup);
@@ -416,11 +281,10 @@ mod tests {
         let grid = &Grid::grids_for(&bench, &spec, Scale::Quick)[0];
         let cfg = grid.build(&vec![0; grid.axis_count()]);
         ev.eval_batch(std::slice::from_ref(&cfg));
-        assert_eq!(ev.evaluations, 1);
-        let again = ev.eval_batch(std::slice::from_ref(&cfg));
-        assert_eq!(ev.evaluations, 1, "memoized eval must not re-run");
-        assert!(again[0].is_some());
-        assert!(ev.lookup(&cfg.label).is_some());
+        assert_eq!(ev.evaluations(), 1);
+        assert!(ev.eval_batch(std::slice::from_ref(&cfg))[0].is_some());
+        assert_eq!(ev.evaluations(), 1, "memoized eval must not re-run");
+        assert_eq!(ev.ledger().answered().len(), 1);
     }
 
     #[test]
@@ -441,12 +305,13 @@ mod tests {
             label: "exact".into(),
         };
         let answer = |ev: &Evaluator, label: &str| {
-            let found = ev.answers().iter().find(|(l, _)| l == label);
-            found.map(|(_, a)| a.clone()).expect("answered")
+            let found = ev.ledger().get(label).expect("answered");
+            found.answer.clone()
         };
         // No ceiling yet; the exact run sets one for every later batch.
         ev.eval_batch(&[at(0.3, "a"), exact]);
-        assert_eq!(ev.lookup("exact").map(|e| e.error_pct), Some(0.0));
+        let exact = ev.ledger().get("exact").and_then(|a| a.outcome.row());
+        assert_eq!(exact.map(|row| row.error_pct), Some(0.0));
         let ceiling = ev
             .frontier
             .zero_error_speedup()
@@ -460,7 +325,7 @@ mod tests {
         ev.eval_batch(&[at(20.0, "c")]);
         let sibling = "b".to_string();
         assert_eq!(answer(&ev, "c"), Answer::CoveredBy { sibling, ceiling });
-        assert_eq!(ev.evaluations, 4, "a covered configuration is charged");
+        assert_eq!(ev.evaluations(), 4, "a covered configuration is charged");
     }
 
     /// Tiny Blackscholes, except that `nan` outputs NaN prices and every
@@ -519,35 +384,47 @@ mod tests {
         let outcomes = ev.eval_batch(&axis);
         // The NaN output scores infinite error; everything else is refused,
         // so it is the only outcome on the axis — and still not a move.
-        assert!(outcomes[0]
-            .as_ref()
-            .is_some_and(|e| e.error_pct.is_infinite()));
+        assert!(outcomes[0].is_some_and(|row| row.error_pct.is_infinite()));
         assert!(outcomes[1..].iter().all(Option::is_none));
         assert_eq!(best_candidate(&outcomes, 5.0), None);
+        let mut nan = outcomes[0].cloned().unwrap();
         assert!(ev.frontier.is_empty());
-        assert_eq!(ev.answers()[0], (axis[0].label.clone(), Answer::Run));
-        assert!(ev.answers()[1..]
-            .iter()
-            .all(|(_, a)| matches!(a, Answer::Rejected(r) if r.contains("refused by the test"))));
+        let answered = ev.ledger().answered();
+        assert_eq!(answered[0].config.label, axis[0].label);
+        assert!(answered.iter().all(|a| a.answer == Answer::Run));
+        assert!(answered[1..].iter().all(|a| matches!(
+            &a.outcome,
+            ConfigOutcome::Rejected(_, r) if r.contains("refused by the test")
+        )));
 
         // A NaN error first in line used to win against every infeasible
         // candidate after it.
-        let mut nan_first = vec![outcomes[0].clone(), None];
-        nan_first[0].as_mut().unwrap().error_pct = f64::NAN;
-        let mut infeasible = nan_first[0].clone().unwrap();
-        infeasible.error_pct = 30.0;
-        nan_first[1] = Some(infeasible);
-        assert_eq!(best_candidate(&nan_first, 5.0), Some(1));
+        nan.error_pct = f64::NAN;
+        let infeasible = Row {
+            error_pct: 30.0,
+            ..nan.clone()
+        };
+        assert_eq!(
+            best_candidate(&[Some(&nan), Some(&infeasible)], 5.0),
+            Some(1)
+        );
     }
 
     #[test]
     fn better_prefers_feasible_then_fast() {
-        let mk = |speedup, error_pct| Evaluated {
-            region: ApproxRegion::memo_out(1, 2, 0.5),
-            lp: LaunchParams::new(8, 256),
-            technique: "TAF",
+        let mk = |speedup, error_pct| Row {
+            benchmark: "Blackscholes".into(),
+            device: "V100".into(),
+            technique: "TAF".into(),
+            config: "h=1 p=2 thr=0.5".into(),
+            items_per_thread: 8,
             speedup,
             error_pct,
+            approx_fraction: 0.5,
+            divergent_fraction: 0.0,
+            kernel_seconds: 1.0,
+            end_to_end_seconds: 1.0,
+            iterations: None,
         };
         assert!(better(&mk(1.1, 2.0), &mk(9.0, 50.0), 5.0));
         assert!(better(&mk(2.0, 2.0), &mk(1.5, 1.0), 5.0));

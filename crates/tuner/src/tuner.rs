@@ -110,9 +110,11 @@ impl Tuner {
             let best = frontier
                 .best_under(bound.max_error_pct)
                 .filter(|best| best.speedup > 1.0)?;
-            let chosen = ev
-                .lookup(&best.config)
-                .expect("the evaluator has run the frontier's winner");
+            let chosen = &ev
+                .ledger()
+                .get(&best.config)
+                .expect("the evaluator has run the frontier's winner")
+                .config;
             Some(TunedPlan {
                 benchmark: bench.name().to_string(),
                 device: device.name.to_string(),
@@ -125,7 +127,7 @@ impl Tuner {
                 predicted_speedup: best.speedup,
                 measured_error_pct: best.error_pct,
                 baseline_lp: baseline.lp,
-                evaluations: ev.evaluations,
+                evaluations: ev.evaluations(),
                 full_space,
                 from_cache: false,
                 verified_seed,
@@ -153,7 +155,7 @@ impl Tuner {
                 let cfg = claim
                     .to_config()
                     .expect("the prior holds executable points");
-                let run = ev.eval_batch(std::slice::from_ref(&cfg)).pop().flatten();
+                let run = ev.eval_batch(std::slice::from_ref(&cfg))[0].cloned();
                 if run.as_ref().is_some_and(|run| {
                     run.speedup.to_bits() == claim.speedup.to_bits()
                         && run.error_pct.to_bits() == claim.error_pct.to_bits()
@@ -225,7 +227,7 @@ impl Tuner {
                 predicted_speedup: 1.0,
                 measured_error_pct: 0.0,
                 baseline_lp: baseline.lp,
-                evaluations: ev.evaluations,
+                evaluations: ev.evaluations(),
                 full_space,
                 from_cache: false,
                 verified_seed: false,

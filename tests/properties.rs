@@ -279,7 +279,7 @@ proptest! {
     fn aborted_configs_never_enter_frontier(seed in 0u64..1_000) {
         use hpac_offload::apps::blackscholes::Blackscholes;
         use hpac_offload::core::exec::ExecOptions;
-        use hpac_offload::harness::runner::{run_config_bounded, select_baseline};
+        use hpac_offload::harness::runner::{run_config_bounded, select_baseline, ConfigOutcome};
         use hpac_offload::harness::space::{Grid, Scale};
         use hpac_offload::tuner::search::Evaluator;
         use hpac_offload::tuner::ParetoPoint;
@@ -304,7 +304,9 @@ proptest! {
             ev.eval_batch(&configs);
         }
         let mut frontier = ev.frontier.clone();
-        for cfg in &ev.aborted {
+        let answered = ev.ledger().answered();
+        let aborted = answered.iter().filter(|a| matches!(a.outcome, ConfigOutcome::Aborted(_)));
+        for cfg in aborted.map(|a| &a.config) {
             let row = run_config_bounded(&bench, &spec, &baseline, cfg, &ExecOptions::default())
                 .into_result()
                 .expect("aborted configs are launchable");

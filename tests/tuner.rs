@@ -14,10 +14,11 @@ use hpac_offload::apps::leukocyte::Leukocyte;
 use hpac_offload::apps::lulesh::Lulesh;
 use hpac_offload::apps::minife::MiniFe;
 use hpac_offload::core::exec::ExecOptions;
-use hpac_offload::harness::runner::{run_config_bounded, select_baseline, ConfigOutcome};
-use hpac_offload::harness::space::{Grid, SweepConfig};
+use hpac_offload::core::hash::fnv1a;
+use hpac_offload::harness::runner::{run_config_bounded, select_baseline, Answer, ConfigOutcome};
+use hpac_offload::harness::space::Grid;
 use hpac_offload::harness::Scale;
-use hpac_offload::tuner::search::{search_grid, Answer, Evaluator};
+use hpac_offload::tuner::search::{search_grid, Evaluator};
 use hpac_offload::tuner::{ParetoFrontier, ParetoPoint, QualityBound, TunedPlan, Tuner};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -388,6 +389,9 @@ fn margin_covered_configurations_reproduce_when_run_alone() {
     // Covered configurations without and with a ceiling in force.
     let mut covered = [0; 2];
     let mut duplicates = 0;
+    // Every answered configuration, in answer order: its label, how it was
+    // answered, the outcome kind, and a finished run's speedup and error.
+    let mut log: Vec<u8> = Vec::new();
     for device in DeviceSpec::evaluation_platforms() {
         for bench in quick_apps() {
             let bench = bench.as_ref();
@@ -399,46 +403,61 @@ fn margin_covered_configurations_reproduce_when_run_alone() {
             {
                 search_grid(grid, &mut ev, 5.0, i as u64);
             }
-            let answers: HashMap<&str, &Answer> =
-                ev.answers().iter().map(|(l, a)| (l.as_str(), a)).collect();
-            assert_eq!(
-                answers.len(),
-                ev.answers().len(),
-                "each label answered once"
-            );
-            let order: HashMap<&str, usize> = ev
-                .answers()
+            let answered = ev.ledger().answered();
+            let order: HashMap<&str, usize> = answered
                 .iter()
                 .enumerate()
-                .map(|(i, (l, _))| (l.as_str(), i))
+                .map(|(i, a)| (a.config.label.as_str(), i))
                 .collect();
-            for (i, (label, answer)) in ev.answers().iter().enumerate() {
+            assert_eq!(order.len(), answered.len(), "each label answered once");
+            let kind = |outcome: &ConfigOutcome| match outcome {
+                ConfigOutcome::Done(_) => 0u8,
+                ConfigOutcome::Rejected(..) => 1,
+                ConfigOutcome::Aborted(_) => 2,
+            };
+            let bits = |outcome: &ConfigOutcome| {
+                outcome
+                    .row()
+                    .map(|row| (row.speedup.to_bits(), row.error_pct.to_bits()))
+            };
+            for a in answered {
+                // How it was answered, then the outcome kind and its bits.
+                let how = match &a.answer {
+                    Answer::Run => vec![0],
+                    Answer::DuplicateOf(rep) => answer_bytes(1, rep, None),
+                    Answer::CoveredBy { sibling, ceiling } => answer_bytes(2, sibling, *ceiling),
+                };
+                let (speedup, error) = bits(&a.outcome).unwrap_or((0, 0));
+                let label = a.config.label.bytes().chain([0]);
+                log.extend(label.chain(how).chain([kind(&a.outcome)]));
+                log.extend(speedup.to_le_bytes().into_iter().chain(error.to_le_bytes()));
+            }
+            for (i, a) in answered.iter().enumerate() {
+                let label = &a.config.label;
                 let what = format!("{label} on {} ({})", bench.name(), device.name);
-                if let Answer::DuplicateOf(rep) = answer {
+                if let Answer::DuplicateOf(rep) = &a.answer {
                     assert!(order[rep.as_str()] < i, "{what}: {rep} answered later");
-                    let bits = |l: &str| {
-                        ev.lookup(l)
-                            .map(|e| (e.speedup.to_bits(), e.error_pct.to_bits()))
-                    };
-                    assert_eq!(bits(label), bits(rep), "{what}");
+                    let rep = &answered[order[rep.as_str()]].outcome;
+                    assert_eq!(kind(&a.outcome), kind(rep), "{what}");
+                    assert_eq!(bits(&a.outcome), bits(rep), "{what}");
                     duplicates += 1;
                 }
-                let Answer::CoveredBy { sibling, ceiling } = answer else {
+                let Answer::CoveredBy { sibling, ceiling } = &a.answer else {
                     continue;
                 };
-                assert_eq!(answers[sibling.as_str()], &Answer::Run, "{what}");
-                let given = ev.lookup(label).expect("covered by a finished run");
-                let cfg = SweepConfig {
-                    region: given.region,
-                    lp: given.lp,
-                    label: label.clone(),
-                };
+                let sibling = &answered[order[sibling.as_str()]];
+                assert_eq!(sibling.answer, Answer::Run, "{what}");
+                assert!(
+                    sibling.outcome.row().is_some(),
+                    "{what}: sibling unfinished"
+                );
+                let given = a.outcome.row().expect("covered by a finished run");
                 let opts = ExecOptions {
                     abort_above_seconds: *ceiling,
                     ..ExecOptions::default()
                 };
                 let ConfigOutcome::Done(row) =
-                    run_config_bounded(bench, &device, &baseline, &cfg, &opts)
+                    run_config_bounded(bench, &device, &baseline, &a.config, &opts)
                 else {
                     panic!("{what}: covered, yet aborted or refused alone");
                 };
@@ -453,4 +472,19 @@ fn margin_covered_configurations_reproduce_when_run_alone() {
         "covered (no ceiling, ceiling): {covered:?}"
     );
     assert!(duplicates > 0, "no duplicate answered");
+    let digest = fnv1a(log);
+    assert_eq!(
+        digest, 0x8a24_fcfc_35fe_2978,
+        "answer log digest {digest:#018x}"
+    );
+}
+
+/// An answer that names another configuration: its tag, the label, and
+/// the cost ceiling's bits (a flag byte first; none for a duplicate).
+fn answer_bytes(tag: u8, label: &str, ceiling: Option<f64>) -> Vec<u8> {
+    let mut bytes = vec![tag];
+    bytes.extend(label.bytes().chain([0]));
+    bytes.push(u8::from(ceiling.is_some()));
+    bytes.extend(ceiling.map_or(0, f64::to_bits).to_le_bytes());
+    bytes
 }
