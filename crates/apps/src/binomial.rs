@@ -16,7 +16,6 @@ use crate::blackscholes::{Portfolio, OPTION_DIMS};
 use crate::common::{
     eval_key, scoped_inputs, AppResult, Benchmark, LaunchParams, QoI, RunAccumulator,
 };
-use gpu_sim::transfer::Direction;
 use gpu_sim::{AccessPattern, CostProfile, DeviceSpec};
 use hpac_core::exec::{approx_block_tasks_opts, BlockTaskBody, ExecOptions};
 use hpac_core::lane;
@@ -35,7 +34,6 @@ pub struct BinomialOptions {
     pub distinct: usize,
     /// Consecutive copies of each base option.
     pub run_len: usize,
-    pub block_size: u32,
     pub seed: u64,
 }
 
@@ -46,7 +44,6 @@ impl Default for BinomialOptions {
             tree_steps: 192,
             distinct: 24,
             run_len: 32,
-            block_size: 128,
             seed: 0xB0,
         }
     }
@@ -108,6 +105,15 @@ impl BinomialOptions {
                 })
             },
         )
+    }
+
+    /// The `(blocks, block size)` a run launches: "items per thread" is
+    /// options per block.
+    fn launch(&self, spec: &DeviceSpec, lp: &LaunchParams) -> (u32, u32) {
+        let opt_per_block = lp.items_per_thread.max(1);
+        let n_blocks = self.n_options.div_ceil(opt_per_block).max(1) as u32;
+        let launch_blocks = n_blocks.min(self.n_options as u32);
+        (launch_blocks, lp.block_size.min(spec.max_threads_per_block))
     }
 }
 
@@ -202,7 +208,6 @@ impl Benchmark for BinomialOptions {
             tree_steps,
             distinct,
             run_len,
-            block_size,
             seed,
         } = *self;
         Some(eval_key(
@@ -212,7 +217,6 @@ impl Benchmark for BinomialOptions {
                 tree_steps as u64,
                 distinct as u64,
                 run_len as u64,
-                block_size.into(),
                 seed,
             ],
         ))
@@ -223,12 +227,9 @@ impl Benchmark for BinomialOptions {
     }
 
     fn launch_class(&self, spec: &DeviceSpec, lp: &LaunchParams) -> Option<u64> {
-        // Mirror of `run_opts`' launch derivation: options-per-block values
-        // that clamp to the same block grid execute identically.
-        let opt_per_block = lp.items_per_thread.max(1);
-        let n_blocks = self.n_options.div_ceil(opt_per_block).max(1) as u32;
-        let launch_blocks = n_blocks.min(self.n_options as u32);
-        let block_size = lp.block_size.min(spec.max_threads_per_block);
+        // Options-per-block values that clamp to the same block grid
+        // execute identically.
+        let (launch_blocks, block_size) = self.launch(spec, lp);
         Some(((launch_blocks as u64) << 32) | block_size as u64)
     }
 
@@ -240,11 +241,7 @@ impl Benchmark for BinomialOptions {
         opts: &ExecOptions,
     ) -> Result<AppResult, RegionError> {
         let inputs = self.inputs();
-        // "Items per thread" = options per block.
-        let opt_per_block = lp.items_per_thread.max(1);
-        let n_blocks = self.n_options.div_ceil(opt_per_block).max(1) as u32;
-        let launch_blocks = n_blocks.min(self.n_options as u32);
-        let block_size = lp.block_size.min(spec.max_threads_per_block);
+        let (launch_blocks, block_size) = self.launch(spec, lp);
         let warps_per_block = block_size.div_ceil(spec.warp_size);
 
         let mut body = BinomialBody {
@@ -262,8 +259,8 @@ impl Benchmark for BinomialOptions {
         // this un-accelerated share is what bounds the paper's best case
         // near 7x despite ~100% of price calculations approximating.
         acc.host(self.n_options as f64 * 200e-9);
-        acc.transfer(spec, in_bytes, Direction::HostToDevice);
-        acc.transfer(spec, out_bytes, Direction::DeviceToHost);
+        acc.transfer(spec, in_bytes);
+        acc.transfer(spec, out_bytes);
 
         let rec = approx_block_tasks_opts(
             spec,
@@ -295,7 +292,6 @@ mod tests {
             tree_steps: 160,
             distinct: 8,
             run_len: 16,
-            block_size: 128,
             seed: 3,
         }
     }

@@ -14,7 +14,6 @@ use crate::common::{
     eval_key, grid_stride_launch_class, scoped_inputs, AppResult, Benchmark, LaunchParams,
     Prepared, QoI, RunAccumulator,
 };
-use gpu_sim::transfer::Direction;
 use gpu_sim::{AccessPattern, CostProfile, DeviceSpec, LaunchConfig};
 use hpac_core::exec::{approx_parallel_for_opts, ExecOptions, RegionBody};
 use hpac_core::lane;
@@ -299,8 +298,8 @@ impl Benchmark for Blackscholes {
         let in_bytes = (self.n_options * OPTION_DIMS * 8) as u64;
         let out_bytes = (self.n_options * 8) as u64;
         acc.host((in_bytes + out_bytes) as f64 / 2.0e9); // allocation ~2 GB/s
-        acc.transfer(spec, in_bytes, Direction::HostToDevice);
-        acc.transfer(spec, out_bytes, Direction::DeviceToHost);
+        acc.transfer(spec, in_bytes);
+        acc.transfer(spec, out_bytes);
 
         let rec = approx_parallel_for_opts(spec, &launch, region, &mut body, opts)?;
         acc.kernel(&rec);

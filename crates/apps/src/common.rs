@@ -2,8 +2,8 @@
 //! sweep-scoped prepared inputs, and the [`Benchmark`] trait the harness
 //! drives.
 
-use gpu_sim::transfer::{self, Direction};
-use gpu_sim::{CostProfile, DeviceSpec, KernelExec, KernelRecord, KernelStats, LaunchConfig};
+use gpu_sim::transfer;
+use gpu_sim::{DeviceSpec, KernelRecord, KernelStats, LaunchConfig};
 use hpac_core::exec::ExecOptions;
 use hpac_core::hash::fnv1a;
 use hpac_core::metrics;
@@ -142,7 +142,7 @@ impl RunAccumulator {
         self.stats.merge(&rec.stats);
     }
 
-    pub fn transfer(&mut self, spec: &DeviceSpec, bytes: u64, _dir: Direction) {
+    pub fn transfer(&mut self, spec: &DeviceSpec, bytes: u64) {
         self.transfer_seconds += transfer::transfer_seconds(spec, bytes);
     }
 
@@ -398,35 +398,6 @@ pub fn grid_stride_launch_class(n_items: usize, lp: &LaunchParams) -> u64 {
     ((lc.n_blocks as u64) << 32) | lc.block_size as u64
 }
 
-/// Charge a uniform, non-approximated kernel (per-item cost `cost`) without
-/// functionally iterating items — used for accurate helper kernels whose
-/// outputs the app computes host-side (reductions, centroid updates).
-pub fn charge_uniform_kernel(
-    spec: &DeviceSpec,
-    launch: &LaunchConfig,
-    cost_per_warp_step: &CostProfile,
-) -> Result<KernelRecord, RegionError> {
-    let mut exec = KernelExec::new(spec, launch, 0)?;
-    let wpb = launch.warps_per_block(spec);
-    let steps = launch.steps();
-    let mut remaining = launch.n_items as i64;
-    let full_warp = spec.warp_size as i64;
-    'outer: for _s in 0..steps {
-        for b in 0..launch.n_blocks {
-            for w in 0..wpb {
-                if remaining <= 0 {
-                    break 'outer;
-                }
-                let lanes = remaining.min(full_warp) as u32;
-                exec.charge(b, w, cost_per_warp_step);
-                exec.note_step(lanes, 0, 0, false);
-                remaining -= full_warp;
-            }
-        }
-    }
-    Ok(exec.finish())
-}
-
 /// The interface the design-space-exploration harness drives.
 ///
 /// Implementations are plain-data configuration structs; `run` is pure
@@ -598,7 +569,7 @@ mod tests {
         let spec = DeviceSpec::v100();
         let mut acc = RunAccumulator::new();
         acc.host(0.5);
-        acc.transfer(&spec, 1 << 30, Direction::HostToDevice);
+        acc.transfer(&spec, 1 << 30);
         let r = acc.finish(QoI::Values(vec![]), None);
         assert!(r.end_to_end_seconds() > 0.5);
         assert_eq!(r.iterations, None);
@@ -831,6 +802,8 @@ mod tests {
 
     #[test]
     fn uniform_kernel_charges_all_items() {
+        use gpu_sim::CostProfile;
+        use hpac_core::exec::charge_uniform_kernel;
         let spec = DeviceSpec::v100();
         let lc = LaunchConfig::one_item_per_thread(1000, 128);
         let cost = CostProfile::new().flops(10.0);

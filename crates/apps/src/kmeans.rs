@@ -27,7 +27,6 @@ use crate::common::{
     eval_key, grid_stride_launch_class, scoped_inputs, AppResult, Benchmark, LaunchParams,
     Prepared, QoI, RunAccumulator,
 };
-use gpu_sim::transfer::Direction;
 use gpu_sim::{AccessPattern, CostProfile, DeviceSpec, LaunchConfig};
 use hpac_core::exec::{ExecOptions, RegionBody, RepeatedLaunch};
 use hpac_core::lane;
@@ -273,11 +272,7 @@ impl Benchmark for KMeans {
         let launch =
             LaunchConfig::for_items_per_thread(n_items, lp.block_size, lp.items_per_thread);
         let mut acc = RunAccumulator::new();
-        acc.transfer(
-            spec,
-            (self.n_points * self.dims * 8) as u64,
-            Direction::HostToDevice,
-        );
+        acc.transfer(spec, (self.n_points * self.dims * 8) as u64);
 
         // Every iteration launches the distance kernel over the same
         // declared inputs, so the later launches replay the first one's
@@ -313,13 +308,9 @@ impl Benchmark for KMeans {
             // per-iteration cost that dwarfs the distance kernel (the paper
             // notes the kernel is only ~3.5% of runtime) and makes time
             // speedup track convergence speedup.
-            acc.transfer(spec, (self.n_points * 4) as u64, Direction::DeviceToHost);
+            acc.transfer(spec, (self.n_points * 4) as u64);
             acc.host(self.n_points as f64 * self.dims as f64 * 8.0 / 2.0e9 + 20e-6);
-            acc.transfer(
-                spec,
-                (self.k * self.dims * 8) as u64,
-                Direction::HostToDevice,
-            );
+            acc.transfer(spec, (self.k * self.dims * 8) as u64);
 
             let mut sums = vec![0.0; self.k * self.dims];
             let mut counts = vec![0usize; self.k];
@@ -343,7 +334,7 @@ impl Benchmark for KMeans {
             }
         }
 
-        acc.transfer(spec, (self.n_points * 4) as u64, Direction::DeviceToHost);
+        acc.transfer(spec, (self.n_points * 4) as u64);
         Ok(acc.finish(QoI::Labels(assignment), Some(iterations)))
     }
 }

@@ -22,7 +22,6 @@ use crate::common::{
     eval_key, grid_stride_launch_class, scoped_inputs, AppResult, Benchmark, LaunchParams,
     Prepared, QoI, RunAccumulator,
 };
-use gpu_sim::transfer::Direction;
 use gpu_sim::{AccessPattern, CostProfile, DeviceSpec, LaunchConfig};
 use hpac_core::exec::{approx_parallel_for_opts, ExecOptions, RegionBody};
 use hpac_core::lane;
@@ -305,7 +304,7 @@ impl Benchmark for LavaMd {
         let mut contrib = vec![0.0; self.n_items() * OUT_DIMS];
 
         let mut acc = RunAccumulator::new();
-        acc.transfer(spec, (n * 4 * 8) as u64, Direction::HostToDevice);
+        acc.transfer(spec, (n * 4 * 8) as u64);
 
         let launch =
             LaunchConfig::for_items_per_thread(self.n_items(), lp.block_size, lp.items_per_thread);
@@ -344,7 +343,7 @@ impl Benchmark for LavaMd {
             qoi.push(span + pos[3 * p + 2] + dt * fz);
         }
         // Rodinia copies back the per-particle potential and force vector.
-        acc.transfer(spec, (n * 4 * 8) as u64, Direction::DeviceToHost);
+        acc.transfer(spec, (n * 4 * 8) as u64);
 
         Ok(acc.finish(QoI::Values(qoi), None))
     }

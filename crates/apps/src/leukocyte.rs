@@ -23,7 +23,6 @@
 use crate::common::{
     eval_key, scoped_inputs, AppResult, Benchmark, LaunchParams, Prepared, QoI, RunAccumulator,
 };
-use gpu_sim::transfer::Direction;
 use gpu_sim::{AccessPattern, CostProfile, DeviceSpec, LaunchConfig};
 use hpac_core::exec::{approx_parallel_for_opts, ExecOptions, RegionBody, StoreVisibility};
 use hpac_core::region::{ApproxRegion, RegionError};
@@ -263,11 +262,7 @@ impl Benchmark for Leukocyte {
         let inputs = self.inputs();
         let image = &inputs.image;
         let mut acc = RunAccumulator::new();
-        acc.transfer(
-            spec,
-            (self.n_cells * self.pixels_per_cell() * 8) as u64,
-            Direction::HostToDevice,
-        );
+        acc.transfer(spec, (self.n_cells * self.pixels_per_cell() * 8) as u64);
 
         let mut body = ImgvfBody {
             cfg: self,
@@ -293,7 +288,7 @@ impl Benchmark for Leukocyte {
             qoi.push(cx);
             qoi.push(cy);
         }
-        acc.transfer(spec, (self.n_cells * 2 * 8) as u64, Direction::DeviceToHost);
+        acc.transfer(spec, (self.n_cells * 2 * 8) as u64);
 
         Ok(acc.finish(QoI::Values(qoi), None))
     }

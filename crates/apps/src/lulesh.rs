@@ -22,7 +22,6 @@
 use crate::common::{
     eval_key, scoped_inputs, AppResult, Benchmark, LaunchParams, Prepared, QoI, RunAccumulator,
 };
-use gpu_sim::transfer::Direction;
 use gpu_sim::{AccessPattern, CostProfile, DeviceSpec, LaunchConfig};
 use hpac_core::exec::{approx_parallel_for_opts, ExecOptions, RegionBody};
 use hpac_core::lane;
@@ -586,11 +585,7 @@ impl Benchmark for Lulesh {
         let area = (1.0 / self.edge as f64).powi(2);
 
         let mut acc = RunAccumulator::new();
-        acc.transfer(
-            spec,
-            (n_nodes * 10 * 8 + n_elems * 6 * 8) as u64,
-            Direction::HostToDevice,
-        );
+        acc.transfer(spec, (n_nodes * 10 * 8 + n_elems * 6 * 8) as u64);
 
         let elem_launch =
             LaunchConfig::for_items_per_thread(n_elems, lp.block_size, lp.items_per_thread);
@@ -635,7 +630,7 @@ impl Benchmark for Lulesh {
             launch(&elem_acc_launch, None, &mut EosBody { mesh: &mut mesh })?;
         }
 
-        acc.transfer(spec, (n_elems * 8) as u64, Direction::DeviceToHost);
+        acc.transfer(spec, (n_elems * 8) as u64);
         // QoI: final origin energy.
         let qoi = QoI::Values(vec![mesh.energy[0]]);
         Ok(acc.finish(qoi, None))

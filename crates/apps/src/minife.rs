@@ -16,12 +16,10 @@
 //! QoI: the final residual norm of the solver.
 
 use crate::common::{
-    charge_uniform_kernel, eval_key, scoped_inputs, AppResult, Benchmark, LaunchParams, Prepared,
-    QoI, RunAccumulator,
+    eval_key, scoped_inputs, AppResult, Benchmark, LaunchParams, Prepared, QoI, RunAccumulator,
 };
-use gpu_sim::transfer::Direction;
 use gpu_sim::{AccessPattern, CostProfile, DeviceSpec, LaunchConfig};
-use hpac_core::exec::{approx_parallel_for_opts, ExecOptions, RegionBody};
+use hpac_core::exec::{approx_parallel_for_opts, charge_uniform_kernel, ExecOptions, RegionBody};
 use hpac_core::region::{ApproxRegion, RegionError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -226,11 +224,7 @@ impl Benchmark for MiniFe {
         let avg_nnz = a.nnz() as f64 / n as f64;
 
         let mut acc = RunAccumulator::new();
-        acc.transfer(
-            spec,
-            (a.nnz() * 12 + n * 8 * 4) as u64,
-            Direction::HostToDevice,
-        );
+        acc.transfer(spec, (a.nnz() * 12 + n * 8 * 4) as u64);
 
         // CG state.
         let mut x = vec![0.0; n];
@@ -298,7 +292,7 @@ impl Benchmark for MiniFe {
             true_r += d * d;
         }
         let qoi = QoI::Values(vec![true_r.sqrt()]);
-        acc.transfer(spec, (n * 8) as u64, Direction::DeviceToHost);
+        acc.transfer(spec, (n * 8) as u64);
         Ok(acc.finish(qoi, None))
     }
 }

@@ -1,5 +1,5 @@
 //! Cost memoization for the execution pipeline, shared by every technique
-//! policy: [`MixMemo`] caches the fully composed, device-resolved cost of a
+//! policy: `MixMemo` caches the fully composed, device-resolved cost of a
 //! warp step per lane mix `(n_acc, n_apx)`. Policies assemble a mix's
 //! [`CostProfile`] at most once per launch and replay the precomposed cycle
 //! sums on every later step with the same mix, which removes the profile

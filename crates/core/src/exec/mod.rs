@@ -4,24 +4,26 @@
 //! The pipeline has four stages, one module each:
 //!
 //! 1. **Dispatch** (this module) — validate the region against the body,
-//!    size the shared-memory AC state, and select the
-//!    [`TechniquePolicy`](policy) for the region's technique. [`resolve`]
-//!    is the shared front half of [`approx_parallel_for_opts`] and
-//!    [`RepeatedLaunch`].
-//! 2. **Launch** ([`launch`]) — the one block loop under the warp walk,
-//!    the block tasks and the recording walk. Every launch walks its blocks
-//!    in ascending order on the calling thread: the GPU model, not the
-//!    host, supplies a launch's block parallelism. Host threads work on
-//!    whole configurations instead, through the [`ExecEngine`].
-//! 3. **Walk** ([`walk`]) — the single grid walker iterates block →
+//!    size the shared-memory AC state, and select the `TechniquePolicy`
+//!    (module `policy`) for the region's technique. `resolve` is the shared
+//!    front half of [`approx_parallel_for_opts`] and [`RepeatedLaunch`].
+//! 2. **Launch** (module `launch`) — the one block loop, `launch::run`,
+//!    under its four callers: the warp walk, the block tasks, the recording
+//!    walk and [`charge_uniform_kernel`], which charges an accurate helper
+//!    kernel without running a body. Every launch walks its blocks in
+//!    ascending order on the calling thread: the GPU model, not the host,
+//!    supplies a launch's block parallelism. Host threads work on whole
+//!    configurations instead, through the [`ExecEngine`].
+//! 3. **Walk** (module `walk`) — the single grid walker iterates block →
 //!    grid-stride step → warp, evaluates each warp step as one lane
 //!    *slice*, resolves hierarchy-level votes, and calls the policy's
-//!    hooks; [`taf`], [`iact`], and [`perfo`] each implement the policy
+//!    hooks; modules `taf`, `iact` and `perfo` each implement the policy
 //!    trait in ~150 lines of pure decision logic. Tests hold the walk to
 //!    an executable per-lane spec of Fig 4 written from the paper (`spec`).
 //! 4. **Accounting** ([`charge`], plus `gpu_sim::BlockAccumulator`) —
 //!    every block accumulates its costs and statistics, which merge into
-//!    the kernel's record in block order.
+//!    the kernel's record in block order. A kernel is charged no other
+//!    way.
 //!
 //! [`approx_parallel_for`] is the analogue of launching an annotated
 //! `#pragma omp target teams distribute parallel for` region;
@@ -30,7 +32,7 @@
 //! and decisions are block-scoped. [`RepeatedLaunch`] issues one
 //! grid-stride launch again and again over unchanged declared inputs: it
 //! walks the first launch, recording decisions that read only declared
-//! inputs, and replays them on the rest (see [`replay`]).
+//! inputs, and replays them on the rest (see module `replay`).
 
 mod block_tasks;
 pub mod body;
@@ -49,6 +51,7 @@ mod walk;
 pub use block_tasks::approx_block_tasks_opts;
 pub use body::{BlockTaskBody, RegionBody, StoreVisibility};
 pub use engine::{engine, ExecEngine};
+pub use launch::charge_uniform_kernel;
 pub use replay::RepeatedLaunch;
 
 use crate::region::{ApproxRegion, RegionError, Technique};

@@ -135,7 +135,7 @@ struct Recorded {
 
 /// A record-or-replay handle for one grid-stride launch that an iterative
 /// application issues again over unchanged declared inputs (see the
-/// [module docs](self)).
+/// `replay` module's docs).
 ///
 /// The first [`RepeatedLaunch::run`] walks the launch as
 /// [`approx_parallel_for_opts`](crate::exec::approx_parallel_for_opts)

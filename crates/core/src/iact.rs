@@ -103,7 +103,7 @@ impl IactPool {
 
     /// Search `table` for the entry closest to `query` (read phase).
     ///
-    /// Valid slots are the prefix `0..fill` (see [`IactPool::fill`]), so the
+    /// Valid slots are the prefix `0..fill` (see `IactPool::fill`), so the
     /// walk is a branch-free scan over one contiguous slice — this is the
     /// hottest loop of an iACT sweep (every lane, every step).
     pub fn probe(&self, table: usize, query: &[f64]) -> Probe {

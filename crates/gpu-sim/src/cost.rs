@@ -165,16 +165,11 @@ pub struct WarpCycles {
     pub latency: f64,
 }
 
-impl WarpCycles {
-    pub fn charge(&mut self, profile: &CostProfile, params: &CostParams) {
-        self.issue += profile.issue_cycles(params);
-        self.latency += profile.latency_cycles(params);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dim::LaunchConfig;
+    use crate::engine::{BlockAccumulator, KernelExec};
     use crate::spec::DeviceSpec;
 
     fn params() -> CostParams {
@@ -232,14 +227,20 @@ mod tests {
 
     #[test]
     fn warp_cycles_accumulate() {
+        // One block of one warp, so the kernel's cycle totals are that
+        // warp's.
+        let spec = DeviceSpec::v100();
         let p = params();
-        let mut w = WarpCycles::default();
+        let mut k = KernelExec::new(&spec, &LaunchConfig::one_item_per_thread(32, 32), 0).unwrap();
+        let mut acc = BlockAccumulator::new(1, p);
         let c = CostProfile::new()
             .flops(10.0)
             .global_read(32, 8, AccessPattern::Coalesced);
-        w.charge(&c, &p);
-        w.charge(&c, &p);
-        assert!((w.issue - 2.0 * c.issue_cycles(&p)).abs() < 1e-9);
-        assert!((w.latency - 2.0 * p.global_latency_cycles).abs() < 1e-9);
+        acc.charge(0, &c);
+        acc.charge(0, &c);
+        k.merge_block(0, &acc);
+        let w = k.finish().stats;
+        assert!((w.total_issue_cycles - 2.0 * c.issue_cycles(&p)).abs() < 1e-9);
+        assert!((w.total_latency_cycles - 2.0 * p.global_latency_cycles).abs() < 1e-9);
     }
 }

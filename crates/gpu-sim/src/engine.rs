@@ -3,9 +3,10 @@
 //! [`KernelExec`] is the handle a runtime (HPAC-Offload's, in `hpac-core`)
 //! drives while functionally executing a kernel. The runtime walks the launch
 //! geometry (blocks → grid-stride steps → warps), runs real Rust closures for
-//! the lanes, and charges [`CostProfile`]s here; `finish()` folds the
-//! accumulated per-warp cycles through the SM scheduling model into a
-//! [`KernelRecord`].
+//! the lanes, and charges each block's [`CostProfile`]s and step outcomes
+//! into a [`BlockAccumulator`]; [`KernelExec::merge_block`] folds the
+//! finished blocks in, and `finish()` runs the accumulated per-warp cycles
+//! through the SM scheduling model into a [`KernelRecord`].
 
 use crate::cost::{CostProfile, PrecomposedCost, WarpCycles};
 use crate::dim::LaunchConfig;
@@ -129,7 +130,10 @@ impl BlockAccumulator {
         self.stats = KernelStats::default();
     }
 
-    /// Record the outcome of one warp step (see [`KernelExec::note_step`]).
+    /// Record the outcome of one warp step for statistics.
+    ///
+    /// `accurate`/`approx`/`skipped` are lane counts; `divergent` marks that
+    /// the warp serialized both execution paths this step.
     pub fn note_step(&mut self, accurate: u32, approx: u32, skipped: u32, divergent: bool) {
         self.stats.warp_steps += 1;
         self.stats.accurate_lanes += accurate as u64;
@@ -197,30 +201,6 @@ impl KernelExec {
         &self.launch
     }
 
-    /// Charge one warp-step's cost to warp `warp` of block `block` and
-    /// update aggregate statistics.
-    pub fn charge(&mut self, block: u32, warp: u32, profile: &CostProfile) {
-        let params = self.spec.costs;
-        self.stats.total_issue_cycles += profile.issue_cycles(&params);
-        self.stats.total_latency_cycles += profile.latency_cycles(&params);
-        self.stats.global_txns += profile.global_txns as u64;
-        self.blocks[block as usize][warp as usize].charge(profile, &params);
-    }
-
-    /// Record the outcome of one warp step for statistics.
-    ///
-    /// `accurate`/`approx`/`skipped` are lane counts; `divergent` marks that
-    /// the warp serialized both execution paths this step.
-    pub fn note_step(&mut self, accurate: u32, approx: u32, skipped: u32, divergent: bool) {
-        self.stats.warp_steps += 1;
-        self.stats.accurate_lanes += accurate as u64;
-        self.stats.approx_lanes += approx as u64;
-        self.stats.skipped_lanes += skipped as u64;
-        if divergent {
-            self.stats.divergent_steps += 1;
-        }
-    }
-
     /// Fold one block's finished accumulator into the kernel record.
     ///
     /// Call once per block, in ascending block order: the u64 counters are
@@ -269,10 +249,10 @@ impl KernelExec {
 /// Account one finished kernel: add its modeled duration to this thread's
 /// modeled-seconds meter and its execution statistics to the obs counters.
 ///
-/// Every kernel — slice walk, block tasks, uniform charge, and a replayed
-/// launch that reuses a recorded [`KernelRecord`] — funnels through here,
-/// so this is the one place modeled execution feeds the meter and the
-/// counters.
+/// Every kernel funnels through here: the walked, block-task and uniform
+/// helper kernels, which `hpac-core` finishes through one block loop, and
+/// a replayed launch that reuses a recorded [`KernelRecord`]. So this is
+/// the one place modeled execution feeds the meter and the counters.
 pub fn account_kernel(record: &KernelRecord) {
     MODELED_SECONDS.with(|m| m.set(m.get() + record.timing.seconds));
     if hpac_obs::enabled() {
@@ -302,6 +282,14 @@ mod tests {
         LaunchConfig::one_item_per_thread(1024, 128)
     }
 
+    /// An empty accumulator for one block of `k`.
+    fn block(k: &KernelExec) -> BlockAccumulator {
+        BlockAccumulator::new(
+            k.launch().warps_per_block(k.spec()) as usize,
+            k.spec().costs,
+        )
+    }
+
     #[test]
     fn rejects_shared_mem_overflow() {
         let err = KernelExec::new(&spec(), &small_launch(), 49 * 1024).unwrap_err();
@@ -327,9 +315,13 @@ mod tests {
         let c = CostProfile::new()
             .flops(10.0)
             .global_read(32, 8, AccessPattern::Coalesced);
-        k.charge(0, 0, &c);
-        k.charge(0, 0, &c);
-        k.charge(1, 3, &c);
+        let mut b0 = block(&k);
+        b0.charge(0, &c);
+        b0.charge(0, &c);
+        k.merge_block(0, &b0);
+        let mut b1 = block(&k);
+        b1.charge(3, &c);
+        k.merge_block(1, &b1);
         let rec = k.finish();
         assert_eq!(rec.stats.global_txns, 6); // 2 txns per charge
         assert!(rec.stats.total_issue_cycles > 0.0);
@@ -339,8 +331,10 @@ mod tests {
     #[test]
     fn note_step_updates_stats() {
         let mut k = KernelExec::new(&spec(), &small_launch(), 0).unwrap();
-        k.note_step(20, 12, 0, true);
-        k.note_step(32, 0, 0, false);
+        let mut b = block(&k);
+        b.note_step(20, 12, 0, true);
+        b.note_step(32, 0, 0, false);
+        k.merge_block(0, &b);
         let rec = k.finish();
         assert_eq!(rec.stats.warp_steps, 2);
         assert_eq!(rec.stats.divergent_steps, 1);
@@ -383,7 +377,9 @@ mod tests {
             .flops(1000.0)
             .global_read(32, 8, AccessPattern::Coalesced);
         for b in 0..8 {
-            k.charge(b, 0, &c);
+            let mut acc = block(&k);
+            acc.charge(0, &c);
+            k.merge_block(b, &acc);
         }
         let lb = k.lower_bound_seconds();
         assert!(lb > 0.0);
@@ -400,7 +396,9 @@ mod tests {
         let mut total = 0.0;
         for _ in 0..2 {
             let mut k = KernelExec::new(&spec(), &small_launch(), 0).unwrap();
-            k.charge(0, 0, &CostProfile::new().flops(50.0));
+            let mut b = block(&k);
+            b.charge(0, &CostProfile::new().flops(50.0));
+            k.merge_block(0, &b);
             total += k.finish().seconds();
         }
         assert_eq!(modeled_seconds(), total);
@@ -414,11 +412,15 @@ mod tests {
         let apx = CostProfile::new().flops(10.0);
 
         let mut k1 = KernelExec::new(&spec(), &small_launch(), 0).unwrap();
-        k1.charge(0, 0, &acc);
+        let mut b1 = block(&k1);
+        b1.charge(0, &acc);
+        k1.merge_block(0, &b1);
         let uniform = k1.finish();
 
         let mut k2 = KernelExec::new(&spec(), &small_launch(), 0).unwrap();
-        k2.charge(0, 0, &acc.add(&apx)); // both paths serialized
+        let mut b2 = block(&k2);
+        b2.charge(0, &acc.add(&apx)); // both paths serialized
+        k2.merge_block(0, &b2);
         let divergent = k2.finish();
 
         assert!(divergent.stats.total_issue_cycles > uniform.stats.total_issue_cycles);

@@ -1,65 +1,17 @@
-//! Host<->device transfer model and end-to-end time assembly.
+//! Host<->device transfer model.
 //!
 //! The paper measures "end-to-end application runtime, including time
 //! transferring data between the CPU and GPU" (§4) — except for Blackscholes,
 //! where 99% of time is allocation/transfer and kernel time is reported
-//! instead. This module provides the transfer-time model and a small
-//! accumulator apps use to assemble their end-to-end figure.
+//! instead. This module provides the transfer-time model; apps total a run
+//! with `hpac_apps::common::RunAccumulator`.
 
 use crate::spec::DeviceSpec;
-
-/// Transfer direction (costs are symmetric in this model but directions are
-/// tracked for reporting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    HostToDevice,
-    DeviceToHost,
-}
 
 /// Time in seconds to move `bytes` across the host-device link.
 pub fn transfer_seconds(spec: &DeviceSpec, bytes: u64) -> f64 {
     let bw = spec.costs.xfer_bandwidth_gbs * 1e9;
     spec.costs.xfer_latency_us * 1e-6 + bytes as f64 / bw
-}
-
-/// Accumulator for an application's end-to-end modeled runtime.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EndToEnd {
-    pub kernel_seconds: f64,
-    pub transfer_seconds: f64,
-    pub host_seconds: f64,
-    pub h2d_bytes: u64,
-    pub d2h_bytes: u64,
-}
-
-impl EndToEnd {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record a host->device or device->host copy.
-    pub fn transfer(&mut self, spec: &DeviceSpec, bytes: u64, dir: Direction) {
-        self.transfer_seconds += transfer_seconds(spec, bytes);
-        match dir {
-            Direction::HostToDevice => self.h2d_bytes += bytes,
-            Direction::DeviceToHost => self.d2h_bytes += bytes,
-        }
-    }
-
-    /// Record a kernel execution's modeled duration.
-    pub fn kernel(&mut self, seconds: f64) {
-        self.kernel_seconds += seconds;
-    }
-
-    /// Record host-side (CPU) time, e.g. allocation or setup.
-    pub fn host(&mut self, seconds: f64) {
-        self.host_seconds += seconds;
-    }
-
-    /// Total end-to-end seconds.
-    pub fn total(&self) -> f64 {
-        self.kernel_seconds + self.transfer_seconds + self.host_seconds
-    }
 }
 
 #[cfg(test)]
@@ -81,21 +33,5 @@ mod tests {
         let spec = DeviceSpec::v100();
         let t = transfer_seconds(&spec, 64);
         assert!((t - spec.costs.xfer_latency_us * 1e-6).abs() < 1e-6);
-    }
-
-    #[test]
-    fn end_to_end_accumulates() {
-        let spec = DeviceSpec::v100();
-        let mut e = EndToEnd::new();
-        e.transfer(&spec, 1 << 20, Direction::HostToDevice);
-        e.transfer(&spec, 1 << 10, Direction::DeviceToHost);
-        e.kernel(0.5);
-        e.host(0.1);
-        assert_eq!(e.h2d_bytes, 1 << 20);
-        assert_eq!(e.d2h_bytes, 1 << 10);
-        assert!(e.total() > 0.6);
-        assert!(
-            (e.total() - (e.kernel_seconds + e.transfer_seconds + e.host_seconds)).abs() < 1e-15
-        );
     }
 }

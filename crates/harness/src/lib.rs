@@ -9,7 +9,7 @@
 //!   quick variants, per benchmark and device;
 //! * [`runner`] — baseline selection and the parallel sweep executor
 //!   (configurations fan out as tasks on the shared
-//!   [`hpac_core::exec::engine`]; each kernel launch walks its
+//!   [`hpac_core::exec::engine()`]; each kernel launch walks its
 //!   blocks on its config task's thread);
 //! * [`db`] — the results table with CSV persistence;
 //! * [`analyze`] — best-speedup-under-error-cap queries, the paper's

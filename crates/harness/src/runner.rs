@@ -583,7 +583,7 @@ fn sweep(
 /// Run a benchmark's full sweep plan on one device, in parallel across
 /// configurations.
 ///
-/// Threshold families are submitted to the shared [`engine`] as one task
+/// Threshold families are submitted to the shared [`engine()`] as one task
 /// each; every kernel launch inside a configuration walks its blocks on
 /// that task's thread. [`run_sweep_serial`] runs the same plan with no
 /// host parallelism at all.

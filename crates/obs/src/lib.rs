@@ -7,7 +7,7 @@
 //!   happens when tracing is off, so instrumented hot paths (the walk
 //!   benches) stay within noise of uninstrumented ones.
 //! - **Enabled takes one uncontended lock per event.** Each recording
-//!   thread owns a private ring ([`ring`] module) reached via a
+//!   thread owns a private ring (the `ring` module) reached via a
 //!   thread-local; an event is one push under the ring's own mutex, which
 //!   only a drain or a [`snapshot`] ever shares, and only for the moment it
 //!   takes to swap the buffer out or read two totals. Counters are relaxed `fetch_add`s on per-worker

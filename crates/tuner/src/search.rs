@@ -186,9 +186,9 @@ const MAX_SWEEPS: usize = 4;
 /// Descents per grid: one from the midpoint, the rest from random points.
 const RESTARTS: usize = 2;
 
-/// Walk one grid by coordinate descent — [`RESTARTS`] starting points, each
+/// Walk one grid by coordinate descent — `RESTARTS` starting points, each
 /// swept axis by axis until a full sweep makes no move (at most
-/// [`MAX_SWEEPS`]) — feeding the evaluator's frontier.
+/// `MAX_SWEEPS`) — feeding the evaluator's frontier.
 pub fn search_grid(grid: &Grid, ev: &mut Evaluator<'_>, bound_pct: f64, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     for restart in 0..RESTARTS {

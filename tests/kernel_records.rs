@@ -10,7 +10,10 @@
 //! message prints the new table.
 
 use gpu_sim::{AccessPattern, CostProfile, DeviceSpec, KernelRecord, LaunchConfig};
+use hpac_offload::apps::common::{Benchmark, LaunchParams, QoI};
+use hpac_offload::apps::minife::MiniFe;
 use hpac_offload::core::exec::{approx_parallel_for_opts, ExecOptions, RegionBody};
+use hpac_offload::core::hash::fnv1a;
 use hpac_offload::core::params::{PerfoKind, Replacement};
 use hpac_offload::core::{ApproxRegion, HierarchyLevel};
 
@@ -151,5 +154,47 @@ fn kernel_records_match_the_golden_table() {
     assert!(
         got == GOLDEN,
         "kernel records moved; the table for these sources is:\n{table}"
+    );
+}
+
+/// A small MiniFE instance on both devices, accurate and under TAF and a
+/// small and a large perforation, folded to one digest: each run's kernel
+/// and end-to-end seconds, QoI and iteration count, as bits. Three of every
+/// four MiniFE launches are its accurate BLAS helper kernels, so this pins
+/// how those are charged as well as the approximated SpMV.
+#[test]
+fn minife_runs_fold_to_the_pinned_digest() {
+    const PINNED: u64 = 0x0704_cec1_c8ad_c5ef;
+    let app = MiniFe {
+        nx: 8,
+        max_iters: 12,
+        ..MiniFe::default()
+    };
+    let lp = LaunchParams::new(4, 256);
+    let regions = [
+        None,
+        Some(ApproxRegion::memo_out(2, 8, 0.5)),
+        Some(ApproxRegion::perfo(PerfoKind::Small { m: 8 })),
+        Some(ApproxRegion::perfo(PerfoKind::Large { m: 2 })),
+    ];
+    let mut words = Vec::new();
+    for spec in [DeviceSpec::v100(), DeviceSpec::mi250x()] {
+        for region in &regions {
+            let r = app
+                .run(&spec, region.as_ref(), &lp)
+                .unwrap_or_else(|e| panic!("{region:?}: {e}"));
+            words.push(r.kernel_seconds.to_bits());
+            words.push(r.end_to_end_seconds().to_bits());
+            match &r.qoi {
+                QoI::Values(v) => words.extend(v.iter().map(|x| x.to_bits())),
+                QoI::Labels(l) => words.extend(l.iter().map(|&x| u64::from(x))),
+            }
+            words.push(r.iterations.map_or(u64::MAX, |i| i as u64));
+        }
+    }
+    let digest = fnv1a(words.iter().flat_map(|w| w.to_le_bytes()));
+    assert_eq!(
+        digest, PINNED,
+        "MiniFE runs moved: {digest:#018x} against the pinned {PINNED:#018x}"
     );
 }

@@ -44,7 +44,6 @@ fn binomial() -> BinomialOptions {
         tree_steps: 64,
         distinct: 8,
         run_len: 16,
-        block_size: 128,
         seed: 3,
     }
 }
@@ -259,11 +258,7 @@ fn binomial_shares_one_portfolio_per_parameter_set() {
     let cfg = binomial();
     check_scope_sharing(
         &cfg,
-        // The launch block size shapes neither the portfolio nor the walks.
-        &[BinomialOptions {
-            block_size: 64,
-            ..cfg
-        }],
+        &[],
         &[
             BinomialOptions {
                 n_options: 128,

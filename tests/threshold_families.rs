@@ -47,7 +47,6 @@ fn suite() -> Vec<Box<dyn Benchmark>> {
             tree_steps: 64,
             distinct: 8,
             run_len: 16,
-            block_size: 128,
             seed: 3,
         }),
         Box::new(LavaMd {
