@@ -251,7 +251,7 @@ impl Benchmark for BinomialOptions {
             warps_per_block,
         };
 
-        let mut acc = RunAccumulator::new();
+        let mut acc = RunAccumulator::new(opts);
         let in_bytes = (self.n_options * OPTION_DIMS * 8) as u64;
         let out_bytes = (self.n_options * 8) as u64;
         // Host-side portfolio generation and result validation (the CUDA
@@ -262,16 +262,17 @@ impl Benchmark for BinomialOptions {
         acc.transfer(spec, in_bytes);
         acc.transfer(spec, out_bytes);
 
-        let rec = approx_block_tasks_opts(
-            spec,
-            self.n_options,
-            block_size,
-            launch_blocks,
-            region,
-            &mut body,
-            opts,
-        )?;
-        acc.kernel(&rec);
+        acc.launch(|o| {
+            approx_block_tasks_opts(
+                spec,
+                self.n_options,
+                block_size,
+                launch_blocks,
+                region,
+                &mut body,
+                o,
+            )
+        })?;
 
         Ok(acc.finish(QoI::Values(body.prices), None))
     }

@@ -293,7 +293,7 @@ impl Benchmark for Blackscholes {
         let launch =
             LaunchConfig::for_items_per_thread(self.n_options, lp.block_size, lp.items_per_thread);
 
-        let mut acc = RunAccumulator::new();
+        let mut acc = RunAccumulator::new(opts);
         // The 99%-of-runtime host side: allocation plus the HtoD/DtoH copies.
         let in_bytes = (self.n_options * OPTION_DIMS * 8) as u64;
         let out_bytes = (self.n_options * 8) as u64;
@@ -301,8 +301,7 @@ impl Benchmark for Blackscholes {
         acc.transfer(spec, in_bytes);
         acc.transfer(spec, out_bytes);
 
-        let rec = approx_parallel_for_opts(spec, &launch, region, &mut body, opts)?;
-        acc.kernel(&rec);
+        acc.launch(|o| approx_parallel_for_opts(spec, &launch, region, &mut body, o))?;
 
         Ok(acc.finish(QoI::Values(body.prices), None))
     }

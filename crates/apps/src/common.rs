@@ -122,24 +122,50 @@ impl AppResult {
     }
 }
 
-/// Accumulates kernel records and transfer/host time across an
-/// application's launches.
+/// Adds up one run's kernel records and transfer and host time, and hands
+/// each of its launches what is left of the run's cost ceiling.
 #[derive(Debug, Clone, Default)]
 pub struct RunAccumulator {
-    pub kernel_seconds: f64,
-    pub transfer_seconds: f64,
-    pub host_seconds: f64,
-    pub stats: KernelStats,
+    opts: ExecOptions,
+    kernel_seconds: f64,
+    transfer_seconds: f64,
+    host_seconds: f64,
+    stats: KernelStats,
 }
 
 impl RunAccumulator {
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty run whose launches execute under `opts`.
+    pub fn new(opts: &ExecOptions) -> Self {
+        RunAccumulator {
+            opts: *opts,
+            ..Self::default()
+        }
     }
 
-    pub fn kernel(&mut self, rec: &KernelRecord) {
+    /// Launch one kernel with `f`, which is handed the run's options with
+    /// the cost ceiling lowered by the kernel seconds already spent, and
+    /// add its record.
+    pub fn launch(
+        &mut self,
+        f: impl FnOnce(&ExecOptions) -> Result<KernelRecord, RegionError>,
+    ) -> Result<(), RegionError> {
+        let budget = self
+            .opts
+            .abort_above_seconds
+            .map(|c| c - self.kernel_seconds);
+        let rec = f(&ExecOptions {
+            abort_above_seconds: budget,
+            ..self.opts
+        })?;
         self.kernel_seconds += rec.timing.seconds;
         self.stats.merge(&rec.stats);
+        Ok(())
+    }
+
+    /// Add a helper kernel (MiniFE's BLAS kernels), launched without a
+    /// ceiling: its seconds, but not its stats, which are the walked ones'.
+    pub fn helper_kernel(&mut self, rec: &KernelRecord) {
+        self.kernel_seconds += rec.timing.seconds;
     }
 
     pub fn transfer(&mut self, spec: &DeviceSpec, bytes: u64) {
@@ -459,9 +485,9 @@ pub trait Benchmark: Send + Sync {
         self.run_opts(spec, region, lp, &ExecOptions::default())
     }
 
-    /// [`Benchmark::run`] with explicit execution options — the serialized
-    /// TAF ablation and the cost ceiling flow through here into every
-    /// kernel launch of the application.
+    /// [`Benchmark::run`] with explicit execution options, which flow into
+    /// every kernel launch of the application. A cost ceiling bounds this
+    /// run's own kernels: each launch gets what is left of it.
     ///
     /// Every approximated launch of a run must use `region` as given (true of
     /// all seven apps; LULESH's two approximated kernels share it): the
@@ -567,11 +593,37 @@ mod tests {
     #[test]
     fn accumulator_sums() {
         let spec = DeviceSpec::v100();
-        let mut acc = RunAccumulator::new();
+        let launch = LaunchConfig::one_item_per_thread(4096, 256);
+        let rec = hpac_core::exec::charge_uniform_kernel(
+            &spec,
+            &launch,
+            &gpu_sim::CostProfile::new().flops(8.0),
+        )
+        .unwrap();
+        let s = rec.seconds();
+        let ceiling = 10.0 * s;
+        let mut acc = RunAccumulator::new(&ExecOptions {
+            abort_above_seconds: Some(ceiling),
+            ..ExecOptions::default()
+        });
+        // Each launch is handed what is left of the run's ceiling.
+        let mut budgets = Vec::new();
+        for _ in 0..2 {
+            acc.launch(|o| {
+                budgets.push(o.abort_above_seconds);
+                Ok(rec)
+            })
+            .unwrap();
+        }
+        assert_eq!(budgets, [Some(ceiling), Some(ceiling - s)]);
+        // A helper kernel adds its seconds, not its stats.
+        acc.helper_kernel(&rec);
         acc.host(0.5);
         acc.transfer(&spec, 1 << 30);
         let r = acc.finish(QoI::Values(vec![]), None);
-        assert!(r.end_to_end_seconds() > 0.5);
+        assert_eq!(r.kernel_seconds, s + s + s);
+        assert_eq!(r.stats.warp_steps, 2 * rec.stats.warp_steps);
+        assert!(r.end_to_end_seconds() > 0.5 + r.kernel_seconds);
         assert_eq!(r.iterations, None);
     }
 

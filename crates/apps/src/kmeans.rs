@@ -271,7 +271,7 @@ impl Benchmark for KMeans {
         let n_items = self.k * self.n_points;
         let launch =
             LaunchConfig::for_items_per_thread(n_items, lp.block_size, lp.items_per_thread);
-        let mut acc = RunAccumulator::new();
+        let mut acc = RunAccumulator::new(opts);
         acc.transfer(spec, (self.n_points * self.dims * 8) as u64);
 
         // Every iteration launches the distance kernel over the same
@@ -290,8 +290,7 @@ impl Benchmark for KMeans {
                 dims: self.dims,
                 k: self.k,
             };
-            let rec = distance_kernel.run(spec, &launch, region, &mut body, opts)?;
-            acc.kernel(&rec);
+            acc.launch(|o| distance_kernel.run(spec, &launch, region, &mut body, o))?;
 
             // Membership + convergence test (device-side in Rodinia).
             let mut changes = 0usize;

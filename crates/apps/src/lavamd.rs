@@ -303,7 +303,7 @@ impl Benchmark for LavaMd {
         let n = self.n_particles();
         let mut contrib = vec![0.0; self.n_items() * OUT_DIMS];
 
-        let mut acc = RunAccumulator::new();
+        let mut acc = RunAccumulator::new(opts);
         acc.transfer(spec, (n * 4 * 8) as u64);
 
         let launch =
@@ -313,8 +313,7 @@ impl Benchmark for LavaMd {
             particles: &inputs,
             contrib: &mut contrib,
         };
-        let rec = approx_parallel_for_opts(spec, &launch, region, &mut body, opts)?;
-        acc.kernel(&rec);
+        acc.launch(|o| approx_parallel_for_opts(spec, &launch, region, &mut body, o))?;
 
         // Accurate reduction of the 27 neighbour contributions per particle,
         // then one explicit drift step. QoI: the particle's potential and

@@ -261,7 +261,7 @@ impl Benchmark for Leukocyte {
     ) -> Result<AppResult, RegionError> {
         let inputs = self.inputs();
         let image = &inputs.image;
-        let mut acc = RunAccumulator::new();
+        let mut acc = RunAccumulator::new(opts);
         acc.transfer(spec, (self.n_cells * self.pixels_per_cell() * 8) as u64);
 
         let mut body = ImgvfBody {
@@ -275,8 +275,7 @@ impl Benchmark for Leukocyte {
         let n_items = self.n_cells * self.iterations * self.pixels_per_cell();
         let block_size = lp.block_size.min(self.pixels_per_cell() as u32);
         let launch = LaunchConfig::block_local(n_items, block_size, self.n_cells as u32);
-        let rec = approx_parallel_for_opts(spec, &launch, region, &mut body, opts)?;
-        acc.kernel(&rec);
+        acc.launch(|o| approx_parallel_for_opts(spec, &launch, region, &mut body, o))?;
 
         // QoI: converged-field centroids (the tracked cell locations).
         let final_parity = self.iterations % 2;

@@ -584,25 +584,23 @@ impl Benchmark for Lulesh {
         let n_nodes = mesh.topo.n_nodes;
         let area = (1.0 / self.edge as f64).powi(2);
 
-        let mut acc = RunAccumulator::new();
+        // The five kernels of a timestep run one after another: 2 reads
+        // hg_coef from 1, 3 reads visc from 1, 4 reads stress_f/hg_f from
+        // 3/2, 5 reads pos from 4. None of them checks the cost ceiling, so
+        // a LULESH run never aborts early; checking it would change which
+        // evaluations the tuner completes, and with them its plans.
+        let mut acc = RunAccumulator::new(&ExecOptions {
+            abort_above_seconds: None,
+            ..*opts
+        });
         acc.transfer(spec, (n_nodes * 10 * 8 + n_elems * 6 * 8) as u64);
 
         let elem_launch =
             LaunchConfig::for_items_per_thread(n_elems, lp.block_size, lp.items_per_thread);
         let node_launch = LaunchConfig::one_item_per_thread(n_nodes, lp.block_size);
         let elem_acc_launch = LaunchConfig::one_item_per_thread(n_elems, lp.block_size);
-
-        // The five kernels of a timestep run one after another: 2 reads
-        // hg_coef from 1, 3 reads visc from 1, 4 reads stress_f/hg_f from
-        // 3/2, 5 reads pos from 4. None of them checks the cost ceiling, so
-        // a LULESH run never aborts early; checking it would change which
-        // evaluations the tuner completes, and with them its plans.
-        let opts = ExecOptions {
-            abort_above_seconds: None,
-            ..*opts
-        };
         let mut launch = |lc: &LaunchConfig, region, body: &mut dyn RegionBody| {
-            approx_parallel_for_opts(spec, lc, region, body, &opts).map(|rec| acc.kernel(&rec))
+            acc.launch(|o| approx_parallel_for_opts(spec, lc, region, body, o))
         };
         for _ in 0..self.steps {
             // 1. Hourglass control + artificial viscosity (approximated).

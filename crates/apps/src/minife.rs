@@ -223,7 +223,7 @@ impl Benchmark for MiniFe {
         let n = a.n;
         let avg_nnz = a.nnz() as f64 / n as f64;
 
-        let mut acc = RunAccumulator::new();
+        let mut acc = RunAccumulator::new(opts);
         acc.transfer(spec, (a.nnz() * 12 + n * 8 * 4) as u64);
 
         // CG state.
@@ -248,13 +248,11 @@ impl Benchmark for MiniFe {
                 q: &mut q,
                 avg_nnz,
             };
-            let rec = approx_parallel_for_opts(spec, &launch, region, &mut body, opts)?;
-            acc.kernel(&rec);
+            acc.launch(|o| approx_parallel_for_opts(spec, &launch, region, &mut body, o))?;
 
             // Dot products and vector updates (accurate kernels).
             for _ in 0..3 {
-                let rec = charge_uniform_kernel(spec, &blas_launch, &blas_cost)?;
-                acc.kernel_seconds += rec.timing.seconds;
+                acc.helper_kernel(&charge_uniform_kernel(spec, &blas_launch, &blas_cost)?);
             }
 
             let pq: f64 = p.iter().zip(&q).map(|(a, b)| a * b).sum();

@@ -17,10 +17,10 @@ use crate::exec::ExecOptions;
 use crate::region::RegionError;
 use gpu_sim::{BlockAccumulator, CostProfile, DeviceSpec, KernelExec, KernelRecord, LaunchConfig};
 
-/// Frontier-aware early abort: with a ceiling set, fail once the modeled
-/// time already spent — prior kernels finished on this thread plus a lower
-/// bound on the in-flight kernel's merged work — provably exceeds it.
-/// Checked at block boundaries, against the in-flight kernel's
+/// Frontier-aware early abort: with a ceiling set, fail once a lower bound
+/// on the in-flight kernel's merged work provably exceeds it. The ceiling
+/// is this launch's budget, what is left of its run's. Checked at block
+/// boundaries, against the in-flight kernel's
 /// [`KernelExec::lower_bound_seconds`], so the bit-identical accounting of
 /// completed blocks is untouched; when no abort fires the run is
 /// indistinguishable from an unbounded one. The bound only grows as blocks
@@ -30,12 +30,10 @@ pub(crate) fn check_ceiling(
     lower_bound_seconds: f64,
     opts: &ExecOptions,
 ) -> Result<(), RegionError> {
-    if let Some(ceiling) = opts.abort_above_seconds {
-        if gpu_sim::modeled_seconds() + lower_bound_seconds > ceiling {
-            return Err(RegionError::CostCeiling(ceiling));
-        }
+    match opts.abort_above_seconds {
+        Some(ceiling) if lower_bound_seconds > ceiling => Err(RegionError::CostCeiling(ceiling)),
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 /// Walk every block of `exec` in ascending order: `block(b, acc)` walks

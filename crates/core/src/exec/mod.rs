@@ -76,10 +76,10 @@ pub struct ExecOptions {
     pub serialized_taf: bool,
     /// Which executor drives the block walk (see [`Executor`]).
     pub executor: Executor,
-    /// Modeled-seconds ceiling for frontier-aware early abort. When set,
-    /// the walk compares a *lower bound* of the run's accumulated modeled
-    /// time (prior kernels on this thread plus the in-flight kernel's
-    /// issue cycles spread over all SMs) against the ceiling at block
+    /// Modeled-seconds ceiling for frontier-aware early abort: this
+    /// launch's budget; a run passes each launch what is left. When set,
+    /// the walk compares a *lower bound* of the kernel's modeled time (its
+    /// issue cycles spread over all SMs) against the budget at block
     /// boundaries and returns [`RegionError::CostCeiling`] once it is
     /// provably exceeded. Results are bit-identical when no abort fires;
     /// callers must only set a ceiling they are prepared to treat as a

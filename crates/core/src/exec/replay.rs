@@ -147,10 +147,11 @@ struct Recorded {
 /// regions and other bodies walk on every run.
 ///
 /// The caller's contract: every run passes the same spec, launch, region
-/// and options (checked in all builds), and a body whose `inputs()`,
-/// `in_dim`/`out_dim` and cost profiles are those of the first run; only
-/// what `compute` reads beyond the declared inputs may change. Debug builds
-/// fingerprint the declared inputs on every replay and panic on a change.
+/// and options, the cost ceiling aside (checked in all builds), and a body
+/// whose `inputs()`, `in_dim`/`out_dim` and cost profiles are those of the
+/// first run; only what `compute` reads beyond the declared inputs may
+/// change. Debug builds fingerprint the declared inputs on every replay and
+/// panic on a change.
 ///
 /// A replay applies the cost ceiling where the walk would: the walk's
 /// lower bound only grows as blocks merge, so the walk aborts exactly when
@@ -191,7 +192,11 @@ impl RepeatedLaunch {
             spec: *spec,
             launch: *launch,
             region: region.copied(),
-            opts: *opts,
+            // Not the ceiling: a run lowers it launch by launch.
+            opts: ExecOptions {
+                abort_above_seconds: None,
+                ..*opts
+            },
         };
         match &self.first {
             Some(first) => assert!(

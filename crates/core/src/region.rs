@@ -40,9 +40,9 @@ pub enum RegionError {
     /// The underlying kernel launch was rejected (geometry or shared
     /// memory, including AC state that does not fit).
     Launch(LaunchError),
-    /// Execution was abandoned because the modeled cost already exceeds
-    /// the caller's ceiling (`ExecOptions::abort_above_seconds`): the run
-    /// provably cannot beat the configuration the ceiling was derived from.
+    /// Execution was abandoned because a launch's modeled cost already
+    /// exceeds its budget, `ExecOptions::abort_above_seconds` (carried): the
+    /// run provably cannot beat the configuration its ceiling came from.
     CostCeiling(f64),
 }
 

@@ -7,34 +7,13 @@
 //! into a [`BlockAccumulator`]; [`KernelExec::merge_block`] folds the
 //! finished blocks in, and `finish()` runs the accumulated per-warp cycles
 //! through the SM scheduling model into a [`KernelRecord`].
+//! Nothing here outlives a kernel: a run's caller adds up its records.
 
 use crate::cost::{CostProfile, PrecomposedCost, WarpCycles};
 use crate::dim::LaunchConfig;
 use crate::spec::{CostParams, DeviceSpec};
 use crate::stats::{DecisionMargins, KernelStats};
 use crate::timing::{self, TimingBreakdown};
-use std::cell::Cell;
-
-thread_local! {
-    /// Modeled kernel seconds accumulated on this thread since the last
-    /// [`reset_modeled_seconds`]. Each finished kernel adds its duration,
-    /// giving runtimes that evaluate one configuration per thread a running
-    /// total to compare against an abort ceiling. Kernel-only by design —
-    /// transfers and host time are nonnegative, so the total is a lower
-    /// bound of any end-to-end basis.
-    static MODELED_SECONDS: Cell<f64> = const { Cell::new(0.0) };
-}
-
-/// Zero this thread's modeled-seconds meter (call at the start of a
-/// configuration evaluation).
-pub fn reset_modeled_seconds() {
-    MODELED_SECONDS.with(|m| m.set(0.0));
-}
-
-/// Modeled kernel seconds finished on this thread since the last reset.
-pub fn modeled_seconds() -> f64 {
-    MODELED_SECONDS.with(|m| m.get())
-}
 
 /// Errors rejecting a kernel launch.
 #[derive(Debug, Clone, PartialEq)]
@@ -246,15 +225,14 @@ impl KernelExec {
     }
 }
 
-/// Account one finished kernel: add its modeled duration to this thread's
-/// modeled-seconds meter and its execution statistics to the obs counters.
+/// Account one finished kernel: add its execution statistics to the obs
+/// counters.
 ///
 /// Every kernel funnels through here: the walked, block-task and uniform
 /// helper kernels, which `hpac-core` finishes through one block loop, and
 /// a replayed launch that reuses a recorded [`KernelRecord`]. So this is
-/// the one place modeled execution feeds the meter and the counters.
+/// the one place modeled execution feeds the counters.
 pub fn account_kernel(record: &KernelRecord) {
-    MODELED_SECONDS.with(|m| m.set(m.get() + record.timing.seconds));
     if hpac_obs::enabled() {
         use hpac_obs::CounterId as C;
         let stats = &record.stats;
@@ -385,25 +363,6 @@ mod tests {
         assert!(lb > 0.0);
         let rec = k.finish();
         assert!(lb <= rec.seconds(), "{lb} > {}", rec.seconds());
-    }
-
-    #[test]
-    fn modeled_seconds_meter_tracks_finished_kernels() {
-        // Each #[test] runs on its own thread, so the thread-local meter
-        // sees only this test's kernels.
-        reset_modeled_seconds();
-        assert_eq!(modeled_seconds(), 0.0);
-        let mut total = 0.0;
-        for _ in 0..2 {
-            let mut k = KernelExec::new(&spec(), &small_launch(), 0).unwrap();
-            let mut b = block(&k);
-            b.charge(0, &CostProfile::new().flops(50.0));
-            k.merge_block(0, &b);
-            total += k.finish().seconds();
-        }
-        assert_eq!(modeled_seconds(), total);
-        reset_modeled_seconds();
-        assert_eq!(modeled_seconds(), 0.0);
     }
 
     #[test]

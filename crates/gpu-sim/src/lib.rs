@@ -42,10 +42,7 @@ pub mod warp;
 pub use coalesce::AccessPattern;
 pub use cost::{CostProfile, PrecomposedCost};
 pub use dim::{LaunchConfig, Schedule};
-pub use engine::{
-    account_kernel, modeled_seconds, reset_modeled_seconds, BlockAccumulator, KernelExec,
-    KernelRecord, LaunchError,
-};
+pub use engine::{account_kernel, BlockAccumulator, KernelExec, KernelRecord, LaunchError};
 pub use spec::{CostParams, DeviceSpec, Vendor};
 pub use stats::{DecisionMargin, DecisionMargins, KernelStats};
 pub use warp::{lane_mask_ballot, popcount, WarpVote};

@@ -209,10 +209,6 @@ fn evaluate(
         bench.name(),
         cfg.lp.items_per_thread as u64,
     );
-    // The abort ceiling compares against modeled seconds accumulated since
-    // this config's evaluation began (each config runs synchronously on one
-    // worker thread, so the thread-local meter is per-config).
-    gpu_sim::reset_modeled_seconds();
     let outcome = bench.run_opts(spec, Some(&cfg.region), &cfg.lp, opts);
     let aborted = matches!(outcome, Err(RegionError::CostCeiling(_)));
     if let Some(t0) = eval_from {

@@ -6,8 +6,8 @@
 //! that reused a recorded *value* instead of a recorded *decision* would
 //! show up as a store mismatch. Every launch must return a bitwise-equal
 //! `KernelRecord` (timing, statistics, decision margins), issue the same
-//! store sequence, advance the modeled-seconds meter identically, and hit
-//! a cost ceiling at the same launch.
+//! store sequence, add the same kernel seconds to its run, and hit a cost
+//! ceiling at the same launch.
 
 use gpu_sim::{AccessPattern, CostProfile, DeviceSpec, KernelRecord, LaunchConfig};
 use hpac_offload::apps::common::{Benchmark, LaunchParams};
@@ -138,34 +138,44 @@ fn opts(ceiling: Option<f64>) -> ExecOptions {
 
 /// What one launch sequence observably did, launch by launch, stopping at
 /// the first error: each outcome, the stores of each completed launch, and
-/// the modeled-seconds meter after it. Outcomes compare through `Debug`,
-/// which prints every `f64` exactly.
+/// the sequence's kernel seconds after it. Outcomes compare through
+/// `Debug`, which prints every `f64` exactly.
 #[derive(Debug, Default)]
 struct Observed {
     outcomes: Vec<Result<KernelRecord, RegionError>>,
     stores: Vec<Vec<(usize, [u64; 2])>>,
-    meters: Vec<u64>,
+    spent: Vec<u64>,
 }
 
+/// Launch a sequence as one run under `o`: each launch is handed what is
+/// left of the run's ceiling after the seconds of the launches before it,
+/// as `RunAccumulator::launch` hands it.
 fn observe(
     n: usize,
     seed: u64,
-    mut launch: impl FnMut(&mut ParamBody) -> Result<KernelRecord, RegionError>,
+    o: &ExecOptions,
+    mut launch: impl FnMut(&mut ParamBody, &ExecOptions) -> Result<KernelRecord, RegionError>,
 ) -> Observed {
-    gpu_sim::reset_modeled_seconds();
     let mut body = ParamBody::new(n, seed);
     let mut seen = Observed::default();
+    let mut spent = 0.0;
     for l in 0..LAUNCHES {
         body.param = param_of(l);
         body.log.clear();
-        let result = launch(&mut body);
-        let failed = result.is_err();
+        let budget = o.abort_above_seconds.map(|c| c - spent);
+        let result = launch(
+            &mut body,
+            &ExecOptions {
+                abort_above_seconds: budget,
+                ..*o
+            },
+        );
+        let seconds = result.as_ref().ok().map(KernelRecord::seconds);
         seen.outcomes.push(result);
-        if failed {
-            break;
-        }
+        let Some(seconds) = seconds else { break };
         seen.stores.push(std::mem::take(&mut body.log));
-        seen.meters.push(gpu_sim::modeled_seconds().to_bits());
+        spent += seconds;
+        seen.spent.push(spent.to_bits());
     }
     seen
 }
@@ -178,7 +188,7 @@ fn walked(
     seed: u64,
 ) -> Observed {
     let spec = DeviceSpec::v100();
-    observe(n, seed, |body| {
+    observe(n, seed, o, |body, o| {
         approx_parallel_for_opts(&spec, lc, region, body, o)
     })
 }
@@ -192,13 +202,13 @@ fn repeated(
 ) -> Observed {
     let spec = DeviceSpec::v100();
     let mut handle = RepeatedLaunch::new();
-    observe(n, seed, |body| handle.run(&spec, lc, region, body, o))
+    observe(n, seed, o, |body, o| handle.run(&spec, lc, region, body, o))
 }
 
 /// Ceilings around the launch `j` where the walked sequence's cumulative
 /// modeled time crosses: just below, at and just above the bound the walk
 /// checks after `j`'s last block, halfway through `j`'s bound, and the
-/// meter after `j`.
+/// sequence's seconds after `j`.
 fn ceilings_around(
     lc: &LaunchConfig,
     region: Option<&ApproxRegion>,
@@ -209,10 +219,9 @@ fn ceilings_around(
     let spec = DeviceSpec::v100();
     let mut before = 0.0;
     let mut around = Vec::new();
-    let o = opts(None);
     let mut l = 0;
-    observe(n, seed, |body| {
-        let rec = approx_parallel_for_opts(&spec, lc, region, body, &o)?;
+    observe(n, seed, &opts(None), |body, o| {
+        let rec = approx_parallel_for_opts(&spec, lc, region, body, o)?;
         if l == j {
             let bound = spec.cycles_to_seconds(rec.stats.total_issue_cycles / spec.sm_count as f64);
             let at = before + bound;
@@ -241,10 +250,7 @@ fn assert_same(region: Option<&ApproxRegion>, o: &ExecOptions, a: &Observed, b: 
         a.stores == b.stores,
         "store sequences differ: {region:?} {o:?}"
     );
-    assert_eq!(
-        a.meters, b.meters,
-        "modeled-seconds meters differ: {region:?} {o:?}"
-    );
+    assert_eq!(a.spent, b.spent, "kernel seconds differ: {region:?} {o:?}");
 }
 
 proptest! {
