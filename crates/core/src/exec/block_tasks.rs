@@ -73,13 +73,9 @@ pub fn approx_block_tasks_opts(
             }
             // Block-task AC state: a single state machine / table per block.
             let bytes = match &r.technique {
-                Technique::Taf(p) => {
-                    p.hsize * shared_state::AC_SCALAR_BYTES
-                        + out_dim * shared_state::AC_SCALAR_BYTES
-                        + shared_state::TAF_CONTROL_BYTES
-                }
+                Technique::Taf(p) => shared_state::taf_block_bytes(1, p, out_dim),
                 Technique::Iact(p) => shared_state::iact_block_bytes(1, 1, p, in_dim, out_dim),
-                Technique::Perfo(_) => 4,
+                Technique::Perfo(_) => shared_state::perfo_block_bytes(1),
             } + shared_state::block_vote_bytes(HierarchyLevel::Block);
             (bytes, Some(r.technique))
         }

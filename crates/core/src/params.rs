@@ -52,13 +52,6 @@ impl TafParams {
         }
         Ok(())
     }
-
-    /// Upper bound on the fraction of invocations a thread can approximate:
-    /// after each stable window of `hsize` accurate runs, `psize` invocations
-    /// are predicted.
-    pub fn max_approx_fraction(&self) -> f64 {
-        self.psize as f64 / (self.psize + self.hsize) as f64
-    }
 }
 
 /// Replacement policy for iACT memoization tables. The paper uses
@@ -198,12 +191,6 @@ mod tests {
             .is_err());
         assert!(TafParams::new(5, 8, -1.0).validate().is_err());
         assert!(TafParams::new(5, 8, f64::NAN).validate().is_err());
-    }
-
-    #[test]
-    fn taf_max_approx_fraction() {
-        let p = TafParams::new(1, 511, 0.5);
-        assert!((p.max_approx_fraction() - 511.0 / 512.0).abs() < 1e-12);
     }
 
     #[test]

@@ -54,12 +54,6 @@ pub fn transactions(active_lanes: u32, elem_bytes: u32, pattern: AccessPattern) 
     }
 }
 
-/// Bytes actually moved over the memory bus for the access (transactions
-/// times segment size); used for bandwidth accounting in [`crate::stats`].
-pub fn bus_bytes(active_lanes: u32, elem_bytes: u32, pattern: AccessPattern) -> u64 {
-    transactions(active_lanes, elem_bytes, pattern) as u64 * SEGMENT_BYTES as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,12 +119,5 @@ mod tests {
         let full = transactions(32, 8, AccessPattern::Coalesced);
         assert!(partial < full);
         assert_eq!(partial, 1);
-    }
-
-    #[test]
-    fn bus_bytes_are_segment_multiples() {
-        let b = bus_bytes(13, 8, AccessPattern::Coalesced);
-        assert_eq!(b % SEGMENT_BYTES as u64, 0);
-        assert!(b >= 13 * 8);
     }
 }

@@ -2,7 +2,13 @@
 //! in memory and queried by the figure generators. Figures write their CSV
 //! through `FigureData::save_csv`.
 
-/// One executed configuration's outcome.
+/// One run scored against its (benchmark, platform) baseline: a sweep's
+/// configuration, a re-executed tuned plan, or a figure's variant. Every row
+/// comes from [`Baseline::score`], so speedups share one timing basis per
+/// benchmark (kernel-only for Blackscholes, end-to-end for the rest) and
+/// errors one metric.
+///
+/// [`Baseline::score`]: crate::runner::Baseline::score
 #[derive(Debug, Clone, PartialEq)]
 pub struct Row {
     pub benchmark: String,
@@ -12,9 +18,11 @@ pub struct Row {
     /// Human-readable parameter description (`space::SweepConfig::label`).
     pub config: String,
     pub items_per_thread: usize,
-    /// Speedup over the benchmark's baseline (1.0 for the baseline itself).
+    /// The baseline's seconds over this run's, on the benchmark's timing
+    /// basis (exactly 1.0 for the baseline run itself).
     pub speedup: f64,
-    /// QoI error in percent (MAPE × 100 or MCR × 100).
+    /// QoI error against the baseline's, in percent (MAPE × 100 or
+    /// MCR × 100; exactly 0.0 for the baseline run itself).
     pub error_pct: f64,
     /// Fraction of region executions approximated (incl. perforated).
     pub approx_fraction: f64,

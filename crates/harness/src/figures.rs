@@ -435,10 +435,9 @@ pub fn fig10(blackscholes: &Blackscholes, scale: Scale) -> Vec<FigureData> {
 pub fn fig10c(cfg: &Blackscholes, scale: Scale) -> FigureData {
     let spec = DeviceSpec::mi250x();
     let lp = LaunchParams::new(64, 256);
-    let exact = cfg
-        .run(&spec, None, &lp)
+    let exact = runner::Baseline::measure(cfg, &spec, lp, &ExecOptions::default())
         .expect("accurate blackscholes run");
-    let QoI::Values(exact_prices) = &exact.qoi else {
+    let QoI::Values(exact_prices) = &exact.result.qoi else {
         unreachable!()
     };
 
@@ -482,16 +481,12 @@ pub fn fig10c(cfg: &Blackscholes, scale: Scale) -> FigureData {
         let res = cfg
             .run(&spec, Some(&region), &lp)
             .expect("approximated blackscholes run");
-        let err = res.qoi.error_vs(&exact.qoi);
+        let label = format!("T={t}");
+        let row = exact.score(cfg, &spec, Some(&region), &label, &lp, &res);
         let QoI::Values(prices) = &res.qoi else {
             unreachable!()
         };
-        push_dist(
-            format!("T={t}"),
-            prices,
-            err * 100.0,
-            res.stats.approx_fraction() * 100.0,
-        );
+        push_dist(label, prices, row.error_pct, row.approx_fraction * 100.0);
     }
     fig
 }
@@ -624,6 +619,7 @@ pub fn ablations(blackscholes: &Blackscholes, lulesh: &Lulesh, lavamd: &LavaMd) 
     );
     let base = runner::select_baseline(blackscholes, &v100);
     let region = ApproxRegion::memo_out(3, 64, 1.5);
+    let lp = LaunchParams::new(64, 256);
     for (variant, serialized_taf) in [
         ("relaxed (hpac-offload)", false),
         ("serialized (Fig 4c)", true),
@@ -633,13 +629,10 @@ pub fn ablations(blackscholes: &Blackscholes, lulesh: &Lulesh, lavamd: &LavaMd) 
             ..ExecOptions::default()
         };
         let res = blackscholes
-            .run_opts(&v100, Some(&region), &LaunchParams::new(64, 256), &opts)
+            .run_opts(&v100, Some(&region), &lp, &opts)
             .expect("TAF runs on Blackscholes");
-        serialization.push_row(vec![
-            variant.into(),
-            f(res.kernel_seconds),
-            f(base.result.kernel_seconds / res.kernel_seconds),
-        ]);
+        let row = base.score(blackscholes, &v100, Some(&region), variant, &lp, &res);
+        serialization.push_row(vec![variant.into(), f(row.kernel_seconds), f(row.speedup)]);
     }
 
     let mut herding = FigureData::new(
@@ -648,30 +641,35 @@ pub fn ablations(blackscholes: &Blackscholes, lulesh: &Lulesh, lavamd: &LavaMd) 
         &["variant", "speedup", "error_pct", "divergent_fraction"],
     );
     let base = runner::select_baseline(lulesh, &v100);
+    let lp = LaunchParams::new(4, 64);
     for (variant, herded) in [("herded", true), ("naive", false)] {
         let region = ApproxRegion::perfo(PerfoKind::Large { m: 8 }).herded(herded);
         let res = lulesh
-            .run(&v100, Some(&region), &LaunchParams::new(4, 64))
+            .run(&v100, Some(&region), &lp)
             .expect("perforation runs on LULESH");
+        let row = base.score(lulesh, &v100, Some(&region), variant, &lp, &res);
         herding.push_row(vec![
             variant.into(),
-            f(base.seconds / res.end_to_end_seconds()),
-            f(res.qoi.error_vs(&base.result.qoi) * 100.0),
-            f(res.stats.divergence_fraction()),
+            f(row.speedup),
+            f(row.error_pct),
+            f(row.divergent_fraction),
         ]);
     }
 
     // LavaMD iACT at one table size and threshold: speedup, error and
     // approximated fraction of a variant.
     let base = runner::select_baseline(lavamd, &v100);
-    let lavamd_iact = |region: ApproxRegion| -> [String; 3] {
+    let lp = LaunchParams::new(64, 256);
+    let lavamd_iact = |variant: String, region: ApproxRegion| -> Vec<String> {
         let res = lavamd
-            .run(&v100, Some(&region), &LaunchParams::new(64, 256))
+            .run(&v100, Some(&region), &lp)
             .expect("iACT runs on LavaMD");
-        [
-            f(base.seconds / res.end_to_end_seconds()),
-            f(res.qoi.error_vs(&base.result.qoi) * 100.0),
-            f(res.stats.approx_fraction()),
+        let row = base.score(lavamd, &v100, Some(&region), &variant, &lp, &res);
+        vec![
+            variant,
+            f(row.speedup),
+            f(row.error_pct),
+            f(row.approx_fraction),
         ]
     };
     let mut replacement = FigureData::new(
@@ -686,9 +684,7 @@ pub fn ablations(blackscholes: &Blackscholes, lulesh: &Lulesh, lavamd: &LavaMd) 
         let region = ApproxRegion::memo_in(4, 0.3)
             .tables_per_warp(16)
             .replacement(r);
-        let mut row = vec![policy.to_string()];
-        row.extend(lavamd_iact(region));
-        replacement.push_row(row);
+        replacement.push_row(lavamd_iact(policy.to_string(), region));
     }
     let mut sharing = FigureData::new(
         "ablations_table_sharing",
@@ -696,11 +692,8 @@ pub fn ablations(blackscholes: &Blackscholes, lulesh: &Lulesh, lavamd: &LavaMd) 
         &["tables_per_warp", "speedup", "error_pct", "approx_fraction"],
     );
     for tpw in [1u32, 2, 16, 32] {
-        let mut row = vec![tpw.to_string()];
-        row.extend(lavamd_iact(
-            ApproxRegion::memo_in(4, 0.3).tables_per_warp(tpw),
-        ));
-        sharing.push_row(row);
+        let region = ApproxRegion::memo_in(4, 0.3).tables_per_warp(tpw);
+        sharing.push_row(lavamd_iact(tpw.to_string(), region));
     }
 
     let mut shared_state = FigureData::new(

@@ -7,7 +7,8 @@
 //!
 //! * [`space`] — the paper's Table 2 parameter grids (full) and pruned
 //!   quick variants, per benchmark and device;
-//! * [`runner`] — baseline selection and the parallel sweep executor
+//! * [`runner`] — baseline selection, the one scorer
+//!   ([`runner::Baseline::score`]), and the parallel sweep executor
 //!   (configurations fan out as tasks on the shared
 //!   [`hpac_core::exec::engine()`]; each kernel launch walks its
 //!   blocks on its config task's thread);

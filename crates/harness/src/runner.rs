@@ -1,11 +1,13 @@
-//! Sweep execution: baseline selection, the ledger that answers
-//! configurations, and the parallel configuration sweep.
+//! Sweep execution: baseline selection, the one scorer, the ledger that
+//! answers configurations, and the parallel configuration sweep.
 //!
 //! Speedup follows the paper's definition: the baseline is the
 //! *non-approximated* application at its best launch configuration, and
 //! every approximated configuration is compared against that one number.
 //! Blackscholes uses kernel-only timing (§4.1); everything else uses
-//! end-to-end modeled time including transfers.
+//! end-to-end modeled time including transfers. [`Baseline::score`] is the
+//! only code that applies that rule or compares a run's QoI with the
+//! baseline's.
 
 use crate::db::Row;
 use crate::space::{self, Scale, SweepConfig};
@@ -14,19 +16,68 @@ use hpac_apps::common::{
     eval_key, install_eval_memo, scoped_inputs, AppResult, Benchmark, LaunchParams, Prepared, QoI,
 };
 use hpac_core::exec::{engine, ExecOptions};
-use hpac_core::region::RegionError;
+use hpac_core::region::{ApproxRegion, RegionError};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-/// The chosen baseline: launch shape, result, and its timing-basis seconds;
-/// every approximate output is scored against its result. Cloning shares
-/// the result, so a baseline fetched from a sweep scope costs one reference
-/// count, not a copy of the output.
+/// One accurate run every other run of a (benchmark, platform) is scored
+/// against: its launch shape, its result, and its seconds on the
+/// benchmark's timing basis. Cloning shares the result, so a baseline
+/// fetched from a sweep scope costs one reference count, not a copy of the
+/// output.
 #[derive(Debug, Clone)]
 pub struct Baseline {
     pub lp: LaunchParams,
     pub result: Arc<AppResult>,
     pub seconds: f64,
+}
+
+impl Baseline {
+    /// The accurate run of `bench` at `lp` under `opts`.
+    pub fn measure(
+        bench: &dyn Benchmark,
+        spec: &DeviceSpec,
+        lp: LaunchParams,
+        opts: &ExecOptions,
+    ) -> Result<Baseline, RegionError> {
+        let result = bench.run_opts(spec, None, &lp, opts)?;
+        Ok(Baseline {
+            lp,
+            seconds: result.timing_basis_seconds(bench.kernel_only_timing()),
+            result: Arc::new(result),
+        })
+    }
+
+    /// `res`, the run of `region` (`None`: accurate) at `lp` labelled
+    /// `config`, as a row scored against this baseline: the speedup divides
+    /// the two runs' seconds on the benchmark's timing basis, and the error
+    /// compares their QoIs.
+    pub fn score(
+        &self,
+        bench: &dyn Benchmark,
+        spec: &DeviceSpec,
+        region: Option<&ApproxRegion>,
+        config: &str,
+        lp: &LaunchParams,
+        res: &AppResult,
+    ) -> Row {
+        Row {
+            benchmark: bench.name().to_string(),
+            device: spec.name.to_string(),
+            technique: region
+                .map_or("accurate", ApproxRegion::technique_name)
+                .to_string(),
+            config: config.to_string(),
+            items_per_thread: lp.items_per_thread,
+            speedup: self.seconds / res.timing_basis_seconds(bench.kernel_only_timing()),
+            error_pct: res.qoi.error_vs(&self.result.qoi) * 100.0,
+            approx_fraction: res.stats.approx_fraction(),
+            divergent_fraction: res.stats.divergence_fraction(),
+            kernel_seconds: res.kernel_seconds,
+            end_to_end_seconds: res.end_to_end_seconds(),
+            iterations: res.iterations,
+        }
+    }
 }
 
 impl Prepared for Baseline {
@@ -87,7 +138,6 @@ pub fn select_baseline_opts(
 }
 
 fn measure_baseline(bench: &dyn Benchmark, spec: &DeviceSpec, opts: &ExecOptions) -> Baseline {
-    let kernel_only = bench.kernel_only_timing();
     let block = space::block_size_for(bench);
     let candidates = space::baseline_ipts(bench);
     let _span = hpac_obs::span_named(
@@ -95,23 +145,14 @@ fn measure_baseline(bench: &dyn Benchmark, spec: &DeviceSpec, opts: &ExecOptions
         bench.name(),
         candidates.len() as u64,
     );
-    let (lp, result, seconds) = candidates
+    candidates
         .into_iter()
         .map(|ipt| {
-            let lp = LaunchParams::new(ipt, block);
-            let result = bench
-                .run_opts(spec, None, &lp, opts)
-                .expect("accurate baseline must run");
-            let seconds = result.timing_basis_seconds(kernel_only);
-            (lp, result, seconds)
+            Baseline::measure(bench, spec, LaunchParams::new(ipt, block), opts)
+                .expect("accurate baseline must run")
         })
-        .min_by(|a, b| a.2.total_cmp(&b.2))
-        .expect("at least one baseline candidate");
-    Baseline {
-        lp,
-        result: Arc::new(result),
-        seconds,
-    }
+        .min_by(|a, b| a.seconds.total_cmp(&b.seconds))
+        .expect("at least one baseline candidate")
 }
 
 /// A sweep's outcome: result rows plus configurations that were rejected at
@@ -202,7 +243,6 @@ fn evaluate(
     cfg: &SweepConfig,
     opts: &ExecOptions,
 ) -> (ConfigOutcome, Option<DecisionMargins>) {
-    let kernel_only = bench.kernel_only_timing();
     let eval_from = hpac_obs::enabled().then(hpac_obs::now_ns);
     let _span = hpac_obs::span_named(
         hpac_obs::SpanId::ConfigEval,
@@ -226,22 +266,7 @@ fn evaluate(
     }
     match outcome {
         Ok(res) => {
-            let err = res.qoi.error_vs(&baseline.result.qoi);
-            let seconds = res.timing_basis_seconds(kernel_only);
-            let row = Row {
-                benchmark: bench.name().to_string(),
-                device: spec.name.to_string(),
-                technique: cfg.region.technique_name().to_string(),
-                config: cfg.label.clone(),
-                items_per_thread: cfg.lp.items_per_thread,
-                speedup: baseline.seconds / seconds,
-                error_pct: err * 100.0,
-                approx_fraction: res.stats.approx_fraction(),
-                divergent_fraction: res.stats.divergence_fraction(),
-                kernel_seconds: res.kernel_seconds,
-                end_to_end_seconds: res.end_to_end_seconds(),
-                iterations: res.iterations,
-            };
+            let row = baseline.score(bench, spec, Some(&cfg.region), &cfg.label, &cfg.lp, &res);
             (ConfigOutcome::Done(row), Some(res.stats.margins))
         }
         Err(RegionError::CostCeiling(_)) => (ConfigOutcome::Aborted(cfg.label.clone()), None),

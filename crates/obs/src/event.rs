@@ -158,8 +158,6 @@ pub enum CounterId {
     ConfigsRejected,
     /// Nanoseconds spent evaluating configs, attributed to the evaluating worker.
     ConfigEvalNs,
-    /// Tune requests submitted to the service.
-    TunerRequests,
     /// Tune requests answered from the persistent cache.
     TunerCacheHits,
     /// Tune requests that missed the persistent cache and searched.
@@ -214,7 +212,7 @@ pub enum CounterId {
     KernelReplays,
 }
 
-pub const N_COUNTERS: usize = 41;
+pub const N_COUNTERS: usize = 40;
 
 impl CounterId {
     pub const ALL: [CounterId; N_COUNTERS] = [
@@ -238,7 +236,6 @@ impl CounterId {
         CounterId::ConfigsEvaluated,
         CounterId::ConfigsRejected,
         CounterId::ConfigEvalNs,
-        CounterId::TunerRequests,
         CounterId::TunerCacheHits,
         CounterId::TunerCacheMisses,
         CounterId::TunerEvals,
@@ -283,7 +280,6 @@ impl CounterId {
             CounterId::ConfigsEvaluated => "configs_evaluated",
             CounterId::ConfigsRejected => "configs_rejected",
             CounterId::ConfigEvalNs => "config_eval_ns",
-            CounterId::TunerRequests => "tuner_requests",
             CounterId::TunerCacheHits => "tuner_cache_hits",
             CounterId::TunerCacheMisses => "tuner_cache_misses",
             CounterId::TunerEvals => "tuner_evals",

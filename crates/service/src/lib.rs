@@ -28,7 +28,7 @@
 //!     .with_cache(TuningCache::new(TuningCache::default_dir()));
 //! let resp = svc.submit(TuneRequest::new(&bench, &device, QualityBound::percent(5.0)));
 //! println!("{:?} via {:?} in {} ns", resp.plan.config, resp.source, resp.wall_ns);
-//! let report = resp.plan.execute(&bench, &device)?;
+//! let row = resp.plan.execute(&bench, &device)?;
 //! ```
 
 #![forbid(unsafe_code)]

@@ -103,10 +103,6 @@ pub enum Source {
 }
 
 impl Source {
-    pub fn is_cache_hit(&self) -> bool {
-        matches!(self, Source::CacheHit)
-    }
-
     pub fn is_coalesced(&self) -> bool {
         matches!(self, Source::Coalesced)
     }
@@ -159,7 +155,7 @@ mod tests {
 
     #[test]
     fn source_predicates() {
-        assert!(Source::CacheHit.is_cache_hit() && Source::CacheHit.is_warm());
+        assert!(Source::CacheHit.is_warm());
         assert!(Source::Coalesced.is_coalesced() && Source::Coalesced.is_warm());
         assert!(Source::Searched { warm_seeds: 0 }.is_searched());
         assert!(!Source::Searched { warm_seeds: 0 }.is_warm());

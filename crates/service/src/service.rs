@@ -208,7 +208,6 @@ impl TuningService {
             bound_bp as u64,
         );
         hpac_obs::inc(hpac_obs::CounterId::ServiceRequests);
-        hpac_obs::inc(hpac_obs::CounterId::TunerRequests);
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
 
         let Some(instance) = req.bench().params_key() else {

@@ -9,7 +9,7 @@
 //! ```ignore
 //! let tuner = Tuner::new();
 //! let plan = tuner.search_plan(&bench, &DeviceSpec::v100(), QualityBound::percent(5.0), &[]);
-//! let report = plan.execute(&bench, &DeviceSpec::v100())?;
+//! let row = plan.execute(&bench, &DeviceSpec::v100())?;
 //! ```
 //!
 //! Most callers should not drive the tuner directly: `hpac-service` wraps
@@ -40,5 +40,5 @@ pub mod tuner;
 
 pub use cache::{device_fingerprint, TuningCache};
 pub use pareto::{ParetoFrontier, ParetoPoint};
-pub use plan::{ExecutionReport, QualityBound, TunedPlan};
+pub use plan::{QualityBound, TunedPlan};
 pub use tuner::Tuner;

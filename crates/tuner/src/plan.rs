@@ -3,7 +3,10 @@
 use crate::pareto::ParetoFrontier;
 use gpu_sim::DeviceSpec;
 use hpac_apps::common::{install_eval_memo, Benchmark, LaunchParams};
+use hpac_core::exec::ExecOptions;
 use hpac_core::region::{ApproxRegion, RegionError};
+use hpac_harness::runner::Baseline;
+use hpac_harness::Row;
 
 /// The caller's quality constraint: maximum acceptable QoI error, in
 /// percent (MAPE × 100 or MCR × 100, matching the harness database).
@@ -69,14 +72,6 @@ pub struct TunedPlan {
     pub frontier: ParetoFrontier,
 }
 
-/// Outcome of re-executing a plan through the apps layer.
-#[derive(Debug, Clone)]
-pub struct ExecutionReport {
-    pub speedup: f64,
-    pub error_pct: f64,
-    pub end_to_end_seconds: f64,
-}
-
 impl TunedPlan {
     /// Fraction of the full design space the search evaluated.
     pub fn budget_fraction_used(&self) -> f64 {
@@ -92,34 +87,26 @@ impl TunedPlan {
         self.measured_error_pct <= self.bound_pct
     }
 
-    /// Re-execute the plan through the apps layer: accurate baseline at the
-    /// stored baseline launch shape, then the chosen configuration, and
-    /// report fresh speedup and error. `bench` must be the application the
-    /// plan was tuned for.
-    pub fn execute(
-        &self,
-        bench: &dyn Benchmark,
-        spec: &DeviceSpec,
-    ) -> Result<ExecutionReport, RegionError> {
+    /// Re-execute the plan: the accurate run at [`TunedPlan::baseline_lp`],
+    /// then the chosen configuration, scored by the harness's one scorer
+    /// ([`Baseline::score`]) into the row a sweep would have made for it. A
+    /// plan reproduces when that row's `speedup` and `error_pct` equal
+    /// `predicted_speedup` and `measured_error_pct` bit for bit. `bench`
+    /// must be the application the plan was tuned for.
+    pub fn execute(&self, bench: &dyn Benchmark, spec: &DeviceSpec) -> Result<Row, RegionError> {
         assert_eq!(
             bench.name(),
             self.benchmark,
             "plan was tuned for a different benchmark"
         );
-        let kernel_only = bench.kernel_only_timing();
+        let opts = ExecOptions::default();
         // One evaluation scope for both runs: the chosen run finds the
         // inputs and accurate outputs the baseline run prepared.
         let _scope = install_eval_memo();
-        let baseline = bench.run(spec, None, &self.baseline_lp)?;
-        let chosen = bench.run(spec, self.region.as_ref(), &self.lp)?;
-        let error_pct = chosen.qoi.error_vs(&baseline.qoi) * 100.0;
-        let speedup =
-            baseline.timing_basis_seconds(kernel_only) / chosen.timing_basis_seconds(kernel_only);
-        Ok(ExecutionReport {
-            speedup,
-            error_pct,
-            end_to_end_seconds: chosen.end_to_end_seconds(),
-        })
+        let baseline = Baseline::measure(bench, spec, self.baseline_lp, &opts)?;
+        let region = self.region.as_ref();
+        let chosen = bench.run_opts(spec, region, &self.lp, &opts)?;
+        Ok(baseline.score(bench, spec, region, &self.config, &self.lp, &chosen))
     }
 }
 
@@ -156,10 +143,11 @@ mod tests {
             ..Blackscholes::default()
         };
         let spec = DeviceSpec::v100();
-        let report = accurate_plan(&bench).execute(&bench, &spec).unwrap();
-        assert!((report.speedup - 1.0).abs() < 1e-9);
-        assert!(report.error_pct.abs() < 1e-12);
-        assert!(report.end_to_end_seconds > 0.0);
+        let row = accurate_plan(&bench).execute(&bench, &spec).unwrap();
+        assert!((row.speedup - 1.0).abs() < 1e-9);
+        assert!(row.error_pct.abs() < 1e-12);
+        assert!(row.end_to_end_seconds > 0.0);
+        assert_eq!(row.technique, "accurate");
     }
 
     #[test]
@@ -172,9 +160,9 @@ mod tests {
         let mut plan = accurate_plan(&bench);
         plan.region = Some(ApproxRegion::memo_out(2, 64, 5.0));
         plan.lp = LaunchParams::new(16, 256);
-        let report = plan.execute(&bench, &spec).unwrap();
-        assert!(report.speedup > 1.0, "speedup {}", report.speedup);
-        assert!(report.error_pct.is_finite());
+        let row = plan.execute(&bench, &spec).unwrap();
+        assert!(row.speedup > 1.0, "speedup {}", row.speedup);
+        assert!(row.error_pct.is_finite());
     }
 
     #[test]

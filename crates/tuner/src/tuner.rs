@@ -343,8 +343,8 @@ mod tests {
         let bench = tune_bs();
         let spec = DeviceSpec::v100();
         let plan = quick_tuner().search_plan(&bench, &spec, QualityBound::percent(5.0), &[]);
-        let report = plan.execute(&bench, &spec).unwrap();
-        assert!((report.speedup - plan.predicted_speedup).abs() < 1e-6);
-        assert!((report.error_pct - plan.measured_error_pct).abs() < 1e-6);
+        let row = plan.execute(&bench, &spec).unwrap();
+        assert!((row.speedup - plan.predicted_speedup).abs() < 1e-6);
+        assert!((row.error_pct - plan.measured_error_pct).abs() < 1e-6);
     }
 }

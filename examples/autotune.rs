@@ -48,12 +48,12 @@ fn main() {
     }
 
     // The plan re-executes through the apps layer.
-    let report = plan.execute(&bench, &device).expect("plan executes");
+    let row = plan.execute(&bench, &device).expect("plan executes");
     println!(
         "\nre-executed: {:.2}x speedup at {:.3}% error ({:.3} ms end-to-end)",
-        report.speedup,
-        report.error_pct,
-        report.end_to_end_seconds * 1e3,
+        row.speedup,
+        row.error_pct,
+        row.end_to_end_seconds * 1e3,
     );
 
     // Second request: served from the persistent cache, zero evaluations.

@@ -13,6 +13,7 @@ use gpu_sim::DeviceSpec;
 use hpac_offload::apps::binomial::BinomialOptions;
 use hpac_offload::apps::common::{Benchmark, LaunchParams};
 use hpac_offload::core::{ApproxRegion, HierarchyLevel};
+use hpac_offload::harness::runner::Baseline;
 
 fn main() {
     let bench = BinomialOptions::default();
@@ -22,13 +23,13 @@ fn main() {
     );
 
     for spec in DeviceSpec::evaluation_platforms() {
-        let baseline = bench.run(&spec, None, &LaunchParams::new(1, 128)).unwrap();
-        let base_s = baseline.end_to_end_seconds();
+        let lp = LaunchParams::new(1, 128);
+        let baseline = Baseline::measure(&bench, &spec, lp, &Default::default()).unwrap();
         println!(
             "{} ({} SMs): accurate end-to-end {:.3} ms",
             spec.name,
             spec.sm_count,
-            base_s * 1e3
+            baseline.seconds * 1e3
         );
         println!(
             "  {:>16} {:>9} {:>12} {:>10}",
@@ -36,16 +37,15 @@ fn main() {
         );
         for opb in [1usize, 4, 16, 64, 256, 1024, 4096] {
             let region = ApproxRegion::memo_out(1, 64, 5.0).level(HierarchyLevel::Block);
-            let res = bench
-                .run(&spec, Some(&region), &LaunchParams::new(opb, 128))
-                .unwrap();
-            let err = res.qoi.error_vs(&baseline.qoi) * 100.0;
+            let lp = LaunchParams::new(opb, 128);
+            let res = bench.run(&spec, Some(&region), &lp).unwrap();
+            let row = baseline.score(&bench, &spec, Some(&region), "TAF lvl=block", &lp, &res);
             println!(
                 "  {:>16} {:>8.2}x {:>11.1}% {:>10.2}",
                 opb,
-                base_s / res.end_to_end_seconds(),
-                res.stats.approx_fraction() * 100.0,
-                err
+                row.speedup,
+                row.approx_fraction * 100.0,
+                row.error_pct
             );
         }
         println!();

@@ -12,14 +12,14 @@ use hpac_offload::apps::common::{Benchmark, LaunchParams};
 use hpac_offload::apps::kmeans::KMeans;
 use hpac_offload::core::ApproxRegion;
 use hpac_offload::harness::analyze::linear_fit;
+use hpac_offload::harness::runner::Baseline;
 
 fn main() {
     let spec = DeviceSpec::mi250x();
     let bench = KMeans::default();
     let lp = LaunchParams::new(8, 256);
-    let accurate = bench.run(&spec, None, &lp).unwrap();
-    let base_iters = accurate.iterations.unwrap();
-    let base_s = accurate.end_to_end_seconds();
+    let accurate = Baseline::measure(&bench, &spec, lp, &Default::default()).unwrap();
+    let base_iters = accurate.result.iterations.unwrap();
     println!(
         "K-Means: {} points, {} clusters on {}: accurate converges in {} iterations\n",
         bench.n_points, bench.k, spec.name, base_iters
@@ -41,23 +41,17 @@ fn main() {
         (5, 512, 1.5),
     ] {
         for ipt in [8usize, 64] {
-            let region = ApproxRegion::memo_out(h, p, t);
-            let res = bench
-                .run(&spec, Some(&region), &LaunchParams::new(ipt, 256))
-                .unwrap();
-            let iters = res.iterations.unwrap();
+            let (region, lp) = (ApproxRegion::memo_out(h, p, t), LaunchParams::new(ipt, 256));
+            let res = bench.run(&spec, Some(&region), &lp).unwrap();
+            let label = format!("h={h} p={p} t={t} ipt={ipt}");
+            let row = accurate.score(&bench, &spec, Some(&region), &label, &lp, &res);
+            let iters = row.iterations.unwrap();
             let conv = base_iters as f64 / iters as f64;
-            let time = base_s / res.end_to_end_seconds();
-            let mcr = res.qoi.error_vs(&accurate.qoi) * 100.0;
             xs.push(conv);
-            ys.push(time);
+            ys.push(row.speedup);
             println!(
                 "{:<28} {:>6} {:>11.2}x {:>11.2}x {:>8.2}",
-                format!("h={h} p={p} t={t} ipt={ipt}"),
-                iters,
-                conv,
-                time,
-                mcr
+                label, iters, conv, row.speedup, row.error_pct
             );
         }
     }

@@ -10,18 +10,18 @@ use hpac_offload::apps::lulesh::Lulesh;
 use hpac_offload::core::params::PerfoKind;
 use hpac_offload::core::ApproxRegion;
 use hpac_offload::core::HierarchyLevel;
+use hpac_offload::harness::runner::Baseline;
 
 fn main() {
     let spec = DeviceSpec::v100();
     let bench = Lulesh::default();
     let lp_base = LaunchParams::new(1, 64);
-    let accurate = bench.run(&spec, None, &lp_base).unwrap();
-    let base_s = accurate.end_to_end_seconds();
+    let base = Baseline::measure(&bench, &spec, lp_base, &Default::default()).unwrap();
     println!(
         "LULESH {}^3 Sedov blast on {}: accurate end-to-end {:.3} ms\n",
         bench.edge,
         spec.name,
-        base_s * 1e3
+        base.seconds * 1e3
     );
     println!(
         "{:<34} {:>8} {:>10} {:>8}",
@@ -71,13 +71,13 @@ fn main() {
         let lp = LaunchParams::new(ipt, 64);
         match bench.run(&spec, Some(&region), &lp) {
             Ok(res) => {
-                let err = res.qoi.error_vs(&accurate.qoi) * 100.0;
+                let row = base.score(&bench, &spec, Some(&region), name, &lp, &res);
                 println!(
                     "{:<34} {:>7.2}x {:>10.4} {:>7.1}%",
                     name,
-                    base_s / res.end_to_end_seconds(),
-                    err,
-                    res.stats.approx_fraction() * 100.0
+                    row.speedup,
+                    row.error_pct,
+                    row.approx_fraction * 100.0
                 );
             }
             Err(e) => println!("{name:<34} rejected: {e}"),

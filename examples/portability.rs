@@ -5,9 +5,8 @@
 //! Run with: `cargo run --release --example portability`
 
 use gpu_sim::DeviceSpec;
-use hpac_offload::apps::blackscholes::Blackscholes;
 use hpac_offload::apps::common::{Benchmark, LaunchParams};
-use hpac_offload::core::ApproxRegion;
+use hpac_offload::{apps::blackscholes::Blackscholes, core::ApproxRegion, harness::runner};
 
 fn main() {
     let bench = Blackscholes::default();
@@ -25,20 +24,21 @@ fn main() {
         // the dataset period, so every thread's output stream is constant —
         // the dataset redundancy TAF exploits.
         let lp = LaunchParams::new(8, 256);
-        let accurate = bench.run(&spec, None, &lp).unwrap();
+        let accurate = runner::Baseline::measure(&bench, &spec, lp, &Default::default()).unwrap();
         // The identical pragma works on both platforms; the warp-level vote
         // uses a 32-lane ballot on NVIDIA and a 64-lane one on AMD.
         let region = ApproxRegion::memo_out(1, 512, 20.0);
         let approx = bench.run(&spec, Some(&region), &lp).unwrap();
+        let row = accurate.score(&bench, &spec, Some(&region), "TAF h=1 p=512", &lp, &approx);
         println!(
             "{:<10} {:>6} {:>10} {:>12.1} {:>12.1} {:>9.2}x {:>10.4}",
             spec.name,
             spec.warp_size,
             spec.sm_count,
-            accurate.kernel_seconds * 1e6,
-            approx.kernel_seconds * 1e6,
-            accurate.kernel_seconds / approx.kernel_seconds,
-            approx.qoi.error_vs(&accurate.qoi) * 100.0,
+            accurate.seconds * 1e6,
+            row.kernel_seconds * 1e6,
+            row.speedup,
+            row.error_pct,
         );
     }
     println!(

@@ -161,12 +161,8 @@ fn blackscholes_plan_respects_bound() {
         plan.predicted_speedup > 1.0,
         "blackscholes has feasible speedup"
     );
-    let report = plan.execute(&bench, &spec).unwrap();
-    assert!(
-        report.error_pct <= 5.0,
-        "re-executed error {}",
-        report.error_pct
-    );
+    let row = plan.execute(&bench, &spec).unwrap();
+    assert!(row.error_pct <= 5.0, "re-executed error {}", row.error_pct);
 }
 
 /// Same contract on K-Means (the MCR-metric, convergence-driven app) on the
@@ -188,11 +184,11 @@ fn kmeans_plan_respects_bound() {
         plan.evaluations,
         plan.full_space
     );
-    let report = plan.execute(&bench, &spec).unwrap();
+    let row = plan.execute(&bench, &spec).unwrap();
     assert!(
-        report.error_pct <= 5.0 + 1e-9,
+        row.error_pct <= 5.0 + 1e-9,
         "re-executed error {}",
-        report.error_pct
+        row.error_pct
     );
 }
 

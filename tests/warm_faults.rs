@@ -106,13 +106,10 @@ fn ask(cache: &TuningCache, bench: &Blackscholes, device: &DeviceSpec, bound_pct
     let delta = obs::snapshot().delta_since(&before);
 
     // Whatever the cache said, the plan is this benchmark's own.
-    let report = resp.plan.execute(bench, device).unwrap();
+    let row = resp.plan.execute(bench, device).unwrap();
+    assert_eq!(row.speedup.to_bits(), resp.plan.predicted_speedup.to_bits());
     assert_eq!(
-        report.speedup.to_bits(),
-        resp.plan.predicted_speedup.to_bits()
-    );
-    assert_eq!(
-        report.error_pct.to_bits(),
+        row.error_pct.to_bits(),
         resp.plan.measured_error_pct.to_bits()
     );
     assert!(resp.plan.respects_bound());
